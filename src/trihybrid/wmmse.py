@@ -10,9 +10,11 @@ closed form:
 * v, w, F_D follow the classic per-user expressions, with one shared power
   multiplier found by bisection;
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
-  program whose KKT system (A + 2 nu I) c = -d is resolved by eigen
-  decomposition plus bisection on nu in the two outer intervals where
-  ||c(nu)||^2 is monotone; both candidates are scored on the exact
+  program whose KKT system (A + 2 nu I) c = -d is resolved by one eigen
+  decomposition plus Newton on the secular equation ||c(nu)||^2 = rho^2 in
+  the two outer intervals where ||c(nu)||^2 is monotone, with an explicit
+  hard case (nu at the pole) for the rank-deficient A the channel gives;
+  both candidates are scored on the exact
   objective and accepted only on strict improvement, which makes the
   objective non-increasing step by step and the sum rate non-decreasing
   across outer iterations.
@@ -30,6 +32,11 @@ from .channel import Scenario
 from .harmonics import FULL_SPHERE, PatternCoefficients, truncation_length
 
 DEGENERACY_TOL = 1e-14
+# Backward error of an n x n eigensolve, in units of n * eps * max|lam|:
+# eigenvalues this close to the pole form one cluster, and weight of d on that
+# cluster below this level is rounding noise.
+CLUSTER_ULPS = 10.0
+MULTIPLIER_STEPS = 100  # cap on safeguarded Newton steps per multiplier
 
 
 @dataclass(frozen=True)
@@ -274,20 +281,97 @@ class SubproblemCandidates:
     nu_plus: float
 
 
+def _secular_root(lams, vecs, dt, rho_sq, tol):
+    """Multiplier and point on the interval right of the smallest eigenvalue.
+
+    Solves sum_i (dt_i / (lams_i + 2 nu))^2 = rho_sq for nu >= -lams[0]/2
+    (``lams`` ascending, ``dt = vecs^T d``) and returns (nu, c) with
+    c = -(A + 2 nu I)^{-1} d.  Works in the shift t = 2 nu + lams[0] >= 0 so
+    the distance to the pole keeps full precision.  Outside the hard case,
+    Newton runs on 1/||c(t)|| - 1/rho (More & Sorensen 1983) inside the
+    bracket [0, ||d||/rho].  A step that leaves the bracket is replaced by a
+    bisection step in log t: the bracket's geometric mean, or hi/1000 while
+    the lower end is still the pole, so roots very close to the pole take a
+    few steps rather than one per halving.
+    """
+    rounding = CLUSTER_ULPS * lams.size * np.finfo(float).eps
+    rho = math.sqrt(rho_sq)
+    lam_scale = float(np.abs(lams).max())
+    shift = lams - lams[0]
+    cluster = shift <= rounding * lam_scale
+    shift[cluster] = 0.0  # the cluster counts as one eigenvalue at the pole
+    d_norm = float(np.linalg.norm(dt))
+    rest = ~cluster
+    c_range = -vecs[:, rest] @ (dt[rest] / shift[rest])
+    range_sq = float(np.dot(c_range, c_range))
+    # d = A x keeps up to rounding * (norm(d) + norm(A) norm(x)) of weight on
+    # the computed cluster, from the eigenvector error alone
+    noise = rounding * (d_norm + lam_scale * math.sqrt(range_sq))
+    if range_sq <= rho_sq and np.linalg.norm(dt[cluster]) <= noise:
+        z = _cluster_direction(vecs[:, cluster])
+        return -0.5 * lams[0], c_range + math.sqrt(rho_sq - range_sq) * z
+
+    lo, hi = 0.0, d_norm / rho  # norm(c(hi)) <= rho by construction
+    t = hi
+    for _ in range(MULTIPLIER_STEPS):
+        ratio = dt / (shift + t)
+        norm_sq = float(np.dot(ratio, ratio))
+        if abs(norm_sq - rho_sq) <= tol * rho_sq:
+            return 0.5 * (t - lams[0]), -vecs @ ratio
+        if norm_sq > rho_sq:
+            lo = t
+        else:
+            hi = t
+        # Newton on 1/norm(c) - 1/rho; the derivative of norm(c)^2 is -2 * slope
+        slope = float(np.sum(ratio**2 / (shift + t)))
+        t += norm_sq / slope * (math.sqrt(norm_sq) - rho) / rho
+        if not lo < t < hi:
+            t = max(math.sqrt(lo * hi), 1e-3 * hi)
+    raise RuntimeError(
+        f"multiplier Newton did not converge in {MULTIPLIER_STEPS} steps: "
+        f"relative norm residual {abs(norm_sq - rho_sq) / rho_sq:.3e}"
+    )
+
+
+def _cluster_direction(basis: np.ndarray) -> np.ndarray:
+    """Unit vector of the span of ``basis``, independent of the basis chosen.
+
+    The projection of the all-ones vector onto the span; when that vanishes,
+    the projection of the unit vector the span is closest to.
+    """
+    z = basis @ basis.sum(axis=0)
+    if np.linalg.norm(z) <= 1e-8 * math.sqrt(basis.shape[0]):
+        z = basis @ basis[np.argmax(np.sum(basis**2, axis=1))]
+    return z / np.linalg.norm(z)
+
+
 def solve_ac_subproblem(
-    sub: QuadraticSubproblem, tol: float = 1e-10, max_steps: int = 200
+    sub: QuadraticSubproblem, tol: float = 1e-10
 ) -> SubproblemCandidates:
     """Find the two sphere-constrained stationary points of the quadratic.
 
     With A = V diag(lams) V^T, c(nu) = -(A + 2 nu I)^{-1} d has squared norm
     sum_m (d_m / (lam_m + 2 nu))^2, monotone on (-inf, -lam_max/2) and on
-    (-lam_min/2, +inf); one bisection per interval matches it to rho_sq.
+    (-lam_min/2, +inf).  Each multiplier is found by Newton on the secular
+    equation with an explicit hard case; the left interval is the right
+    interval of (-A, -d).  Both roots stop once
+    |norm(c)^2 - rho_sq| <= tol * rho_sq.
+
+    Hard case: when d has only rounding-level weight on the eigenvalues
+    clustered at the pole and the range-only solution at the pole has norm at
+    most rho, no root lies inside the interval.  The multiplier is then the
+    pole itself and c is the range solution plus a vector of the cluster's
+    eigenspace that makes up the missing norm.  Its direction, by
+    convention, is the projection of the all-ones vector onto that
+    eigenspace (a unit vector's projection if that one vanishes), so it does
+    not depend on the eigenbasis LAPACK returns; since A z = lam_pole z and
+    d^T z = 0, the direction does not change the objective.
     For d = 0 the two points are +/- rho times the eigenvector of the
     smallest eigenvalue (documented convention).
     """
     eigvals, vecs = np.linalg.eigh(sub.a_matrix)  # ascending
-    rho = math.sqrt(sub.rho_sq)
     if np.linalg.norm(sub.d) == 0.0:
+        rho = math.sqrt(sub.rho_sq)
         u_min = vecs[:, 0]
         nu = -0.5 * eigvals[0]
         return SubproblemCandidates(
@@ -295,53 +379,12 @@ def solve_ac_subproblem(
         )
 
     dt = vecs.T @ sub.d
-
-    def norm_sq(nu):
-        return float(np.sum((dt / (eigvals + 2.0 * nu)) ** 2))
-
-    scale = max(float(np.abs(eigvals).max()), np.linalg.norm(dt) / rho, 1e-30)
-
-    def bisect(pole, direction):
-        # direction +1: interval (pole, inf); -1: (-inf, pole)
-        step = scale
-        hi = pole + direction * step
-        for _ in range(max_steps):
-            if norm_sq(hi) < sub.rho_sq:
-                break
-            step *= 2.0
-            hi = pole + direction * step
-        else:
-            raise RuntimeError("failed to bracket the multiplier away from the pole")
-        step = scale
-        lo = pole + direction * step
-        for _ in range(max_steps):
-            if norm_sq(lo) > sub.rho_sq:
-                break
-            step *= 0.5
-            lo = pole + direction * step
-        else:
-            raise RuntimeError("failed to bracket the multiplier near the pole")
-        for _ in range(max_steps):
-            mid = 0.5 * (lo + hi)
-            if norm_sq(mid) > sub.rho_sq:
-                lo = mid
-            else:
-                hi = mid
-            if abs(norm_sq(hi) - sub.rho_sq) <= tol * sub.rho_sq:
-                return hi
-        raise RuntimeError("multiplier bisection did not converge in 200 steps")
-
-    nu_plus = bisect(-0.5 * eigvals[0], +1.0)
-    nu_minus = bisect(-0.5 * eigvals[-1], -1.0)
-
-    def solution(nu):
-        return -vecs @ (dt / (eigvals + 2.0 * nu))
-
+    nu_plus, c_plus = _secular_root(eigvals, vecs, dt, sub.rho_sq, tol)
+    nu_minus, c_minus = _secular_root(
+        -eigvals[::-1], vecs[:, ::-1], -dt[::-1], sub.rho_sq, tol
+    )
     return SubproblemCandidates(
-        c_minus=solution(nu_minus),
-        nu_minus=nu_minus,
-        c_plus=solution(nu_plus),
-        nu_plus=nu_plus,
+        c_minus=c_minus, nu_minus=-nu_minus, c_plus=c_plus, nu_plus=nu_plus
     )
 
 
@@ -360,10 +403,10 @@ def update_em(
     the objective.  DC entries are left untouched.
     """
     coeffs = np.array(coeffs, dtype=float)
+    incumbent = _objective(blocks, coeffs, f_d, w, v, weights, noise_powers)
     for n in range(coeffs.shape[0]):
         sub = assemble_quadratic(blocks, coeffs, f_d, w, v, weights, n)
         cands = solve_ac_subproblem(sub, tol=bisection_tol)
-        incumbent = _objective(blocks, coeffs, f_d, w, v, weights, noise_powers)
         best_obj, best_ac = incumbent, None
         for c_ac in (cands.c_minus, cands.c_plus):
             trial = coeffs[n].copy()
@@ -374,6 +417,7 @@ def update_em(
                 best_obj, best_ac = obj, c_ac
         if best_ac is not None:
             coeffs[n, 1:] = best_ac
+        incumbent = best_obj
     return coeffs
 
 

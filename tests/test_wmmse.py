@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from trihybrid import wmmse
 from trihybrid.channel import ScenarioConfig, generate_scenario
 from trihybrid.harmonics import FULL_SPHERE
+from trihybrid.harness import RunConfig
 
 ETA = math.sqrt(2.0 * math.pi)
 RHO_SQ = FULL_SPHERE - ETA**2  # = 2 pi
@@ -325,6 +326,46 @@ class TestSubproblem:
             wmmse.QuadraticSubproblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n_users=st.integers(min_value=1, max_value=3),
+    dim=st.sampled_from([3, 8, 15, 24]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_rho_sq=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_subproblem_rank_deficient_range_d(n_users, dim, seed, log_rho_sq):
+    # A = M^T D M has rank <= 2K like the channel's quadratic, and d = M^T y
+    # lies in M's row space: with D > 0, d has no weight on A's null space,
+    # the setting of the trust-region hard case
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((2 * n_users, dim))
+    diag = rng.uniform(0.1, 10.0, 2 * n_users)
+    diag[rng.random(2 * n_users) < 0.2] = 0.0
+    a = m.T @ (diag[:, None] * m)
+    d = m.T @ rng.standard_normal(2 * n_users)
+    rho_sq = 10.0**log_rho_sq
+    sub = wmmse.QuadraticSubproblem(a, d, rho_sq)
+    out = wmmse.solve_ac_subproblem(sub)
+
+    eigvals = np.linalg.eigvalsh(sub.a_matrix)
+    scale = max(np.linalg.norm(sub.a_matrix, 2), np.linalg.norm(d))
+    for c, nu in ((out.c_minus, out.nu_minus), (out.c_plus, out.nu_plus)):
+        assert abs(np.dot(c, c) - rho_sq) <= 1e-8 * rho_sq
+        residual = (sub.a_matrix + 2.0 * nu * np.eye(dim)) @ c + d
+        assert np.linalg.norm(residual) <= 1e-8 * scale
+    assert out.nu_plus >= -0.5 * eigvals[0] - 1e-8 * scale
+    assert out.nu_minus <= -0.5 * eigvals[-1] + 1e-8 * scale
+
+    # the hard-case direction must not depend on the eigenbasis LAPACK returns
+    perm = rng.permutation(dim)
+    permuted = wmmse.solve_ac_subproblem(
+        wmmse.QuadraticSubproblem(a[np.ix_(perm, perm)], d[perm], rho_sq)
+    )
+    atol = 1e-8 * math.sqrt(rho_sq)
+    np.testing.assert_allclose(permuted.c_plus, out.c_plus[perm], rtol=0, atol=atol)
+    np.testing.assert_allclose(permuted.c_minus, out.c_minus[perm], rtol=0, atol=atol)
+
+
 class TestUpdateEm:
     def test_sweep_never_increases_objective(self):
         for seed in (3, 5, 8):
@@ -409,6 +450,19 @@ class TestAlgorithm:
         res = wmmse.run_algorithm1(scenario, seed=6, em_update=False)
         iso = wmmse.isotropic_coefficients(4, 2)
         np.testing.assert_array_equal(res.state.coeffs, iso)
+
+    def test_default_config_hard_case_drops(self):
+        # At 20-30 dBm many pattern subproblems of a default drop are in the
+        # hard case (d orthogonal to A's null space); every solve must finish
+        # feasible
+        config = RunConfig()
+        solver = config.solver_config()
+        for pmax_dbm in (20.0, 25.0, 30.0):
+            scenario_config = config.scenario_config(pmax_dbm)
+            for seed in range(1, 21):
+                scenario = generate_scenario(scenario_config, seed)
+                res = wmmse.run_algorithm1(scenario, solver, seed=seed)
+                res.state.validate(solver.eta, scenario.p_max)
 
     def test_matches_plain_wmmse_on_fixed_channel(self):
         # with patterns frozen isotropic the solver is plain WMMSE on the
