@@ -21,7 +21,7 @@ from .channel import (
     ScenarioConfig,
     UpaGeometry,
     direct_channel_oracle,
-    effective_channel,
+    effective_channels,
     em_user_channel,
     far_field_arv,
     generate_scenario,
@@ -30,7 +30,6 @@ from .channel import (
 from .decomposition import HybridFactors, decompose, phase_projection, sum_rate_loss
 from .harmonics import (
     AngularGrid,
-    PatternCoefficients,
     basis_vector,
     gauss_legendre_grid,
     index_of,
@@ -65,7 +64,6 @@ __all__ = [
     "CandidatePatternSet",
     "HybridFactors",
     "PathGeometry",
-    "PatternCoefficients",
     "QuadraticSubproblem",
     "RunConfig",
     "Scenario",
@@ -80,7 +78,7 @@ __all__ = [
     "candidate_gain",
     "decompose",
     "direct_channel_oracle",
-    "effective_channel",
+    "effective_channels",
     "em_user_channel",
     "emit_csv",
     "far_field_arv",

@@ -13,8 +13,10 @@ The multipath channel of user k is
 (elementwise products of complex gains, per-element antenna gains, and the
 array response).  Writing each per-element gain through the harmonic basis
 turns this into h_k = F_EM^T h_k^EM with a block-diagonal pattern-coefficient
-stack F_EM and a lifted channel h_k^EM of length T * N_T; the two routes are
-algebraically identical and both are implemented so one can audit the other.
+stack F_EM and a lifted channel h_k^EM of length T * N_T.  The two routes are
+algebraically identical and both are implemented so one can audit the other:
+``effective_channels`` evaluates the lifted form the solver runs, and
+``direct_channel_oracle`` assembles the per-path product without the lift.
 """
 
 from __future__ import annotations
@@ -161,26 +163,14 @@ def em_user_channel(paths, geom: UpaGeometry, degree: int) -> np.ndarray:
     return math.sqrt(geom.n_t / len(paths)) * acc
 
 
-def em_blocks(h_em: np.ndarray, n_t: int) -> np.ndarray:
-    """(N_T, T) per-antenna view of a lifted channel vector."""
-    if h_em.size % n_t:
-        raise ValueError(f"length {h_em.size} does not split into {n_t} blocks")
-    return h_em.reshape(n_t, -1)
+def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(K, N_T) physical channels with h_k[n] = c^(n) . blocks[k, n].
 
-
-def effective_channel(coeffs: np.ndarray, h_em: np.ndarray) -> np.ndarray:
-    """Physical channel h with h_n = c^(n) . (block n of h_em).
-
-    ``coeffs`` is the (N_T, T) stack of pattern coefficients; the
-    block-diagonal structure is used directly, no dense matrix is formed.
+    ``blocks`` is the (K, N_T, T) per-antenna view of the lifted channels
+    and ``coeffs`` the (N_T, T) stack of pattern coefficients; the
+    block-diagonal structure of F_EM is used directly.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    blocks = em_blocks(np.asarray(h_em), coeffs.shape[0])
-    if blocks.shape[1] != coeffs.shape[1]:
-        raise ValueError(
-            f"coefficient length {coeffs.shape[1]} does not match block size {blocks.shape[1]}"
-        )
-    return np.sum(coeffs * blocks, axis=1)
+    return np.einsum("kmt,mt->km", blocks, coeffs)
 
 
 def assemble_channel(paths, geom: UpaGeometry, gain_fn) -> np.ndarray:

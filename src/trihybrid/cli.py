@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import replace
 
@@ -83,6 +84,24 @@ def _overrides(args) -> dict:
     return out
 
 
+def _print_summary(records, config) -> None:
+    """Mean sum rate per power point (rows) and mode (columns) over the
+    successful trials; projected rows report the rate after projection."""
+    modes = config.modes()
+    print(f"mean sum rate (bits/s/Hz) over {config.trials} trial(s), failures excluded")
+    print(f"{'P_max [dBm]':>12}" + "".join(f"{mode:>12}" for mode in modes))
+    for pmax in config.pmax_dbm:
+        cells = []
+        for mode in modes:
+            rates = [
+                r.projected_sum_rate if mode == "projected" else r.sum_rate
+                for r in records
+                if r.mode == mode and r.pmax_dbm == pmax and r.error is None
+            ]
+            cells.append(sum(rates) / len(rates) if rates else math.nan)
+        print(f"{pmax:>12g}" + "".join(f"{cell:>12.4f}" for cell in cells))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -102,6 +121,11 @@ def main(argv=None) -> int:
         if args.command == "trace":
             rows = convergence_trace(config, config.seed)
             emit_trace_csv(rows, config.out_path)
+            for row in {r.mode: r for r in rows}.values():  # last row of each mode
+                print(
+                    f"{row.mode}: {row.iteration} iterations, final sum rate "
+                    f"{row.sum_rate:.4f} bits/s/Hz"
+                )
             print(f"wrote {len(rows)} trace rows to {config.out_path}")
             return 0
 
@@ -110,15 +134,7 @@ def main(argv=None) -> int:
         records = run_trials(config)
         emit_csv(records, config.out_path)
         failures = sum(1 for r in records if r.error is not None)
-        for mode in config.modes():
-            rates = [
-                r.sum_rate for r in records if r.mode == mode and r.error is None
-            ]
-            if rates:
-                print(
-                    f"{mode}: {len(rates)} trials, mean sum rate "
-                    f"{sum(rates) / len(rates):.4f} bits/s/Hz"
-                )
+        _print_summary(records, config)
         print(f"wrote {len(records)} records to {config.out_path}")
         if failures:
             print(f"{failures} trial(s) failed; see log", file=sys.stderr)

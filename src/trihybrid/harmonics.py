@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 FULL_SPHERE = 4.0 * math.pi
-POWER_TOL = 1e-8
 
 
 class NonPhysicalPatternWarning(UserWarning):
@@ -230,68 +229,3 @@ def min_gain_on_grid(c, grid: AngularGrid | None = None) -> float:
             stacklevel=2,
         )
     return gmin
-
-
-@dataclass(frozen=True)
-class PatternCoefficients:
-    """Coefficient vector of one antenna pattern with the 4 pi power budget.
-
-    ``dc`` is the constant-harmonic coefficient, ``ac`` everything else.
-    Construction validates ||c||**2 == 4 pi to within 1e-8.
-    """
-
-    c: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("coefficients must be a 1-D vector")
-        degree = math.isqrt(c.size) - 1
-        if truncation_length(degree) != c.size:
-            raise ValueError(f"length {c.size} is not (U+1)**2 for any U")
-        if abs(pattern_power(c) - FULL_SPHERE) > POWER_TOL:
-            raise ValueError(
-                f"pattern power {pattern_power(c):.12g} violates the 4*pi budget"
-            )
-        object.__setattr__(self, "c", c)
-
-    @property
-    def dc(self) -> float:
-        return float(self.c[0])
-
-    @property
-    def ac(self) -> np.ndarray:
-        return self.c[1:]
-
-    @property
-    def degree(self) -> int:
-        return math.isqrt(self.c.size) - 1
-
-    @classmethod
-    def isotropic(cls, degree: int) -> "PatternCoefficients":
-        c = np.zeros(truncation_length(degree))
-        c[0] = math.sqrt(FULL_SPHERE)
-        return cls(c)
-
-    @classmethod
-    def pinned(cls, dc: float, ac) -> "PatternCoefficients":
-        """Pattern with DC pinned to ``dc`` and the given AC part.
-
-        Requires 0 < dc < sqrt(4 pi) and ||ac||**2 == 4 pi - dc**2.
-        """
-        if not 0.0 < dc < math.sqrt(FULL_SPHERE):
-            raise ValueError(f"pinned DC must lie in (0, sqrt(4*pi)), got {dc}")
-        ac = np.asarray(ac, dtype=float)
-        return cls(np.concatenate(([dc], ac)))
-
-    @classmethod
-    def random_pinned(
-        cls, degree: int, dc: float, rng: np.random.Generator
-    ) -> "PatternCoefficients":
-        """DC pinned to ``dc``, AC uniform on its sphere of radius
-        sqrt(4 pi - dc**2)."""
-        n_ac = truncation_length(degree) - 1
-        direction = rng.standard_normal(n_ac)
-        direction /= np.linalg.norm(direction)
-        ac = direction * math.sqrt(FULL_SPHERE - dc * dc)
-        return cls.pinned(dc, ac)

@@ -354,11 +354,9 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
     """Per-iteration sum rate and objective for the pattern-optimizing run
     and the frozen-pattern baseline under the same seed."""
     rows = []
-    pmax = config.pmax_dbm[0]
-    scenario_cfg = config.scenario_config(pmax)
+    scenario = generate_scenario(config.scenario_config(config.pmax_dbm[0]), seed)
     solver_cfg = config.solver_config()
     for mode in ("trihybrid", "hybrid"):
-        scenario = generate_scenario(scenario_cfg, seed)
         result = run_algorithm1(scenario, solver_cfg, seed, em_update=mode != "hybrid")
         rows.extend(
             TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scenario
-from .harmonics import FULL_SPHERE, PatternCoefficients, truncation_length
+from .channel import Scenario, effective_channels
+from .harmonics import FULL_SPHERE, truncation_length
 
 DEGENERACY_TOL = 1e-14
 # Backward error of an n x n eigensolve, in units of n * eps * max|lam|:
@@ -77,9 +77,6 @@ class SolverState:
     f_d: np.ndarray  # (N_T, K) fully digital precoder
     coeffs: np.ndarray  # (N_T, T) pattern coefficients
 
-    def patterns(self) -> list[PatternCoefficients]:
-        return [PatternCoefficients(c) for c in self.coeffs]
-
     def validate(self, eta: float, p_max: float, dc_pinned: bool = True) -> None:
         if np.any(self.w <= 0):
             raise AssertionError("MSE weights must stay positive")
@@ -109,11 +106,6 @@ class SolverResult:
     @property
     def iterations(self) -> int:
         return len(self.history)
-
-
-def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(K, N_T) physical channels from EM blocks and pattern coefficients."""
-    return np.einsum("kmt,mt->km", blocks, coeffs)
 
 
 def sum_rate(channels, f_d, weights, noise_powers) -> float:
@@ -229,19 +221,6 @@ class QuadraticSubproblem:
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
         if self.rho_sq <= 0:
             raise ValueError("target squared norm must be positive")
-
-
-def g_affine(blocks, coeffs, f_d, k: int, i: int, n: int):
-    """Affine map of the (k, i) link gain in antenna n's AC coefficients.
-
-    Returns (a, b) with h_k^T f_i = a^T c_ac + b; ``b`` gathers the DC terms
-    of all antennas and the AC terms of antennas other than n.
-    """
-    a = f_d[n, i] * blocks[k, n, 1:]
-    per_antenna = np.einsum("mt,mt->m", blocks[k], coeffs)  # c^(m) . block m
-    p_full = complex(np.sum(per_antenna * f_d[:, i]))
-    b = p_full - complex(np.dot(blocks[k, n, 1:], coeffs[n, 1:])) * f_d[n, i]
-    return a, b
 
 
 def assemble_quadratic(blocks, coeffs, f_d, w, v, weights, n: int) -> QuadraticSubproblem:
@@ -452,48 +431,18 @@ def matched_filter_precoder(channels: np.ndarray, p_max: float) -> np.ndarray:
     return f * math.sqrt(p_max / total)
 
 
-def run_algorithm1(
-    scenario: Scenario,
-    config: SolverConfig | None = None,
-    seed: int = 0,
-    *,
-    em_update: bool = True,
-    initial_coeffs: np.ndarray | None = None,
-) -> SolverResult:
-    """Run the alternating solver on one scenario.
+def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
+    """Outer iterations of the v, w, F_D block updates on the channel ``h``.
 
-    Patterns start with DC pinned at eta and random AC (or isotropic when
-    ``em_update`` is off, the conventional hybrid baseline); the digital
-    precoder starts as the conjugate matched filter at full power.  Each
-    outer iteration runs the four block updates; the loop stops when the
-    relative sum-rate change drops below the tolerance or the iteration
-    budget is spent.
+    ``pattern_step(f_d, w, v)``, when given, runs after the F_D update and
+    returns the channel under the updated patterns.  Weights start at one.
+    The loop stops when the relative sum-rate change drops below
+    ``config.tolerance`` or ``config.max_iterations`` is spent.  Returns
+    (h, f_d, v, w, history, converged).
     """
-    config = config or SolverConfig()
-    geom = scenario.geometry
-    t_len = truncation_length(scenario.truncation)
-    blocks = scenario.em_channels().reshape(scenario.n_users, geom.n_t, t_len)
-    rng = np.random.default_rng(seed)
-    if initial_coeffs is not None:
-        coeffs = np.array(initial_coeffs, dtype=float)
-        if coeffs.shape != (geom.n_t, t_len):
-            raise ValueError(f"initial coefficients must have shape {(geom.n_t, t_len)}")
-    elif em_update:
-        coeffs = initial_coefficients(geom.n_t, scenario.truncation, config.eta, rng)
-    else:
-        coeffs = isotropic_coefficients(geom.n_t, scenario.truncation)
-
-    weights = scenario.weights
-    noise = scenario.noise_powers
-    h = effective_channels(blocks, coeffs)
-    f_d = matched_filter_precoder(h, scenario.p_max)
-    w = np.ones(scenario.n_users)
-    v = np.zeros(scenario.n_users, dtype=complex)
-    initial_obj = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
-
+    w = np.ones(len(weights))
     history: list[IterationRecord] = []
     prev_rate = None
-    converged = False
     for it in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
         v = update_v(h, f_d, noise)
@@ -502,14 +451,11 @@ def run_algorithm1(
         w = update_w(h, f_d, v)
         obj_w = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
         t_w = time.perf_counter()
-        f_d = update_fd(h, w, v, weights, scenario.p_max, config.bisection_tol)
+        f_d = update_fd(h, w, v, weights, p_max, config.bisection_tol)
         obj_fd = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
         t_fd = time.perf_counter()
-        if em_update:
-            coeffs = update_em(
-                blocks, coeffs, f_d, w, v, weights, noise, config.bisection_tol
-            )
-            h = effective_channels(blocks, coeffs)
+        if pattern_step is not None:
+            h = pattern_step(f_d, w, v)
         obj_em = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
         t_em = time.perf_counter()
         rate = sum_rate(h, f_d, weights, noise)
@@ -527,13 +473,56 @@ def run_algorithm1(
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            converged = True
-            break
+            return h, f_d, v, w, history, True
         prev_rate = rate
+    return h, f_d, v, w, history, False
 
-    state = SolverState(w=w, v=v, f_d=f_d, coeffs=coeffs)
+
+def run_algorithm1(
+    scenario: Scenario,
+    config: SolverConfig | None = None,
+    seed: int = 0,
+    *,
+    em_update: bool = True,
+) -> SolverResult:
+    """Run the alternating solver on one scenario.
+
+    Patterns start with DC pinned at eta and random AC (or isotropic when
+    ``em_update`` is off, the conventional hybrid baseline); the digital
+    precoder starts as the conjugate matched filter at full power.  Each
+    outer iteration runs the four block updates; the loop stops when the
+    relative sum-rate change drops below the tolerance or the iteration
+    budget is spent.
+    """
+    config = config or SolverConfig()
+    geom = scenario.geometry
+    t_len = truncation_length(scenario.truncation)
+    blocks = scenario.em_channels().reshape(scenario.n_users, geom.n_t, t_len)
+    weights = scenario.weights
+    noise = scenario.noise_powers
+    if em_update:
+        rng = np.random.default_rng(seed)
+        coeffs = initial_coefficients(geom.n_t, scenario.truncation, config.eta, rng)
+    else:
+        coeffs = isotropic_coefficients(geom.n_t, scenario.truncation)
+
+    def pattern_step(f_d, w, v):
+        nonlocal coeffs
+        coeffs = update_em(blocks, coeffs, f_d, w, v, weights, noise, config.bisection_tol)
+        return effective_channels(blocks, coeffs)
+
+    h = effective_channels(blocks, coeffs)
+    f_d = matched_filter_precoder(h, scenario.p_max)
+    v = np.zeros(scenario.n_users, dtype=complex)
+    initial_obj = wmmse_objective(
+        np.ones(scenario.n_users), mse_vector(h, f_d, v, noise), weights
+    )
+    h, f_d, v, w, history, converged = _alternate(
+        h, f_d, weights, noise, scenario.p_max, config,
+        pattern_step if em_update else None,
+    )
     return SolverResult(
-        state=state,
+        state=SolverState(w=w, v=v, f_d=f_d, coeffs=coeffs),
         history=history,
         converged=converged,
         initial_objective=initial_obj,
@@ -553,16 +542,8 @@ def refit_digital(
     """Iterate the v/w/F_D updates on a fixed channel until the sum rate
     settles; returns (f_d, v, w, rates)."""
     config = config or SolverConfig()
-    f_d = matched_filter_precoder(channels, p_max) if f_init is None else np.array(f_init)
-    rates = []
-    prev = None
-    for _ in range(config.max_iterations):
-        v = update_v(channels, f_d, noise_powers)
-        w = update_w(channels, f_d, v)
-        f_d = update_fd(channels, w, v, weights, p_max, config.bisection_tol)
-        rate = sum_rate(channels, f_d, weights, noise_powers)
-        rates.append(rate)
-        if prev is not None and abs(rate - prev) <= config.tolerance * max(abs(prev), 1e-12):
-            break
-        prev = rate
-    return f_d, v, w, rates
+    f_d = matched_filter_precoder(channels, p_max) if f_init is None else f_init
+    _, f_d, v, w, history, _ = _alternate(
+        channels, f_d, weights, noise_powers, p_max, config
+    )
+    return f_d, v, w, [rec.sum_rate for rec in history]

@@ -212,7 +212,7 @@ class TestFactorization:
         coeffs = np.zeros((9, 25))
         coeffs[:, 0] = math.sqrt(FOUR_PI)  # unit gain everywhere
         h_em = ch.em_user_channel(paths, GEOM, 4)
-        h = ch.effective_channel(coeffs, h_em)
+        h = ch.effective_channels(h_em.reshape(1, 9, 25), coeffs)[0]
         expected = math.sqrt(9 / 3) * sum(
             p.gains[0] * ch.far_field_arv(p.thetas[0], p.phis[0], GEOM) for p in paths
         )
@@ -223,13 +223,15 @@ class TestFactorization:
         paths = [make_near_path(GEOM, [30.0, 5.0, 2.0], gain=1.0 + 0.5j)]
         coeffs = rng.standard_normal((9, 25))
         coeffs[3] = 0.0
-        h = ch.effective_channel(coeffs, ch.em_user_channel(paths, GEOM, 4))
+        h_em = ch.em_user_channel(paths, GEOM, 4)
+        h = ch.effective_channels(h_em.reshape(1, 9, 25), coeffs)[0]
         assert h[3] == 0.0
         assert np.all(h[np.arange(9) != 3] != 0.0)
 
     def test_shape_mismatch(self):
+        # T = 16 coefficients per antenna against 25-harmonic blocks
         with pytest.raises(ValueError):
-            ch.effective_channel(np.zeros((9, 16)), np.zeros(9 * 25, dtype=complex))
+            ch.effective_channels(np.zeros((1, 9, 25), dtype=complex), np.zeros((9, 16)))
 
     @pytest.mark.parametrize("mode", ["far", "near"])
     @pytest.mark.parametrize("degree", [1, 2, 4])
@@ -241,12 +243,13 @@ class TestFactorization:
                 user_radius_m=50.0,
             )
             scenario = ch.generate_scenario(config, seed=int(rng.integers(2**31)))
-            coeffs = rng.standard_normal((9, truncation_length(degree)))
+            t_len = truncation_length(degree)
+            coeffs = rng.standard_normal((9, t_len))
+            blocks = scenario.em_channels().reshape(2, 9, t_len)
+            via_em = ch.effective_channels(blocks, coeffs)
             for k in range(2):
-                h_em = ch.em_user_channel(scenario.paths[k], scenario.geometry, degree)
-                via_em = ch.effective_channel(coeffs, h_em)
                 direct = ch.direct_channel_oracle(scenario.paths[k], scenario.geometry, coeffs)
-                assert np.linalg.norm(via_em - direct) <= 1e-10 * np.linalg.norm(direct)
+                assert np.linalg.norm(via_em[k] - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 class TestScenarioGeneration:

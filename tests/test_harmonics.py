@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trihybrid import harmonics as sh
+from trihybrid import wmmse
 
 RNG = np.random.default_rng(101)
 FOUR_PI = 4.0 * math.pi
@@ -221,25 +222,41 @@ def test_basis_norm_property(degree, data):
 
 
 class TestPatternCoefficients:
+    """A stack of patterns is an (N_T, T) array with DC in column 0, built by
+    the solver's initializers and audited by ``SolverState.validate``."""
+
+    @staticmethod
+    def state(coeffs):
+        n_t = coeffs.shape[0]
+        return wmmse.SolverState(
+            w=np.ones(1), v=np.zeros(1, dtype=complex), f_d=np.zeros((n_t, 1)),
+            coeffs=coeffs,
+        )
+
     def test_isotropic(self):
-        pat = sh.PatternCoefficients.isotropic(4)
-        assert pat.dc == pytest.approx(math.sqrt(FOUR_PI))
-        assert pat.degree == 4
-        np.testing.assert_array_equal(pat.ac, np.zeros(24))
+        coeffs = wmmse.isotropic_coefficients(3, 4)
+        assert coeffs.shape == (3, sh.truncation_length(4))
+        np.testing.assert_array_equal(coeffs[:, 0], math.sqrt(FOUR_PI))
+        np.testing.assert_array_equal(coeffs[:, 1:], np.zeros((3, 24)))
+        self.state(coeffs).validate(eta=math.sqrt(FOUR_PI), p_max=1.0)
 
     def test_power_budget_enforced(self):
-        with pytest.raises(ValueError):
-            sh.PatternCoefficients(np.ones(25))
+        with pytest.raises(AssertionError, match="4\\*pi budget"):
+            self.state(np.ones((2, 25))).validate(eta=1.0, p_max=1.0)
 
     def test_pinned_partition(self):
         eta = math.sqrt(2 * math.pi)
         rng = np.random.default_rng(3)
-        pat = sh.PatternCoefficients.random_pinned(4, eta, rng)
-        assert pat.dc == pytest.approx(eta)
-        assert np.dot(pat.ac, pat.ac) == pytest.approx(FOUR_PI - eta**2, abs=1e-10)
+        coeffs = wmmse.initial_coefficients(3, 4, eta, rng)
+        np.testing.assert_array_equal(coeffs[:, 0], eta)
+        np.testing.assert_allclose(
+            np.sum(coeffs[:, 1:] ** 2, axis=1), FOUR_PI - eta**2, atol=1e-10
+        )
+        self.state(coeffs).validate(eta=eta, p_max=1.0)
 
     def test_pinned_rejects_bad_dc(self):
-        with pytest.raises(ValueError):
-            sh.PatternCoefficients.pinned(0.0, np.zeros(3))
-        with pytest.raises(ValueError):
-            sh.PatternCoefficients.pinned(2 * math.sqrt(FOUR_PI), np.zeros(3))
+        # the eta range itself is checked by SolverConfig (test_wmmse)
+        eta = math.sqrt(2 * math.pi)
+        coeffs = wmmse.initial_coefficients(2, 4, eta, np.random.default_rng(4))
+        with pytest.raises(AssertionError, match="DC coefficients drifted"):
+            self.state(coeffs).validate(eta=0.5 * eta, p_max=1.0)

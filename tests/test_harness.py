@@ -236,6 +236,26 @@ class TestCli:
         assert "hybrid" in capsys.readouterr().out
         assert len(hn.read_csv(out)) == 1
 
+    def test_summary_table_reports_csv_means(self, tmp_path, capsys):
+        # one row per power, one column per mode; the projected column is the
+        # rate after projection, not the optimized rate its rows also carry
+        cfg = self.write_fast_config(tmp_path, trials=2)
+        out = tmp_path / "all.csv"
+        code = cli.main(
+            ["run", "--config", str(cfg), "--pmax-dbm", "0", "10", "--out", str(out)]
+        )
+        assert code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        header = lines.index(["P_max", "[dBm]", *hn.MODES])
+        records = hn.read_csv(out)
+        for row in lines[header + 1 : header + 3]:
+            pmax = float(row[0])
+            for mode, printed in zip(hn.MODES, map(float, row[1:])):
+                rows = [r for r in records if r.mode == mode and r.pmax_dbm == pmax]
+                field = "projected_sum_rate" if mode == "projected" else "sum_rate"
+                mean = np.mean([getattr(r, field) for r in rows])
+                assert printed == pytest.approx(mean, abs=1e-4)
+
     def test_config_error_exit_code(self, capsys):
         code = cli.main(["run", "--trials", "0"])
         assert code == 1

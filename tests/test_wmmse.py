@@ -33,6 +33,20 @@ def random_instance(seed, n_users=2, n_t=4, t_len=9, scale=1.0):
     return blocks, coeffs, f_d, v, w, weights, noise
 
 
+def g_affine(blocks, coeffs, f_d, k: int, i: int, n: int):
+    """Affine map of the (k, i) link gain in antenna n's AC coefficients.
+
+    Returns (a, b) with h_k^T f_i = a^T c_ac + b; ``b`` gathers the DC terms
+    of all antennas and the AC terms of antennas other than n.  Oracle for the
+    decomposition ``assemble_quadratic`` builds its model from.
+    """
+    a = f_d[n, i] * blocks[k, n, 1:]
+    per_antenna = np.einsum("mt,mt->m", blocks[k], coeffs)  # c^(m) . block m
+    p_full = complex(np.sum(per_antenna * f_d[:, i]))
+    b = p_full - complex(np.dot(blocks[k, n, 1:], coeffs[n, 1:])) * f_d[n, i]
+    return a, b
+
+
 class TestSumRate:
     def test_single_user_unit_sinr(self):
         h = np.array([[1.0 + 0j]])
@@ -187,7 +201,7 @@ class TestUpdateFd:
 class TestGAffine:
     def test_single_antenna_constant_term(self):
         blocks, coeffs, f_d, *_ = random_instance(13, n_t=1, t_len=4)
-        a, b = wmmse.g_affine(blocks, coeffs, f_d, k=0, i=1, n=0)
+        a, b = g_affine(blocks, coeffs, f_d, k=0, i=1, n=0)
         expected_b = ETA * blocks[0, 0, 0] * f_d[0, 1]
         assert b == pytest.approx(expected_b)
         np.testing.assert_allclose(a, f_d[0, 1] * blocks[0, 0, 1:])
@@ -195,7 +209,7 @@ class TestGAffine:
     def test_zero_ac_reduces_to_constant(self):
         blocks, coeffs, f_d, *_ = random_instance(17)
         n = 2
-        a, b = wmmse.g_affine(blocks, coeffs, f_d, k=1, i=0, n=n)
+        a, b = g_affine(blocks, coeffs, f_d, k=1, i=0, n=n)
         zeroed = coeffs.copy()
         zeroed[n, 1:] = 0.0
         h = wmmse.effective_channels(blocks, zeroed)
@@ -208,7 +222,7 @@ class TestGAffine:
         for k in range(2):
             for i in range(2):
                 for n in range(4):
-                    a, b = wmmse.g_affine(blocks, coeffs, f_d, k, i, n)
+                    a, b = g_affine(blocks, coeffs, f_d, k, i, n)
                     g = np.dot(a, coeffs[n, 1:]) + b
                     assert abs(g - p[k, i]) <= 1e-10 * max(abs(p[k, i]), 1.0)
 
@@ -523,6 +537,23 @@ class TestAlgorithm:
         )
         assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
         assert np.sum(np.abs(f) ** 2) <= scenario.p_max * (1 + 1e-8)
+
+    def test_refit_digital_is_the_frozen_pattern_loop(self):
+        # refit_digital and the hybrid baseline share one v/w/F_D loop: from
+        # the same start on the same channel they agree bit for bit
+        scenario = small_scenario(9)
+        config = wmmse.SolverConfig(max_iterations=40)
+        res = wmmse.run_algorithm1(scenario, config, seed=9, em_update=False)
+        blocks = scenario.em_channels().reshape(2, 4, 9)
+        h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
+        f, v, w, rates = wmmse.refit_digital(
+            h_iso, scenario.weights, scenario.noise_powers, scenario.p_max, config,
+            f_init=wmmse.matched_filter_precoder(h_iso, scenario.p_max),
+        )
+        np.testing.assert_array_equal(f, res.state.f_d)
+        np.testing.assert_array_equal(v, res.state.v)
+        np.testing.assert_array_equal(w, res.state.w)
+        assert rates == [rec.sum_rate for rec in res.history]
 
 
 class TestSolverConfig:
