@@ -173,13 +173,11 @@ def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("kmt,mt->km", blocks, coeffs)
 
 
-def assemble_channel(paths, geom: UpaGeometry, gain_fn) -> np.ndarray:
-    """Multipath channel with per-element gains from ``gain_fn(n, theta, phi)``."""
+def assemble_channel(paths, geom: UpaGeometry, gains) -> np.ndarray:
+    """Multipath channel with per-element gains ``gains[l, n]`` of path ``l``
+    at element ``n``."""
     h = np.zeros(geom.n_t, dtype=complex)
-    for path in paths:
-        g = np.array(
-            [gain_fn(n, path.thetas[n], path.phis[n]) for n in range(geom.n_t)]
-        )
+    for path, g in zip(paths, gains):
         h += path.gains * g * path_arv(path, geom)
     return math.sqrt(geom.n_t / len(paths)) * h
 
@@ -188,11 +186,11 @@ def direct_channel_oracle(paths, geom: UpaGeometry, coeffs: np.ndarray) -> np.nd
     """Channel computed without the EM-domain lift, as the per-path product
     of gain, pattern value, and response; used to audit the factorization."""
     coeffs = np.asarray(coeffs, dtype=float)
-
-    def gain(n, theta, phi):
-        return synthesize_gain(coeffs[n], theta, phi)
-
-    return assemble_channel(paths, geom, gain)
+    gains = [
+        [synthesize_gain(coeffs[n], p.thetas[n], p.phis[n]) for n in range(geom.n_t)]
+        for p in paths
+    ]
+    return assemble_channel(paths, geom, np.array(gains))
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,13 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
 @dataclass
 class TrialRecord:
     """One (trial, power, mode) outcome; failed trials carry NaN metrics and
-    the error text (logged, not serialized)."""
+    the error text (logged, not serialized).
+
+    ``wall_ms`` is the time of the stages the row's values come from: the
+    drop's scenario, the mode's solve and its decomposition, and for
+    ``projected`` also the projection.  The ``projected`` row shares the
+    ``trihybrid`` row's solve, so both count its time.
+    """
 
     seed: int
     mode: str
@@ -198,20 +204,32 @@ def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     return steered_candidate_set(count=64)
 
 
-def run_single(
-    config: RunConfig,
-    seed: int,
-    pmax_dbm: float,
-    mode: str,
-    cset: CandidatePatternSet | None = None,
-) -> TrialRecord:
-    """Run one pipeline end-to-end and record its metrics."""
-    if mode not in MODES:
-        raise ConfigError(f"mode: unknown mode {mode!r}")
+def _failed(seed: int, mode: str, pmax_dbm: float, err: BaseException) -> TrialRecord:
+    logger.error(
+        "trial failed: seed=%d mode=%s pmax=%.1f dBm", seed, mode, pmax_dbm, exc_info=err
+    )
+    return TrialRecord(
+        seed=seed,
+        mode=mode,
+        pmax_dbm=pmax_dbm,
+        sum_rate=math.nan,
+        iterations=0,
+        decomp_residual=math.nan,
+        projected_sum_rate=None,
+        wall_ms=math.nan,
+        error=f"{type(err).__name__}: {err}",
+    )
+
+
+def _solve(
+    config: RunConfig, scenario, seed: int, pmax_dbm: float, mode: str, scenario_s: float
+):
+    """One pipeline's solve and decomposition: its row, timed with the
+    scenario's ``scenario_s``, and the solver result."""
     tic = time.perf_counter()
-    scenario = generate_scenario(config.scenario_config(pmax_dbm), seed)
-    solver_cfg = config.solver_config()
-    result = run_algorithm1(scenario, solver_cfg, seed, em_update=mode != "hybrid")
+    result = run_algorithm1(
+        scenario, config.solver_config(), seed, em_update=mode != "hybrid"
+    )
     factors = decompose(
         result.state.f_d,
         config.n_rf,
@@ -225,66 +243,140 @@ def run_single(
         "seed=%d mode=%s pmax=%.1f dBm: rate %.4f, decomposition residual %.3e, loss %.4g",
         seed, mode, pmax_dbm, result.sum_rate, factors.residual, loss,
     )
-    projected_rate = None
-    if mode == "projected":
-        if cset is None:
-            cset = load_candidate_set(config)
-        projected = apply_projection(
-            result, scenario, cset, refit=config.refit, config=solver_cfg
-        )
-        projected_rate = projected.sum_rate
-    wall_ms = (time.perf_counter() - tic) * 1e3
-    return TrialRecord(
+    record = TrialRecord(
         seed=seed,
         mode=mode,
         pmax_dbm=pmax_dbm,
         sum_rate=result.sum_rate,
         iterations=result.iterations,
         decomp_residual=factors.residual,
-        projected_sum_rate=projected_rate,
-        wall_ms=wall_ms,
+        projected_sum_rate=None,
+        wall_ms=(scenario_s + time.perf_counter() - tic) * 1e3,
+    )
+    return record, result
+
+
+def _project(config: RunConfig, scenario, result, solved: TrialRecord, cset) -> TrialRecord:
+    """The projected row: the solved row plus the rate after projection."""
+    if isinstance(cset, Exception):
+        return _failed(solved.seed, "projected", solved.pmax_dbm, cset)
+    tic = time.perf_counter()
+    try:
+        projected = apply_projection(
+            result,
+            scenario,
+            load_candidate_set(config) if cset is None else cset,
+            refit=config.refit,
+            config=config.solver_config(),
+        )
+    except Exception as err:
+        return _failed(solved.seed, "projected", solved.pmax_dbm, err)
+    return replace(
+        solved,
+        mode="projected",
+        projected_sum_rate=projected.sum_rate,
+        wall_ms=solved.wall_ms + (time.perf_counter() - tic) * 1e3,
     )
 
 
-def _trial_job(args):
-    config, seed, pmax_dbm, mode = args
+def run_drop(
+    config: RunConfig,
+    seed: int,
+    pmax_dbm: float,
+    cset: CandidatePatternSet | Exception | None = None,
+) -> list[TrialRecord]:
+    """Rows of every configured mode for one drop (seed, power), in
+    ``MODES`` order.
+
+    The drop's scenario is generated once.  The pattern solve
+    (``em_update=True``) runs once for ``trihybrid`` and ``projected``
+    together, the frozen-pattern solve once for ``hybrid``, and each
+    solve's precoder is decomposed once.  The ``projected`` row carries its
+    solve's rate, iterations and residual plus the rate after projecting
+    onto ``cset``, which is loaded from ``config`` when None; an exception
+    in its place is the error loading it raised.  A failed solve flags the
+    rows derived from it and a failed projection the ``projected`` row; the
+    other rows still succeed.  Failing to generate the scenario raises.
+    """
+    modes = config.modes()
+    tic = time.perf_counter()
+    scenario = generate_scenario(config.scenario_config(pmax_dbm), seed)
+    scenario_s = time.perf_counter() - tic
+    rows = {}
+    if "trihybrid" in modes or "projected" in modes:
+        try:
+            rows["trihybrid"], result = _solve(
+                config, scenario, seed, pmax_dbm, "trihybrid", scenario_s
+            )
+        except Exception as err:  # flags the rows derived from this solve
+            for mode in ("trihybrid", "projected"):
+                if mode in modes:
+                    rows[mode] = _failed(seed, mode, pmax_dbm, err)
+        else:
+            if "projected" in modes:
+                rows["projected"] = _project(
+                    config, scenario, result, rows["trihybrid"], cset
+                )
+    if "hybrid" in modes:
+        try:
+            rows["hybrid"], _ = _solve(config, scenario, seed, pmax_dbm, "hybrid", scenario_s)
+        except Exception as err:
+            rows["hybrid"] = _failed(seed, "hybrid", pmax_dbm, err)
+    return [rows[mode] for mode in modes]
+
+
+def _candidates(config: RunConfig):
+    """The batch's candidate set when projection runs, or the error loading
+    it raised, for the projected rows to carry."""
+    if "projected" not in config.modes():
+        return None
     try:
-        return run_single(config, seed, pmax_dbm, mode)
-    except Exception as err:  # per-trial failures must not abort the batch
-        logger.exception(
-            "trial failed: seed=%d mode=%s pmax=%.1f dBm", seed, mode, pmax_dbm
-        )
-        return TrialRecord(
-            seed=seed,
-            mode=mode,
-            pmax_dbm=pmax_dbm,
-            sum_rate=math.nan,
-            iterations=0,
-            decomp_residual=math.nan,
-            projected_sum_rate=None,
-            wall_ms=math.nan,
-            error=f"{type(err).__name__}: {err}",
-        )
+        return load_candidate_set(config)
+    except Exception as err:
+        return err
+
+
+def _drop_rows(config: RunConfig, seed: int, pmax_dbm: float, cset) -> list[TrialRecord]:
+    try:
+        return run_drop(config, seed, pmax_dbm, cset)
+    except Exception as err:  # per-drop failures must not abort the batch
+        return [_failed(seed, mode, pmax_dbm, err) for mode in config.modes()]
+
+
+_worker_cset = None  # a pool worker's candidate set, loaded by _init_worker
+
+
+def _init_worker(config: RunConfig) -> None:
+    global _worker_cset
+    _worker_cset = _candidates(config)
+
+
+def _worker_drop(job) -> list[TrialRecord]:
+    return _drop_rows(*job, _worker_cset)
 
 
 def run_trials(config: RunConfig) -> list[TrialRecord]:
-    """Run the full (trial x power x mode) batch.
+    """Run the full (trial x power x mode) batch, one ``run_drop`` per
+    (trial, power).
 
-    Jobs may execute on worker processes; records always come back ordered
-    by (trial, pmax, mode).  Failed trials yield flagged NaN records.
+    Drops may execute on worker processes; records always come back ordered
+    by (trial, pmax, mode).  The candidate set is loaded once per process.
+    Failed trials yield flagged NaN records.
     """
     jobs = [
-        (config, config.seed + t, pmax, mode)
+        (config, config.seed + t, pmax)
         for t in range(config.trials)
         for pmax in config.pmax_dbm
-        for mode in config.modes()
     ]
     if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_trial_job, jobs, chunksize=1))
+        with ProcessPoolExecutor(
+            max_workers=config.workers, initializer=_init_worker, initargs=(config,)
+        ) as pool:
+            drops = list(pool.map(_worker_drop, jobs, chunksize=1))
     else:
-        records = [_trial_job(job) for job in jobs]
-    return records
+        cset = _candidates(config)
+        drops = [_drop_rows(*job, cset) for job in jobs]
+    return [record for drop in drops for record in drop]
 
 
 def _fmt(value) -> str:
@@ -352,7 +444,10 @@ class TraceRow:
 
 def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
     """Per-iteration sum rate and objective for the pattern-optimizing run
-    and the frozen-pattern baseline under the same seed."""
+    and the frozen-pattern baseline under the same seed, at the config's one
+    power (the trace CSV has no power column)."""
+    if len(config.pmax_dbm) > 1:
+        raise ConfigError(f"pmax_dbm: trace runs one power, got {len(config.pmax_dbm)}")
     rows = []
     scenario = generate_scenario(config.scenario_config(config.pmax_dbm[0]), seed)
     solver_cfg = config.solver_config()

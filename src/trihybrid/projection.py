@@ -199,22 +199,34 @@ def candidate_gain(cset: CandidatePatternSet, r: int, theta, phi):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def project_antenna(c_opt, thetas, phis, cset: CandidatePatternSet) -> int:
+def candidate_gains(cset: CandidatePatternSet, theta, phi) -> np.ndarray:
+    """(R, *angles) gains of every candidate at the (theta, phi) angles,
+    one :func:`candidate_gain` call per candidate."""
+    return np.stack([candidate_gain(cset, r, theta, phi) for r in range(len(cset))])
+
+
+def project_antenna(c_opt, thetas, phis, cset: CandidatePatternSet, gains=None):
     """Index of the candidate closest to the synthesized pattern over the
     given path angles (sum of squared gain mismatches; ties take the lowest
-    index)."""
-    thetas = np.asarray(thetas, float).ravel()
-    phis = np.asarray(phis, float).ravel()
-    if thetas.size == 0:
+    index).
+
+    One pattern of shape (T,) with angles of shape (P,) gives an int; a
+    stack of N patterns (N, T) with angles (N, P) gives the (N,) indices,
+    one per pattern.  ``gains`` is the (R, N, P) :func:`candidate_gains`
+    array at those angles, for a caller that has it already.
+    """
+    coeffs = np.atleast_2d(np.asarray(c_opt, float))
+    thetas = np.asarray(thetas, float).reshape(len(coeffs), -1)
+    phis = np.asarray(phis, float).reshape(thetas.shape)
+    if thetas.shape[1] == 0:
         raise ValueError("need at least one path angle")
-    target = synthesize_gain(np.asarray(c_opt, float), thetas, phis)
-    best_idx, best_cost = 0, math.inf
-    for r in range(len(cset)):
-        cand = candidate_gain(cset, r, thetas, phis)
-        cost = float(np.sum((np.asarray(cand) - target) ** 2))
-        if cost < best_cost:
-            best_idx, best_cost = r, cost
-    return best_idx
+    if gains is None:
+        gains = candidate_gains(cset, thetas, phis)
+    target = np.stack(
+        [synthesize_gain(c, th, ph) for c, th, ph in zip(coeffs, thetas, phis)]
+    )
+    indices = np.argmin(np.sum((gains - target) ** 2, axis=-1), axis=0)
+    return int(indices[0]) if np.ndim(c_opt) == 1 else indices
 
 
 @dataclass
@@ -235,24 +247,25 @@ def apply_projection(
 ) -> ProjectedResult:
     """Replace each optimized pattern by its closest candidate and rebuild.
 
-    Channels are reassembled from the selected candidate gains at the
-    per-element path angles; with ``refit`` on, the combiner/weight/precoder
-    updates rerun on the projected channel starting from the converged
-    precoder.  The harmonic coefficients play no further role.
+    Every candidate's gain is evaluated once at all (antenna, path) angles;
+    the selection reads it, and the channels are reassembled from the
+    selected candidates' gains.  With ``refit`` on, the combiner/weight/
+    precoder updates rerun on the projected channel starting from the
+    converged precoder.  The harmonic coefficients play no further role.
     """
     geom = scenario.geometry
-    coeffs = result.state.coeffs
-    indices = np.empty(geom.n_t, dtype=int)
-    for n in range(geom.n_t):
-        thetas = [p.thetas[n] for user in scenario.paths for p in user]
-        phis = [p.phis[n] for user in scenario.paths for p in user]
-        indices[n] = project_antenna(coeffs[n], thetas, phis, cset)
-
-    def gain_fn(n, theta, phi):
-        return candidate_gain(cset, int(indices[n]), theta, phi)
-
+    paths = [p for user in scenario.paths for p in user]
+    thetas = np.stack([p.thetas for p in paths], axis=1)  # (N_T, P)
+    phis = np.stack([p.phis for p in paths], axis=1)
+    gains = candidate_gains(cset, thetas, phis)  # (R, N_T, P)
+    indices = project_antenna(result.state.coeffs, thetas, phis, cset, gains=gains)
+    selected = gains[indices, np.arange(geom.n_t)].T  # (P, N_T)
+    bounds = np.cumsum([len(user) for user in scenario.paths])[:-1]
     channels = np.stack(
-        [assemble_channel(user, geom, gain_fn) for user in scenario.paths]
+        [
+            assemble_channel(user, geom, user_gains)
+            for user, user_gains in zip(scenario.paths, np.split(selected, bounds))
+        ]
     )
     if refit:
         f_d, _, _, _ = refit_digital(

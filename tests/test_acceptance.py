@@ -284,7 +284,7 @@ def test_criterion_09_projection_self_consistency():
 
 def test_criterion_10_performance_envelope(default_batch):
     tic = time.perf_counter()
-    hn.run_single(hn.RunConfig(), seed=99, pmax_dbm=10.0, mode="trihybrid")
+    hn.run_drop(hn.RunConfig(mode="trihybrid"), seed=99, pmax_dbm=10.0)
     single = time.perf_counter() - tic
     _, batch_elapsed = default_batch
     ok = single < 60.0 and batch_elapsed < 1800.0

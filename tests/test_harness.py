@@ -7,6 +7,7 @@ import pytest
 from trihybrid import cli
 from trihybrid import harness as hn
 from trihybrid.harmonics import truncation_length
+from trihybrid.projection import save_candidates, steered_candidate_set
 
 # small, fast batch settings shared by most tests
 FAST = dict(
@@ -132,6 +133,84 @@ class TestRunTrials:
         assert tri > hyb
 
 
+class TestRunDrop:
+    @pytest.mark.parametrize("field_mode", ["far", "near"])
+    def test_all_modes_match_separate_runs(self, field_mode):
+        # each mode's rows derive from one shared solve per drop; they must
+        # equal the rows of a run of that mode alone
+        params = dict(trials=2, pmax_dbm=(0.0, 20.0), seed=3, field_mode=field_mode)
+        together = hn.run_trials(fast_config(mode="all", **params))
+        alone = {
+            (r.seed, r.pmax_dbm, r.mode): strip_wall(r)
+            for mode in hn.MODES
+            for r in hn.run_trials(fast_config(mode=mode, **params))
+        }
+        assert len(together) == len(alone) == 12
+        assert all(r.error is None for r in together)
+        for r in together:
+            assert strip_wall(r) == alone[(r.seed, r.pmax_dbm, r.mode)]
+        # a projected row carries the optimized solve of its drop
+        solved = {(r.seed, r.pmax_dbm): r for r in together if r.mode == "trihybrid"}
+        for r in together:
+            if r.mode == "projected":
+                tri = solved[(r.seed, r.pmax_dbm)]
+                assert (r.sum_rate, r.iterations, r.decomp_residual) == (
+                    tri.sum_rate, tri.iterations, tri.decomp_residual
+                )
+
+    def test_failed_pattern_solve_flags_its_rows_only(self, monkeypatch):
+        solve = hn.run_algorithm1
+
+        def pattern_solve_fails(scenario, config, seed, em_update=True):
+            if em_update:
+                raise RuntimeError("synthetic pattern-solve failure")
+            return solve(scenario, config, seed, em_update=em_update)
+
+        monkeypatch.setattr(hn, "run_algorithm1", pattern_solve_fails)
+        records = hn.run_trials(fast_config(trials=1, mode="all"))
+        by_mode = {r.mode: r for r in records}
+        for mode in ("trihybrid", "projected"):
+            assert by_mode[mode].error == "RuntimeError: synthetic pattern-solve failure"
+            assert math.isnan(by_mode[mode].sum_rate)
+        assert by_mode["hybrid"].error is None
+        assert by_mode["hybrid"].sum_rate > 0
+
+    def test_failed_projection_flags_projected_row_only(self, monkeypatch):
+        def projection_fails(*args, **kwargs):
+            raise ValueError("synthetic projection failure")
+
+        monkeypatch.setattr(hn, "apply_projection", projection_fails)
+        records = hn.run_trials(fast_config(trials=1, mode="all"))
+        by_mode = {r.mode: r for r in records}
+        assert by_mode["projected"].error == "ValueError: synthetic projection failure"
+        assert by_mode["trihybrid"].error is None
+        assert by_mode["hybrid"].error is None
+
+    def test_candidates_loaded_once_per_batch(self, tmp_path, monkeypatch):
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        load, calls = hn.load_candidates, []
+
+        def counted(*args):
+            calls.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(hn, "load_candidates", counted)
+        records = hn.run_trials(
+            fast_config(mode="projected", trials=3, patterns_path=str(path))
+        )
+        assert len(calls) == 1
+        assert all(r.error is None for r in records)
+
+    def test_parallel_projection_matches_serial(self, tmp_path):
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        params = dict(trials=3, mode="projected", seed=2, patterns_path=str(path))
+        serial = hn.run_trials(fast_config(workers=1, **params))
+        parallel = hn.run_trials(fast_config(workers=2, **params))
+        assert [strip_wall(r) for r in serial] == [strip_wall(r) for r in parallel]
+
+
 class TestCsv:
     def test_header_only_for_empty_batch(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -209,6 +288,11 @@ class TestTrace:
         hyb = [r.sum_rate for r in rows if r.mode == "hybrid"][-1]
         assert tri >= hyb
 
+    def test_one_power_only(self):
+        cfg = fast_config(max_iterations=3, pmax_dbm=(0.0, 30.0))
+        with pytest.raises(hn.ConfigError, match="pmax_dbm"):
+            hn.convergence_trace(cfg, seed=1)
+
     def test_trace_csv(self, tmp_path):
         cfg = fast_config(max_iterations=4, seed=1)
         rows = hn.convergence_trace(cfg, seed=1)
@@ -276,6 +360,16 @@ class TestCli:
         assert code == 0
         assert out.read_text().startswith("mode,iteration,sum_rate,objective")
 
+    def test_trace_rejects_several_powers(self, tmp_path, capsys):
+        cfg = self.write_fast_config(tmp_path, max_iterations=3)
+        out = tmp_path / "t.csv"
+        code = cli.main(
+            ["trace", "--config", str(cfg), "--pmax-dbm", "0", "30", "--out", str(out)]
+        )
+        assert code == 1
+        assert "pmax_dbm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_forces_all_modes(self, tmp_path):
         cfg = self.write_fast_config(tmp_path, trials=1, mode="hybrid")
         out = tmp_path / "s.csv"
@@ -301,7 +395,7 @@ class TestCli:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic trial failure")
 
-        monkeypatch.setattr(hn, "run_single", boom)
+        monkeypatch.setattr(hn, "run_drop", boom)
         cfg = self.write_fast_config(tmp_path, trials=2, mode="hybrid")
         out = tmp_path / "f.csv"
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from trihybrid import projection as proj
 from trihybrid import wmmse
-from trihybrid.channel import ScenarioConfig, generate_scenario
+from trihybrid.channel import ScenarioConfig, generate_scenario, path_arv
 from trihybrid.harmonics import FULL_SPHERE, synthesize_gain
 
 ETA = math.sqrt(2 * math.pi)
@@ -32,6 +33,119 @@ def isotropic_doc(normalize=True):
             }
         ],
     }
+
+
+def project_antenna_oracle(c_opt, thetas, phis, cset):
+    """Brute-force selection: one candidate at a time, kept only on a strict
+    improvement, so ties go to the lowest index."""
+    thetas = np.asarray(thetas, float).ravel()
+    phis = np.asarray(phis, float).ravel()
+    target = synthesize_gain(np.asarray(c_opt, float), thetas, phis)
+    best_idx, best_cost = 0, math.inf
+    for r in range(len(cset)):
+        cand = proj.candidate_gain(cset, r, thetas, phis)
+        cost = float(np.sum((np.asarray(cand) - target) ** 2))
+        if cost < best_cost:
+            best_idx, best_cost = r, cost
+    return best_idx
+
+
+def projected_channels_oracle(scenario, indices, cset):
+    """Channels rebuilt from one candidate_gain call per element per path."""
+    geom = scenario.geometry
+    channels = []
+    for user in scenario.paths:
+        h = np.zeros(geom.n_t, dtype=complex)
+        for path in user:
+            g = np.array(
+                [
+                    proj.candidate_gain(cset, int(indices[n]), path.thetas[n], path.phis[n])
+                    for n in range(geom.n_t)
+                ]
+            )
+            h += path.gains * g * path_arv(path, geom)
+        channels.append(math.sqrt(geom.n_t / len(user)) * h)
+    return np.stack(channels)
+
+
+def random_coeffs(rng, count, t_len):
+    ac = rng.standard_normal((count, t_len - 1))
+    ac *= np.sqrt(FULL_SPHERE - ETA**2) / np.linalg.norm(ac, axis=1, keepdims=True)
+    return np.hstack([np.full((count, 1), ETA), ac])
+
+
+def mixed_grid_set(tmp_path, rng):
+    """Candidates on four different grids, one of them not spanning 2 pi in
+    azimuth, and one with signed samples."""
+    doc = isotropic_doc()
+    record = doc["patterns"][0]
+    record["phi_deg"] = list(range(0, 316, 45))
+    record["gain"] = rng.uniform(0.0, 2.0, (7, 8)).tolist()
+    patterns = (
+        proj.steered_candidate_set(count=3, n_theta=31, n_phi=61).patterns
+        + proj.steered_candidate_set(count=3, n_theta=13, n_phi=25).patterns
+        + proj.load_candidates(write_doc(tmp_path, doc)).patterns
+        + proj.sampled_pattern_set(random_coeffs(rng, 2, 9), n_theta=19, n_phi=37).patterns
+    )
+    return proj.CandidatePatternSet(patterns, normalized=False)
+
+
+def duplicated_set():
+    """Every candidate appears twice; the first copy must win."""
+    base = proj.steered_candidate_set(count=4, n_theta=31, n_phi=61)
+    return proj.CandidatePatternSet(base.patterns * 2, normalized=True)
+
+
+def oracle_set(which, tmp_path, rng):
+    if which == "steered":
+        return proj.steered_candidate_set(count=16, n_theta=31, n_phi=61)
+    if which == "mixed":
+        return mixed_grid_set(tmp_path, rng)
+    return duplicated_set()
+
+
+class TestProjectionOracle:
+    @pytest.mark.parametrize("which", ["steered", "mixed", "duplicated"])
+    def test_project_antenna_matches_oracle(self, which, tmp_path):
+        rng = np.random.default_rng(11)
+        cset = oracle_set(which, tmp_path, rng)
+        for _ in range(20):
+            coeffs = random_coeffs(rng, 5, 9)
+            thetas = rng.uniform(0.0, math.pi, (5, 6))
+            phis = rng.uniform(-math.pi, math.pi, (5, 6))
+            expected = [
+                project_antenna_oracle(c, th, ph, cset)
+                for c, th, ph in zip(coeffs, thetas, phis)
+            ]
+            got = proj.project_antenna(coeffs, thetas, phis, cset)
+            assert got.tolist() == expected
+            assert proj.project_antenna(coeffs[0], thetas[0], phis[0], cset) == expected[0]
+            if which == "duplicated":
+                assert max(expected) < 4
+
+    @pytest.mark.parametrize("which", ["steered", "mixed", "duplicated"])
+    @pytest.mark.parametrize("field_mode", ["far", "near"])
+    def test_apply_projection_matches_oracle(self, which, field_mode, tmp_path):
+        rng = np.random.default_rng(12)
+        cset = oracle_set(which, tmp_path, rng)
+        scenario, result = solve_small(9, field_mode=field_mode)
+        for trial in range(3):
+            if trial:  # the solved patterns first, then random ones
+                coeffs = random_coeffs(rng, 4, 9)
+                state = dataclasses.replace(result.state, coeffs=coeffs)
+                result = dataclasses.replace(result, state=state)
+            projected = proj.apply_projection(result, scenario, cset, refit=False)
+            expected = []
+            for n in range(4):
+                thetas = [p.thetas[n] for user in scenario.paths for p in user]
+                phis = [p.phis[n] for user in scenario.paths for p in user]
+                expected.append(
+                    project_antenna_oracle(result.state.coeffs[n], thetas, phis, cset)
+                )
+            assert projected.indices.tolist() == expected
+            np.testing.assert_array_equal(
+                projected.channels, projected_channels_oracle(scenario, expected, cset)
+            )
 
 
 class TestLoader:
