@@ -27,6 +27,7 @@ from .projection import (
     CandidatePatternSet,
     load_candidates,
     apply_projection,
+    read_candidate_file,
     steered_candidate_set,
 )
 from .wmmse import SolverConfig, run_algorithm1
@@ -196,12 +197,32 @@ class TrialRecord:
                 raise ValueError("a successful trial runs at least one iteration")
 
 
+_last_set = None  # (key, set) of the last set load_candidate_set returned
+
+
 def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     """Candidate set from the configured file, or the synthetic 64-lobe
-    stand-in when no file is given."""
+    stand-in when no file is given.
+
+    The file is read on every call, but parsed only when its content
+    changed: the last set returned is returned again while its key matches,
+    the sha256 of the file's bytes (None for the stand-in).  So the CLI's
+    fail-fast check, every batch and every worker of one process share one
+    parse.  A failed load leaves the last set in place.
+    """
+    global _last_set
+    key = data = None
     if config.patterns_path is not None:
-        return load_candidates(config.patterns_path)
-    return steered_candidate_set(count=64)
+        key, data = read_candidate_file(config.patterns_path)
+    last = _last_set
+    if last is not None and last[0] == key:
+        return last[1]
+    if data is None:
+        cset = steered_candidate_set(count=64)
+    else:
+        cset = load_candidates(config.patterns_path, data)
+    _last_set = (key, cset)
+    return cset
 
 
 def _failed(seed: int, mode: str, pmax_dbm: float, err: BaseException) -> TrialRecord:
@@ -360,7 +381,8 @@ def run_trials(config: RunConfig) -> list[TrialRecord]:
     (trial, power).
 
     Drops may execute on worker processes; records always come back ordered
-    by (trial, pmax, mode).  The candidate set is loaded once per process.
+    by (trial, pmax, mode).  The candidate set is parsed once per process
+    (see ``load_candidate_set``).
     Failed trials yield flagged NaN records.
     """
     jobs = [

@@ -6,7 +6,7 @@ the squared gain mismatch against its optimized pattern over all users' path
 angles, the channel is rebuilt from the selected gains, and (optionally) the
 digital precoder is refit on the projected channel.
 
-Candidate files are JSON documents::
+Candidate files are UTF-8 JSON documents::
 
     {"normalize": true,
      "patterns": [{"name": "...",
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,10 +46,52 @@ class CandidatePattern:
 
 
 @dataclass(frozen=True)
+class CandidateGrid:
+    """The candidates of a set that share one (theta, phi) grid."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    gains: np.ndarray  # (R_grid, n_theta, n_phi), row k is candidate members[k]
+    members: np.ndarray  # indices into the set's patterns, ascending
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class CandidatePatternSet:
+    """Candidates in selection order.
+
+    On construction the gains of candidates sharing a grid are stacked into
+    one read-only array per grid (``grids``), and each pattern's ``theta``,
+    ``phi`` and ``gain`` become read-only views of its grid, so a set can be
+    shared between calls without copies.
+    """
+
     patterns: tuple
     normalized: bool
     source: str = "memory"
+    grids: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        groups: dict = {}
+        for r, pat in enumerate(self.patterns):
+            theta, phi = np.asarray(pat.theta, float), np.asarray(pat.phi, float)
+            key = (theta.tobytes(), phi.tobytes())
+            groups.setdefault(key, (theta, phi, []))[2].append(r)
+        patterns, grids = list(self.patterns), []
+        for theta, phi, members in groups.values():
+            theta, phi = _read_only(theta.copy()), _read_only(phi.copy())
+            gains = _read_only(
+                np.stack([np.asarray(patterns[r].gain, float) for r in members])
+            )
+            for k, r in enumerate(members):
+                patterns[r] = replace(patterns[r], theta=theta, phi=phi, gain=gains[k])
+            grids.append(CandidateGrid(theta, phi, gains, _read_only(np.array(members))))
+        object.__setattr__(self, "patterns", tuple(patterns))
+        object.__setattr__(self, "grids", tuple(grids))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -87,12 +129,19 @@ def grid_power(theta: np.ndarray, phi: np.ndarray, gain: np.ndarray) -> float:
     return float(np.dot(_theta_weights(th), per_theta))
 
 
-def _validate_axis(values, field: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _float_array(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise PatternLoadError(f"{name}: not an array of numbers ({err})")
+
+
+def _validate_axis(values, name: str) -> np.ndarray:
+    arr = _float_array(values, name)
     if arr.ndim != 1 or arr.size < 2:
-        raise PatternLoadError(f"{field}: need a 1-D array with at least 2 nodes")
+        raise PatternLoadError(f"{name}: need a 1-D array with at least 2 nodes")
     if np.any(np.diff(arr) <= 0):
-        raise PatternLoadError(f"{field}: grid nodes must be strictly ascending")
+        raise PatternLoadError(f"{name}: grid nodes must be strictly ascending")
     return arr
 
 
@@ -105,7 +154,7 @@ def _build_pattern(record: dict, idx: int, normalize: bool) -> CandidatePattern:
     phi = np.deg2rad(_validate_axis(record["phi_deg"], f"{ctx}.phi_deg"))
     if theta[0] < 0 or theta[-1] > math.pi + 1e-9:
         raise PatternLoadError(f"{ctx}.theta_deg: inclinations must lie in [0, 180]")
-    gain = np.asarray(record["gain"], dtype=float)
+    gain = _float_array(record["gain"], f"{ctx}.gain")
     if gain.shape != (theta.size, phi.size):
         raise PatternLoadError(
             f"{ctx}.gain: expected shape {(theta.size, phi.size)}, got {gain.shape}"
@@ -129,13 +178,50 @@ def _build_pattern(record: dict, idx: int, normalize: bool) -> CandidatePattern:
     )
 
 
-def load_candidates(path) -> CandidatePatternSet:
-    """Load and validate a candidate-set document."""
+def _gain_to_array(obj: dict) -> dict:
+    """Parser hook: a record's gain samples become one float array as soon
+    as the record is parsed, so the document never holds them all as Python
+    floats.  Samples that do not convert are left for validation."""
+    gain = obj.get("gain")
+    if isinstance(gain, list):
+        try:
+            obj["gain"] = np.asarray(gain, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
+def read_candidate_file(path) -> tuple[bytes, bytes]:
+    """The sha256 digest of a candidate-set file's bytes, and the bytes."""
+    # Imported here: hashlib loads OpenSSL, which adds about 3.6 MiB and a
+    # few ms to a process, and only runs that read a candidate file hash.
+    import hashlib
+
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise PatternLoadError(f"{path}: cannot read candidate set: {err}")
+    return hashlib.sha256(data).digest(), data
+
+
+def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
+    """Load and validate a candidate-set document.
+
+    ``data`` is the file's bytes for a caller that has read them already
+    (:func:`read_candidate_file`); otherwise the file is read here.  The
+    bytes must be UTF-8 text.
+    """
+    if data is None:
+        _, data = read_candidate_file(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise PatternLoadError(
+            f"{path}: not UTF-8 text ({err.reason} at byte {err.start})"
+        )
+    try:
+        doc = json.loads(text, object_hook=_gain_to_array)
     except json.JSONDecodeError as err:
         raise PatternLoadError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
     if not isinstance(doc, dict) or "patterns" not in doc:
@@ -168,6 +254,35 @@ def save_candidates(cset: CandidatePatternSet, path) -> None:
         json.dump(doc, fh)
 
 
+def _bilinear(grid_theta, grid_phi, gains, theta, phi) -> np.ndarray:
+    """(R, *angles) bilinear gains at (theta, phi) of a stack of R gains of
+    shape (R, n_theta, n_phi) sampled on one grid.
+
+    Azimuth wraps at 2 pi (a grid short of 2 pi closes on its first column);
+    inclination clamps to the grid edge toward the poles.  Grid nodes
+    reproduce the stored samples exactly.
+    """
+    ph_axis = grid_phi
+    if ph_axis[-1] - ph_axis[0] < 2.0 * math.pi:
+        ph_axis = np.concatenate((ph_axis, [ph_axis[0] + 2.0 * math.pi]))
+
+    th = np.clip(np.asarray(theta, float), grid_theta[0], grid_theta[-1])
+    ph = ph_axis[0] + np.mod(np.asarray(phi, float) - ph_axis[0], 2.0 * math.pi)
+    ph = np.clip(ph, ph_axis[0], ph_axis[-1])
+
+    i = np.clip(np.searchsorted(grid_theta, th, side="right") - 1, 0, grid_theta.size - 2)
+    j = np.clip(np.searchsorted(ph_axis, ph, side="right") - 1, 0, ph_axis.size - 2)
+    t = (th - grid_theta[i]) / (grid_theta[i + 1] - grid_theta[i])
+    u = (ph - ph_axis[j]) / (ph_axis[j + 1] - ph_axis[j])
+    j1 = (j + 1) % grid_phi.size  # the wrapped column of a grid short of 2 pi
+    return (
+        (1 - t) * (1 - u) * gains[:, i, j]
+        + (1 - t) * u * gains[:, i, j1]
+        + t * (1 - u) * gains[:, i + 1, j]
+        + t * u * gains[:, i + 1, j1]
+    )
+
+
 def candidate_gain(cset: CandidatePatternSet, r: int, theta, phi):
     """Bilinear gain of candidate ``r`` (0-based) at (theta, phi).
 
@@ -177,32 +292,18 @@ def candidate_gain(cset: CandidatePatternSet, r: int, theta, phi):
     if not 0 <= r < len(cset):
         raise IndexError(f"candidate index {r} out of range [0, {len(cset)})")
     pat = cset.patterns[r]
-    ph_axis, g = pat.phi, pat.gain
-    if ph_axis[-1] - ph_axis[0] < 2.0 * math.pi:
-        ph_axis = np.concatenate((ph_axis, [ph_axis[0] + 2.0 * math.pi]))
-        g = np.hstack([g, g[:, :1]])
-
-    th = np.clip(np.asarray(theta, float), pat.theta[0], pat.theta[-1])
-    ph = ph_axis[0] + np.mod(np.asarray(phi, float) - ph_axis[0], 2.0 * math.pi)
-    ph = np.clip(ph, ph_axis[0], ph_axis[-1])
-
-    i = np.clip(np.searchsorted(pat.theta, th, side="right") - 1, 0, pat.theta.size - 2)
-    j = np.clip(np.searchsorted(ph_axis, ph, side="right") - 1, 0, ph_axis.size - 2)
-    t = (th - pat.theta[i]) / (pat.theta[i + 1] - pat.theta[i])
-    u = (ph - ph_axis[j]) / (ph_axis[j + 1] - ph_axis[j])
-    out = (
-        (1 - t) * (1 - u) * g[i, j]
-        + (1 - t) * u * g[i, j + 1]
-        + t * (1 - u) * g[i + 1, j]
-        + t * u * g[i + 1, j + 1]
-    )
+    out = _bilinear(pat.theta, pat.phi, pat.gain[None], theta, phi)[0]
     return float(out) if np.ndim(out) == 0 else out
 
 
 def candidate_gains(cset: CandidatePatternSet, theta, phi) -> np.ndarray:
     """(R, *angles) gains of every candidate at the (theta, phi) angles,
-    one :func:`candidate_gain` call per candidate."""
-    return np.stack([candidate_gain(cset, r, theta, phi) for r in range(len(cset))])
+    one bilinear gather per grid of the set."""
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    out = np.empty((len(cset),) + shape)
+    for grid in cset.grids:
+        out[grid.members] = _bilinear(grid.theta, grid.phi, grid.gains, theta, phi)
+    return out
 
 
 def project_antenna(c_opt, thetas, phis, cset: CandidatePatternSet, gains=None):

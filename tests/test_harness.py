@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from trihybrid import cli
 from trihybrid import harness as hn
 from trihybrid.harmonics import truncation_length
-from trihybrid.projection import save_candidates, steered_candidate_set
+from trihybrid.projection import PatternLoadError, save_candidates, steered_candidate_set
 
 # small, fast batch settings shared by most tests
 FAST = dict(
@@ -20,6 +21,37 @@ def fast_config(**kwargs):
     params = dict(FAST)
     params.update(kwargs)
     return hn.RunConfig(**params)
+
+
+@pytest.fixture(autouse=True)
+def fresh_candidate_memo(monkeypatch):
+    """Each test starts with no candidate set kept from an earlier test."""
+    monkeypatch.setattr(hn, "_last_set", None)
+
+
+def count_calls(monkeypatch, name):
+    """Record the calls made through ``harness.<name>``."""
+    func, calls = getattr(hn, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(hn, name, counted)
+    return calls
+
+
+def write_uniform_doc(path, value):
+    """A one-pattern file of constant gain ``value`` (one digit), so files
+    of different values have the same size."""
+    doc = {
+        "normalize": False,
+        "patterns": [
+            {"theta_deg": [0, 90, 180], "phi_deg": [0, 180, 360],
+             "gain": [[value] * 3] * 3}
+        ],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def strip_wall(record):
@@ -211,6 +243,73 @@ class TestRunDrop:
         assert [strip_wall(r) for r in serial] == [strip_wall(r) for r in parallel]
 
 
+class TestCandidateMemo:
+    def test_unchanged_bytes_parse_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        calls = count_calls(monkeypatch, "load_candidates")
+        cfg = fast_config(patterns_path=str(path))
+        first = hn.load_candidate_set(cfg)
+        assert hn.load_candidate_set(cfg) is first
+        assert hn.load_candidate_set(cfg) is first
+        assert len(calls) == 1
+
+    def test_shared_set_is_read_only(self, tmp_path):
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        cfg = fast_config(patterns_path=str(path))
+        cset = hn.load_candidate_set(cfg)
+        assert hn.load_candidate_set(cfg) is cset
+        with pytest.raises(ValueError):
+            cset.patterns[0].gain[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            cset.grids[0].gains *= 2.0
+
+    def test_rewritten_bytes_reload(self, tmp_path, monkeypatch):
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        cfg = fast_config(patterns_path=str(path))
+        old = hn.load_candidate_set(cfg)
+        stat = path.stat()
+        write_uniform_doc(path, 2)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        calls = count_calls(monkeypatch, "load_candidates")
+        new = hn.load_candidate_set(cfg)
+        assert len(calls) == 1
+        assert new is not old
+        np.testing.assert_array_equal(new.patterns[0].gain, 2.0)
+        np.testing.assert_array_equal(old.patterns[0].gain, 1.0)
+
+    def test_failed_load_is_not_kept(self, tmp_path):
+        path = tmp_path / "patterns.json"
+        cfg = fast_config(patterns_path=str(path))
+        write_uniform_doc(path, 1)
+        hn.load_candidate_set(cfg)
+        path.write_text('{"patterns": [', encoding="utf-8")
+        with pytest.raises(PatternLoadError):
+            hn.load_candidate_set(cfg)
+        write_uniform_doc(path, 3)
+        np.testing.assert_array_equal(hn.load_candidate_set(cfg).patterns[0].gain, 3.0)
+
+    def test_stand_in_built_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "steered_candidate_set")
+        cfg = fast_config(mode="projected", trials=1)
+        for _ in range(2):
+            assert all(r.error is None for r in hn.run_trials(cfg))
+        assert len(calls) == 1
+
+    def test_not_utf8_file_flags_projected_rows(self, tmp_path):
+        path = tmp_path / "patterns.json"
+        path.write_bytes(b"\xff\xfe{}")
+        records = hn.run_trials(fast_config(mode="all", trials=1, patterns_path=str(path)))
+        by_mode = {r.mode: r for r in records}
+        assert by_mode["projected"].error.startswith("PatternLoadError:")
+        assert "not UTF-8 text" in by_mode["projected"].error
+        assert by_mode["trihybrid"].error is None
+
+
 class TestCsv:
     def test_header_only_for_empty_batch(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -352,6 +451,31 @@ class TestCli:
              "--out", str(tmp_path / "r.csv")]
         )
         assert code == 1
+
+    def test_not_utf8_patterns_file_is_config_error(self, tmp_path, capsys):
+        cfg = self.write_fast_config(tmp_path, trials=1)
+        patterns = tmp_path / "f.json"
+        patterns.write_bytes(b"\xff\xfe{}")
+        code = cli.main(
+            ["project", "--config", str(cfg), "--patterns", str(patterns),
+             "--out", str(tmp_path / "r.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_project_parses_patterns_once(self, tmp_path, monkeypatch):
+        cfg = self.write_fast_config(tmp_path, trials=2)
+        patterns = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), patterns)
+        calls = count_calls(monkeypatch, "load_candidates")
+        code = cli.main(
+            ["project", "--config", str(cfg), "--patterns", str(patterns),
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_trace_subcommand(self, tmp_path):
         cfg = self.write_fast_config(tmp_path, max_iterations=3)

@@ -50,6 +50,28 @@ def project_antenna_oracle(c_opt, thetas, phis, cset):
     return best_idx
 
 
+def candidate_gain_oracle(pat, theta, phi):
+    """Bilinear gain of one candidate with the wrap column appended to its
+    grid, evaluated on its own."""
+    ph_axis, g = pat.phi, pat.gain
+    if ph_axis[-1] - ph_axis[0] < 2.0 * math.pi:
+        ph_axis = np.concatenate((ph_axis, [ph_axis[0] + 2.0 * math.pi]))
+        g = np.hstack([g, g[:, :1]])
+    th = np.clip(np.asarray(theta, float), pat.theta[0], pat.theta[-1])
+    ph = ph_axis[0] + np.mod(np.asarray(phi, float) - ph_axis[0], 2.0 * math.pi)
+    ph = np.clip(ph, ph_axis[0], ph_axis[-1])
+    i = np.clip(np.searchsorted(pat.theta, th, side="right") - 1, 0, pat.theta.size - 2)
+    j = np.clip(np.searchsorted(ph_axis, ph, side="right") - 1, 0, ph_axis.size - 2)
+    t = (th - pat.theta[i]) / (pat.theta[i + 1] - pat.theta[i])
+    u = (ph - ph_axis[j]) / (ph_axis[j + 1] - ph_axis[j])
+    return (
+        (1 - t) * (1 - u) * g[i, j]
+        + (1 - t) * u * g[i, j + 1]
+        + t * (1 - u) * g[i + 1, j]
+        + t * u * g[i + 1, j + 1]
+    )
+
+
 def projected_channels_oracle(scenario, indices, cset):
     """Channels rebuilt from one candidate_gain call per element per path."""
     geom = scenario.geometry
@@ -96,9 +118,23 @@ def duplicated_set():
     return proj.CandidatePatternSet(base.patterns * 2, normalized=True)
 
 
+def short_azimuth_set(tmp_path, rng):
+    """Candidates on one shared grid that stops short of 2 pi in azimuth."""
+    doc = isotropic_doc(normalize=False)
+    record = doc["patterns"][0]
+    record["phi_deg"] = list(range(0, 316, 45))
+    doc["patterns"] = [
+        dict(record, name=f"short-{k}", gain=rng.uniform(0.0, 2.0, (7, 8)).tolist())
+        for k in range(5)
+    ]
+    return proj.load_candidates(write_doc(tmp_path, doc, name="short.json"))
+
+
 def oracle_set(which, tmp_path, rng):
     if which == "steered":
         return proj.steered_candidate_set(count=16, n_theta=31, n_phi=61)
+    if which == "short":
+        return short_azimuth_set(tmp_path, rng)
     if which == "mixed":
         return mixed_grid_set(tmp_path, rng)
     return duplicated_set()
@@ -148,6 +184,25 @@ class TestProjectionOracle:
             )
 
 
+    @pytest.mark.parametrize(
+        "which, grids", [("steered", 1), ("short", 1), ("mixed", 4), ("duplicated", 1)]
+    )
+    def test_candidate_gains_match_per_candidate_calls(self, which, grids, tmp_path):
+        rng = np.random.default_rng(13)
+        cset = oracle_set(which, tmp_path, rng)
+        assert len(cset.grids) == grids
+        # inclinations past both poles, azimuths over several turns
+        thetas = rng.uniform(-0.2, math.pi + 0.2, (5, 6))
+        phis = rng.uniform(-3 * math.pi, 3 * math.pi, (5, 6))
+        gains = proj.candidate_gains(cset, thetas, phis)
+        per_candidate = np.stack(
+            [proj.candidate_gain(cset, r, thetas, phis) for r in range(len(cset))]
+        )
+        np.testing.assert_array_equal(gains, per_candidate)
+        oracle = np.stack([candidate_gain_oracle(p, thetas, phis) for p in cset.patterns])
+        np.testing.assert_array_equal(gains, oracle)
+
+
 class TestLoader:
     def test_isotropic_pattern(self, tmp_path):
         cset = proj.load_candidates(write_doc(tmp_path, isotropic_doc()))
@@ -186,11 +241,56 @@ class TestLoader:
         with pytest.raises(proj.PatternLoadError, match="shape"):
             proj.load_candidates(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "field, value", [("gain", [[1.0] * 9] * 6 + [[1.0] * 8]), ("theta_deg", ["a", 90])]
+    )
+    def test_non_numeric_samples_rejected(self, tmp_path, field, value):
+        doc = isotropic_doc()
+        doc["patterns"][0][field] = value
+        with pytest.raises(proj.PatternLoadError, match=rf"patterns\[0\]\.{field}"):
+            proj.load_candidates(write_doc(tmp_path, doc))
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"patterns": [', encoding="utf-8")
         with pytest.raises(proj.PatternLoadError, match="line"):
             proj.load_candidates(path)
+
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe{}", json.dumps(isotropic_doc()).encode("utf-16")]
+    )
+    def test_not_utf8_rejected(self, tmp_path, data):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(data)
+        with pytest.raises(proj.PatternLoadError, match="not UTF-8 text"):
+            proj.load_candidates(path)
+
+    def test_gains_stored_once_per_grid(self, tmp_path):
+        rng = np.random.default_rng(14)
+        cset = mixed_grid_set(tmp_path, rng)
+        for grid in cset.grids:
+            for k, r in enumerate(grid.members):
+                pat = cset.patterns[r]
+                assert pat.gain.base is grid.gains
+                np.testing.assert_array_equal(pat.gain, grid.gains[k])
+                assert pat.theta is grid.theta and pat.phi is grid.phi
+
+    @pytest.mark.parametrize("builder", ["file", "steered", "sampled", "memory"])
+    def test_arrays_read_only(self, builder, tmp_path):
+        rng = np.random.default_rng(15)
+        if builder == "file":
+            cset = proj.load_candidates(write_doc(tmp_path, isotropic_doc()))
+        elif builder == "steered":
+            cset = proj.steered_candidate_set(count=3, n_theta=13, n_phi=25)
+        elif builder == "sampled":
+            cset = proj.sampled_pattern_set(random_coeffs(rng, 2, 9), n_theta=13, n_phi=25)
+        else:
+            cset = mixed_grid_set(tmp_path, rng)
+        arrays = [a for g in cset.grids for a in (g.theta, g.phi, g.gains)]
+        arrays += [a for p in cset.patterns for a in (p.theta, p.phi, p.gain)]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_synthetic_eight_pattern_set(self):
         cset = proj.steered_candidate_set(count=8)
