@@ -125,16 +125,43 @@ def real_sph_harmonic(degree: int, order: int, theta, phi):
 def basis_vector(theta, phi, degree: int):
     """Stack Y_t(theta, phi) for t = 1..(U+1)**2 along the last axis.
 
-    Scalars give shape (T,); array angles broadcast to (*angles, T).
+    Scalars give shape (T,); array angles broadcast to (*angles, T).  One
+    sweep over the order q runs the upward Legendre recurrence of
+    :func:`assoc_legendre` across all degrees, seeded by P_q^q updated from
+    P_{q-1}^{q-1}.  Every entry takes the same floating-point operations as
+    :func:`real_sph_harmonic`, so the two agree bit for bit.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast_shapes(theta.shape, phi.shape)
-    t_len = truncation_length(degree)
-    out = np.empty(shape + (t_len,))
-    for u in range(degree + 1):
-        for q in range(-u, u + 1):
-            out[..., index_of(u, q) - 1] = real_sph_harmonic(u, q, theta, phi)
+    out = np.empty(shape + (truncation_length(degree),))
+    x = np.cos(theta)
+    somx2 = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    sqrt2 = math.sqrt(2.0)
+    pqq = np.ones_like(x)
+    fact = 1.0
+    for q in range(degree + 1):
+        if q > 0:
+            pqq = -pqq * fact * somx2
+            fact += 2.0
+        cos_q, sin_q = np.cos(q * phi), np.sin(q * phi)
+        pm2 = pm1 = None
+        for u in range(q, degree + 1):
+            if u == q:
+                p = pqq
+            elif u == q + 1:
+                p = x * (2 * q + 1) * pqq
+            else:
+                p = (x * (2 * u - 1) * pm1 - (u + q - 1) * pm2) / (u - q)
+            pm2, pm1 = pm1, p
+            n = _norm_factor(u, q)
+            centre = u * u + u  # 0-based index of (u, 0)
+            if q == 0:
+                out[..., centre] = n * p
+            else:
+                scaled = sqrt2 * n * p
+                out[..., centre + q] = scaled * cos_q
+                out[..., centre - q] = scaled * sin_q
     return out
 
 

@@ -36,7 +36,7 @@ class PatternLoadError(ValueError):
     """A candidate-set document failed validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePattern:
     name: str
     theta: np.ndarray  # radians, ascending
@@ -45,7 +45,7 @@ class CandidatePattern:
     power: float  # quadrature of gain^2 over the sphere
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateGrid:
     """The candidates of a set that share one (theta, phi) grid."""
 
@@ -60,20 +60,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePatternSet:
     """Candidates in selection order.
 
     On construction the gains of candidates sharing a grid are stacked into
     one read-only array per grid (``grids``), and each pattern's ``theta``,
     ``phi`` and ``gain`` become read-only views of its grid, so a set can be
-    shared between calls without copies.
+    shared between calls without copies.  Sets, grids and patterns compare
+    and hash by identity, since their fields hold arrays.
     """
 
     patterns: tuple
     normalized: bool
     source: str = "memory"
-    grids: tuple = field(init=False, repr=False, compare=False)
+    grids: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         groups: dict = {}

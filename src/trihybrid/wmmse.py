@@ -7,17 +7,20 @@ the per-antenna pattern coefficients c^(n) under the 4 pi gain-power budget
 with the constant (DC) coefficient pinned to eta.  Every block update is
 closed form:
 
-* v, w, F_D follow the classic per-user expressions, with one shared power
-  multiplier found by bisection;
+* v, w, F_D follow the classic per-user expressions; the one power
+  multiplier all columns of F_D share solves a secular equation;
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
   program whose KKT system (A + 2 nu I) c = -d is resolved by one eigen
-  decomposition plus Newton on the secular equation ||c(nu)||^2 = rho^2 in
-  the two outer intervals where ||c(nu)||^2 is monotone, with an explicit
-  hard case (nu at the pole) for the rank-deficient A the channel gives;
-  both candidates are scored on the exact
+  decomposition plus the same secular solver on ||c(nu)||^2 = rho^2, right
+  of the smallest eigenvalue, where the solution is the global minimizer on
+  the sphere; an explicit hard case (nu at the pole) covers the
+  rank-deficient A the channel gives.  The point is scored on the exact
   objective and accepted only on strict improvement, which makes the
   objective non-increasing step by step and the sum rate non-decreasing
   across outer iterations.
+
+Both multipliers come from one safeguarded Newton iteration on
+sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
 """
 
 from __future__ import annotations
@@ -157,13 +160,57 @@ def update_w(channels, f_d, v) -> np.ndarray:
     return w
 
 
+def _secular_shift(x_sq, shift, target, tol, what) -> float:
+    """Shift t > 0 solving sum_i x_sq_i / (shift_i + t)^2 = target.
+
+    ``x_sq`` holds the squared spectral weights and ``shift >= 0`` the
+    eigenvalues' distances from the lower end of the bracket, so the sum
+    decreases in t and t = 0 is that end: the pole for the pattern
+    multiplier, mu = 0 for the power multiplier.  Newton runs
+    on 1/sqrt(sum) - 1/sqrt(target) (More & Sorensen 1983) inside
+    [0, sqrt(sum(x_sq) / target)], where the sum at the upper end is at most
+    the target by construction, and starts there, never at t = 0, where a
+    zero shift would divide by zero.  A step that leaves the bracket is
+    replaced by a bisection step in log t: the bracket's geometric mean, or
+    hi/1000 while the lower end is still 0, so roots very close to the pole
+    take a few steps rather than one per halving.  Stops once
+    |sum - target| <= tol * target; ``what`` names the summed quantity in
+    the error raised after MULTIPLIER_STEPS steps.
+    """
+    sqrt_target = math.sqrt(target)
+    lo, hi = 0.0, math.sqrt(float(np.sum(x_sq)) / target)
+    t = hi
+    for _ in range(MULTIPLIER_STEPS):
+        denom = shift + t
+        terms = x_sq / denom**2
+        value = float(np.sum(terms))
+        if abs(value - target) <= tol * target:
+            return t
+        if value > target:
+            lo = t
+        else:
+            hi = t
+        # Newton on 1/sqrt(value) - 1/sqrt_target; the derivative of value is -2 * slope
+        slope = float(np.sum(terms / denom))
+        t += value / slope * (math.sqrt(value) - sqrt_target) / sqrt_target
+        if not lo < t < hi:
+            t = max(math.sqrt(lo * hi), 1e-3 * hi)
+    raise RuntimeError(
+        f"multiplier Newton did not converge in {MULTIPLIER_STEPS} steps: "
+        f"relative {what} residual {abs(value - target) / target:.3e}"
+    )
+
+
 def update_fd(channels, w, v, weights, p_max, rel_tol=1e-10) -> np.ndarray:
     """Fully digital precoder under the total power budget.
 
-    Solves (M + lam I) f_k = beta_k w_k conj(v_k) conj(h_k) with the single
-    multiplier lam >= 0 shared across users; lam = 0 is kept when the budget
-    is slack (complementary slackness), otherwise bisection matches the
-    power to the budget.
+    Solves (M + mu I) f_k = beta_k w_k conj(v_k) conj(h_k) with the single
+    multiplier mu >= 0 shared across users.  With M = Q diag(lam) Q^H and
+    B~ = Q^H B, the power is sum_i ||b~_i||^2 / (lam_i + mu)^2.  When the
+    budget is slack, mu = 0 is kept (complementary slackness) through the
+    pseudo-inverse, the minimum-norm limit mu -> 0+, which also covers a
+    rank-deficient M; otherwise the secular solver matches the power to
+    p_max within rel_tol * p_max, with the bracket's lower end at mu = 0.
     """
     if p_max <= 0:
         raise ValueError("power budget must be positive")
@@ -177,7 +224,6 @@ def update_fd(channels, w, v, weights, p_max, rel_tol=1e-10) -> np.ndarray:
     bt = q.conj().T @ b  # (N_T, K)
     bt_sq = np.sum(np.abs(bt) ** 2, axis=1)
 
-    # lam = 0 via the pseudo-inverse: minimum-norm limit of lam -> 0+
     cutoff = eigvals[-1] * max(m.shape) * np.finfo(float).eps
     active = eigvals > cutoff
     power0 = float(np.sum(bt_sq[active] / eigvals[active] ** 2))
@@ -185,23 +231,8 @@ def update_fd(channels, w, v, weights, p_max, rel_tol=1e-10) -> np.ndarray:
         scale = np.where(active, 1.0 / np.where(active, eigvals, 1.0), 0.0)
         return q @ (scale[:, None] * bt)
 
-    def power(lam):
-        return float(np.sum(bt_sq / (eigvals + lam) ** 2))
-
-    hi = math.sqrt(np.sum(bt_sq) / p_max)  # power(hi) <= p_max by construction
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if power(mid) > p_max:
-            lo = mid
-        else:
-            hi = mid
-        if abs(power(hi) - p_max) <= rel_tol * p_max:
-            break
-    lam = hi
-    if abs(power(lam) - p_max) > max(rel_tol, 1e-8) * p_max:
-        raise RuntimeError("power bisection failed to meet the budget")
-    return q @ (bt / (eigvals + lam)[:, None])
+    mu = _secular_shift(bt_sq, eigvals, p_max, rel_tol, "power")
+    return q @ (bt / (eigvals + mu)[:, None])
 
 
 @dataclass(frozen=True)
@@ -250,31 +281,50 @@ def assemble_quadratic(blocks, coeffs, f_d, w, v, weights, n: int) -> QuadraticS
     return QuadraticSubproblem(a_matrix=a_matrix, d=d1 + d23, rho_sq=rho_sq)
 
 
-@dataclass(frozen=True)
-class SubproblemCandidates:
-    """The two KKT points from the outer multiplier intervals."""
+def _cluster_direction(basis: np.ndarray) -> np.ndarray:
+    """Unit vector of the span of ``basis``, independent of the basis chosen.
 
-    c_minus: np.ndarray
-    nu_minus: float
-    c_plus: np.ndarray
-    nu_plus: float
-
-
-def _secular_root(lams, vecs, dt, rho_sq, tol):
-    """Multiplier and point on the interval right of the smallest eigenvalue.
-
-    Solves sum_i (dt_i / (lams_i + 2 nu))^2 = rho_sq for nu >= -lams[0]/2
-    (``lams`` ascending, ``dt = vecs^T d``) and returns (nu, c) with
-    c = -(A + 2 nu I)^{-1} d.  Works in the shift t = 2 nu + lams[0] >= 0 so
-    the distance to the pole keeps full precision.  Outside the hard case,
-    Newton runs on 1/||c(t)|| - 1/rho (More & Sorensen 1983) inside the
-    bracket [0, ||d||/rho].  A step that leaves the bracket is replaced by a
-    bisection step in log t: the bracket's geometric mean, or hi/1000 while
-    the lower end is still the pole, so roots very close to the pole take a
-    few steps rather than one per halving.
+    The projection of the all-ones vector onto the span; when that vanishes,
+    the projection of the unit vector the span is closest to.
     """
+    z = basis @ basis.sum(axis=0)
+    if np.linalg.norm(z) <= 1e-8 * math.sqrt(basis.shape[0]):
+        z = basis @ basis[np.argmax(np.sum(basis**2, axis=1))]
+    return z / np.linalg.norm(z)
+
+
+def solve_ac_subproblem(sub: QuadraticSubproblem, tol: float = 1e-10):
+    """Global minimizer of the quadratic on the sphere and its multiplier.
+
+    With A = V diag(lams) V^T (lams ascending) and dt = V^T d,
+    c(nu) = -(A + 2 nu I)^{-1} d has squared norm
+    sum_m (dt_m / (lams_m + 2 nu))^2, decreasing for nu > -lams[0]/2.  The
+    root there, where A + 2 nu I is positive semidefinite, is the global
+    minimizer on the sphere (More & Sorensen 1983).  The secular solver
+    works in the shift t = 2 nu + lams[0] >= 0, so the distance to the pole
+    keeps full precision, and stops once |norm(c)^2 - rho_sq| <= tol * rho_sq.
+    Returns (nu, c).
+
+    Hard case: eigenvalues within CLUSTER_ULPS * n * eps * max|lams| of the
+    pole form one cluster.  When d has only rounding-level weight on that
+    cluster and the range-only solution at the pole has norm at most rho, no
+    root lies right of the pole.  The multiplier is then the pole itself and
+    c is the range solution plus a vector of the cluster's eigenspace that
+    makes up the missing norm.  Its direction, by convention, is the
+    projection of the all-ones vector onto that eigenspace (a unit vector's
+    projection if that one vanishes), so it does not depend on the eigenbasis
+    LAPACK returns; since A z = lam_pole z and d^T z = 0, the direction does
+    not change the objective.
+    For d = 0 the point is -rho times the eigenvector of the smallest
+    eigenvalue (documented convention).
+    """
+    lams, vecs = np.linalg.eigh(sub.a_matrix)  # ascending
+    rho_sq = sub.rho_sq
+    if np.linalg.norm(sub.d) == 0.0:
+        return -0.5 * lams[0], -math.sqrt(rho_sq) * vecs[:, 0]
+
+    dt = vecs.T @ sub.d
     rounding = CLUSTER_ULPS * lams.size * np.finfo(float).eps
-    rho = math.sqrt(rho_sq)
     lam_scale = float(np.abs(lams).max())
     shift = lams - lams[0]
     cluster = shift <= rounding * lam_scale
@@ -290,81 +340,8 @@ def _secular_root(lams, vecs, dt, rho_sq, tol):
         z = _cluster_direction(vecs[:, cluster])
         return -0.5 * lams[0], c_range + math.sqrt(rho_sq - range_sq) * z
 
-    lo, hi = 0.0, d_norm / rho  # norm(c(hi)) <= rho by construction
-    t = hi
-    for _ in range(MULTIPLIER_STEPS):
-        ratio = dt / (shift + t)
-        norm_sq = float(np.dot(ratio, ratio))
-        if abs(norm_sq - rho_sq) <= tol * rho_sq:
-            return 0.5 * (t - lams[0]), -vecs @ ratio
-        if norm_sq > rho_sq:
-            lo = t
-        else:
-            hi = t
-        # Newton on 1/norm(c) - 1/rho; the derivative of norm(c)^2 is -2 * slope
-        slope = float(np.sum(ratio**2 / (shift + t)))
-        t += norm_sq / slope * (math.sqrt(norm_sq) - rho) / rho
-        if not lo < t < hi:
-            t = max(math.sqrt(lo * hi), 1e-3 * hi)
-    raise RuntimeError(
-        f"multiplier Newton did not converge in {MULTIPLIER_STEPS} steps: "
-        f"relative norm residual {abs(norm_sq - rho_sq) / rho_sq:.3e}"
-    )
-
-
-def _cluster_direction(basis: np.ndarray) -> np.ndarray:
-    """Unit vector of the span of ``basis``, independent of the basis chosen.
-
-    The projection of the all-ones vector onto the span; when that vanishes,
-    the projection of the unit vector the span is closest to.
-    """
-    z = basis @ basis.sum(axis=0)
-    if np.linalg.norm(z) <= 1e-8 * math.sqrt(basis.shape[0]):
-        z = basis @ basis[np.argmax(np.sum(basis**2, axis=1))]
-    return z / np.linalg.norm(z)
-
-
-def solve_ac_subproblem(
-    sub: QuadraticSubproblem, tol: float = 1e-10
-) -> SubproblemCandidates:
-    """Find the two sphere-constrained stationary points of the quadratic.
-
-    With A = V diag(lams) V^T, c(nu) = -(A + 2 nu I)^{-1} d has squared norm
-    sum_m (d_m / (lam_m + 2 nu))^2, monotone on (-inf, -lam_max/2) and on
-    (-lam_min/2, +inf).  Each multiplier is found by Newton on the secular
-    equation with an explicit hard case; the left interval is the right
-    interval of (-A, -d).  Both roots stop once
-    |norm(c)^2 - rho_sq| <= tol * rho_sq.
-
-    Hard case: when d has only rounding-level weight on the eigenvalues
-    clustered at the pole and the range-only solution at the pole has norm at
-    most rho, no root lies inside the interval.  The multiplier is then the
-    pole itself and c is the range solution plus a vector of the cluster's
-    eigenspace that makes up the missing norm.  Its direction, by
-    convention, is the projection of the all-ones vector onto that
-    eigenspace (a unit vector's projection if that one vanishes), so it does
-    not depend on the eigenbasis LAPACK returns; since A z = lam_pole z and
-    d^T z = 0, the direction does not change the objective.
-    For d = 0 the two points are +/- rho times the eigenvector of the
-    smallest eigenvalue (documented convention).
-    """
-    eigvals, vecs = np.linalg.eigh(sub.a_matrix)  # ascending
-    if np.linalg.norm(sub.d) == 0.0:
-        rho = math.sqrt(sub.rho_sq)
-        u_min = vecs[:, 0]
-        nu = -0.5 * eigvals[0]
-        return SubproblemCandidates(
-            c_minus=rho * u_min, nu_minus=nu, c_plus=-rho * u_min, nu_plus=nu
-        )
-
-    dt = vecs.T @ sub.d
-    nu_plus, c_plus = _secular_root(eigvals, vecs, dt, sub.rho_sq, tol)
-    nu_minus, c_minus = _secular_root(
-        -eigvals[::-1], vecs[:, ::-1], -dt[::-1], sub.rho_sq, tol
-    )
-    return SubproblemCandidates(
-        c_minus=c_minus, nu_minus=-nu_minus, c_plus=c_plus, nu_plus=nu_plus
-    )
+    t = _secular_shift(dt**2, shift, rho_sq, tol, "norm")
+    return 0.5 * (t - lams[0]), -vecs @ (dt / (shift + t))
 
 
 def _objective(blocks, coeffs, f_d, w, v, weights, noise_powers) -> float:
@@ -377,26 +354,23 @@ def update_em(
 ) -> np.ndarray:
     """One ascending sweep of per-antenna AC updates with monotone acceptance.
 
-    Each antenna's two candidates are scored on the exact objective and the
-    incumbent is kept unless strictly beaten, so the sweep never increases
-    the objective.  DC entries are left untouched.
+    Each antenna's subproblem minimizer is scored on the exact objective and
+    the incumbent is kept unless strictly beaten, which guards against
+    rounding, so the sweep never increases the objective.  DC entries are
+    left untouched.
     """
     coeffs = np.array(coeffs, dtype=float)
     incumbent = _objective(blocks, coeffs, f_d, w, v, weights, noise_powers)
     for n in range(coeffs.shape[0]):
         sub = assemble_quadratic(blocks, coeffs, f_d, w, v, weights, n)
-        cands = solve_ac_subproblem(sub, tol=bisection_tol)
-        best_obj, best_ac = incumbent, None
-        for c_ac in (cands.c_minus, cands.c_plus):
-            trial = coeffs[n].copy()
-            coeffs[n, 1:] = c_ac
-            obj = _objective(blocks, coeffs, f_d, w, v, weights, noise_powers)
-            coeffs[n] = trial
-            if obj < best_obj:
-                best_obj, best_ac = obj, c_ac
-        if best_ac is not None:
-            coeffs[n, 1:] = best_ac
-        incumbent = best_obj
+        _, c_ac = solve_ac_subproblem(sub, tol=bisection_tol)
+        previous = coeffs[n, 1:].copy()
+        coeffs[n, 1:] = c_ac
+        obj = _objective(blocks, coeffs, f_d, w, v, weights, noise_powers)
+        if obj < incumbent:
+            incumbent = obj
+        else:
+            coeffs[n, 1:] = previous
     return coeffs
 
 

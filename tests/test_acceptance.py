@@ -139,6 +139,16 @@ def test_criterion_04_wmmse_monotonicity(audited_solves):
     assert worst_rate_drop <= 1e-8
 
 
+def left_root(sub):
+    """The stationary point left of A's largest eigenvalue, the global
+    maximizer on the sphere: the solver's root of (-A, -d), multiplier
+    negated."""
+    nu, c = wmmse.solve_ac_subproblem(
+        wmmse.QuadraticSubproblem(-sub.a_matrix, -sub.d, sub.rho_sq)
+    )
+    return -nu, c
+
+
 def test_criterion_05_subproblem_exactness():
     rng = np.random.default_rng(5)
     dim = 24
@@ -149,8 +159,7 @@ def test_criterion_05_subproblem_exactness():
         sub = wmmse.QuadraticSubproblem(
             b @ b.T / dim, rng.standard_normal(dim) * 10.0 ** rng.uniform(-1, 1), RHO_SQ
         )
-        out = wmmse.solve_ac_subproblem(sub)
-        for c, nu in ((out.c_minus, out.nu_minus), (out.c_plus, out.nu_plus)):
+        for nu, c in (left_root(sub), wmmse.solve_ac_subproblem(sub)):
             worst_norm = max(worst_norm, abs(float(np.dot(c, c)) - RHO_SQ))
 
             def lagrangian(x):
@@ -167,10 +176,12 @@ def test_criterion_05_subproblem_exactness():
     # diagonal closed form
     d = np.zeros(dim)
     d[0] = -2.0
-    out = wmmse.solve_ac_subproblem(wmmse.QuadraticSubproblem(np.eye(dim), d, RHO_SQ))
+    diagonal = wmmse.QuadraticSubproblem(np.eye(dim), d, RHO_SQ)
+    nu_plus, _ = wmmse.solve_ac_subproblem(diagonal)
+    nu_minus, _ = left_root(diagonal)
     rho = math.sqrt(RHO_SQ)
-    nu_plus_err = abs(out.nu_plus - (2.0 / rho - 1.0) / 2.0)
-    nu_minus_err = abs(out.nu_minus - (-2.0 / rho - 1.0) / 2.0)
+    nu_plus_err = abs(nu_plus - (2.0 / rho - 1.0) / 2.0)
+    nu_minus_err = abs(nu_minus - (-2.0 / rho - 1.0) / 2.0)
     ok = (
         worst_norm <= 1e-8
         and worst_grad <= 1e-6

@@ -94,6 +94,31 @@ def test_basis_vector_matches_individual_harmonics():
         assert b[t - 1] == pytest.approx(sh.real_sph_harmonic(u, q, theta, phi))
 
 
+BASIS_ANGLES = {
+    "scalar": (0.9, 4.1),
+    "vector": (RNG.uniform(0.0, math.pi, 9), RNG.uniform(-7.0, 7.0, 9)),
+    "broadcast": (RNG.uniform(0.0, math.pi, (5, 1)), RNG.uniform(-7.0, 7.0, (1, 7))),
+    "poles": (np.array([0.0, math.pi, 0.0, math.pi]), np.array([0.0, 1.0, -2.5, 6.0])),
+}
+
+
+@pytest.mark.parametrize("degree", range(11))
+@pytest.mark.parametrize("angles", sorted(BASIS_ANGLES))
+def test_basis_vector_bit_equal_to_harmonic_stack(degree, angles):
+    theta, phi = BASIS_ANGLES[angles]
+    stack = np.stack(
+        [
+            np.broadcast_to(
+                sh.real_sph_harmonic(*sh.degree_order_of(t), theta, phi),
+                np.broadcast_shapes(np.shape(theta), np.shape(phi)),
+            )
+            for t in range(1, sh.truncation_length(degree) + 1)
+        ],
+        axis=-1,
+    )
+    assert np.array_equal(sh.basis_vector(theta, phi, degree), stack)
+
+
 def test_basis_norm_addition_theorem():
     # ||b||^2 = (U+1)^2 / (4 pi) at any angle
     angles = RNG.uniform(size=(50, 2)) * [math.pi, 2 * math.pi]

@@ -275,6 +275,18 @@ class TestLoader:
                 np.testing.assert_array_equal(pat.gain, grid.gains[k])
                 assert pat.theta is grid.theta and pat.phi is grid.phi
 
+    def test_compared_and_hashed_by_identity(self):
+        # fields hold arrays, which have no single truth value to compare by
+        first, second = proj.steered_candidate_set(2), proj.steered_candidate_set(2)
+        for a, b in (
+            (first, second),
+            (first.patterns[0], second.patterns[0]),
+            (first.grids[0], second.grids[0]),
+        ):
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert len({a, a, b}) == 2
+
     @pytest.mark.parametrize("builder", ["file", "steered", "sampled", "memory"])
     def test_arrays_read_only(self, builder, tmp_path):
         rng = np.random.default_rng(15)

@@ -47,6 +47,63 @@ def g_affine(blocks, coeffs, f_d, k: int, i: int, n: int):
     return a, b
 
 
+def left_root(sub, tol=1e-10):
+    """Oracle for the stationary point left of A's largest eigenvalue.
+
+    That point is the global maximizer on the sphere, so the solver never
+    computes it; it is the solver's root of (-A, -d) with the multiplier
+    negated.  For d = 0 it is the mirror image of the solver's point, +rho
+    times the eigenvector of the smallest eigenvalue, at the same multiplier.
+    """
+    if not np.any(sub.d):
+        nu, c = wmmse.solve_ac_subproblem(sub, tol)
+        return nu, -c
+    nu, c = wmmse.solve_ac_subproblem(
+        wmmse.QuadraticSubproblem(-sub.a_matrix, -sub.d, sub.rho_sq), tol
+    )
+    return -nu, c
+
+
+def update_fd_bisection(channels, w, v, weights, p_max, rel_tol=1e-10):
+    """Oracle for ``update_fd``: the power multiplier by bisection.
+
+    Returns (f_d, mu).  Same normal equations and pseudo-inverse branch; the
+    multiplier is bisected on [0, sqrt(sum ||b~||^2 / p_max)] for at most 200
+    steps, keeping the upper end, whose power never exceeds the budget.
+    """
+    weights = np.asarray(weights, dtype=float)
+    coef = weights * w * np.abs(v) ** 2
+    hc = np.conj(channels)
+    m = hc.T @ (coef[:, None] * channels)
+    b = hc.T * (weights * w * np.conj(v))[None, :]
+    eigvals, q = np.linalg.eigh(m)
+    eigvals = np.clip(eigvals.real, 0.0, None)
+    bt = q.conj().T @ b
+    bt_sq = np.sum(np.abs(bt) ** 2, axis=1)
+
+    cutoff = eigvals[-1] * max(m.shape) * np.finfo(float).eps
+    active = eigvals > cutoff
+    power0 = float(np.sum(bt_sq[active] / eigvals[active] ** 2))
+    if power0 <= p_max:
+        scale = np.where(active, 1.0 / np.where(active, eigvals, 1.0), 0.0)
+        return q @ (scale[:, None] * bt), 0.0
+
+    def power(lam):
+        return float(np.sum(bt_sq / (eigvals + lam) ** 2))
+
+    lo, hi = 0.0, math.sqrt(np.sum(bt_sq) / p_max)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if power(mid) > p_max:
+            lo = mid
+        else:
+            hi = mid
+        if abs(power(hi) - p_max) <= rel_tol * p_max:
+            break
+    assert abs(power(hi) - p_max) <= rel_tol * p_max
+    return q @ (bt / (eigvals + hi)[:, None]), hi
+
+
 class TestSumRate:
     def test_single_user_unit_sinr(self):
         h = np.array([[1.0 + 0j]])
@@ -197,6 +254,47 @@ class TestUpdateFd:
             out = wmmse.update_fd(h, w, v, weights, p_max)
             assert np.sum(np.abs(out) ** 2) <= p_max * (1 + 1e-8)
 
+    # Newton and the bisection oracle both stop within 1e-10 * p_max of the
+    # budget, so their precoders agree to this relative Frobenius distance
+    ORACLE_RTOL = 1e-8
+
+    @pytest.mark.parametrize("n_users,n_t", [(1, 5), (2, 9), (3, 16), (2, 2), (4, 4)])
+    def test_matches_bisection_oracle(self, n_users, n_t):
+        # K < N_T gives a rank-deficient M, K = N_T a full-rank one
+        rng = np.random.default_rng(1000 * n_users + n_t)
+        slack = tight = 0
+        for _ in range(60):
+            scale = 10.0 ** rng.uniform(-6.0, 1.0)
+            h = scale * (
+                rng.standard_normal((n_users, n_t)) + 1j * rng.standard_normal((n_users, n_t))
+            )
+            v = (rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)) / scale
+            w = rng.uniform(0.5, 3.0, n_users)
+            weights = rng.uniform(0.5, 2.0, n_users)
+            p_max = float(10.0 ** rng.uniform(-6.0, 2.0))
+            with np.errstate(all="raise"):
+                out = wmmse.update_fd(h, w, v, weights, p_max)
+            expected, mu = update_fd_bisection(h, w, v, weights, p_max)
+            power = float(np.sum(np.abs(out) ** 2))
+            if mu == 0.0:
+                slack += 1
+                assert power <= p_max
+            else:
+                tight += 1
+                assert abs(power - p_max) <= 1e-10 * p_max
+            distance = np.linalg.norm(out - expected) / np.linalg.norm(expected)
+            assert distance <= self.ORACLE_RTOL
+        assert slack > 0 and tight > 0
+
+    def test_failure_names_newton_and_residual(self, monkeypatch):
+        monkeypatch.setattr(wmmse, "MULTIPLIER_STEPS", 1)
+        blocks, coeffs, f_d, v, w, weights, noise = random_instance(9)
+        h = wmmse.effective_channels(blocks, coeffs)
+        v = wmmse.update_v(h, f_d, noise)
+        w = wmmse.update_w(h, f_d, v)
+        with pytest.raises(RuntimeError, match="Newton .* relative power residual"):
+            wmmse.update_fd(h, w, v, weights, 1e-4)
+
 
 class TestGAffine:
     def test_single_antenna_constant_term(self):
@@ -274,31 +372,29 @@ class TestSubproblem:
         d = np.zeros(dim)
         d[0] = -2.0
         sub = wmmse.QuadraticSubproblem(np.eye(dim), d, RHO_SQ)
-        out = wmmse.solve_ac_subproblem(sub)
+        nu_plus, c_plus = wmmse.solve_ac_subproblem(sub)
+        nu_minus, c_minus = left_root(sub)
         rho = math.sqrt(RHO_SQ)
-        assert out.nu_plus == pytest.approx((2.0 / rho - 1.0) / 2.0, abs=1e-6)
-        assert out.nu_minus == pytest.approx((-2.0 / rho - 1.0) / 2.0, abs=1e-6)
+        assert nu_plus == pytest.approx((2.0 / rho - 1.0) / 2.0, abs=1e-6)
+        assert nu_minus == pytest.approx((-2.0 / rho - 1.0) / 2.0, abs=1e-6)
         expected = np.zeros(dim)
         expected[0] = rho
-        np.testing.assert_allclose(out.c_plus, expected, atol=1e-6)
-        np.testing.assert_allclose(out.c_minus, -expected, atol=1e-6)
+        np.testing.assert_allclose(c_plus, expected, atol=1e-6)
+        np.testing.assert_allclose(c_minus, -expected, atol=1e-6)
 
     def test_norm_contract(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
             b = rng.standard_normal((24, 24))
             sub = wmmse.QuadraticSubproblem(b @ b.T / 10, rng.standard_normal(24), RHO_SQ)
-            out = wmmse.solve_ac_subproblem(sub)
-            for c in (out.c_minus, out.c_plus):
+            for _, c in (left_root(sub), wmmse.solve_ac_subproblem(sub)):
                 assert abs(np.dot(c, c) - RHO_SQ) <= 1e-8
 
     def test_kkt_stationarity_finite_difference(self):
         rng = np.random.default_rng(41)
         b = rng.standard_normal((10, 10))
         sub = wmmse.QuadraticSubproblem(b @ b.T, rng.standard_normal(10), RHO_SQ)
-        out = wmmse.solve_ac_subproblem(sub)
-
-        for c, nu in ((out.c_minus, out.nu_minus), (out.c_plus, out.nu_plus)):
+        for nu, c in (left_root(sub), wmmse.solve_ac_subproblem(sub)):
             def lagrangian(x):
                 return 0.5 * x @ sub.a_matrix @ x + sub.d @ x + nu * (x @ x - sub.rho_sq)
 
@@ -330,10 +426,30 @@ class TestSubproblem:
     def test_degenerate_zero_linear_term(self):
         a = np.diag([3.0, 2.0, 1.0])
         sub = wmmse.QuadraticSubproblem(a, np.zeros(3), RHO_SQ)
-        out = wmmse.solve_ac_subproblem(sub)
+        _, c_plus = wmmse.solve_ac_subproblem(sub)
+        _, c_minus = left_root(sub)
         rho = math.sqrt(RHO_SQ)
-        np.testing.assert_allclose(np.abs(out.c_plus), [0, 0, rho], atol=1e-12)
-        np.testing.assert_allclose(out.c_minus, -out.c_plus, atol=1e-12)
+        np.testing.assert_allclose(np.abs(c_plus), [0, 0, rho], atol=1e-12)
+        np.testing.assert_allclose(c_minus, -c_plus, atol=1e-12)
+
+    def test_right_root_is_global_minimizer(self):
+        # A + 2 nu I is positive semidefinite at the right root, so no point
+        # of the sphere, the left root included, has a lower model value
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            b = rng.standard_normal((12, 12))
+            a = b @ b.T * rng.choice([-1.0, 1.0]) / 12
+            sub = wmmse.QuadraticSubproblem(a, rng.standard_normal(12), RHO_SQ)
+
+            def model(x):
+                return 0.5 * x @ sub.a_matrix @ x + sub.d @ x
+
+            nu, c = wmmse.solve_ac_subproblem(sub)
+            assert np.linalg.eigvalsh(sub.a_matrix).min() + 2.0 * nu >= -1e-10
+            points = rng.standard_normal((200, 12))
+            points *= math.sqrt(RHO_SQ) / np.linalg.norm(points, axis=1, keepdims=True)
+            lowest = min(model(x) for x in (*points, left_root(sub)[1]))
+            assert model(c) <= lowest + 1e-10
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
@@ -359,25 +475,26 @@ def test_subproblem_rank_deficient_range_d(n_users, dim, seed, log_rho_sq):
     d = m.T @ rng.standard_normal(2 * n_users)
     rho_sq = 10.0**log_rho_sq
     sub = wmmse.QuadraticSubproblem(a, d, rho_sq)
-    out = wmmse.solve_ac_subproblem(sub)
+    nu_plus, c_plus = wmmse.solve_ac_subproblem(sub)
+    nu_minus, c_minus = left_root(sub)
 
     eigvals = np.linalg.eigvalsh(sub.a_matrix)
     scale = max(np.linalg.norm(sub.a_matrix, 2), np.linalg.norm(d))
-    for c, nu in ((out.c_minus, out.nu_minus), (out.c_plus, out.nu_plus)):
+    for c, nu in ((c_minus, nu_minus), (c_plus, nu_plus)):
         assert abs(np.dot(c, c) - rho_sq) <= 1e-8 * rho_sq
         residual = (sub.a_matrix + 2.0 * nu * np.eye(dim)) @ c + d
         assert np.linalg.norm(residual) <= 1e-8 * scale
-    assert out.nu_plus >= -0.5 * eigvals[0] - 1e-8 * scale
-    assert out.nu_minus <= -0.5 * eigvals[-1] + 1e-8 * scale
+    assert nu_plus >= -0.5 * eigvals[0] - 1e-8 * scale
+    assert nu_minus <= -0.5 * eigvals[-1] + 1e-8 * scale
 
     # the hard-case direction must not depend on the eigenbasis LAPACK returns
     perm = rng.permutation(dim)
-    permuted = wmmse.solve_ac_subproblem(
-        wmmse.QuadraticSubproblem(a[np.ix_(perm, perm)], d[perm], rho_sq)
-    )
+    permuted = wmmse.QuadraticSubproblem(a[np.ix_(perm, perm)], d[perm], rho_sq)
     atol = 1e-8 * math.sqrt(rho_sq)
-    np.testing.assert_allclose(permuted.c_plus, out.c_plus[perm], rtol=0, atol=atol)
-    np.testing.assert_allclose(permuted.c_minus, out.c_minus[perm], rtol=0, atol=atol)
+    _, permuted_plus = wmmse.solve_ac_subproblem(permuted)
+    _, permuted_minus = left_root(permuted)
+    np.testing.assert_allclose(permuted_plus, c_plus[perm], rtol=0, atol=atol)
+    np.testing.assert_allclose(permuted_minus, c_minus[perm], rtol=0, atol=atol)
 
 
 class TestUpdateEm:
@@ -412,6 +529,17 @@ class TestUpdateEm:
             current = new
         again = wmmse.update_em(blocks, current, f_d, w, v, weights, noise)
         np.testing.assert_array_equal(again, current)
+
+    def test_one_objective_per_antenna(self, monkeypatch):
+        # the incumbent once, then one candidate per antenna
+        calls = []
+        objective = wmmse._objective
+        monkeypatch.setattr(
+            wmmse, "_objective", lambda *args: calls.append(1) or objective(*args)
+        )
+        blocks, coeffs, f_d, v, w, weights, noise = random_instance(6)
+        wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise)
+        assert len(calls) == 1 + coeffs.shape[0]
 
 
 def small_scenario(seed=0, **kwargs):
@@ -477,6 +605,38 @@ class TestAlgorithm:
                 scenario = generate_scenario(scenario_config, seed)
                 res = wmmse.run_algorithm1(scenario, solver, seed=seed)
                 res.state.validate(solver.eta, scenario.p_max)
+
+    # Relative sum-rate change of a default drop when the power multiplier
+    # comes from Newton instead of the bisection oracle.  Both stop within
+    # 1e-10 * p_max of the budget; over the benchmark's hybrid drops (seeds
+    # 1..108, far and near field, 0..30 dBm) and seeds 1..3 with patterns,
+    # the largest change measured was 2.2e-10, at seed 106, 30 dBm.
+    SUM_RATE_RTOL = 1e-9
+
+    @pytest.mark.parametrize(
+        "field_mode,em_update,seeds",
+        [("far", False, (104, 105, 106)), ("near", False, (104, 105, 106)), ("far", True, (2,))],
+        ids=["hybrid-far", "hybrid-near", "trihybrid-far"],
+    )
+    def test_newton_precoder_tracks_bisection_oracle(
+        self, monkeypatch, field_mode, em_update, seeds
+    ):
+        config = RunConfig(field_mode=field_mode)
+        for seed in seeds:
+            for dbm in (0.0, 10.0, 20.0, 30.0):
+                scenario = generate_scenario(config.scenario_config(dbm), seed)
+                newton = wmmse.run_algorithm1(
+                    scenario, config.solver_config(), seed, em_update=em_update
+                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        wmmse, "update_fd", lambda *args: update_fd_bisection(*args)[0]
+                    )
+                    oracle = wmmse.run_algorithm1(
+                        scenario, config.solver_config(), seed, em_update=em_update
+                    )
+                assert newton.iterations == oracle.iterations
+                assert newton.sum_rate == pytest.approx(oracle.sum_rate, rel=self.SUM_RATE_RTOL)
 
     def test_matches_plain_wmmse_on_fixed_channel(self):
         # with patterns frozen isotropic the solver is plain WMMSE on the
