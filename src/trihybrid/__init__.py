@@ -50,7 +50,6 @@ from .projection import (
     steered_candidate_set,
 )
 from .wmmse import (
-    QuadraticSubproblem,
     SolverConfig,
     SolverResult,
     SolverState,
@@ -64,7 +63,6 @@ __all__ = [
     "CandidatePatternSet",
     "HybridFactors",
     "PathGeometry",
-    "QuadraticSubproblem",
     "RunConfig",
     "Scenario",
     "ScenarioConfig",

@@ -10,14 +10,18 @@ closed form:
 * v, w, F_D follow the classic per-user expressions; the one power
   multiplier all columns of F_D share solves a secular equation;
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
-  program whose KKT system (A + 2 nu I) c = -d is resolved by one eigen
-  decomposition plus the same secular solver on ||c(nu)||^2 = rho^2, right
-  of the smallest eigenvalue, where the solution is the global minimizer on
-  the sphere; an explicit hard case (nu at the pole) covers the
-  rank-deficient A the channel gives.  The point is scored on the exact
-  objective and accepted only on strict improvement, which makes the
-  objective non-increasing step by step and the sum rate non-decreasing
-  across outer iterations.
+  program whose KKT system is (A + 2 nu I) c = -d.  A has rank at most 2K
+  and d lies in its range, so once per sweep one batched thin QR of the
+  antennas' channel blocks and one batched eigen decomposition of the
+  r x r (r <= 2K) reduced matrices give every A's spectrum; each antenna
+  then solves the secular equation ||c(nu)||^2 = rho^2 on at most 2K terms,
+  right of the smallest eigenvalue, where the solution is the global
+  minimizer on the sphere.  The null space of A, where d has exactly no
+  weight, joins the pole's eigenspace in the explicit hard case.  The point
+  is scored on the exact objective, from the links H F_D moved by one rank-1
+  term, and accepted only on strict improvement, which makes the objective
+  non-increasing step by step and the sum rate non-decreasing across outer
+  iterations.
 
 Both multipliers come from one safeguarded Newton iteration on
 sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
@@ -126,10 +130,14 @@ def sum_rate(channels, f_d, weights, noise_powers) -> float:
 
 def mse_vector(channels, f_d, v, noise_powers) -> np.ndarray:
     """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + noise)."""
-    p = channels @ f_d
-    diag = np.diag(p)
+    return _link_mse(channels @ f_d, v, noise_powers)
+
+
+def _link_mse(p, v, noise_powers) -> np.ndarray:
+    """``mse_vector`` from the link gains p = H F_D."""
+    diag = p.diagonal()
     powers = np.abs(p) ** 2
-    interference = powers.sum(axis=1) - np.diag(powers)
+    interference = powers.sum(axis=1) - powers.diagonal()
     return (
         np.abs(1.0 - v * diag) ** 2
         + np.abs(v) ** 2 * (interference + np.asarray(noise_powers, dtype=float))
@@ -178,12 +186,12 @@ def _secular_shift(x_sq, shift, target, tol, what) -> float:
     the error raised after MULTIPLIER_STEPS steps.
     """
     sqrt_target = math.sqrt(target)
-    lo, hi = 0.0, math.sqrt(float(np.sum(x_sq)) / target)
+    lo, hi = 0.0, math.sqrt(float(x_sq.sum()) / target)
     t = hi
     for _ in range(MULTIPLIER_STEPS):
         denom = shift + t
         terms = x_sq / denom**2
-        value = float(np.sum(terms))
+        value = float(terms.sum())
         if abs(value - target) <= tol * target:
             return t
         if value > target:
@@ -191,7 +199,7 @@ def _secular_shift(x_sq, shift, target, tol, what) -> float:
         else:
             hi = t
         # Newton on 1/sqrt(value) - 1/sqrt_target; the derivative of value is -2 * slope
-        slope = float(np.sum(terms / denom))
+        slope = float((terms / denom).sum())
         t += value / slope * (math.sqrt(value) - sqrt_target) / sqrt_target
         if not lo < t < hi:
             t = max(math.sqrt(lo * hi), 1e-3 * hi)
@@ -235,118 +243,105 @@ def update_fd(channels, w, v, weights, p_max, rel_tol=1e-10) -> np.ndarray:
     return q @ (bt / (eigvals + mu)[:, None])
 
 
-@dataclass(frozen=True)
-class QuadraticSubproblem:
-    """Norm-constrained quadratic model for one antenna's AC coefficients:
-    minimize c^T (A/2) c + d^T c subject to ||c||^2 = rho_sq."""
+def assemble_quadratic(blocks, f_d, w, v, weights):
+    """Every antenna's pattern quadratic, factored in its channel range.
 
-    a_matrix: np.ndarray
-    d: np.ndarray
-    rho_sq: float
+    For antenna n the WMMSE objective is, up to a constant,
+    c^T (A/2) c + d^T c in its AC coefficients c, with
+    A = 2 s_n Re(H_ac^H diag(g) H_ac) = G^T diag(2 s_n [g; g]) G, where
+    H_ac = blocks[:, n, 1:] = X + iY, G = [X; Y], s_n = ||F_D[n]||^2 and
+    g = beta w |v|^2, and d = Re(H_ac^T a) for a per-user vector a that
+    depends on the current links (see ``update_em``).  Both live in the row
+    space of G, of dimension r <= min(T-1, 2K), so one batched thin QR
+    G^T = Q R and one batched eigh of the r x r matrices
+    R diag(2 s_n [g; g]) R^T = U diag(lams) U^T give all antennas at once
+    A = V diag(lams) V^T with V = Q U, and V^T d = Re((H_ac V)^T a).
 
-    def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=float)
-        if not np.allclose(a, a.T, atol=1e-12):
-            raise ValueError("quadratic matrix must be symmetric")
-        object.__setattr__(self, "a_matrix", 0.5 * (a + a.T))
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-        if self.rho_sq <= 0:
-            raise ValueError("target squared norm must be positive")
-
-
-def assemble_quadratic(blocks, coeffs, f_d, w, v, weights, n: int) -> QuadraticSubproblem:
-    """Quadratic model of the WMMSE objective in antenna n's AC coefficients.
-
-    Built from the affine link-gain decomposition so that the model value
-    equals sum_k beta_k w_k e_k up to a constant; A is the positive
-    semidefinite Gram-type matrix of the AC channel block.
+    Returns (lams, vecs, proj): lams (N_T, r) ascending, vecs = V
+    (N_T, T-1, r) and proj = (H_ac V)^T (N_T, r, K).  A vanishes on the
+    complement of V's columns and d has no weight there.
     """
-    weights = np.asarray(weights, dtype=float)
-    gw = weights * w * np.abs(v) ** 2  # (K,)
-    h_ac = blocks[:, n, 1:]  # (K, T-1)
-    s_n = float(np.sum(np.abs(f_d[n, :]) ** 2))
-    a_matrix = 2.0 * s_n * np.real((np.conj(h_ac) * gw[:, None]).T @ h_ac)
-    a_matrix = 0.5 * (a_matrix + a_matrix.T)
-
-    h_eff = effective_channels(blocks, coeffs)
-    p = h_eff @ f_d  # (K, K)
-    ac_inner = h_ac @ coeffs[n, 1:]  # (K,)
-    b_mat = p - np.outer(ac_inner, f_d[n, :])  # b_{k,i}
-    d1 = -2.0 * np.real(
-        np.sum((weights * w * v * f_d[n, :])[:, None] * h_ac, axis=0)
-    )
-    s2 = np.conj(b_mat) @ f_d[n, :]  # (K,)
-    d23 = 2.0 * np.real(np.sum((gw * s2)[:, None] * h_ac, axis=0))
-    rho_sq = FULL_SPHERE - float(np.sum(coeffs[n, 0] ** 2))
-    return QuadraticSubproblem(a_matrix=a_matrix, d=d1 + d23, rho_sq=rho_sq)
+    h_ac = blocks[:, :, 1:].transpose(1, 2, 0)  # (N_T, T-1, K)
+    q, r = np.linalg.qr(np.concatenate((h_ac.real, h_ac.imag), axis=2))
+    gw = np.asarray(weights, dtype=float) * w * np.abs(v) ** 2
+    scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.concatenate((gw, gw))
+    lams, u = np.linalg.eigh((r * scale[:, None, :]) @ r.transpose(0, 2, 1))
+    vecs = q @ u
+    return lams, vecs, vecs.transpose(0, 2, 1) @ h_ac
 
 
-def _cluster_direction(basis: np.ndarray) -> np.ndarray:
-    """Unit vector of the span of ``basis``, independent of the basis chosen.
+def _cluster_direction(vecs, cluster, null) -> np.ndarray:
+    """Unit vector of the pole's eigenspace, independent of the basis chosen.
 
-    The projection of the all-ones vector onto the span; when that vanishes,
-    the projection of the unit vector the span is closest to.
+    The eigenspace is spanned by the ``cluster`` columns of ``vecs``; when
+    ``null`` holds it also holds the complement of all columns, so it is the
+    complement of the other columns.  The vector is the projection of the
+    all-ones vector onto it; when that vanishes, the projection of the unit
+    vector the eigenspace is closest to.
     """
-    z = basis @ basis.sum(axis=0)
-    if np.linalg.norm(z) <= 1e-8 * math.sqrt(basis.shape[0]):
-        z = basis @ basis[np.argmax(np.sum(basis**2, axis=1))]
+    dim = vecs.shape[0]
+    basis = vecs[:, ~cluster] if null else vecs[:, cluster]
+
+    def project(x):
+        inside = basis @ (basis.T @ x)
+        return x - inside if null else inside
+
+    z = project(np.ones(dim))
+    if np.linalg.norm(z) <= 1e-8 * math.sqrt(dim):
+        weight = np.sum(basis**2, axis=1)
+        z = project(np.eye(1, dim, np.argmin(weight) if null else np.argmax(weight))[0])
     return z / np.linalg.norm(z)
 
 
-def solve_ac_subproblem(sub: QuadraticSubproblem, tol: float = 1e-10):
-    """Global minimizer of the quadratic on the sphere and its multiplier.
+def solve_ac_subproblem(lams, vecs, dt, rho_sq, tol: float = 1e-10):
+    """Global minimizer of c^T (A/2) c + d^T c on ||c||^2 = rho_sq, and its
+    multiplier nu.
 
-    With A = V diag(lams) V^T (lams ascending) and dt = V^T d,
-    c(nu) = -(A + 2 nu I)^{-1} d has squared norm
-    sum_m (dt_m / (lams_m + 2 nu))^2, decreasing for nu > -lams[0]/2.  The
-    root there, where A + 2 nu I is positive semidefinite, is the global
-    minimizer on the sphere (More & Sorensen 1983).  The secular solver
-    works in the shift t = 2 nu + lams[0] >= 0, so the distance to the pole
-    keeps full precision, and stops once |norm(c)^2 - rho_sq| <= tol * rho_sq.
-    Returns (nu, c).
+    A is given by its spectrum: A = vecs diag(lams) vecs^T with ``lams``
+    ascending and ``vecs`` a (dim, r) matrix of orthonormal columns; A
+    vanishes on the complement of those columns, where d has no weight, and
+    ``dt = vecs^T d``.  The complement, when r < dim, is one more eigenspace
+    at 0.  With pole = min(lams[0], 0) (lams[0] when r = dim),
+    c(nu) = -(A + 2 nu I)^{-1} d has squared norm sum_m (dt_m / (lams_m +
+    2 nu))^2, decreasing for nu > -pole/2.  The root there, where A + 2 nu I
+    is positive semidefinite, is the global minimizer on the sphere (More &
+    Sorensen 1983).  The secular solver works in the shift
+    t = 2 nu + pole >= 0, so the distance to the pole keeps full precision,
+    and stops once |norm(c)^2 - rho_sq| <= tol * rho_sq.  Returns (nu, c).
 
-    Hard case: eigenvalues within CLUSTER_ULPS * n * eps * max|lams| of the
-    pole form one cluster.  When d has only rounding-level weight on that
-    cluster and the range-only solution at the pole has norm at most rho, no
-    root lies right of the pole.  The multiplier is then the pole itself and
-    c is the range solution plus a vector of the cluster's eigenspace that
-    makes up the missing norm.  Its direction, by convention, is the
-    projection of the all-ones vector onto that eigenspace (a unit vector's
-    projection if that one vanishes), so it does not depend on the eigenbasis
-    LAPACK returns; since A z = lam_pole z and d^T z = 0, the direction does
-    not change the objective.
-    For d = 0 the point is -rho times the eigenvector of the smallest
-    eigenvalue (documented convention).
+    Hard case: eigenvalues within CLUSTER_ULPS * dim * eps * max|lams| of
+    the pole form one cluster.  When d has only rounding-level weight on that
+    cluster (none at all on the complement) and the range-only solution at
+    the pole has norm at most rho, no root lies right of the pole.  The
+    multiplier is then the pole itself and c is the range solution plus a
+    vector of the cluster's eigenspace that makes up the missing norm.  Its
+    direction, by convention, is the projection of the all-ones vector onto
+    that eigenspace (a unit vector's projection if that one vanishes), so it
+    does not depend on the eigenbasis returned; since A z = pole z and
+    d^T z = 0, the direction does not change the objective.  d = 0 is a hard
+    case.
     """
-    lams, vecs = np.linalg.eigh(sub.a_matrix)  # ascending
-    rho_sq = sub.rho_sq
-    if np.linalg.norm(sub.d) == 0.0:
-        return -0.5 * lams[0], -math.sqrt(rho_sq) * vecs[:, 0]
-
-    dt = vecs.T @ sub.d
-    rounding = CLUSTER_ULPS * lams.size * np.finfo(float).eps
+    dim, rank = vecs.shape
+    null = rank < dim
+    pole = min(lams[0], 0.0) if null else lams[0]
+    rounding = CLUSTER_ULPS * dim * np.finfo(float).eps
     lam_scale = float(np.abs(lams).max())
-    shift = lams - lams[0]
-    cluster = shift <= rounding * lam_scale
+    bound = rounding * lam_scale
+    shift = lams - pole
+    cluster = shift <= bound
     shift[cluster] = 0.0  # the cluster counts as one eigenvalue at the pole
-    d_norm = float(np.linalg.norm(dt))
     rest = ~cluster
-    c_range = -vecs[:, rest] @ (dt[rest] / shift[rest])
-    range_sq = float(np.dot(c_range, c_range))
+    y_range = dt[rest] / shift[rest]
+    range_sq = float(y_range @ y_range)
     # d = A x keeps up to rounding * (norm(d) + norm(A) norm(x)) of weight on
     # the computed cluster, from the eigenvector error alone
-    noise = rounding * (d_norm + lam_scale * math.sqrt(range_sq))
+    noise = rounding * (float(np.linalg.norm(dt)) + lam_scale * math.sqrt(range_sq))
     if range_sq <= rho_sq and np.linalg.norm(dt[cluster]) <= noise:
-        z = _cluster_direction(vecs[:, cluster])
-        return -0.5 * lams[0], c_range + math.sqrt(rho_sq - range_sq) * z
+        z = _cluster_direction(vecs, cluster, null and -pole <= bound)
+        return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, rest] @ y_range
 
     t = _secular_shift(dt**2, shift, rho_sq, tol, "norm")
-    return 0.5 * (t - lams[0]), -vecs @ (dt / (shift + t))
-
-
-def _objective(blocks, coeffs, f_d, w, v, weights, noise_powers) -> float:
-    h = effective_channels(blocks, coeffs)
-    return wmmse_objective(w, mse_vector(h, f_d, v, noise_powers), weights)
+    return 0.5 * (t - pole), -vecs @ (dt / (shift + t))
 
 
 def update_em(
@@ -354,23 +349,36 @@ def update_em(
 ) -> np.ndarray:
     """One ascending sweep of per-antenna AC updates with monotone acceptance.
 
-    Each antenna's subproblem minimizer is scored on the exact objective and
-    the incumbent is kept unless strictly beaten, which guards against
-    rounding, so the sweep never increases the objective.  DC entries are
-    left untouched.
+    The quadratics of all antennas are factored once (``assemble_quadratic``),
+    since F_D, w and v are fixed within the sweep; the links P = H F_D are
+    computed in full once, at the start.  Replacing antenna n's AC vector c
+    changes only column n of H, so P moves by the rank-1 term
+    outer(H_ac (c - c_old), F_D[n]); each candidate is scored on the exact
+    objective from the moved P and kept only when it strictly beats the
+    incumbent, which guards against rounding, so the sweep never increases
+    the objective.  DC entries are left untouched.
     """
     coeffs = np.array(coeffs, dtype=float)
-    incumbent = _objective(blocks, coeffs, f_d, w, v, weights, noise_powers)
+    weights = np.asarray(weights, dtype=float)
+    lams, vecs, proj = assemble_quadratic(blocks, f_d, w, v, weights)
+    h_ac = np.ascontiguousarray(blocks[:, :, 1:].transpose(1, 0, 2))  # (N_T, K, T-1)
+    gw = weights * w * np.abs(v) ** 2
+    bwv = weights * w * v
+    rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
+    links = effective_channels(blocks, coeffs) @ f_d
+    incumbent = wmmse_objective(w, _link_mse(links, v, noise_powers), weights)
     for n in range(coeffs.shape[0]):
-        sub = assemble_quadratic(blocks, coeffs, f_d, w, v, weights, n)
-        _, c_ac = solve_ac_subproblem(sub, tol=bisection_tol)
-        previous = coeffs[n, 1:].copy()
-        coeffs[n, 1:] = c_ac
-        obj = _objective(blocks, coeffs, f_d, w, v, weights, noise_powers)
+        f_n = f_d[n]
+        # links without antenna n's AC part, and d = Re(H_ac^T a)
+        rest = links - np.outer(h_ac[n] @ coeffs[n, 1:], f_n)
+        a = 2.0 * (gw * (np.conj(rest) @ f_n) - bwv * f_n)
+        dt = (proj[n] @ a).real
+        _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n], bisection_tol)
+        moved = rest + np.outer(h_ac[n] @ c_ac, f_n)
+        obj = wmmse_objective(w, _link_mse(moved, v, noise_powers), weights)
         if obj < incumbent:
-            incumbent = obj
-        else:
-            coeffs[n, 1:] = previous
+            incumbent, links = obj, moved
+            coeffs[n, 1:] = c_ac
     return coeffs
 
 
@@ -428,9 +436,11 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         f_d = update_fd(h, w, v, weights, p_max, config.bisection_tol)
         obj_fd = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
         t_fd = time.perf_counter()
-        if pattern_step is not None:
+        if pattern_step is None:
+            obj_em = obj_fd
+        else:
             h = pattern_step(f_d, w, v)
-        obj_em = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
+            obj_em = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
         t_em = time.perf_counter()
         rate = sum_rate(h, f_d, weights, noise)
         history.append(

