@@ -4,10 +4,12 @@ Library layout:
 
 * :mod:`trihybrid.harmonics` - real spherical-harmonics basis, gain
   synthesis, quadrature grids, pattern power budget.
-* :mod:`trihybrid.channel` - planar-array geometry, response vectors, the
-  lifted (per-antenna-pattern) channel and its factorization.
+* :mod:`trihybrid.channel` - planar-array geometry, response vectors, and
+  one per-path sum that builds both the (K, N_T, T) EM-domain channel
+  blocks and the channel under given per-element gains.
 * :mod:`trihybrid.wmmse` - the alternating weighted-MMSE solver with
-  closed-form block updates and the norm-constrained pattern subproblem.
+  closed-form block updates, whose per-user updates take the links
+  p = H F_D, and the norm-constrained pattern subproblem.
 * :mod:`trihybrid.decomposition` - analog/baseband factorization of the
   fully digital precoder.
 * :mod:`trihybrid.projection` - candidate pattern sets, file loading, and
@@ -22,7 +24,6 @@ from .channel import (
     UpaGeometry,
     direct_channel_oracle,
     effective_channels,
-    em_user_channel,
     far_field_arv,
     generate_scenario,
     near_field_arv,
@@ -77,7 +78,6 @@ __all__ = [
     "decompose",
     "direct_channel_oracle",
     "effective_channels",
-    "em_user_channel",
     "emit_csv",
     "far_field_arv",
     "gauss_legendre_grid",

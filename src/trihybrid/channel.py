@@ -13,10 +13,11 @@ The multipath channel of user k is
 (elementwise products of complex gains, per-element antenna gains, and the
 array response).  Writing each per-element gain through the harmonic basis
 turns this into h_k = F_EM^T h_k^EM with a block-diagonal pattern-coefficient
-stack F_EM and a lifted channel h_k^EM of length T * N_T.  The two routes are
-algebraically identical and both are implemented so one can audit the other:
-``effective_channels`` evaluates the lifted form the solver runs, and
-``direct_channel_oracle`` assembles the per-path product without the lift.
+stack F_EM and the EM-domain channel h_k^EM, one (N_T, T) block per user.
+One path sum, ``assemble_channel``, gives both routes: with the basis vectors
+as per-element gains it builds the blocks (``Scenario.em_channels``) that
+``effective_channels`` contracts with the patterns, and with synthesized
+gains it is the channel ``direct_channel_oracle`` audits them against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import basis_vector, synthesize_gain, truncation_length
+from .harmonics import basis_vector, synthesize_gain
 
 
 @dataclass(frozen=True)
@@ -140,46 +141,32 @@ def path_aods(geom: UpaGeometry, source: np.ndarray, bs_position=None):
     return thetas, phis, dists
 
 
-def build_basis_stack(path: PathGeometry, degree: int) -> np.ndarray:
-    """Concatenated basis vectors at the per-element departure angles,
-    length T * N_T."""
-    return basis_vector(path.thetas, path.phis, degree).reshape(-1)
-
-
-def em_path_channel(path: PathGeometry, geom: UpaGeometry, degree: int) -> np.ndarray:
-    """Lifted single-path channel: basis stack times the per-element
-    complex gain and response, each repeated across its T-block."""
-    t_len = truncation_length(degree)
-    stack = build_basis_stack(path, degree)
-    per_element = path.gains * path_arv(path, geom)
-    return stack * np.repeat(per_element, t_len)
-
-
-def em_user_channel(paths, geom: UpaGeometry, degree: int) -> np.ndarray:
-    """EM-domain channel of one user: sqrt(N_T / L) times the path sum."""
-    if len(paths) == 0:
-        raise ValueError("a user needs at least one path")
-    acc = sum(em_path_channel(p, geom, degree) for p in paths)
-    return math.sqrt(geom.n_t / len(paths)) * acc
-
-
 def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(K, N_T) physical channels with h_k[n] = c^(n) . blocks[k, n].
 
-    ``blocks`` is the (K, N_T, T) per-antenna view of the lifted channels
-    and ``coeffs`` the (N_T, T) stack of pattern coefficients; the
+    ``blocks`` holds the (K, N_T, T) EM-domain channel blocks and
+    ``coeffs`` the (N_T, T) stack of pattern coefficients; the
     block-diagonal structure of F_EM is used directly.
     """
     return np.einsum("kmt,mt->km", blocks, coeffs)
 
 
 def assemble_channel(paths, geom: UpaGeometry, gains) -> np.ndarray:
-    """Multipath channel with per-element gains ``gains[l, n]`` of path ``l``
-    at element ``n``."""
-    h = np.zeros(geom.n_t, dtype=complex)
-    for path, g in zip(paths, gains):
-        h += path.gains * g * path_arv(path, geom)
-    return math.sqrt(geom.n_t / len(paths)) * h
+    """Multipath channel sqrt(N_T / L) sum_l gains[l, n, ...] (alpha_l a_l)[n].
+
+    ``gains[l, n]`` is path ``l``'s gain at element ``n``: a scalar per
+    element gives the (N_T,) channel, and trailing axes broadcast, so the
+    (L, N_T, T) basis vectors give the (N_T, T) EM-domain block.
+    """
+    if len(paths) == 0:
+        raise ValueError("a user needs at least one path")
+    gains = np.asarray(gains)
+    tail = (1,) * (gains.ndim - 2)
+    acc = sum(
+        g * (path.gains * path_arv(path, geom)).reshape(-1, *tail)
+        for path, g in zip(paths, gains)
+    )
+    return math.sqrt(geom.n_t / len(paths)) * acc
 
 
 def direct_channel_oracle(paths, geom: UpaGeometry, coeffs: np.ndarray) -> np.ndarray:
@@ -222,10 +209,15 @@ class Scenario:
         return len(self.paths)
 
     def em_channels(self) -> np.ndarray:
-        """(K, T * N_T) lifted channels of all users."""
-        return np.stack(
-            [em_user_channel(p, self.geometry, self.truncation) for p in self.paths]
-        )
+        """(K, N_T, T) EM-domain channel blocks: the path sum with the basis
+        vectors at each path's per-element departure angles as gains."""
+        blocks = []
+        for user in self.paths:
+            thetas = np.stack([p.thetas for p in user])  # (L, N_T)
+            phis = np.stack([p.phis for p in user])
+            gains = basis_vector(thetas, phis, self.truncation)  # (L, N_T, T)
+            blocks.append(assemble_channel(user, self.geometry, gains))
+        return np.stack(blocks)
 
 
 @dataclass(frozen=True)
@@ -257,6 +249,11 @@ class ScenarioConfig:
             raise ValueError("noise power and power budget must be positive")
         if self.field_mode not in ("far", "near"):
             raise ValueError(f"unknown field mode {self.field_mode!r}")
+        if self.truncation < 0:
+            raise ValueError(f"truncation degree must be >= 0, got {self.truncation}")
+        weights = (1.0,) * self.n_users if self.weights is None else tuple(self.weights)
+        if len(weights) != self.n_users or not all(b > 0 for b in weights):
+            raise ValueError(f"weights: need {self.n_users} positive weights, got {weights}")
 
     @property
     def wavelength(self) -> float:
@@ -330,20 +327,13 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             )
         all_paths.append(tuple(paths))
 
-    weights = (
-        np.ones(config.n_users)
-        if config.weights is None
-        else np.asarray(config.weights, dtype=float)
-    )
-    if weights.size != config.n_users:
-        raise ValueError("weights length must equal the user count")
     return Scenario(
         geometry=geom,
         bs_position=bs,
         user_positions=users,
         paths=tuple(all_paths),
         noise_powers=np.full(config.n_users, config.noise_power_w),
-        weights=weights,
+        weights=np.ones(config.n_users) if config.weights is None else config.weights,
         p_max=config.p_max_w,
         field_mode=config.field_mode,
         truncation=config.truncation,

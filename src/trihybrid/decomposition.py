@@ -104,6 +104,6 @@ def decompose(
 
 def sum_rate_loss(f_d, factors: HybridFactors, channels, weights, noise_powers) -> float:
     """Sum-rate drop from replacing the digital precoder by the factor pair."""
-    full = sum_rate(channels, f_d, weights, noise_powers)
-    approx = sum_rate(channels, factors.product, weights, noise_powers)
+    full = sum_rate(channels @ f_d, weights, noise_powers)
+    approx = sum_rate(channels @ factors.product, weights, noise_powers)
     return full - approx

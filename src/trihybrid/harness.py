@@ -101,6 +101,9 @@ class RunConfig:
             )
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
+        for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
+            self.scenario_config(pmax_dbm)
+        self.solver_config()
 
     def scenario_config(self, pmax_dbm: float) -> ScenarioConfig:
         try:
@@ -118,6 +121,8 @@ class RunConfig:
                 field_mode=self.field_mode,
                 truncation=self.truncation,
             )
+        except OverflowError as err:
+            raise ConfigError(f"dBm value out of range: {err}") from err
         except ValueError as err:
             raise ConfigError(str(err)) from err
 

@@ -380,7 +380,7 @@ def apply_projection(
         )
     else:
         f_d = result.state.f_d
-    rate = sum_rate(channels, f_d, scenario.weights, scenario.noise_powers)
+    rate = sum_rate(channels @ f_d, scenario.weights, scenario.noise_powers)
     return ProjectedResult(
         indices=indices, channels=channels, f_d=f_d, sum_rate=rate, refit=refit
     )

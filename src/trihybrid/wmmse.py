@@ -7,7 +7,8 @@ the per-antenna pattern coefficients c^(n) under the 4 pi gain-power budget
 with the constant (DC) coefficient pinned to eta.  Every block update is
 closed form:
 
-* v, w, F_D follow the classic per-user expressions; the one power
+* v, w, F_D follow the classic per-user expressions, v and w (like the
+  MSE and the sum rate) from the links p = H F_D alone; the one power
   multiplier all columns of F_D share solves a secular equation;
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
   program whose KKT system is (A + 2 nu I) c = -d.  A has rank at most 2K
@@ -115,12 +116,11 @@ class SolverResult:
         return len(self.history)
 
 
-def sum_rate(channels, f_d, weights, noise_powers) -> float:
-    """Weighted sum rate sum_k beta_k log2(1 + SINR_k) in bits/s/Hz."""
+def sum_rate(p, weights, noise_powers) -> float:
+    """Weighted sum rate sum_k beta_k log2(1 + SINR_k) of the links, in bits/s/Hz."""
     noise_powers = np.asarray(noise_powers, dtype=float)
     if np.any(noise_powers <= 0):
         raise ValueError("noise powers must be positive")
-    p = channels @ f_d
     powers = np.abs(p) ** 2
     signal = np.diag(powers)
     interference = powers.sum(axis=1) - signal
@@ -128,13 +128,8 @@ def sum_rate(channels, f_d, weights, noise_powers) -> float:
     return float(np.sum(np.asarray(weights) * np.log2(1.0 + sinr)))
 
 
-def mse_vector(channels, f_d, v, noise_powers) -> np.ndarray:
+def mse_vector(p, v, noise_powers) -> np.ndarray:
     """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + noise)."""
-    return _link_mse(channels @ f_d, v, noise_powers)
-
-
-def _link_mse(p, v, noise_powers) -> np.ndarray:
-    """``mse_vector`` from the link gains p = H F_D."""
     diag = p.diagonal()
     powers = np.abs(p) ** 2
     interference = powers.sum(axis=1) - powers.diagonal()
@@ -149,17 +144,15 @@ def wmmse_objective(w, e, weights) -> float:
     return float(np.sum(np.asarray(weights) * (w * e - np.log(w))))
 
 
-def update_v(channels, f_d, noise_powers) -> np.ndarray:
+def update_v(p, noise_powers) -> np.ndarray:
     """Per-user MMSE combiner: conj(p_kk) over total received power plus noise."""
-    p = channels @ f_d
     denom = np.sum(np.abs(p) ** 2, axis=1) + np.asarray(noise_powers, dtype=float)
     return np.conj(np.diag(p)) / denom
 
 
-def update_w(channels, f_d, v) -> np.ndarray:
+def update_w(p, v) -> np.ndarray:
     """MSE weights w_k = 1 / (1 - v_k p_kk); equals 1/e_k for fresh v."""
-    diag = np.diag(channels @ f_d)
-    delta = 1.0 - v * diag
+    delta = 1.0 - v * np.diag(p)
     if np.any(np.abs(delta) < DEGENERACY_TOL):
         raise RuntimeError("weight update degenerate: v_k p_kk is numerically 1")
     w = np.real(1.0 / delta)
@@ -366,7 +359,7 @@ def update_em(
     bwv = weights * w * v
     rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
     links = effective_channels(blocks, coeffs) @ f_d
-    incumbent = wmmse_objective(w, _link_mse(links, v, noise_powers), weights)
+    incumbent = wmmse_objective(w, mse_vector(links, v, noise_powers), weights)
     for n in range(coeffs.shape[0]):
         f_n = f_d[n]
         # links without antenna n's AC part, and d = Re(H_ac^T a)
@@ -375,7 +368,7 @@ def update_em(
         dt = (proj[n] @ a).real
         _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n], bisection_tol)
         moved = rest + np.outer(h_ac[n] @ c_ac, f_n)
-        obj = wmmse_objective(w, _link_mse(moved, v, noise_powers), weights)
+        obj = wmmse_objective(w, mse_vector(moved, v, noise_powers), weights)
         if obj < incumbent:
             incumbent, links = obj, moved
             coeffs[n, 1:] = c_ac
@@ -417,32 +410,36 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     """Outer iterations of the v, w, F_D block updates on the channel ``h``.
 
     ``pattern_step(f_d, w, v)``, when given, runs after the F_D update and
-    returns the channel under the updated patterns.  Weights start at one.
-    The loop stops when the relative sum-rate change drops below
+    returns the channel under the updated patterns; the links p = h F_D are
+    formed once after each change of either.  Weights start at one.  The
+    loop stops when the relative sum-rate change drops below
     ``config.tolerance`` or ``config.max_iterations`` is spent.  Returns
     (h, f_d, v, w, history, converged).
     """
     w = np.ones(len(weights))
     history: list[IterationRecord] = []
     prev_rate = None
+    p = h @ f_d
     for it in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
-        v = update_v(h, f_d, noise)
-        obj_v = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
+        v = update_v(p, noise)
+        obj_v = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_v = time.perf_counter()
-        w = update_w(h, f_d, v)
-        obj_w = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
+        w = update_w(p, v)
+        obj_w = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_w = time.perf_counter()
         f_d = update_fd(h, w, v, weights, p_max, config.bisection_tol)
-        obj_fd = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
+        p = h @ f_d
+        obj_fd = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_fd = time.perf_counter()
         if pattern_step is None:
             obj_em = obj_fd
         else:
             h = pattern_step(f_d, w, v)
-            obj_em = wmmse_objective(w, mse_vector(h, f_d, v, noise), weights)
+            p = h @ f_d
+            obj_em = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_em = time.perf_counter()
-        rate = sum_rate(h, f_d, weights, noise)
+        rate = sum_rate(p, weights, noise)
         history.append(
             IterationRecord(
                 iteration=it,
@@ -480,8 +477,7 @@ def run_algorithm1(
     """
     config = config or SolverConfig()
     geom = scenario.geometry
-    t_len = truncation_length(scenario.truncation)
-    blocks = scenario.em_channels().reshape(scenario.n_users, geom.n_t, t_len)
+    blocks = scenario.em_channels()
     weights = scenario.weights
     noise = scenario.noise_powers
     if em_update:
@@ -499,7 +495,7 @@ def run_algorithm1(
     f_d = matched_filter_precoder(h, scenario.p_max)
     v = np.zeros(scenario.n_users, dtype=complex)
     initial_obj = wmmse_objective(
-        np.ones(scenario.n_users), mse_vector(h, f_d, v, noise), weights
+        np.ones(scenario.n_users), mse_vector(h @ f_d, v, noise), weights
     )
     h, f_d, v, w, history, converged = _alternate(
         h, f_d, weights, noise, scenario.p_max, config,

@@ -83,7 +83,7 @@ def left_root(sub: QuadraticSubproblem, tol: float = 1e-10):
 def full_objective(blocks, coeffs, f_d, w, v, weights, noise) -> float:
     """The WMMSE objective on a full rebuild of the effective channels."""
     h = effective_channels(blocks, coeffs)
-    return wmmse.wmmse_objective(w, wmmse.mse_vector(h, f_d, v, noise), weights)
+    return wmmse.wmmse_objective(w, wmmse.mse_vector(h @ f_d, v, noise), weights)
 
 
 def dense_sweep(blocks, coeffs, f_d, w, v, weights, noise, tol=1e-10):

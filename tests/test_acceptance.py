@@ -106,7 +106,7 @@ def test_criterion_03_factorization_identity():
         scenario = generate_scenario(config, seed=1000 + i)
         t_len = truncation_length(degree)
         coeffs = rng.standard_normal((9, t_len))
-        blocks = scenario.em_channels().reshape(scenario.n_users, 9, t_len)
+        blocks = scenario.em_channels()
         via = effective_channels(blocks, coeffs)
         for k in range(scenario.n_users):
             direct = direct_channel_oracle(scenario.paths[k], scenario.geometry, coeffs)
@@ -198,7 +198,7 @@ def test_criterion_06_brute_force_toy():
     for seed in range(1, 21):
         scenario = generate_scenario(toy, seed)
         result = wmmse.run_algorithm1(scenario, solver_cfg, seed)
-        h_em = scenario.em_channels()[0]  # length 4: [DC, 3 AC entries]
+        h_em = scenario.em_channels()[0, 0]  # the one antenna: [DC, 3 AC entries]
         rng = np.random.default_rng(seed + 10_000)
         dirs = rng.standard_normal((10_000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

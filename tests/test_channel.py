@@ -136,44 +136,87 @@ class TestPathAods:
             ch.path_aods(GEOM, [0.0, 0.0, 0.0])
 
 
+def per_path_lift_oracle(scenario):
+    """(K, N_T, T) blocks from the flat per-path lift the path sum replaced.
+
+    Each path contributes its (T * N_T) basis stack at the per-element
+    departure angles times the per-element gain and response, each repeated
+    across its T-block; a user's paths are summed and scaled by
+    sqrt(N_T / L).
+    """
+    geom, degree = scenario.geometry, scenario.truncation
+    t_len = truncation_length(degree)
+    users = []
+    for paths in scenario.paths:
+        acc = sum(
+            basis_vector(p.thetas, p.phis, degree).reshape(-1)
+            * np.repeat(p.gains * ch.path_arv(p, geom), t_len)
+            for p in paths
+        )
+        users.append(math.sqrt(geom.n_t / len(paths)) * acc)
+    return np.stack(users).reshape(scenario.n_users, geom.n_t, t_len)
+
+
+def user_block(paths, geom, degree):
+    """(N_T, T) EM-domain block of one user with ``paths``."""
+    scenario = ch.Scenario(
+        geometry=geom, bs_position=np.zeros(3), user_positions=np.zeros((1, 3)),
+        paths=(tuple(paths),), noise_powers=[1.0], weights=[1.0], p_max=1.0,
+        truncation=degree,
+    )
+    return scenario.em_channels()[0]
+
+
+def basis_stack(monkeypatch, paths, geom, degree):
+    """(L, N_T, T) per-element gains ``em_channels`` passes to the path sum."""
+    seen = []
+    assemble = ch.assemble_channel
+    monkeypatch.setattr(
+        ch, "assemble_channel",
+        lambda paths, geom, gains: seen.append(gains) or assemble(paths, geom, gains),
+    )
+    user_block(paths, geom, degree)
+    return seen[0]
+
+
 class TestEmChannel:
-    def test_basis_stack_single_element(self):
+    def test_basis_stack_single_element(self, monkeypatch):
         geom = ch.UpaGeometry(1, 1, 0.005, 0.01)
         path = make_far_path(1.2, 0.3, geom)
         np.testing.assert_allclose(
-            ch.build_basis_stack(path, 4), basis_vector(1.2, 0.3, 4)
+            basis_stack(monkeypatch, [path], geom, 4)[0, 0], basis_vector(1.2, 0.3, 4)
         )
 
-    def test_basis_stack_blocks_identical_far(self):
+    def test_basis_stack_blocks_identical_far(self, monkeypatch):
         path = make_far_path(1.2, 0.3, GEOM)
-        stack = ch.build_basis_stack(path, 2).reshape(9, -1)
+        stack = basis_stack(monkeypatch, [path], GEOM, 2)[0]
         for n in range(1, 9):
             np.testing.assert_array_equal(stack[n], stack[0])
 
-    def test_basis_stack_block_norm(self):
+    def test_basis_stack_block_norm(self, monkeypatch):
         path = make_near_path(GEOM, [4.0, 1.0, 2.0])
-        stack = ch.build_basis_stack(path, 4).reshape(9, -1)
+        stack = basis_stack(monkeypatch, [path], GEOM, 4)[0]
         np.testing.assert_allclose(
             np.sum(stack**2, axis=1), truncation_length(4) / FOUR_PI, atol=1e-9
         )
 
     def test_em_path_channel_zero_gain(self):
         path = make_far_path(1.0, 1.0, GEOM, gain=0.0)
-        np.testing.assert_array_equal(ch.em_path_channel(path, GEOM, 2), np.zeros(9 * 9))
+        np.testing.assert_array_equal(user_block([path], GEOM, 2), np.zeros((9, 9)))
 
     def test_em_path_channel_identity_case(self):
         geom = ch.UpaGeometry(1, 1, 0.005, 0.01)
         path = make_far_path(0.8, 2.0, geom)  # single element: arv == 1
         np.testing.assert_allclose(
-            ch.em_path_channel(path, geom, 4), ch.build_basis_stack(path, 4)
+            user_block([path], geom, 4), basis_vector(path.thetas, path.phis, 4)
         )
 
     def test_em_path_channel_block_structure(self):
         path = make_near_path(GEOM, [5.0, -2.0, 1.0], gain=0.7 + 0.2j)
-        h = ch.em_path_channel(path, GEOM, 3).reshape(9, -1)
+        h = user_block([path], GEOM, 3)
         arv = ch.near_field_arv(path, GEOM)
         for n in (0, 4, 8):
-            expected = path.gains[n] * arv[n] * basis_vector(
+            expected = math.sqrt(9.0) * path.gains[n] * arv[n] * basis_vector(
                 path.thetas[n], path.phis[n], 3
             )
             np.testing.assert_allclose(h[n], expected, atol=1e-14)
@@ -181,9 +224,9 @@ class TestEmChannel:
     def test_em_user_channel_prefactor(self):
         geom = ch.UpaGeometry(1, 1, 0.005, 0.01)
         path = make_far_path(1.0, 0.5, geom)
-        single = ch.em_user_channel([path], geom, 2)
-        np.testing.assert_allclose(single, ch.em_path_channel(path, geom, 2))
-        double = ch.em_user_channel([path, path], geom, 2)
+        single = user_block([path], geom, 2)
+        np.testing.assert_allclose(single, basis_vector(path.thetas, path.phis, 2))
+        double = user_block([path, path], geom, 2)
         np.testing.assert_allclose(double, math.sqrt(2.0) * single)
 
     def test_em_user_channel_linearity(self):
@@ -192,13 +235,25 @@ class TestEmChannel:
             thetas=p1.thetas, phis=p1.phis, dists=p1.dists, ref_dist=p1.ref_dist,
             gains=p1.gains * (2.0 + 1.0j), far_field=True,
         )
-        h1 = ch.em_user_channel([p1], GEOM, 2)
-        h2 = ch.em_user_channel([p2], GEOM, 2)
+        h1 = user_block([p1], GEOM, 2)
+        h2 = user_block([p2], GEOM, 2)
         np.testing.assert_allclose(h2, (2.0 + 1.0j) * h1)
 
     def test_empty_path_list(self):
         with pytest.raises(ValueError):
-            ch.em_user_channel([], GEOM, 2)
+            ch.assemble_channel([], GEOM, np.zeros((0, 9, 9)))
+
+    @pytest.mark.parametrize("mode", ["far", "near"])
+    @pytest.mark.parametrize("degree", [0, 1, 4, 10])
+    def test_blocks_equal_per_path_lift(self, mode, degree):
+        # one basis_vector call per user and the one path sum give the flat
+        # per-path lift's blocks bit for bit
+        for seed in (1, 2, 3, 17):
+            config = ch.ScenarioConfig(field_mode=mode, truncation=degree, user_radius_m=50.0)
+            scenario = ch.generate_scenario(config, seed)
+            blocks = scenario.em_channels()
+            assert blocks.shape == (2, 9, truncation_length(degree))
+            assert np.array_equal(blocks, per_path_lift_oracle(scenario))
 
 
 class TestFactorization:
@@ -211,8 +266,8 @@ class TestFactorization:
         ]
         coeffs = np.zeros((9, 25))
         coeffs[:, 0] = math.sqrt(FOUR_PI)  # unit gain everywhere
-        h_em = ch.em_user_channel(paths, GEOM, 4)
-        h = ch.effective_channels(h_em.reshape(1, 9, 25), coeffs)[0]
+        h_em = user_block(paths, GEOM, 4)
+        h = ch.effective_channels(h_em[None], coeffs)[0]
         expected = math.sqrt(9 / 3) * sum(
             p.gains[0] * ch.far_field_arv(p.thetas[0], p.phis[0], GEOM) for p in paths
         )
@@ -223,8 +278,8 @@ class TestFactorization:
         paths = [make_near_path(GEOM, [30.0, 5.0, 2.0], gain=1.0 + 0.5j)]
         coeffs = rng.standard_normal((9, 25))
         coeffs[3] = 0.0
-        h_em = ch.em_user_channel(paths, GEOM, 4)
-        h = ch.effective_channels(h_em.reshape(1, 9, 25), coeffs)[0]
+        h_em = user_block(paths, GEOM, 4)
+        h = ch.effective_channels(h_em[None], coeffs)[0]
         assert h[3] == 0.0
         assert np.all(h[np.arange(9) != 3] != 0.0)
 
@@ -245,7 +300,7 @@ class TestFactorization:
             scenario = ch.generate_scenario(config, seed=int(rng.integers(2**31)))
             t_len = truncation_length(degree)
             coeffs = rng.standard_normal((9, t_len))
-            blocks = scenario.em_channels().reshape(2, 9, t_len)
+            blocks = scenario.em_channels()
             via_em = ch.effective_channels(blocks, coeffs)
             for k in range(2):
                 direct = ch.direct_channel_oracle(scenario.paths[k], scenario.geometry, coeffs)
@@ -259,7 +314,7 @@ class TestScenarioGeneration:
         assert scenario.n_users == 2
         assert all(len(p) == 3 for p in scenario.paths)
         assert truncation_length(scenario.truncation) == 25
-        assert scenario.em_channels().shape == (2, 225)
+        assert scenario.em_channels().shape == (2, 9, 25)
 
     def test_determinism(self):
         a = ch.generate_scenario(ch.ScenarioConfig(), seed=42)
@@ -295,3 +350,8 @@ class TestScenarioGeneration:
             ch.ScenarioConfig(n_users=0)
         with pytest.raises(ValueError):
             ch.ScenarioConfig(field_mode="mid")
+        with pytest.raises(ValueError, match="truncation"):
+            ch.ScenarioConfig(truncation=-1)
+        for weights in ((1.0,), (1.0, 2.0, 3.0), (1.0, 0.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="weights"):
+                ch.ScenarioConfig(weights=weights)

@@ -444,6 +444,31 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"weights": [1, 2, 3]},
+            {"weights": [1, -2]},
+            {"field_mode": "mid"},
+            {"truncation": -1},
+            {"eta": 0},
+            {"max_iterations": 0},
+            {"pmax_dbm": [10, 5000]},  # the second budget overflows in watts
+        ],
+        ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
+             "max-iterations", "pmax-overflow"],
+    )
+    def test_malformed_knob_is_config_error(self, tmp_path, capsys, bad):
+        # rejected before any trial runs, not turned into NaN rows
+        cfg = self.write_fast_config(tmp_path, trials=1, **bad)
+        out = tmp_path / "r.csv"
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_patterns_file_is_config_error(self, tmp_path, capsys):
         cfg = self.write_fast_config(tmp_path, trials=1, mode="projected")
         code = cli.main(

@@ -85,7 +85,7 @@ def projected_channels_oracle(scenario, indices, cset):
                     for n in range(geom.n_t)
                 ]
             )
-            h += path.gains * g * path_arv(path, geom)
+            h += g * (path.gains * path_arv(path, geom))
         channels.append(math.sqrt(geom.n_t / len(user)) * h)
     return np.stack(channels)
 
@@ -433,11 +433,11 @@ class TestApplyProjection:
         scenario, result = solve_small(6)
         cset = proj.load_candidates(write_doc(tmp_path, isotropic_doc()))
         projected = proj.apply_projection(result, scenario, cset, refit=False)
-        blocks = scenario.em_channels().reshape(2, 4, 9)
+        blocks = scenario.em_channels()
         h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         np.testing.assert_allclose(projected.channels, h_iso, rtol=1e-9)
         expected = wmmse.sum_rate(
-            h_iso, result.state.f_d, scenario.weights, scenario.noise_powers
+            h_iso @ result.state.f_d, scenario.weights, scenario.noise_powers
         )
         assert projected.sum_rate == pytest.approx(expected)
         np.testing.assert_array_equal(projected.f_d, result.state.f_d)
