@@ -243,17 +243,27 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_users < 1 or self.n_paths < 1:
             raise ValueError("need at least one user and one path")
-        if self.frequency_hz <= 0 or self.user_radius_m <= 0:
-            raise ValueError("frequency and user radius must be positive")
-        if self.noise_power_w <= 0 or self.p_max_w <= 0:
-            raise ValueError("noise power and power budget must be positive")
+        # each check is written so that NaN and inf fail it
+        radio = (self.frequency_hz, self.user_radius_m)
+        if not all(math.isfinite(x) and x > 0 for x in radio):
+            raise ValueError("frequency and user radius must be positive and finite")
+        powers = (self.noise_power_w, self.p_max_w)
+        if not all(math.isfinite(x) and x > 0 for x in powers):
+            raise ValueError("noise power and power budget must be positive and finite")
+        bs = self.bs_position
+        if len(bs) != 3 or not all(map(math.isfinite, bs)):
+            raise ValueError(f"bs_position: need 3 finite coordinates, got {bs}")
         if self.field_mode not in ("far", "near"):
             raise ValueError(f"unknown field mode {self.field_mode!r}")
         if self.truncation < 0:
             raise ValueError(f"truncation degree must be >= 0, got {self.truncation}")
         weights = (1.0,) * self.n_users if self.weights is None else tuple(self.weights)
-        if len(weights) != self.n_users or not all(b > 0 for b in weights):
-            raise ValueError(f"weights: need {self.n_users} positive weights, got {weights}")
+        if len(weights) != self.n_users or not all(
+            math.isfinite(b) and b > 0 for b in weights
+        ):
+            raise ValueError(
+                f"weights: need {self.n_users} positive finite weights, got {weights}"
+            )
 
     @property
     def wavelength(self) -> float:

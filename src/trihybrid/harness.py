@@ -15,6 +15,7 @@ import csv
 import json
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -25,6 +26,7 @@ from .channel import ScenarioConfig, generate_scenario
 from .decomposition import decompose, sum_rate_loss
 from .projection import (
     CandidatePatternSet,
+    PatternLoadError,
     load_candidates,
     apply_projection,
     read_candidate_file,
@@ -95,6 +97,8 @@ class RunConfig:
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if not self.pmax_dbm or any(not math.isfinite(p) for p in self.pmax_dbm):
             raise ConfigError("pmax_dbm: need a nonempty list of finite powers")
+        if not math.isfinite(self.noise_dbm):
+            raise ConfigError(f"noise_dbm: must be finite, got {self.noise_dbm}")
         if not self.n_users <= self.n_rf <= self.n_h * self.n_v:
             raise ConfigError(
                 f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}"
@@ -202,31 +206,60 @@ class TrialRecord:
                 raise ValueError("a successful trial runs at least one iteration")
 
 
-_last_set = None  # (key, set) of the last set load_candidate_set returned
+# A candidate file's stat key is trusted only once the file was this much
+# older than the clock when its bytes were read (see load_candidate_set).
+STAT_SETTLE_NS = 2_000_000_000
+
+_last_set = None  # (stat key, settled, content key, set) of the last set returned
 
 
 def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     """Candidate set from the configured file, or the synthetic 64-lobe
     stand-in when no file is given.
 
-    The file is read on every call, but parsed only when its content
-    changed: the last set returned is returned again while its key matches,
-    the sha256 of the file's bytes (None for the stand-in).  So the CLI's
-    fail-fast check, every batch and every worker of one process share one
-    parse.  A failed load leaves the last set in place.
+    The last set returned is kept with its content key, the sha256 of the
+    file's bytes (None for the stand-in), and returned again while that key
+    matches, so the CLI's fail-fast check, every batch and every worker of
+    one process share one parse.  Each call stats the file and returns the
+    kept set without opening it when the stat key (device, inode, size,
+    mtime, ctime) equals the kept entry's and that entry is settled.
+    Otherwise it reads and hashes the file and parses only a changed
+    content key, so equal bytes under a new stat key (a ``touch``, an
+    ``os.replace`` with the same bytes) cost a hash, not a parse.
+
+    An entry is settled when the file's mtime and ctime were more than
+    ``STAT_SETTLE_NS`` older than the clock reading taken just before the
+    stat: git's "racy clean" rule, which relies on POSIX ctime.  A write
+    after that reading sets the ctime to at least the reading less one
+    timestamp tick, which a settled key's ctime cannot equal and which no
+    user can set back; a write in the same tick as a fresh file's last
+    change, though, can leave its whole stat key as it was.  So a file
+    changed less than ``STAT_SETTLE_NS`` before the read, or dated in the
+    future, is hashed again on the next call.  A failed stat, read or parse
+    raises and leaves the kept entry in place.
     """
     global _last_set
-    key = data = None
-    if config.patterns_path is not None:
-        key, data = read_candidate_file(config.patterns_path)
     last = _last_set
-    if last is not None and last[0] == key:
-        return last[1]
-    if data is None:
+    path = config.patterns_path
+    stat_key = settled = key = data = None
+    if path is not None:
+        now = time.time_ns()
+        try:
+            st = os.stat(path)
+        except OSError as err:
+            raise PatternLoadError(f"{path}: cannot read candidate set: {err}") from err
+        stat_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        if last is not None and last[1] and last[0] == stat_key:
+            return last[3]
+        settled = max(st.st_mtime_ns, st.st_ctime_ns) < now - STAT_SETTLE_NS
+        key, data = read_candidate_file(path)
+    if last is not None and last[2] == key:
+        cset = last[3]
+    elif data is None:
         cset = steered_candidate_set(count=64)
     else:
-        cset = load_candidates(config.patterns_path, data)
-    _last_set = (key, cset)
+        cset = load_candidates(path, data)
+    _last_set = (stat_key, settled, key, cset)
     return cset
 
 

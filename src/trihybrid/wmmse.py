@@ -61,8 +61,12 @@ class SolverConfig:
             raise ValueError("eta must lie in (0, sqrt(4*pi))")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.tolerance < 0 or self.bisection_tol <= 0:
-            raise ValueError("tolerances must be positive (convergence tol may be 0)")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0) or not (
+            math.isfinite(self.bisection_tol) and self.bisection_tol > 0
+        ):
+            raise ValueError(
+                "tolerances must be positive and finite (convergence tol may be 0)"
+            )
 
 
 @dataclass

@@ -352,6 +352,14 @@ class TestScenarioGeneration:
             ch.ScenarioConfig(field_mode="mid")
         with pytest.raises(ValueError, match="truncation"):
             ch.ScenarioConfig(truncation=-1)
-        for weights in ((1.0,), (1.0, 2.0, 3.0), (1.0, 0.0), (1.0, float("nan"))):
+        for bad in (dict(frequency_hz=float("nan")), dict(user_radius_m=float("inf")),
+                    dict(noise_power_w=float("nan")), dict(p_max_w=float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                ch.ScenarioConfig(**bad)
+        for bs in ((0.0, float("nan"), 10.0), (0.0, 10.0)):
+            with pytest.raises(ValueError, match="bs_position"):
+                ch.ScenarioConfig(bs_position=bs)
+        for weights in ((1.0,), (1.0, 2.0, 3.0), (1.0, 0.0), (1.0, float("nan")),
+                        (1.0, float("inf"))):
             with pytest.raises(ValueError, match="weights"):
                 ch.ScenarioConfig(weights=weights)

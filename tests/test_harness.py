@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -293,6 +294,96 @@ class TestCandidateMemo:
         write_uniform_doc(path, 3)
         np.testing.assert_array_equal(hn.load_candidate_set(cfg).patterns[0].gain, 3.0)
 
+    def test_settled_hit_opens_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)  # a file settles at once
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        cfg = fast_config(patterns_path=str(path))
+        first = hn.load_candidate_set(cfg)
+        reads = count_calls(monkeypatch, "read_candidate_file")
+        assert hn.load_candidate_set(cfg) is first
+        assert hn.load_candidate_set(cfg) is first
+        assert len(reads) == 0
+
+    def test_unsettled_hit_hashes_without_parsing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 10**18)  # a file never settles
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        cfg = fast_config(patterns_path=str(path))
+        first = hn.load_candidate_set(cfg)
+        reads = count_calls(monkeypatch, "read_candidate_file")
+        parses = count_calls(monkeypatch, "load_candidates")
+        assert hn.load_candidate_set(cfg) is first
+        assert (len(reads), len(parses)) == (1, 0)
+
+    def test_touched_file_hashes_without_parsing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        cfg = fast_config(patterns_path=str(path))
+        first = hn.load_candidate_set(cfg)
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
+        reads = count_calls(monkeypatch, "read_candidate_file")
+        parses = count_calls(monkeypatch, "load_candidates")
+        assert hn.load_candidate_set(cfg) is first
+        assert hn.load_candidate_set(cfg) is first  # settled again under the new key
+        assert (len(reads), len(parses)) == (1, 0)
+
+    def test_replaced_same_size_restored_mtime_reloads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        cfg = fast_config(patterns_path=str(path))
+        old = hn.load_candidate_set(cfg)
+        assert hn.load_candidate_set(cfg) is old  # the entry is settled
+        stat = path.stat()
+        staged = tmp_path / "staged.json"
+        write_uniform_doc(staged, 2)
+        os.utime(staged, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        os.replace(staged, path)
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        parses = count_calls(monkeypatch, "load_candidates")
+        new = hn.load_candidate_set(cfg)
+        assert len(parses) == 1
+        np.testing.assert_array_equal(new.patterns[0].gain, 2.0)
+
+    def test_settled_in_place_rewrite_reloads(self, tmp_path, monkeypatch):
+        # A 50 ms window, waited out for real: the rewrite's ctime is then
+        # newer than the settled key's, whatever the timestamp tick below 50 ms.
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 50_000_000)
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        time.sleep(0.1)
+        cfg = fast_config(patterns_path=str(path))
+        old = hn.load_candidate_set(cfg)
+        reads = count_calls(monkeypatch, "read_candidate_file")
+        assert hn.load_candidate_set(cfg) is old
+        assert len(reads) == 0  # the entry is settled
+        stat = path.stat()
+        write_uniform_doc(path, 2)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_ino == stat.st_ino
+        assert path.stat().st_size == stat.st_size
+        new = hn.load_candidate_set(cfg)
+        np.testing.assert_array_equal(new.patterns[0].gain, 2.0)
+
+    def test_deleted_file_raises_then_reloads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        cfg = fast_config(patterns_path=str(path))
+        old = hn.load_candidate_set(cfg)
+        assert hn.load_candidate_set(cfg) is old  # the entry is settled
+        path.unlink()
+        with pytest.raises(PatternLoadError, match="cannot read candidate set"):
+            hn.load_candidate_set(cfg)
+        # A new size: with the settle window off, a same-size file written in
+        # the tick of the old one's last change could reuse its whole stat key.
+        write_uniform_doc(path, 10)
+        np.testing.assert_array_equal(hn.load_candidate_set(cfg).patterns[0].gain, 10.0)
+
     def test_stand_in_built_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "steered_candidate_set")
         cfg = fast_config(mode="projected", trials=1)
@@ -454,9 +545,23 @@ class TestCli:
             {"eta": 0},
             {"max_iterations": 0},
             {"pmax_dbm": [10, 5000]},  # the second budget overflows in watts
+            {"noise_dbm": math.nan},
+            {"noise_dbm": math.inf},
+            {"frequency_hz": math.nan},
+            {"frequency_hz": math.inf},
+            {"user_radius_m": math.nan},
+            {"user_radius_m": math.inf},
+            {"bs_position": [0, math.nan, 10]},
+            {"tolerance": math.nan},  # the solve would never converge
+            {"bisection_tol": math.nan},
+            {"bisection_tol": math.inf},
+            {"weights": [1, math.inf]},
         ],
         ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
-             "max-iterations", "pmax-overflow"],
+             "max-iterations", "pmax-overflow", "noise-nan", "noise-inf",
+             "frequency-nan", "frequency-inf", "radius-nan", "radius-inf",
+             "bs-position-nan", "tolerance-nan", "bisection-tol-nan",
+             "bisection-tol-inf", "weights-inf"],
     )
     def test_malformed_knob_is_config_error(self, tmp_path, capsys, bad):
         # rejected before any trial runs, not turned into NaN rows
