@@ -220,20 +220,23 @@ class Scenario:
         return np.stack(blocks)
 
 
+SPACING_WAVELENGTHS = 0.5  # element spacing of a generated array
+SCATTERER_HEIGHT_M = 10.0  # scatterers lie at heights uniform in [0, this]
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs for random scenario generation; defaults give a 3x3 array at
-    30 GHz serving two users with three paths each."""
+    30 GHz serving two users with three paths each.  The array's spacing and
+    the scatterers' heights are the module constants above."""
 
     n_h: int = 3
     n_v: int = 3
     n_users: int = 2
     n_paths: int = 3
     frequency_hz: float = 30e9
-    spacing_wavelengths: float = 0.5
     bs_position: tuple = (0.0, 0.0, 10.0)
     user_radius_m: float = 200.0
-    scatterer_height_m: float = 10.0
     noise_power_w: float = 10 ** ((-95.0 - 30.0) / 10.0)
     p_max_w: float = 10 ** ((10.0 - 30.0) / 10.0)
     weights: tuple | None = None
@@ -302,15 +305,16 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
 
     Users are uniform in a ground-level disc around the base station; the
     first path of each user is line-of-sight, the rest bounce off
-    scatterers drawn uniformly in the same disc at random height.  Complex
-    path gains are circularly-symmetric unit-variance, scaled by the
-    free-space loss lambda / (4 pi r) of the full path length.
+    scatterers drawn uniformly in the same disc at a height uniform in
+    [0, SCATTERER_HEIGHT_M].  Complex path gains are circularly-symmetric
+    unit-variance, scaled by the free-space loss lambda / (4 pi r) of the
+    full path length.
     """
     rng = np.random.default_rng(seed)
     geom = UpaGeometry(
         n_h=config.n_h,
         n_v=config.n_v,
-        spacing=config.spacing_wavelengths * config.wavelength,
+        spacing=SPACING_WAVELENGTHS * config.wavelength,
         wavelength=config.wavelength,
     )
     bs = np.asarray(config.bs_position, dtype=float)
@@ -330,7 +334,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             if ell == 0:
                 source, extra = users[k], 0.0
             else:
-                source = disc_point(rng.uniform(0.0, config.scatterer_height_m))
+                source = disc_point(rng.uniform(0.0, SCATTERER_HEIGHT_M))
                 extra = float(np.linalg.norm(users[k] - source))
             paths.append(
                 _make_path(geom, bs, source, extra, alpha, config.wavelength, far)

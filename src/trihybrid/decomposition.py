@@ -18,6 +18,9 @@ import numpy as np
 
 from .wmmse import sum_rate
 
+MAX_ITERATIONS = 200  # cap on alternating steps
+TOLERANCE = 1e-8  # stop once a step lowers the residual by less than this, relative
+
 
 @dataclass(frozen=True)
 class HybridFactors:
@@ -52,8 +55,6 @@ def _lstsq(f_rf, f_d):
 def decompose(
     f_d: np.ndarray,
     n_rf: int,
-    max_iterations: int = 200,
-    tol: float = 1e-8,
     p_max: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> HybridFactors:
@@ -77,7 +78,7 @@ def decompose(
     residual = float(np.linalg.norm(f_d - f_rf @ f_bb))
     history = [residual]
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         cand_rf = phase_projection(f_d @ f_bb.conj().T)
         cand_bb = _lstsq(cand_rf, f_d)
         cand_res = float(np.linalg.norm(f_d - cand_rf @ cand_bb))
@@ -87,7 +88,7 @@ def decompose(
         change = residual - cand_res
         residual = cand_res
         history.append(residual)
-        if change <= tol * max(residual, 1e-30):
+        if change <= TOLERANCE * max(residual, 1e-30):
             break
 
     power = float(np.sum(np.abs(f_rf @ f_bb) ** 2))

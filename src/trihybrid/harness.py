@@ -76,7 +76,6 @@ class RunConfig:
     eta: float = math.sqrt(2.0 * math.pi)
     max_iterations: int = 100
     tolerance: float = 1e-5
-    bisection_tol: float = 1e-10
     mode: str = "all"
     trials: int = 100
     seed: int = 1
@@ -87,6 +86,11 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # the counts (annotations are strings: postponed evaluation)
+            if field.type == "int" and type(value) is not int:
+                raise ConfigError(f"{field.name}: must be an integer, got {value!r}")
         object.__setattr__(self, "pmax_dbm", tuple(float(p) for p in self.pmax_dbm))
         object.__setattr__(self, "bs_position", tuple(float(x) for x in self.bs_position))
         if self.weights is not None:
@@ -136,7 +140,6 @@ class RunConfig:
                 eta=self.eta,
                 max_iterations=self.max_iterations,
                 tolerance=self.tolerance,
-                bisection_tol=self.bisection_tol,
             )
         except ValueError as err:
             raise ConfigError(str(err)) from err
@@ -315,18 +318,18 @@ def _solve(
     return record, result
 
 
-def _project(config: RunConfig, scenario, result, solved: TrialRecord, cset) -> TrialRecord:
-    """The projected row: the solved row plus the rate after projection."""
-    if isinstance(cset, Exception):
-        return _failed(solved.seed, "projected", solved.pmax_dbm, cset)
-    tic = time.perf_counter()
+def _project(config: RunConfig, scenario, result, solved: TrialRecord) -> TrialRecord:
+    """The projected row: the solved row plus the rate after projection.
+
+    The candidate set comes from ``load_candidate_set``; a failed load flags
+    the row like a failed projection.  ``wall_ms`` counts the projection, not
+    the load.
+    """
     try:
+        cset = load_candidate_set(config)
+        tic = time.perf_counter()
         projected = apply_projection(
-            result,
-            scenario,
-            load_candidate_set(config) if cset is None else cset,
-            refit=config.refit,
-            config=config.solver_config(),
+            result, scenario, cset, refit=config.refit, config=config.solver_config()
         )
     except Exception as err:
         return _failed(solved.seed, "projected", solved.pmax_dbm, err)
@@ -338,12 +341,7 @@ def _project(config: RunConfig, scenario, result, solved: TrialRecord, cset) -> 
     )
 
 
-def run_drop(
-    config: RunConfig,
-    seed: int,
-    pmax_dbm: float,
-    cset: CandidatePatternSet | Exception | None = None,
-) -> list[TrialRecord]:
+def run_drop(config: RunConfig, seed: int, pmax_dbm: float) -> list[TrialRecord]:
     """Rows of every configured mode for one drop (seed, power), in
     ``MODES`` order.
 
@@ -352,14 +350,17 @@ def run_drop(
     together, the frozen-pattern solve once for ``hybrid``, and each
     solve's precoder is decomposed once.  The ``projected`` row carries its
     solve's rate, iterations and residual plus the rate after projecting
-    onto ``cset``, which is loaded from ``config`` when None; an exception
-    in its place is the error loading it raised.  A failed solve flags the
-    rows derived from it and a failed projection the ``projected`` row; the
-    other rows still succeed.  Failing to generate the scenario raises.
+    onto the candidate set of ``load_candidate_set(config)``.  A failed
+    scenario flags every row, a failed solve the rows derived from it and a
+    failed load or projection the ``projected`` row; the other rows still
+    succeed.
     """
     modes = config.modes()
     tic = time.perf_counter()
-    scenario = generate_scenario(config.scenario_config(pmax_dbm), seed)
+    try:
+        scenario = generate_scenario(config.scenario_config(pmax_dbm), seed)
+    except Exception as err:  # per-drop failures must not abort the batch
+        return [_failed(seed, mode, pmax_dbm, err) for mode in modes]
     scenario_s = time.perf_counter() - tic
     rows = {}
     if "trihybrid" in modes or "projected" in modes:
@@ -373,9 +374,7 @@ def run_drop(
                     rows[mode] = _failed(seed, mode, pmax_dbm, err)
         else:
             if "projected" in modes:
-                rows["projected"] = _project(
-                    config, scenario, result, rows["trihybrid"], cset
-                )
+                rows["projected"] = _project(config, scenario, result, rows["trihybrid"])
     if "hybrid" in modes:
         try:
             rows["hybrid"], _ = _solve(config, scenario, seed, pmax_dbm, "hybrid", scenario_s)
@@ -384,58 +383,28 @@ def run_drop(
     return [rows[mode] for mode in modes]
 
 
-def _candidates(config: RunConfig):
-    """The batch's candidate set when projection runs, or the error loading
-    it raised, for the projected rows to carry."""
-    if "projected" not in config.modes():
-        return None
-    try:
-        return load_candidate_set(config)
-    except Exception as err:
-        return err
-
-
-def _drop_rows(config: RunConfig, seed: int, pmax_dbm: float, cset) -> list[TrialRecord]:
-    try:
-        return run_drop(config, seed, pmax_dbm, cset)
-    except Exception as err:  # per-drop failures must not abort the batch
-        return [_failed(seed, mode, pmax_dbm, err) for mode in config.modes()]
-
-
-_worker_cset = None  # a pool worker's candidate set, loaded by _init_worker
-
-
-def _init_worker(config: RunConfig) -> None:
-    global _worker_cset
-    _worker_cset = _candidates(config)
-
-
-def _worker_drop(job) -> list[TrialRecord]:
-    return _drop_rows(*job, _worker_cset)
-
-
 def run_trials(config: RunConfig) -> list[TrialRecord]:
     """Run the full (trial x power x mode) batch, one ``run_drop`` per
     (trial, power).
 
     Drops may execute on worker processes; records always come back ordered
-    by (trial, pmax, mode).  The candidate set is parsed once per process
-    (see ``load_candidate_set``).
-    Failed trials yield flagged NaN records.
+    by (trial, pmax, mode).  Failed trials yield flagged NaN records.
+
+    Each drop that projects takes its candidate set from
+    ``load_candidate_set``, which keeps the parsed set per process: a file
+    is parsed once per process, and a settled unchanged file costs one
+    ``os.stat`` per drop.  So a candidate file rewritten during a batch is
+    seen by the drops that start after the rewrite, and a file changed less
+    than ``STAT_SETTLE_NS`` ago is hashed again, not parsed, by each drop.
     """
-    jobs = [
-        (config, config.seed + t, pmax)
-        for t in range(config.trials)
-        for pmax in config.pmax_dbm
-    ]
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=(config,)
-        ) as pool:
-            drops = list(pool.map(_worker_drop, jobs, chunksize=1))
+    seeds = [config.seed + t for t in range(config.trials) for _ in config.pmax_dbm]
+    powers = list(config.pmax_dbm) * config.trials
+    configs = [config] * len(seeds)
+    if config.workers > 1 and len(seeds) > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            drops = list(pool.map(run_drop, configs, seeds, powers, chunksize=1))
     else:
-        cset = _candidates(config)
-        drops = [_drop_rows(*job, cset) for job in jobs]
+        drops = list(map(run_drop, configs, seeds, powers))
     return [record for drop in drops for record in drop]
 
 

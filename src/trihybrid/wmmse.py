@@ -45,6 +45,7 @@ DEGENERACY_TOL = 1e-14
 # cluster below this level is rounding noise.
 CLUSTER_ULPS = 10.0
 MULTIPLIER_STEPS = 100  # cap on safeguarded Newton steps per multiplier
+MULTIPLIER_TOL = 1e-10  # relative constraint residual at which a multiplier stops
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,14 @@ class SolverConfig:
     eta: float = math.sqrt(2.0 * math.pi)
     max_iterations: int = 100
     tolerance: float = 1e-5  # relative sum-rate change; 0 disables early exit
-    bisection_tol: float = 1e-10  # relative constraint residual
 
     def __post_init__(self):
         if not 0.0 < self.eta < math.sqrt(FULL_SPHERE):
             raise ValueError("eta must lie in (0, sqrt(4*pi))")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0) or not (
-            math.isfinite(self.bisection_tol) and self.bisection_tol > 0
-        ):
-            raise ValueError(
-                "tolerances must be positive and finite (convergence tol may be 0)"
-            )
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError("tolerance must be finite and nonnegative")
 
 
 @dataclass
@@ -165,7 +161,7 @@ def update_w(p, v) -> np.ndarray:
     return w
 
 
-def _secular_shift(x_sq, shift, target, tol, what) -> float:
+def _secular_shift(x_sq, shift, target, what) -> float:
     """Shift t > 0 solving sum_i x_sq_i / (shift_i + t)^2 = target.
 
     ``x_sq`` holds the squared spectral weights and ``shift >= 0`` the
@@ -179,8 +175,8 @@ def _secular_shift(x_sq, shift, target, tol, what) -> float:
     replaced by a bisection step in log t: the bracket's geometric mean, or
     hi/1000 while the lower end is still 0, so roots very close to the pole
     take a few steps rather than one per halving.  Stops once
-    |sum - target| <= tol * target; ``what`` names the summed quantity in
-    the error raised after MULTIPLIER_STEPS steps.
+    |sum - target| <= MULTIPLIER_TOL * target; ``what`` names the summed
+    quantity in the error raised after MULTIPLIER_STEPS steps.
     """
     sqrt_target = math.sqrt(target)
     lo, hi = 0.0, math.sqrt(float(x_sq.sum()) / target)
@@ -189,7 +185,7 @@ def _secular_shift(x_sq, shift, target, tol, what) -> float:
         denom = shift + t
         terms = x_sq / denom**2
         value = float(terms.sum())
-        if abs(value - target) <= tol * target:
+        if abs(value - target) <= MULTIPLIER_TOL * target:
             return t
         if value > target:
             lo = t
@@ -206,7 +202,7 @@ def _secular_shift(x_sq, shift, target, tol, what) -> float:
     )
 
 
-def update_fd(channels, w, v, weights, p_max, rel_tol=1e-10) -> np.ndarray:
+def update_fd(channels, w, v, weights, p_max) -> np.ndarray:
     """Fully digital precoder under the total power budget.
 
     Solves (M + mu I) f_k = beta_k w_k conj(v_k) conj(h_k) with the single
@@ -215,7 +211,7 @@ def update_fd(channels, w, v, weights, p_max, rel_tol=1e-10) -> np.ndarray:
     budget is slack, mu = 0 is kept (complementary slackness) through the
     pseudo-inverse, the minimum-norm limit mu -> 0+, which also covers a
     rank-deficient M; otherwise the secular solver matches the power to
-    p_max within rel_tol * p_max, with the bracket's lower end at mu = 0.
+    p_max within MULTIPLIER_TOL * p_max, with the bracket's lower end at mu = 0.
     """
     if p_max <= 0:
         raise ValueError("power budget must be positive")
@@ -236,7 +232,7 @@ def update_fd(channels, w, v, weights, p_max, rel_tol=1e-10) -> np.ndarray:
         scale = np.where(active, 1.0 / np.where(active, eigvals, 1.0), 0.0)
         return q @ (scale[:, None] * bt)
 
-    mu = _secular_shift(bt_sq, eigvals, p_max, rel_tol, "power")
+    mu = _secular_shift(bt_sq, eigvals, p_max, "power")
     return q @ (bt / (eigvals + mu)[:, None])
 
 
@@ -290,7 +286,7 @@ def _cluster_direction(vecs, cluster, null) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def solve_ac_subproblem(lams, vecs, dt, rho_sq, tol: float = 1e-10):
+def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     """Global minimizer of c^T (A/2) c + d^T c on ||c||^2 = rho_sq, and its
     multiplier nu.
 
@@ -304,7 +300,8 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq, tol: float = 1e-10):
     is positive semidefinite, is the global minimizer on the sphere (More &
     Sorensen 1983).  The secular solver works in the shift
     t = 2 nu + pole >= 0, so the distance to the pole keeps full precision,
-    and stops once |norm(c)^2 - rho_sq| <= tol * rho_sq.  Returns (nu, c).
+    and stops once |norm(c)^2 - rho_sq| <= MULTIPLIER_TOL * rho_sq.
+    Returns (nu, c).
 
     Hard case: eigenvalues within CLUSTER_ULPS * dim * eps * max|lams| of
     the pole form one cluster.  When d has only rounding-level weight on that
@@ -337,13 +334,11 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq, tol: float = 1e-10):
         z = _cluster_direction(vecs, cluster, null and -pole <= bound)
         return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, rest] @ y_range
 
-    t = _secular_shift(dt**2, shift, rho_sq, tol, "norm")
+    t = _secular_shift(dt**2, shift, rho_sq, "norm")
     return 0.5 * (t - pole), -vecs @ (dt / (shift + t))
 
 
-def update_em(
-    blocks, coeffs, f_d, w, v, weights, noise_powers, bisection_tol=1e-10
-) -> np.ndarray:
+def update_em(blocks, coeffs, f_d, w, v, weights, noise_powers) -> np.ndarray:
     """One ascending sweep of per-antenna AC updates with monotone acceptance.
 
     The quadratics of all antennas are factored once (``assemble_quadratic``),
@@ -370,7 +365,7 @@ def update_em(
         rest = links - np.outer(h_ac[n] @ coeffs[n, 1:], f_n)
         a = 2.0 * (gw * (np.conj(rest) @ f_n) - bwv * f_n)
         dt = (proj[n] @ a).real
-        _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n], bisection_tol)
+        _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n])
         moved = rest + np.outer(h_ac[n] @ c_ac, f_n)
         obj = wmmse_objective(w, mse_vector(moved, v, noise_powers), weights)
         if obj < incumbent:
@@ -432,7 +427,7 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         w = update_w(p, v)
         obj_w = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_w = time.perf_counter()
-        f_d = update_fd(h, w, v, weights, p_max, config.bisection_tol)
+        f_d = update_fd(h, w, v, weights, p_max)
         p = h @ f_d
         obj_fd = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_fd = time.perf_counter()
@@ -492,7 +487,7 @@ def run_algorithm1(
 
     def pattern_step(f_d, w, v):
         nonlocal coeffs
-        coeffs = update_em(blocks, coeffs, f_d, w, v, weights, noise, config.bisection_tol)
+        coeffs = update_em(blocks, coeffs, f_d, w, v, weights, noise)
         return effective_channels(blocks, coeffs)
 
     h = effective_channels(blocks, coeffs)

@@ -59,13 +59,13 @@ def dense_quadratic(blocks, coeffs, f_d, w, v, weights, n: int) -> QuadraticSubp
     return QuadraticSubproblem(a_matrix=a_matrix, d=d1 + d23, rho_sq=rho_sq)
 
 
-def solve_dense(sub: QuadraticSubproblem, tol: float = 1e-10):
+def solve_dense(sub: QuadraticSubproblem):
     """(nu, c) of the solver's spectral core on A's full eigenbasis."""
     lams, vecs = np.linalg.eigh(sub.a_matrix)
-    return wmmse.solve_ac_subproblem(lams, vecs, vecs.T @ sub.d, sub.rho_sq, tol)
+    return wmmse.solve_ac_subproblem(lams, vecs, vecs.T @ sub.d, sub.rho_sq)
 
 
-def left_root(sub: QuadraticSubproblem, tol: float = 1e-10):
+def left_root(sub: QuadraticSubproblem):
     """Oracle for the stationary point left of A's largest eigenvalue.
 
     That point is the global maximizer on the sphere, so the solver never
@@ -74,9 +74,9 @@ def left_root(sub: QuadraticSubproblem, tol: float = 1e-10):
     same multiplier.
     """
     if not np.any(sub.d):
-        nu, c = solve_dense(sub, tol)
+        nu, c = solve_dense(sub)
         return nu, -c
-    nu, c = solve_dense(QuadraticSubproblem(-sub.a_matrix, -sub.d, sub.rho_sq), tol)
+    nu, c = solve_dense(QuadraticSubproblem(-sub.a_matrix, -sub.d, sub.rho_sq))
     return -nu, c
 
 
@@ -86,12 +86,12 @@ def full_objective(blocks, coeffs, f_d, w, v, weights, noise) -> float:
     return wmmse.wmmse_objective(w, wmmse.mse_vector(h @ f_d, v, noise), weights)
 
 
-def dense_sweep(blocks, coeffs, f_d, w, v, weights, noise, tol=1e-10):
+def dense_sweep(blocks, coeffs, f_d, w, v, weights, noise):
     """``update_em`` with every antenna's model and score built in full."""
     coeffs = np.array(coeffs, dtype=float)
     incumbent = full_objective(blocks, coeffs, f_d, w, v, weights, noise)
     for n in range(coeffs.shape[0]):
-        _, c_ac = solve_dense(dense_quadratic(blocks, coeffs, f_d, w, v, weights, n), tol)
+        _, c_ac = solve_dense(dense_quadratic(blocks, coeffs, f_d, w, v, weights, n))
         trial = coeffs.copy()
         trial[n, 1:] = c_ac
         obj = full_objective(blocks, trial, f_d, w, v, weights, noise)

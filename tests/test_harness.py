@@ -235,6 +235,37 @@ class TestRunDrop:
         assert len(calls) == 1
         assert all(r.error is None for r in records)
 
+    def test_failed_scenario_flags_its_drop_only(self, monkeypatch):
+        generate = hn.generate_scenario
+
+        def scenario_fails(config, seed):
+            if seed == 2:
+                raise RuntimeError("synthetic scenario failure")
+            return generate(config, seed)
+
+        monkeypatch.setattr(hn, "generate_scenario", scenario_fails)
+        records = hn.run_trials(fast_config(trials=2, mode="all", seed=1))
+        assert len(records) == 6
+        for r in records:
+            if r.seed == 2:
+                assert r.error == "RuntimeError: synthetic scenario failure"
+                assert math.isnan(r.sum_rate) and r.iterations == 0
+            else:
+                assert r.error is None
+
+    def test_pooled_missing_file_flags_projected_rows(self):
+        cfg = fast_config(
+            trials=2, mode="all", workers=2, patterns_path="/nonexistent/patterns.json"
+        )
+        records = hn.run_trials(cfg)
+        assert len(records) == 6
+        for r in records:
+            if r.mode == "projected":
+                assert r.error.startswith("PatternLoadError:")
+                assert "/nonexistent/patterns.json" in r.error
+            else:
+                assert r.error is None and r.sum_rate > 0
+
     def test_parallel_projection_matches_serial(self, tmp_path):
         path = tmp_path / "patterns.json"
         save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
@@ -556,16 +587,30 @@ class TestCli:
             {"bisection_tol": math.nan},
             {"bisection_tol": math.inf},
             {"weights": [1, math.inf]},
+            {"n_h": 2.5},
+            {"n_v": 2.0},
+            {"n_users": 2.0},
+            {"n_paths": 1.5},
+            {"n_rf": 2.5},
+            {"truncation": 1.5},
+            {"max_iterations": 5.5},
+            {"trials": 1.5},
+            {"seed": 1.5},
+            {"workers": 1.0},
+            {"workers": True},
         ],
         ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
              "max-iterations", "pmax-overflow", "noise-nan", "noise-inf",
              "frequency-nan", "frequency-inf", "radius-nan", "radius-inf",
              "bs-position-nan", "tolerance-nan", "bisection-tol-nan",
-             "bisection-tol-inf", "weights-inf"],
+             "bisection-tol-inf", "weights-inf", "n-h-float", "n-v-float",
+             "n-users-float", "n-paths-float", "n-rf-float", "truncation-float",
+             "max-iterations-float", "trials-float", "seed-float", "workers-float",
+             "workers-bool"],
     )
     def test_malformed_knob_is_config_error(self, tmp_path, capsys, bad):
         # rejected before any trial runs, not turned into NaN rows
-        cfg = self.write_fast_config(tmp_path, trials=1, **bad)
+        cfg = self.write_fast_config(tmp_path, **{"trials": 1, **bad})
         out = tmp_path / "r.csv"
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
@@ -649,7 +694,7 @@ class TestCli:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic trial failure")
 
-        monkeypatch.setattr(hn, "run_drop", boom)
+        monkeypatch.setattr(hn, "generate_scenario", boom)
         cfg = self.write_fast_config(tmp_path, trials=2, mode="hybrid")
         out = tmp_path / "f.csv"
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])

@@ -907,5 +907,3 @@ class TestSolverConfig:
             wmmse.SolverConfig(eta=4.0)  # sqrt(4 pi) ~ 3.545
         with pytest.raises(ValueError):
             wmmse.SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            wmmse.SolverConfig(bisection_tol=0.0)
