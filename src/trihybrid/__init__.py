@@ -3,10 +3,10 @@
 Library layout:
 
 * :mod:`trihybrid.harmonics` - real spherical-harmonics basis, gain
-  synthesis, quadrature grids, pattern power budget.
+  synthesis, and a positivity audit on a quadrature grid.
 * :mod:`trihybrid.channel` - planar-array geometry, response vectors, and
   one per-path sum that builds both the (K, N_T, T) EM-domain channel
-  blocks and the channel under given per-element gains.
+  blocks and the channel under a candidate set's per-element gains.
 * :mod:`trihybrid.wmmse` - the alternating weighted-MMSE solver with
   closed-form block updates, whose per-user updates take the links
   p = H F_D, and the norm-constrained pattern subproblem.
@@ -22,7 +22,6 @@ from .channel import (
     Scenario,
     ScenarioConfig,
     UpaGeometry,
-    direct_channel_oracle,
     effective_channels,
     far_field_arv,
     generate_scenario,
@@ -33,11 +32,7 @@ from .harmonics import (
     AngularGrid,
     basis_vector,
     gauss_legendre_grid,
-    index_of,
     min_gain_on_grid,
-    pattern_power,
-    real_sph_harmonic,
-    sphere_quadrature,
     synthesize_gain,
 )
 from .harness import RunConfig, TrialRecord, emit_csv, parse_config, run_trials
@@ -76,26 +71,21 @@ __all__ = [
     "basis_vector",
     "candidate_gain",
     "decompose",
-    "direct_channel_oracle",
     "effective_channels",
     "emit_csv",
     "far_field_arv",
     "gauss_legendre_grid",
     "generate_scenario",
-    "index_of",
     "load_candidates",
     "min_gain_on_grid",
     "near_field_arv",
     "parse_config",
-    "pattern_power",
     "phase_projection",
     "project_antenna",
-    "real_sph_harmonic",
     "run_algorithm1",
     "run_trials",
     "save_candidates",
     "solve_ac_subproblem",
-    "sphere_quadrature",
     "steered_candidate_set",
     "sum_rate",
     "sum_rate_loss",

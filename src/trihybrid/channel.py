@@ -14,10 +14,10 @@ The multipath channel of user k is
 array response).  Writing each per-element gain through the harmonic basis
 turns this into h_k = F_EM^T h_k^EM with a block-diagonal pattern-coefficient
 stack F_EM and the EM-domain channel h_k^EM, one (N_T, T) block per user.
-One path sum, ``assemble_channel``, gives both routes: with the basis vectors
-as per-element gains it builds the blocks (``Scenario.em_channels``) that
-``effective_channels`` contracts with the patterns, and with synthesized
-gains it is the channel ``direct_channel_oracle`` audits them against.
+One path sum, ``assemble_channel``, builds the channel under any per-element
+gains: with the basis vectors as gains it gives the blocks
+(``Scenario.em_channels``) that ``effective_channels`` contracts with the
+patterns, and with a candidate set's gains the projected channel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import basis_vector, synthesize_gain
+from .harmonics import basis_vector
 
 
 @dataclass(frozen=True)
@@ -169,17 +169,6 @@ def assemble_channel(paths, geom: UpaGeometry, gains) -> np.ndarray:
     return math.sqrt(geom.n_t / len(paths)) * acc
 
 
-def direct_channel_oracle(paths, geom: UpaGeometry, coeffs: np.ndarray) -> np.ndarray:
-    """Channel computed without the EM-domain lift, as the per-path product
-    of gain, pattern value, and response; used to audit the factorization."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    gains = [
-        [synthesize_gain(coeffs[n], p.thetas[n], p.phis[n]) for n in range(geom.n_t)]
-        for p in paths
-    ]
-    return assemble_channel(paths, geom, np.array(gains))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One multi-user downlink drop: geometry, users, paths, and budgets."""
@@ -191,7 +180,6 @@ class Scenario:
     noise_powers: np.ndarray  # (K,) watts
     weights: np.ndarray  # (K,)
     p_max: float  # watts
-    field_mode: str = "far"
     truncation: int = 4
 
     def __post_init__(self):
@@ -201,8 +189,6 @@ class Scenario:
             raise ValueError("need at least one user and one path per user")
         if np.any(self.noise_powers <= 0) or np.any(self.weights <= 0) or self.p_max <= 0:
             raise ValueError("noise powers, weights, and power budget must be positive")
-        if self.field_mode not in ("far", "near"):
-            raise ValueError(f"unknown field mode {self.field_mode!r}")
 
     @property
     def n_users(self) -> int:
@@ -244,8 +230,11 @@ class ScenarioConfig:
     truncation: int = 4
 
     def __post_init__(self):
-        if self.n_users < 1 or self.n_paths < 1:
-            raise ValueError("need at least one user and one path")
+        counts = (self.n_h, self.n_v, self.n_users, self.n_paths)
+        if min(counts) < 1:
+            raise ValueError(
+                f"n_h, n_v, n_users and n_paths: need each >= 1, got {counts}"
+            )
         # each check is written so that NaN and inf fail it
         radio = (self.frequency_hz, self.user_radius_m)
         if not all(math.isfinite(x) and x > 0 for x in radio):
@@ -349,6 +338,5 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         noise_powers=np.full(config.n_users, config.noise_power_w),
         weights=np.ones(config.n_users) if config.weights is None else config.weights,
         p_max=config.p_max_w,
-        field_mode=config.field_mode,
         truncation=config.truncation,
     )

@@ -7,8 +7,9 @@ Subcommands::
     trace    per-iteration convergence trace for one seed
     project  apply a candidate pattern set to the configured runs
 
-Exit codes: 0 success, 1 configuration error, 2 batch finished with failed
-trials (flagged as NaN rows in the CSV).
+Each subcommand takes only the flags it reads.  Exit codes: 0 success,
+1 configuration error, 2 batch finished with failed trials (flagged as NaN
+rows in the CSV) or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -48,38 +49,44 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=desc, description=desc)
         sp.add_argument("--config", metavar="FILE", help="JSON config file")
         sp.add_argument("--seed", type=int, help="base seed (trial t uses seed+t)")
-        sp.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
         sp.add_argument(
             "--pmax-dbm", type=float, nargs="+", metavar="DBM",
             help="transmit power budget(s) in dBm",
         )
-        sp.add_argument(
-            "--mode", choices=("trihybrid", "hybrid", "projected", "all"),
-            help="which pipeline(s) to run",
-        )
-        sp.add_argument("--patterns", metavar="FILE", help="candidate pattern set file")
         sp.add_argument("--out", metavar="PATH", help="output CSV path")
+        sp.add_argument("-v", "--verbose", action="store_true", help="log per-trial info")
+        if name == "trace":  # one drop, both solves: no batch or projection flags
+            continue
+        sp.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
+        if name == "run":  # sweep runs all modes, project the projected one
+            sp.add_argument(
+                "--mode", choices=("trihybrid", "hybrid", "projected", "all"),
+                help="which pipeline(s) to run",
+            )
+        sp.add_argument("--patterns", metavar="FILE", help="candidate pattern set file")
         sp.add_argument(
             "--no-refit", action="store_true",
             help="skip re-optimizing the digital precoder after projection",
         )
         sp.add_argument("--workers", type=int, help="parallel trial workers")
-        sp.add_argument("-v", "--verbose", action="store_true", help="log per-trial info")
     return parser
 
 
 def _overrides(args) -> dict:
+    """The RunConfig fields given on the command line; each subcommand's
+    parser holds only the flags it reads."""
+    flags = vars(args)
     out = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "mode": args.mode,
-        "patterns_path": args.patterns,
-        "out_path": args.out,
-        "workers": args.workers,
+        "seed": flags["seed"],
+        "trials": flags.get("trials"),
+        "mode": flags.get("mode"),
+        "patterns_path": flags.get("patterns"),
+        "out_path": flags["out"],
+        "workers": flags.get("workers"),
     }
-    if args.pmax_dbm is not None:
-        out["pmax_dbm"] = tuple(args.pmax_dbm)
-    if args.no_refit:
+    if flags["pmax_dbm"] is not None:
+        out["pmax_dbm"] = tuple(flags["pmax_dbm"])
+    if flags.get("no_refit"):
         out["refit"] = False
     return out
 

@@ -51,10 +51,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a batch; defaults follow the reference
@@ -97,8 +93,16 @@ class RunConfig:
             object.__setattr__(self, "weights", tuple(float(b) for b in self.weights))
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.mode not in MODES + ("all",):
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
+        if self.truncation == 0 and self.mode != "hybrid":
+            # no AC part: a pattern pinned at DC eta < sqrt(4 pi) misses its budget
+            raise ConfigError(
+                f"truncation: mode {self.mode!r} optimizes patterns and needs "
+                f"degree >= 1, got 0"
+            )
         if not self.pmax_dbm or any(not math.isfinite(p) for p in self.pmax_dbm):
             raise ConfigError("pmax_dbm: need a nonempty list of finite powers")
         if not math.isfinite(self.noise_dbm):
@@ -477,6 +481,10 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
     power (the trace CSV has no power column)."""
     if len(config.pmax_dbm) > 1:
         raise ConfigError(f"pmax_dbm: trace runs one power, got {len(config.pmax_dbm)}")
+    if config.truncation == 0:
+        raise ConfigError(
+            "truncation: trace optimizes patterns and needs degree >= 1, got 0"
+        )
     rows = []
     scenario = generate_scenario(config.scenario_config(config.pmax_dbm[0]), seed)
     solver_cfg = config.solver_config()

@@ -73,7 +73,6 @@ class CandidatePatternSet:
 
     patterns: tuple
     normalized: bool
-    source: str = "memory"
     grids: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -234,7 +233,7 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
     patterns = tuple(
         _build_pattern(rec, idx, normalize) for idx, rec in enumerate(records)
     )
-    return CandidatePatternSet(patterns=patterns, normalized=normalize, source=str(path))
+    return CandidatePatternSet(patterns=patterns, normalized=normalize)
 
 
 def save_candidates(cset: CandidatePatternSet, path) -> None:
@@ -400,7 +399,6 @@ def steered_candidate_set(
     exponent: float = 2.0,
     n_theta: int = 61,
     n_phi: int = 121,
-    normalize: bool = True,
 ) -> CandidatePatternSet:
     """Synthetic stand-in set: ``count`` cosine-power lobes steered along
     quasi-uniform directions, each normalized to the 4 pi power budget.
@@ -417,39 +415,14 @@ def steered_candidate_set(
     for r, (th0, ph0) in enumerate(fibonacci_directions(count)):
         cos_angle = np.sin(th) * math.sin(th0) * np.cos(ph - ph0) + np.cos(th) * math.cos(th0)
         gain = np.maximum(cos_angle, 0.0) ** exponent
-        power = grid_power(theta, phi, gain)
-        if normalize:
-            gain = gain * math.sqrt(FULL_SPHERE / power)
-            power = FULL_SPHERE
+        gain = gain * math.sqrt(FULL_SPHERE / grid_power(theta, phi, gain))
         patterns.append(
             CandidatePattern(
-                name=f"steered-{r:02d}", theta=theta, phi=phi, gain=gain, power=power
-            )
-        )
-    return CandidatePatternSet(patterns=tuple(patterns), normalized=normalize)
-
-
-def sampled_pattern_set(
-    coeff_rows, n_theta: int = 181, n_phi: int = 361
-) -> CandidatePatternSet:
-    """Sample synthesized patterns onto a grid as an in-memory candidate set.
-
-    Audit helper for self-projection checks: samples keep their sign and are
-    not renormalized, so file-schema validation (nonnegativity) does not
-    apply.  Harmonic patterns on the 4 pi budget already integrate to 4 pi.
-    """
-    theta = np.linspace(0.0, math.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    patterns = []
-    for r, c in enumerate(np.atleast_2d(np.asarray(coeff_rows, float))):
-        gain = synthesize_gain(c, theta[:, None], phi[None, :])
-        patterns.append(
-            CandidatePattern(
-                name=f"sampled-{r:02d}",
+                name=f"steered-{r:02d}",
                 theta=theta,
                 phi=phi,
                 gain=gain,
-                power=grid_power(theta, phi, gain),
+                power=FULL_SPHERE,
             )
         )
-    return CandidatePatternSet(patterns=tuple(patterns), normalized=False)
+    return CandidatePatternSet(patterns=tuple(patterns), normalized=True)

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from dense_oracle import QuadraticSubproblem, left_root, solve_dense
+from reference import direct_channel_oracle, sampled_pattern_set
 from trihybrid import harness as hn
 from trihybrid import projection as proj
 from trihybrid import wmmse
 from trihybrid.channel import (
     ScenarioConfig,
-    direct_channel_oracle,
     effective_channels,
     generate_scenario,
 )
@@ -275,7 +275,7 @@ def test_criterion_09_projection_self_consistency():
     for seed in (1, 2, 3):
         scenario = generate_scenario(ScenarioConfig(), seed)
         result = wmmse.run_algorithm1(scenario, solver_cfg, seed)
-        cset = proj.sampled_pattern_set(result.state.coeffs, n_theta=181, n_phi=361)
+        cset = sampled_pattern_set(result.state.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset, config=solver_cfg)
         rel = abs(projected.sum_rate - result.sum_rate) / result.sum_rate
         worst = max(worst, rel)

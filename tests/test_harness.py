@@ -80,7 +80,6 @@ class TestConfig:
     def test_dbm_conversion(self):
         assert hn.dbm_to_watts(20.0) == pytest.approx(0.1)
         assert hn.dbm_to_watts(10.0) == pytest.approx(0.01)
-        assert hn.watts_to_dbm(0.1) == pytest.approx(20.0)
         cfg = hn.RunConfig(pmax_dbm=(20.0,))
         assert cfg.scenario_config(20.0).p_max_w == pytest.approx(0.1)
         assert cfg.scenario_config(20.0).noise_power_w == pytest.approx(10 ** (-12.5))
@@ -432,6 +431,78 @@ class TestCandidateMemo:
         assert by_mode["trihybrid"].error is None
 
 
+class TestConfigSpace:
+    """Every draw from the documented config space is either a config error
+    or a drop whose rows are finite and error-free, with every solve keeping
+    its invariants: the 4 pi and power budgets, pinned DC (pattern solves),
+    and acceptance 04's monotone objective chain and sum rate."""
+
+    DRAWS = 100
+    DEGREES = (0, 1, 2, 4, 6, 10)
+    TOL = 1e-8  # acceptance 04's bound
+
+    @staticmethod
+    def draw(rng, seed):
+        n_h, n_v = (int(n) for n in rng.integers(1, 5, size=2))
+        n_users = int(rng.integers(1, min(4, n_h * n_v) + 1))
+        return dict(
+            n_h=n_h,
+            n_v=n_v,
+            n_users=n_users,
+            n_rf=int(rng.integers(n_users, n_h * n_v + 1)),
+            n_paths=int(rng.integers(1, 5)),
+            truncation=int(rng.choice(TestConfigSpace.DEGREES)),
+            field_mode=str(rng.choice(["far", "near"])),
+            pmax_dbm=(float(rng.uniform(0.0, 30.0)),),
+            mode="all",
+            trials=1,
+            seed=seed,
+        )
+
+    def audit(self, result, eta, p_max, em_update):
+        result.state.validate(eta, p_max, dc_pinned=em_update)
+        prev = result.initial_objective
+        for rec in result.history:
+            chain = (rec.objective_after_v, rec.objective_after_w,
+                     rec.objective_after_fd, rec.objective)
+            for obj in chain:
+                assert obj <= prev + self.TOL
+                prev = obj
+        rates = [rec.sum_rate for rec in result.history]
+        assert all(b >= a - self.TOL for a, b in zip(rates, rates[1:]))
+
+    def test_every_draw_runs_clean_or_is_config_error(self, monkeypatch):
+        solves = []
+        solve = hn.run_algorithm1
+
+        def recorded(scenario, config, seed, em_update=True):
+            result = solve(scenario, config, seed, em_update=em_update)
+            solves.append((result, config.eta, scenario.p_max, em_update))
+            return result
+
+        monkeypatch.setattr(hn, "run_algorithm1", recorded)
+        rng = np.random.default_rng(11)
+        clean = 0
+        for seed in range(1, self.DRAWS + 1):
+            params = self.draw(rng, seed)
+            try:
+                config = hn.RunConfig(**params)
+            except hn.ConfigError:
+                continue
+            solves.clear()
+            rows = hn.run_drop(config, seed, config.pmax_dbm[0])
+            for row in rows:
+                assert row.error is None, (params, row.error)
+                assert math.isfinite(row.sum_rate) and math.isfinite(row.decomp_residual)
+            assert math.isfinite(rows[-1].projected_sum_rate)
+            assert [r.mode for r in rows] == list(hn.MODES)
+            assert len(solves) == 2
+            for solved in solves:
+                self.audit(*solved)
+            clean += 1
+        assert clean >= self.DRAWS // 2
+
+
 class TestCsv:
     def test_header_only_for_empty_batch(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -598,6 +669,12 @@ class TestCli:
             {"seed": 1.5},
             {"workers": 1.0},
             {"workers": True},
+            {"seed": -3},
+            {"n_h": -1, "n_v": -2, "n_users": 1, "n_rf": 1},  # product 2 passes n_rf
+            {"truncation": 0, "mode": "all"},  # no AC part for the pattern solve
+            {"truncation": 0, "mode": "trihybrid"},
+            {"truncation": 0, "mode": "projected"},
+            {"pmax_dbm": [10, -5000]},  # the second budget underflows to 0 W
         ],
         ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
              "max-iterations", "pmax-overflow", "noise-nan", "noise-inf",
@@ -606,7 +683,8 @@ class TestCli:
              "bisection-tol-inf", "weights-inf", "n-h-float", "n-v-float",
              "n-users-float", "n-paths-float", "n-rf-float", "truncation-float",
              "max-iterations-float", "trials-float", "seed-float", "workers-float",
-             "workers-bool"],
+             "workers-bool", "seed-negative", "n-h-n-v-negative", "degree-0-all",
+             "degree-0-trihybrid", "degree-0-projected", "pmax-underflow"],
     )
     def test_malformed_knob_is_config_error(self, tmp_path, capsys, bad):
         # rejected before any trial runs, not turned into NaN rows
@@ -617,6 +695,47 @@ class TestCli:
         assert code == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_degree_zero_hybrid_runs(self, tmp_path):
+        # frozen isotropic patterns need no AC part, so degree 0 still runs
+        cfg = self.write_fast_config(tmp_path, trials=1, truncation=0, mode="hybrid")
+        out = tmp_path / "r.csv"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        (record,) = hn.read_csv(out)
+        assert record.error is None and math.isfinite(record.sum_rate)
+
+    def test_trace_degree_zero_is_config_error(self, tmp_path, capsys):
+        # trace runs the pattern solve whatever the configured mode
+        cfg = self.write_fast_config(tmp_path, truncation=0, mode="hybrid")
+        out = tmp_path / "t.csv"
+        assert cli.main(["trace", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: truncation")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("trace", ["--trials", "7"]),
+            ("trace", ["--mode", "hybrid"]),
+            ("trace", ["--patterns", "/nonexistent.json"]),
+            ("trace", ["--no-refit"]),
+            ("trace", ["--workers", "3"]),
+            ("sweep", ["--mode", "hybrid"]),
+            ("project", ["--mode", "hybrid"]),
+        ],
+        ids=["trace-trials", "trace-mode", "trace-patterns", "trace-no-refit",
+             "trace-workers", "sweep-mode", "project-mode"],
+    )
+    def test_flag_the_subcommand_ignores_is_usage_error(
+        self, tmp_path, capsys, command, flag
+    ):
+        cfg = self.write_fast_config(tmp_path, trials=1, max_iterations=3)
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_patterns_file_is_config_error(self, tmp_path, capsys):

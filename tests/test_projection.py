@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import sampled_pattern_set
 
 from trihybrid import projection as proj
 from trihybrid import wmmse
@@ -107,7 +108,7 @@ def mixed_grid_set(tmp_path, rng):
         proj.steered_candidate_set(count=3, n_theta=31, n_phi=61).patterns
         + proj.steered_candidate_set(count=3, n_theta=13, n_phi=25).patterns
         + proj.load_candidates(write_doc(tmp_path, doc)).patterns
-        + proj.sampled_pattern_set(random_coeffs(rng, 2, 9), n_theta=19, n_phi=37).patterns
+        + sampled_pattern_set(random_coeffs(rng, 2, 9), n_theta=19, n_phi=37).patterns
     )
     return proj.CandidatePatternSet(patterns, normalized=False)
 
@@ -295,7 +296,7 @@ class TestLoader:
         elif builder == "steered":
             cset = proj.steered_candidate_set(count=3, n_theta=13, n_phi=25)
         elif builder == "sampled":
-            cset = proj.sampled_pattern_set(random_coeffs(rng, 2, 9), n_theta=13, n_phi=25)
+            cset = sampled_pattern_set(random_coeffs(rng, 2, 9), n_theta=13, n_phi=25)
         else:
             cset = mixed_grid_set(tmp_path, rng)
         arrays = [a for g in cset.grids for a in (g.theta, g.phi, g.gains)]
@@ -369,7 +370,7 @@ class TestProjectAntenna:
             ac = rng.standard_normal(8)
             ac *= math.sqrt(FULL_SPHERE - ETA**2) / np.linalg.norm(ac)
             coeffs.append(np.concatenate(([ETA], ac)))
-        cset = proj.sampled_pattern_set(np.stack(coeffs), n_theta=181, n_phi=361)
+        cset = sampled_pattern_set(np.stack(coeffs), n_theta=181, n_phi=361)
         angles_th = rng.uniform(0.2, math.pi - 0.2, 6)
         angles_ph = rng.uniform(0, 2 * math.pi, 6)
         for target in range(4):
@@ -424,7 +425,7 @@ def solve_small(seed, **cfg):
 class TestApplyProjection:
     def test_self_projection_consistency(self):
         scenario, result = solve_small(5)
-        cset = proj.sampled_pattern_set(result.state.coeffs, n_theta=181, n_phi=361)
+        cset = sampled_pattern_set(result.state.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset)
         rel_change = abs(projected.sum_rate - result.sum_rate) / result.sum_rate
         assert rel_change < 0.005
