@@ -8,8 +8,9 @@ Library layout:
   one per-path sum that builds both the (K, N_T, T) EM-domain channel
   blocks and the channel under a candidate set's per-element gains.
 * :mod:`trihybrid.wmmse` - the alternating weighted-MMSE solver with
-  closed-form block updates, whose per-user updates take the links
-  p = H F_D, and the norm-constrained pattern subproblem.
+  closed-form block updates, whose per-user updates read the statistics of
+  the links p = H F_D (``link_stats``), and the norm-constrained pattern
+  subproblem.  The power budget is an argument of the solve.
 * :mod:`trihybrid.decomposition` - analog/baseband factorization of the
   fully digital precoder.
 * :mod:`trihybrid.projection` - candidate pattern sets, file loading, and
@@ -49,6 +50,7 @@ from .wmmse import (
     SolverConfig,
     SolverResult,
     SolverState,
+    link_stats,
     run_algorithm1,
     solve_ac_subproblem,
     sum_rate,
@@ -76,6 +78,7 @@ __all__ = [
     "far_field_arv",
     "gauss_legendre_grid",
     "generate_scenario",
+    "link_stats",
     "load_candidates",
     "min_gain_on_grid",
     "near_field_arv",

@@ -171,7 +171,9 @@ def assemble_channel(paths, geom: UpaGeometry, gains) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One multi-user downlink drop: geometry, users, paths, and budgets."""
+    """One multi-user downlink drop: geometry, users, paths, noise and
+    weights.  The power budget is an argument of the solve, so one drop
+    serves every budget."""
 
     geometry: UpaGeometry
     bs_position: np.ndarray
@@ -179,7 +181,6 @@ class Scenario:
     paths: tuple  # paths[k] = tuple of PathGeometry
     noise_powers: np.ndarray  # (K,) watts
     weights: np.ndarray  # (K,)
-    p_max: float  # watts
     truncation: int = 4
 
     def __post_init__(self):
@@ -187,8 +188,8 @@ class Scenario:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.n_users < 1 or any(len(p) < 1 for p in self.paths):
             raise ValueError("need at least one user and one path per user")
-        if np.any(self.noise_powers <= 0) or np.any(self.weights <= 0) or self.p_max <= 0:
-            raise ValueError("noise powers, weights, and power budget must be positive")
+        if np.any(self.noise_powers <= 0) or np.any(self.weights <= 0):
+            raise ValueError("noise powers and weights must be positive")
 
     @property
     def n_users(self) -> int:
@@ -224,7 +225,6 @@ class ScenarioConfig:
     bs_position: tuple = (0.0, 0.0, 10.0)
     user_radius_m: float = 200.0
     noise_power_w: float = 10 ** ((-95.0 - 30.0) / 10.0)
-    p_max_w: float = 10 ** ((10.0 - 30.0) / 10.0)
     weights: tuple | None = None
     field_mode: str = "far"
     truncation: int = 4
@@ -239,9 +239,8 @@ class ScenarioConfig:
         radio = (self.frequency_hz, self.user_radius_m)
         if not all(math.isfinite(x) and x > 0 for x in radio):
             raise ValueError("frequency and user radius must be positive and finite")
-        powers = (self.noise_power_w, self.p_max_w)
-        if not all(math.isfinite(x) and x > 0 for x in powers):
-            raise ValueError("noise power and power budget must be positive and finite")
+        if not (math.isfinite(self.noise_power_w) and self.noise_power_w > 0):
+            raise ValueError("noise power must be positive and finite")
         bs = self.bs_position
         if len(bs) != 3 or not all(map(math.isfinite, bs)):
             raise ValueError(f"bs_position: need 3 finite coordinates, got {bs}")
@@ -337,6 +336,5 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         paths=tuple(all_paths),
         noise_powers=np.full(config.n_users, config.noise_power_w),
         weights=np.ones(config.n_users) if config.weights is None else config.weights,
-        p_max=config.p_max_w,
         truncation=config.truncation,
     )

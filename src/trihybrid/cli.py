@@ -7,9 +7,11 @@ Subcommands::
     trace    per-iteration convergence trace for one seed
     project  apply a candidate pattern set to the configured runs
 
-Each subcommand takes only the flags it reads.  Exit codes: 0 success,
-1 configuration error, 2 batch finished with failed trials (flagged as NaN
-rows in the CSV) or an argparse usage error.
+Each subcommand takes only the flags it reads, and a config file that sets a
+field the subcommand never reads is a configuration error.  Values come from
+the subcommand's defaults, then the config file, then the flags.  Exit codes:
+0 success, 1 configuration error, 2 batch finished with failed trials
+(flagged as NaN rows in the CSV) or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import replace
 
 from .harness import (
     ConfigError,
@@ -28,9 +29,23 @@ from .harness import (
     load_candidate_set,
     parse_config,
     run_trials,
-    sweep_config,
 )
 from .projection import PatternLoadError
+
+SWEEP_DBM = tuple(float(p) for p in range(0, 31, 5))
+
+# Per subcommand: the RunConfig fields it never reads, which its config file
+# may not set, and its defaults, which the file and the flags override.  A
+# default of a field the file may not set and no flag sets is fixed.
+SUBCOMMANDS = {
+    "run": ((), {}),
+    "sweep": (("mode",), {"mode": "all", "pmax_dbm": SWEEP_DBM}),
+    "project": (("mode",), {"mode": "projected"}),
+    "trace": (
+        ("trials", "mode", "workers", "patterns_path", "refit"),
+        {"out_path": "trace.csv"},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,16 +130,11 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    overrides = _overrides(args)
-    if args.command == "trace" and args.out is None:
-        overrides["out_path"] = "trace.csv"
+    unread, defaults = SUBCOMMANDS[args.command]
     try:
-        config = parse_config(args.config, overrides)
-        if args.command == "sweep":
-            config = sweep_config(config, args.pmax_dbm)
-        elif args.command == "project":
-            config = replace(config, mode="projected")
-
+        config = parse_config(
+            args.config, _overrides(args), defaults=defaults, unread=unread
+        )
         if args.command == "trace":
             rows = convergence_trace(config, config.seed)
             emit_trace_csv(rows, config.out_path)

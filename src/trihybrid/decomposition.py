@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wmmse import sum_rate
+from .wmmse import link_stats, sum_rate
 
 MAX_ITERATIONS = 200  # cap on alternating steps
 TOLERANCE = 1e-8  # stop once a step lowers the residual by less than this, relative
@@ -105,6 +105,6 @@ def decompose(
 
 def sum_rate_loss(f_d, factors: HybridFactors, channels, weights, noise_powers) -> float:
     """Sum-rate drop from replacing the digital precoder by the factor pair."""
-    full = sum_rate(channels @ f_d, weights, noise_powers)
-    approx = sum_rate(channels @ factors.product, weights, noise_powers)
+    full = sum_rate(link_stats(channels @ f_d), weights, noise_powers)
+    approx = sum_rate(link_stats(channels @ factors.product), weights, noise_powers)
     return full - approx

@@ -1,9 +1,10 @@
 """Monte-Carlo experiment harness: configs, trial batches, CSV emission.
 
 A run is fully determined by (config, base seed): trial t draws its scenario
-from seed ``base + t`` and every solver and decomposition step is seeded from
-the same value, so rerunning a config reproduces every scientific output
-byte for byte (wall-clock timings are measured and therefore exempt).
+from seed ``base + t``, once for all of the configured powers, and every
+solver and decomposition step is seeded from the same value, so rerunning a
+config reproduces every scientific output byte for byte (wall-clock timings
+are measured and therefore exempt).
 
 dBm quantities are converted to watts here, at the config boundary; all
 internal computation is in SI units.
@@ -32,7 +33,7 @@ from .projection import (
     read_candidate_file,
     steered_candidate_set,
 )
-from .wmmse import SolverConfig, run_algorithm1
+from .wmmse import SolverConfig, factor_ac_blocks, run_algorithm1
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +41,6 @@ MODES = ("trihybrid", "hybrid", "projected")
 CSV_HEADER = (
     "seed,mode,pmax_dbm,sum_rate,iterations,decomp_residual,projected_sum_rate,wall_ms"
 )
-DEFAULT_SWEEP_DBM = tuple(float(p) for p in range(0, 31, 5))
 
 
 class ConfigError(ValueError):
@@ -114,10 +114,16 @@ class RunConfig:
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
-            self.scenario_config(pmax_dbm)
+            try:
+                watts = dbm_to_watts(pmax_dbm)
+            except OverflowError as err:
+                raise ConfigError(f"pmax_dbm: {pmax_dbm} dBm overflows in watts") from err
+            if watts == 0.0:
+                raise ConfigError(f"pmax_dbm: {pmax_dbm} dBm underflows to 0 W")
+        self.scenario_config()
         self.solver_config()
 
-    def scenario_config(self, pmax_dbm: float) -> ScenarioConfig:
+    def scenario_config(self) -> ScenarioConfig:
         try:
             return ScenarioConfig(
                 n_h=self.n_h,
@@ -128,7 +134,6 @@ class RunConfig:
                 bs_position=self.bs_position,
                 user_radius_m=self.user_radius_m,
                 noise_power_w=dbm_to_watts(self.noise_dbm),
-                p_max_w=dbm_to_watts(pmax_dbm),
                 weights=self.weights,
                 field_mode=self.field_mode,
                 truncation=self.truncation,
@@ -152,13 +157,18 @@ class RunConfig:
         return MODES if self.mode == "all" else (self.mode,)
 
 
-def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus overrides.
+def parse_config(
+    path=None, overrides: dict | None = None, *, defaults: dict | None = None, unread=()
+) -> RunConfig:
+    """Build a RunConfig from ``defaults``, an optional JSON file and
+    overrides, each winning over the ones before it.
 
-    File keys use the RunConfig field names; unknown keys are rejected with
-    the offending name.
+    File keys use the RunConfig field names; unknown keys, and keys naming a
+    field in ``unread`` (fields the caller never reads), are rejected with
+    the offending names.
     """
-    values: dict = {}
+    values: dict = dict(defaults or {})
+    doc: dict = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -176,6 +186,11 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
+    ignored = sorted(set(doc) & set(unread))
+    if ignored:
+        raise ConfigError(
+            f"config file sets field(s) this command never reads: {', '.join(ignored)}"
+        )
     try:
         return RunConfig(**values)
     except ConfigError:
@@ -189,9 +204,10 @@ class TrialRecord:
     """One (trial, power, mode) outcome; failed trials carry NaN metrics and
     the error text (logged, not serialized).
 
-    ``wall_ms`` is the time of the stages the row's values come from: the
-    drop's scenario, the mode's solve and its decomposition, and for
-    ``projected`` also the projection.  The ``projected`` row shares the
+    ``wall_ms`` is the time of the stages the row's values come from: its
+    seed's scenario and EM-domain blocks, which every row of the seed counts
+    in full, the mode's solve and its decomposition at the row's power, and
+    for ``projected`` also the projection.  The ``projected`` row shares the
     ``trihybrid`` row's solve, so both count its time.
     """
 
@@ -287,19 +303,24 @@ def _failed(seed: int, mode: str, pmax_dbm: float, err: BaseException) -> TrialR
     )
 
 
-def _solve(
-    config: RunConfig, scenario, seed: int, pmax_dbm: float, mode: str, scenario_s: float
-):
-    """One pipeline's solve and decomposition: its row, timed with the
-    scenario's ``scenario_s``, and the solver result."""
+def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
+    """One pipeline's solve and decomposition at one power: its row, timed
+    with the seed's set-up, and the solver result.
+
+    ``drop`` is the seed's (scenario, EM-domain blocks, their AC factors or
+    None, seconds taken to build them).
+    """
+    scenario, blocks, ac_factors, setup_s = drop
+    p_max = dbm_to_watts(pmax_dbm)
     tic = time.perf_counter()
     result = run_algorithm1(
-        scenario, config.solver_config(), seed, em_update=mode != "hybrid"
+        scenario, p_max, config.solver_config(), seed,
+        em_update=mode != "hybrid", blocks=blocks, factors=ac_factors,
     )
     factors = decompose(
         result.state.f_d,
         config.n_rf,
-        p_max=scenario.p_max,
+        p_max=p_max,
         rng=np.random.default_rng([seed, 0xD0C]),
     )
     loss = sum_rate_loss(
@@ -317,7 +338,7 @@ def _solve(
         iterations=result.iterations,
         decomp_residual=factors.residual,
         projected_sum_rate=None,
-        wall_ms=(scenario_s + time.perf_counter() - tic) * 1e3,
+        wall_ms=(setup_s + time.perf_counter() - tic) * 1e3,
     )
     return record, result
 
@@ -345,70 +366,81 @@ def _project(config: RunConfig, scenario, result, solved: TrialRecord) -> TrialR
     )
 
 
-def run_drop(config: RunConfig, seed: int, pmax_dbm: float) -> list[TrialRecord]:
-    """Rows of every configured mode for one drop (seed, power), in
-    ``MODES`` order.
+def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
+    """Rows of every configured power and mode for one seed, ordered by
+    power as configured, then in ``MODES`` order.
 
-    The drop's scenario is generated once.  The pattern solve
-    (``em_update=True``) runs once for ``trihybrid`` and ``projected``
-    together, the frozen-pattern solve once for ``hybrid``, and each
-    solve's precoder is decomposed once.  The ``projected`` row carries its
-    solve's rate, iterations and residual plus the rate after projecting
-    onto the candidate set of ``load_candidate_set(config)``.  A failed
-    scenario flags every row, a failed solve the rows derived from it and a
-    failed load or projection the ``projected`` row; the other rows still
-    succeed.
+    The seed's scenario and EM-domain blocks, and when a pattern solve runs
+    the blocks' AC factorization, are built once and serve every power: the
+    power enters only the solves, the decompositions and the projection's
+    refit.  At each power the pattern solve (``em_update=True``) runs once
+    for ``trihybrid`` and ``projected`` together, the frozen-pattern solve
+    once for ``hybrid``, and each solve's precoder is decomposed once.  The
+    ``projected`` row carries its solve's rate, iterations and residual plus
+    the rate after projecting onto the candidate set of
+    ``load_candidate_set(config)``.  A failed scenario flags every row of
+    the seed, a failed solve the rows derived from it and a failed load or
+    projection the ``projected`` row; the other rows still succeed.
     """
     modes = config.modes()
     tic = time.perf_counter()
     try:
-        scenario = generate_scenario(config.scenario_config(pmax_dbm), seed)
-    except Exception as err:  # per-drop failures must not abort the batch
-        return [_failed(seed, mode, pmax_dbm, err) for mode in modes]
-    scenario_s = time.perf_counter() - tic
-    rows = {}
-    if "trihybrid" in modes or "projected" in modes:
-        try:
-            rows["trihybrid"], result = _solve(
-                config, scenario, seed, pmax_dbm, "trihybrid", scenario_s
-            )
-        except Exception as err:  # flags the rows derived from this solve
-            for mode in ("trihybrid", "projected"):
-                if mode in modes:
-                    rows[mode] = _failed(seed, mode, pmax_dbm, err)
-        else:
-            if "projected" in modes:
-                rows["projected"] = _project(config, scenario, result, rows["trihybrid"])
-    if "hybrid" in modes:
-        try:
-            rows["hybrid"], _ = _solve(config, scenario, seed, pmax_dbm, "hybrid", scenario_s)
-        except Exception as err:
-            rows["hybrid"] = _failed(seed, "hybrid", pmax_dbm, err)
-    return [rows[mode] for mode in modes]
+        scenario = generate_scenario(config.scenario_config(), seed)
+        blocks = scenario.em_channels()
+        ac_factors = None if modes == ("hybrid",) else factor_ac_blocks(blocks)
+    except Exception as err:  # per-seed failures must not abort the batch
+        return [
+            _failed(seed, mode, pmax_dbm, err)
+            for pmax_dbm in config.pmax_dbm
+            for mode in modes
+        ]
+    drop = (scenario, blocks, ac_factors, time.perf_counter() - tic)
+    records = []
+    for pmax_dbm in config.pmax_dbm:
+        rows = {}
+        if "trihybrid" in modes or "projected" in modes:
+            try:
+                rows["trihybrid"], result = _solve(config, drop, seed, pmax_dbm, "trihybrid")
+            except Exception as err:  # flags the rows derived from this solve
+                for mode in ("trihybrid", "projected"):
+                    if mode in modes:
+                        rows[mode] = _failed(seed, mode, pmax_dbm, err)
+            else:
+                if "projected" in modes:
+                    rows["projected"] = _project(config, scenario, result, rows["trihybrid"])
+        if "hybrid" in modes:
+            try:
+                rows["hybrid"], _ = _solve(config, drop, seed, pmax_dbm, "hybrid")
+            except Exception as err:
+                rows["hybrid"] = _failed(seed, "hybrid", pmax_dbm, err)
+        records += [rows[mode] for mode in modes]
+    return records
 
 
 def run_trials(config: RunConfig) -> list[TrialRecord]:
     """Run the full (trial x power x mode) batch, one ``run_drop`` per
-    (trial, power).
+    trial seed.
 
-    Drops may execute on worker processes; records always come back ordered
-    by (trial, pmax, mode).  Failed trials yield flagged NaN records.
+    Seeds may execute on worker processes, at most one per seed; records
+    always come back ordered by (trial, pmax, mode).  Failed trials yield
+    flagged NaN records.
 
-    Each drop that projects takes its candidate set from
-    ``load_candidate_set``, which keeps the parsed set per process: a file
-    is parsed once per process, and a settled unchanged file costs one
-    ``os.stat`` per drop.  So a candidate file rewritten during a batch is
-    seen by the drops that start after the rewrite, and a file changed less
-    than ``STAT_SETTLE_NS`` ago is hashed again, not parsed, by each drop.
+    Each seed that projects takes its candidate set from
+    ``load_candidate_set`` at each power, which keeps the parsed set per
+    process: a file is parsed once per process, and a settled unchanged file
+    costs one ``os.stat`` per lookup.  So a candidate file rewritten during
+    a batch is seen by the lookups that start after the rewrite, and a file
+    changed less than ``STAT_SETTLE_NS`` ago is hashed again, not parsed,
+    by each lookup.
     """
-    seeds = [config.seed + t for t in range(config.trials) for _ in config.pmax_dbm]
-    powers = list(config.pmax_dbm) * config.trials
+    seeds = [config.seed + t for t in range(config.trials)]
     configs = [config] * len(seeds)
-    if config.workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            drops = list(pool.map(run_drop, configs, seeds, powers, chunksize=1))
+    workers = min(config.workers, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            drops = list(pool.map(run_drop, configs, seeds, chunksize=1))
     else:
-        drops = list(map(run_drop, configs, seeds, powers))
+        drops = list(map(run_drop, configs, seeds))
     return [record for drop in drops for record in drop]
 
 
@@ -486,10 +518,14 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
             "truncation: trace optimizes patterns and needs degree >= 1, got 0"
         )
     rows = []
-    scenario = generate_scenario(config.scenario_config(config.pmax_dbm[0]), seed)
+    scenario = generate_scenario(config.scenario_config(), seed)
+    blocks = scenario.em_channels()
+    p_max = dbm_to_watts(config.pmax_dbm[0])
     solver_cfg = config.solver_config()
     for mode in ("trihybrid", "hybrid"):
-        result = run_algorithm1(scenario, solver_cfg, seed, em_update=mode != "hybrid")
+        result = run_algorithm1(
+            scenario, p_max, solver_cfg, seed, em_update=mode != "hybrid", blocks=blocks
+        )
         rows.extend(
             TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)
             for rec in result.history
@@ -504,10 +540,3 @@ def emit_trace_csv(rows, path) -> None:
             fh.write(
                 f"{row.mode},{row.iteration},{_fmt(row.sum_rate)},{_fmt(row.objective)}\n"
             )
-
-
-def sweep_config(config: RunConfig, pmax_dbm=None) -> RunConfig:
-    """Power-sweep variant: all modes over the default 0..30 dBm grid unless
-    an explicit grid is given."""
-    grid = tuple(pmax_dbm) if pmax_dbm else DEFAULT_SWEEP_DBM
-    return replace(config, mode="all", pmax_dbm=grid)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import Scenario, assemble_channel
 from .harmonics import FULL_SPHERE, synthesize_gain
-from .wmmse import SolverConfig, SolverResult, refit_digital, sum_rate
+from .wmmse import SolverConfig, SolverResult, link_stats, refit_digital, sum_rate
 
 
 class PatternLoadError(ValueError):
@@ -352,7 +352,8 @@ def apply_projection(
     the selection reads it, and the channels are reassembled from the
     selected candidates' gains.  With ``refit`` on, the combiner/weight/
     precoder updates rerun on the projected channel starting from the
-    converged precoder.  The harmonic coefficients play no further role.
+    converged precoder, under the solve's power budget ``result.p_max``.
+    The harmonic coefficients play no further role.
     """
     geom = scenario.geometry
     paths = [p for user in scenario.paths for p in user]
@@ -373,13 +374,13 @@ def apply_projection(
             channels,
             scenario.weights,
             scenario.noise_powers,
-            scenario.p_max,
+            result.p_max,
             config,
             f_init=result.state.f_d,
         )
     else:
         f_d = result.state.f_d
-    rate = sum_rate(channels @ f_d, scenario.weights, scenario.noise_powers)
+    rate = sum_rate(link_stats(channels @ f_d), scenario.weights, scenario.noise_powers)
     return ProjectedResult(
         indices=indices, channels=channels, f_d=f_d, sum_rate=rate, refit=refit
     )

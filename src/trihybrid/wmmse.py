@@ -8,14 +8,16 @@ with the constant (DC) coefficient pinned to eta.  Every block update is
 closed form:
 
 * v, w, F_D follow the classic per-user expressions, v and w (like the
-  MSE and the sum rate) from the links p = H F_D alone; the one power
-  multiplier all columns of F_D share solves a secular equation;
+  MSE and the sum rate) from the statistics of the links p = H F_D alone,
+  which ``link_stats`` forms once after each change of H or F_D; the one
+  power multiplier all columns of F_D share solves a secular equation;
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
   program whose KKT system is (A + 2 nu I) c = -d.  A has rank at most 2K
-  and d lies in its range, so once per sweep one batched thin QR of the
-  antennas' channel blocks and one batched eigen decomposition of the
-  r x r (r <= 2K) reduced matrices give every A's spectrum; each antenna
-  then solves the secular equation ||c(nu)||^2 = rho^2 on at most 2K terms,
+  and d lies in its range, so one batched thin QR of the antennas' channel
+  blocks, formed once per channel (``factor_ac_blocks``), and one batched
+  eigen decomposition per sweep of the r x r (r <= 2K) reduced matrices
+  give every A's spectrum; each antenna then solves the secular equation
+  ||c(nu)||^2 = rho^2 on at most 2K terms,
   right of the smallest eigenvalue, where the solution is the global
   minimizer on the sphere.  The null space of A, where d has exactly no
   weight, joins the pole's eigenspace in the explicit hard case.  The point
@@ -33,12 +35,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import Scenario, effective_channels
 from .harmonics import FULL_SPHERE, truncation_length
 
+EPS = np.finfo(float).eps
 DEGENERACY_TOL = 1e-14
 # Backward error of an n x n eigensolve, in units of n * eps * max|lam|:
 # eigenvalues this close to the pole form one cluster, and weight of d on that
@@ -106,6 +110,7 @@ class SolverResult:
     initial_objective: float
     channels: np.ndarray  # (K, N_T) effective channels at the final state
     blocks: np.ndarray  # (K, N_T, T) EM-domain channel blocks
+    p_max: float  # power budget of the solve, watts
 
     @property
     def sum_rate(self) -> float:
@@ -116,47 +121,58 @@ class SolverResult:
         return len(self.history)
 
 
-def sum_rate(p, weights, noise_powers) -> float:
+class Links(NamedTuple):
+    """What the per-user updates read of the (K, K) links p[k, j] = h_k . f_j."""
+
+    gains: np.ndarray  # (K,) desired-link gains p_kk
+    signal: np.ndarray  # (K,) desired powers |p_kk|^2
+    received: np.ndarray  # (K,) received powers sum_j |p_kj|^2
+    interference: np.ndarray  # (K,) received minus desired power
+
+
+def link_stats(p) -> Links:
+    """The statistics of the links ``p`` that the v, w, MSE and rate
+    functions read, formed once per change of p."""
+    powers = np.abs(p) ** 2
+    received = powers.sum(axis=1)
+    signal = powers.diagonal()
+    return Links(p.diagonal(), signal, received, received - signal)
+
+
+def sum_rate(links: Links, weights, noise_powers) -> float:
     """Weighted sum rate sum_k beta_k log2(1 + SINR_k) of the links, in bits/s/Hz."""
     noise_powers = np.asarray(noise_powers, dtype=float)
-    if np.any(noise_powers <= 0):
+    if (noise_powers <= 0).any():
         raise ValueError("noise powers must be positive")
-    powers = np.abs(p) ** 2
-    signal = np.diag(powers)
-    interference = powers.sum(axis=1) - signal
-    sinr = signal / (noise_powers + interference)
-    return float(np.sum(np.asarray(weights) * np.log2(1.0 + sinr)))
+    sinr = links.signal / (noise_powers + links.interference)
+    return float((np.asarray(weights) * np.log2(1.0 + sinr)).sum())
 
 
-def mse_vector(p, v, noise_powers) -> np.ndarray:
+def mse_vector(links: Links, v, noise_powers) -> np.ndarray:
     """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + noise)."""
-    diag = p.diagonal()
-    powers = np.abs(p) ** 2
-    interference = powers.sum(axis=1) - powers.diagonal()
     return (
-        np.abs(1.0 - v * diag) ** 2
-        + np.abs(v) ** 2 * (interference + np.asarray(noise_powers, dtype=float))
+        np.abs(1.0 - v * links.gains) ** 2
+        + np.abs(v) ** 2 * (links.interference + np.asarray(noise_powers, dtype=float))
     )
 
 
 def wmmse_objective(w, e, weights) -> float:
     """sum_k beta_k (w_k e_k - ln w_k)."""
-    return float(np.sum(np.asarray(weights) * (w * e - np.log(w))))
+    return float((np.asarray(weights) * (w * e - np.log(w))).sum())
 
 
-def update_v(p, noise_powers) -> np.ndarray:
+def update_v(links: Links, noise_powers) -> np.ndarray:
     """Per-user MMSE combiner: conj(p_kk) over total received power plus noise."""
-    denom = np.sum(np.abs(p) ** 2, axis=1) + np.asarray(noise_powers, dtype=float)
-    return np.conj(np.diag(p)) / denom
+    return np.conj(links.gains) / (links.received + np.asarray(noise_powers, dtype=float))
 
 
-def update_w(p, v) -> np.ndarray:
+def update_w(links: Links, v) -> np.ndarray:
     """MSE weights w_k = 1 / (1 - v_k p_kk); equals 1/e_k for fresh v."""
-    delta = 1.0 - v * np.diag(p)
-    if np.any(np.abs(delta) < DEGENERACY_TOL):
+    delta = 1.0 - v * links.gains
+    if (np.abs(delta) < DEGENERACY_TOL).any():
         raise RuntimeError("weight update degenerate: v_k p_kk is numerically 1")
     w = np.real(1.0 / delta)
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise RuntimeError("weight update produced a non-positive weight")
     return w
 
@@ -202,7 +218,7 @@ def _secular_shift(x_sq, shift, target, what) -> float:
     )
 
 
-def update_fd(channels, w, v, weights, p_max) -> np.ndarray:
+def update_fd(channels, w, v, weights, p_max, channels_h=None) -> np.ndarray:
     """Fully digital precoder under the total power budget.
 
     Solves (M + mu I) f_k = beta_k w_k conj(v_k) conj(h_k) with the single
@@ -212,22 +228,25 @@ def update_fd(channels, w, v, weights, p_max) -> np.ndarray:
     pseudo-inverse, the minimum-norm limit mu -> 0+, which also covers a
     rank-deficient M; otherwise the secular solver matches the power to
     p_max within MULTIPLIER_TOL * p_max, with the bracket's lower end at mu = 0.
+    ``channels_h`` is H^H, ``np.conj(channels).T``, for a caller that
+    updates F_D on one channel many times.
     """
     if p_max <= 0:
         raise ValueError("power budget must be positive")
+    if channels_h is None:
+        channels_h = np.conj(channels).T  # columns conj(h_k)
     weights = np.asarray(weights, dtype=float)
     coef = weights * w * np.abs(v) ** 2
-    hc = np.conj(channels)  # rows conj(h_k)
-    m = hc.T @ (coef[:, None] * channels)
-    b = hc.T * (weights * w * np.conj(v))[None, :]  # columns beta_k w_k v_k* h_k*
+    m = channels_h @ (coef[:, None] * channels)
+    b = channels_h * (weights * w * np.conj(v))[None, :]  # columns beta_k w_k v_k* h_k*
     eigvals, q = np.linalg.eigh(m)
-    eigvals = np.clip(eigvals.real, 0.0, None)
+    eigvals = np.maximum(eigvals, 0.0)
     bt = q.conj().T @ b  # (N_T, K)
-    bt_sq = np.sum(np.abs(bt) ** 2, axis=1)
+    bt_sq = (np.abs(bt) ** 2).sum(axis=1)
 
-    cutoff = eigvals[-1] * max(m.shape) * np.finfo(float).eps
+    cutoff = eigvals[-1] * max(m.shape) * EPS
     active = eigvals > cutoff
-    power0 = float(np.sum(bt_sq[active] / eigvals[active] ** 2))
+    power0 = float((bt_sq[active] / eigvals[active] ** 2).sum())
     if power0 <= p_max:
         scale = np.where(active, 1.0 / np.where(active, eigvals, 1.0), 0.0)
         return q @ (scale[:, None] * bt)
@@ -236,7 +255,25 @@ def update_fd(channels, w, v, weights, p_max) -> np.ndarray:
     return q @ (bt / (eigvals + mu)[:, None])
 
 
-def assemble_quadratic(blocks, f_d, w, v, weights):
+class AcFactors(NamedTuple):
+    """Every antenna's AC channel block and the thin QR of it; they depend on
+    the EM-domain channel blocks alone (``factor_ac_blocks``)."""
+
+    columns: np.ndarray  # (N_T, T-1, K) H_ac^T per antenna
+    rows: np.ndarray  # (N_T, K, T-1) H_ac per antenna, contiguous
+    q: np.ndarray  # (N_T, T-1, r) orthonormal basis of each G's row space
+    r: np.ndarray  # (N_T, r, 2K) with G^T = Q R
+
+
+def factor_ac_blocks(blocks) -> AcFactors:
+    """Thin QR G^T = Q R of every antenna's G = [X; Y], where H_ac =
+    blocks[:, n, 1:] = X + iY, in one batched call."""
+    columns = blocks[:, :, 1:].transpose(1, 2, 0)
+    q, r = np.linalg.qr(np.concatenate((columns.real, columns.imag), axis=2))
+    return AcFactors(columns, np.ascontiguousarray(columns.transpose(0, 2, 1)), q, r)
+
+
+def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
     """Every antenna's pattern quadratic, factored in its channel range.
 
     For antenna n the WMMSE objective is, up to a constant,
@@ -245,8 +282,8 @@ def assemble_quadratic(blocks, f_d, w, v, weights):
     H_ac = blocks[:, n, 1:] = X + iY, G = [X; Y], s_n = ||F_D[n]||^2 and
     g = beta w |v|^2, and d = Re(H_ac^T a) for a per-user vector a that
     depends on the current links (see ``update_em``).  Both live in the row
-    space of G, of dimension r <= min(T-1, 2K), so one batched thin QR
-    G^T = Q R and one batched eigh of the r x r matrices
+    space of G, of dimension r <= min(T-1, 2K), so the thin QR G^T = Q R of
+    ``factors`` and one batched eigh of the r x r matrices
     R diag(2 s_n [g; g]) R^T = U diag(lams) U^T give all antennas at once
     A = V diag(lams) V^T with V = Q U, and V^T d = Re((H_ac V)^T a).
 
@@ -254,13 +291,12 @@ def assemble_quadratic(blocks, f_d, w, v, weights):
     (N_T, T-1, r) and proj = (H_ac V)^T (N_T, r, K).  A vanishes on the
     complement of V's columns and d has no weight there.
     """
-    h_ac = blocks[:, :, 1:].transpose(1, 2, 0)  # (N_T, T-1, K)
-    q, r = np.linalg.qr(np.concatenate((h_ac.real, h_ac.imag), axis=2))
+    r = factors.r
     gw = np.asarray(weights, dtype=float) * w * np.abs(v) ** 2
     scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.concatenate((gw, gw))
     lams, u = np.linalg.eigh((r * scale[:, None, :]) @ r.transpose(0, 2, 1))
-    vecs = q @ u
-    return lams, vecs, vecs.transpose(0, 2, 1) @ h_ac
+    vecs = factors.q @ u
+    return lams, vecs, vecs.transpose(0, 2, 1) @ factors.columns
 
 
 def _cluster_direction(vecs, cluster, null) -> np.ndarray:
@@ -318,7 +354,7 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     dim, rank = vecs.shape
     null = rank < dim
     pole = min(lams[0], 0.0) if null else lams[0]
-    rounding = CLUSTER_ULPS * dim * np.finfo(float).eps
+    rounding = CLUSTER_ULPS * dim * EPS
     lam_scale = float(np.abs(lams).max())
     bound = rounding * lam_scale
     shift = lams - pole
@@ -338,12 +374,16 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     return 0.5 * (t - pole), -vecs @ (dt / (shift + t))
 
 
-def update_em(blocks, coeffs, f_d, w, v, weights, noise_powers) -> np.ndarray:
+def update_em(
+    blocks, coeffs, f_d, w, v, weights, noise_powers, factors=None
+) -> np.ndarray:
     """One ascending sweep of per-antenna AC updates with monotone acceptance.
 
     The quadratics of all antennas are factored once (``assemble_quadratic``),
-    since F_D, w and v are fixed within the sweep; the links P = H F_D are
-    computed in full once, at the start.  Replacing antenna n's AC vector c
+    since F_D, w and v are fixed within the sweep; ``factors`` is
+    ``factor_ac_blocks(blocks)``, for a caller that sweeps one channel many
+    times.  The links P = H F_D are computed in full once, at the start, and
+    their statistics once per scored P.  Replacing antenna n's AC vector c
     changes only column n of H, so P moves by the rank-1 term
     outer(H_ac (c - c_old), F_D[n]); each candidate is scored on the exact
     objective from the moved P and kept only when it strictly beats the
@@ -352,13 +392,15 @@ def update_em(blocks, coeffs, f_d, w, v, weights, noise_powers) -> np.ndarray:
     """
     coeffs = np.array(coeffs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    lams, vecs, proj = assemble_quadratic(blocks, f_d, w, v, weights)
-    h_ac = np.ascontiguousarray(blocks[:, :, 1:].transpose(1, 0, 2))  # (N_T, K, T-1)
+    if factors is None:
+        factors = factor_ac_blocks(blocks)
+    lams, vecs, proj = assemble_quadratic(factors, f_d, w, v, weights)
+    h_ac = factors.rows
     gw = weights * w * np.abs(v) ** 2
     bwv = weights * w * v
     rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
     links = effective_channels(blocks, coeffs) @ f_d
-    incumbent = wmmse_objective(w, mse_vector(links, v, noise_powers), weights)
+    incumbent = wmmse_objective(w, mse_vector(link_stats(links), v, noise_powers), weights)
     for n in range(coeffs.shape[0]):
         f_n = f_d[n]
         # links without antenna n's AC part, and d = Re(H_ac^T a)
@@ -367,7 +409,7 @@ def update_em(blocks, coeffs, f_d, w, v, weights, noise_powers) -> np.ndarray:
         dt = (proj[n] @ a).real
         _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n])
         moved = rest + np.outer(h_ac[n] @ c_ac, f_n)
-        obj = wmmse_objective(w, mse_vector(moved, v, noise_powers), weights)
+        obj = wmmse_objective(w, mse_vector(link_stats(moved), v, noise_powers), weights)
         if obj < incumbent:
             incumbent, links = obj, moved
             coeffs[n, 1:] = c_ac
@@ -409,36 +451,40 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     """Outer iterations of the v, w, F_D block updates on the channel ``h``.
 
     ``pattern_step(f_d, w, v)``, when given, runs after the F_D update and
-    returns the channel under the updated patterns; the links p = h F_D are
-    formed once after each change of either.  Weights start at one.  The
-    loop stops when the relative sum-rate change drops below
-    ``config.tolerance`` or ``config.max_iterations`` is spent.  Returns
-    (h, f_d, v, w, history, converged).
+    returns the channel under the updated patterns.  The link statistics of
+    p = h F_D are formed once after each change of either, and H^H once per
+    channel; v and w read the same statistics, so one MSE vector scores both.
+    Weights start at one.  The loop stops when the relative sum-rate change
+    drops below ``config.tolerance`` or ``config.max_iterations`` is spent.
+    Returns (h, f_d, v, w, history, converged).
     """
     w = np.ones(len(weights))
     history: list[IterationRecord] = []
     prev_rate = None
-    p = h @ f_d
+    h_h = np.conj(h).T
+    links = link_stats(h @ f_d)
     for it in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
-        v = update_v(p, noise)
-        obj_v = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        v = update_v(links, noise)
+        e = mse_vector(links, v, noise)
+        obj_v = wmmse_objective(w, e, weights)
         t_v = time.perf_counter()
-        w = update_w(p, v)
-        obj_w = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        w = update_w(links, v)
+        obj_w = wmmse_objective(w, e, weights)
         t_w = time.perf_counter()
-        f_d = update_fd(h, w, v, weights, p_max)
-        p = h @ f_d
-        obj_fd = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        f_d = update_fd(h, w, v, weights, p_max, h_h)
+        links = link_stats(h @ f_d)
+        obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights)
         t_fd = time.perf_counter()
         if pattern_step is None:
             obj_em = obj_fd
         else:
             h = pattern_step(f_d, w, v)
-            p = h @ f_d
-            obj_em = wmmse_objective(w, mse_vector(p, v, noise), weights)
+            h_h = np.conj(h).T
+            links = link_stats(h @ f_d)
+            obj_em = wmmse_objective(w, mse_vector(links, v, noise), weights)
         t_em = time.perf_counter()
-        rate = sum_rate(p, weights, noise)
+        rate = sum_rate(links, weights, noise)
         history.append(
             IterationRecord(
                 iteration=it,
@@ -460,44 +506,56 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
 
 def run_algorithm1(
     scenario: Scenario,
+    p_max: float,
     config: SolverConfig | None = None,
     seed: int = 0,
     *,
     em_update: bool = True,
+    blocks: np.ndarray | None = None,
+    factors: AcFactors | None = None,
 ) -> SolverResult:
-    """Run the alternating solver on one scenario.
+    """Run the alternating solver on one scenario under the total power
+    budget ``p_max`` (watts).
 
     Patterns start with DC pinned at eta and random AC (or isotropic when
     ``em_update`` is off, the conventional hybrid baseline); the digital
     precoder starts as the conjugate matched filter at full power.  Each
     outer iteration runs the four block updates; the loop stops when the
     relative sum-rate change drops below the tolerance or the iteration
-    budget is spent.
+    budget is spent.  ``blocks`` (``scenario.em_channels()``) and
+    ``factors`` (``factor_ac_blocks(blocks)``, read by the pattern solve
+    only) depend on the scenario alone, for a caller that solves one
+    scenario under several budgets.
     """
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise ValueError(f"power budget must be positive and finite, got {p_max}")
     config = config or SolverConfig()
     geom = scenario.geometry
-    blocks = scenario.em_channels()
+    if blocks is None:
+        blocks = scenario.em_channels()
     weights = scenario.weights
     noise = scenario.noise_powers
     if em_update:
         rng = np.random.default_rng(seed)
         coeffs = initial_coefficients(geom.n_t, scenario.truncation, config.eta, rng)
+        if factors is None:
+            factors = factor_ac_blocks(blocks)
     else:
         coeffs = isotropic_coefficients(geom.n_t, scenario.truncation)
 
     def pattern_step(f_d, w, v):
         nonlocal coeffs
-        coeffs = update_em(blocks, coeffs, f_d, w, v, weights, noise)
+        coeffs = update_em(blocks, coeffs, f_d, w, v, weights, noise, factors)
         return effective_channels(blocks, coeffs)
 
     h = effective_channels(blocks, coeffs)
-    f_d = matched_filter_precoder(h, scenario.p_max)
+    f_d = matched_filter_precoder(h, p_max)
     v = np.zeros(scenario.n_users, dtype=complex)
     initial_obj = wmmse_objective(
-        np.ones(scenario.n_users), mse_vector(h @ f_d, v, noise), weights
+        np.ones(scenario.n_users), mse_vector(link_stats(h @ f_d), v, noise), weights
     )
     h, f_d, v, w, history, converged = _alternate(
-        h, f_d, weights, noise, scenario.p_max, config,
+        h, f_d, weights, noise, p_max, config,
         pattern_step if em_update else None,
     )
     return SolverResult(
@@ -507,6 +565,7 @@ def run_algorithm1(
         initial_objective=initial_obj,
         channels=h,
         blocks=blocks,
+        p_max=p_max,
     )
 
 

@@ -82,8 +82,8 @@ def left_root(sub: QuadraticSubproblem):
 
 def full_objective(blocks, coeffs, f_d, w, v, weights, noise) -> float:
     """The WMMSE objective on a full rebuild of the effective channels."""
-    h = effective_channels(blocks, coeffs)
-    return wmmse.wmmse_objective(w, wmmse.mse_vector(h @ f_d, v, noise), weights)
+    links = wmmse.link_stats(effective_channels(blocks, coeffs) @ f_d)
+    return wmmse.wmmse_objective(w, wmmse.mse_vector(links, v, noise), weights)
 
 
 def dense_sweep(blocks, coeffs, f_d, w, v, weights, noise):

@@ -12,15 +12,21 @@ oracles of the batched code in ``trihybrid``.
   from synthesized gains, to audit ``effective_channels``.
 * ``sampled_pattern_set`` samples harmonic patterns onto a grid as a
   candidate set, for self-projection checks.
+* ``alternate`` is the v/w/F_D loop with per-call ``update_v``,
+  ``update_w``, ``mse_vector`` and ``sum_rate`` that each read the links
+  p = H F_D themselves; ``wmmse._alternate``, which forms the links'
+  statistics once per change of p, must equal it bit for bit.
 """
 
 import math
+import time
 
 import numpy as np
 
 from trihybrid.channel import UpaGeometry, assemble_channel
 from trihybrid.harmonics import FULL_SPHERE, AngularGrid, _norm_factor, synthesize_gain
 from trihybrid.projection import CandidatePattern, CandidatePatternSet, grid_power
+from trihybrid.wmmse import DEGENERACY_TOL, IterationRecord, update_fd, wmmse_objective
 
 
 def index_of(degree: int, order: int) -> int:
@@ -157,3 +163,90 @@ def sampled_pattern_set(
             )
         )
     return CandidatePatternSet(patterns=tuple(patterns), normalized=False)
+
+
+def sum_rate(p, weights, noise_powers) -> float:
+    """Weighted sum rate of the links p, from p itself."""
+    noise_powers = np.asarray(noise_powers, dtype=float)
+    if np.any(noise_powers <= 0):
+        raise ValueError("noise powers must be positive")
+    powers = np.abs(p) ** 2
+    signal = np.diag(powers)
+    interference = powers.sum(axis=1) - signal
+    sinr = signal / (noise_powers + interference)
+    return float(np.sum(np.asarray(weights) * np.log2(1.0 + sinr)))
+
+
+def mse_vector(p, v, noise_powers) -> np.ndarray:
+    """Per-user MSE of the links p, from p itself."""
+    diag = p.diagonal()
+    powers = np.abs(p) ** 2
+    interference = powers.sum(axis=1) - powers.diagonal()
+    return (
+        np.abs(1.0 - v * diag) ** 2
+        + np.abs(v) ** 2 * (interference + np.asarray(noise_powers, dtype=float))
+    )
+
+
+def update_v(p, noise_powers) -> np.ndarray:
+    """MMSE combiners of the links p, from p itself."""
+    denom = np.sum(np.abs(p) ** 2, axis=1) + np.asarray(noise_powers, dtype=float)
+    return np.conj(np.diag(p)) / denom
+
+
+def update_w(p, v) -> np.ndarray:
+    """MSE weights of the links p, from p itself."""
+    delta = 1.0 - v * np.diag(p)
+    if np.any(np.abs(delta) < DEGENERACY_TOL):
+        raise RuntimeError("weight update degenerate: v_k p_kk is numerically 1")
+    w = np.real(1.0 / delta)
+    if np.any(w <= 0):
+        raise RuntimeError("weight update produced a non-positive weight")
+    return w
+
+
+def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
+    """The v/w/F_D loop of ``wmmse._alternate``, with the same arguments and
+    returns, on per-call evaluations of the links: each objective scores its
+    own MSE vector and F_D forms H^H itself."""
+    w = np.ones(len(weights))
+    history = []
+    prev_rate = None
+    p = h @ f_d
+    for it in range(1, config.max_iterations + 1):
+        tic = time.perf_counter()
+        v = update_v(p, noise)
+        obj_v = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        t_v = time.perf_counter()
+        w = update_w(p, v)
+        obj_w = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        t_w = time.perf_counter()
+        f_d = update_fd(h, w, v, weights, p_max)
+        p = h @ f_d
+        obj_fd = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        t_fd = time.perf_counter()
+        if pattern_step is None:
+            obj_em = obj_fd
+        else:
+            h = pattern_step(f_d, w, v)
+            p = h @ f_d
+            obj_em = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        t_em = time.perf_counter()
+        rate = sum_rate(p, weights, noise)
+        history.append(
+            IterationRecord(
+                iteration=it,
+                sum_rate=rate,
+                objective=obj_em,
+                objective_after_v=obj_v,
+                objective_after_w=obj_w,
+                objective_after_fd=obj_fd,
+                step_seconds=(t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd),
+            )
+        )
+        if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
+            abs(prev_rate), 1e-12
+        ):
+            return h, f_d, v, w, history, True
+        prev_rate = rate
+    return h, f_d, v, w, history, False

@@ -28,6 +28,7 @@ from trihybrid.harmonics import FULL_SPHERE, basis_vector, gauss_legendre_grid, 
 
 ETA = math.sqrt(2.0 * math.pi)
 RHO_SQ = FULL_SPHERE - ETA**2
+P_MAX = hn.dbm_to_watts(10.0)  # the default budget
 WORKERS = min(4, os.cpu_count() or 1)
 N_SEEDS = 100
 
@@ -45,7 +46,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def _audited_solve(seed: int):
     """Default-config solve, reduced to the per-step objective/rate audit."""
     scenario = generate_scenario(ScenarioConfig(), seed)
-    result = wmmse.run_algorithm1(scenario, wmmse.SolverConfig(), seed)
+    result = wmmse.run_algorithm1(scenario, P_MAX, wmmse.SolverConfig(), seed)
     steps = [
         (r.objective_after_v, r.objective_after_w, r.objective_after_fd, r.objective)
         for r in result.history
@@ -189,21 +190,19 @@ def test_criterion_05_subproblem_exactness():
 
 
 def test_criterion_06_brute_force_toy():
-    toy = ScenarioConfig(
-        n_h=1, n_v=1, n_users=1, n_paths=3, truncation=1,
-        p_max_w=hn.dbm_to_watts(-20.0),
-    )
+    toy = ScenarioConfig(n_h=1, n_v=1, n_users=1, n_paths=3, truncation=1)
+    p_max = hn.dbm_to_watts(-20.0)
     solver_cfg = wmmse.SolverConfig(max_iterations=300, tolerance=1e-9)
     worst_rel = 0.0
     for seed in range(1, 21):
         scenario = generate_scenario(toy, seed)
-        result = wmmse.run_algorithm1(scenario, solver_cfg, seed)
+        result = wmmse.run_algorithm1(scenario, p_max, solver_cfg, seed)
         h_em = scenario.em_channels()[0, 0]  # the one antenna: [DC, 3 AC entries]
         rng = np.random.default_rng(seed + 10_000)
         dirs = rng.standard_normal((10_000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         h = h_em[0] * ETA + dirs @ (math.sqrt(RHO_SQ) * h_em[1:])
-        sinr = scenario.p_max * np.abs(h) ** 2 / scenario.noise_powers[0]
+        sinr = p_max * np.abs(h) ** 2 / scenario.noise_powers[0]
         brute = float(np.min(1.0 - np.log1p(sinr)))  # beta = 1
         solver_obj = result.history[-1].objective
         rel = abs(solver_obj - brute) / abs(brute)
@@ -245,15 +244,15 @@ def test_criterion_08_decomposition_contract():
     worst_loss = 0.0
     for seed in range(1, 31):
         scenario = generate_scenario(ScenarioConfig(), seed)
-        result = wmmse.run_algorithm1(scenario, solver_cfg, seed)
+        result = wmmse.run_algorithm1(scenario, P_MAX, solver_cfg, seed)
         rng = np.random.default_rng([seed, 8])
-        factors = decompose(result.state.f_d, 4, p_max=scenario.p_max, rng=rng)
+        factors = decompose(result.state.f_d, 4, p_max=P_MAX, rng=rng)
         monotone &= bool(np.all(np.diff(factors.residual_history) <= 1e-15))
         unit_mod_err = max(
             unit_mod_err, float(np.abs(np.abs(factors.f_rf) ** 2 - 1.0 / 9.0).max())
         )
-        budget_ok &= factors.power <= scenario.p_max + 1e-8
-        full = decompose(result.state.f_d, 9, p_max=scenario.p_max, rng=rng)
+        budget_ok &= factors.power <= P_MAX + 1e-8
+        full = decompose(result.state.f_d, 9, p_max=P_MAX, rng=rng)
         loss = sum_rate_loss(
             result.state.f_d, full, result.channels, scenario.weights, scenario.noise_powers
         )
@@ -274,7 +273,7 @@ def test_criterion_09_projection_self_consistency():
     worst = 0.0
     for seed in (1, 2, 3):
         scenario = generate_scenario(ScenarioConfig(), seed)
-        result = wmmse.run_algorithm1(scenario, solver_cfg, seed)
+        result = wmmse.run_algorithm1(scenario, P_MAX, solver_cfg, seed)
         cset = sampled_pattern_set(result.state.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset, config=solver_cfg)
         rel = abs(projected.sum_rate - result.sum_rate) / result.sum_rate
@@ -286,7 +285,7 @@ def test_criterion_09_projection_self_consistency():
 
 def test_criterion_10_performance_envelope(default_batch):
     tic = time.perf_counter()
-    hn.run_drop(hn.RunConfig(mode="trihybrid"), seed=99, pmax_dbm=10.0)
+    hn.run_drop(hn.RunConfig(mode="trihybrid"), seed=99)
     single = time.perf_counter() - tic
     _, batch_elapsed = default_batch
     ok = single < 60.0 and batch_elapsed < 1800.0

@@ -162,8 +162,7 @@ def user_block(paths, geom, degree):
     """(N_T, T) EM-domain block of one user with ``paths``."""
     scenario = ch.Scenario(
         geometry=geom, bs_position=np.zeros(3), user_positions=np.zeros((1, 3)),
-        paths=(tuple(paths),), noise_powers=[1.0], weights=[1.0], p_max=1.0,
-        truncation=degree,
+        paths=(tuple(paths),), noise_powers=[1.0], weights=[1.0], truncation=degree,
     )
     return scenario.em_channels()[0]
 
@@ -354,7 +353,7 @@ class TestScenarioGeneration:
         with pytest.raises(ValueError, match="truncation"):
             ch.ScenarioConfig(truncation=-1)
         for bad in (dict(frequency_hz=float("nan")), dict(user_radius_m=float("inf")),
-                    dict(noise_power_w=float("nan")), dict(p_max_w=float("inf"))):
+                    dict(noise_power_w=float("nan")), dict(noise_power_w=float("inf"))):
             with pytest.raises(ValueError, match="finite"):
                 ch.ScenarioConfig(**bad)
         for bs in ((0.0, float("nan"), 10.0), (0.0, 10.0)):

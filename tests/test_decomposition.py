@@ -7,6 +7,8 @@ from trihybrid import decomposition as dec
 from trihybrid import wmmse
 from trihybrid.channel import ScenarioConfig, generate_scenario
 
+P_MAX = 10 ** ((10.0 - 30.0) / 10.0)  # 10 dBm in watts
+
 
 def random_fd(rng, n_t=9, k=2, power=0.01):
     f = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
@@ -96,7 +98,8 @@ class TestSumRateLoss:
     def _channel_and_fd(self, seed):
         scenario = generate_scenario(ScenarioConfig(), seed=seed)
         res = wmmse.run_algorithm1(
-            scenario, wmmse.SolverConfig(max_iterations=15), seed=seed, em_update=False
+            scenario, P_MAX, wmmse.SolverConfig(max_iterations=15), seed=seed,
+            em_update=False,
         )
         return scenario, res.channels, res.state.f_d
 
@@ -104,19 +107,19 @@ class TestSumRateLoss:
         scenario, h, _ = self._channel_and_fd(1)
         rng = np.random.default_rng(1)
         phases = rng.uniform(0, 2 * math.pi, (9, 2))
-        f_d = np.exp(1j * phases) * math.sqrt(scenario.p_max / 18.0)
-        factors = dec.decompose(f_d, n_rf=4, p_max=scenario.p_max, rng=rng)
+        f_d = np.exp(1j * phases) * math.sqrt(P_MAX / 18.0)
+        factors = dec.decompose(f_d, n_rf=4, p_max=P_MAX, rng=rng)
         loss = dec.sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
         assert abs(loss) <= 1e-9
 
     def test_loss_small_at_full_rf_rank(self):
         scenario, h, f_d = self._channel_and_fd(2)
-        factors = dec.decompose(f_d, n_rf=9, p_max=scenario.p_max, rng=np.random.default_rng(2))
+        factors = dec.decompose(f_d, n_rf=9, p_max=P_MAX, rng=np.random.default_rng(2))
         loss = dec.sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
         assert abs(loss) <= 1e-3
 
     def test_loss_finite_on_default_pipeline(self):
         scenario, h, f_d = self._channel_and_fd(3)
-        factors = dec.decompose(f_d, n_rf=4, p_max=scenario.p_max, rng=np.random.default_rng(3))
+        factors = dec.decompose(f_d, n_rf=4, p_max=P_MAX, rng=np.random.default_rng(3))
         loss = dec.sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
         assert np.isfinite(loss)

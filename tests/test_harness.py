@@ -81,8 +81,7 @@ class TestConfig:
         assert hn.dbm_to_watts(20.0) == pytest.approx(0.1)
         assert hn.dbm_to_watts(10.0) == pytest.approx(0.01)
         cfg = hn.RunConfig(pmax_dbm=(20.0,))
-        assert cfg.scenario_config(20.0).p_max_w == pytest.approx(0.1)
-        assert cfg.scenario_config(20.0).noise_power_w == pytest.approx(10 ** (-12.5))
+        assert cfg.scenario_config().noise_power_w == pytest.approx(10 ** (-12.5))
 
     def test_zero_trials_rejected(self):
         with pytest.raises(hn.ConfigError, match="trials"):
@@ -117,13 +116,6 @@ class TestConfig:
     def test_invalid_mode(self):
         with pytest.raises(hn.ConfigError, match="mode"):
             hn.RunConfig(mode="quad")
-
-    def test_sweep_config(self):
-        cfg = hn.sweep_config(fast_config(mode="hybrid"))
-        assert cfg.mode == "all"
-        assert cfg.pmax_dbm == tuple(float(p) for p in range(0, 31, 5))
-        cfg = hn.sweep_config(fast_config(), pmax_dbm=[3.0, 6.0])
-        assert cfg.pmax_dbm == (3.0, 6.0)
 
 
 class TestRunTrials:
@@ -193,10 +185,10 @@ class TestRunDrop:
     def test_failed_pattern_solve_flags_its_rows_only(self, monkeypatch):
         solve = hn.run_algorithm1
 
-        def pattern_solve_fails(scenario, config, seed, em_update=True):
+        def pattern_solve_fails(*args, em_update=True, **kwargs):
             if em_update:
                 raise RuntimeError("synthetic pattern-solve failure")
-            return solve(scenario, config, seed, em_update=em_update)
+            return solve(*args, em_update=em_update, **kwargs)
 
         monkeypatch.setattr(hn, "run_algorithm1", pattern_solve_fails)
         records = hn.run_trials(fast_config(trials=1, mode="all"))
@@ -272,6 +264,60 @@ class TestRunDrop:
         serial = hn.run_trials(fast_config(workers=1, **params))
         parallel = hn.run_trials(fast_config(workers=2, **params))
         assert [strip_wall(r) for r in serial] == [strip_wall(r) for r in parallel]
+
+
+class TestPowerGrouping:
+    """A seed's rows do not depend on how its powers are grouped: its
+    scenario is drawn from the seed alone, built once, and each power's
+    solves read only it."""
+
+    POWERS = (0.0, 10.0, 30.0)
+
+    def run(self, pmax_dbm, **kwargs):
+        params = dict(trials=2, seed=5, mode="all", field_mode="near", pmax_dbm=pmax_dbm)
+        params.update(kwargs)
+        return [strip_wall(r) for r in hn.run_trials(fast_config(**params))]
+
+    @staticmethod
+    def by_power(rows):
+        """Rows ordered by (seed, power, mode)."""
+        return sorted(rows, key=lambda r: (r[0], r[2], hn.MODES.index(r[1])))
+
+    def test_together_equals_each_power_alone(self):
+        together = self.run(self.POWERS)
+        alone = [row for p in self.POWERS for row in self.run((p,))]
+        assert len(together) == 2 * 3 * 3
+        assert all(row[-1] is None for row in together)
+        assert together == self.by_power(alone)
+
+    def test_permuted_powers_sorted_back(self):
+        together = self.run(self.POWERS)
+        permuted = self.run((30.0, 0.0, 10.0))
+        assert [r[2] for r in permuted[:9]] == [30.0] * 3 + [0.0] * 3 + [10.0] * 3
+        assert self.by_power(permuted) == together
+
+    def test_workers_match_serial(self):
+        assert self.run(self.POWERS, workers=2) == self.run(self.POWERS, workers=1)
+
+    def test_one_scenario_per_seed(self, monkeypatch):
+        calls = count_calls(monkeypatch, "generate_scenario")
+        records = hn.run_trials(fast_config(trials=2, mode="all", pmax_dbm=self.POWERS))
+        assert len(records) == 18
+        assert [args[1] for args in calls] == [1, 2]
+
+    @pytest.mark.parametrize("trials,workers,processes", [(1, 2, 0), (2, 4, 2), (3, 2, 2)])
+    def test_no_more_processes_than_seeds(self, monkeypatch, trials, workers, processes):
+        pools = []
+        pool = hn.ProcessPoolExecutor
+
+        def recorded(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", recorded)
+        records = hn.run_trials(fast_config(trials=trials, workers=workers, mode="hybrid"))
+        assert len(records) == trials
+        assert pools == ([processes] if processes else [])
 
 
 class TestCandidateMemo:
@@ -435,14 +481,16 @@ class TestConfigSpace:
     """Every draw from the documented config space is either a config error
     or a drop whose rows are finite and error-free, with every solve keeping
     its invariants: the 4 pi and power budgets, pinned DC (pattern solves),
-    and acceptance 04's monotone objective chain and sum rate."""
+    and acceptance 04's monotone objective chain and sum rate.  The draws
+    cover eta over (0, sqrt(4 pi)), unequal weights, and projection onto the
+    stand-in set or a small candidate file."""
 
     DRAWS = 100
     DEGREES = (0, 1, 2, 4, 6, 10)
     TOL = 1e-8  # acceptance 04's bound
 
     @staticmethod
-    def draw(rng, seed):
+    def draw(rng, seed, patterns):
         n_h, n_v = (int(n) for n in rng.integers(1, 5, size=2))
         n_users = int(rng.integers(1, min(4, n_h * n_v) + 1))
         return dict(
@@ -454,6 +502,9 @@ class TestConfigSpace:
             truncation=int(rng.choice(TestConfigSpace.DEGREES)),
             field_mode=str(rng.choice(["far", "near"])),
             pmax_dbm=(float(rng.uniform(0.0, 30.0)),),
+            eta=float(rng.uniform(0.0, math.sqrt(4.0 * math.pi))),
+            weights=tuple(float(b) for b in rng.uniform(0.25, 4.0, n_users)),
+            patterns_path=str(patterns) if rng.uniform() < 0.5 else None,
             mode="all",
             trials=1,
             seed=seed,
@@ -471,26 +522,28 @@ class TestConfigSpace:
         rates = [rec.sum_rate for rec in result.history]
         assert all(b >= a - self.TOL for a, b in zip(rates, rates[1:]))
 
-    def test_every_draw_runs_clean_or_is_config_error(self, monkeypatch):
+    def test_every_draw_runs_clean_or_is_config_error(self, monkeypatch, tmp_path):
+        patterns = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=8, n_theta=19, n_phi=37), patterns)
         solves = []
         solve = hn.run_algorithm1
 
-        def recorded(scenario, config, seed, em_update=True):
-            result = solve(scenario, config, seed, em_update=em_update)
-            solves.append((result, config.eta, scenario.p_max, em_update))
+        def recorded(scenario, p_max, config, seed, em_update=True, **kwargs):
+            result = solve(scenario, p_max, config, seed, em_update=em_update, **kwargs)
+            solves.append((result, config.eta, p_max, em_update))
             return result
 
         monkeypatch.setattr(hn, "run_algorithm1", recorded)
         rng = np.random.default_rng(11)
         clean = 0
         for seed in range(1, self.DRAWS + 1):
-            params = self.draw(rng, seed)
+            params = self.draw(rng, seed, patterns)
             try:
                 config = hn.RunConfig(**params)
             except hn.ConfigError:
                 continue
             solves.clear()
-            rows = hn.run_drop(config, seed, config.pmax_dbm[0])
+            rows = hn.run_drop(config, seed)
             for row in rows:
                 assert row.error is None, (params, row.error)
                 assert math.isfinite(row.sum_rate) and math.isfinite(row.decomp_residual)
@@ -579,6 +632,11 @@ class TestTrace:
         tri = [r.sum_rate for r in rows if r.mode == "trihybrid"][-1]
         hyb = [r.sum_rate for r in rows if r.mode == "hybrid"][-1]
         assert tri >= hyb
+
+    def test_degree_zero_rejected(self):
+        # the API may set a mode that allows degree 0; trace still needs it
+        with pytest.raises(hn.ConfigError, match="truncation"):
+            hn.convergence_trace(fast_config(truncation=0, mode="hybrid"), seed=1)
 
     def test_one_power_only(self):
         cfg = fast_config(max_iterations=3, pmax_dbm=(0.0, 30.0))
@@ -706,12 +764,58 @@ class TestCli:
         assert record.error is None and math.isfinite(record.sum_rate)
 
     def test_trace_degree_zero_is_config_error(self, tmp_path, capsys):
-        # trace runs the pattern solve whatever the configured mode
-        cfg = self.write_fast_config(tmp_path, truncation=0, mode="hybrid")
+        # trace runs the pattern solve, and its config file may not set a mode
+        cfg = self.write_fast_config(tmp_path, truncation=0)
         out = tmp_path / "t.csv"
         assert cli.main(["trace", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: truncation")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("trace", "trials", 7),
+            ("trace", "mode", "hybrid"),
+            ("trace", "workers", 3),
+            ("trace", "patterns_path", "/nonexistent.json"),
+            ("trace", "refit", False),
+            ("sweep", "mode", "hybrid"),
+            ("project", "mode", "hybrid"),
+        ],
+        ids=["trace-trials", "trace-mode", "trace-workers", "trace-patterns",
+             "trace-refit", "sweep-mode", "project-mode"],
+    )
+    def test_file_field_the_subcommand_never_reads_is_config_error(
+        self, tmp_path, capsys, command, key, value
+    ):
+        cfg = self.write_fast_config(tmp_path, max_iterations=3, **{key: value})
+        out = tmp_path / "r.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    def test_sweep_power_grid_precedence(self, tmp_path):
+        # the --pmax-dbm flag, else the file's pmax_dbm, else 0..30 dBm
+        out = tmp_path / "s.csv"
+        plain = self.write_fast_config(tmp_path, trials=1, max_iterations=2)
+        assert cli.main(["sweep", "--config", str(plain), "--out", str(out)]) == 0
+        assert sorted({r.pmax_dbm for r in hn.read_csv(out)}) == list(cli.SWEEP_DBM)
+        cfg = self.write_fast_config(tmp_path, trials=1, max_iterations=2, pmax_dbm=[0, 10])
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        records = hn.read_csv(out)
+        assert len(records) == 2 * len(hn.MODES)
+        assert {r.pmax_dbm for r in records} == {0.0, 10.0}
+        code = cli.main(["sweep", "--config", str(cfg), "--pmax-dbm", "5", "--out", str(out)])
+        assert code == 0
+        assert {r.pmax_dbm for r in hn.read_csv(out)} == {5.0}
+
+    def test_trace_file_sets_out_path(self, tmp_path):
+        # a subcommand default gives way to the file
+        out = tmp_path / "from-file.csv"
+        cfg = self.write_fast_config(tmp_path, max_iterations=2, out_path=str(out))
+        assert cli.main(["trace", "--config", str(cfg)]) == 0
+        assert out.read_text().startswith("mode,iteration,sum_rate,objective")
 
     @pytest.mark.parametrize(
         "command,flag",
@@ -789,7 +893,7 @@ class TestCli:
         assert not out.exists()
 
     def test_sweep_forces_all_modes(self, tmp_path):
-        cfg = self.write_fast_config(tmp_path, trials=1, mode="hybrid")
+        cfg = self.write_fast_config(tmp_path, trials=1)
         out = tmp_path / "s.csv"
         code = cli.main(
             ["sweep", "--config", str(cfg), "--pmax-dbm", "5", "10",

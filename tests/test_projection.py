@@ -417,7 +417,8 @@ def solve_small(seed, **cfg):
     params.update(cfg)
     scenario = generate_scenario(ScenarioConfig(**params), seed=seed)
     result = wmmse.run_algorithm1(
-        scenario, wmmse.SolverConfig(max_iterations=60), seed=seed
+        scenario, 10 ** ((10.0 - 30.0) / 10.0), wmmse.SolverConfig(max_iterations=60),
+        seed=seed,
     )
     return scenario, result
 
@@ -438,7 +439,8 @@ class TestApplyProjection:
         h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         np.testing.assert_allclose(projected.channels, h_iso, rtol=1e-9)
         expected = wmmse.sum_rate(
-            h_iso @ result.state.f_d, scenario.weights, scenario.noise_powers
+            wmmse.link_stats(h_iso @ result.state.f_d), scenario.weights,
+            scenario.noise_powers,
         )
         assert projected.sum_rate == pytest.approx(expected)
         np.testing.assert_array_equal(projected.f_d, result.state.f_d)

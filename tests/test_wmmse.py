@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from dense_oracle import (
     QuadraticSubproblem,
     dense_quadratic,
@@ -15,7 +16,7 @@ from dense_oracle import (
 from trihybrid import wmmse
 from trihybrid.channel import ScenarioConfig, generate_scenario
 from trihybrid.harmonics import FULL_SPHERE
-from trihybrid.harness import RunConfig
+from trihybrid.harness import RunConfig, dbm_to_watts
 
 ETA = math.sqrt(2.0 * math.pi)
 RHO_SQ = FULL_SPHERE - ETA**2  # = 2 pi
@@ -99,35 +100,34 @@ class TestSumRate:
     def test_single_user_unit_sinr(self):
         h = np.array([[1.0 + 0j]])
         f = np.array([[1.0 + 0j]])
-        assert wmmse.sum_rate(h @ f, [1.0], [1.0]) == pytest.approx(1.0)
+        assert wmmse.sum_rate(wmmse.link_stats(h @ f), [1.0], [1.0]) == pytest.approx(1.0)
 
     def test_zero_precoder(self):
         h = np.ones((2, 3), dtype=complex)
-        assert wmmse.sum_rate(h @ np.zeros((3, 2)), [1, 1], [1, 1]) == 0.0
+        assert wmmse.sum_rate(wmmse.link_stats(h @ np.zeros((3, 2))), [1, 1], [1, 1]) == 0.0
 
     def test_symmetric_interference_limit(self):
         h = np.ones((2, 2), dtype=complex)
         f = np.eye(2, dtype=complex)
-        rate = wmmse.sum_rate(h @ f, [1.0, 1.0], [1e-12, 1e-12])
+        rate = wmmse.sum_rate(wmmse.link_stats(h @ f), [1.0, 1.0], [1e-12, 1e-12])
         assert rate == pytest.approx(2.0, abs=1e-9)
 
     def test_rejects_bad_noise(self):
         with pytest.raises(ValueError):
-            wmmse.sum_rate(np.ones((1, 1)), [1.0], [0.0])
+            wmmse.sum_rate(wmmse.link_stats(np.ones((1, 1))), [1.0], [0.0])
 
 
 class TestMse:
     def test_zero_combiner(self):
         h = np.ones((2, 3), dtype=complex)
         f = np.ones((3, 2), dtype=complex)
-        np.testing.assert_allclose(
-            wmmse.mse_vector(h @ f, np.zeros(2, dtype=complex), [0.5, 0.5]), [1.0, 1.0]
-        )
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f), np.zeros(2, dtype=complex), [0.5, 0.5])
+        np.testing.assert_allclose(e, [1.0, 1.0])
 
     def test_perfect_equalization(self):
         h = np.array([[1.0 + 0j]])
         f = np.array([[1.0 + 0j]])
-        e = wmmse.mse_vector(h @ f, np.array([1.0 + 0j]), [0.0])
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f), np.array([1.0 + 0j]), [0.0])
         assert e[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_covariance_oracle(self):
@@ -136,7 +136,7 @@ class TestMse:
         blocks, coeffs, f_d, v, _, _, noise = random_instance(7)
         h = wmmse.effective_channels(blocks, coeffs)
         p = h @ f_d
-        e = wmmse.mse_vector(h @ f_d, v, noise)
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v, noise)
         for k in range(2):
             u = v[k] * p[k] - np.eye(2)[k]
             expected = np.sum(np.abs(u) ** 2) + noise[k] * abs(v[k]) ** 2
@@ -149,26 +149,26 @@ class TestUpdateV:
         f = np.array([[0.5 + 0.1j], [-0.2 + 0.9j]])
         sigma = 0.37
         p = (h @ f)[0, 0]
-        v = wmmse.update_v(h @ f, [sigma])
+        v = wmmse.update_v(wmmse.link_stats(h @ f), [sigma])
         assert v[0] == pytest.approx(np.conj(p) / (abs(p) ** 2 + sigma))
 
     def test_zero_precoder_gives_zero(self):
         h = np.ones((2, 3), dtype=complex)
-        v = wmmse.update_v(h @ np.zeros((3, 2)), [1.0, 1.0])
+        v = wmmse.update_v(wmmse.link_stats(h @ np.zeros((3, 2))), [1.0, 1.0])
         np.testing.assert_array_equal(v, np.zeros(2))
 
     def test_finite_difference_stationarity(self):
         blocks, coeffs, f_d, _, w, weights, noise = random_instance(3)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(h @ f_d, noise)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
         eps = 1e-6
         for k in range(2):
             for delta in (eps, 1j * eps):
                 vp, vm = v.copy(), v.copy()
                 vp[k] += delta
                 vm[k] -= delta
-                ep = wmmse.mse_vector(h @ f_d, vp, noise)[k]
-                em = wmmse.mse_vector(h @ f_d, vm, noise)[k]
+                ep = wmmse.mse_vector(wmmse.link_stats(h @ f_d), vp, noise)[k]
+                em = wmmse.mse_vector(wmmse.link_stats(h @ f_d), vm, noise)[k]
                 assert abs(w[k] * (ep - em) / (2 * eps)) < 1e-8
 
 
@@ -176,27 +176,28 @@ class TestUpdateW:
     def test_arithmetic_example(self):
         h = np.array([[0.5 + 0j]])
         f = np.array([[1.0 + 0j]])
-        w = wmmse.update_w(h @ f, np.array([1.0 + 0j]))
+        w = wmmse.update_w(wmmse.link_stats(h @ f), np.array([1.0 + 0j]))
         assert w[0] == pytest.approx(2.0)
 
     def test_zero_combiner(self):
         h = np.ones((2, 2), dtype=complex)
-        w = wmmse.update_w(h @ np.ones((2, 2)), np.zeros(2, dtype=complex))
+        links = wmmse.link_stats(h @ np.ones((2, 2)))
+        w = wmmse.update_w(links, np.zeros(2, dtype=complex))
         np.testing.assert_allclose(w, [1.0, 1.0])
 
     def test_mmse_identity_after_fresh_v(self):
         blocks, coeffs, f_d, _, _, _, noise = random_instance(11)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(h @ f_d, noise)
-        w = wmmse.update_w(h @ f_d, v)
-        e = wmmse.mse_vector(h @ f_d, v, noise)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v, noise)
         np.testing.assert_allclose(w * e, 1.0, atol=1e-8)
 
     def test_degenerate_combiner_rejected(self):
         h = np.array([[1.0 + 0j]])
         f = np.array([[1.0 + 0j]])
         with pytest.raises(RuntimeError):
-            wmmse.update_w(h @ f, np.array([1.0 + 1e-16j]))
+            wmmse.update_w(wmmse.link_stats(h @ f), np.array([1.0 + 1e-16j]))
 
 
 class TestUpdateFd:
@@ -205,8 +206,8 @@ class TestUpdateFd:
         # unique solution that a generous budget must return unchanged
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(5, n_users=4, n_t=4)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(h @ f_d, noise)
-        w = wmmse.update_w(h @ f_d, v)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         coef = weights * w * np.abs(v) ** 2
         m = np.conj(h).T @ (coef[:, None] * h)
         b = np.conj(h).T * (weights * w * np.conj(v))[None, :]
@@ -218,8 +219,8 @@ class TestUpdateFd:
     def test_tight_budget_met(self):
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(9)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(h @ f_d, noise)
-        w = wmmse.update_w(h @ f_d, v)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         p_max = 1e-4
         out = wmmse.update_fd(h, w, v, weights, p_max)
         assert abs(np.sum(np.abs(out) ** 2) - p_max) <= 1e-8 * p_max
@@ -239,8 +240,8 @@ class TestUpdateFd:
         for seed in range(20):
             blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed + 100)
             h = wmmse.effective_channels(blocks, coeffs)
-            v = wmmse.update_v(h @ f_d, noise)
-            w = wmmse.update_w(h @ f_d, v)
+            v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+            w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
             p_max = float(10.0 ** np.random.default_rng(seed).uniform(-6, 2))
             out = wmmse.update_fd(h, w, v, weights, p_max)
             assert np.sum(np.abs(out) ** 2) <= p_max * (1 + 1e-8)
@@ -281,8 +282,8 @@ class TestUpdateFd:
         monkeypatch.setattr(wmmse, "MULTIPLIER_STEPS", 1)
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(9)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(h @ f_d, noise)
-        w = wmmse.update_w(h @ f_d, v)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         with pytest.raises(RuntimeError, match="Newton .* relative power residual"):
             wmmse.update_fd(h, w, v, weights, 1e-4)
 
@@ -331,7 +332,8 @@ class TestAssembleQuadratic:
         np.testing.assert_array_equal(sub.a_matrix, 0.0)
         np.testing.assert_array_equal(sub.d, 0.0)
         assert sub.rho_sq == pytest.approx(RHO_SQ)
-        lams, _, _ = wmmse.assemble_quadratic(blocks, f_d, w, zero, weights)
+        factors = wmmse.factor_ac_blocks(blocks)
+        lams, _, _ = wmmse.assemble_quadratic(factors, f_d, w, zero, weights)
         np.testing.assert_array_equal(lams, 0.0)
 
     def test_quadratic_model_matches_weighted_mse(self):
@@ -343,7 +345,7 @@ class TestAssembleQuadratic:
             test = coeffs.copy()
             test[n, 1:] = ac
             h = wmmse.effective_channels(blocks, test)
-            e = wmmse.mse_vector(h @ f_d, v, noise)
+            e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v, noise)
             return float(np.sum(weights * w * e))
 
         sub = dense_quadratic(blocks, coeffs, f_d, w, v, weights, n)
@@ -357,7 +359,8 @@ class TestAssembleQuadratic:
             ac = rng.standard_normal(coeffs.shape[1] - 1)
             assert model(ac) + offset == pytest.approx(weighted_mse(ac), abs=1e-8)
 
-        lams, vecs, _ = wmmse.assemble_quadratic(blocks, f_d, w, v, weights)
+        factors = wmmse.factor_ac_blocks(blocks)
+        lams, vecs, _ = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         scale = np.linalg.norm(sub.a_matrix)
         assert np.linalg.norm(reduced_matrix(lams[n], vecs[n]) - sub.a_matrix) <= 1e-12 * scale
 
@@ -367,7 +370,8 @@ class TestAssembleQuadratic:
             sub = dense_quadratic(blocks, coeffs, f_d, w, v, weights, n=0)
             eigvals = np.linalg.eigvalsh(sub.a_matrix)
             assert eigvals.min() >= -1e-10 * max(eigvals.max(), 1.0)
-            lams, _, _ = wmmse.assemble_quadratic(blocks, f_d, w, v, weights)
+            factors = wmmse.factor_ac_blocks(blocks)
+            lams, _, _ = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
             assert lams.min() >= -1e-10 * max(lams.max(), 1.0)
 
     @pytest.mark.parametrize("n_users,t_len", [(2, 9), (3, 25), (2, 4), (3, 4)])
@@ -377,7 +381,8 @@ class TestAssembleQuadratic:
         blocks, coeffs, f_d, v, w, weights, _ = random_instance(
             53, n_users=n_users, t_len=t_len
         )
-        lams, vecs, proj = wmmse.assemble_quadratic(blocks, f_d, w, v, weights)
+        factors = wmmse.factor_ac_blocks(blocks)
+        lams, vecs, proj = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         rank = min(t_len - 1, 2 * n_users)
         assert lams.shape == (4, rank) and vecs.shape == (4, t_len - 1, rank)
         for n in range(4):
@@ -574,7 +579,8 @@ def test_reduced_solve_matches_dense_eigh(n_users, dim, seed, log_rho_sq, idle_a
     rho_sq = 10.0**log_rho_sq
 
     def reduced_solve(blocks):
-        lams, vecs, proj = wmmse.assemble_quadratic(blocks, f_d, w, v, weights)
+        factors = wmmse.factor_ac_blocks(blocks)
+        lams, vecs, proj = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         dt = (proj[0] @ a).real
         return vecs[0], wmmse.solve_ac_subproblem(lams[0], vecs[0], dt, rho_sq)
 
@@ -654,17 +660,17 @@ class TestUpdateEm:
     @pytest.mark.parametrize("seed", [3, 6, 12, 21])
     def test_carried_links_match_full_rebuild(self, monkeypatch, seed):
         # update_em scores the incumbent and then one candidate per antenna on
-        # links moved by rank-1 terms; the links of the last accepted
-        # candidate are those of the returned patterns
+        # links moved by rank-1 terms, forming each one's statistics once;
+        # the links of the last accepted candidate are those of the returned
+        # patterns
         scored = []
-        link_mse = wmmse.mse_vector
-        monkeypatch.setattr(
-            wmmse, "mse_vector", lambda p, *args: scored.append(p) or link_mse(p, *args)
-        )
+        stats = wmmse.link_stats
+        monkeypatch.setattr(wmmse, "link_stats", lambda p: scored.append(p) or stats(p))
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed, n_t=6)
         out = wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise)
         objectives = [
-            wmmse.wmmse_objective(w, link_mse(p, v, noise), weights) for p in scored
+            wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v, noise), weights)
+            for p in scored
         ]
         accepted = [0] + [1 + n for n in np.flatnonzero(np.any(out != coeffs, axis=1))]
         assert len(accepted) > 1
@@ -690,6 +696,9 @@ class TestUpdateEm:
         np.testing.assert_allclose(out, dense, rtol=0, atol=1e-10)
 
 
+P_MAX = 10 ** ((10.0 - 30.0) / 10.0)  # 10 dBm in watts
+
+
 def small_scenario(seed=0, **kwargs):
     defaults = dict(n_h=2, n_v=2, n_users=2, n_paths=2, truncation=2, user_radius_m=60.0)
     defaults.update(kwargs)
@@ -699,26 +708,28 @@ def small_scenario(seed=0, **kwargs):
 class TestAlgorithm:
     def test_improves_over_initialization(self):
         res = wmmse.run_algorithm1(
-            small_scenario(1), wmmse.SolverConfig(max_iterations=300), seed=1
+            small_scenario(1), P_MAX, wmmse.SolverConfig(max_iterations=300), seed=1
         )
         assert res.sum_rate > res.history[0].sum_rate
         assert res.converged
 
     def test_single_sweep_contract(self):
         config = wmmse.SolverConfig(tolerance=0.0, max_iterations=1)
-        res = wmmse.run_algorithm1(small_scenario(2), config, seed=2)
+        res = wmmse.run_algorithm1(small_scenario(2), P_MAX, config, seed=2)
         assert res.iterations == 1
         assert not res.converged
 
     def test_feasibility_every_iteration(self):
         config = wmmse.SolverConfig(max_iterations=20)
         scenario = small_scenario(3)
-        res = wmmse.run_algorithm1(scenario, config, seed=3)
-        res.state.validate(config.eta, scenario.p_max)
+        res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=3)
+        res.state.validate(config.eta, P_MAX)
 
     def test_stepwise_objective_monotone(self):
         scenario = small_scenario(4)
-        res = wmmse.run_algorithm1(scenario, wmmse.SolverConfig(max_iterations=30), seed=4)
+        res = wmmse.run_algorithm1(
+            scenario, P_MAX, wmmse.SolverConfig(max_iterations=30), seed=4
+        )
         prev = res.initial_objective
         for rec in res.history:
             for obj in (
@@ -731,24 +742,33 @@ class TestAlgorithm:
                 prev = obj
 
     def test_sum_rate_monotone(self):
-        res = wmmse.run_algorithm1(small_scenario(5), seed=5)
+        res = wmmse.run_algorithm1(small_scenario(5), P_MAX, seed=5)
         rates = [r.sum_rate for r in res.history]
         assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
 
     def test_frozen_patterns_reuse_fd_objective(self, monkeypatch):
         # without a pattern step the objective after F_D is the iteration's
-        # objective: three MSE evaluations per iteration, not four
+        # objective, and the objectives after v and after w score one MSE
+        # vector: two MSE evaluations per iteration, not four
         calls = []
         mse = wmmse.mse_vector
         monkeypatch.setattr(wmmse, "mse_vector", lambda *a: calls.append(1) or mse(*a))
         config = wmmse.SolverConfig(max_iterations=12, tolerance=0.0)
-        res = wmmse.run_algorithm1(small_scenario(6), config, seed=6, em_update=False)
+        res = wmmse.run_algorithm1(
+            small_scenario(6), P_MAX, config, seed=6, em_update=False
+        )
         assert all(rec.objective == rec.objective_after_fd for rec in res.history)
-        assert len(calls) == 1 + 3 * res.iterations  # the initial objective, then 3 each
+        assert len(calls) == 1 + 2 * res.iterations  # the initial objective, then 2 each
+
+    def test_rejects_bad_budget(self):
+        # the budget is an argument of the solve, checked there
+        for p_max in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="power budget"):
+                wmmse.run_algorithm1(small_scenario(6), p_max, seed=6)
 
     def test_frozen_em_keeps_patterns(self):
         scenario = small_scenario(6)
-        res = wmmse.run_algorithm1(scenario, seed=6, em_update=False)
+        res = wmmse.run_algorithm1(scenario, P_MAX, seed=6, em_update=False)
         iso = wmmse.isotropic_coefficients(4, 2)
         np.testing.assert_array_equal(res.state.coeffs, iso)
 
@@ -759,11 +779,11 @@ class TestAlgorithm:
         config = RunConfig()
         solver = config.solver_config()
         for pmax_dbm in (20.0, 25.0, 30.0):
-            scenario_config = config.scenario_config(pmax_dbm)
+            p_max = dbm_to_watts(pmax_dbm)
             for seed in range(1, 21):
-                scenario = generate_scenario(scenario_config, seed)
-                res = wmmse.run_algorithm1(scenario, solver, seed=seed)
-                res.state.validate(solver.eta, scenario.p_max)
+                scenario = generate_scenario(config.scenario_config(), seed)
+                res = wmmse.run_algorithm1(scenario, p_max, solver, seed=seed)
+                res.state.validate(solver.eta, p_max)
 
     # Relative sum-rate change of a default drop when the power multiplier
     # comes from Newton instead of the bisection oracle.  Both stop within
@@ -782,17 +802,19 @@ class TestAlgorithm:
     ):
         config = RunConfig(field_mode=field_mode)
         for seed in seeds:
+            scenario = generate_scenario(config.scenario_config(), seed)
             for dbm in (0.0, 10.0, 20.0, 30.0):
-                scenario = generate_scenario(config.scenario_config(dbm), seed)
+                p_max = dbm_to_watts(dbm)
                 newton = wmmse.run_algorithm1(
-                    scenario, config.solver_config(), seed, em_update=em_update
+                    scenario, p_max, config.solver_config(), seed, em_update=em_update
                 )
                 with monkeypatch.context() as patch:
+                    # the loop also passes H^H, which the oracle forms itself
                     patch.setattr(
-                        wmmse, "update_fd", lambda *args: update_fd_bisection(*args)[0]
+                        wmmse, "update_fd", lambda *args: update_fd_bisection(*args[:5])[0]
                     )
                     oracle = wmmse.run_algorithm1(
-                        scenario, config.solver_config(), seed, em_update=em_update
+                        scenario, p_max, config.solver_config(), seed, em_update=em_update
                     )
                 assert newton.iterations == oracle.iterations
                 assert newton.sum_rate == pytest.approx(oracle.sum_rate, rel=self.SUM_RATE_RTOL)
@@ -807,12 +829,15 @@ class TestAlgorithm:
     @pytest.mark.parametrize("seed", [3, 7])
     def test_range_sweep_tracks_dense_sweep_oracle(self, monkeypatch, seed):
         config = RunConfig()
+        scenario = generate_scenario(config.scenario_config(), seed)
         for dbm in (0.0, 10.0, 20.0, 30.0):
-            scenario = generate_scenario(config.scenario_config(dbm), seed)
-            fast = wmmse.run_algorithm1(scenario, config.solver_config(), seed)
+            p_max = dbm_to_watts(dbm)
+            fast = wmmse.run_algorithm1(scenario, p_max, config.solver_config(), seed)
             with monkeypatch.context() as patch:
-                patch.setattr(wmmse, "update_em", dense_sweep)
-                oracle = wmmse.run_algorithm1(scenario, config.solver_config(), seed)
+                # the solve also passes the blocks' AC factors, which the
+                # dense sweep does not use
+                patch.setattr(wmmse, "update_em", lambda *args: dense_sweep(*args[:7]))
+                oracle = wmmse.run_algorithm1(scenario, p_max, config.solver_config(), seed)
             assert fast.iterations == oracle.iterations
             assert fast.sum_rate == pytest.approx(oracle.sum_rate, rel=self.RANGE_SWEEP_RTOL)
 
@@ -821,12 +846,12 @@ class TestAlgorithm:
         # reduced channel; re-derive steps 1-3 from their formulas directly
         scenario = small_scenario(7)
         config = wmmse.SolverConfig(max_iterations=10, tolerance=0.0)
-        res = wmmse.run_algorithm1(scenario, config, seed=7, em_update=False)
+        res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=7, em_update=False)
 
         blocks = scenario.em_channels()
         h = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         f = np.conj(h).T
-        f *= math.sqrt(scenario.p_max / np.sum(np.abs(f) ** 2))
+        f *= math.sqrt(P_MAX / np.sum(np.abs(f) ** 2))
         noise = scenario.noise_powers
         beta = scenario.weights
         for _ in range(10):
@@ -850,12 +875,12 @@ class TestAlgorithm:
                     [np.linalg.solve(m + lam * np.eye(4), bc) for bc in bcols], axis=1
                 )
 
-            if np.sum(np.abs(np.linalg.lstsq(m, np.stack(bcols, 1), rcond=None)[0]) ** 2) > scenario.p_max:
-                while np.sum(np.abs(precoder(hi)) ** 2) > scenario.p_max:
+            if np.sum(np.abs(np.linalg.lstsq(m, np.stack(bcols, 1), rcond=None)[0]) ** 2) > P_MAX:
+                while np.sum(np.abs(precoder(hi)) ** 2) > P_MAX:
                     hi *= 2
                 for _ in range(300):
                     mid = 0.5 * (lo + hi)
-                    if np.sum(np.abs(precoder(mid)) ** 2) > scenario.p_max:
+                    if np.sum(np.abs(precoder(mid)) ** 2) > P_MAX:
                         lo = mid
                     else:
                         hi = mid
@@ -863,7 +888,7 @@ class TestAlgorithm:
             else:
                 f = np.linalg.lstsq(m, np.stack(bcols, 1), rcond=None)[0]
 
-        oracle_rate = wmmse.sum_rate(h @ f, beta, noise)
+        oracle_rate = wmmse.sum_rate(wmmse.link_stats(h @ f), beta, noise)
         assert res.sum_rate == pytest.approx(oracle_rate, rel=1e-6)
 
     def test_refit_digital_converges(self):
@@ -871,27 +896,88 @@ class TestAlgorithm:
         blocks = scenario.em_channels()
         h = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         f, v, w, rates = wmmse.refit_digital(
-            h, scenario.weights, scenario.noise_powers, scenario.p_max
+            h, scenario.weights, scenario.noise_powers, P_MAX
         )
         assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
-        assert np.sum(np.abs(f) ** 2) <= scenario.p_max * (1 + 1e-8)
+        assert np.sum(np.abs(f) ** 2) <= P_MAX * (1 + 1e-8)
 
     def test_refit_digital_is_the_frozen_pattern_loop(self):
         # refit_digital and the hybrid baseline share one v/w/F_D loop: from
         # the same start on the same channel they agree bit for bit
         scenario = small_scenario(9)
         config = wmmse.SolverConfig(max_iterations=40)
-        res = wmmse.run_algorithm1(scenario, config, seed=9, em_update=False)
+        res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=9, em_update=False)
         blocks = scenario.em_channels()
         h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         f, v, w, rates = wmmse.refit_digital(
-            h_iso, scenario.weights, scenario.noise_powers, scenario.p_max, config,
-            f_init=wmmse.matched_filter_precoder(h_iso, scenario.p_max),
+            h_iso, scenario.weights, scenario.noise_powers, P_MAX, config,
+            f_init=wmmse.matched_filter_precoder(h_iso, P_MAX),
         )
         np.testing.assert_array_equal(f, res.state.f_d)
         np.testing.assert_array_equal(v, res.state.v)
         np.testing.assert_array_equal(w, res.state.w)
         assert rates == [rec.sum_rate for rec in res.history]
+
+
+class TestLoopMatchesReference:
+    """``_alternate`` forms each links update's statistics once, and H^H once
+    per channel; every record field but the timings, and the returned state,
+    equal the per-call reference loop's bit for bit."""
+
+    @staticmethod
+    def run(loop, scenario, p_max, config, seed, em_update):
+        blocks = scenario.em_channels()
+        weights, noise = scenario.weights, scenario.noise_powers
+        n_t = scenario.geometry.n_t
+        if em_update:
+            rng = np.random.default_rng(seed)
+            coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, config.eta, rng)
+        else:
+            coeffs = wmmse.isotropic_coefficients(n_t, scenario.truncation)
+        factors = wmmse.factor_ac_blocks(blocks)
+
+        def pattern_step(f_d, w, v):
+            nonlocal coeffs
+            coeffs = wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise, factors)
+            return wmmse.effective_channels(blocks, coeffs)
+
+        h = wmmse.effective_channels(blocks, coeffs)
+        f_d = wmmse.matched_filter_precoder(h, p_max)
+        return loop(
+            h, f_d, weights, noise, p_max, config, pattern_step if em_update else None
+        )
+
+    @pytest.mark.parametrize(
+        "field_mode,dbm,em_update,max_iterations,seed",
+        [
+            ("far", 10.0, True, 100, 1),
+            ("near", 30.0, True, 100, 2),
+            ("near", 30.0, False, 100, 3),
+            ("far", 30.0, True, 6, 4),  # capped: stops un-converged
+        ],
+        ids=["far-10dBm", "near-30dBm", "near-30dBm-frozen", "capped"],
+    )
+    def test_history_bit_equal(self, field_mode, dbm, em_update, max_iterations, seed):
+        run_config = RunConfig(field_mode=field_mode, max_iterations=max_iterations)
+        scenario = generate_scenario(run_config.scenario_config(), seed)
+        config = run_config.solver_config()
+        args = (scenario, dbm_to_watts(dbm), config, seed, em_update)
+        h, f_d, v, w, history, converged = self.run(wmmse._alternate, *args)
+        ref = self.run(reference.alternate, *args)
+        assert converged == ref[5]
+        if max_iterations < 100:
+            assert not converged and len(history) == max_iterations
+        for got, want in zip((h, f_d, v, w), ref):
+            np.testing.assert_array_equal(got, want)
+        assert len(history) == len(ref[4]) > 1
+        for got, want in zip(history, ref[4]):
+            assert (
+                got.iteration, got.sum_rate, got.objective, got.objective_after_v,
+                got.objective_after_w, got.objective_after_fd,
+            ) == (
+                want.iteration, want.sum_rate, want.objective, want.objective_after_v,
+                want.objective_after_w, want.objective_after_fd,
+            )
 
 
 class TestSolverConfig:
