@@ -11,11 +11,14 @@ The multipath channel of user k is
     h_k = sqrt(N_T / L_k) * sum_l  alpha_{k,l} (.) g_{k,l} (.) a_{k,l}
 
 (elementwise products of complex gains, per-element antenna gains, and the
-array response).  Writing each per-element gain through the harmonic basis
+array response).  A path (``PathGeometry``) is its per-element departure
+angles, where the antenna gains g are evaluated, and its response
+alpha (.) a, formed once when the path is drawn from the far- or near-field
+array response.  Writing each per-element gain through the harmonic basis
 turns this into h_k = F_EM^T h_k^EM with a block-diagonal pattern-coefficient
 stack F_EM and the EM-domain channel h_k^EM, one (N_T, T) block per user.
-One path sum, ``assemble_channel``, builds the channel under any per-element
-gains: with the basis vectors as gains it gives the blocks
+One path sum, ``assemble_channel(paths, gains)``, builds the channel under
+any per-element gains: with the basis vectors as gains it gives the blocks
 (``Scenario.em_channels``) that ``effective_channels`` contracts with the
 patterns, and with a candidate set's gains the projected channel.
 """
@@ -62,37 +65,23 @@ def element_positions(geom: UpaGeometry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathGeometry:
-    """Per-element departure geometry and complex gain of one path.
+    """One path: per-element departure angles and response.
 
-    In far-field mode all per-element angles, distances, and gains are
-    identical; near-field paths carry the element-resolved values.
+    ``thetas`` and ``phis`` are the departure angles at each element, where
+    the pattern gains are evaluated; ``response`` is the per-element complex
+    gain times the array response, alpha (.) a, which the path sum weights
+    by those gains.  A far-field path has the same angles at every element.
     """
 
     thetas: np.ndarray
     phis: np.ndarray
-    dists: np.ndarray
-    ref_dist: float
-    gains: np.ndarray
-    far_field: bool = True
+    response: np.ndarray
 
     def __post_init__(self):
-        for name in ("thetas", "phis", "dists", "gains"):
-            arr = np.asarray(getattr(self, name))
-            object.__setattr__(self, name, arr)
-        n = self.thetas.size
-        if not (self.phis.size == self.dists.size == self.gains.size == n):
+        for name in ("thetas", "phis", "response"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        if not (self.thetas.size == self.phis.size == self.response.size):
             raise ValueError("per-element arrays must share one length")
-        if np.any(self.dists <= 0) or self.ref_dist <= 0:
-            raise ValueError("propagation distances must be positive")
-        if self.far_field:
-            for name in ("thetas", "phis", "gains"):
-                arr = getattr(self, name)
-                if not np.allclose(arr, arr.flat[0]):
-                    raise ValueError(f"far-field path requires identical {name}")
-
-    @property
-    def n_elements(self) -> int:
-        return self.thetas.size
 
 
 def far_field_arv(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
@@ -108,19 +97,11 @@ def far_field_arv(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
     return np.kron(ramp_h, ramp_v) / math.sqrt(geom.n_t)
 
 
-def near_field_arv(path: PathGeometry, geom: UpaGeometry) -> np.ndarray:
-    """Near-field array response from per-element propagation distances."""
-    if np.any(path.dists <= 0):
-        raise ValueError("propagation distances must be positive")
-    phase = -2j * math.pi / geom.wavelength * (path.ref_dist - path.dists)
-    return np.exp(phase) / math.sqrt(path.n_elements)
-
-
-def path_arv(path: PathGeometry, geom: UpaGeometry) -> np.ndarray:
-    """Response vector of a path under its field mode."""
-    if path.far_field:
-        return far_field_arv(float(path.thetas[0]), float(path.phis[0]), geom)
-    return near_field_arv(path, geom)
+def near_field_arv(dists: np.ndarray, reference: float, geom: UpaGeometry) -> np.ndarray:
+    """Near-field array response, unit norm, from the per-element
+    propagation distances ``dists`` and the path's ``reference`` length."""
+    phase = -2j * math.pi / geom.wavelength * (reference - dists)
+    return np.exp(phase) / math.sqrt(dists.size)
 
 
 def path_aods(geom: UpaGeometry, source: np.ndarray, bs_position=None):
@@ -151,8 +132,8 @@ def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("kmt,mt->km", blocks, coeffs)
 
 
-def assemble_channel(paths, geom: UpaGeometry, gains) -> np.ndarray:
-    """Multipath channel sqrt(N_T / L) sum_l gains[l, n, ...] (alpha_l a_l)[n].
+def assemble_channel(paths, gains) -> np.ndarray:
+    """Multipath channel sqrt(N_T / L) sum_l gains[l, n, ...] response_l[n].
 
     ``gains[l, n]`` is path ``l``'s gain at element ``n``: a scalar per
     element gives the (N_T,) channel, and trailing axes broadcast, so the
@@ -163,10 +144,9 @@ def assemble_channel(paths, geom: UpaGeometry, gains) -> np.ndarray:
     gains = np.asarray(gains)
     tail = (1,) * (gains.ndim - 2)
     acc = sum(
-        g * (path.gains * path_arv(path, geom)).reshape(-1, *tail)
-        for path, g in zip(paths, gains)
+        g * path.response.reshape(-1, *tail) for path, g in zip(paths, gains)
     )
-    return math.sqrt(geom.n_t / len(paths)) * acc
+    return math.sqrt(paths[0].response.size / len(paths)) * acc
 
 
 @dataclass(frozen=True)
@@ -203,7 +183,7 @@ class Scenario:
             thetas = np.stack([p.thetas for p in user])  # (L, N_T)
             phis = np.stack([p.phis for p in user])
             gains = basis_vector(thetas, phis, self.truncation)  # (L, N_T, T)
-            blocks.append(assemble_channel(user, self.geometry, gains))
+            blocks.append(assemble_channel(user, gains))
         return np.stack(blocks)
 
 
@@ -265,26 +245,21 @@ def _make_path(geom, bs_position, source, extra_length, alpha, wavelength, far):
     """Path toward ``source`` with ``extra_length`` of onward travel; the
     complex gain carries free-space loss over the full path length."""
     thetas, phis, dists = path_aods(geom, source, bs_position)
-    dists = dists + extra_length
     ref = float(np.linalg.norm(np.asarray(source) - np.asarray(bs_position))) + extra_length
     loss = wavelength / (4.0 * math.pi * ref)
     if far:
         return PathGeometry(
             thetas=np.full(geom.n_t, thetas[0]),
             phis=np.full(geom.n_t, phis[0]),
-            dists=np.full(geom.n_t, ref),
-            ref_dist=ref,
-            gains=np.full(geom.n_t, alpha * loss),
-            far_field=True,
+            response=np.full(geom.n_t, alpha * loss)
+            * far_field_arv(float(thetas[0]), float(phis[0]), geom),
         )
     # spherical spreading: per-element amplitude scales with ref / dist
+    dists = dists + extra_length
     return PathGeometry(
         thetas=thetas,
         phis=phis,
-        dists=dists,
-        ref_dist=ref,
-        gains=alpha * loss * ref / dists,
-        far_field=False,
+        response=alpha * loss * ref / dists * near_field_arv(dists, ref, geom),
     )
 
 

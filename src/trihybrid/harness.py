@@ -51,6 +51,13 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _require_pattern_degree(truncation: int) -> None:
+    """The pattern solve's check of the truncation degree: with no AC part,
+    a pattern pinned at DC eta < sqrt(4 pi) misses its budget."""
+    if truncation == 0:
+        raise ConfigError("truncation: optimizing patterns needs degree >= 1, got 0")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a batch; defaults follow the reference
@@ -97,12 +104,8 @@ class RunConfig:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.mode not in MODES + ("all",):
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
-        if self.truncation == 0 and self.mode != "hybrid":
-            # no AC part: a pattern pinned at DC eta < sqrt(4 pi) misses its budget
-            raise ConfigError(
-                f"truncation: mode {self.mode!r} optimizes patterns and needs "
-                f"degree >= 1, got 0"
-            )
+        if self.mode != "hybrid":
+            _require_pattern_degree(self.truncation)
         if not self.pmax_dbm or any(not math.isfinite(p) for p in self.pmax_dbm):
             raise ConfigError("pmax_dbm: need a nonempty list of finite powers")
         if not math.isfinite(self.noise_dbm):
@@ -513,10 +516,7 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
     power (the trace CSV has no power column)."""
     if len(config.pmax_dbm) > 1:
         raise ConfigError(f"pmax_dbm: trace runs one power, got {len(config.pmax_dbm)}")
-    if config.truncation == 0:
-        raise ConfigError(
-            "truncation: trace optimizes patterns and needs degree >= 1, got 0"
-        )
+    _require_pattern_degree(config.truncation)  # a config of mode hybrid skipped it
     rows = []
     scenario = generate_scenario(config.scenario_config(), seed)
     blocks = scenario.em_channels()

@@ -336,7 +336,6 @@ class ProjectedResult:
     channels: np.ndarray  # (K, N_T) rebuilt channels
     f_d: np.ndarray
     sum_rate: float
-    refit: bool
 
 
 def apply_projection(
@@ -365,7 +364,7 @@ def apply_projection(
     bounds = np.cumsum([len(user) for user in scenario.paths])[:-1]
     channels = np.stack(
         [
-            assemble_channel(user, geom, user_gains)
+            assemble_channel(user, user_gains)
             for user, user_gains in zip(scenario.paths, np.split(selected, bounds))
         ]
     )
@@ -381,9 +380,7 @@ def apply_projection(
     else:
         f_d = result.state.f_d
     rate = sum_rate(link_stats(channels @ f_d), scenario.weights, scenario.noise_powers)
-    return ProjectedResult(
-        indices=indices, channels=channels, f_d=f_d, sum_rate=rate, refit=refit
-    )
+    return ProjectedResult(indices=indices, channels=channels, f_d=f_d, sum_rate=rate)
 
 
 def fibonacci_directions(count: int) -> np.ndarray:

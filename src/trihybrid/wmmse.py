@@ -109,7 +109,6 @@ class SolverResult:
     converged: bool
     initial_objective: float
     channels: np.ndarray  # (K, N_T) effective channels at the final state
-    blocks: np.ndarray  # (K, N_T, T) EM-domain channel blocks
     p_max: float  # power budget of the solve, watts
 
     @property
@@ -564,7 +563,6 @@ def run_algorithm1(
         converged=converged,
         initial_objective=initial_obj,
         channels=h,
-        blocks=blocks,
         p_max=p_max,
     )
 

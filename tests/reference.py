@@ -136,7 +136,7 @@ def direct_channel_oracle(paths, geom: UpaGeometry, coeffs: np.ndarray) -> np.nd
         [synthesize_gain(coeffs[n], p.thetas[n], p.phis[n]) for n in range(geom.n_t)]
         for p in paths
     ]
-    return assemble_channel(paths, geom, np.array(gains))
+    return assemble_channel(paths, np.array(gains))
 
 
 def sampled_pattern_set(

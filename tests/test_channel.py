@@ -12,28 +12,24 @@ FOUR_PI = 4.0 * math.pi
 GEOM = ch.UpaGeometry(n_h=3, n_v=3, spacing=0.005, wavelength=0.01)
 
 
-def make_far_path(theta, phi, geom, gain=1.0, ref=100.0):
+def make_far_path(theta, phi, geom, gain=1.0):
     n = geom.n_t
     return ch.PathGeometry(
         thetas=np.full(n, theta),
         phis=np.full(n, phi),
-        dists=np.full(n, ref),
-        ref_dist=ref,
-        gains=np.full(n, gain, dtype=complex),
-        far_field=True,
+        response=np.full(n, gain, dtype=complex) * ch.far_field_arv(theta, phi, geom),
     )
 
 
 def make_near_path(geom, source, gain=1.0, extra=0.0):
     thetas, phis, dists = ch.path_aods(geom, source)
     ref = float(np.linalg.norm(np.asarray(source))) + extra
+    dists = dists + extra
     return ch.PathGeometry(
         thetas=thetas,
         phis=phis,
-        dists=dists + extra,
-        ref_dist=ref,
-        gains=np.full(geom.n_t, gain, dtype=complex) * ref / (dists + extra),
-        far_field=False,
+        response=np.full(geom.n_t, gain, dtype=complex) * ref / dists
+        * ch.near_field_arv(dists, ref, geom),
     )
 
 
@@ -95,25 +91,30 @@ class TestArv:
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_near_field_equal_distances(self):
-        path = make_far_path(1.0, 2.0, GEOM)
-        path = ch.PathGeometry(
-            thetas=path.thetas, phis=path.phis, dists=path.dists,
-            ref_dist=path.ref_dist, gains=path.gains, far_field=False,
-        )
-        np.testing.assert_allclose(ch.near_field_arv(path, GEOM), np.full(9, 1 / 3.0))
+        arv = ch.near_field_arv(np.full(9, 100.0), 100.0, GEOM)
+        np.testing.assert_allclose(arv, np.full(9, 1 / 3.0))
 
     def test_near_field_unit_norm(self):
-        path = make_near_path(GEOM, [3.0, 1.0, -2.0])
-        assert np.linalg.norm(ch.near_field_arv(path, GEOM)) == pytest.approx(1.0, abs=1e-12)
+        source = [3.0, 1.0, -2.0]
+        _, _, dists = ch.path_aods(GEOM, source)
+        arv = ch.near_field_arv(dists, float(np.linalg.norm(source)), GEOM)
+        assert np.linalg.norm(arv) == pytest.approx(1.0, abs=1e-12)
 
     def test_near_field_far_limit(self):
         # source at 1e6 wavelengths: spherical and planar wavefronts agree
         distance = 1e6 * GEOM.wavelength
         direction = np.array([1.0, 0.4, 0.2])
         source = distance * direction / np.linalg.norm(direction)
-        path = make_near_path(GEOM, source)
-        far = ch.far_field_arv(path.thetas[0], path.phis[0], GEOM)
-        np.testing.assert_allclose(ch.near_field_arv(path, GEOM), far, atol=1e-3)
+        thetas, phis, dists = ch.path_aods(GEOM, source)
+        far = ch.far_field_arv(thetas[0], phis[0], GEOM)
+        near = ch.near_field_arv(dists, distance, GEOM)
+        np.testing.assert_allclose(near, far, atol=1e-3)
+
+    def test_path_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            ch.PathGeometry(thetas=np.zeros(9), phis=np.zeros(9), response=np.ones(8))
+        with pytest.raises(ValueError, match="one length"):
+            ch.PathGeometry(thetas=np.zeros(9), phis=np.zeros(4), response=np.ones(9))
 
 
 class TestPathAods:
@@ -141,7 +142,7 @@ def per_path_lift_oracle(scenario):
     """(K, N_T, T) blocks from the flat per-path lift the path sum replaced.
 
     Each path contributes its (T * N_T) basis stack at the per-element
-    departure angles times the per-element gain and response, each repeated
+    departure angles times the path's per-element response, each repeated
     across its T-block; a user's paths are summed and scaled by
     sqrt(N_T / L).
     """
@@ -151,7 +152,7 @@ def per_path_lift_oracle(scenario):
     for paths in scenario.paths:
         acc = sum(
             basis_vector(p.thetas, p.phis, degree).reshape(-1)
-            * np.repeat(p.gains * ch.path_arv(p, geom), t_len)
+            * np.repeat(p.response, t_len)
             for p in paths
         )
         users.append(math.sqrt(geom.n_t / len(paths)) * acc)
@@ -173,7 +174,7 @@ def basis_stack(monkeypatch, paths, geom, degree):
     assemble = ch.assemble_channel
     monkeypatch.setattr(
         ch, "assemble_channel",
-        lambda paths, geom, gains: seen.append(gains) or assemble(paths, geom, gains),
+        lambda paths, gains: seen.append(gains) or assemble(paths, gains),
     )
     user_block(paths, geom, degree)
     return seen[0]
@@ -214,9 +215,8 @@ class TestEmChannel:
     def test_em_path_channel_block_structure(self):
         path = make_near_path(GEOM, [5.0, -2.0, 1.0], gain=0.7 + 0.2j)
         h = user_block([path], GEOM, 3)
-        arv = ch.near_field_arv(path, GEOM)
         for n in (0, 4, 8):
-            expected = math.sqrt(9.0) * path.gains[n] * arv[n] * basis_vector(
+            expected = math.sqrt(9.0) * path.response[n] * basis_vector(
                 path.thetas[n], path.phis[n], 3
             )
             np.testing.assert_allclose(h[n], expected, atol=1e-14)
@@ -232,8 +232,7 @@ class TestEmChannel:
     def test_em_user_channel_linearity(self):
         p1 = make_far_path(1.0, 0.5, GEOM, gain=0.3 - 0.1j)
         p2 = ch.PathGeometry(
-            thetas=p1.thetas, phis=p1.phis, dists=p1.dists, ref_dist=p1.ref_dist,
-            gains=p1.gains * (2.0 + 1.0j), far_field=True,
+            thetas=p1.thetas, phis=p1.phis, response=p1.response * (2.0 + 1.0j)
         )
         h1 = user_block([p1], GEOM, 2)
         h2 = user_block([p2], GEOM, 2)
@@ -241,7 +240,7 @@ class TestEmChannel:
 
     def test_empty_path_list(self):
         with pytest.raises(ValueError):
-            ch.assemble_channel([], GEOM, np.zeros((0, 9, 9)))
+            ch.assemble_channel([], np.zeros((0, 9, 9)))
 
     @pytest.mark.parametrize("mode", ["far", "near"])
     @pytest.mark.parametrize("degree", [0, 1, 4, 10])
@@ -259,17 +258,18 @@ class TestEmChannel:
 class TestFactorization:
     def test_isotropic_far_field_matches_reduced_model(self):
         rng = np.random.default_rng(5)
-        paths = [
-            make_far_path(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi), GEOM,
-                          gain=rng.standard_normal() + 1j * rng.standard_normal())
+        draws = [
+            (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+             rng.standard_normal() + 1j * rng.standard_normal())
             for _ in range(3)
         ]
+        paths = [make_far_path(theta, phi, GEOM, gain=g) for theta, phi, g in draws]
         coeffs = np.zeros((9, 25))
         coeffs[:, 0] = math.sqrt(FOUR_PI)  # unit gain everywhere
         h_em = user_block(paths, GEOM, 4)
         h = ch.effective_channels(h_em[None], coeffs)[0]
         expected = math.sqrt(9 / 3) * sum(
-            p.gains[0] * ch.far_field_arv(p.thetas[0], p.phis[0], GEOM) for p in paths
+            g * ch.far_field_arv(theta, phi, GEOM) for theta, phi, g in draws
         )
         np.testing.assert_allclose(h, expected, atol=1e-12)
 
@@ -321,7 +321,7 @@ class TestScenarioGeneration:
         b = ch.generate_scenario(ch.ScenarioConfig(), seed=42)
         np.testing.assert_array_equal(a.user_positions, b.user_positions)
         for pa, pb in zip(a.paths[0], b.paths[0]):
-            np.testing.assert_array_equal(pa.gains, pb.gains)
+            np.testing.assert_array_equal(pa.response, pb.response)
             np.testing.assert_array_equal(pa.thetas, pb.thetas)
 
     def test_seed_changes_draw(self):
@@ -333,17 +333,28 @@ class TestScenarioGeneration:
         config = ch.ScenarioConfig(n_users=1, n_paths=1, field_mode="near")
         scenario = ch.generate_scenario(config, seed=7)
         path = scenario.paths[0][0]
-        _, _, dists = ch.path_aods(
+        thetas, phis, dists = ch.path_aods(
             scenario.geometry, scenario.user_positions[0], scenario.bs_position
         )
-        np.testing.assert_allclose(path.dists, dists)
-        assert path.ref_dist == pytest.approx(
-            np.linalg.norm(scenario.user_positions[0] - scenario.bs_position)
-        )
+        np.testing.assert_array_equal(path.thetas, thetas)
+        np.testing.assert_array_equal(path.phis, phis)
+        # spherical spreading: the amplitude falls as 1 / distance per element
+        spread = np.abs(path.response) * dists
+        np.testing.assert_allclose(spread, spread[0], rtol=1e-12)
+        assert np.ptp(dists) > 0
 
-    def test_far_mode_paths_flagged(self):
-        scenario = ch.generate_scenario(ch.ScenarioConfig(field_mode="far"), seed=3)
-        assert all(p.far_field for user in scenario.paths for p in user)
+    def test_far_paths_share_one_direction(self):
+        # a far path has one angle pair at every element, and its response
+        # is one complex gain times the plane-wave response at that angle
+        for seed in (1, 3, 17):
+            scenario = ch.generate_scenario(ch.ScenarioConfig(field_mode="far"), seed)
+            for path in (p for user in scenario.paths for p in user):
+                assert np.all(path.thetas == path.thetas[0])
+                assert np.all(path.phis == path.phis[0])
+                ratio = path.response / ch.far_field_arv(
+                    path.thetas[0], path.phis[0], scenario.geometry
+                )
+                np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from reference import sampled_pattern_set
 
 from trihybrid import projection as proj
 from trihybrid import wmmse
-from trihybrid.channel import ScenarioConfig, generate_scenario, path_arv
+from trihybrid.channel import ScenarioConfig, generate_scenario
 from trihybrid.harmonics import FULL_SPHERE, synthesize_gain
 
 ETA = math.sqrt(2 * math.pi)
@@ -86,7 +86,7 @@ def projected_channels_oracle(scenario, indices, cset):
                     for n in range(geom.n_t)
                 ]
             )
-            h += g * (path.gains * path_arv(path, geom))
+            h += g * path.response
         channels.append(math.sqrt(geom.n_t / len(user)) * h)
     return np.stack(channels)
 
