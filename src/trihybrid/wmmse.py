@@ -9,8 +9,11 @@ closed form:
 
 * v, w, F_D follow the classic per-user expressions, v and w (like the
   MSE and the sum rate) from the statistics of the links p = H F_D alone,
-  which ``link_stats`` forms once after each change of H or F_D; the one
-  power multiplier all columns of F_D share solves a secular equation;
+  which ``link_stats`` forms once after each change of H or F_D.  F_D lies
+  in the K-dimensional range of H^H: one thin QR H^H = Q R per channel
+  reduces each F_D update to the spectrum of the K x K matrix R C R^H, and
+  the one power multiplier all columns of F_D share solves a secular
+  equation on those K terms;
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
   program whose KKT system is (A + 2 nu I) c = -d.  A has rank at most 2K
   and d lies in its range, so one batched thin QR of the antennas' channel
@@ -27,7 +30,8 @@ closed form:
   iterations.
 
 Both multipliers come from one safeguarded Newton iteration on
-sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
+sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983), which runs on
+Python floats, since it never sees more than 2K terms.
 """
 
 from __future__ import annotations
@@ -191,15 +195,20 @@ def _secular_shift(x_sq, shift, target, what) -> float:
     hi/1000 while the lower end is still 0, so roots very close to the pole
     take a few steps rather than one per halving.  Stops once
     |sum - target| <= MULTIPLIER_TOL * target; ``what`` names the summed
-    quantity in the error raised after MULTIPLIER_STEPS steps.
+    quantity in the error raised after MULTIPLIER_STEPS steps.  Both
+    multipliers see at most 2K terms, so the steps run on Python floats.
     """
+    terms = list(zip(x_sq.tolist(), shift.tolist()))
     sqrt_target = math.sqrt(target)
-    lo, hi = 0.0, math.sqrt(float(x_sq.sum()) / target)
+    lo, hi = 0.0, math.sqrt(sum(x for x, _ in terms) / target)
     t = hi
     for _ in range(MULTIPLIER_STEPS):
-        denom = shift + t
-        terms = x_sq / denom**2
-        value = float(terms.sum())
+        value = slope = 0.0
+        for x, s in terms:
+            denom = s + t
+            term = x / (denom * denom)
+            value += term
+            slope += term / denom
         if abs(value - target) <= MULTIPLIER_TOL * target:
             return t
         if value > target:
@@ -207,7 +216,6 @@ def _secular_shift(x_sq, shift, target, what) -> float:
         else:
             hi = t
         # Newton on 1/sqrt(value) - 1/sqrt_target; the derivative of value is -2 * slope
-        slope = float((terms / denom).sum())
         t += value / slope * (math.sqrt(value) - sqrt_target) / sqrt_target
         if not lo < t < hi:
             t = max(math.sqrt(lo * hi), 1e-3 * hi)
@@ -217,30 +225,37 @@ def _secular_shift(x_sq, shift, target, what) -> float:
     )
 
 
-def update_fd(channels, w, v, weights, p_max, channels_h=None) -> np.ndarray:
+def _check_budget(p_max) -> None:
+    """Reject a power budget that is not a positive finite number of watts."""
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise ValueError(f"power budget must be positive and finite, got {p_max}")
+
+
+def update_fd(channels, w, v, weights, p_max, basis=None) -> np.ndarray:
     """Fully digital precoder under the total power budget.
 
-    Solves (M + mu I) f_k = beta_k w_k conj(v_k) conj(h_k) with the single
-    multiplier mu >= 0 shared across users.  With M = Q diag(lam) Q^H and
-    B~ = Q^H B, the power is sum_i ||b~_i||^2 / (lam_i + mu)^2.  When the
-    budget is slack, mu = 0 is kept (complementary slackness) through the
-    pseudo-inverse, the minimum-norm limit mu -> 0+, which also covers a
-    rank-deficient M; otherwise the secular solver matches the power to
+    Solves (M + mu I) f_k = beta_k w_k conj(v_k) conj(h_k), M = H^H C H with
+    C = diag(beta_k w_k |v_k|^2), for the single multiplier mu >= 0 shared
+    across users.  Every right-hand side lies in range(H^H), so F_D does too:
+    with the thin QR H^H = Q R, M = Q (R C R^H) Q^H, and only the spectrum of
+    the r x r matrix R C R^H = U diag(lam) U^H (r = min(K, N_T)) matters.
+    With B~ = U^H R D, D = diag(beta_k w_k conj(v_k)), the power is
+    sum_i ||b~_i||^2 / (lam_i + mu)^2 and F_D = (Q U) (B~ / (lam + mu)).
+    When the budget is slack, mu = 0 is kept (complementary slackness) through
+    the pseudo-inverse, the minimum-norm limit mu -> 0+, which also covers a
+    rank-deficient H; otherwise the secular solver matches the power to
     p_max within MULTIPLIER_TOL * p_max, with the bracket's lower end at mu = 0.
-    ``channels_h`` is H^H, ``np.conj(channels).T``, for a caller that
+    ``basis`` is ``np.linalg.qr(np.conj(channels).T)``, for a caller that
     updates F_D on one channel many times.
     """
-    if p_max <= 0:
-        raise ValueError("power budget must be positive")
-    if channels_h is None:
-        channels_h = np.conj(channels).T  # columns conj(h_k)
+    _check_budget(p_max)
+    q, r = np.linalg.qr(np.conj(channels).T) if basis is None else basis
     weights = np.asarray(weights, dtype=float)
     coef = weights * w * np.abs(v) ** 2
-    m = channels_h @ (coef[:, None] * channels)
-    b = channels_h * (weights * w * np.conj(v))[None, :]  # columns beta_k w_k v_k* h_k*
-    eigvals, q = np.linalg.eigh(m)
+    m = (r * coef) @ np.conj(r).T
+    eigvals, u = np.linalg.eigh(m)
     eigvals = np.maximum(eigvals, 0.0)
-    bt = q.conj().T @ b  # (N_T, K)
+    bt = np.conj(u).T @ (r * (weights * w * np.conj(v)))  # (r, K)
     bt_sq = (np.abs(bt) ** 2).sum(axis=1)
 
     cutoff = eigvals[-1] * max(m.shape) * EPS
@@ -248,10 +263,10 @@ def update_fd(channels, w, v, weights, p_max, channels_h=None) -> np.ndarray:
     power0 = float((bt_sq[active] / eigvals[active] ** 2).sum())
     if power0 <= p_max:
         scale = np.where(active, 1.0 / np.where(active, eigvals, 1.0), 0.0)
-        return q @ (scale[:, None] * bt)
+        return (q @ u) @ (scale[:, None] * bt)
 
     mu = _secular_shift(bt_sq, eigvals, p_max, "power")
-    return q @ (bt / (eigvals + mu)[:, None])
+    return (q @ u) @ (bt / (eigvals + mu)[:, None])
 
 
 class AcFactors(NamedTuple):
@@ -451,8 +466,10 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
 
     ``pattern_step(f_d, w, v)``, when given, runs after the F_D update and
     returns the channel under the updated patterns.  The link statistics of
-    p = h F_D are formed once after each change of either, and H^H once per
-    channel; v and w read the same statistics, so one MSE vector scores both.
+    p = h F_D are formed once after each change of either, and the thin QR
+    of H^H that ``update_fd`` works in once per channel: once per solve
+    without ``pattern_step``, once per pattern step with it.  v and w read
+    the same statistics, so one MSE vector scores both.
     Weights start at one.  The loop stops when the relative sum-rate change
     drops below ``config.tolerance`` or ``config.max_iterations`` is spent.
     Returns (h, f_d, v, w, history, converged).
@@ -460,7 +477,7 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     w = np.ones(len(weights))
     history: list[IterationRecord] = []
     prev_rate = None
-    h_h = np.conj(h).T
+    basis = np.linalg.qr(np.conj(h).T)
     links = link_stats(h @ f_d)
     for it in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
@@ -471,7 +488,7 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         w = update_w(links, v)
         obj_w = wmmse_objective(w, e, weights)
         t_w = time.perf_counter()
-        f_d = update_fd(h, w, v, weights, p_max, h_h)
+        f_d = update_fd(h, w, v, weights, p_max, basis)
         links = link_stats(h @ f_d)
         obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights)
         t_fd = time.perf_counter()
@@ -479,7 +496,7 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
             obj_em = obj_fd
         else:
             h = pattern_step(f_d, w, v)
-            h_h = np.conj(h).T
+            basis = np.linalg.qr(np.conj(h).T)
             links = link_stats(h @ f_d)
             obj_em = wmmse_objective(w, mse_vector(links, v, noise), weights)
         t_em = time.perf_counter()
@@ -526,8 +543,7 @@ def run_algorithm1(
     only) depend on the scenario alone, for a caller that solves one
     scenario under several budgets.
     """
-    if not (math.isfinite(p_max) and p_max > 0):
-        raise ValueError(f"power budget must be positive and finite, got {p_max}")
+    _check_budget(p_max)
     config = config or SolverConfig()
     geom = scenario.geometry
     if blocks is None:
@@ -577,6 +593,7 @@ def refit_digital(
 ):
     """Iterate the v/w/F_D updates on a fixed channel until the sum rate
     settles; returns (f_d, v, w, rates)."""
+    _check_budget(p_max)
     config = config or SolverConfig()
     f_d = matched_filter_precoder(channels, p_max) if f_init is None else f_init
     _, f_d, v, w, history, _ = _alternate(

@@ -12,6 +12,9 @@ oracles of the batched code in ``trihybrid``.
   from synthesized gains, to audit ``effective_channels``.
 * ``sampled_pattern_set`` samples harmonic patterns onto a grid as a
   candidate set, for self-projection checks.
+* ``secular_shift`` is the multipliers' safeguarded Newton iteration
+  vectorized over the terms; ``wmmse._secular_shift`` runs the same steps on
+  Python floats and must find the same root.
 * ``alternate`` is the v/w/F_D loop with per-call ``update_v``,
   ``update_w``, ``mse_vector`` and ``sum_rate`` that each read the links
   p = H F_D themselves; ``wmmse._alternate``, which forms the links'
@@ -26,7 +29,14 @@ import numpy as np
 from trihybrid.channel import UpaGeometry, assemble_channel
 from trihybrid.harmonics import FULL_SPHERE, AngularGrid, _norm_factor, synthesize_gain
 from trihybrid.projection import CandidatePattern, CandidatePatternSet, grid_power
-from trihybrid.wmmse import DEGENERACY_TOL, IterationRecord, update_fd, wmmse_objective
+from trihybrid.wmmse import (
+    DEGENERACY_TOL,
+    MULTIPLIER_STEPS,
+    MULTIPLIER_TOL,
+    IterationRecord,
+    update_fd,
+    wmmse_objective,
+)
 
 
 def index_of(degree: int, order: int) -> int:
@@ -208,7 +218,7 @@ def update_w(p, v) -> np.ndarray:
 def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     """The v/w/F_D loop of ``wmmse._alternate``, with the same arguments and
     returns, on per-call evaluations of the links: each objective scores its
-    own MSE vector and F_D forms H^H itself."""
+    own MSE vector and F_D factors H^H itself."""
     w = np.ones(len(weights))
     history = []
     prev_rate = None
@@ -250,3 +260,30 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
             return h, f_d, v, w, history, True
         prev_rate = rate
     return h, f_d, v, w, history, False
+
+
+def secular_shift(x_sq, shift, target, what) -> float:
+    """Shift t > 0 solving sum_i x_sq_i / (shift_i + t)^2 = target, by the
+    bracket, safeguard and stopping test of ``wmmse._secular_shift`` with
+    every sum a numpy reduction over the terms."""
+    sqrt_target = math.sqrt(target)
+    lo, hi = 0.0, math.sqrt(float(x_sq.sum()) / target)
+    t = hi
+    for _ in range(MULTIPLIER_STEPS):
+        denom = shift + t
+        terms = x_sq / denom**2
+        value = float(terms.sum())
+        if abs(value - target) <= MULTIPLIER_TOL * target:
+            return t
+        if value > target:
+            lo = t
+        else:
+            hi = t
+        slope = float((terms / denom).sum())
+        t += value / slope * (math.sqrt(value) - sqrt_target) / sqrt_target
+        if not lo < t < hi:
+            t = max(math.sqrt(lo * hi), 1e-3 * hi)
+    raise RuntimeError(
+        f"multiplier Newton did not converge in {MULTIPLIER_STEPS} steps: "
+        f"relative {what} residual {abs(value - target) / target:.3e}"
+    )

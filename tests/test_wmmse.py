@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from dense_oracle import (
@@ -286,6 +286,98 @@ class TestUpdateFd:
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         with pytest.raises(RuntimeError, match="Newton .* relative power residual"):
             wmmse.update_fd(h, w, v, weights, 1e-4)
+
+    @staticmethod
+    def rank_deficient_channel(rng, case):
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        if case.startswith("rank-one"):  # K users behind one direction
+            return np.outer(cn(int(case[-1])), cn(6))
+        # user 2's channel is a multiple of user 1's; K = N_T makes R square
+        h = cn(3, 3) if case == "square-collinear" else cn(2, 6)
+        h[1] = complex(cn(1)[0]) * h[0]
+        return h
+
+    @pytest.mark.parametrize(
+        "case", ["collinear", "rank-one-3", "rank-one-4", "square-collinear"]
+    )
+    def test_rank_deficient_channels_track_bisection_oracle(self, case):
+        # the range of H^H has dimension rank(H) < K here, so R C R^H is
+        # singular and the pseudo-inverse branch must drop the same
+        # directions as the N_T x N_T solve of the oracle
+        rng = np.random.default_rng(sum(map(ord, case)))
+        slack = tight = 0
+        for _ in range(50):
+            scale = 10.0 ** rng.uniform(-6.0, 1.0)
+            h = scale * self.rank_deficient_channel(rng, case)
+            n_users = h.shape[0]
+            v = (rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)) / scale
+            w = rng.uniform(0.5, 3.0, n_users)
+            weights = rng.uniform(0.5, 2.0, n_users)
+            p_max = float(10.0 ** rng.uniform(-6.0, 2.0))
+            with np.errstate(all="raise"):
+                out = wmmse.update_fd(h, w, v, weights, p_max)
+            expected, mu = update_fd_bisection(h, w, v, weights, p_max)
+            if mu == 0.0:
+                slack += 1
+            else:
+                tight += 1
+            distance = np.linalg.norm(out - expected) / np.linalg.norm(expected)
+            assert distance <= self.ORACLE_RTOL
+        assert slack > 0 and tight > 0
+
+    @pytest.mark.parametrize("seed", [9, 100, 101])
+    def test_basis_argument_is_bit_equal(self, seed):
+        blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed)
+        h = wmmse.effective_channels(blocks, coeffs)
+        links = wmmse.link_stats(h @ f_d)
+        v = wmmse.update_v(links, noise)
+        w = wmmse.update_w(links, v)
+        for p_max in (1e-4, 1e4):
+            np.testing.assert_array_equal(
+                wmmse.update_fd(h, w, v, weights, p_max, np.linalg.qr(np.conj(h).T)),
+                wmmse.update_fd(h, w, v, weights, p_max),
+            )
+
+
+@pytest.mark.parametrize("p_max", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("solve", ["update_fd", "refit_digital"])
+def test_precoder_entry_points_reject_bad_budget(solve, p_max):
+    # the budget check and text of run_algorithm1, wherever else a budget enters
+    blocks, coeffs, f_d, v, w, weights, noise = random_instance(9)
+    h = wmmse.effective_channels(blocks, coeffs)
+    with pytest.raises(ValueError, match="power budget must be positive and finite"):
+        if solve == "update_fd":
+            wmmse.update_fd(h, w, v, weights, p_max)
+        else:
+            wmmse.refit_digital(h, weights, noise, p_max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x_sq=st.lists(st.floats(min_value=1e-30, max_value=1e3), min_size=1, max_size=9),
+    shifts=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e3)),
+        min_size=9, max_size=9,
+    ),
+    log_ratio=st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_secular_shift_matches_vectorized_oracle(x_sq, shifts, log_ratio):
+    # the scalar Newton loop against the vectorized one it replaced: zero
+    # shifts put the root next to the pole, and the target lies on either
+    # side of sum(x_sq), so the root on either side of t = 1
+    x_sq = np.array(x_sq)
+    shift = np.array(shifts[: len(x_sq)])
+    target = float(x_sq.sum()) * 10.0**log_ratio
+    if (shift > 0).all():
+        # a root t > 0 needs the sum at t = 0 above the target
+        assume(float((x_sq / shift**2).sum()) > target * (1 + 1e-6))
+    t = wmmse._secular_shift(x_sq, shift, target, "test")
+    value = float((x_sq / (shift + t) ** 2).sum())
+    assert abs(value - target) <= wmmse.MULTIPLIER_TOL * target
+    expected = reference.secular_shift(x_sq, shift, target, "test")
+    assert t == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 class TestGAffine:
@@ -920,9 +1012,9 @@ class TestAlgorithm:
 
 
 class TestLoopMatchesReference:
-    """``_alternate`` forms each links update's statistics once, and H^H once
-    per channel; every record field but the timings, and the returned state,
-    equal the per-call reference loop's bit for bit."""
+    """``_alternate`` forms each links update's statistics once, and the thin
+    QR of H^H once per channel; every record field but the timings, and the
+    returned state, equal the per-call reference loop's bit for bit."""
 
     @staticmethod
     def run(loop, scenario, p_max, config, seed, em_update):
