@@ -26,7 +26,7 @@ patterns, and with a candidate set's gains the projected channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,8 +152,9 @@ def assemble_channel(paths, gains) -> np.ndarray:
 @dataclass(frozen=True)
 class Scenario:
     """One multi-user downlink drop: geometry, users, paths, noise and
-    weights.  The power budget is an argument of the solve, so one drop
-    serves every budget."""
+    weights, and ``blocks``, its EM-domain channel, lifted once on
+    construction and read-only.  The power budget is an argument of the
+    solve, so one drop serves every budget."""
 
     geometry: UpaGeometry
     bs_position: np.ndarray
@@ -162,6 +163,7 @@ class Scenario:
     noise_powers: np.ndarray  # (K,) watts
     weights: np.ndarray  # (K,)
     truncation: int = 4
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("bs_position", "user_positions", "noise_powers", "weights"):
@@ -170,6 +172,9 @@ class Scenario:
             raise ValueError("need at least one user and one path per user")
         if np.any(self.noise_powers <= 0) or np.any(self.weights <= 0):
             raise ValueError("noise powers and weights must be positive")
+        blocks = self.em_channels()
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_users(self) -> int:

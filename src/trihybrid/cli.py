@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 
 from .harness import (
@@ -91,19 +92,16 @@ def _overrides(args) -> dict:
     """The RunConfig fields given on the command line; each subcommand's
     parser holds only the flags it reads."""
     flags = vars(args)
-    out = {
+    return {
         "seed": flags["seed"],
         "trials": flags.get("trials"),
         "mode": flags.get("mode"),
         "patterns_path": flags.get("patterns"),
         "out_path": flags["out"],
         "workers": flags.get("workers"),
+        "pmax_dbm": flags["pmax_dbm"],
+        "refit": False if flags.get("no_refit") else None,
     }
-    if flags["pmax_dbm"] is not None:
-        out["pmax_dbm"] = tuple(flags["pmax_dbm"])
-    if flags.get("no_refit"):
-        out["refit"] = False
-    return out
 
 
 def _print_summary(records, config) -> None:
@@ -135,6 +133,10 @@ def main(argv=None) -> int:
         config = parse_config(
             args.config, _overrides(args), defaults=defaults, unread=unread
         )
+        # an output that cannot be written fails here, not after the batch
+        out, out_dir = config.out_path, os.path.dirname(config.out_path) or "."
+        if os.path.isdir(out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            raise ConfigError(f"out_path: {out!r} is not a file in a writable directory")
         if args.command == "trace":
             rows = convergence_trace(config, config.seed)
             emit_trace_csv(rows, config.out_path)

@@ -33,7 +33,7 @@ from .projection import (
     read_candidate_file,
     steered_candidate_set,
 )
-from .wmmse import SolverConfig, factor_ac_blocks, run_algorithm1
+from .wmmse import SolverConfig, run_algorithm1
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +49,28 @@ class ConfigError(ValueError):
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def _is_number(x) -> bool:
+    """A finite number; a bool is not one."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
+# What a RunConfig field of each annotation admits (annotations are strings:
+# postponed evaluation); an annotation "<kind> | None" also admits None.
+_ADMITS = {
+    "int": ("an integer", lambda x: type(x) is int),
+    "float": ("a finite number", _is_number),
+    "bool": ("true or false", lambda x: type(x) is bool),
+    "str": ("a string", lambda x: isinstance(x, str)),
+    "tuple": (
+        "a list of finite numbers",
+        lambda x: isinstance(x, (list, tuple)) and all(map(_is_number, x)),
+    ),
+}
 
 
 def _require_pattern_degree(truncation: int) -> None:
@@ -91,13 +113,14 @@ class RunConfig:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            # the counts (annotations are strings: postponed evaluation)
-            if field.type == "int" and type(value) is not int:
-                raise ConfigError(f"{field.name}: must be an integer, got {value!r}")
-        object.__setattr__(self, "pmax_dbm", tuple(float(p) for p in self.pmax_dbm))
-        object.__setattr__(self, "bs_position", tuple(float(x) for x in self.bs_position))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(b) for b in self.weights))
+            kind = field.type.removesuffix(" | None")
+            what, admits = _ADMITS[kind]
+            if value is None and kind != field.type:
+                continue
+            if not admits(value):
+                raise ConfigError(f"{field.name}: must be {what}, got {value!r}")
+            if kind == "tuple":
+                object.__setattr__(self, field.name, tuple(map(float, value)))
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -106,10 +129,8 @@ class RunConfig:
             raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if self.mode != "hybrid":
             _require_pattern_degree(self.truncation)
-        if not self.pmax_dbm or any(not math.isfinite(p) for p in self.pmax_dbm):
+        if not self.pmax_dbm:
             raise ConfigError("pmax_dbm: need a nonempty list of finite powers")
-        if not math.isfinite(self.noise_dbm):
-            raise ConfigError(f"noise_dbm: must be finite, got {self.noise_dbm}")
         if not self.n_users <= self.n_rf <= self.n_h * self.n_v:
             raise ConfigError(
                 f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}"
@@ -194,12 +215,7 @@ def parse_config(
         raise ConfigError(
             f"config file sets field(s) this command never reads: {', '.join(ignored)}"
         )
-    try:
-        return RunConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    return RunConfig(**values)
 
 
 @dataclass
@@ -310,15 +326,14 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
     """One pipeline's solve and decomposition at one power: its row, timed
     with the seed's set-up, and the solver result.
 
-    ``drop`` is the seed's (scenario, EM-domain blocks, their AC factors or
-    None, seconds taken to build them).
+    ``drop`` is the seed's (scenario, seconds taken to build it); the
+    scenario carries its EM-domain blocks.
     """
-    scenario, blocks, ac_factors, setup_s = drop
+    scenario, setup_s = drop
     p_max = dbm_to_watts(pmax_dbm)
     tic = time.perf_counter()
     result = run_algorithm1(
-        scenario, p_max, config.solver_config(), seed,
-        em_update=mode != "hybrid", blocks=blocks, factors=ac_factors,
+        scenario, p_max, config.solver_config(), seed, em_update=mode != "hybrid"
     )
     factors = decompose(
         result.state.f_d,
@@ -373,11 +388,11 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
     """Rows of every configured power and mode for one seed, ordered by
     power as configured, then in ``MODES`` order.
 
-    The seed's scenario and EM-domain blocks, and when a pattern solve runs
-    the blocks' AC factorization, are built once and serve every power: the
-    power enters only the solves, the decompositions and the projection's
-    refit.  At each power the pattern solve (``em_update=True``) runs once
-    for ``trihybrid`` and ``projected`` together, the frozen-pattern solve
+    The seed's scenario, which carries its EM-domain blocks, is built once
+    and serves every power: the power enters only the solves, the
+    decompositions and the projection's refit.  At each power the pattern
+    solve (``em_update=True``) runs once for ``trihybrid`` and
+    ``projected`` together, the frozen-pattern solve
     once for ``hybrid``, and each solve's precoder is decomposed once.  The
     ``projected`` row carries its solve's rate, iterations and residual plus
     the rate after projecting onto the candidate set of
@@ -389,15 +404,13 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
     tic = time.perf_counter()
     try:
         scenario = generate_scenario(config.scenario_config(), seed)
-        blocks = scenario.em_channels()
-        ac_factors = None if modes == ("hybrid",) else factor_ac_blocks(blocks)
     except Exception as err:  # per-seed failures must not abort the batch
         return [
             _failed(seed, mode, pmax_dbm, err)
             for pmax_dbm in config.pmax_dbm
             for mode in modes
         ]
-    drop = (scenario, blocks, ac_factors, time.perf_counter() - tic)
+    drop = (scenario, time.perf_counter() - tic)
     records = []
     for pmax_dbm in config.pmax_dbm:
         rows = {}
@@ -519,13 +532,10 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
     _require_pattern_degree(config.truncation)  # a config of mode hybrid skipped it
     rows = []
     scenario = generate_scenario(config.scenario_config(), seed)
-    blocks = scenario.em_channels()
     p_max = dbm_to_watts(config.pmax_dbm[0])
     solver_cfg = config.solver_config()
     for mode in ("trihybrid", "hybrid"):
-        result = run_algorithm1(
-            scenario, p_max, solver_cfg, seed, em_update=mode != "hybrid", blocks=blocks
-        )
+        result = run_algorithm1(scenario, p_max, solver_cfg, seed, em_update=mode != "hybrid")
         rows.extend(
             TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)
             for rec in result.history

@@ -17,7 +17,7 @@ closed form:
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
   program whose KKT system is (A + 2 nu I) c = -d.  A has rank at most 2K
   and d lies in its range, so one batched thin QR of the antennas' channel
-  blocks, formed once per channel (``factor_ac_blocks``), and one batched
+  blocks, formed once per solve (``factor_ac_blocks``), and one batched
   eigen decomposition per sweep of the r x r (r <= 2K) reduced matrices
   give every A's spectrum; each antenna then solves the secular equation
   ||c(nu)||^2 = rho^2 on at most 2K terms,
@@ -527,8 +527,6 @@ def run_algorithm1(
     seed: int = 0,
     *,
     em_update: bool = True,
-    blocks: np.ndarray | None = None,
-    factors: AcFactors | None = None,
 ) -> SolverResult:
     """Run the alternating solver on one scenario under the total power
     budget ``p_max`` (watts).
@@ -538,23 +536,20 @@ def run_algorithm1(
     precoder starts as the conjugate matched filter at full power.  Each
     outer iteration runs the four block updates; the loop stops when the
     relative sum-rate change drops below the tolerance or the iteration
-    budget is spent.  ``blocks`` (``scenario.em_channels()``) and
-    ``factors`` (``factor_ac_blocks(blocks)``, read by the pattern solve
-    only) depend on the scenario alone, for a caller that solves one
-    scenario under several budgets.
+    budget is spent.  The solve reads the scenario's EM-domain ``blocks``,
+    lifted once per scenario, so one scenario serves every budget; a
+    pattern solve factors their AC parts once (``factor_ac_blocks``).
     """
     _check_budget(p_max)
     config = config or SolverConfig()
     geom = scenario.geometry
-    if blocks is None:
-        blocks = scenario.em_channels()
+    blocks = scenario.blocks
     weights = scenario.weights
     noise = scenario.noise_powers
     if em_update:
         rng = np.random.default_rng(seed)
         coeffs = initial_coefficients(geom.n_t, scenario.truncation, config.eta, rng)
-        if factors is None:
-            factors = factor_ac_blocks(blocks)
+        factors = factor_ac_blocks(blocks)
     else:
         coeffs = isotropic_coefficients(geom.n_t, scenario.truncation)
 
@@ -564,20 +559,16 @@ def run_algorithm1(
         return effective_channels(blocks, coeffs)
 
     h = effective_channels(blocks, coeffs)
-    f_d = matched_filter_precoder(h, p_max)
-    v = np.zeros(scenario.n_users, dtype=complex)
-    initial_obj = wmmse_objective(
-        np.ones(scenario.n_users), mse_vector(link_stats(h @ f_d), v, noise), weights
-    )
     h, f_d, v, w, history, converged = _alternate(
-        h, f_d, weights, noise, p_max, config,
+        h, matched_filter_precoder(h, p_max), weights, noise, p_max, config,
         pattern_step if em_update else None,
     )
     return SolverResult(
         state=SolverState(w=w, v=v, f_d=f_d, coeffs=coeffs),
         history=history,
         converged=converged,
-        initial_objective=initial_obj,
+        # at v = 0, w = 1 every MSE is exactly 1, so the objective is sum(beta)
+        initial_objective=float(weights.sum()),
         channels=h,
         p_max=p_max,
     )

@@ -316,6 +316,15 @@ class TestScenarioGeneration:
         assert truncation_length(scenario.truncation) == 25
         assert scenario.em_channels().shape == (2, 9, 25)
 
+    @pytest.mark.parametrize("field_mode", ["far", "near"])
+    def test_blocks_are_the_read_only_lift(self, field_mode):
+        # the drop's EM-domain channel, lifted once on construction
+        scenario = ch.generate_scenario(ch.ScenarioConfig(field_mode=field_mode), seed=3)
+        assert not scenario.blocks.flags.writeable
+        np.testing.assert_array_equal(scenario.blocks, scenario.em_channels())
+        with pytest.raises(ValueError, match="read-only"):
+            scenario.blocks[0, 0, 0] = 0.0
+
     def test_determinism(self):
         a = ch.generate_scenario(ch.ScenarioConfig(), seed=42)
         b = ch.generate_scenario(ch.ScenarioConfig(), seed=42)

@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from trihybrid import cli
+from trihybrid import cli, wmmse
 from trihybrid import harness as hn
+from trihybrid.channel import Scenario
 from trihybrid.harmonics import truncation_length
 from trihybrid.projection import PatternLoadError, save_candidates, steered_candidate_set
 
@@ -40,6 +41,25 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(hn, name, counted)
     return calls
+
+
+def count_lifts_and_factors(monkeypatch):
+    """Count the calls of the EM lift and of the pattern solve's AC
+    factorization."""
+    counts = {"lift": 0, "factor": 0}
+    lift, factor = Scenario.em_channels, wmmse.factor_ac_blocks
+
+    def counted_lift(scenario):
+        counts["lift"] += 1
+        return lift(scenario)
+
+    def counted_factor(blocks):
+        counts["factor"] += 1
+        return factor(blocks)
+
+    monkeypatch.setattr(Scenario, "em_channels", counted_lift)
+    monkeypatch.setattr(wmmse, "factor_ac_blocks", counted_factor)
+    return counts
 
 
 def write_uniform_doc(path, value):
@@ -158,6 +178,19 @@ class TestRunTrials:
 
 
 class TestRunDrop:
+    def test_one_lift_per_seed_one_factorization_per_pattern_solve(self, monkeypatch):
+        # the scenario carries its blocks to every power; each pattern solve,
+        # shared by the trihybrid and projected rows, factors them once
+        counts = count_lifts_and_factors(monkeypatch)
+        records = hn.run_trials(fast_config(mode="all", trials=2, pmax_dbm=(0.0, 20.0)))
+        assert all(r.error is None for r in records)
+        assert counts == {"lift": 2, "factor": 4}
+
+    def test_frozen_patterns_factor_nothing(self, monkeypatch):
+        counts = count_lifts_and_factors(monkeypatch)
+        hn.run_drop(fast_config(mode="hybrid", pmax_dbm=(0.0, 20.0)), seed=1)
+        assert counts == {"lift": 1, "factor": 0}
+
     @pytest.mark.parametrize("field_mode", ["far", "near"])
     def test_all_modes_match_separate_runs(self, field_mode):
         # each mode's rows derive from one shared solve per drop; they must
@@ -482,8 +515,9 @@ class TestConfigSpace:
     or a drop whose rows are finite and error-free, with every solve keeping
     its invariants: the 4 pi and power budgets, pinned DC (pattern solves),
     and acceptance 04's monotone objective chain and sum rate.  The draws
-    cover eta over (0, sqrt(4 pi)), unequal weights, and projection onto the
-    stand-in set or a small candidate file."""
+    cover eta over (0, sqrt(4 pi)), unequal weights, user radii from 10 m to
+    1 km, noise from -120 to -70 dBm, and projection onto the stand-in set
+    or a small candidate file."""
 
     DRAWS = 100
     DEGREES = (0, 1, 2, 4, 6, 10)
@@ -505,6 +539,8 @@ class TestConfigSpace:
             eta=float(rng.uniform(0.0, math.sqrt(4.0 * math.pi))),
             weights=tuple(float(b) for b in rng.uniform(0.25, 4.0, n_users)),
             patterns_path=str(patterns) if rng.uniform() < 0.5 else None,
+            user_radius_m=float(10 ** rng.uniform(1.0, 3.0)),
+            noise_dbm=float(rng.uniform(-120.0, -70.0)),
             mode="all",
             trials=1,
             seed=seed,
@@ -643,6 +679,11 @@ class TestTrace:
         with pytest.raises(hn.ConfigError, match="pmax_dbm"):
             hn.convergence_trace(cfg, seed=1)
 
+    def test_one_lift_and_one_factorization(self, monkeypatch):
+        counts = count_lifts_and_factors(monkeypatch)
+        hn.convergence_trace(fast_config(max_iterations=3), seed=1)
+        assert counts == {"lift": 1, "factor": 1}
+
     def test_trace_csv(self, tmp_path):
         cfg = fast_config(max_iterations=4, seed=1)
         rows = hn.convergence_trace(cfg, seed=1)
@@ -733,6 +774,24 @@ class TestCli:
             {"truncation": 0, "mode": "trihybrid"},
             {"truncation": 0, "mode": "projected"},
             {"pmax_dbm": [10, -5000]},  # the second budget underflows to 0 W
+            {"refit": "no"},  # a nonempty string would be truthy
+            {"refit": 0},
+            {"frequency_hz": True},  # a bool would run at 1 Hz
+            {"tolerance": False},
+            {"eta": True},
+            {"noise_dbm": "-95"},
+            {"weights": [1, True]},
+            {"pmax_dbm": [True]},
+            {"pmax_dbm": ["10"]},
+            {"pmax_dbm": 10},  # a scalar where a list belongs
+            {"pmax_dbm": "10"},
+            {"pmax_dbm": [10, math.nan]},
+            {"pmax_dbm": [10**400]},  # an int too large for a float
+            {"bs_position": [0, 0, "10"]},
+            {"bs_position": 10},
+            {"out_path": 7},  # would fail only after the batch ran
+            {"patterns_path": 7},
+            {"mode": 7},
         ],
         ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
              "max-iterations", "pmax-overflow", "noise-nan", "noise-inf",
@@ -742,18 +801,49 @@ class TestCli:
              "n-users-float", "n-paths-float", "n-rf-float", "truncation-float",
              "max-iterations-float", "trials-float", "seed-float", "workers-float",
              "workers-bool", "seed-negative", "n-h-n-v-negative", "degree-0-all",
-             "degree-0-trihybrid", "degree-0-projected", "pmax-underflow"],
+             "degree-0-trihybrid", "degree-0-projected", "pmax-underflow",
+             "refit-string", "refit-int", "frequency-bool", "tolerance-bool", "eta-bool",
+             "noise-string", "weights-bool", "pmax-bool", "pmax-string-entry",
+             "pmax-scalar", "pmax-string", "pmax-nan", "pmax-huge-int",
+             "bs-position-string-entry",
+             "bs-position-scalar", "out-path-int", "patterns-path-int", "mode-int"],
     )
     def test_malformed_knob_is_config_error(self, tmp_path, capsys, bad):
-        # rejected before any trial runs, not turned into NaN rows
-        cfg = self.write_fast_config(tmp_path, **{"trials": 1, **bad})
+        # rejected before any trial runs, not turned into NaN rows; the file
+        # names the output, so that a bad out_path is not overridden
         out = tmp_path / "r.csv"
-        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        cfg = self.write_fast_config(tmp_path, **{"trials": 1, "out_path": str(out), **bad})
+        code = cli.main(["run", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("where", ["missing-dir", "is-dir", "read-only-dir"])
+    def test_unwritable_output_fails_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("ran although the output cannot be written")
+
+        monkeypatch.setattr(cli, "run_trials", never)
+        monkeypatch.setattr(cli, "convergence_trace", never)
+        out = {
+            "missing-dir": tmp_path / "missing" / "r.csv",
+            "is-dir": tmp_path,
+            "read-only-dir": tmp_path / "r.csv",
+        }[where]
+        if where == "read-only-dir":
+            monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: mode != os.W_OK)
+        cfg = self.write_fast_config(tmp_path, max_iterations=3)
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: out_path:")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_degree_zero_hybrid_runs(self, tmp_path):
         # frozen isotropic patterns need no AC part, so degree 0 still runs
