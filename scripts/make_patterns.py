@@ -3,7 +3,9 @@
 
 The set holds steered cosine-power lobes on quasi-uniform directions, each
 normalized to the 4*pi gain-power budget; swap in measured hardware patterns
-by writing the same schema.
+by writing the same schema.  Each gain is written as one block,
+{"shape": [n_theta, n_phi], "base64": <little-endian float64 samples>}; the
+loader reads that and the hand-writable nested-list form alike.
 
     python scripts/make_patterns.py --count 64 --out patterns.json
 """

@@ -63,7 +63,7 @@ def element_positions(geom: UpaGeometry) -> np.ndarray:
     return pos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathGeometry:
     """One path: per-element departure angles and response.
 
@@ -149,7 +149,7 @@ def assemble_channel(paths, gains) -> np.ndarray:
     return math.sqrt(paths[0].response.size / len(paths)) * acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One multi-user downlink drop: geometry, users, paths, noise and
     weights, and ``blocks``, its EM-domain channel, lifted once on
@@ -163,7 +163,7 @@ class Scenario:
     noise_powers: np.ndarray  # (K,) watts
     weights: np.ndarray  # (K,)
     truncation: int = 4
-    blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("bs_position", "user_positions", "noise_powers", "weights"):

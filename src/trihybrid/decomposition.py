@@ -22,7 +22,7 @@ MAX_ITERATIONS = 200  # cap on alternating steps
 TOLERANCE = 1e-8  # stop once a step lowers the residual by less than this, relative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridFactors:
     """Analog/baseband factor pair with its approximation residual."""
 

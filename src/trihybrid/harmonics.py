@@ -106,7 +106,7 @@ def synthesize_gain(c, theta, phi):
     return basis_vector(theta, phi, degree) @ c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularGrid:
     """Full-sphere quadrature grid: Gauss-Legendre in cos(theta), uniform
     in phi, with per-node weights in steradians summing to 4 pi."""

@@ -12,7 +12,6 @@ internal computation is in SI units.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -252,22 +251,22 @@ class TrialRecord:
 # older than the clock when its bytes were read (see load_candidate_set).
 STAT_SETTLE_NS = 2_000_000_000
 
-_last_set = None  # (stat key, settled, content key, set) of the last set returned
+_last_set = None  # (stat key, bytes while not settled else None, set) last returned
 
 
 def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     """Candidate set from the configured file, or the synthetic 64-lobe
     stand-in when no file is given.
 
-    The last set returned is kept with its content key, the sha256 of the
-    file's bytes (None for the stand-in), and returned again while that key
-    matches, so the CLI's fail-fast check, every batch and every worker of
-    one process share one parse.  Each call stats the file and returns the
-    kept set without opening it when the stat key (device, inode, size,
-    mtime, ctime) equals the kept entry's and that entry is settled.
-    Otherwise it reads and hashes the file and parses only a changed
-    content key, so equal bytes under a new stat key (a ``touch``, an
-    ``os.replace`` with the same bytes) cost a hash, not a parse.
+    The last set returned is kept, so the CLI's fail-fast check, every
+    batch and every worker of one process share one parse.  Each call stats
+    the file and returns the kept set without opening it when the stat key
+    (device, inode, size, mtime, ctime) equals the kept entry's and that
+    entry is settled.  An entry that is not settled holds the file's bytes:
+    the next call reads the file and compares it with them, so equal bytes,
+    under the same stat key or a new one (a ``touch``, an ``os.replace``
+    with the same bytes), cost a read, not a parse.  A settled entry holds
+    no bytes, so a new stat key costs a parse, even of equal bytes.
 
     An entry is settled when the file's mtime and ctime were more than
     ``STAT_SETTLE_NS`` older than the clock reading taken just before the
@@ -277,31 +276,29 @@ def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     user can set back; a write in the same tick as a fresh file's last
     change, though, can leave its whole stat key as it was.  So a file
     changed less than ``STAT_SETTLE_NS`` before the read, or dated in the
-    future, is hashed again on the next call.  A failed stat, read or parse
-    raises and leaves the kept entry in place.
+    future, is read and compared again on the next call.  A failed stat,
+    read or parse raises and leaves the kept entry in place.
     """
     global _last_set
     last = _last_set
     path = config.patterns_path
-    stat_key = settled = key = data = None
-    if path is not None:
-        now = time.time_ns()
-        try:
-            st = os.stat(path)
-        except OSError as err:
-            raise PatternLoadError(f"{path}: cannot read candidate set: {err}") from err
-        stat_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-        if last is not None and last[1] and last[0] == stat_key:
-            return last[3]
-        settled = max(st.st_mtime_ns, st.st_ctime_ns) < now - STAT_SETTLE_NS
-        key, data = read_candidate_file(path)
-    if last is not None and last[2] == key:
-        cset = last[3]
-    elif data is None:
-        cset = steered_candidate_set(count=64)
-    else:
-        cset = load_candidates(path, data)
-    _last_set = (stat_key, settled, key, cset)
+    if path is None:
+        if last is None or last[0] is not None:
+            last = _last_set = (None, None, steered_candidate_set(count=64))
+        return last[2]
+    now = time.time_ns()
+    try:
+        st = os.stat(path)
+    except OSError as err:
+        raise PatternLoadError(f"{path}: cannot read candidate set: {err}") from err
+    stat_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    if last is not None and last[0] == stat_key and last[1] is None:
+        return last[2]
+    settled = max(st.st_mtime_ns, st.st_ctime_ns) < now - STAT_SETTLE_NS
+    kept = None if last is None else last[1]
+    data = read_candidate_file(path, kept)
+    cset = last[2] if data is kept else load_candidates(path, data)
+    _last_set = (stat_key, None if settled else data, cset)
     return cset
 
 
@@ -445,9 +442,10 @@ def run_trials(config: RunConfig) -> list[TrialRecord]:
     ``load_candidate_set`` at each power, which keeps the parsed set per
     process: a file is parsed once per process, and a settled unchanged file
     costs one ``os.stat`` per lookup.  So a candidate file rewritten during
-    a batch is seen by the lookups that start after the rewrite, and a file
-    changed less than ``STAT_SETTLE_NS`` ago is hashed again, not parsed,
-    by each lookup.
+    a batch is seen by the lookups that start after the rewrite; a file
+    changed less than ``STAT_SETTLE_NS`` ago is read again and compared with
+    the kept bytes, not parsed, by each lookup; and a settled file given a
+    new stat key is parsed again.
     """
     seeds = [config.seed + t for t in range(config.trials)]
     configs = [config] * len(seeds)
@@ -484,35 +482,6 @@ def emit_csv(records, path) -> None:
                 rec.wall_ms,
             )
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def read_csv(path) -> list[TrialRecord]:
-    """Parse a results CSV back into records (round-trip of emit_csv)."""
-    records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER.split(","):
-            raise ValueError(f"unexpected CSV header in {path}")
-        for row in reader:
-            iterations = int(row["iterations"])
-            records.append(
-                TrialRecord(
-                    seed=int(row["seed"]),
-                    mode=row["mode"],
-                    pmax_dbm=float(row["pmax_dbm"]),
-                    sum_rate=float(row["sum_rate"]),
-                    iterations=iterations,
-                    decomp_residual=float(row["decomp_residual"]),
-                    projected_sum_rate=(
-                        float(row["projected_sum_rate"])
-                        if row["projected_sum_rate"]
-                        else None
-                    ),
-                    wall_ms=float(row["wall_ms"]),
-                    error="parsed-failure" if iterations < 1 else None,
-                )
-            )
-    return records
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,20 @@ Candidate files are UTF-8 JSON documents::
                    "gain": [[...], ...]}  # len(theta) x len(phi), linear
               , ...]}
 
-Gains must be nonnegative; with ``normalize`` true (the default) every
+A gain is either that nested list or one block of samples,
+``{"shape": [len(theta), len(phi)], "base64": "..."}``, whose base64 text
+holds the little-endian float64 samples in row-major order; the loader
+reads both, and :func:`save_candidates` writes blocks.  Gains must be
+finite and nonnegative; with ``normalize`` true (the default) every
 pattern is rescaled on load so its quadrature power equals 4 pi.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -67,15 +72,18 @@ class CandidatePatternSet:
     On construction the gains of candidates sharing a grid are stacked into
     one read-only array per grid (``grids``), and each pattern's ``theta``,
     ``phi`` and ``gain`` become read-only views of its grid, so a set can be
-    shared between calls without copies.  Sets, grids and patterns compare
-    and hash by identity, since their fields hold arrays.
+    shared between calls without copies.  ``scales``, one factor per
+    pattern, multiplies each gain as it is stacked (the loader's
+    normalization).  Sets, grids and patterns compare and hash by identity,
+    since their fields hold arrays.
     """
 
     patterns: tuple
     normalized: bool
     grids: tuple = field(init=False, repr=False)
+    scales: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, scales):
         groups: dict = {}
         for r, pat in enumerate(self.patterns):
             theta, phi = np.asarray(pat.theta, float), np.asarray(pat.phi, float)
@@ -84,9 +92,13 @@ class CandidatePatternSet:
         patterns, grids = list(self.patterns), []
         for theta, phi, members in groups.values():
             theta, phi = _read_only(theta.copy()), _read_only(phi.copy())
-            gains = _read_only(
-                np.stack([np.asarray(patterns[r].gain, float) for r in members])
-            )
+            gains = np.empty((len(members), theta.size, phi.size))
+            for k, r in enumerate(members):
+                gain = np.asarray(patterns[r].gain, float)
+                if gain.shape != gains.shape[1:]:
+                    raise ValueError(f"pattern {r}: gain shape {gain.shape} is not its grid's")
+                np.multiply(gain, 1.0 if scales is None else scales[r], out=gains[k])
+            _read_only(gains)
             for k, r in enumerate(members):
                 patterns[r] = replace(patterns[r], theta=theta, phi=phi, gain=gains[k])
             grids.append(CandidateGrid(theta, phi, gains, _read_only(np.array(members))))
@@ -145,7 +157,9 @@ def _validate_axis(values, name: str) -> np.ndarray:
     return arr
 
 
-def _build_pattern(record: dict, idx: int, normalize: bool) -> CandidatePattern:
+def _build_pattern(record: dict, idx: int, normalize: bool):
+    """A record's pattern with its gain as stored, and the factor that
+    normalizes that gain (1.0 when the document does not normalize)."""
     ctx = f"patterns[{idx}]"
     for key in ("theta_deg", "phi_deg", "gain"):
         if key not in record:
@@ -154,6 +168,8 @@ def _build_pattern(record: dict, idx: int, normalize: bool) -> CandidatePattern:
     phi = np.deg2rad(_validate_axis(record["phi_deg"], f"{ctx}.phi_deg"))
     if theta[0] < 0 or theta[-1] > math.pi + 1e-9:
         raise PatternLoadError(f"{ctx}.theta_deg: inclinations must lie in [0, 180]")
+    if isinstance(record["gain"], _BadBlock):
+        raise PatternLoadError(f"{ctx}.gain: {record['gain']}")
     gain = _float_array(record["gain"], f"{ctx}.gain")
     if gain.shape != (theta.size, phi.size):
         raise PatternLoadError(
@@ -163,27 +179,48 @@ def _build_pattern(record: dict, idx: int, normalize: bool) -> CandidatePattern:
         raise PatternLoadError(f"{ctx}.gain: non-finite sample")
     if np.any(gain < 0):
         raise PatternLoadError(f"{ctx}.gain: negative sample")
-    power = grid_power(theta, phi, gain)
+    power, scale = grid_power(theta, phi, gain), 1.0
     if normalize:
         if power <= 0:
             raise PatternLoadError(f"{ctx}.gain: zero pattern cannot be normalized")
-        gain = gain * math.sqrt(FULL_SPHERE / power)
-        power = FULL_SPHERE
-    return CandidatePattern(
-        name=str(record.get("name", f"pattern-{idx}")),
-        theta=theta,
-        phi=phi,
-        gain=gain,
-        power=power,
-    )
+        power, scale = FULL_SPHERE, math.sqrt(FULL_SPHERE / power)
+    name = str(record.get("name", f"pattern-{idx}"))
+    return CandidatePattern(name=name, theta=theta, phi=phi, gain=gain, power=power), scale
+
+
+class _BadBlock(str):
+    """Why a gain block did not decode, reported once its record's index is
+    known."""
+
+
+def _decode_block(block: dict):
+    """A gain block's samples as an (n_theta, n_phi) array over its decoded
+    bytes, or the :class:`_BadBlock` reason it is malformed."""
+    shape = block.get("shape")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        return _BadBlock(f"block shape must be two nonnegative ints, got {shape!r}")
+    try:
+        raw = base64.b64decode(block.get("base64"), validate=True)
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        return _BadBlock(f"bad base64 in block ({err})")
+    if len(raw) != 8 * shape[0] * shape[1]:
+        return _BadBlock(f"block of {len(raw)} bytes does not hold {shape} float64 samples")
+    return np.frombuffer(raw, "<f8").reshape(shape)
 
 
 def _gain_to_array(obj: dict) -> dict:
-    """Parser hook: a record's gain samples become one float array as soon
-    as the record is parsed, so the document never holds them all as Python
-    floats.  Samples that do not convert are left for validation."""
+    """Parser hook: a record's gain becomes one float array as soon as the
+    record is parsed, so the document never holds its samples as Python
+    floats or as base64 text.  A nested list whose samples do not convert is
+    left for validation, and a malformed block becomes its reason."""
     gain = obj.get("gain")
-    if isinstance(gain, list):
+    if isinstance(gain, dict):
+        obj["gain"] = _decode_block(gain)
+    elif isinstance(gain, list):
         try:
             obj["gain"] = np.asarray(gain, dtype=float)
         except (TypeError, ValueError, OverflowError):
@@ -191,18 +228,27 @@ def _gain_to_array(obj: dict) -> dict:
     return obj
 
 
-def read_candidate_file(path) -> tuple[bytes, bytes]:
-    """The sha256 digest of a candidate-set file's bytes, and the bytes."""
-    # Imported here: hashlib loads OpenSSL, which adds about 3.6 MiB and a
-    # few ms to a process, and only runs that read a candidate file hash.
-    import hashlib
+def read_candidate_file(path, kept: bytes | None = None) -> bytes:
+    """The bytes of a candidate-set file.
 
+    A file whose bytes equal ``kept`` returns ``kept`` itself: the file is
+    compared with it a MiB at a time, so equal bytes are never held twice.
+    """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            if kept is not None:
+                pos = 0
+                while chunk := fh.read(1 << 20):
+                    if chunk != kept[pos : pos + len(chunk)]:
+                        break
+                    pos += len(chunk)
+                else:
+                    if pos == len(kept):
+                        return kept
+                fh.seek(0)
+            return fh.read()
     except OSError as err:
         raise PatternLoadError(f"{path}: cannot read candidate set: {err}")
-    return hashlib.sha256(data).digest(), data
 
 
 def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
@@ -210,34 +256,38 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
 
     ``data`` is the file's bytes for a caller that has read them already
     (:func:`read_candidate_file`); otherwise the file is read here.  The
-    bytes must be UTF-8 text.
+    bytes must be UTF-8 text.  The text is dropped once parsed, and each
+    gain is normalized as it is copied into its grid's stacked array.
     """
     if data is None:
-        _, data = read_candidate_file(path)
+        data = read_candidate_file(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise PatternLoadError(
             f"{path}: not UTF-8 text ({err.reason} at byte {err.start})"
         )
+    del data
     try:
         doc = json.loads(text, object_hook=_gain_to_array)
     except json.JSONDecodeError as err:
         raise PatternLoadError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
+    del text
     if not isinstance(doc, dict) or "patterns" not in doc:
         raise PatternLoadError(f"{path}: document must be an object with 'patterns'")
     normalize = bool(doc.get("normalize", True))
     records = doc["patterns"]
     if not records:
         raise PatternLoadError(f"{path}: empty pattern list")
-    patterns = tuple(
-        _build_pattern(rec, idx, normalize) for idx, rec in enumerate(records)
+    patterns, scales = zip(
+        *(_build_pattern(rec, idx, normalize) for idx, rec in enumerate(records))
     )
-    return CandidatePatternSet(patterns=patterns, normalized=normalize)
+    return CandidatePatternSet(patterns=patterns, normalized=normalize, scales=scales)
 
 
 def save_candidates(cset: CandidatePatternSet, path) -> None:
-    """Write a candidate set back to the document format (degrees, linear)."""
+    """Write a candidate set back to the document format (degrees, linear),
+    each gain as one block of little-endian float64 samples."""
     doc = {
         "normalize": cset.normalized,
         "patterns": [
@@ -245,7 +295,10 @@ def save_candidates(cset: CandidatePatternSet, path) -> None:
                 "name": p.name,
                 "theta_deg": np.rad2deg(p.theta).tolist(),
                 "phi_deg": np.rad2deg(p.phi).tolist(),
-                "gain": p.gain.tolist(),
+                "gain": {
+                    "shape": list(p.gain.shape),
+                    "base64": base64.b64encode(np.asarray(p.gain, "<f8").tobytes()).decode(),
+                },
             }
             for p in cset.patterns
         ],
@@ -330,7 +383,7 @@ def project_antenna(c_opt, thetas, phis, cset: CandidatePatternSet, gains=None):
     return int(indices[0]) if np.ndim(c_opt) == 1 else indices
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjectedResult:
     indices: np.ndarray  # (N_T,) selected candidate per antenna
     channels: np.ndarray  # (K, N_T) rebuilt channels

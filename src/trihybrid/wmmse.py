@@ -84,7 +84,7 @@ class IterationRecord:
     step_seconds: tuple
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
     """Variables of the alternating solver."""
 
@@ -106,7 +106,7 @@ class SolverState:
             raise AssertionError("DC coefficients drifted from eta")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverResult:
     state: SolverState
     history: list

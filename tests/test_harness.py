@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -41,6 +42,35 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(hn, name, counted)
     return calls
+
+
+def read_csv(path) -> list[hn.TrialRecord]:
+    """Parse a results CSV back into records (round-trip of ``emit_csv``)."""
+    records = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != hn.CSV_HEADER.split(","):
+            raise ValueError(f"unexpected CSV header in {path}")
+        for row in reader:
+            iterations = int(row["iterations"])
+            records.append(
+                hn.TrialRecord(
+                    seed=int(row["seed"]),
+                    mode=row["mode"],
+                    pmax_dbm=float(row["pmax_dbm"]),
+                    sum_rate=float(row["sum_rate"]),
+                    iterations=iterations,
+                    decomp_residual=float(row["decomp_residual"]),
+                    projected_sum_rate=(
+                        float(row["projected_sum_rate"])
+                        if row["projected_sum_rate"]
+                        else None
+                    ),
+                    wall_ms=float(row["wall_ms"]),
+                    error="parsed-failure" if iterations < 1 else None,
+                )
+            )
+    return records
 
 
 def count_lifts_and_factors(monkeypatch):
@@ -414,7 +444,7 @@ class TestCandidateMemo:
         assert hn.load_candidate_set(cfg) is first
         assert len(reads) == 0
 
-    def test_unsettled_hit_hashes_without_parsing(self, tmp_path, monkeypatch):
+    def test_unsettled_hit_compares_without_parsing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hn, "STAT_SETTLE_NS", 10**18)  # a file never settles
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
@@ -425,7 +455,9 @@ class TestCandidateMemo:
         assert hn.load_candidate_set(cfg) is first
         assert (len(reads), len(parses)) == (1, 0)
 
-    def test_touched_file_hashes_without_parsing(self, tmp_path, monkeypatch):
+    def test_touched_settled_file_parses_once(self, tmp_path, monkeypatch):
+        # A settled entry holds no bytes to compare with, so its file under a
+        # new stat key is parsed again, even with equal bytes.
         monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
@@ -435,8 +467,26 @@ class TestCandidateMemo:
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
         reads = count_calls(monkeypatch, "read_candidate_file")
         parses = count_calls(monkeypatch, "load_candidates")
+        touched = hn.load_candidate_set(cfg)
+        assert touched is not first
+        assert hn.load_candidate_set(cfg) is touched  # settled under the new key
+        assert (len(reads), len(parses)) == (1, 1)
+        np.testing.assert_array_equal(touched.patterns[0].gain, first.patterns[0].gain)
+
+    def test_unsettled_replace_with_equal_bytes_parses_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 10**18)  # a file never settles
+        path = tmp_path / "patterns.json"
+        write_uniform_doc(path, 1)
+        cfg = fast_config(patterns_path=str(path))
+        first = hn.load_candidate_set(cfg)
+        ino = path.stat().st_ino
+        staged = tmp_path / "staged.json"
+        staged.write_bytes(path.read_bytes())
+        os.replace(staged, path)
+        assert path.stat().st_ino != ino
+        reads = count_calls(monkeypatch, "read_candidate_file")
+        parses = count_calls(monkeypatch, "load_candidates")
         assert hn.load_candidate_set(cfg) is first
-        assert hn.load_candidate_set(cfg) is first  # settled again under the new key
         assert (len(reads), len(parses)) == (1, 0)
 
     def test_replaced_same_size_restored_mtime_reloads(self, tmp_path, monkeypatch):
@@ -613,7 +663,7 @@ class TestCsv:
         records = hn.run_trials(cfg)
         path = tmp_path / "r.csv"
         hn.emit_csv(records, path)
-        parsed = hn.read_csv(path)
+        parsed = read_csv(path)
         for orig, back in zip(records, parsed):
             assert back.seed == orig.seed
             assert back.mode == orig.mode
@@ -709,7 +759,7 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "hybrid" in capsys.readouterr().out
-        assert len(hn.read_csv(out)) == 1
+        assert len(read_csv(out)) == 1
 
     def test_summary_table_reports_csv_means(self, tmp_path, capsys):
         # one row per power, one column per mode; the projected column is the
@@ -722,7 +772,7 @@ class TestCli:
         assert code == 0
         lines = [line.split() for line in capsys.readouterr().out.splitlines()]
         header = lines.index(["P_max", "[dBm]", *hn.MODES])
-        records = hn.read_csv(out)
+        records = read_csv(out)
         for row in lines[header + 1 : header + 3]:
             pmax = float(row[0])
             for mode, printed in zip(hn.MODES, map(float, row[1:])):
@@ -850,7 +900,7 @@ class TestCli:
         cfg = self.write_fast_config(tmp_path, trials=1, truncation=0, mode="hybrid")
         out = tmp_path / "r.csv"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        (record,) = hn.read_csv(out)
+        (record,) = read_csv(out)
         assert record.error is None and math.isfinite(record.sum_rate)
 
     def test_trace_degree_zero_is_config_error(self, tmp_path, capsys):
@@ -893,15 +943,15 @@ class TestCli:
         out = tmp_path / "s.csv"
         plain = self.write_fast_config(tmp_path, trials=1, max_iterations=2)
         assert cli.main(["sweep", "--config", str(plain), "--out", str(out)]) == 0
-        assert sorted({r.pmax_dbm for r in hn.read_csv(out)}) == list(cli.SWEEP_DBM)
+        assert sorted({r.pmax_dbm for r in read_csv(out)}) == list(cli.SWEEP_DBM)
         cfg = self.write_fast_config(tmp_path, trials=1, max_iterations=2, pmax_dbm=[0, 10])
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        records = hn.read_csv(out)
+        records = read_csv(out)
         assert len(records) == 2 * len(hn.MODES)
         assert {r.pmax_dbm for r in records} == {0.0, 10.0}
         code = cli.main(["sweep", "--config", str(cfg), "--pmax-dbm", "5", "--out", str(out)])
         assert code == 0
-        assert {r.pmax_dbm for r in hn.read_csv(out)} == {5.0}
+        assert {r.pmax_dbm for r in read_csv(out)} == {5.0}
 
     def test_trace_file_sets_out_path(self, tmp_path):
         # a subcommand default gives way to the file
@@ -993,7 +1043,7 @@ class TestCli:
              "--out", str(out)]
         )
         assert code == 0
-        records = hn.read_csv(out)
+        records = read_csv(out)
         assert {r.mode for r in records} == set(hn.MODES)
         assert {r.pmax_dbm for r in records} == {5.0, 10.0}
 
@@ -1002,7 +1052,7 @@ class TestCli:
         out = tmp_path / "p.csv"
         code = cli.main(["project", "--config", str(cfg), "--out", str(out)])
         assert code == 0
-        records = hn.read_csv(out)
+        records = read_csv(out)
         assert all(r.mode == "projected" for r in records)
         assert all(r.projected_sum_rate is not None for r in records)
 
@@ -1016,7 +1066,7 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "failed" in capsys.readouterr().err
-        records = hn.read_csv(out)
+        records = read_csv(out)
         assert len(records) == 2
         assert all(math.isnan(r.sum_rate) for r in records)
 
@@ -1028,6 +1078,6 @@ class TestCli:
         assert cli.main(
             ["project", "--config", str(cfg), "--out", str(out2), "--no-refit"]
         ) == 0
-        with_refit = hn.read_csv(out1)[0].projected_sum_rate
-        without = hn.read_csv(out2)[0].projected_sum_rate
+        with_refit = read_csv(out1)[0].projected_sum_rate
+        without = read_csv(out2)[0].projected_sum_rate
         assert with_refit >= without - 1e-9

@@ -1,3 +1,5 @@
+import base64
+import copy
 import dataclasses
 import json
 import math
@@ -9,7 +11,8 @@ from reference import sampled_pattern_set
 from trihybrid import projection as proj
 from trihybrid import wmmse
 from trihybrid.channel import ScenarioConfig, generate_scenario
-from trihybrid.harmonics import FULL_SPHERE, synthesize_gain
+from trihybrid.decomposition import decompose
+from trihybrid.harmonics import FULL_SPHERE, gauss_legendre_grid, synthesize_gain
 
 ETA = math.sqrt(2 * math.pi)
 
@@ -32,6 +35,28 @@ def isotropic_doc(normalize=True):
                 "phi_deg": phi,
                 "gain": [[1.0] * len(phi)] * len(theta),
             }
+        ],
+    }
+
+
+def gain_block(gain):
+    """A gain in the block form: shape and base64 of little-endian float64."""
+    gain = np.asarray(gain, "<f8")
+    return {"shape": list(gain.shape), "base64": base64.b64encode(gain.tobytes()).decode()}
+
+
+def list_form_doc(cset):
+    """The document of a set with every gain as a nested list."""
+    return {
+        "normalize": cset.normalized,
+        "patterns": [
+            {
+                "name": p.name,
+                "theta_deg": np.rad2deg(p.theta).tolist(),
+                "phi_deg": np.rad2deg(p.phi).tolist(),
+                "gain": p.gain.tolist(),
+            }
+            for p in cset.patterns
         ],
     }
 
@@ -305,6 +330,13 @@ class TestLoader:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_gain_off_its_grid_rejected(self):
+        # stacking must not broadcast a gain of the wrong shape over its grid
+        pat = proj.steered_candidate_set(count=1, n_theta=13, n_phi=25).patterns[0]
+        short = dataclasses.replace(pat, gain=pat.gain[:1])
+        with pytest.raises(ValueError, match="gain shape"):
+            proj.CandidatePatternSet((pat, short), normalized=True)
+
     def test_synthetic_eight_pattern_set(self):
         cset = proj.steered_candidate_set(count=8)
         assert len(cset) == 8
@@ -468,6 +500,66 @@ class TestApplyProjection:
             assert g >= 0.0
 
 
+class TestBlockForm:
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_list_and_block_forms_load_identically(self, tmp_path, normalized):
+        base = proj.steered_candidate_set(count=5, n_theta=13, n_phi=25)
+        cset = proj.CandidatePatternSet(base.patterns, normalized=normalized)
+        listed = proj.load_candidates(write_doc(tmp_path, list_form_doc(cset), "list.json"))
+        proj.save_candidates(cset, tmp_path / "block.json")
+        assert '"base64"' in (tmp_path / "block.json").read_text(encoding="utf-8")
+        blocked = proj.load_candidates(tmp_path / "block.json")
+        assert listed.normalized == blocked.normalized == normalized
+        for a, b in zip(listed.patterns, blocked.patterns, strict=True):
+            assert a.name == b.name and a.power == b.power
+            for field in ("theta", "phi", "gain"):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+                assert getattr(a, field).dtype == getattr(b, field).dtype == np.float64
+
+    def test_read_returns_kept_bytes_only_when_equal(self, tmp_path):
+        path = tmp_path / "patterns.json"
+        data = bytes(range(256)) * 9000  # over two MiB: three compared chunks
+        path.write_bytes(data)
+        kept = bytes(bytearray(data))  # equal bytes in another object
+        assert proj.read_candidate_file(path, kept) is kept
+        for other in (data[:-1], data + b"x", data[:-1] + b"x", b"x" + data[1:]):
+            got = proj.read_candidate_file(path, other)
+            assert got is not other and got == data
+
+    def test_unnormalized_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(16)
+        doc = isotropic_doc(normalize=False)
+        doc["patterns"][0]["gain"] = rng.uniform(0.0, 3.0, (7, 9)).tolist()
+        cset = proj.load_candidates(write_doc(tmp_path, doc))
+        proj.save_candidates(cset, tmp_path / "saved.json")
+        loaded = proj.load_candidates(tmp_path / "saved.json")
+        np.testing.assert_array_equal(loaded.patterns[0].gain, doc["patterns"][0]["gain"])
+        assert loaded.patterns[0].power == cset.patterns[0].power
+
+    @pytest.mark.parametrize(
+        "gain, message",
+        [
+            ({"shape": [7, 9], "base64": "not base64!"}, "bad base64"),
+            ({"shape": [7, 9], "base64": 7}, "bad base64"),
+            ({"shape": [7, 9], "base64": base64.b64encode(bytes(8 * 62)).decode()}, "bytes"),
+            (gain_block(np.ones((9, 7))), "expected shape"),
+            (gain_block(np.where(np.eye(7, 9) > 0, np.nan, 1.0)), "non-finite"),
+            (gain_block(np.where(np.eye(7, 9) > 0, -0.5, 1.0)), "negative"),
+            ({"shape": [63], "base64": gain_block(np.ones(63))["base64"]}, "shape"),
+            ({"shape": [-7, -9], "base64": gain_block(np.ones(63))["base64"]}, "shape"),
+            ({"shape": [7.0, 9], "base64": gain_block(np.ones(63))["base64"]}, "shape"),
+            ({"shape": [True, 63], "base64": gain_block(np.ones(63))["base64"]}, "shape"),
+            ({"base64": gain_block(np.ones(63))["base64"]}, "shape"),
+        ],
+    )
+    def test_malformed_block_rejected(self, tmp_path, gain, message):
+        doc = isotropic_doc()
+        doc["patterns"].append(dict(doc["patterns"][0], gain=gain))
+        doc["patterns"][0]["gain"] = gain_block(np.ones((7, 9)))
+        with pytest.raises(proj.PatternLoadError, match=rf"patterns\[1\]\.gain: .*{message}"):
+            proj.load_candidates(write_doc(tmp_path, doc))
+
+
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
         cset = proj.steered_candidate_set(count=3, n_theta=13, n_phi=25)
@@ -484,3 +576,30 @@ class TestRoundTrip:
         b = proj.steered_candidate_set(count=4, n_theta=13, n_phi=25)
         for pa, pb in zip(a.patterns, b.patterns):
             np.testing.assert_array_equal(pa.gain, pb.gain)
+
+
+class TestIdentityEquality:
+    def test_array_holding_results_compare_and_hash_by_identity(self):
+        # each holds arrays, which have no single truth value to compare by
+        first, second = (generate_scenario(ScenarioConfig(), 1) for _ in range(2))
+        assert (first == second) is False
+        scenario, result = solve_small(3)
+        objects = [
+            scenario,
+            scenario.paths[0][0],
+            result,
+            result.state,
+            decompose(result.state.f_d, n_rf=2, p_max=result.p_max),
+            gauss_legendre_grid(4, 8),
+            proj.apply_projection(result, scenario, proj.steered_candidate_set(4)),
+        ]
+        names = {type(obj).__name__ for obj in objects}
+        assert names == {
+            "Scenario", "PathGeometry", "SolverResult", "SolverState", "HybridFactors",
+            "AngularGrid", "ProjectedResult",
+        }
+        for obj in objects:
+            twin = copy.copy(obj)
+            assert obj == obj and obj != twin
+            assert hash(obj) == hash(obj)
+            assert len({obj, obj, twin}) == 2
