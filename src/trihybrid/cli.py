@@ -35,17 +35,51 @@ from .projection import PatternLoadError
 
 SWEEP_DBM = tuple(float(p) for p in range(0, 31, 5))
 
-# Per subcommand: the RunConfig fields it never reads, which its config file
-# may not set, and its defaults, which the file and the flags override.  A
-# default of a field the file may not set and no flag sets is fixed.
+# Per subcommand: its description; the RunConfig fields it never reads, for
+# which it has no flag and which its config file may not set; and its
+# defaults, which the file and the flags override.  A default of a field the
+# file may not set and no flag sets is fixed.
 SUBCOMMANDS = {
-    "run": ((), {}),
-    "sweep": (("mode",), {"mode": "all", "pmax_dbm": SWEEP_DBM}),
-    "project": (("mode",), {"mode": "projected"}),
+    "run": ("run a Monte-Carlo batch and write one CSV row per trial", (), {}),
+    "sweep": (
+        "run a transmit-power sweep over all modes",
+        ("mode",),
+        {"mode": "all", "pmax_dbm": SWEEP_DBM},
+    ),
     "trace": (
+        "write the per-iteration convergence trace for one seed",
         ("trials", "mode", "workers", "patterns_path", "refit"),
         {"out_path": "trace.csv"},
     ),
+    "project": (
+        "project optimized patterns onto a candidate set",
+        ("mode",),
+        {"mode": "projected"},
+    ),
+}
+
+# The flag of each RunConfig field the command line sets, and its argparse
+# spec; the parsed value lands under the field's name, None when not given.
+FLAGS = {
+    "seed": ("--seed", dict(type=int, help="base seed (trial t uses seed+t)")),
+    "pmax_dbm": (
+        "--pmax-dbm",
+        dict(type=float, nargs="+", metavar="DBM", help="transmit power budget(s) in dBm"),
+    ),
+    "out_path": ("--out", dict(metavar="PATH", help="output CSV path")),
+    "trials": ("--trials", dict(type=int, help="number of Monte-Carlo trials")),
+    "mode": (
+        "--mode",
+        dict(choices=("trihybrid", "hybrid", "projected", "all"),
+             help="which pipeline(s) to run"),
+    ),
+    "patterns_path": ("--patterns", dict(metavar="FILE", help="candidate pattern set file")),
+    "refit": (
+        "--no-refit",
+        dict(action="store_false", default=None,
+             help="skip re-optimizing the digital precoder after projection"),
+    ),
+    "workers": ("--workers", dict(type=int, help="parallel trial workers")),
 }
 
 
@@ -55,53 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-user precoding simulator with reconfigurable radiation patterns",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "run": "run a Monte-Carlo batch and write one CSV row per trial",
-        "sweep": "run a transmit-power sweep over all modes",
-        "trace": "write the per-iteration convergence trace for one seed",
-        "project": "project optimized patterns onto a candidate set",
-    }
-    for name, desc in descriptions.items():
+    for name, (desc, unread, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=desc, description=desc)
         sp.add_argument("--config", metavar="FILE", help="JSON config file")
-        sp.add_argument("--seed", type=int, help="base seed (trial t uses seed+t)")
-        sp.add_argument(
-            "--pmax-dbm", type=float, nargs="+", metavar="DBM",
-            help="transmit power budget(s) in dBm",
-        )
-        sp.add_argument("--out", metavar="PATH", help="output CSV path")
+        for field, (flag, spec) in FLAGS.items():
+            if field not in unread:
+                sp.add_argument(flag, dest=field, **spec)
         sp.add_argument("-v", "--verbose", action="store_true", help="log per-trial info")
-        if name == "trace":  # one drop, both solves: no batch or projection flags
-            continue
-        sp.add_argument("--trials", type=int, help="number of Monte-Carlo trials")
-        if name == "run":  # sweep runs all modes, project the projected one
-            sp.add_argument(
-                "--mode", choices=("trihybrid", "hybrid", "projected", "all"),
-                help="which pipeline(s) to run",
-            )
-        sp.add_argument("--patterns", metavar="FILE", help="candidate pattern set file")
-        sp.add_argument(
-            "--no-refit", action="store_true",
-            help="skip re-optimizing the digital precoder after projection",
-        )
-        sp.add_argument("--workers", type=int, help="parallel trial workers")
     return parser
-
-
-def _overrides(args) -> dict:
-    """The RunConfig fields given on the command line; each subcommand's
-    parser holds only the flags it reads."""
-    flags = vars(args)
-    return {
-        "seed": flags["seed"],
-        "trials": flags.get("trials"),
-        "mode": flags.get("mode"),
-        "patterns_path": flags.get("patterns"),
-        "out_path": flags["out"],
-        "workers": flags.get("workers"),
-        "pmax_dbm": flags["pmax_dbm"],
-        "refit": False if flags.get("no_refit") else None,
-    }
 
 
 def _print_summary(records, config) -> None:
@@ -128,11 +123,10 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    unread, defaults = SUBCOMMANDS[args.command]
+    _, unread, defaults = SUBCOMMANDS[args.command]
+    overrides = {k: v for k, v in vars(args).items() if k in FLAGS}
     try:
-        config = parse_config(
-            args.config, _overrides(args), defaults=defaults, unread=unread
-        )
+        config = parse_config(args.config, overrides, defaults=defaults, unread=unread)
         # an output that cannot be written fails here, not after the batch
         out, out_dir = config.out_path, os.path.dirname(config.out_path) or "."
         if os.path.isdir(out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -83,7 +83,12 @@ def _require_pattern_degree(truncation: int) -> None:
 class RunConfig:
     """Everything needed to reproduce a batch; defaults follow the reference
     setup: 3x3 array, 30 GHz, K=2 users with L=3 paths, 4 RF chains,
-    T=25 harmonics, -95 dBm noise, 10 dBm budget."""
+    T=25 harmonics, -95 dBm noise, 10 dBm budget.
+
+    ``scenario`` and ``solver`` are the library's ``ScenarioConfig`` and
+    ``SolverConfig``, built once, on construction, from the fields of the
+    same names (``noise_dbm`` converted to ``noise_power_w``); they are not
+    config-file keys."""
 
     n_h: int = 3
     n_v: int = 3
@@ -108,18 +113,22 @@ class RunConfig:
     refit: bool = True
     out_path: str = "results.csv"
     workers: int = 1
+    scenario: ScenarioConfig = field(init=False, repr=False, compare=False)
+    solver: SolverConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            kind = field.type.removesuffix(" | None")
+        for f in fields(self):
+            if not f.init:
+                continue
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
             what, admits = _ADMITS[kind]
-            if value is None and kind != field.type:
+            if value is None and kind != f.type:
                 continue
             if not admits(value):
-                raise ConfigError(f"{field.name}: must be {what}, got {value!r}")
+                raise ConfigError(f"{f.name}: must be {what}, got {value!r}")
             if kind == "tuple":
-                object.__setattr__(self, field.name, tuple(map(float, value)))
+                object.__setattr__(self, f.name, tuple(map(float, value)))
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -143,38 +152,22 @@ class RunConfig:
                 raise ConfigError(f"pmax_dbm: {pmax_dbm} dBm overflows in watts") from err
             if watts == 0.0:
                 raise ConfigError(f"pmax_dbm: {pmax_dbm} dBm underflows to 0 W")
-        self.scenario_config()
-        self.solver_config()
-
-    def scenario_config(self) -> ScenarioConfig:
         try:
-            return ScenarioConfig(
-                n_h=self.n_h,
-                n_v=self.n_v,
-                n_users=self.n_users,
-                n_paths=self.n_paths,
-                frequency_hz=self.frequency_hz,
-                bs_position=self.bs_position,
-                user_radius_m=self.user_radius_m,
-                noise_power_w=dbm_to_watts(self.noise_dbm),
-                weights=self.weights,
-                field_mode=self.field_mode,
-                truncation=self.truncation,
-            )
+            noise_power_w = dbm_to_watts(self.noise_dbm)
+            scenario = self._take(ScenarioConfig, noise_power_w=noise_power_w)
+            solver = self._take(SolverConfig)
         except OverflowError as err:
             raise ConfigError(f"dBm value out of range: {err}") from err
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "solver", solver)
 
-    def solver_config(self) -> SolverConfig:
-        try:
-            return SolverConfig(
-                eta=self.eta,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+    def _take(self, cls, **converted):
+        """A ``cls`` built from the fields of the same names, except those
+        given converted."""
+        taken = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in converted}
+        return cls(**taken, **converted)
 
     def modes(self) -> tuple:
         return MODES if self.mode == "all" else (self.mode,)
@@ -205,7 +198,7 @@ def parse_config(
         values.update(doc)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig) if f.init}
     unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
@@ -330,7 +323,7 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
     p_max = dbm_to_watts(pmax_dbm)
     tic = time.perf_counter()
     result = run_algorithm1(
-        scenario, p_max, config.solver_config(), seed, em_update=mode != "hybrid"
+        scenario, p_max, config.solver, seed, em_update=mode != "hybrid"
     )
     factors = decompose(
         result.state.f_d,
@@ -369,7 +362,7 @@ def _project(config: RunConfig, scenario, result, solved: TrialRecord) -> TrialR
         cset = load_candidate_set(config)
         tic = time.perf_counter()
         projected = apply_projection(
-            result, scenario, cset, refit=config.refit, config=config.solver_config()
+            result, scenario, cset, refit=config.refit, config=config.solver
         )
     except Exception as err:
         return _failed(solved.seed, "projected", solved.pmax_dbm, err)
@@ -400,7 +393,7 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
     modes = config.modes()
     tic = time.perf_counter()
     try:
-        scenario = generate_scenario(config.scenario_config(), seed)
+        scenario = generate_scenario(config.scenario, seed)
     except Exception as err:  # per-seed failures must not abort the batch
         return [
             _failed(seed, mode, pmax_dbm, err)
@@ -436,16 +429,8 @@ def run_trials(config: RunConfig) -> list[TrialRecord]:
 
     Seeds may execute on worker processes, at most one per seed; records
     always come back ordered by (trial, pmax, mode).  Failed trials yield
-    flagged NaN records.
-
-    Each seed that projects takes its candidate set from
-    ``load_candidate_set`` at each power, which keeps the parsed set per
-    process: a file is parsed once per process, and a settled unchanged file
-    costs one ``os.stat`` per lookup.  So a candidate file rewritten during
-    a batch is seen by the lookups that start after the rewrite; a file
-    changed less than ``STAT_SETTLE_NS`` ago is read again and compared with
-    the kept bytes, not parsed, by each lookup; and a settled file given a
-    new stat key is parsed again.
+    flagged NaN records.  Each projection looks its candidate set up
+    through ``load_candidate_set``, which says when a file is parsed again.
     """
     seeds = [config.seed + t for t in range(config.trials)]
     configs = [config] * len(seeds)
@@ -466,22 +451,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(records, path) -> None:
-    """Write records as CSV: fixed header, 9 significant digits, LF endings."""
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``rows`` as CSV under ``header``, each column read from the
+    row's attribute of that name: 9 significant digits, LF endings."""
+    columns = header.split(",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            row = (
-                rec.seed,
-                rec.mode,
-                rec.pmax_dbm,
-                rec.sum_rate,
-                rec.iterations,
-                rec.decomp_residual,
-                rec.projected_sum_rate,
-                rec.wall_ms,
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(getattr(row, column)) for column in columns) + "\n")
+
+
+def emit_csv(records, path) -> None:
+    """Write trial records as the results CSV, ``CSV_HEADER``."""
+    _write_csv(path, CSV_HEADER, records)
 
 
 @dataclass(frozen=True)
@@ -500,11 +482,12 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
         raise ConfigError(f"pmax_dbm: trace runs one power, got {len(config.pmax_dbm)}")
     _require_pattern_degree(config.truncation)  # a config of mode hybrid skipped it
     rows = []
-    scenario = generate_scenario(config.scenario_config(), seed)
+    scenario = generate_scenario(config.scenario, seed)
     p_max = dbm_to_watts(config.pmax_dbm[0])
-    solver_cfg = config.solver_config()
     for mode in ("trihybrid", "hybrid"):
-        result = run_algorithm1(scenario, p_max, solver_cfg, seed, em_update=mode != "hybrid")
+        result = run_algorithm1(
+            scenario, p_max, config.solver, seed, em_update=mode != "hybrid"
+        )
         rows.extend(
             TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)
             for rec in result.history
@@ -513,9 +496,4 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
 
 
 def emit_trace_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("mode,iteration,sum_rate,objective\n")
-        for row in rows:
-            fh.write(
-                f"{row.mode},{row.iteration},{_fmt(row.sum_rate)},{_fmt(row.objective)}\n"
-            )
+    _write_csv(path, "mode,iteration,sum_rate,objective", rows)

@@ -161,6 +161,8 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
     """A record's pattern with its gain as stored, and the factor that
     normalizes that gain (1.0 when the document does not normalize)."""
     ctx = f"patterns[{idx}]"
+    if not isinstance(record, dict):
+        raise PatternLoadError(f"{ctx}: must be an object")
     for key in ("theta_deg", "phi_deg", "gain"):
         if key not in record:
             raise PatternLoadError(f"{ctx}: missing field {key!r}")
@@ -277,6 +279,8 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
         raise PatternLoadError(f"{path}: document must be an object with 'patterns'")
     normalize = bool(doc.get("normalize", True))
     records = doc["patterns"]
+    if not isinstance(records, list):
+        raise PatternLoadError(f"{path}: patterns: must be a list of pattern objects")
     if not records:
         raise PatternLoadError(f"{path}: empty pattern list")
     patterns, scales = zip(

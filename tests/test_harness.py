@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,9 +10,10 @@ import pytest
 
 from trihybrid import cli, wmmse
 from trihybrid import harness as hn
-from trihybrid.channel import Scenario
+from trihybrid.channel import Scenario, ScenarioConfig
 from trihybrid.harmonics import truncation_length
 from trihybrid.projection import PatternLoadError, save_candidates, steered_candidate_set
+from trihybrid.wmmse import SolverConfig
 
 # small, fast batch settings shared by most tests
 FAST = dict(
@@ -131,7 +133,24 @@ class TestConfig:
         assert hn.dbm_to_watts(20.0) == pytest.approx(0.1)
         assert hn.dbm_to_watts(10.0) == pytest.approx(0.01)
         cfg = hn.RunConfig(pmax_dbm=(20.0,))
-        assert cfg.scenario_config().noise_power_w == pytest.approx(10 ** (-12.5))
+        assert cfg.scenario.noise_power_w == pytest.approx(10 ** (-12.5))
+
+    def test_library_configs_built_from_fields_of_the_same_names(self):
+        cfg = hn.RunConfig(**FAST, noise_dbm=-80.0, eta=1.5, weights=[1, 2])
+        scenario = ScenarioConfig(
+            n_h=2, n_v=2, n_users=2, n_paths=2, user_radius_m=60.0, truncation=1,
+            noise_power_w=hn.dbm_to_watts(-80.0), weights=(1.0, 2.0),
+        )
+        assert cfg.scenario == scenario
+        assert cfg.solver == SolverConfig(eta=1.5, max_iterations=5, tolerance=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.solver = SolverConfig()
+
+    def test_library_configs_are_not_config_keys(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {}, "solver": {}}))
+        with pytest.raises(hn.ConfigError, match="unknown config field.*scenario, solver"):
+            hn.parse_config(path)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(hn.ConfigError, match="trials"):
@@ -992,6 +1011,22 @@ class TestCli:
              "--out", str(tmp_path / "r.csv")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("patterns", [5, [5]], ids=["number", "list-of-number"])
+    def test_patterns_not_a_list_of_objects_is_config_error(
+        self, tmp_path, capsys, patterns
+    ):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"patterns": patterns}), encoding="utf-8")
+        out = tmp_path / "r.csv"
+        code = cli.main(
+            ["project", "--patterns", str(path), "--trials", "1", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "patterns" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_not_utf8_patterns_file_is_config_error(self, tmp_path, capsys):
         cfg = self.write_fast_config(tmp_path, trials=1)

@@ -276,6 +276,17 @@ class TestLoader:
         with pytest.raises(proj.PatternLoadError, match=rf"patterns\[0\]\.{field}"):
             proj.load_candidates(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "patterns, where",
+        [(5, "patterns"), ([5], r"patterns\[0\]"), (["x"], r"patterns\[0\]"),
+         ([None], r"patterns\[0\]")],
+        ids=["number", "list-of-number", "list-of-string", "list-of-null"],
+    )
+    def test_patterns_not_a_list_of_objects_rejected(self, tmp_path, patterns, where):
+        doc = {"patterns": patterns}
+        with pytest.raises(proj.PatternLoadError, match=rf"{where}: must be a"):
+            proj.load_candidates(write_doc(tmp_path, doc))
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"patterns": [', encoding="utf-8")

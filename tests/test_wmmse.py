@@ -869,11 +869,11 @@ class TestAlgorithm:
         # hard case (d orthogonal to A's null space); every solve must finish
         # feasible
         config = RunConfig()
-        solver = config.solver_config()
+        solver = config.solver
         for pmax_dbm in (20.0, 25.0, 30.0):
             p_max = dbm_to_watts(pmax_dbm)
             for seed in range(1, 21):
-                scenario = generate_scenario(config.scenario_config(), seed)
+                scenario = generate_scenario(config.scenario, seed)
                 res = wmmse.run_algorithm1(scenario, p_max, solver, seed=seed)
                 res.state.validate(solver.eta, p_max)
 
@@ -894,11 +894,11 @@ class TestAlgorithm:
     ):
         config = RunConfig(field_mode=field_mode)
         for seed in seeds:
-            scenario = generate_scenario(config.scenario_config(), seed)
+            scenario = generate_scenario(config.scenario, seed)
             for dbm in (0.0, 10.0, 20.0, 30.0):
                 p_max = dbm_to_watts(dbm)
                 newton = wmmse.run_algorithm1(
-                    scenario, p_max, config.solver_config(), seed, em_update=em_update
+                    scenario, p_max, config.solver, seed, em_update=em_update
                 )
                 with monkeypatch.context() as patch:
                     # the loop also passes H^H, which the oracle forms itself
@@ -906,7 +906,7 @@ class TestAlgorithm:
                         wmmse, "update_fd", lambda *args: update_fd_bisection(*args[:5])[0]
                     )
                     oracle = wmmse.run_algorithm1(
-                        scenario, p_max, config.solver_config(), seed, em_update=em_update
+                        scenario, p_max, config.solver, seed, em_update=em_update
                     )
                 assert newton.iterations == oracle.iterations
                 assert newton.sum_rate == pytest.approx(oracle.sum_rate, rel=self.SUM_RATE_RTOL)
@@ -921,15 +921,15 @@ class TestAlgorithm:
     @pytest.mark.parametrize("seed", [3, 7])
     def test_range_sweep_tracks_dense_sweep_oracle(self, monkeypatch, seed):
         config = RunConfig()
-        scenario = generate_scenario(config.scenario_config(), seed)
+        scenario = generate_scenario(config.scenario, seed)
         for dbm in (0.0, 10.0, 20.0, 30.0):
             p_max = dbm_to_watts(dbm)
-            fast = wmmse.run_algorithm1(scenario, p_max, config.solver_config(), seed)
+            fast = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
             with monkeypatch.context() as patch:
                 # the solve also passes the blocks' AC factors, which the
                 # dense sweep does not use
                 patch.setattr(wmmse, "update_em", lambda *args: dense_sweep(*args[:7]))
-                oracle = wmmse.run_algorithm1(scenario, p_max, config.solver_config(), seed)
+                oracle = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
             assert fast.iterations == oracle.iterations
             assert fast.sum_rate == pytest.approx(oracle.sum_rate, rel=self.RANGE_SWEEP_RTOL)
 
@@ -1051,8 +1051,8 @@ class TestLoopMatchesReference:
     )
     def test_history_bit_equal(self, field_mode, dbm, em_update, max_iterations, seed):
         run_config = RunConfig(field_mode=field_mode, max_iterations=max_iterations)
-        scenario = generate_scenario(run_config.scenario_config(), seed)
-        config = run_config.solver_config()
+        scenario = generate_scenario(run_config.scenario, seed)
+        config = run_config.solver
         args = (scenario, dbm_to_watts(dbm), config, seed, em_update)
         h, f_d, v, w, history, converged = self.run(wmmse._alternate, *args)
         ref = self.run(reference.alternate, *args)
