@@ -19,7 +19,6 @@ Library layout:
 """
 
 from .channel import (
-    PathGeometry,
     Scenario,
     ScenarioConfig,
     UpaGeometry,
@@ -60,7 +59,6 @@ __all__ = [
     "AngularGrid",
     "CandidatePatternSet",
     "HybridFactors",
-    "PathGeometry",
     "RunConfig",
     "Scenario",
     "ScenarioConfig",

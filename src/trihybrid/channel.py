@@ -11,16 +11,18 @@ The multipath channel of user k is
     h_k = sqrt(N_T / L_k) * sum_l  alpha_{k,l} (.) g_{k,l} (.) a_{k,l}
 
 (elementwise products of complex gains, per-element antenna gains, and the
-array response).  A path (``PathGeometry``) is its per-element departure
-angles, where the antenna gains g are evaluated, and its response
-alpha (.) a, formed once when the path is drawn from the far- or near-field
-array response.  Writing each per-element gain through the harmonic basis
-turns this into h_k = F_EM^T h_k^EM with a block-diagonal pattern-coefficient
-stack F_EM and the EM-domain channel h_k^EM, one (N_T, T) block per user.
-One path sum, ``assemble_channel(paths, gains)``, builds the channel under
-any per-element gains: with the basis vectors as gains it gives the blocks
-(``Scenario.em_channels``) that ``effective_channels`` contracts with the
-patterns, and with a candidate set's gains the projected channel.
+array response).  A drop holds its paths as one table, users in order:
+row p of the (P, N_T) arrays ``thetas``, ``phis`` and ``responses`` is a
+path's per-element departure angles, where the antenna gains g are
+evaluated, and its response alpha (.) a, formed once from the far- or
+near-field array response; ``path_counts`` is (L_1, ..., L_K).  Writing
+each per-element gain through the harmonic basis turns this into
+h_k = F_EM^T h_k^EM with a block-diagonal pattern-coefficient stack F_EM
+and the EM-domain channel h_k^EM, one (N_T, T) block per user.  One path
+sum, ``assemble_channel(responses, counts, gains)``, builds all K channels
+under any per-element gains: with the basis vectors as gains it gives the
+blocks (``Scenario.em_channels``) that ``effective_channels`` contracts
+with the patterns, and with a candidate set's gains the projected channel.
 """
 
 from __future__ import annotations
@@ -61,27 +63,6 @@ def element_positions(geom: UpaGeometry) -> np.ndarray:
     pos[:, 1] = i_h * geom.spacing
     pos[:, 2] = i_v * geom.spacing
     return pos
-
-
-@dataclass(frozen=True, eq=False)
-class PathGeometry:
-    """One path: per-element departure angles and response.
-
-    ``thetas`` and ``phis`` are the departure angles at each element, where
-    the pattern gains are evaluated; ``response`` is the per-element complex
-    gain times the array response, alpha (.) a, which the path sum weights
-    by those gains.  A far-field path has the same angles at every element.
-    """
-
-    thetas: np.ndarray
-    phis: np.ndarray
-    response: np.ndarray
-
-    def __post_init__(self):
-        for name in ("thetas", "phis", "response"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        if not (self.thetas.size == self.phis.size == self.response.size):
-            raise ValueError("per-element arrays must share one length")
 
 
 def far_field_arv(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
@@ -132,34 +113,41 @@ def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("kmt,mt->km", blocks, coeffs)
 
 
-def assemble_channel(paths, gains) -> np.ndarray:
-    """Multipath channel sqrt(N_T / L) sum_l gains[l, n, ...] response_l[n].
+def assemble_channel(responses, counts, gains) -> np.ndarray:
+    """(K, N_T, ...) channels h_k = sqrt(N_T / L_k) sum_l gains[l, n, ...]
+    responses[l, n] over user k's L_k = ``counts[k]`` rows of the table.
 
-    ``gains[l, n]`` is path ``l``'s gain at element ``n``: a scalar per
-    element gives the (N_T,) channel, and trailing axes broadcast, so the
-    (L, N_T, T) basis vectors give the (N_T, T) EM-domain block.
+    ``gains[p, n]`` is path ``p``'s gain at element ``n``: a scalar per
+    element gives the (K, N_T) channels, and trailing axes broadcast, so the
+    (P, N_T, T) basis vectors give the (K, N_T, T) EM-domain blocks.  Each
+    user's rows are summed in path order.
     """
-    if len(paths) == 0:
+    if min(counts, default=0) < 1:
         raise ValueError("a user needs at least one path")
     gains = np.asarray(gains)
-    tail = (1,) * (gains.ndim - 2)
-    acc = sum(
-        g * path.response.reshape(-1, *tail) for path, g in zip(paths, gains)
-    )
-    return math.sqrt(paths[0].response.size / len(paths)) * acc
+    terms = gains * responses.reshape(responses.shape + (1,) * (gains.ndim - 2))
+    n_t, channels, start = responses.shape[1], [], 0
+    for count in counts:
+        channels.append(math.sqrt(n_t / count) * sum(terms[start : start + count]))
+        start += count
+    return np.stack(channels)
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One multi-user downlink drop: geometry, users, paths, noise and
-    weights, and ``blocks``, its EM-domain channel, lifted once on
-    construction and read-only.  The power budget is an argument of the
-    solve, so one drop serves every budget."""
+    """One multi-user downlink drop: geometry, users, the path table (one
+    row per path, every user's paths in user order), noise and weights, and
+    ``blocks``, its EM-domain channel, lifted once on construction and
+    read-only.  The power budget is an argument of the solve, so one drop
+    serves every budget."""
 
     geometry: UpaGeometry
     bs_position: np.ndarray
     user_positions: np.ndarray  # (K, 3)
-    paths: tuple  # paths[k] = tuple of PathGeometry
+    thetas: np.ndarray  # (P, N_T) per-element departure inclinations
+    phis: np.ndarray  # (P, N_T) per-element departure azimuths
+    responses: np.ndarray  # (P, N_T) alpha (.) a of each path
+    path_counts: tuple  # (L_1, ..., L_K), summing to P
     noise_powers: np.ndarray  # (K,) watts
     weights: np.ndarray  # (K,)
     truncation: int = 4
@@ -168,8 +156,20 @@ class Scenario:
     def __post_init__(self):
         for name in ("bs_position", "user_positions", "noise_powers", "weights"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.n_users < 1 or any(len(p) < 1 for p in self.paths):
-            raise ValueError("need at least one user and one path per user")
+        for name in ("thetas", "phis", "responses"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        shape = self.responses.shape
+        if not self.thetas.shape == self.phis.shape == shape == shape[:1] + (self.geometry.n_t,):
+            raise ValueError(
+                f"thetas, phis and responses: need one (P, {self.geometry.n_t}) shape, "
+                f"got {self.thetas.shape}, {self.phis.shape} and {shape}"
+            )
+        counts = tuple(self.path_counts)
+        if not counts or any(type(c) is not int or c < 1 for c in counts) or (
+            sum(counts) != shape[0]
+        ):
+            raise ValueError(f"path_counts: need ints >= 1 summing to {shape[0]}, got {counts}")
+        object.__setattr__(self, "path_counts", counts)
         if np.any(self.noise_powers <= 0) or np.any(self.weights <= 0):
             raise ValueError("noise powers and weights must be positive")
         blocks = self.em_channels()
@@ -178,18 +178,13 @@ class Scenario:
 
     @property
     def n_users(self) -> int:
-        return len(self.paths)
+        return len(self.path_counts)
 
     def em_channels(self) -> np.ndarray:
         """(K, N_T, T) EM-domain channel blocks: the path sum with the basis
         vectors at each path's per-element departure angles as gains."""
-        blocks = []
-        for user in self.paths:
-            thetas = np.stack([p.thetas for p in user])  # (L, N_T)
-            phis = np.stack([p.phis for p in user])
-            gains = basis_vector(thetas, phis, self.truncation)  # (L, N_T, T)
-            blocks.append(assemble_channel(user, gains))
-        return np.stack(blocks)
+        gains = basis_vector(self.thetas, self.phis, self.truncation)  # (P, N_T, T)
+        return assemble_channel(self.responses, self.path_counts, gains)
 
 
 SPACING_WAVELENGTHS = 0.5  # element spacing of a generated array
@@ -247,25 +242,22 @@ class ScenarioConfig:
 
 
 def _make_path(geom, bs_position, source, extra_length, alpha, wavelength, far):
-    """Path toward ``source`` with ``extra_length`` of onward travel; the
-    complex gain carries free-space loss over the full path length."""
+    """Per-element (thetas, phis, response) of the path toward ``source``
+    with ``extra_length`` of onward travel; the complex gain carries
+    free-space loss over the full path length."""
     thetas, phis, dists = path_aods(geom, source, bs_position)
     ref = float(np.linalg.norm(np.asarray(source) - np.asarray(bs_position))) + extra_length
     loss = wavelength / (4.0 * math.pi * ref)
     if far:
-        return PathGeometry(
-            thetas=np.full(geom.n_t, thetas[0]),
-            phis=np.full(geom.n_t, phis[0]),
-            response=np.full(geom.n_t, alpha * loss)
+        return (
+            np.full(geom.n_t, thetas[0]),
+            np.full(geom.n_t, phis[0]),
+            np.full(geom.n_t, alpha * loss)
             * far_field_arv(float(thetas[0]), float(phis[0]), geom),
         )
     # spherical spreading: per-element amplitude scales with ref / dist
     dists = dists + extra_length
-    return PathGeometry(
-        thetas=thetas,
-        phis=phis,
-        response=alpha * loss * ref / dists * near_field_arv(dists, ref, geom),
-    )
+    return thetas, phis, alpha * loss * ref / dists * near_field_arv(dists, ref, geom)
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -294,9 +286,8 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         return np.array([bs[0] + radius * math.cos(angle), bs[1] + radius * math.sin(angle), height])
 
     users = np.stack([disc_point(0.0) for _ in range(config.n_users)])
-    all_paths = []
+    paths = []
     for k in range(config.n_users):
-        paths = []
         for ell in range(config.n_paths):
             alpha = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
             if ell == 0:
@@ -307,13 +298,16 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             paths.append(
                 _make_path(geom, bs, source, extra, alpha, config.wavelength, far)
             )
-        all_paths.append(tuple(paths))
+    thetas, phis, responses = (np.stack(column) for column in zip(*paths))
 
     return Scenario(
         geometry=geom,
         bs_position=bs,
         user_positions=users,
-        paths=tuple(all_paths),
+        thetas=thetas,
+        phis=phis,
+        responses=responses,
+        path_counts=(config.n_paths,) * config.n_users,
         noise_powers=np.full(config.n_users, config.noise_power_w),
         weights=np.ones(config.n_users) if config.weights is None else config.weights,
         truncation=config.truncation,

@@ -18,9 +18,10 @@ Candidate files are UTF-8 JSON documents::
 A gain is either that nested list or one block of samples,
 ``{"shape": [len(theta), len(phi)], "base64": "..."}``, whose base64 text
 holds the little-endian float64 samples in row-major order; the loader
-reads both, and :func:`save_candidates` writes blocks.  Gains must be
-finite and nonnegative; with ``normalize`` true (the default) every
-pattern is rescaled on load so its quadrature power equals 4 pi.
+reads both, and :func:`save_candidates` writes blocks.  Axis nodes must
+be finite, gains finite and nonnegative, and ``normalize`` a JSON boolean;
+with ``normalize`` true (the default) every pattern is rescaled on load so
+its quadrature power equals 4 pi.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ def _validate_axis(values, name: str) -> np.ndarray:
     arr = _float_array(values, name)
     if arr.ndim != 1 or arr.size < 2:
         raise PatternLoadError(f"{name}: need a 1-D array with at least 2 nodes")
+    if not np.all(np.isfinite(arr)):
+        raise PatternLoadError(f"{name}: grid nodes must be finite")
     if np.any(np.diff(arr) <= 0):
         raise PatternLoadError(f"{name}: grid nodes must be strictly ascending")
     return arr
@@ -277,7 +280,9 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
     del text
     if not isinstance(doc, dict) or "patterns" not in doc:
         raise PatternLoadError(f"{path}: document must be an object with 'patterns'")
-    normalize = bool(doc.get("normalize", True))
+    normalize = doc.get("normalize", True)
+    if not isinstance(normalize, bool):
+        raise PatternLoadError(f"{path}: normalize: must be true or false, got {normalize!r}")
     records = doc["patterns"]
     if not isinstance(records, list):
         raise PatternLoadError(f"{path}: patterns: must be a list of pattern objects")
@@ -411,20 +416,11 @@ def apply_projection(
     converged precoder, under the solve's power budget ``result.p_max``.
     The harmonic coefficients play no further role.
     """
-    geom = scenario.geometry
-    paths = [p for user in scenario.paths for p in user]
-    thetas = np.stack([p.thetas for p in paths], axis=1)  # (N_T, P)
-    phis = np.stack([p.phis for p in paths], axis=1)
+    thetas, phis = scenario.thetas.T, scenario.phis.T  # (N_T, P)
     gains = candidate_gains(cset, thetas, phis)  # (R, N_T, P)
     indices = project_antenna(result.state.coeffs, thetas, phis, cset, gains=gains)
-    selected = gains[indices, np.arange(geom.n_t)].T  # (P, N_T)
-    bounds = np.cumsum([len(user) for user in scenario.paths])[:-1]
-    channels = np.stack(
-        [
-            assemble_channel(user, user_gains)
-            for user, user_gains in zip(scenario.paths, np.split(selected, bounds))
-        ]
-    )
+    selected = gains[indices, np.arange(scenario.geometry.n_t)].T  # (P, N_T)
+    channels = assemble_channel(scenario.responses, scenario.path_counts, selected)
     if refit:
         f_d, _, _, _ = refit_digital(
             channels,

@@ -538,9 +538,12 @@ def run_algorithm1(
     relative sum-rate change drops below the tolerance or the iteration
     budget is spent.  The solve reads the scenario's EM-domain ``blocks``,
     lifted once per scenario, so one scenario serves every budget; a
-    pattern solve factors their AC parts once (``factor_ac_blocks``).
+    pattern solve factors their AC parts once (``factor_ac_blocks``) and
+    needs a truncation degree of at least 1.
     """
     _check_budget(p_max)
+    if em_update and scenario.truncation == 0:
+        raise ValueError("truncation: optimizing patterns needs degree >= 1, got 0")
     config = config or SolverConfig()
     geom = scenario.geometry
     blocks = scenario.blocks

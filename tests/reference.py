@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from trihybrid.channel import UpaGeometry, assemble_channel
+from trihybrid.channel import assemble_channel
 from trihybrid.harmonics import FULL_SPHERE, AngularGrid, _norm_factor, synthesize_gain
 from trihybrid.projection import CandidatePattern, CandidatePatternSet, grid_power
 from trihybrid.wmmse import (
@@ -138,15 +138,22 @@ def sphere_quadrature(f, grid: AngularGrid) -> float:
     return float(np.sum(grid.weights * vals))
 
 
-def direct_channel_oracle(paths, geom: UpaGeometry, coeffs: np.ndarray) -> np.ndarray:
-    """Channel computed without the EM-domain lift, as the per-path product
-    of gain, pattern value, and response; used to audit the factorization."""
+def direct_channel_oracle(scenario, coeffs: np.ndarray) -> np.ndarray:
+    """(K, N_T) channels computed without the EM-domain lift, as the per-path
+    product of gain, pattern value, and response; used to audit the
+    factorization."""
     coeffs = np.asarray(coeffs, dtype=float)
     gains = [
-        [synthesize_gain(coeffs[n], p.thetas[n], p.phis[n]) for n in range(geom.n_t)]
-        for p in paths
+        [synthesize_gain(coeffs[n], thetas[n], phis[n]) for n in range(len(thetas))]
+        for thetas, phis in zip(scenario.thetas, scenario.phis)
     ]
-    return assemble_channel(paths, np.array(gains))
+    return assemble_channel(scenario.responses, scenario.path_counts, np.array(gains))
+
+
+def user_rows(counts) -> list:
+    """Each user's slice of the rows of a scenario's path table."""
+    ends = np.cumsum(counts)
+    return [slice(int(end) - count, int(end)) for count, end in zip(counts, ends)]
 
 
 def sampled_pattern_set(

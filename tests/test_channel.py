@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import direct_channel_oracle
+from reference import direct_channel_oracle, user_rows
 
 from trihybrid import channel as ch
 from trihybrid.harmonics import basis_vector, truncation_length
@@ -13,11 +13,12 @@ GEOM = ch.UpaGeometry(n_h=3, n_v=3, spacing=0.005, wavelength=0.01)
 
 
 def make_far_path(theta, phi, geom, gain=1.0):
+    """One path's per-element (thetas, phis, response)."""
     n = geom.n_t
-    return ch.PathGeometry(
-        thetas=np.full(n, theta),
-        phis=np.full(n, phi),
-        response=np.full(n, gain, dtype=complex) * ch.far_field_arv(theta, phi, geom),
+    return (
+        np.full(n, theta),
+        np.full(n, phi),
+        np.full(n, gain, dtype=complex) * ch.far_field_arv(theta, phi, geom),
     )
 
 
@@ -25,11 +26,24 @@ def make_near_path(geom, source, gain=1.0, extra=0.0):
     thetas, phis, dists = ch.path_aods(geom, source)
     ref = float(np.linalg.norm(np.asarray(source))) + extra
     dists = dists + extra
-    return ch.PathGeometry(
-        thetas=thetas,
-        phis=phis,
-        response=np.full(geom.n_t, gain, dtype=complex) * ref / dists
+    return (
+        thetas,
+        phis,
+        np.full(geom.n_t, gain, dtype=complex) * ref / dists
         * ch.near_field_arv(dists, ref, geom),
+    )
+
+
+def make_scenario(paths, geom, degree, counts=None, **table):
+    """A drop with the given (thetas, phis, response) paths, one user by
+    default; ``table`` overrides the stacked arrays."""
+    thetas, phis, responses = (np.stack(column) for column in zip(*paths))
+    arrays = {"thetas": thetas, "phis": phis, "responses": responses, **table}
+    counts = (len(paths),) if counts is None else counts
+    return ch.Scenario(
+        geometry=geom, bs_position=np.zeros(3), user_positions=np.zeros((len(counts), 3)),
+        path_counts=counts, noise_powers=np.ones(len(counts)),
+        weights=np.ones(len(counts)), truncation=degree, **arrays,
     )
 
 
@@ -111,10 +125,21 @@ class TestArv:
         np.testing.assert_allclose(near, far, atol=1e-3)
 
     def test_path_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="one length"):
-            ch.PathGeometry(thetas=np.zeros(9), phis=np.zeros(9), response=np.ones(8))
-        with pytest.raises(ValueError, match="one length"):
-            ch.PathGeometry(thetas=np.zeros(9), phis=np.zeros(4), response=np.ones(9))
+        path = make_far_path(1.0, 0.5, GEOM)
+        with pytest.raises(ValueError, match="one .P, 9. shape"):
+            make_scenario([path], GEOM, 2, responses=np.ones((1, 8)))
+        with pytest.raises(ValueError, match="one .P, 9. shape"):
+            make_scenario([path], GEOM, 2, phis=np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="one .P, 9. shape"):
+            make_scenario([path], GEOM, 2, thetas=np.zeros(9), phis=np.zeros(9),
+                          responses=np.ones(9))
+
+    def test_path_table_rejects_bad_counts(self):
+        paths = [make_far_path(1.0, 0.5, GEOM)] * 3
+        for counts in ((), (1, 1), (2, 2), (3, 0), (1, -1, 3), (1.0, 2), (True, 2), ("1", 2)):
+            with pytest.raises(ValueError, match="path_counts"):
+                make_scenario(paths, GEOM, 2, counts=counts)
+        assert make_scenario(paths, GEOM, 2, counts=[1, 2]).path_counts == (1, 2)
 
 
 class TestPathAods:
@@ -149,23 +174,20 @@ def per_path_lift_oracle(scenario):
     geom, degree = scenario.geometry, scenario.truncation
     t_len = truncation_length(degree)
     users = []
-    for paths in scenario.paths:
+    for rows in user_rows(scenario.path_counts):
         acc = sum(
-            basis_vector(p.thetas, p.phis, degree).reshape(-1)
-            * np.repeat(p.response, t_len)
-            for p in paths
+            basis_vector(thetas, phis, degree).reshape(-1) * np.repeat(response, t_len)
+            for thetas, phis, response in zip(
+                scenario.thetas[rows], scenario.phis[rows], scenario.responses[rows]
+            )
         )
-        users.append(math.sqrt(geom.n_t / len(paths)) * acc)
+        users.append(math.sqrt(geom.n_t / (rows.stop - rows.start)) * acc)
     return np.stack(users).reshape(scenario.n_users, geom.n_t, t_len)
 
 
 def user_block(paths, geom, degree):
     """(N_T, T) EM-domain block of one user with ``paths``."""
-    scenario = ch.Scenario(
-        geometry=geom, bs_position=np.zeros(3), user_positions=np.zeros((1, 3)),
-        paths=(tuple(paths),), noise_powers=[1.0], weights=[1.0], truncation=degree,
-    )
-    return scenario.em_channels()[0]
+    return make_scenario(paths, geom, degree).em_channels()[0]
 
 
 def basis_stack(monkeypatch, paths, geom, degree):
@@ -174,7 +196,9 @@ def basis_stack(monkeypatch, paths, geom, degree):
     assemble = ch.assemble_channel
     monkeypatch.setattr(
         ch, "assemble_channel",
-        lambda paths, gains: seen.append(gains) or assemble(paths, gains),
+        lambda responses, counts, gains: (
+            seen.append(gains) or assemble(responses, counts, gains)
+        ),
     )
     user_block(paths, geom, degree)
     return seen[0]
@@ -208,39 +232,49 @@ class TestEmChannel:
     def test_em_path_channel_identity_case(self):
         geom = ch.UpaGeometry(1, 1, 0.005, 0.01)
         path = make_far_path(0.8, 2.0, geom)  # single element: arv == 1
-        np.testing.assert_allclose(
-            user_block([path], geom, 4), basis_vector(path.thetas, path.phis, 4)
-        )
+        thetas, phis, _ = path
+        np.testing.assert_allclose(user_block([path], geom, 4), basis_vector(thetas, phis, 4))
 
     def test_em_path_channel_block_structure(self):
         path = make_near_path(GEOM, [5.0, -2.0, 1.0], gain=0.7 + 0.2j)
+        thetas, phis, response = path
         h = user_block([path], GEOM, 3)
         for n in (0, 4, 8):
-            expected = math.sqrt(9.0) * path.response[n] * basis_vector(
-                path.thetas[n], path.phis[n], 3
-            )
+            expected = math.sqrt(9.0) * response[n] * basis_vector(thetas[n], phis[n], 3)
             np.testing.assert_allclose(h[n], expected, atol=1e-14)
 
     def test_em_user_channel_prefactor(self):
         geom = ch.UpaGeometry(1, 1, 0.005, 0.01)
         path = make_far_path(1.0, 0.5, geom)
         single = user_block([path], geom, 2)
-        np.testing.assert_allclose(single, basis_vector(path.thetas, path.phis, 2))
+        np.testing.assert_allclose(single, basis_vector(path[0], path[1], 2))
         double = user_block([path, path], geom, 2)
         np.testing.assert_allclose(double, math.sqrt(2.0) * single)
 
     def test_em_user_channel_linearity(self):
         p1 = make_far_path(1.0, 0.5, GEOM, gain=0.3 - 0.1j)
-        p2 = ch.PathGeometry(
-            thetas=p1.thetas, phis=p1.phis, response=p1.response * (2.0 + 1.0j)
-        )
+        p2 = (p1[0], p1[1], p1[2] * (2.0 + 1.0j))
         h1 = user_block([p1], GEOM, 2)
         h2 = user_block([p2], GEOM, 2)
         np.testing.assert_allclose(h2, (2.0 + 1.0j) * h1)
 
+    def test_unequal_path_counts_split_by_user(self):
+        # each user's block sums its own rows of the table, and only those
+        paths = [
+            make_far_path(1.0, 0.5, GEOM, gain=0.3 - 0.1j),
+            make_near_path(GEOM, [5.0, -2.0, 1.0], gain=0.7 + 0.2j),
+            make_far_path(2.1, 4.0, GEOM, gain=-1.2j),
+        ]
+        scenario = make_scenario(paths, GEOM, 3, counts=(1, 2))
+        assert np.array_equal(scenario.blocks[0], user_block(paths[:1], GEOM, 3))
+        assert np.array_equal(scenario.blocks[1], user_block(paths[1:], GEOM, 3))
+        assert np.array_equal(scenario.blocks, per_path_lift_oracle(scenario))
+
     def test_empty_path_list(self):
         with pytest.raises(ValueError):
-            ch.assemble_channel([], np.zeros((0, 9, 9)))
+            ch.assemble_channel(np.zeros((0, 9), complex), (), np.zeros((0, 9, 9)))
+        with pytest.raises(ValueError):
+            ch.assemble_channel(np.zeros((0, 9), complex), (0,), np.zeros((0, 9, 9)))
 
     @pytest.mark.parametrize("mode", ["far", "near"])
     @pytest.mark.parametrize("degree", [0, 1, 4, 10])
@@ -302,8 +336,9 @@ class TestFactorization:
             coeffs = rng.standard_normal((9, t_len))
             blocks = scenario.em_channels()
             via_em = ch.effective_channels(blocks, coeffs)
+            directs = direct_channel_oracle(scenario, coeffs)
             for k in range(2):
-                direct = direct_channel_oracle(scenario.paths[k], scenario.geometry, coeffs)
+                direct = directs[k]
                 assert np.linalg.norm(via_em[k] - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
@@ -312,7 +347,8 @@ class TestScenarioGeneration:
         scenario = ch.generate_scenario(ch.ScenarioConfig(), seed=0)
         assert scenario.geometry.n_t == 9
         assert scenario.n_users == 2
-        assert all(len(p) == 3 for p in scenario.paths)
+        assert scenario.path_counts == (3, 3)
+        assert scenario.thetas.shape == scenario.responses.shape == (6, 9)
         assert truncation_length(scenario.truncation) == 25
         assert scenario.em_channels().shape == (2, 9, 25)
 
@@ -329,9 +365,8 @@ class TestScenarioGeneration:
         a = ch.generate_scenario(ch.ScenarioConfig(), seed=42)
         b = ch.generate_scenario(ch.ScenarioConfig(), seed=42)
         np.testing.assert_array_equal(a.user_positions, b.user_positions)
-        for pa, pb in zip(a.paths[0], b.paths[0]):
-            np.testing.assert_array_equal(pa.response, pb.response)
-            np.testing.assert_array_equal(pa.thetas, pb.thetas)
+        np.testing.assert_array_equal(a.responses, b.responses)
+        np.testing.assert_array_equal(a.thetas, b.thetas)
 
     def test_seed_changes_draw(self):
         a = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
@@ -341,14 +376,14 @@ class TestScenarioGeneration:
     def test_single_los_path_geometry(self):
         config = ch.ScenarioConfig(n_users=1, n_paths=1, field_mode="near")
         scenario = ch.generate_scenario(config, seed=7)
-        path = scenario.paths[0][0]
+        assert scenario.path_counts == (1,)
         thetas, phis, dists = ch.path_aods(
             scenario.geometry, scenario.user_positions[0], scenario.bs_position
         )
-        np.testing.assert_array_equal(path.thetas, thetas)
-        np.testing.assert_array_equal(path.phis, phis)
+        np.testing.assert_array_equal(scenario.thetas[0], thetas)
+        np.testing.assert_array_equal(scenario.phis[0], phis)
         # spherical spreading: the amplitude falls as 1 / distance per element
-        spread = np.abs(path.response) * dists
+        spread = np.abs(scenario.responses[0]) * dists
         np.testing.assert_allclose(spread, spread[0], rtol=1e-12)
         assert np.ptp(dists) > 0
 
@@ -357,12 +392,12 @@ class TestScenarioGeneration:
         # is one complex gain times the plane-wave response at that angle
         for seed in (1, 3, 17):
             scenario = ch.generate_scenario(ch.ScenarioConfig(field_mode="far"), seed)
-            for path in (p for user in scenario.paths for p in user):
-                assert np.all(path.thetas == path.thetas[0])
-                assert np.all(path.phis == path.phis[0])
-                ratio = path.response / ch.far_field_arv(
-                    path.thetas[0], path.phis[0], scenario.geometry
-                )
+            for thetas, phis, response in zip(
+                scenario.thetas, scenario.phis, scenario.responses
+            ):
+                assert np.all(thetas == thetas[0])
+                assert np.all(phis == phis[0])
+                ratio = response / ch.far_field_arv(thetas[0], phis[0], scenario.geometry)
                 np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
     def test_invalid_config(self):

@@ -128,6 +128,9 @@ class TestConfig:
         assert cfg.noise_dbm == -95.0
         assert cfg.pmax_dbm == (10.0,)
         assert cfg.bs_position == (0.0, 0.0, 10.0)
+        # the run's defaults are the library's, field for field
+        assert cfg.scenario == ScenarioConfig()
+        assert cfg.solver == SolverConfig()
 
     def test_dbm_conversion(self):
         assert hn.dbm_to_watts(20.0) == pytest.approx(0.1)
@@ -1025,6 +1028,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and "patterns" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"patterns": [{"theta_deg": [0, float("nan"), 180], "phi_deg": [0, 120, 240],
+                           "gain": [[1, 1, 1]] * 3}]},
+            {"normalize": "false", "patterns": [
+                {"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+                 "gain": [[1, 1, 1]] * 3}]},
+        ],
+        ids=["nan-axis-node", "normalize-string"],
+    )
+    def test_malformed_candidate_field_is_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "r.csv"
+        code = cli.main(
+            ["project", "--patterns", str(path), "--trials", "1", "--pmax-dbm", "0",
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import sampled_pattern_set
+from reference import sampled_pattern_set, user_rows
 
 from trihybrid import projection as proj
 from trihybrid import wmmse
@@ -102,17 +102,19 @@ def projected_channels_oracle(scenario, indices, cset):
     """Channels rebuilt from one candidate_gain call per element per path."""
     geom = scenario.geometry
     channels = []
-    for user in scenario.paths:
+    for rows in user_rows(scenario.path_counts):
         h = np.zeros(geom.n_t, dtype=complex)
-        for path in user:
+        for thetas, phis, response in zip(
+            scenario.thetas[rows], scenario.phis[rows], scenario.responses[rows]
+        ):
             g = np.array(
                 [
-                    proj.candidate_gain(cset, int(indices[n]), path.thetas[n], path.phis[n])
+                    proj.candidate_gain(cset, int(indices[n]), thetas[n], phis[n])
                     for n in range(geom.n_t)
                 ]
             )
-            h += g * path.response
-        channels.append(math.sqrt(geom.n_t / len(user)) * h)
+            h += g * response
+        channels.append(math.sqrt(geom.n_t / (rows.stop - rows.start)) * h)
     return np.stack(channels)
 
 
@@ -199,8 +201,7 @@ class TestProjectionOracle:
             projected = proj.apply_projection(result, scenario, cset, refit=False)
             expected = []
             for n in range(4):
-                thetas = [p.thetas[n] for user in scenario.paths for p in user]
-                phis = [p.phis[n] for user in scenario.paths for p in user]
+                thetas, phis = scenario.thetas[:, n], scenario.phis[:, n]
                 expected.append(
                     project_antenna_oracle(result.state.coeffs[n], thetas, phis, cset)
                 )
@@ -247,6 +248,27 @@ class TestLoader:
         doc = isotropic_doc()
         doc["patterns"][0]["theta_deg"] = list(reversed(doc["patterns"][0]["theta_deg"]))
         with pytest.raises(proj.PatternLoadError, match=r"patterns\[0\]\.theta_deg"):
+            proj.load_candidates(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [("theta_deg", 1, float("nan")), ("phi_deg", 1, float("nan")),
+         ("phi_deg", -1, float("inf"))],
+        ids=["nan-theta", "nan-phi", "inf-phi"],
+    )
+    def test_non_finite_axis_node_rejected(self, tmp_path, field, index, value):
+        # NaN compares false with everything, so the ascending check alone
+        # passes it, and an inf last node is ascending
+        doc = isotropic_doc()
+        doc["patterns"][0][field][index] = value
+        with pytest.raises(proj.PatternLoadError, match=rf"patterns\[0\]\.{field}: .*finite"):
+            proj.load_candidates(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "zero", "null"])
+    def test_normalize_must_be_a_json_boolean(self, tmp_path, value):
+        doc = isotropic_doc()
+        doc["normalize"] = value
+        with pytest.raises(proj.PatternLoadError, match="normalize: must be true or false"):
             proj.load_candidates(write_doc(tmp_path, doc))
 
     def test_negative_gain_rejected(self, tmp_path):
@@ -493,8 +515,7 @@ class TestApplyProjection:
         cset = proj.steered_candidate_set(count=6, n_theta=31, n_phi=61)
         projected = proj.apply_projection(result, scenario, cset)
         for n in range(4):
-            thetas = [p.thetas[n] for user in scenario.paths for p in user]
-            phis = [p.phis[n] for user in scenario.paths for p in user]
+            thetas, phis = scenario.thetas[:, n], scenario.phis[:, n]
             assert projected.indices[n] == proj.project_antenna(
                 result.state.coeffs[n], thetas, phis, cset
             )
@@ -597,7 +618,6 @@ class TestIdentityEquality:
         scenario, result = solve_small(3)
         objects = [
             scenario,
-            scenario.paths[0][0],
             result,
             result.state,
             decompose(result.state.f_d, n_rf=2, p_max=result.p_max),
@@ -606,7 +626,7 @@ class TestIdentityEquality:
         ]
         names = {type(obj).__name__ for obj in objects}
         assert names == {
-            "Scenario", "PathGeometry", "SolverResult", "SolverState", "HybridFactors",
+            "Scenario", "SolverResult", "SolverState", "HybridFactors",
             "AngularGrid", "ProjectedResult",
         }
         for obj in objects:

@@ -805,6 +805,14 @@ class TestAlgorithm:
         assert res.sum_rate > res.history[0].sum_rate
         assert res.converged
 
+    def test_pattern_solve_rejects_degree_zero(self):
+        # with no AC part the pattern update has nothing to solve over
+        scenario = generate_scenario(ScenarioConfig(truncation=0), 1)
+        with pytest.raises(ValueError, match="needs degree >= 1, got 0"):
+            wmmse.run_algorithm1(scenario, P_MAX)
+        hybrid = wmmse.run_algorithm1(scenario, P_MAX, em_update=False)
+        assert hybrid.sum_rate > 0
+
     def test_single_sweep_contract(self):
         config = wmmse.SolverConfig(tolerance=0.0, max_iterations=1)
         res = wmmse.run_algorithm1(small_scenario(2), P_MAX, config, seed=2)
