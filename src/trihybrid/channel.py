@@ -113,6 +113,11 @@ def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("kmt,mt->km", blocks, coeffs)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def assemble_channel(responses, counts, gains) -> np.ndarray:
     """(K, N_T, ...) channels h_k = sqrt(N_T / L_k) sum_l gains[l, n, ...]
     responses[l, n] over user k's L_k = ``counts[k]`` rows of the table.
@@ -135,11 +140,11 @@ def assemble_channel(responses, counts, gains) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One multi-user downlink drop: geometry, users, the path table (one
-    row per path, every user's paths in user order), noise and weights, and
-    ``blocks``, its EM-domain channel, lifted once on construction and
-    read-only.  The power budget is an argument of the solve, so one drop
-    serves every budget."""
+    """One multi-user downlink drop: geometry, users, the path table (one row
+    per path, users in order, held as read-only copies of the arrays given),
+    per-user noise and weights, and ``blocks``, its EM-domain channel, lifted
+    once on construction and read-only.  The power budget is an argument of
+    the solve, so one drop serves every budget."""
 
     geometry: UpaGeometry
     bs_position: np.ndarray
@@ -157,7 +162,7 @@ class Scenario:
         for name in ("bs_position", "user_positions", "noise_powers", "weights"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         for name in ("thetas", "phis", "responses"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         shape = self.responses.shape
         if not self.thetas.shape == self.phis.shape == shape == shape[:1] + (self.geometry.n_t,):
             raise ValueError(
@@ -170,11 +175,12 @@ class Scenario:
         ):
             raise ValueError(f"path_counts: need ints >= 1 summing to {shape[0]}, got {counts}")
         object.__setattr__(self, "path_counts", counts)
+        shapes = (self.noise_powers.shape, self.weights.shape)
+        if shapes != ((len(counts),),) * 2:
+            raise ValueError(f"noise_powers, weights: need shape ({len(counts)},), got {shapes}")
         if np.any(self.noise_powers <= 0) or np.any(self.weights <= 0):
             raise ValueError("noise powers and weights must be positive")
-        blocks = self.em_channels()
-        blocks.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", _read_only(self.em_channels()))
 
     @property
     def n_users(self) -> int:

@@ -19,9 +19,9 @@ A gain is either that nested list or one block of samples,
 ``{"shape": [len(theta), len(phi)], "base64": "..."}``, whose base64 text
 holds the little-endian float64 samples in row-major order; the loader
 reads both, and :func:`save_candidates` writes blocks.  Axis nodes must
-be finite, gains finite and nonnegative, and ``normalize`` a JSON boolean;
-with ``normalize`` true (the default) every pattern is rescaled on load so
-its quadrature power equals 4 pi.
+be finite, azimuths span at most 360 degrees, gains be finite and
+nonnegative, and ``normalize`` a JSON boolean; with ``normalize`` true (the
+default) every pattern is rescaled on load so its quadrature power equals 4 pi.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .channel import Scenario, assemble_channel
+from .channel import Scenario, _read_only, assemble_channel
 from .harmonics import FULL_SPHERE, synthesize_gain
 from .wmmse import SolverConfig, SolverResult, link_stats, refit_digital, sum_rate
 
@@ -59,11 +59,6 @@ class CandidateGrid:
     phi: np.ndarray
     gains: np.ndarray  # (R_grid, n_theta, n_phi), row k is candidate members[k]
     members: np.ndarray  # indices into the set's patterns, ascending
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +168,8 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
     phi = np.deg2rad(_validate_axis(record["phi_deg"], f"{ctx}.phi_deg"))
     if theta[0] < 0 or theta[-1] > math.pi + 1e-9:
         raise PatternLoadError(f"{ctx}.theta_deg: inclinations must lie in [0, 180]")
+    if phi[-1] - phi[0] > 2.0 * math.pi + 1e-9:
+        raise PatternLoadError(f"{ctx}.phi_deg: azimuths must span at most 360 degrees")
     if isinstance(record["gain"], _BadBlock):
         raise PatternLoadError(f"{ctx}.gain: {record['gain']}")
     gain = _float_array(record["gain"], f"{ctx}.gain")
@@ -368,28 +365,22 @@ def candidate_gains(cset: CandidatePatternSet, theta, phi) -> np.ndarray:
     return out
 
 
-def project_antenna(c_opt, thetas, phis, cset: CandidatePatternSet, gains=None):
-    """Index of the candidate closest to the synthesized pattern over the
-    given path angles (sum of squared gain mismatches; ties take the lowest
+def project_antenna(coeffs, thetas, phis, gains) -> np.ndarray:
+    """(N,) indices of the candidates closest to N synthesized patterns over
+    their path angles (sum of squared gain mismatches; ties take the lowest
     index).
 
-    One pattern of shape (T,) with angles of shape (P,) gives an int; a
-    stack of N patterns (N, T) with angles (N, P) gives the (N,) indices,
-    one per pattern.  ``gains`` is the (R, N, P) :func:`candidate_gains`
-    array at those angles, for a caller that has it already.
+    ``coeffs`` is the (N, T) stack of patterns and ``thetas``, ``phis`` the
+    (N, P) angles of each one's paths; the candidates enter only through
+    ``gains``, the (R, N, P) :func:`candidate_gains` array at those angles.
     """
-    coeffs = np.atleast_2d(np.asarray(c_opt, float))
-    thetas = np.asarray(thetas, float).reshape(len(coeffs), -1)
-    phis = np.asarray(phis, float).reshape(thetas.shape)
+    thetas, phis = np.asarray(thetas, float), np.asarray(phis, float)
     if thetas.shape[1] == 0:
         raise ValueError("need at least one path angle")
-    if gains is None:
-        gains = candidate_gains(cset, thetas, phis)
     target = np.stack(
         [synthesize_gain(c, th, ph) for c, th, ph in zip(coeffs, thetas, phis)]
     )
-    indices = np.argmin(np.sum((gains - target) ** 2, axis=-1), axis=0)
-    return int(indices[0]) if np.ndim(c_opt) == 1 else indices
+    return np.argmin(np.sum((gains - target) ** 2, axis=-1), axis=0)
 
 
 @dataclass(eq=False)
@@ -418,7 +409,7 @@ def apply_projection(
     """
     thetas, phis = scenario.thetas.T, scenario.phis.T  # (N_T, P)
     gains = candidate_gains(cset, thetas, phis)  # (R, N_T, P)
-    indices = project_antenna(result.state.coeffs, thetas, phis, cset, gains=gains)
+    indices = project_antenna(result.state.coeffs, thetas, phis, gains)
     selected = gains[indices, np.arange(scenario.geometry.n_t)].T  # (P, N_T)
     channels = assemble_channel(scenario.responses, scenario.path_counts, selected)
     if refit:

@@ -231,7 +231,7 @@ def _check_budget(p_max) -> None:
         raise ValueError(f"power budget must be positive and finite, got {p_max}")
 
 
-def update_fd(channels, w, v, weights, p_max, basis=None) -> np.ndarray:
+def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
     """Fully digital precoder under the total power budget.
 
     Solves (M + mu I) f_k = beta_k w_k conj(v_k) conj(h_k), M = H^H C H with
@@ -245,11 +245,11 @@ def update_fd(channels, w, v, weights, p_max, basis=None) -> np.ndarray:
     the pseudo-inverse, the minimum-norm limit mu -> 0+, which also covers a
     rank-deficient H; otherwise the secular solver matches the power to
     p_max within MULTIPLIER_TOL * p_max, with the bracket's lower end at mu = 0.
-    ``basis`` is ``np.linalg.qr(np.conj(channels).T)``, for a caller that
-    updates F_D on one channel many times.
+    The channel enters only as ``basis``, its thin QR (Q, R) =
+    ``np.linalg.qr(np.conj(channels).T)``, which the loop forms once per H.
     """
     _check_budget(p_max)
-    q, r = np.linalg.qr(np.conj(channels).T) if basis is None else basis
+    q, r = basis
     weights = np.asarray(weights, dtype=float)
     coef = weights * w * np.abs(v) ** 2
     m = (r * coef) @ np.conj(r).T
@@ -270,9 +270,10 @@ def update_fd(channels, w, v, weights, p_max, basis=None) -> np.ndarray:
 
 
 class AcFactors(NamedTuple):
-    """Every antenna's AC channel block and the thin QR of it; they depend on
-    the EM-domain channel blocks alone (``factor_ac_blocks``)."""
+    """The EM-domain channel blocks, every antenna's AC block of them and the
+    thin QR of it (``factor_ac_blocks``)."""
 
+    blocks: np.ndarray  # (K, N_T, T) the blocks factored
     columns: np.ndarray  # (N_T, T-1, K) H_ac^T per antenna
     rows: np.ndarray  # (N_T, K, T-1) H_ac per antenna, contiguous
     q: np.ndarray  # (N_T, T-1, r) orthonormal basis of each G's row space
@@ -284,7 +285,7 @@ def factor_ac_blocks(blocks) -> AcFactors:
     blocks[:, n, 1:] = X + iY, in one batched call."""
     columns = blocks[:, :, 1:].transpose(1, 2, 0)
     q, r = np.linalg.qr(np.concatenate((columns.real, columns.imag), axis=2))
-    return AcFactors(columns, np.ascontiguousarray(columns.transpose(0, 2, 1)), q, r)
+    return AcFactors(blocks, columns, np.ascontiguousarray(columns.transpose(0, 2, 1)), q, r)
 
 
 def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
@@ -388,17 +389,15 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     return 0.5 * (t - pole), -vecs @ (dt / (shift + t))
 
 
-def update_em(
-    blocks, coeffs, f_d, w, v, weights, noise_powers, factors=None
-) -> np.ndarray:
+def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> np.ndarray:
     """One ascending sweep of per-antenna AC updates with monotone acceptance.
 
-    The quadratics of all antennas are factored once (``assemble_quadratic``),
-    since F_D, w and v are fixed within the sweep; ``factors`` is
-    ``factor_ac_blocks(blocks)``, for a caller that sweeps one channel many
-    times.  The links P = H F_D are computed in full once, at the start, and
-    their statistics once per scored P.  Replacing antenna n's AC vector c
-    changes only column n of H, so P moves by the rank-1 term
+    The channel enters only as ``factors``, ``factor_ac_blocks`` of its
+    EM-domain blocks, formed once per solve.  The quadratics of all antennas
+    are assembled once (``assemble_quadratic``), since F_D, w and v are fixed
+    within the sweep.  The links P = H F_D are computed in full once, at the
+    start, and their statistics once per scored P.  Replacing antenna n's AC
+    vector c changes only column n of H, so P moves by the rank-1 term
     outer(H_ac (c - c_old), F_D[n]); each candidate is scored on the exact
     objective from the moved P and kept only when it strictly beats the
     incumbent, which guards against rounding, so the sweep never increases
@@ -406,14 +405,12 @@ def update_em(
     """
     coeffs = np.array(coeffs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if factors is None:
-        factors = factor_ac_blocks(blocks)
     lams, vecs, proj = assemble_quadratic(factors, f_d, w, v, weights)
     h_ac = factors.rows
     gw = weights * w * np.abs(v) ** 2
     bwv = weights * w * v
     rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
-    links = effective_channels(blocks, coeffs) @ f_d
+    links = effective_channels(factors.blocks, coeffs) @ f_d
     incumbent = wmmse_objective(w, mse_vector(link_stats(links), v, noise_powers), weights)
     for n in range(coeffs.shape[0]):
         f_n = f_d[n]
@@ -488,7 +485,7 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         w = update_w(links, v)
         obj_w = wmmse_objective(w, e, weights)
         t_w = time.perf_counter()
-        f_d = update_fd(h, w, v, weights, p_max, basis)
+        f_d = update_fd(basis, w, v, weights, p_max)
         links = link_stats(h @ f_d)
         obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights)
         t_fd = time.perf_counter()
@@ -558,7 +555,7 @@ def run_algorithm1(
 
     def pattern_step(f_d, w, v):
         nonlocal coeffs
-        coeffs = update_em(blocks, coeffs, f_d, w, v, weights, noise, factors)
+        coeffs = update_em(factors, coeffs, f_d, w, v, weights, noise)
         return effective_channels(blocks, coeffs)
 
     h = effective_channels(blocks, coeffs)

@@ -238,7 +238,7 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         w = update_w(p, v)
         obj_w = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_w = time.perf_counter()
-        f_d = update_fd(h, w, v, weights, p_max)
+        f_d = update_fd(np.linalg.qr(np.conj(h).T), w, v, weights, p_max)
         p = h @ f_d
         obj_fd = wmmse_objective(w, mse_vector(p, v, noise), weights)
         t_fd = time.perf_counter()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,6 +141,31 @@ class TestArv:
             with pytest.raises(ValueError, match="path_counts"):
                 make_scenario(paths, GEOM, 2, counts=counts)
         assert make_scenario(paths, GEOM, 2, counts=[1, 2]).path_counts == (1, 2)
+
+    @pytest.mark.parametrize("field", ["weights", "noise_powers"])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (), (2, 1)])
+    def test_per_user_arrays_need_one_value_per_user(self, field, shape):
+        # on the default two-user drop a length-1 array broadcast silently to
+        # both users, and a length-3 one failed only inside the solve
+        scenario = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
+        with pytest.raises(ValueError, match=r"noise_powers, weights: need shape \(2,\)"):
+            dataclasses.replace(scenario, **{field: np.ones(shape)})
+
+    def test_path_table_is_a_read_only_copy(self):
+        # the blocks are lifted from the table once, so a write to the table
+        # would leave the solve and the projection on different channels
+        paths = [make_far_path(1.0, 0.5, GEOM), make_far_path(0.3, 2.0, GEOM, gain=0.5j)]
+        given = dict(zip(("thetas", "phis", "responses"), map(np.stack, zip(*paths))))
+        scenario = make_scenario(paths, GEOM, 2, **given)
+        blocks = scenario.blocks.copy()
+        for name, array in given.items():
+            table = getattr(scenario, name)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+            assert array.flags.writeable and not np.shares_memory(table, array)
+            array[:] = 0.0  # the caller's array stays the caller's
+            assert np.all(table != 0.0)
+        np.testing.assert_array_equal(scenario.em_channels(), blocks)
 
 
 class TestPathAods:

@@ -1039,8 +1039,10 @@ class TestCli:
             {"normalize": "false", "patterns": [
                 {"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
                  "gain": [[1, 1, 1]] * 3}]},
+            {"patterns": [{"theta_deg": [0, 90, 180], "phi_deg": [0, 180, 360, 540],
+                           "gain": [[1, 1, 1, 1]] * 3}]},
         ],
-        ids=["nan-axis-node", "normalize-string"],
+        ids=["nan-axis-node", "normalize-string", "azimuth-over-360"],
     )
     def test_malformed_candidate_field_is_config_error(self, tmp_path, capsys, doc):
         path = tmp_path / "f.json"

@@ -61,6 +61,14 @@ def list_form_doc(cset):
     }
 
 
+def nearest_candidates(coeffs, thetas, phis, cset):
+    """``project_antenna`` on an (N, T) stack of patterns with (N, P) angles,
+    with the gains of ``cset``'s candidates at those angles."""
+    thetas, phis = np.asarray(thetas, float), np.asarray(phis, float)
+    gains = proj.candidate_gains(cset, thetas, phis)
+    return proj.project_antenna(np.asarray(coeffs, float), thetas, phis, gains)
+
+
 def project_antenna_oracle(c_opt, thetas, phis, cset):
     """Brute-force selection: one candidate at a time, kept only on a strict
     improvement, so ties go to the lowest index."""
@@ -181,9 +189,9 @@ class TestProjectionOracle:
                 project_antenna_oracle(c, th, ph, cset)
                 for c, th, ph in zip(coeffs, thetas, phis)
             ]
-            got = proj.project_antenna(coeffs, thetas, phis, cset)
+            got = nearest_candidates(coeffs, thetas, phis, cset)
             assert got.tolist() == expected
-            assert proj.project_antenna(coeffs[0], thetas[0], phis[0], cset) == expected[0]
+            assert nearest_candidates(coeffs[:1], thetas[:1], phis[:1], cset)[0] == expected[0]
             if which == "duplicated":
                 assert max(expected) < 4
 
@@ -263,6 +271,29 @@ class TestLoader:
         doc["patterns"][0][field][index] = value
         with pytest.raises(proj.PatternLoadError, match=rf"patterns\[0\]\.{field}: .*finite"):
             proj.load_candidates(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "phi_deg", [[0, 180, 360, 540], [0, 360, 720], [-180, 0, 180.001]],
+        ids=["540", "720", "just-over"],
+    )
+    def test_azimuth_span_over_360_rejected(self, tmp_path, phi_deg):
+        # lookup wraps at 360 degrees while the power quadrature integrates
+        # the whole axis, so a wider axis loaded with wrong gains: a constant
+        # pattern on [0, 180, 360, 540] looked up at 0.816 instead of 1
+        doc = isotropic_doc()
+        doc["patterns"][0]["phi_deg"] = phi_deg
+        doc["patterns"][0]["gain"] = [[1.0] * len(phi_deg)] * 7
+        with pytest.raises(proj.PatternLoadError, match=r"patterns\[0\]\.phi_deg: .*360"):
+            proj.load_candidates(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("phi_deg", [[0, 120, 240, 360], [-180, 0, 180]])
+    def test_azimuth_span_of_exactly_360_loads(self, tmp_path, phi_deg):
+        doc = isotropic_doc()
+        doc["patterns"][0]["phi_deg"] = phi_deg
+        doc["patterns"][0]["gain"] = [[1.0] * len(phi_deg)] * 7
+        cset = proj.load_candidates(write_doc(tmp_path, doc))
+        phis = np.linspace(-math.pi, 3 * math.pi, 17)
+        np.testing.assert_allclose(proj.candidate_gain(cset, 0, 1.0, phis), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "zero", "null"])
     def test_normalize_must_be_a_json_boolean(self, tmp_path, value):
@@ -439,13 +470,14 @@ class TestProjectAntenna:
         angles_th = rng.uniform(0.2, math.pi - 0.2, 6)
         angles_ph = rng.uniform(0, 2 * math.pi, 6)
         for target in range(4):
-            assert proj.project_antenna(coeffs[target], angles_th, angles_ph, cset) == target
+            got = nearest_candidates([coeffs[target]], [angles_th], [angles_ph], cset)
+            assert got[0] == target
 
     def test_single_candidate(self):
         cset = proj.steered_candidate_set(count=1)
         c = np.zeros(9)
         c[0] = math.sqrt(FULL_SPHERE)
-        assert proj.project_antenna(c, [1.0], [2.0], cset) == 0
+        assert nearest_candidates([c], [[1.0]], [[2.0]], cset)[0] == 0
 
     def test_matches_brute_force_rescan(self):
         rng = np.random.default_rng(4)
@@ -462,19 +494,19 @@ class TestProjectAntenna:
                 diff = proj.candidate_gain(cset, r, th, ph) - synthesize_gain(c, th, ph)
                 cost += diff * diff
             costs.append(cost)
-        assert proj.project_antenna(c, thetas, phis, cset) == int(np.argmin(costs))
+        assert nearest_candidates([c], [thetas], [phis], cset)[0] == int(np.argmin(costs))
 
     def test_tie_breaks_to_lowest_index(self):
         base = proj.steered_candidate_set(count=1)
         cset = proj.CandidatePatternSet(base.patterns * 2, normalized=True)
         c = np.zeros(4)
         c[0] = math.sqrt(FULL_SPHERE)
-        assert proj.project_antenna(c, [0.5, 1.0], [0.1, 3.0], cset) == 0
+        assert nearest_candidates([c], [[0.5, 1.0]], [[0.1, 3.0]], cset)[0] == 0
 
     def test_empty_angles_rejected(self):
         cset = proj.steered_candidate_set(count=1)
         with pytest.raises(ValueError):
-            proj.project_antenna(np.zeros(4), [], [], cset)
+            nearest_candidates([np.zeros(4)], [[]], [[]], cset)
 
 
 def solve_small(seed, **cfg):
@@ -516,9 +548,9 @@ class TestApplyProjection:
         projected = proj.apply_projection(result, scenario, cset)
         for n in range(4):
             thetas, phis = scenario.thetas[:, n], scenario.phis[:, n]
-            assert projected.indices[n] == proj.project_antenna(
-                result.state.coeffs[n], thetas, phis, cset
-            )
+            assert projected.indices[n] == nearest_candidates(
+                [result.state.coeffs[n]], [thetas], [phis], cset
+            )[0]
 
     def test_projected_channel_gain_nonnegative(self):
         scenario, result = solve_small(8)

@@ -56,6 +56,11 @@ def g_affine(blocks, coeffs, f_d, k: int, i: int, n: int):
     return a, b
 
 
+def qr_basis(h):
+    """The thin QR (Q, R) of H^H, the form in which ``update_fd`` takes H."""
+    return np.linalg.qr(np.conj(h).T)
+
+
 def update_fd_bisection(channels, w, v, weights, p_max, rel_tol=1e-10):
     """Oracle for ``update_fd``: the power multiplier by bisection.
 
@@ -213,7 +218,7 @@ class TestUpdateFd:
         b = np.conj(h).T * (weights * w * np.conj(v))[None, :]
         unconstrained = np.linalg.solve(m, b)
         p_needed = float(np.sum(np.abs(unconstrained) ** 2))
-        out = wmmse.update_fd(h, w, v, weights, p_max=10 * p_needed)
+        out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max=10 * p_needed)
         np.testing.assert_allclose(out, unconstrained, rtol=1e-8)
 
     def test_tight_budget_met(self):
@@ -222,7 +227,7 @@ class TestUpdateFd:
         v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         p_max = 1e-4
-        out = wmmse.update_fd(h, w, v, weights, p_max)
+        out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
         assert abs(np.sum(np.abs(out) ** 2) - p_max) <= 1e-8 * p_max
 
     def test_single_user_matched_direction(self):
@@ -230,7 +235,7 @@ class TestUpdateFd:
         h = (rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5)))
         v = np.array([0.3 + 0.2j])
         w = np.array([1.7])
-        f = wmmse.update_fd(h, w, v, [1.0], p_max=1e-6)
+        f = wmmse.update_fd(qr_basis(h), w, v, [1.0], p_max=1e-6)
         cos = abs(np.vdot(np.conj(h[0]), f[:, 0])) / (
             np.linalg.norm(h) * np.linalg.norm(f)
         )
@@ -243,7 +248,7 @@ class TestUpdateFd:
             v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
             w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
             p_max = float(10.0 ** np.random.default_rng(seed).uniform(-6, 2))
-            out = wmmse.update_fd(h, w, v, weights, p_max)
+            out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
             assert np.sum(np.abs(out) ** 2) <= p_max * (1 + 1e-8)
 
     # Newton and the bisection oracle both stop within 1e-10 * p_max of the
@@ -265,7 +270,7 @@ class TestUpdateFd:
             weights = rng.uniform(0.5, 2.0, n_users)
             p_max = float(10.0 ** rng.uniform(-6.0, 2.0))
             with np.errstate(all="raise"):
-                out = wmmse.update_fd(h, w, v, weights, p_max)
+                out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
             expected, mu = update_fd_bisection(h, w, v, weights, p_max)
             power = float(np.sum(np.abs(out) ** 2))
             if mu == 0.0:
@@ -285,7 +290,7 @@ class TestUpdateFd:
         v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         with pytest.raises(RuntimeError, match="Newton .* relative power residual"):
-            wmmse.update_fd(h, w, v, weights, 1e-4)
+            wmmse.update_fd(qr_basis(h), w, v, weights, 1e-4)
 
     @staticmethod
     def rank_deficient_channel(rng, case):
@@ -317,7 +322,7 @@ class TestUpdateFd:
             weights = rng.uniform(0.5, 2.0, n_users)
             p_max = float(10.0 ** rng.uniform(-6.0, 2.0))
             with np.errstate(all="raise"):
-                out = wmmse.update_fd(h, w, v, weights, p_max)
+                out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
             expected, mu = update_fd_bisection(h, w, v, weights, p_max)
             if mu == 0.0:
                 slack += 1
@@ -329,15 +334,18 @@ class TestUpdateFd:
 
     @pytest.mark.parametrize("seed", [9, 100, 101])
     def test_basis_argument_is_bit_equal(self, seed):
+        # the loop factors H^H once per channel and passes that one basis to
+        # every F_D update: a reused basis gives the bits of a fresh one
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed)
         h = wmmse.effective_channels(blocks, coeffs)
         links = wmmse.link_stats(h @ f_d)
         v = wmmse.update_v(links, noise)
         w = wmmse.update_w(links, v)
+        basis = qr_basis(h)
         for p_max in (1e-4, 1e4):
             np.testing.assert_array_equal(
-                wmmse.update_fd(h, w, v, weights, p_max, np.linalg.qr(np.conj(h).T)),
-                wmmse.update_fd(h, w, v, weights, p_max),
+                wmmse.update_fd(basis, w, v, weights, p_max),
+                wmmse.update_fd(qr_basis(h), w, v, weights, p_max),
             )
 
 
@@ -349,7 +357,7 @@ def test_precoder_entry_points_reject_bad_budget(solve, p_max):
     h = wmmse.effective_channels(blocks, coeffs)
     with pytest.raises(ValueError, match="power budget must be positive and finite"):
         if solve == "update_fd":
-            wmmse.update_fd(h, w, v, weights, p_max)
+            wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
         else:
             wmmse.refit_digital(h, weights, noise, p_max)
 
@@ -706,36 +714,44 @@ def test_reduced_solve_matches_dense_eigh(n_users, dim, seed, log_rho_sq, idle_a
 
 
 class TestUpdateEm:
+    def test_factors_hold_the_blocks_they_factor(self):
+        # the sweep reads its channel only through the factors, links included
+        blocks = random_instance(6)[0]
+        assert wmmse.factor_ac_blocks(blocks).blocks is blocks
+
     def test_sweep_never_increases_objective(self):
         for seed in (3, 5, 8):
             blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed)
             before = full_objective(blocks, coeffs, f_d, w, v, weights, noise)
-            out = wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise)
+            factors = wmmse.factor_ac_blocks(blocks)
+            out = wmmse.update_em(factors, coeffs, f_d, w, v, weights, noise)
             after = full_objective(blocks, out, f_d, w, v, weights, noise)
             assert after <= before + 1e-12
 
     def test_dc_entries_untouched(self):
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(6)
-        out = wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise)
+        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
         np.testing.assert_array_equal(out[:, 0], coeffs[:, 0])
         np.testing.assert_allclose(np.sum(out**2, axis=1), FULL_SPHERE, atol=1e-8)
 
     def test_zero_combiners_keep_incumbent(self):
         blocks, coeffs, f_d, _, w, weights, noise = random_instance(10)
         out = wmmse.update_em(
-            blocks, coeffs, f_d, w, np.zeros(2, dtype=complex), weights, noise
+            wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, np.zeros(2, dtype=complex),
+            weights, noise,
         )
         np.testing.assert_array_equal(out, coeffs)
 
     def test_fixed_point_is_stable(self):
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(12)
+        factors = wmmse.factor_ac_blocks(blocks)
         current = coeffs
         for _ in range(60):
-            new = wmmse.update_em(blocks, current, f_d, w, v, weights, noise)
+            new = wmmse.update_em(factors, current, f_d, w, v, weights, noise)
             if np.array_equal(new, current):
                 break
             current = new
-        again = wmmse.update_em(blocks, current, f_d, w, v, weights, noise)
+        again = wmmse.update_em(factors, current, f_d, w, v, weights, noise)
         np.testing.assert_array_equal(again, current)
 
     def test_one_objective_per_antenna(self, monkeypatch):
@@ -746,7 +762,7 @@ class TestUpdateEm:
             wmmse, "wmmse_objective", lambda *args: calls.append(1) or objective(*args)
         )
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(6)
-        wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise)
+        wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
         assert len(calls) == 1 + coeffs.shape[0]
 
     @pytest.mark.parametrize("seed", [3, 6, 12, 21])
@@ -759,7 +775,7 @@ class TestUpdateEm:
         stats = wmmse.link_stats
         monkeypatch.setattr(wmmse, "link_stats", lambda p: scored.append(p) or stats(p))
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed, n_t=6)
-        out = wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise)
+        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
         objectives = [
             wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v, noise), weights)
             for p in scored
@@ -781,7 +797,7 @@ class TestUpdateEm:
         # the range-space sweep accepts the same antennas as the sweep with
         # every model assembled and solved in full, at the same points
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed, t_len=16)
-        out = wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise)
+        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
         dense = dense_sweep(blocks, coeffs, f_d, w, v, weights, noise)
         changed = np.any(out != coeffs, axis=1)
         np.testing.assert_array_equal(changed, np.any(dense != coeffs, axis=1))
@@ -909,9 +925,12 @@ class TestAlgorithm:
                     scenario, p_max, config.solver, seed, em_update=em_update
                 )
                 with monkeypatch.context() as patch:
-                    # the loop also passes H^H, which the oracle forms itself
+                    # the loop passes the thin QR of H^H; the oracle takes H
                     patch.setattr(
-                        wmmse, "update_fd", lambda *args: update_fd_bisection(*args[:5])[0]
+                        wmmse, "update_fd",
+                        lambda basis, *args: update_fd_bisection(
+                            np.conj(basis[0] @ basis[1]).T, *args
+                        )[0],
                     )
                     oracle = wmmse.run_algorithm1(
                         scenario, p_max, config.solver, seed, em_update=em_update
@@ -934,9 +953,11 @@ class TestAlgorithm:
             p_max = dbm_to_watts(dbm)
             fast = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
             with monkeypatch.context() as patch:
-                # the solve also passes the blocks' AC factors, which the
-                # dense sweep does not use
-                patch.setattr(wmmse, "update_em", lambda *args: dense_sweep(*args[:7]))
+                # the solve passes the blocks' AC factors; the dense sweep
+                # reads only the blocks they hold
+                patch.setattr(
+                    wmmse, "update_em", lambda factors, *args: dense_sweep(factors.blocks, *args)
+                )
                 oracle = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
             assert fast.iterations == oracle.iterations
             assert fast.sum_rate == pytest.approx(oracle.sum_rate, rel=self.RANGE_SWEEP_RTOL)
@@ -1038,7 +1059,7 @@ class TestLoopMatchesReference:
 
         def pattern_step(f_d, w, v):
             nonlocal coeffs
-            coeffs = wmmse.update_em(blocks, coeffs, f_d, w, v, weights, noise, factors)
+            coeffs = wmmse.update_em(factors, coeffs, f_d, w, v, weights, noise)
             return wmmse.effective_channels(blocks, coeffs)
 
         h = wmmse.effective_channels(blocks, coeffs)
