@@ -141,9 +141,10 @@ def assemble_channel(responses, counts, gains) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One multi-user downlink drop: geometry, users, the path table (one row
-    per path, users in order, held as read-only copies of the arrays given),
-    per-user noise and weights, and ``blocks``, its EM-domain channel, lifted
-    once on construction and read-only.  The power budget is an argument of
+    per path, users in order), per-user noise and weights, the table and the
+    per-user arrays held as read-only copies of the arrays given, and
+    ``blocks``, its EM-domain channel, lifted once on construction and
+    read-only.  The power budget is an argument of
     the solve, so one drop serves every budget."""
 
     geometry: UpaGeometry
@@ -159,8 +160,10 @@ class Scenario:
     blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("bs_position", "user_positions", "noise_powers", "weights"):
+        for name in ("bs_position", "user_positions"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("noise_powers", "weights"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         for name in ("thetas", "phis", "responses"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         shape = self.responses.shape

@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -436,6 +435,9 @@ def run_trials(config: RunConfig) -> list[TrialRecord]:
     configs = [config] * len(seeds)
     workers = min(config.workers, len(seeds))
     if workers > 1:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             drops = list(pool.map(run_drop, configs, seeds, chunksize=1))
     else:

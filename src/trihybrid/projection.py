@@ -22,6 +22,9 @@ reads both, and :func:`save_candidates` writes blocks.  Axis nodes must
 be finite, azimuths span at most 360 degrees, gains be finite and
 nonnegative, and ``normalize`` a JSON boolean; with ``normalize`` true (the
 default) every pattern is rescaled on load so its quadrature power equals 4 pi.
+Where the squared samples under- or overflow, that scale comes from the
+power of gain / max(gain); a pattern whose power or scale is still not
+finite and positive (an all-zero pattern among them) does not load.
 """
 
 from __future__ import annotations
@@ -145,11 +148,14 @@ def _float_array(values, name: str) -> np.ndarray:
 
 
 def _validate_axis(values, name: str) -> np.ndarray:
+    """The axis nodes in degrees ``values`` as radians, which must ascend
+    strictly: nodes a subnormal number of degrees apart coincide there."""
     arr = _float_array(values, name)
     if arr.ndim != 1 or arr.size < 2:
         raise PatternLoadError(f"{name}: need a 1-D array with at least 2 nodes")
     if not np.all(np.isfinite(arr)):
         raise PatternLoadError(f"{name}: grid nodes must be finite")
+    arr = np.deg2rad(arr)
     if np.any(np.diff(arr) <= 0):
         raise PatternLoadError(f"{name}: grid nodes must be strictly ascending")
     return arr
@@ -164,8 +170,8 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
     for key in ("theta_deg", "phi_deg", "gain"):
         if key not in record:
             raise PatternLoadError(f"{ctx}: missing field {key!r}")
-    theta = np.deg2rad(_validate_axis(record["theta_deg"], f"{ctx}.theta_deg"))
-    phi = np.deg2rad(_validate_axis(record["phi_deg"], f"{ctx}.phi_deg"))
+    theta = _validate_axis(record["theta_deg"], f"{ctx}.theta_deg")
+    phi = _validate_axis(record["phi_deg"], f"{ctx}.phi_deg")
     if theta[0] < 0 or theta[-1] > math.pi + 1e-9:
         raise PatternLoadError(f"{ctx}.theta_deg: inclinations must lie in [0, 180]")
     if phi[-1] - phi[0] > 2.0 * math.pi + 1e-9:
@@ -181,11 +187,21 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
         raise PatternLoadError(f"{ctx}.gain: non-finite sample")
     if np.any(gain < 0):
         raise PatternLoadError(f"{ctx}.gain: negative sample")
-    power, scale = grid_power(theta, phi, gain), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves it inf or nan
+        power = grid_power(theta, phi, gain)
+    scale = 1.0
     if normalize:
-        if power <= 0:
+        top = float(gain.max())
+        if top == 0:
             raise PatternLoadError(f"{ctx}.gain: zero pattern cannot be normalized")
-        power, scale = FULL_SPHERE, math.sqrt(FULL_SPHERE / power)
+        scale = math.sqrt(FULL_SPHERE / power) if power > 0 else math.inf
+        if not 0 < scale < math.inf:
+            # gain^2 under- or overflowed; gain / max(gain) squares in range
+            unit = grid_power(theta, phi, gain / top)
+            scale = math.sqrt(FULL_SPHERE / unit) / top if unit > 0 else math.inf
+        power = FULL_SPHERE
+    if not (0 < scale < math.inf and math.isfinite(power)):
+        raise PatternLoadError(f"{ctx}.gain: samples too small or too large for a finite power")
     name = str(record.get("name", f"pattern-{idx}"))
     return CandidatePattern(name=name, theta=theta, phi=phi, gain=gain, power=power), scale
 

@@ -8,12 +8,12 @@ with the constant (DC) coefficient pinned to eta.  Every block update is
 closed form:
 
 * v, w, F_D follow the classic per-user expressions, v and w (like the
-  MSE and the sum rate) from the statistics of the links p = H F_D alone,
-  which ``link_stats`` forms once after each change of H or F_D.  F_D lies
-  in the K-dimensional range of H^H: one thin QR H^H = Q R per channel
-  reduces each F_D update to the spectrum of the K x K matrix R C R^H, and
-  the one power multiplier all columns of F_D share solves a secular
-  equation on those K terms;
+  MSE, the objective and the sum rate) from the statistics of the links
+  p = H F_D alone, which ``link_stats`` forms once after each change of H
+  or F_D.  F_D lies in the K-dimensional range of H^H: one thin QR
+  H^H = Q R per channel reduces each F_D update to the spectrum of the
+  K x K matrix R C R^H, and the one power multiplier all columns of F_D
+  share solves a secular equation on those K terms;
 * each antenna's AC coefficient vector solves a norm-constrained quadratic
   program whose KKT system is (A + 2 nu I) c = -d.  A has rank at most 2K
   and d lies in its range, so one batched thin QR of the antennas' channel
@@ -30,13 +30,22 @@ closed form:
   iterations.
 
 Both multipliers come from one safeguarded Newton iteration on
-sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983), which runs on
-Python floats, since it never sees more than 2K terms.
+sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
+
+Every per-user K-vector (the links' statistics, v, w and ln w, the MSE, the
+user weights and noise powers) is a list of Python floats, and the
+functions of them run O(K) scalar loops: at a few users numpy's cost per
+call, not the arithmetic, would bound the loop.  The same holds for the
+K terms of an F_D update after its eigensolve and the at most 2K terms of
+either multiplier.  numpy forms the K x K links, R C R^H and its
+eigensolve, the precoder, and the pattern quadratics; a K-vector becomes
+an array only where it scales one of those matrices.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,7 +55,7 @@ import numpy as np
 from .channel import Scenario, effective_channels
 from .harmonics import FULL_SPHERE, truncation_length
 
-EPS = np.finfo(float).eps
+EPS = sys.float_info.epsilon
 DEGENERACY_TOL = 1e-14
 # Backward error of an n x n eigensolve, in units of n * eps * max|lam|:
 # eigenvalues this close to the pole form one cluster, and weight of d on that
@@ -125,59 +134,82 @@ class SolverResult:
 
 
 class Links(NamedTuple):
-    """What the per-user updates read of the (K, K) links p[k, j] = h_k . f_j."""
+    """What the per-user updates read of the (K, K) links p[k, j] = h_k . f_j,
+    as lists of Python numbers."""
 
-    gains: np.ndarray  # (K,) desired-link gains p_kk
-    signal: np.ndarray  # (K,) desired powers |p_kk|^2
-    received: np.ndarray  # (K,) received powers sum_j |p_kj|^2
-    interference: np.ndarray  # (K,) received minus desired power
+    gains: list  # (K,) desired-link gains p_kk
+    signal: list  # (K,) desired powers |p_kk|^2
+    received: list  # (K,) received powers sum_j |p_kj|^2
+    interference: list  # (K,) received minus desired power
 
 
 def link_stats(p) -> Links:
     """The statistics of the links ``p`` that the v, w, MSE and rate
     functions read, formed once per change of p."""
     powers = np.abs(p) ** 2
-    received = powers.sum(axis=1)
-    signal = powers.diagonal()
-    return Links(p.diagonal(), signal, received, received - signal)
+    received = powers.sum(axis=1).tolist()
+    signal = powers.diagonal().tolist()
+    return Links(
+        p.diagonal().tolist(), signal, received, [r - s for r, s in zip(received, signal)]
+    )
 
 
 def sum_rate(links: Links, weights, noise_powers) -> float:
     """Weighted sum rate sum_k beta_k log2(1 + SINR_k) of the links, in bits/s/Hz."""
-    noise_powers = np.asarray(noise_powers, dtype=float)
-    if (noise_powers <= 0).any():
-        raise ValueError("noise powers must be positive")
-    sinr = links.signal / (noise_powers + links.interference)
-    return float((np.asarray(weights) * np.log2(1.0 + sinr)).sum())
+    rate = 0.0
+    for b, s, i, n in zip(weights, links.signal, links.interference, noise_powers):
+        if not n > 0:
+            raise ValueError("noise powers must be positive")
+        rate += b * math.log2(1.0 + s / (n + i))
+    return float(rate)
 
 
-def mse_vector(links: Links, v, noise_powers) -> np.ndarray:
+def mse_vector(links: Links, v, noise_powers) -> list:
     """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + noise)."""
-    return (
-        np.abs(1.0 - v * links.gains) ** 2
-        + np.abs(v) ** 2 * (links.interference + np.asarray(noise_powers, dtype=float))
-    )
+    e = []
+    for vk, g, i, n in zip(v, links.gains, links.interference, noise_powers):
+        miss, gain = abs(1.0 - vk * g), abs(vk)
+        e.append(miss * miss + gain * gain * (i + n))
+    return e
 
 
-def wmmse_objective(w, e, weights) -> float:
-    """sum_k beta_k (w_k e_k - ln w_k)."""
-    return float((np.asarray(weights) * (w * e - np.log(w))).sum())
+def wmmse_objective(w, e, weights, log_w) -> float:
+    """sum_k beta_k (w_k e_k - ln w_k), with ``log_w`` = ln w, formed once per w."""
+    total = 0.0
+    for b, wk, ek, lk in zip(weights, w, e, log_w):
+        total += b * (wk * ek - lk)
+    return float(total)
 
 
-def update_v(links: Links, noise_powers) -> np.ndarray:
+def update_v(links: Links, noise_powers) -> list:
     """Per-user MMSE combiner: conj(p_kk) over total received power plus noise."""
-    return np.conj(links.gains) / (links.received + np.asarray(noise_powers, dtype=float))
+    # times the reciprocal, which rounds as numpy's complex-by-real division
+    return [
+        g.conjugate() * (1.0 / (r + n))
+        for g, r, n in zip(links.gains, links.received, noise_powers)
+    ]
 
 
-def update_w(links: Links, v) -> np.ndarray:
+def update_w(links: Links, v) -> list:
     """MSE weights w_k = 1 / (1 - v_k p_kk); equals 1/e_k for fresh v."""
-    delta = 1.0 - v * links.gains
-    if (np.abs(delta) < DEGENERACY_TOL).any():
+    deltas = [1.0 - vk * g for vk, g in zip(v, links.gains)]
+    if any(abs(delta) < DEGENERACY_TOL for delta in deltas):
         raise RuntimeError("weight update degenerate: v_k p_kk is numerically 1")
-    w = np.real(1.0 / delta)
-    if (w <= 0).any():
+    w = [(1.0 / delta).real for delta in deltas]
+    if any(wk <= 0 for wk in w):
         raise RuntimeError("weight update produced a non-positive weight")
     return w
+
+
+def _user_scales(w, v, weights):
+    """The per-user factors through which w and v enter the F_D and pattern
+    updates: beta_k w_k |v_k|^2 and beta_k w_k v_k, as lists."""
+    gw, bwv = [], []
+    for b, wk, vk in zip(weights, w, v):
+        bw, gain = b * wk, abs(vk)
+        gw.append(bw * (gain * gain))
+        bwv.append(bw * vk)
+    return gw, bwv
 
 
 def _secular_shift(x_sq, shift, target, what) -> float:
@@ -196,9 +228,10 @@ def _secular_shift(x_sq, shift, target, what) -> float:
     take a few steps rather than one per halving.  Stops once
     |sum - target| <= MULTIPLIER_TOL * target; ``what`` names the summed
     quantity in the error raised after MULTIPLIER_STEPS steps.  Both
-    multipliers see at most 2K terms, so the steps run on Python floats.
+    multipliers see at most 2K terms, so the steps run on Python floats:
+    ``x_sq`` and ``shift`` are sequences of them.
     """
-    terms = list(zip(x_sq.tolist(), shift.tolist()))
+    terms = list(zip(x_sq, shift))
     sqrt_target = math.sqrt(target)
     lo, hi = 0.0, math.sqrt(sum(x for x, _ in terms) / target)
     t = hi
@@ -247,26 +280,35 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
     p_max within MULTIPLIER_TOL * p_max, with the bracket's lower end at mu = 0.
     The channel enters only as ``basis``, its thin QR (Q, R) =
     ``np.linalg.qr(np.conj(channels).T)``, which the loop forms once per H.
+    The K terms after the eigensolve (clamp, ||b~_i||^2, cutoff, power at
+    mu = 0, scale) are Python floats.
     """
     _check_budget(p_max)
     q, r = basis
-    weights = np.asarray(weights, dtype=float)
-    coef = weights * w * np.abs(v) ** 2
-    m = (r * coef) @ np.conj(r).T
+    gw, bwv = _user_scales(w, v, weights)
+    m = (r * gw) @ np.conj(r).T
     eigvals, u = np.linalg.eigh(m)
-    eigvals = np.maximum(eigvals, 0.0)
-    bt = np.conj(u).T @ (r * (weights * w * np.conj(v)))  # (r, K)
-    bt_sq = (np.abs(bt) ** 2).sum(axis=1)
+    bt = np.conj(u).T @ (r * [z.conjugate() for z in bwv])  # (r, K)
+    lams = [max(lam, 0.0) for lam in eigvals.tolist()]
+    bt_sq = []
+    for row in bt.tolist():
+        total = 0.0
+        for z in row:
+            mag = abs(z)
+            total += mag * mag
+        bt_sq.append(total)
 
-    cutoff = eigvals[-1] * max(m.shape) * EPS
-    active = eigvals > cutoff
-    power0 = float((bt_sq[active] / eigvals[active] ** 2).sum())
+    cutoff = lams[-1] * len(lams) * EPS
+    power0 = 0.0
+    for x, lam in zip(bt_sq, lams):
+        if lam > cutoff:
+            power0 += x / (lam * lam)
     if power0 <= p_max:
-        scale = np.where(active, 1.0 / np.where(active, eigvals, 1.0), 0.0)
-        return (q @ u) @ (scale[:, None] * bt)
+        scale = [1.0 / lam if lam > cutoff else 0.0 for lam in lams]
+        return (q @ u) @ (np.array(scale)[:, None] * bt)
 
-    mu = _secular_shift(bt_sq, eigvals, p_max, "power")
-    return (q @ u) @ (bt / (eigvals + mu)[:, None])
+    mu = _secular_shift(bt_sq, lams, p_max, "power")
+    return (q @ u) @ (bt / np.array([lam + mu for lam in lams])[:, None])
 
 
 class AcFactors(NamedTuple):
@@ -307,8 +349,8 @@ def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
     complement of V's columns and d has no weight there.
     """
     r = factors.r
-    gw = np.asarray(weights, dtype=float) * w * np.abs(v) ** 2
-    scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.concatenate((gw, gw))
+    gw, _ = _user_scales(w, v, weights)
+    scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.array(gw + gw)
     lams, u = np.linalg.eigh((r * scale[:, None, :]) @ r.transpose(0, 2, 1))
     vecs = factors.q @ u
     return lams, vecs, vecs.transpose(0, 2, 1) @ factors.columns
@@ -385,7 +427,7 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
         z = _cluster_direction(vecs, cluster, null and -pole <= bound)
         return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, rest] @ y_range
 
-    t = _secular_shift(dt**2, shift, rho_sq, "norm")
+    t = _secular_shift((dt**2).tolist(), shift.tolist(), rho_sq, "norm")
     return 0.5 * (t - pole), -vecs @ (dt / (shift + t))
 
 
@@ -404,14 +446,17 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> n
     the objective.  DC entries are left untouched.
     """
     coeffs = np.array(coeffs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     lams, vecs, proj = assemble_quadratic(factors, f_d, w, v, weights)
     h_ac = factors.rows
-    gw = weights * w * np.abs(v) ** 2
-    bwv = weights * w * v
+    gw, bwv = map(np.array, _user_scales(w, v, weights))
+    log_w = [math.log(wk) for wk in w]
     rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
     links = effective_channels(factors.blocks, coeffs) @ f_d
-    incumbent = wmmse_objective(w, mse_vector(link_stats(links), v, noise_powers), weights)
+
+    def objective(p):
+        return wmmse_objective(w, mse_vector(link_stats(p), v, noise_powers), weights, log_w)
+
+    incumbent = objective(links)
     for n in range(coeffs.shape[0]):
         f_n = f_d[n]
         # links without antenna n's AC part, and d = Re(H_ac^T a)
@@ -420,7 +465,7 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> n
         dt = (proj[n] @ a).real
         _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n])
         moved = rest + np.outer(h_ac[n] @ c_ac, f_n)
-        obj = wmmse_objective(w, mse_vector(link_stats(moved), v, noise_powers), weights)
+        obj = objective(moved)
         if obj < incumbent:
             incumbent, links = obj, moved
             coeffs[n, 1:] = c_ac
@@ -466,28 +511,35 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     p = h F_D are formed once after each change of either, and the thin QR
     of H^H that ``update_fd`` works in once per channel: once per solve
     without ``pattern_step``, once per pattern step with it.  v and w read
-    the same statistics, so one MSE vector scores both.
+    the same statistics, so one MSE vector scores both.  The per-user
+    vectors (weights, noise, v, w and ln w, formed once per w) are lists of
+    Python floats throughout; ``update_fd`` and the pattern step turn them
+    into arrays where they scale a matrix.
     Weights start at one.  The loop stops when the relative sum-rate change
     drops below ``config.tolerance`` or ``config.max_iterations`` is spent.
-    Returns (h, f_d, v, w, history, converged).
+    Returns (h, f_d, v, w, history, converged), with v and w as arrays.
     """
-    w = np.ones(len(weights))
+    weights = np.asarray(weights, dtype=float).tolist()
+    noise = np.asarray(noise, dtype=float).tolist()
+    w, log_w = [1.0] * len(weights), [0.0] * len(weights)
     history: list[IterationRecord] = []
     prev_rate = None
+    converged = False
     basis = np.linalg.qr(np.conj(h).T)
     links = link_stats(h @ f_d)
     for it in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
         v = update_v(links, noise)
         e = mse_vector(links, v, noise)
-        obj_v = wmmse_objective(w, e, weights)
+        obj_v = wmmse_objective(w, e, weights, log_w)
         t_v = time.perf_counter()
         w = update_w(links, v)
-        obj_w = wmmse_objective(w, e, weights)
+        log_w = [math.log(wk) for wk in w]
+        obj_w = wmmse_objective(w, e, weights, log_w)
         t_w = time.perf_counter()
         f_d = update_fd(basis, w, v, weights, p_max)
         links = link_stats(h @ f_d)
-        obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights)
+        obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
         t_fd = time.perf_counter()
         if pattern_step is None:
             obj_em = obj_fd
@@ -495,7 +547,7 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
             h = pattern_step(f_d, w, v)
             basis = np.linalg.qr(np.conj(h).T)
             links = link_stats(h @ f_d)
-            obj_em = wmmse_objective(w, mse_vector(links, v, noise), weights)
+            obj_em = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
         t_em = time.perf_counter()
         rate = sum_rate(links, weights, noise)
         history.append(
@@ -512,9 +564,10 @@ def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            return h, f_d, v, w, history, True
+            converged = True
+            break
         prev_rate = rate
-    return h, f_d, v, w, history, False
+    return h, f_d, np.array(v), np.array(w), history, converged
 
 
 def run_algorithm1(
@@ -544,8 +597,8 @@ def run_algorithm1(
     config = config or SolverConfig()
     geom = scenario.geometry
     blocks = scenario.blocks
-    weights = scenario.weights
-    noise = scenario.noise_powers
+    weights = scenario.weights.tolist()
+    noise = scenario.noise_powers.tolist()
     if em_update:
         rng = np.random.default_rng(seed)
         coeffs = initial_coefficients(geom.n_t, scenario.truncation, config.eta, rng)
@@ -568,7 +621,7 @@ def run_algorithm1(
         history=history,
         converged=converged,
         # at v = 0, w = 1 every MSE is exactly 1, so the objective is sum(beta)
-        initial_objective=float(weights.sum()),
+        initial_objective=float(scenario.weights.sum()),
         channels=h,
         p_max=p_max,
     )

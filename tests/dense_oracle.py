@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import reference
 from trihybrid import wmmse
 from trihybrid.channel import effective_channels
 from trihybrid.harmonics import FULL_SPHERE
@@ -81,9 +82,10 @@ def left_root(sub: QuadraticSubproblem):
 
 
 def full_objective(blocks, coeffs, f_d, w, v, weights, noise) -> float:
-    """The WMMSE objective on a full rebuild of the effective channels."""
-    links = wmmse.link_stats(effective_channels(blocks, coeffs) @ f_d)
-    return wmmse.wmmse_objective(w, wmmse.mse_vector(links, v, noise), weights)
+    """The WMMSE objective on a full rebuild of the effective channels, by
+    the numpy formulas of ``reference``."""
+    p = effective_channels(blocks, coeffs) @ f_d
+    return reference.wmmse_objective(w, reference.mse_vector(p, v, noise), weights)
 
 
 def dense_sweep(blocks, coeffs, f_d, w, v, weights, noise):

@@ -15,10 +15,15 @@ oracles of the batched code in ``trihybrid``.
 * ``secular_shift`` is the multipliers' safeguarded Newton iteration
   vectorized over the terms; ``wmmse._secular_shift`` runs the same steps on
   Python floats and must find the same root.
-* ``alternate`` is the v/w/F_D loop with per-call ``update_v``,
-  ``update_w``, ``mse_vector`` and ``sum_rate`` that each read the links
-  p = H F_D themselves; ``wmmse._alternate``, which forms the links'
-  statistics once per change of p, must equal it bit for bit.
+* ``sum_rate``, ``mse_vector``, ``wmmse_objective``, ``update_v``,
+  ``update_w`` and ``update_fd`` are the per-user formulas on numpy arrays,
+  read from the links p = H F_D themselves; the functions of the same names
+  in ``wmmse``, which run them on Python floats from ``link_stats``, must
+  match them to a relative 1e-12 (``PER_USER_RTOL`` in ``test_wmmse``).
+* ``alternate`` is the v/w/F_D loop calling the per-user functions of
+  ``wmmse`` on per-call statistics of the links, ln w and QR of H^H;
+  ``wmmse._alternate``, which forms each once per change, must equal it
+  bit for bit.
 """
 
 import math
@@ -29,14 +34,8 @@ import numpy as np
 from trihybrid.channel import assemble_channel
 from trihybrid.harmonics import FULL_SPHERE, AngularGrid, _norm_factor, synthesize_gain
 from trihybrid.projection import CandidatePattern, CandidatePatternSet, grid_power
-from trihybrid.wmmse import (
-    DEGENERACY_TOL,
-    MULTIPLIER_STEPS,
-    MULTIPLIER_TOL,
-    IterationRecord,
-    update_fd,
-    wmmse_objective,
-)
+from trihybrid import wmmse
+from trihybrid.wmmse import DEGENERACY_TOL, MULTIPLIER_STEPS, MULTIPLIER_TOL, IterationRecord
 
 
 def index_of(degree: int, order: int) -> int:
@@ -183,7 +182,7 @@ def sampled_pattern_set(
 
 
 def sum_rate(p, weights, noise_powers) -> float:
-    """Weighted sum rate of the links p, from p itself."""
+    """Weighted sum rate of the links p, from p itself, in numpy."""
     noise_powers = np.asarray(noise_powers, dtype=float)
     if np.any(noise_powers <= 0):
         raise ValueError("noise powers must be positive")
@@ -195,7 +194,7 @@ def sum_rate(p, weights, noise_powers) -> float:
 
 
 def mse_vector(p, v, noise_powers) -> np.ndarray:
-    """Per-user MSE of the links p, from p itself."""
+    """Per-user MSE of the links p, from p itself, in numpy."""
     diag = p.diagonal()
     powers = np.abs(p) ** 2
     interference = powers.sum(axis=1) - powers.diagonal()
@@ -205,14 +204,20 @@ def mse_vector(p, v, noise_powers) -> np.ndarray:
     )
 
 
+def wmmse_objective(w, e, weights) -> float:
+    """sum_k beta_k (w_k e_k - ln w_k), in numpy."""
+    w = np.asarray(w, dtype=float)
+    return float(np.sum(np.asarray(weights) * (w * np.asarray(e) - np.log(w))))
+
+
 def update_v(p, noise_powers) -> np.ndarray:
-    """MMSE combiners of the links p, from p itself."""
+    """MMSE combiners of the links p, from p itself, in numpy."""
     denom = np.sum(np.abs(p) ** 2, axis=1) + np.asarray(noise_powers, dtype=float)
     return np.conj(np.diag(p)) / denom
 
 
 def update_w(p, v) -> np.ndarray:
-    """MSE weights of the links p, from p itself."""
+    """MSE weights of the links p, from p itself, in numpy."""
     delta = 1.0 - v * np.diag(p)
     if np.any(np.abs(delta) < DEGENERACY_TOL):
         raise RuntimeError("weight update degenerate: v_k p_kk is numerically 1")
@@ -222,34 +227,64 @@ def update_w(p, v) -> np.ndarray:
     return w
 
 
+def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
+    """``wmmse.update_fd`` with the K-term bookkeeping after the eigensolve
+    (clamp, spectral weights, cutoff, unconstrained power, scale) on numpy
+    arrays, the multiplier from the vectorized ``secular_shift``."""
+    q, r = basis
+    weights = np.asarray(weights, dtype=float)
+    coef = weights * w * np.abs(v) ** 2
+    m = (r * coef) @ np.conj(r).T
+    eigvals, u = np.linalg.eigh(m)
+    eigvals = np.maximum(eigvals, 0.0)
+    bt = np.conj(u).T @ (r * (weights * w * np.conj(v)))
+    bt_sq = (np.abs(bt) ** 2).sum(axis=1)
+    cutoff = eigvals[-1] * max(m.shape) * np.finfo(float).eps
+    active = eigvals > cutoff
+    power0 = float((bt_sq[active] / eigvals[active] ** 2).sum())
+    if power0 <= p_max:
+        scale = np.where(active, 1.0 / np.where(active, eigvals, 1.0), 0.0)
+        return (q @ u) @ (scale[:, None] * bt)
+    mu = secular_shift(bt_sq, eigvals, p_max, "power")
+    return (q @ u) @ (bt / (eigvals + mu)[:, None])
+
+
 def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     """The v/w/F_D loop of ``wmmse._alternate``, with the same arguments and
-    returns, on per-call evaluations of the links: each objective scores its
-    own MSE vector and F_D factors H^H itself."""
-    w = np.ones(len(weights))
+    returns and the same per-user functions, on per-call evaluations: each
+    function reads the links' statistics from p itself, each objective its
+    own MSE vector and ln w, and F_D factors H^H itself."""
+    weights = np.asarray(weights, dtype=float).tolist()
+    noise = np.asarray(noise, dtype=float).tolist()
+
+    def objective(p, v, w):
+        e = wmmse.mse_vector(wmmse.link_stats(p), v, noise)
+        return wmmse.wmmse_objective(w, e, weights, [math.log(wk) for wk in w])
+
+    w = [1.0] * len(weights)
     history = []
     prev_rate = None
     p = h @ f_d
     for it in range(1, config.max_iterations + 1):
         tic = time.perf_counter()
-        v = update_v(p, noise)
-        obj_v = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        v = wmmse.update_v(wmmse.link_stats(p), noise)
+        obj_v = objective(p, v, w)
         t_v = time.perf_counter()
-        w = update_w(p, v)
-        obj_w = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        w = wmmse.update_w(wmmse.link_stats(p), v)
+        obj_w = objective(p, v, w)
         t_w = time.perf_counter()
-        f_d = update_fd(np.linalg.qr(np.conj(h).T), w, v, weights, p_max)
+        f_d = wmmse.update_fd(np.linalg.qr(np.conj(h).T), w, v, weights, p_max)
         p = h @ f_d
-        obj_fd = wmmse_objective(w, mse_vector(p, v, noise), weights)
+        obj_fd = objective(p, v, w)
         t_fd = time.perf_counter()
         if pattern_step is None:
             obj_em = obj_fd
         else:
             h = pattern_step(f_d, w, v)
             p = h @ f_d
-            obj_em = wmmse_objective(w, mse_vector(p, v, noise), weights)
+            obj_em = objective(p, v, w)
         t_em = time.perf_counter()
-        rate = sum_rate(p, weights, noise)
+        rate = wmmse.sum_rate(wmmse.link_stats(p), weights, noise)
         history.append(
             IterationRecord(
                 iteration=it,
@@ -264,9 +299,9 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            return h, f_d, v, w, history, True
+            return h, f_d, np.array(v), np.array(w), history, True
         prev_rate = rate
-    return h, f_d, v, w, history, False
+    return h, f_d, np.array(v), np.array(w), history, False
 
 
 def secular_shift(x_sq, shift, target, what) -> float:

@@ -168,6 +168,20 @@ class TestArv:
         np.testing.assert_array_equal(scenario.em_channels(), blocks)
 
 
+    @pytest.mark.parametrize("field", ["weights", "noise_powers"])
+    def test_per_user_arrays_are_read_only_copies(self, field):
+        # a solve reads them once, as lists: a later write by the caller must
+        # not reach a drop that has passed its positivity check
+        scenario = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
+        given = np.array([2.0, 3.0])
+        held = getattr(dataclasses.replace(scenario, **{field: given}), field)
+        given[0] = 0.0
+        np.testing.assert_array_equal(held, [2.0, 3.0])
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+        assert held.dtype == float and not np.shares_memory(held, given)
+
+
 class TestPathAods:
     def test_axis_cases(self):
         geom = ch.UpaGeometry(1, 1, 0.005, 0.01)

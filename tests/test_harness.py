@@ -1,8 +1,11 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -384,6 +387,16 @@ class TestPowerGrouping:
     def test_workers_match_serial(self):
         assert self.run(self.POWERS, workers=2) == self.run(self.POWERS, workers=1)
 
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # a serial run needs no process pool, so importing the harness (as
+        # every cold start does) must not pull in multiprocessing
+        code = "import sys, trihybrid.harness; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_one_scenario_per_seed(self, monkeypatch):
         calls = count_calls(monkeypatch, "generate_scenario")
         records = hn.run_trials(fast_config(trials=2, mode="all", pmax_dbm=self.POWERS))
@@ -392,14 +405,15 @@ class TestPowerGrouping:
 
     @pytest.mark.parametrize("trials,workers,processes", [(1, 2, 0), (2, 4, 2), (3, 2, 2)])
     def test_no_more_processes_than_seeds(self, monkeypatch, trials, workers, processes):
+        # run_trials imports the pool class when it needs one
         pools = []
-        pool = hn.ProcessPoolExecutor
+        pool = concurrent.futures.ProcessPoolExecutor
 
         def recorded(max_workers):
             pools.append(max_workers)
             return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(hn, "ProcessPoolExecutor", recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
         records = hn.run_trials(fast_config(trials=trials, workers=workers, mode="hybrid"))
         assert len(records) == trials
         assert pools == ([processes] if processes else [])
@@ -1057,6 +1071,25 @@ class TestCli:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_constant_candidate_at_extreme_scales_projects_as_unit_gain(self, tmp_path):
+        # squared samples that under- or overflow once gave projected_sum_rate
+        # nan (1e-160) or 0 (1e200) with exit 0
+        rows = []
+        for level in (1.0, 1e-160, 1e200):
+            path = tmp_path / f"{level}.json"
+            path.write_text(json.dumps({"patterns": [
+                {"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+                 "gain": [[level] * 3] * 3}]}), encoding="utf-8")
+            out = tmp_path / f"{level}.csv"
+            code = cli.main(
+                ["project", "--patterns", str(path), "--trials", "1", "--pmax-dbm", "0",
+                 "--out", str(out)]
+            )
+            assert code == 0
+            rows.append([row[:-1] for row in csv.reader(out.read_text().splitlines())])
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        assert math.isfinite(float(rows[0][-1][-1])) and float(rows[0][-1][-1]) > 0
 
     def test_not_utf8_patterns_file_is_config_error(self, tmp_path, capsys):
         cfg = self.write_fast_config(tmp_path, trials=1)

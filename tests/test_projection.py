@@ -3,9 +3,11 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference import sampled_pattern_set, user_rows
 
 from trihybrid import projection as proj
@@ -301,6 +303,93 @@ class TestLoader:
         doc["normalize"] = value
         with pytest.raises(proj.PatternLoadError, match="normalize: must be true or false"):
             proj.load_candidates(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("level", [1e-160, 1e-170, 1e200, 1e300])
+    def test_constant_pattern_at_any_representable_scale_loads_as_unit_gain(self, level):
+        # the squared samples under- or overflow; before, 1e-160 loaded with
+        # infinite gains, 1e200 as an all-zero pattern and 1e-170 not at all
+        doc = isotropic_doc()
+        doc["patterns"][0]["gain"] = [[level] * 9] * 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cset = proj.load_candidates("doc", json.dumps(doc).encode())
+        unit = proj.load_candidates("doc", json.dumps(isotropic_doc()).encode())
+        np.testing.assert_allclose(cset.patterns[0].gain, unit.patterns[0].gain, rtol=1e-12)
+        assert cset.patterns[0].power == FULL_SPHERE
+
+    @pytest.mark.parametrize("field", ["theta_deg", "phi_deg"])
+    def test_nodes_that_coincide_in_radians_rejected(self, field):
+        # 5e-324 degrees is 0 radians: the weights or the lookup divided 0 by 0
+        doc = isotropic_doc()
+        doc["patterns"][0][field][0:2] = [0.0, 5e-324]
+        with pytest.raises(proj.PatternLoadError, match=f"{field}: .*strictly ascending"):
+            proj.load_candidates("doc", json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("level", [1e-310, 5e-324])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_pattern_without_a_finite_power_or_scale_rejected(self, level, normalize):
+        # normalized, a subnormal maximum needs a scale above the float range
+        doc = isotropic_doc(normalize)
+        doc["patterns"][0]["gain"] = [[level] * 9] * 7
+        if not normalize:
+            doc["patterns"][0]["gain"][3][4] = 1e200  # its square overflows
+        with pytest.raises(proj.PatternLoadError, match=r"patterns\[0\]\.gain: samples too"):
+            proj.load_candidates("doc", json.dumps(doc).encode())
+
+    def test_scale_in_range_is_the_power_formula(self):
+        # a pattern whose squares stay in range keeps the scale it had
+        gain = np.random.default_rng(4).uniform(0.0, 3.0, (7, 9))
+        doc = isotropic_doc()
+        doc["patterns"][0]["gain"] = gain.tolist()
+        pat = proj.load_candidates("doc", json.dumps(doc).encode()).patterns[0]
+        scale = math.sqrt(FULL_SPHERE / proj.grid_power(pat.theta, pat.phi, gain))
+        np.testing.assert_array_equal(pat.gain, gain * scale)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        theta_deg=st.lists(st.floats(0.0, 180.0), min_size=2, max_size=5, unique=True),
+        phi_deg=st.lists(st.floats(-360.0, 360.0), min_size=2, max_size=5, unique=True),
+        exponent=st.integers(-330, 308),
+        block=st.booleans(),
+        data=st.data(),
+    )
+    def test_normalized_load_is_finite_with_power_four_pi_or_rejected(
+        self, theta_deg, phi_deg, exponent, block, data
+    ):
+        # samples spread over many decades around 10**exponent, zeros
+        # included, on any axes, in either encoding
+        theta_deg, phi_deg = sorted(theta_deg), sorted(phi_deg)
+        n_samples = len(theta_deg) * len(phi_deg)
+        samples = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=0.0, max_value=1.7e308),
+                    st.builds(lambda m, e: m * 10.0 ** (exponent + e),
+                              st.floats(0.0, 1.0), st.integers(-20, 0)),
+                ),
+                min_size=n_samples, max_size=n_samples,
+            )
+        )
+        gain = np.array(samples).reshape(len(theta_deg), len(phi_deg))
+        doc = {"patterns": [{
+            "theta_deg": theta_deg,
+            "phi_deg": phi_deg,
+            "gain": gain_block(gain) if block else gain.tolist(),
+        }]}
+        angles = np.random.default_rng(len(samples)).uniform(0.0, 2.0 * math.pi, (2, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cset = proj.load_candidates("doc", json.dumps(doc).encode())
+            except proj.PatternLoadError:
+                return
+            pat = cset.patterns[0]
+            power = proj.grid_power(pat.theta, pat.phi, pat.gain)
+            looked_up = proj.candidate_gains(cset, 0.5 * angles[0], angles[1])
+        assert np.all(np.isfinite(pat.gain)) and np.all(pat.gain >= 0)
+        assert power == pytest.approx(FULL_SPHERE, rel=1e-12)
+        assert np.all(np.isfinite(looked_up))
 
     def test_negative_gain_rejected(self, tmp_path):
         doc = isotropic_doc()

@@ -196,7 +196,7 @@ class TestUpdateW:
         v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v, noise)
-        np.testing.assert_allclose(w * e, 1.0, atol=1e-8)
+        np.testing.assert_allclose(np.multiply(w, e), 1.0, atol=1e-8)
 
     def test_degenerate_combiner_rejected(self):
         h = np.array([[1.0 + 0j]])
@@ -386,6 +386,112 @@ def test_secular_shift_matches_vectorized_oracle(x_sq, shifts, log_ratio):
     assert abs(value - target) <= wmmse.MULTIPLIER_TOL * target
     expected = reference.secular_shift(x_sq, shift, target, "test")
     assert t == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+# The per-user functions of ``wmmse`` run on Python floats, their numpy
+# oracles in ``reference`` on arrays.  Sums of more than two terms may be
+# added in another order, and math.log/log2 may round the last bit unlike
+# numpy's, so the two agree to this relative tolerance: elementwise for the
+# per-user vectors, in Frobenius norm for F_D, and relative to the sum of the
+# terms' magnitudes for the objective and the sum rate.
+PER_USER_RTOL = 1e-12
+
+
+def per_user_instance(seed, n_users):
+    """Random (K, K) links over seven decades, combiners, weights and noise."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-4.0, 3.0)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    p = scale * cn(n_users, n_users)
+    v = cn(n_users) / scale
+    noise = scale**2 * rng.uniform(0.01, 2.0, n_users)
+    return rng, p, v, noise, rng.uniform(0.5, 2.0, n_users), rng.uniform(0.5, 3.0, n_users)
+
+
+def outcome(update, *args):
+    """What ``update`` returns, or the text of the RuntimeError it raises."""
+    try:
+        return np.asarray(update(*args))
+    except RuntimeError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_users=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_per_user_functions_match_numpy_oracles(n_users, seed):
+    rng, p, v_any, noise, weights, w_any = per_user_instance(seed, n_users)
+    links = wmmse.link_stats(p)
+    noise_list, weights_list = noise.tolist(), weights.tolist()
+
+    v = wmmse.update_v(links, noise_list)
+    np.testing.assert_allclose(v, reference.update_v(p, noise), rtol=PER_USER_RTOL)
+    w = wmmse.update_w(links, v)
+    np.testing.assert_allclose(w, reference.update_w(p, np.array(v)), rtol=PER_USER_RTOL)
+    for comb in (v, v_any.tolist()):  # the fresh combiner and an arbitrary one
+        e = wmmse.mse_vector(links, comb, noise_list)
+        np.testing.assert_allclose(
+            e, reference.mse_vector(p, np.array(comb), noise), rtol=PER_USER_RTOL
+        )
+        for weight in (w, w_any.tolist()):
+            got = wmmse.wmmse_objective(weight, e, weights_list, np.log(weight).tolist())
+            terms = weights * np.abs(np.multiply(weight, e) - np.log(weight))
+            want = reference.wmmse_objective(weight, e, weights)
+            assert abs(got - want) <= PER_USER_RTOL * terms.sum()
+    assert wmmse.sum_rate(links, weights_list, noise_list) == pytest.approx(
+        reference.sum_rate(p, weights, noise), rel=PER_USER_RTOL, abs=0
+    )
+    got = outcome(wmmse.update_w, links, v_any.tolist())
+    want = outcome(reference.update_w, p, v_any)
+    if isinstance(want, str):  # an arbitrary combiner may give a non-positive weight
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=PER_USER_RTOL)
+
+    # F_D inverts R C R^H, which amplifies the last-bit differences of C by
+    # its condition number: orthonormal channel rows and |v_k| in [0.7, 1.4]
+    # keep that below 100
+    shape = (n_users + 3, n_users)
+    q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    basis = qr_basis(np.sqrt(np.mean(np.abs(p) ** 2)) * q.conj().T)
+    v_unit = rng.uniform(0.7, 1.4, n_users) * np.exp(2j * np.pi * rng.uniform(size=n_users))
+    for p_max in (1e-12, 1e300):  # a tight and a slack budget
+        got = wmmse.update_fd(basis, w_any.tolist(), v_unit.tolist(), weights_list, p_max)
+        want = reference.update_fd(basis, w_any, v_unit, weights, p_max)
+        assert np.linalg.norm(got - want) <= PER_USER_RTOL * np.linalg.norm(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_users=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["fine", "degenerate", "negative"]), min_size=8, max_size=8),
+)
+def test_weight_update_failures_match_numpy_oracle(n_users, seed, kinds):
+    # v_k p_kk = 1 makes user k degenerate and v_k p_kk = 2 gives it weight
+    # -1; either way both forms raise the same RuntimeError, the degenerate
+    # text first, and never a ZeroDivisionError or a math domain error
+    _, p, v, _, _, _ = per_user_instance(seed, n_users)
+    factor = {"degenerate": 1.0, "negative": 2.0}
+    combiners = [
+        factor[kind] / complex(p[k, k]) if kind in factor else v[k]
+        for k, kind in enumerate(kinds[:n_users])
+    ]
+    got = outcome(wmmse.update_w, wmmse.link_stats(p), combiners)
+    want = outcome(reference.update_w, p, np.array(combiners))
+    if isinstance(want, str):
+        assert got == want
+        if "degenerate" in kinds[:n_users]:
+            assert want == "weight update degenerate: v_k p_kk is numerically 1"
+    else:
+        np.testing.assert_allclose(got, want, rtol=PER_USER_RTOL)
+    if not isinstance(got, str):
+        # positive weights: their logarithms are defined
+        log_w = [math.log(wk) for wk in got]
+        e = wmmse.mse_vector(wmmse.link_stats(p), combiners, [1.0] * n_users)
+        assert math.isfinite(wmmse.wmmse_objective(got.tolist(), e, [1.0] * n_users, log_w))
 
 
 class TestGAffine:
@@ -776,8 +882,9 @@ class TestUpdateEm:
         monkeypatch.setattr(wmmse, "link_stats", lambda p: scored.append(p) or stats(p))
         blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed, n_t=6)
         out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
+        log_w = [math.log(wk) for wk in w]
         objectives = [
-            wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v, noise), weights)
+            wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v, noise), weights, log_w)
             for p in scored
         ]
         accepted = [0] + [1 + n for n in np.flatnonzero(np.any(out != coeffs, axis=1))]
