@@ -24,7 +24,8 @@ nonnegative, and ``normalize`` a JSON boolean; with ``normalize`` true (the
 default) every pattern is rescaled on load so its quadrature power equals 4 pi.
 Where the squared samples under- or overflow, that scale comes from the
 power of gain / max(gain); a pattern whose power or scale is still not
-finite and positive (an all-zero pattern among them) does not load.
+finite and positive (an all-zero pattern among them), or whose stored
+samples' power would overflow, does not load.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .channel import Scenario, _read_only, assemble_channel
-from .harmonics import FULL_SPHERE, synthesize_gain
+from .harmonics import FULL_SPHERE, basis_vector
 from .wmmse import SolverConfig, SolverResult, link_stats, refit_digital, sum_rate
 
 
@@ -189,9 +190,8 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
         raise PatternLoadError(f"{ctx}.gain: negative sample")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves it inf or nan
         power = grid_power(theta, phi, gain)
-    scale = 1.0
+    scale, top = 1.0, float(gain.max())
     if normalize:
-        top = float(gain.max())
         if top == 0:
             raise PatternLoadError(f"{ctx}.gain: zero pattern cannot be normalized")
         scale = math.sqrt(FULL_SPHERE / power) if power > 0 else math.inf
@@ -200,7 +200,16 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
             unit = grid_power(theta, phi, gain / top)
             scale = math.sqrt(FULL_SPHERE / unit) / top if unit > 0 else math.inf
         power = FULL_SPHERE
-    if not (0 < scale < math.inf and math.isfinite(power)):
+    # samples on nodes of zero weight (a pole row) do not bound the scale,
+    # so the stored pattern's quadrature, whose partial sums stay below 4 pi
+    # times its largest square, is checked to stay finite, with a factor 2
+    # to spare for rounding
+    peak = top * scale
+    if not (
+        0 < scale < math.inf
+        and math.isfinite(power)
+        and 2.0 * FULL_SPHERE * peak * peak < math.inf
+    ):
         raise PatternLoadError(f"{ctx}.gain: samples too small or too large for a finite power")
     name = str(record.get("name", f"pattern-{idx}"))
     return CandidatePattern(name=name, theta=theta, phi=phi, gain=gain, power=power), scale
@@ -389,13 +398,16 @@ def project_antenna(coeffs, thetas, phis, gains) -> np.ndarray:
     ``coeffs`` is the (N, T) stack of patterns and ``thetas``, ``phis`` the
     (N, P) angles of each one's paths; the candidates enter only through
     ``gains``, the (R, N, P) :func:`candidate_gains` array at those angles.
+    The basis is evaluated once over the whole (N, P) angle table, and
+    pattern n's gains are its rows times ``coeffs[n]``, as
+    ``harmonics.synthesize_gain`` forms them.
     """
+    coeffs = np.asarray(coeffs, float)
     thetas, phis = np.asarray(thetas, float), np.asarray(phis, float)
     if thetas.shape[1] == 0:
         raise ValueError("need at least one path angle")
-    target = np.stack(
-        [synthesize_gain(c, th, ph) for c, th, ph in zip(coeffs, thetas, phis)]
-    )
+    basis = basis_vector(thetas, phis, math.isqrt(coeffs.shape[1]) - 1)  # (N, P, T)
+    target = np.stack([b @ c for b, c in zip(basis, coeffs)])
     return np.argmin(np.sum((gains - target) ** 2, axis=-1), axis=0)
 
 

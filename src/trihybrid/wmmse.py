@@ -36,10 +36,11 @@ Every per-user K-vector (the links' statistics, v, w and ln w, the MSE, the
 user weights and noise powers) is a list of Python floats, and the
 functions of them run O(K) scalar loops: at a few users numpy's cost per
 call, not the arithmetic, would bound the loop.  The same holds for the
-K terms of an F_D update after its eigensolve and the at most 2K terms of
-either multiplier.  numpy forms the K x K links, R C R^H and its
-eigensolve, the precoder, and the pattern quadratics; a K-vector becomes
-an array only where it scales one of those matrices.
+K terms of an F_D update after its eigensolve and for the at most 2K
+spectral terms of each pattern subproblem, from its pole and cluster to
+its multiplier.  numpy forms the K x K links, R C R^H and its eigensolve,
+the precoder, the pattern quadratics and each pattern point V y; a
+K-vector becomes an array only where it scales one of those matrices.
 """
 
 from __future__ import annotations
@@ -407,28 +408,44 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     does not depend on the eigenbasis returned; since A z = pole z and
     d^T z = 0, the direction does not change the objective.  d = 0 is a hard
     case.
+
+    The r <= 2K terms (``lams`` and ``dt`` arrays) are read once as Python
+    floats, and every step over them runs on those: the pole, the cluster,
+    the range solution's squared norm, the noise test and the secular
+    solve.  numpy forms only c from V, plus the cluster direction in the
+    hard case, which takes up the norm the branch test itself measured.
     """
+    lams, dt = lams.tolist(), dt.tolist()
     dim, rank = vecs.shape
     null = rank < dim
     pole = min(lams[0], 0.0) if null else lams[0]
     rounding = CLUSTER_ULPS * dim * EPS
-    lam_scale = float(np.abs(lams).max())
+    lam_scale = max(abs(lams[0]), abs(lams[-1]))  # lams ascend
     bound = rounding * lam_scale
-    shift = lams - pole
-    cluster = shift <= bound
-    shift[cluster] = 0.0  # the cluster counts as one eigenvalue at the pole
-    rest = ~cluster
-    y_range = dt[rest] / shift[rest]
-    range_sq = float(y_range @ y_range)
+    shift, x_sq, y_range = [], [], []
+    dt_sq = cluster_sq = range_sq = 0.0
+    for lam, d in zip(lams, dt):
+        s, d_sq = lam - pole, d * d
+        x_sq.append(d_sq)
+        dt_sq += d_sq
+        if s <= bound:  # the cluster counts as one eigenvalue at the pole
+            s = 0.0
+            cluster_sq += d_sq
+        else:
+            y = d / s
+            y_range.append(y)
+            range_sq += y * y
+        shift.append(s)
     # d = A x keeps up to rounding * (norm(d) + norm(A) norm(x)) of weight on
     # the computed cluster, from the eigenvector error alone
-    noise = rounding * (float(np.linalg.norm(dt)) + lam_scale * math.sqrt(range_sq))
-    if range_sq <= rho_sq and np.linalg.norm(dt[cluster]) <= noise:
+    noise = rounding * (math.sqrt(dt_sq) + lam_scale * math.sqrt(range_sq))
+    if range_sq <= rho_sq and math.sqrt(cluster_sq) <= noise:
+        cluster = np.array(shift) == 0.0  # every other shift exceeds bound >= 0
         z = _cluster_direction(vecs, cluster, null and -pole <= bound)
-        return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, rest] @ y_range
+        return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, ~cluster] @ y_range
 
-    t = _secular_shift((dt**2).tolist(), shift.tolist(), rho_sq, "norm")
-    return 0.5 * (t - pole), -vecs @ (dt / (shift + t))
+    t = _secular_shift(x_sq, shift, rho_sq, "norm")
+    return 0.5 * (t - pole), vecs @ [-d / (s + t) for d, s in zip(dt, shift)]
 
 
 def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> np.ndarray:
@@ -443,14 +460,16 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> n
     outer(H_ac (c - c_old), F_D[n]); each candidate is scored on the exact
     objective from the moved P and kept only when it strictly beats the
     incumbent, which guards against rounding, so the sweep never increases
-    the objective.  DC entries are left untouched.
+    the objective.  DC entries are left untouched.  beta w v F_D[n] and
+    each antenna's rho^2 are formed for all antennas once per sweep.
     """
     coeffs = np.array(coeffs, dtype=float)
     lams, vecs, proj = assemble_quadratic(factors, f_d, w, v, weights)
     h_ac = factors.rows
-    gw, bwv = map(np.array, _user_scales(w, v, weights))
+    gw, bwv = _user_scales(w, v, weights)
+    gw, bwv_fd = np.array(gw), np.array(bwv) * f_d  # row n: beta w v F_D[n]
     log_w = [math.log(wk) for wk in w]
-    rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
+    rho_sq = (FULL_SPHERE - coeffs[:, 0] ** 2).tolist()
     links = effective_channels(factors.blocks, coeffs) @ f_d
 
     def objective(p):
@@ -459,12 +478,13 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> n
     incumbent = objective(links)
     for n in range(coeffs.shape[0]):
         f_n = f_d[n]
-        # links without antenna n's AC part, and d = Re(H_ac^T a)
-        rest = links - np.outer(h_ac[n] @ coeffs[n, 1:], f_n)
-        a = 2.0 * (gw * (np.conj(rest) @ f_n) - bwv * f_n)
+        # links without antenna n's AC part, and d = Re(H_ac^T a); the rank-1
+        # moves broadcast as np.outer does
+        rest = links - (h_ac[n] @ coeffs[n, 1:])[:, None] * f_n
+        a = 2.0 * (gw * (np.conj(rest) @ f_n) - bwv_fd[n])
         dt = (proj[n] @ a).real
         _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n])
-        moved = rest + np.outer(h_ac[n] @ c_ac, f_n)
+        moved = rest + (h_ac[n] @ c_ac)[:, None] * f_n
         obj = objective(moved)
         if obj < incumbent:
             incumbent, links = obj, moved

@@ -20,6 +20,15 @@ oracles of the batched code in ``trihybrid``.
   read from the links p = H F_D themselves; the functions of the same names
   in ``wmmse``, which run them on Python floats from ``link_stats``, must
   match them to a relative 1e-12 (``PER_USER_RTOL`` in ``test_wmmse``).
+* ``solve_ac_subproblem`` is the pattern subproblem with its 2K-term
+  bookkeeping (pole, cluster, range solution, noise test) on numpy arrays;
+  ``wmmse.solve_ac_subproblem``, which runs it on Python floats, must give
+  the same multiplier and point bit for bit where both take the secular
+  root.  Where either takes the hard case, the points agree to a relative
+  1e-12 plus the square root of the two forms' difference in the range
+  solution's squared norm, which a numpy dot and a Python sum may round
+  apart, and which the hard case's missing norm sqrt(rho^2 - range_sq)
+  amplifies.
 * ``alternate`` is the v/w/F_D loop calling the per-user functions of
   ``wmmse`` on per-call statistics of the links, ln w and QR of H^H;
   ``wmmse._alternate``, which forms each once per change, must equal it
@@ -35,7 +44,14 @@ from trihybrid.channel import assemble_channel
 from trihybrid.harmonics import FULL_SPHERE, AngularGrid, _norm_factor, synthesize_gain
 from trihybrid.projection import CandidatePattern, CandidatePatternSet, grid_power
 from trihybrid import wmmse
-from trihybrid.wmmse import DEGENERACY_TOL, MULTIPLIER_STEPS, MULTIPLIER_TOL, IterationRecord
+from trihybrid.wmmse import (
+    CLUSTER_ULPS,
+    DEGENERACY_TOL,
+    EPS,
+    MULTIPLIER_STEPS,
+    MULTIPLIER_TOL,
+    IterationRecord,
+)
 
 
 def index_of(degree: int, order: int) -> int:
@@ -329,3 +345,28 @@ def secular_shift(x_sq, shift, target, what) -> float:
         f"multiplier Newton did not converge in {MULTIPLIER_STEPS} steps: "
         f"relative {what} residual {abs(value - target) / target:.3e}"
     )
+
+
+def solve_ac_subproblem(lams, vecs, dt, rho_sq):
+    """``wmmse.solve_ac_subproblem`` with the steps over the r <= 2K terms
+    on numpy arrays: the same pole, cluster, noise test and branches, the
+    range solution's squared norm as a numpy dot, and the same secular
+    solver, ``wmmse._secular_shift``."""
+    dim, rank = vecs.shape
+    null = rank < dim
+    pole = min(lams[0], 0.0) if null else lams[0]
+    rounding = CLUSTER_ULPS * dim * EPS
+    lam_scale = float(np.abs(lams).max())
+    bound = rounding * lam_scale
+    shift = lams - pole
+    cluster = shift <= bound
+    shift[cluster] = 0.0
+    rest = ~cluster
+    y_range = dt[rest] / shift[rest]
+    range_sq = float(y_range @ y_range)
+    noise = rounding * (float(np.linalg.norm(dt)) + lam_scale * math.sqrt(range_sq))
+    if range_sq <= rho_sq and np.linalg.norm(dt[cluster]) <= noise:
+        z = wmmse._cluster_direction(vecs, cluster, null and -pole <= bound)
+        return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, rest] @ y_range
+    t = wmmse._secular_shift((dt**2).tolist(), shift.tolist(), rho_sq, "norm")
+    return 0.5 * (t - pole), -vecs @ (dt / (shift + t))

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference import sampled_pattern_set, user_rows
 
 from trihybrid import projection as proj
@@ -45,6 +45,28 @@ def gain_block(gain):
     """A gain in the block form: shape and base64 of little-endian float64."""
     gain = np.asarray(gain, "<f8")
     return {"shape": list(gain.shape), "base64": base64.b64encode(gain.tobytes()).decode()}
+
+
+@st.composite
+def sampled_gains(draw):
+    """(theta_deg, phi_deg, gain) of one pattern: sorted axes and samples
+    spread over many decades around a drawn 10**exponent, zeros included."""
+    theta_deg = sorted(draw(st.lists(st.floats(0.0, 180.0), min_size=2, max_size=5, unique=True)))
+    phi_deg = sorted(draw(st.lists(st.floats(-360.0, 360.0), min_size=2, max_size=5, unique=True)))
+    exponent = draw(st.integers(-330, 308))
+    n_samples = len(theta_deg) * len(phi_deg)
+    samples = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=1.7e308),
+                st.builds(lambda m, e: m * 10.0 ** (exponent + e),
+                          st.floats(0.0, 1.0), st.integers(-20, 0)),
+            ),
+            min_size=n_samples, max_size=n_samples,
+        )
+    )
+    return theta_deg, phi_deg, np.array(samples).reshape(len(theta_deg), len(phi_deg))
 
 
 def list_form_doc(cset):
@@ -346,38 +368,28 @@ class TestLoader:
         np.testing.assert_array_equal(pat.gain, gain * scale)
 
     @settings(max_examples=500, deadline=None)
-    @given(
-        theta_deg=st.lists(st.floats(0.0, 180.0), min_size=2, max_size=5, unique=True),
-        phi_deg=st.lists(st.floats(-360.0, 360.0), min_size=2, max_size=5, unique=True),
-        exponent=st.integers(-330, 308),
-        block=st.booleans(),
-        data=st.data(),
+    @given(sampled=sampled_gains(), block=st.booleans())
+    # the pole row has no quadrature weight, so the scale, about 1.4e18,
+    # comes from the 1e-18 sample alone and lifts the pole's samples to
+    # 1.34e154, whose squares overflow
+    @example(
+        sampled=(
+            [0.0, 1.0353996866939073e-209],
+            [0.0, 1.0],
+            np.array([[0.0, 9.480751908109178e135], [0.0, 1e-18]]),
+        ),
+        block=False,
     )
-    def test_normalized_load_is_finite_with_power_four_pi_or_rejected(
-        self, theta_deg, phi_deg, exponent, block, data
-    ):
-        # samples spread over many decades around 10**exponent, zeros
-        # included, on any axes, in either encoding
-        theta_deg, phi_deg = sorted(theta_deg), sorted(phi_deg)
-        n_samples = len(theta_deg) * len(phi_deg)
-        samples = data.draw(
-            st.lists(
-                st.one_of(
-                    st.just(0.0),
-                    st.floats(min_value=0.0, max_value=1.7e308),
-                    st.builds(lambda m, e: m * 10.0 ** (exponent + e),
-                              st.floats(0.0, 1.0), st.integers(-20, 0)),
-                ),
-                min_size=n_samples, max_size=n_samples,
-            )
-        )
-        gain = np.array(samples).reshape(len(theta_deg), len(phi_deg))
+    def test_normalized_load_is_finite_with_power_four_pi_or_rejected(self, sampled, block):
+        # samples spread over many decades, zeros included, on any axes, in
+        # either encoding
+        theta_deg, phi_deg, gain = sampled
         doc = {"patterns": [{
             "theta_deg": theta_deg,
             "phi_deg": phi_deg,
             "gain": gain_block(gain) if block else gain.tolist(),
         }]}
-        angles = np.random.default_rng(len(samples)).uniform(0.0, 2.0 * math.pi, (2, 16))
+        angles = np.random.default_rng(gain.size).uniform(0.0, 2.0 * math.pi, (2, 16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -390,6 +402,17 @@ class TestLoader:
         assert np.all(np.isfinite(pat.gain)) and np.all(pat.gain >= 0)
         assert power == pytest.approx(FULL_SPHERE, rel=1e-12)
         assert np.all(np.isfinite(looked_up))
+
+    def test_pole_samples_whose_power_overflows_rejected(self):
+        # two adjacent pole samples whose scaled squares are finite but whose
+        # sum in the quadrature overflows: the stored power would be nan
+        doc = {"patterns": [{
+            "theta_deg": [0.0, 1.0353996866939073e-209],
+            "phi_deg": [0.0, 1.0, 2.0],
+            "gain": [[0.0, 6.95e134, 6.95e134], [0.0, 1e-18, 0.0]],
+        }]}
+        with pytest.raises(proj.PatternLoadError, match=r"patterns\[0\]\.gain: samples too"):
+            proj.load_candidates("doc", json.dumps(doc).encode())
 
     def test_negative_gain_rejected(self, tmp_path):
         doc = isotropic_doc()

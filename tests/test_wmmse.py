@@ -819,6 +819,112 @@ def test_reduced_solve_matches_dense_eigh(n_users, dim, seed, log_rho_sq, idle_a
     np.testing.assert_allclose(c_perm, c[perm], rtol=0, atol=1e-8 * math.sqrt(rho_sq))
 
 
+def range_norms(lams, dt, dim):
+    """The squared norm of the subproblem's range solution, summed left to
+    right as the float form does and as a numpy dot as the oracle does, with
+    the cluster at the pole taken out as both forms take it."""
+    null = lams.size < dim
+    pole = min(lams[0], 0.0) if null else lams[0]
+    shift = lams - pole
+    rest = shift > wmmse.CLUSTER_ULPS * dim * wmmse.EPS * np.abs(lams).max()
+    y = dt[rest] / shift[rest]
+    by_sum = 0.0
+    for yi in y.tolist():
+        by_sum += yi * yi
+    return rest, by_sum, float(y @ y)
+
+
+def solve_with_branch(solve, lams, vecs, dt, rho_sq):
+    """(nu, c, hard) of ``solve``; ``hard`` tells whether it took the hard
+    case, the only branch that forms the cluster direction."""
+    calls = []
+    direction = wmmse._cluster_direction
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            wmmse, "_cluster_direction", lambda *args: calls.append(1) or direction(*args)
+        )
+        nu, c = solve(lams.copy(), vecs, dt.copy(), rho_sq)
+    return nu, c, bool(calls)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n_users=st.integers(1, 8),
+    extra=st.integers(1, 12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    low=st.sampled_from(["negative", "zero", "positive"]),
+    cluster_size=st.integers(1, 16),
+    ulps=st.integers(-2, 2),
+    near=st.booleans(),
+    by_sum=st.booleans(),
+)
+def test_float_subproblem_matches_numpy_oracle(
+    n_users, extra, seed, low, cluster_size, ulps, near, by_sum
+):
+    # A of rank 2K on a space of dimension 2K + extra (a null space), its
+    # lowest eigenvalues clustered within rounding of a negative, zero or
+    # positive value; d with no weight on the cluster when rho^2 lies within
+    # a few ulps of the range solution's squared norm (by either form's sum),
+    # and rounding-level weight otherwise
+    rng = np.random.default_rng(seed)
+    rank = 2 * n_users
+    dim = rank + extra
+    vecs = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    spectrum = scale * rng.uniform(0.1, 1.0, rank)
+    bound = wmmse.CLUSTER_ULPS * dim * wmmse.EPS * spectrum.max()
+    size = min(cluster_size, rank)
+    centre = {"negative": -0.9, "zero": 0.0, "positive": 0.1}[low] * spectrum.max()
+    spectrum[:size] = centre + rng.uniform(-0.25, 0.25, size) * bound
+    lams = np.sort(spectrum)
+    dt = scale * 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal(rank)
+    rest = range_norms(lams, dt, dim)[0]
+    dt[~rest] = 0.0 if near else 1e-3 * bound * rng.standard_normal(int((~rest).sum()))
+    _, sum_sq, dot_sq = range_norms(lams, dt, dim)
+    base = sum_sq if by_sum else dot_sq
+    if not near or base == 0.0:
+        rho_sq = (base or scale) * 10.0 ** rng.uniform(-1.0, 1.0)
+    else:
+        rho_sq = base
+        for _ in range(abs(ulps)):
+            rho_sq = math.nextafter(rho_sq, math.copysign(math.inf, ulps))
+
+    nu, c, hard = solve_with_branch(wmmse.solve_ac_subproblem, lams, vecs, dt, rho_sq)
+    nu_ref, c_ref, hard_ref = solve_with_branch(
+        reference.solve_ac_subproblem, lams, vecs, dt, rho_sq
+    )
+    assert np.all(np.isfinite(c))
+    assert abs(float(c @ c) - rho_sq) <= 1e-9 * rho_sq
+    if not (hard or hard_ref):
+        assert nu == nu_ref
+        np.testing.assert_array_equal(c, c_ref)
+        return
+    if hard and hard_ref:
+        assert nu == nu_ref
+    # the hard case adds sqrt(rho^2 - range_sq) along the cluster, so a
+    # last-bit difference between the two forms' sums of range_sq moves c
+    # by up to its square root: about 1e-8 relative at one ulp
+    gap = math.sqrt(abs(sum_sq - dot_sq))
+    assert np.linalg.norm(c - c_ref) <= PER_USER_RTOL * np.linalg.norm(c_ref) + gap
+
+
+def test_hard_case_takes_up_the_norm_its_branch_test_measured():
+    # range_sq summed left to right is exactly rho^2 = 1: each small square
+    # is under half an ulp of 1 and is lost, while any two of them together
+    # exceed it, so a sum that adds small squares together first (a BLAS
+    # dot's partial sums, an exact sum) exceeds rho^2, and the missing norm
+    # sqrt(rho^2 - range_sq) taken from such a recomputed sum would be the
+    # root of a negative number
+    dim, rank = 20, 16
+    vecs = np.linalg.qr(np.random.default_rng(5).standard_normal((dim, rank)))[0]
+    dt = np.full(rank, 1.3 * 2.0**-27)
+    dt[0] = 1.0
+    assert math.fsum((dt * dt).tolist()) > 1.0
+    nu, c = wmmse.solve_ac_subproblem(np.ones(rank), vecs, dt, 1.0)
+    assert nu == 0.0  # the hard case, at the pole 0 of the null space
+    np.testing.assert_allclose(c, -(vecs @ dt), rtol=0, atol=1e-15)
+
+
 class TestUpdateEm:
     def test_factors_hold_the_blocks_they_factor(self):
         # the sweep reads its channel only through the factors, links included
