@@ -85,15 +85,15 @@ def near_field_arv(dists: np.ndarray, reference: float, geom: UpaGeometry) -> np
     return np.exp(phase) / math.sqrt(dists.size)
 
 
-def path_aods(geom: UpaGeometry, source: np.ndarray, bs_position=None):
-    """Per-element (theta, phi, distance) toward ``source``.
+def path_aods(geom: UpaGeometry, source: np.ndarray, bs_position):
+    """Per-element (theta, phi, distance) toward ``source`` from the array
+    whose first element sits at ``bs_position``.
 
     All angles are taken in the shared body frame: theta measured from +Z,
     phi from +X in the XY plane.
     """
     source = np.asarray(source, dtype=float)
-    origin = np.zeros(3) if bs_position is None else np.asarray(bs_position, dtype=float)
-    pos = element_positions(geom) + origin
+    pos = element_positions(geom) + np.asarray(bs_position, dtype=float)
     diff = source[None, :] - pos
     dists = np.linalg.norm(diff, axis=1)
     if np.any(dists == 0):
@@ -140,16 +140,14 @@ def assemble_channel(responses, counts, gains) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One multi-user downlink drop: geometry, users, the path table (one row
-    per path, users in order), per-user noise and weights, the table and the
-    per-user arrays held as read-only copies of the arrays given, and
-    ``blocks``, its EM-domain channel, lifted once on construction and
-    read-only.  The power budget is an argument of
-    the solve, so one drop serves every budget."""
+    """One downlink drop: the array geometry, the path table (one row per
+    path, split into the K links by ``path_counts``), one noise power and one
+    weight per link, the table and those arrays held as read-only copies of
+    the arrays given, and ``blocks``, its EM-domain channel, lifted once on
+    construction and read-only.  The power budget is an argument of the
+    solve, so one drop serves every budget."""
 
     geometry: UpaGeometry
-    bs_position: np.ndarray
-    user_positions: np.ndarray  # (K, 3)
     thetas: np.ndarray  # (P, N_T) per-element departure inclinations
     phis: np.ndarray  # (P, N_T) per-element departure azimuths
     responses: np.ndarray  # (P, N_T) alpha (.) a of each path
@@ -160,8 +158,6 @@ class Scenario:
     blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("bs_position", "user_positions"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         for name in ("noise_powers", "weights"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
         for name in ("thetas", "phis", "responses"):
@@ -294,7 +290,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         angle = rng.uniform(0.0, 2.0 * math.pi)
         return np.array([bs[0] + radius * math.cos(angle), bs[1] + radius * math.sin(angle), height])
 
-    users = np.stack([disc_point(0.0) for _ in range(config.n_users)])
+    users = [disc_point(0.0) for _ in range(config.n_users)]
     paths = []
     for k in range(config.n_users):
         for ell in range(config.n_paths):
@@ -311,8 +307,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
 
     return Scenario(
         geometry=geom,
-        bs_position=bs,
-        user_positions=users,
         thetas=thetas,
         phis=phis,
         responses=responses,

@@ -35,10 +35,6 @@ class HybridFactors:
     def product(self) -> np.ndarray:
         return self.f_rf @ self.f_bb
 
-    @property
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.product) ** 2))
-
 
 def phase_projection(m: np.ndarray) -> np.ndarray:
     """Keep entry phases, force modulus 1/sqrt(N_T); zero entries get phase 0."""

@@ -192,6 +192,8 @@ def parse_config(
             raise ConfigError(f"cannot read config file: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file: invalid JSON at line {err.lineno}") from err
+        except RecursionError:
+            raise ConfigError("config file: document is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         values.update(doc)

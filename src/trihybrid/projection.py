@@ -18,8 +18,9 @@ Candidate files are UTF-8 JSON documents::
 A gain is either that nested list or one block of samples,
 ``{"shape": [len(theta), len(phi)], "base64": "..."}``, whose base64 text
 holds the little-endian float64 samples in row-major order; the loader
-reads both, and :func:`save_candidates` writes blocks.  Axis nodes must
-be finite, azimuths span at most 360 degrees, gains be finite and
+reads both, and :func:`save_candidates` writes blocks.  Axis nodes and
+samples must be JSON numbers and a ``name`` a string; nodes must be
+finite, azimuths span at most 360 degrees, gains be finite and
 nonnegative, and ``normalize`` a JSON boolean; with ``normalize`` true (the
 default) every pattern is rescaled on load so its quadrature power equals 4 pi.
 Where the squared samples under- or overflow, that scale comes from the
@@ -34,6 +35,7 @@ import base64
 import json
 import math
 from dataclasses import InitVar, dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -142,10 +144,22 @@ def grid_power(theta: np.ndarray, phi: np.ndarray, gain: np.ndarray) -> float:
 
 
 def _float_array(values, name: str) -> np.ndarray:
+    """``values``, a JSON number or nested lists of them, as a float array.
+
+    numpy converts a string such as "90" and a boolean as numbers, so each
+    leaf's type is checked once the nesting is known to be rectangular."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as err:
         raise PatternLoadError(f"{name}: not an array of numbers ({err})")
+    leaves = [values]
+    for _ in range(arr.ndim):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise PatternLoadError(
+            f"{name}: entries must be JSON numbers, not strings, booleans or null"
+        )
+    return arr
 
 
 def _validate_axis(values, name: str) -> np.ndarray:
@@ -179,7 +193,9 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
         raise PatternLoadError(f"{ctx}.phi_deg: azimuths must span at most 360 degrees")
     if isinstance(record["gain"], _BadBlock):
         raise PatternLoadError(f"{ctx}.gain: {record['gain']}")
-    gain = _float_array(record["gain"], f"{ctx}.gain")
+    gain = record["gain"]  # an array already where the parser hook converted it
+    if not isinstance(gain, np.ndarray):
+        gain = _float_array(gain, f"{ctx}.gain")
     if gain.shape != (theta.size, phi.size):
         raise PatternLoadError(
             f"{ctx}.gain: expected shape {(theta.size, phi.size)}, got {gain.shape}"
@@ -211,7 +227,9 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
         and 2.0 * FULL_SPHERE * peak * peak < math.inf
     ):
         raise PatternLoadError(f"{ctx}.gain: samples too small or too large for a finite power")
-    name = str(record.get("name", f"pattern-{idx}"))
+    name = record.get("name", f"pattern-{idx}")
+    if not isinstance(name, str):
+        raise PatternLoadError(f"{ctx}.name: must be a string, got {name!r}")
     return CandidatePattern(name=name, theta=theta, phi=phi, gain=gain, power=power), scale
 
 
@@ -249,8 +267,8 @@ def _gain_to_array(obj: dict) -> dict:
         obj["gain"] = _decode_block(gain)
     elif isinstance(gain, list):
         try:
-            obj["gain"] = np.asarray(gain, dtype=float)
-        except (TypeError, ValueError, OverflowError):
+            obj["gain"] = _float_array(gain, "gain")
+        except PatternLoadError:
             pass
     return obj
 
@@ -299,6 +317,8 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
         doc = json.loads(text, object_hook=_gain_to_array)
     except json.JSONDecodeError as err:
         raise PatternLoadError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
+    except RecursionError:
+        raise PatternLoadError(f"{path}: document is nested too deeply") from None
     del text
     if not isinstance(doc, dict) or "patterns" not in doc:
         raise PatternLoadError(f"{path}: document must be an object with 'patterns'")

@@ -103,25 +103,12 @@ class SolverState:
     f_d: np.ndarray  # (N_T, K) fully digital precoder
     coeffs: np.ndarray  # (N_T, T) pattern coefficients
 
-    def validate(self, eta: float, p_max: float, dc_pinned: bool = True) -> None:
-        if np.any(self.w <= 0):
-            raise AssertionError("MSE weights must stay positive")
-        power = float(np.sum(np.abs(self.f_d) ** 2))
-        if power > p_max + 1e-8:
-            raise AssertionError(f"precoder power {power} exceeds budget {p_max}")
-        norms = np.sum(self.coeffs**2, axis=1)
-        if np.any(np.abs(norms - FULL_SPHERE) > 1e-8):
-            raise AssertionError("a pattern violates the 4*pi budget")
-        if dc_pinned and np.any(self.coeffs[:, 0] != eta):
-            raise AssertionError("DC coefficients drifted from eta")
-
 
 @dataclass(eq=False)
 class SolverResult:
     state: SolverState
     history: list
     converged: bool
-    initial_objective: float
     channels: np.ndarray  # (K, N_T) effective channels at the final state
     p_max: float  # power budget of the solve, watts
 
@@ -640,8 +627,6 @@ def run_algorithm1(
         state=SolverState(w=w, v=v, f_d=f_d, coeffs=coeffs),
         history=history,
         converged=converged,
-        # at v = 0, w = 1 every MSE is exactly 1, so the objective is sum(beta)
-        initial_objective=float(scenario.weights.sum()),
         channels=h,
         p_max=p_max,
     )

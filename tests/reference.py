@@ -33,6 +33,9 @@ oracles of the batched code in ``trihybrid``.
   ``wmmse`` on per-call statistics of the links, ln w and QR of H^H;
   ``wmmse._alternate``, which forms each once per change, must equal it
   bit for bit.
+* ``check_state`` audits a solver state's invariants: positive MSE weights,
+  the power and 4 pi budgets, and pinned DC.  ``initial_objective`` is the
+  objective a solve starts from, the first term of its monotone chain.
 """
 
 import math
@@ -318,6 +321,29 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
             return h, f_d, np.array(v), np.array(w), history, True
         prev_rate = rate
     return h, f_d, np.array(v), np.array(w), history, False
+
+
+def check_state(state, eta: float, p_max: float, dc_pinned: bool = True) -> None:
+    """Raise AssertionError unless ``state`` (a ``wmmse.SolverState``) keeps
+    its MSE weights positive, its precoder within ``p_max`` and every pattern
+    on the 4 pi budget, with DC at ``eta`` where ``dc_pinned``."""
+    if np.any(state.w <= 0):
+        raise AssertionError("MSE weights must stay positive")
+    power = float(np.sum(np.abs(state.f_d) ** 2))
+    if power > p_max + 1e-8:
+        raise AssertionError(f"precoder power {power} exceeds budget {p_max}")
+    norms = np.sum(state.coeffs**2, axis=1)
+    if np.any(np.abs(norms - FULL_SPHERE) > 1e-8):
+        raise AssertionError("a pattern violates the 4*pi budget")
+    if dc_pinned and np.any(state.coeffs[:, 0] != eta):
+        raise AssertionError("DC coefficients drifted from eta")
+
+
+def initial_objective(scenario) -> float:
+    """The WMMSE objective of a solve of ``scenario`` before its first
+    update: at v = 0 and w = 1 every MSE is exactly 1, so the objective is
+    sum_k beta_k."""
+    return float(scenario.weights.sum())
 
 
 def secular_shift(x_sq, shift, target, what) -> float:

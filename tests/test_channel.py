@@ -11,6 +11,7 @@ from trihybrid.harmonics import basis_vector, truncation_length
 
 FOUR_PI = 4.0 * math.pi
 GEOM = ch.UpaGeometry(n_h=3, n_v=3, spacing=0.005, wavelength=0.01)
+ORIGIN = np.zeros(3)  # where the array's first element sits
 
 
 def make_far_path(theta, phi, geom, gain=1.0):
@@ -24,7 +25,7 @@ def make_far_path(theta, phi, geom, gain=1.0):
 
 
 def make_near_path(geom, source, gain=1.0, extra=0.0):
-    thetas, phis, dists = ch.path_aods(geom, source)
+    thetas, phis, dists = ch.path_aods(geom, source, ORIGIN)
     ref = float(np.linalg.norm(np.asarray(source))) + extra
     dists = dists + extra
     return (
@@ -42,8 +43,7 @@ def make_scenario(paths, geom, degree, counts=None, **table):
     arrays = {"thetas": thetas, "phis": phis, "responses": responses, **table}
     counts = (len(paths),) if counts is None else counts
     return ch.Scenario(
-        geometry=geom, bs_position=np.zeros(3), user_positions=np.zeros((len(counts), 3)),
-        path_counts=counts, noise_powers=np.ones(len(counts)),
+        geometry=geom, path_counts=counts, noise_powers=np.ones(len(counts)),
         weights=np.ones(len(counts)), truncation=degree, **arrays,
     )
 
@@ -111,7 +111,7 @@ class TestArv:
 
     def test_near_field_unit_norm(self):
         source = [3.0, 1.0, -2.0]
-        _, _, dists = ch.path_aods(GEOM, source)
+        _, _, dists = ch.path_aods(GEOM, source, ORIGIN)
         arv = ch.near_field_arv(dists, float(np.linalg.norm(source)), GEOM)
         assert np.linalg.norm(arv) == pytest.approx(1.0, abs=1e-12)
 
@@ -120,7 +120,7 @@ class TestArv:
         distance = 1e6 * GEOM.wavelength
         direction = np.array([1.0, 0.4, 0.2])
         source = distance * direction / np.linalg.norm(direction)
-        thetas, phis, dists = ch.path_aods(GEOM, source)
+        thetas, phis, dists = ch.path_aods(GEOM, source, ORIGIN)
         far = ch.far_field_arv(thetas[0], phis[0], GEOM)
         near = ch.near_field_arv(dists, distance, GEOM)
         np.testing.assert_allclose(near, far, atol=1e-3)
@@ -185,22 +185,22 @@ class TestArv:
 class TestPathAods:
     def test_axis_cases(self):
         geom = ch.UpaGeometry(1, 1, 0.005, 0.01)
-        thetas, phis, dists = ch.path_aods(geom, [5.0, 0.0, 0.0])
+        thetas, phis, dists = ch.path_aods(geom, [5.0, 0.0, 0.0], ORIGIN)
         assert thetas[0] == pytest.approx(math.pi / 2)
         assert phis[0] == pytest.approx(0.0)
         assert dists[0] == pytest.approx(5.0)
-        thetas, _, _ = ch.path_aods(geom, [0.0, 0.0, 1.0])
+        thetas, _, _ = ch.path_aods(geom, [0.0, 0.0, 1.0], ORIGIN)
         assert thetas[0] == pytest.approx(0.0)
 
     def test_far_source_angles_agree(self):
         source = 1e6 * GEOM.wavelength * np.array([0.6, 0.6, 0.52915])
-        thetas, phis, _ = ch.path_aods(GEOM, source)
+        thetas, phis, _ = ch.path_aods(GEOM, source, ORIGIN)
         assert np.ptp(thetas) < 1e-4
         assert np.ptp(phis) < 1e-4
 
     def test_coincident_source_rejected(self):
         with pytest.raises(ValueError):
-            ch.path_aods(GEOM, [0.0, 0.0, 0.0])
+            ch.path_aods(GEOM, [0.0, 0.0, 0.0], ORIGIN)
 
 
 def per_path_lift_oracle(scenario):
@@ -404,22 +404,26 @@ class TestScenarioGeneration:
     def test_determinism(self):
         a = ch.generate_scenario(ch.ScenarioConfig(), seed=42)
         b = ch.generate_scenario(ch.ScenarioConfig(), seed=42)
-        np.testing.assert_array_equal(a.user_positions, b.user_positions)
         np.testing.assert_array_equal(a.responses, b.responses)
         np.testing.assert_array_equal(a.thetas, b.thetas)
 
     def test_seed_changes_draw(self):
         a = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
         b = ch.generate_scenario(ch.ScenarioConfig(), seed=2)
-        assert not np.allclose(a.user_positions, b.user_positions)
+        assert not np.allclose(a.thetas, b.thetas)
 
     def test_single_los_path_geometry(self):
         config = ch.ScenarioConfig(n_users=1, n_paths=1, field_mode="near")
         scenario = ch.generate_scenario(config, seed=7)
         assert scenario.path_counts == (1,)
-        thetas, phis, dists = ch.path_aods(
-            scenario.geometry, scenario.user_positions[0], scenario.bs_position
-        )
+        # the user's position, from the seed's first two draws as
+        # generate_scenario makes them
+        rng = np.random.default_rng(7)
+        radius = config.user_radius_m * math.sqrt(rng.uniform())
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        bs = config.bs_position
+        user = [bs[0] + radius * math.cos(angle), bs[1] + radius * math.sin(angle), 0.0]
+        thetas, phis, dists = ch.path_aods(scenario.geometry, user, bs)
         np.testing.assert_array_equal(scenario.thetas[0], thetas)
         np.testing.assert_array_equal(scenario.phis[0], phis)
         # spherical spreading: the amplitude falls as 1 / distance per element

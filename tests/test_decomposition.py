@@ -76,7 +76,7 @@ class TestDecompose:
         for _ in range(10):
             f_d = random_fd(rng, power=p_max)
             factors = dec.decompose(f_d, n_rf=4, p_max=p_max, rng=rng)
-            assert factors.power <= p_max + 1e-8
+            assert float(np.sum(np.abs(factors.product) ** 2)) <= p_max + 1e-8
 
     def test_rf_chain_count_validated(self):
         rng = np.random.default_rng(8)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import (
     assoc_legendre,
+    check_state,
     degree_order_of,
     index_of,
     normalize_power,
@@ -257,7 +258,7 @@ def test_basis_norm_property(degree, data):
 
 class TestPatternCoefficients:
     """A stack of patterns is an (N_T, T) array with DC in column 0, built by
-    the solver's initializers and audited by ``SolverState.validate``."""
+    the solver's initializers and audited by ``reference.check_state``."""
 
     @staticmethod
     def state(coeffs):
@@ -272,11 +273,11 @@ class TestPatternCoefficients:
         assert coeffs.shape == (3, sh.truncation_length(4))
         np.testing.assert_array_equal(coeffs[:, 0], math.sqrt(FOUR_PI))
         np.testing.assert_array_equal(coeffs[:, 1:], np.zeros((3, 24)))
-        self.state(coeffs).validate(eta=math.sqrt(FOUR_PI), p_max=1.0)
+        check_state(self.state(coeffs), eta=math.sqrt(FOUR_PI), p_max=1.0)
 
     def test_power_budget_enforced(self):
         with pytest.raises(AssertionError, match="4\\*pi budget"):
-            self.state(np.ones((2, 25))).validate(eta=1.0, p_max=1.0)
+            check_state(self.state(np.ones((2, 25))), eta=1.0, p_max=1.0)
 
     def test_pinned_partition(self):
         eta = math.sqrt(2 * math.pi)
@@ -286,11 +287,11 @@ class TestPatternCoefficients:
         np.testing.assert_allclose(
             np.sum(coeffs[:, 1:] ** 2, axis=1), FOUR_PI - eta**2, atol=1e-10
         )
-        self.state(coeffs).validate(eta=eta, p_max=1.0)
+        check_state(self.state(coeffs), eta=eta, p_max=1.0)
 
     def test_pinned_rejects_bad_dc(self):
         # the eta range itself is checked by SolverConfig (test_wmmse)
         eta = math.sqrt(2 * math.pi)
         coeffs = wmmse.initial_coefficients(2, 4, eta, np.random.default_rng(4))
         with pytest.raises(AssertionError, match="DC coefficients drifted"):
-            self.state(coeffs).validate(eta=0.5 * eta, p_max=1.0)
+            check_state(self.state(coeffs), eta=0.5 * eta, p_max=1.0)

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import check_state, initial_objective
 
 from trihybrid import cli, wmmse
 from trihybrid import harness as hn
@@ -172,6 +173,13 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text("{", encoding="utf-8")
         with pytest.raises(hn.ConfigError, match="line"):
+            hn.parse_config(path)
+
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        # the parser recursed once per level and escaped as a RecursionError
+        path = tmp_path / "cfg.json"
+        path.write_text('{"weights": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(hn.ConfigError, match="nested too deeply"):
             hn.parse_config(path)
 
     def test_file_plus_overrides(self, tmp_path):
@@ -632,9 +640,9 @@ class TestConfigSpace:
             seed=seed,
         )
 
-    def audit(self, result, eta, p_max, em_update):
-        result.state.validate(eta, p_max, dc_pinned=em_update)
-        prev = result.initial_objective
+    def audit(self, scenario, result, eta, p_max, em_update):
+        check_state(result.state, eta, p_max, dc_pinned=em_update)
+        prev = initial_objective(scenario)
         for rec in result.history:
             chain = (rec.objective_after_v, rec.objective_after_w,
                      rec.objective_after_fd, rec.objective)
@@ -652,7 +660,7 @@ class TestConfigSpace:
 
         def recorded(scenario, p_max, config, seed, em_update=True, **kwargs):
             result = solve(scenario, p_max, config, seed, em_update=em_update, **kwargs)
-            solves.append((result, config.eta, p_max, em_update))
+            solves.append((scenario, result, config.eta, p_max, em_update))
             return result
 
         monkeypatch.setattr(hn, "run_algorithm1", recorded)
@@ -1055,8 +1063,10 @@ class TestCli:
                  "gain": [[1, 1, 1]] * 3}]},
             {"patterns": [{"theta_deg": [0, 90, 180], "phi_deg": [0, 180, 360, 540],
                            "gain": [[1, 1, 1, 1]] * 3}]},
+            {"patterns": [{"theta_deg": [0, "90", 180], "phi_deg": [0, 120, 240],
+                           "gain": [[1, 1, 1], [1, True, 1], [1, 1, 1]]}]},
         ],
-        ids=["nan-axis-node", "normalize-string", "azimuth-over-360"],
+        ids=["nan-axis-node", "normalize-string", "azimuth-over-360", "string-node-bool-sample"],
     )
     def test_malformed_candidate_field_is_config_error(self, tmp_path, capsys, doc):
         path = tmp_path / "f.json"

@@ -69,6 +69,52 @@ def sampled_gains(draw):
     return theta_deg, phi_deg, np.array(samples).reshape(len(theta_deg), len(phi_deg))
 
 
+WRONG_VALUES = {
+    "string": st.one_of(
+        st.text(max_size=4), st.integers(0, 180).map(str), st.floats(0.0, 180.0).map(repr)
+    ),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "nested list": st.lists(st.lists(st.floats(0.0, 1.0), max_size=2), min_size=1, max_size=2),
+}
+
+# a string node and a boolean sample, which numpy converts as 90 and 1
+STRING_NODE_DOC = {"patterns": [{"theta_deg": [0, "90", 180], "phi_deg": [0, 120, 240],
+                                 "gain": [[1, 1, 1], [1, True, 1], [1, 1, 1]]}]}
+
+
+@st.composite
+def wrong_typed_docs(draw):
+    """A one-pattern document from ``sampled_gains`` with one value replaced
+    by a JSON value of a wrong type: the whole ``normalize``, ``patterns`` or
+    ``name``, one axis node, one list-form sample, or one field of the gain
+    in block form."""
+    theta_deg, phi_deg, gain = draw(sampled_gains())
+    record = {"name": "p", "theta_deg": theta_deg, "phi_deg": phi_deg, "gain": gain.tolist()}
+    doc = {"normalize": True, "patterns": [record]}
+    where = draw(st.sampled_from(
+        ["normalize", "patterns", "name", "theta_deg", "phi_deg", "gain", "block"]
+    ))
+    valid = {"normalize": "bool", "name": "string"}.get(where)
+    wrong = draw(st.sampled_from([kind for kind in WRONG_VALUES if kind != valid]).flatmap(
+        WRONG_VALUES.get
+    ))
+    if where in ("normalize", "patterns"):
+        doc[where] = wrong
+    elif where == "name":
+        record["name"] = wrong
+    elif where == "block":
+        record["gain"] = gain_block(gain)
+        record["gain"][draw(st.sampled_from(["shape", "base64"]))] = wrong
+    elif where == "gain":
+        row = draw(st.integers(0, len(theta_deg) - 1))
+        record["gain"][row][draw(st.integers(0, len(phi_deg) - 1))] = wrong
+    else:
+        record[where][draw(st.integers(0, len(record[where]) - 1))] = wrong
+    return doc
+
+
 def list_form_doc(cset):
     """The document of a set with every gain as a nested list."""
     return {
@@ -403,6 +449,22 @@ class TestLoader:
         assert power == pytest.approx(FULL_SPHERE, rel=1e-12)
         assert np.all(np.isfinite(looked_up))
 
+    @settings(max_examples=500, deadline=None)
+    @given(doc=wrong_typed_docs())
+    @example(doc=STRING_NODE_DOC)
+    def test_wrong_json_types_rejected(self, doc):
+        # numpy reads "90" and true as numbers: such a file once loaded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(proj.PatternLoadError):
+                proj.load_candidates("doc", json.dumps(doc).encode())
+
+    def test_deeply_nested_document_rejected(self):
+        # the parser recursed once per level and escaped as a RecursionError
+        data = '{"patterns": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(proj.PatternLoadError, match="nested too deeply"):
+            proj.load_candidates("doc", data.encode())
+
     def test_pole_samples_whose_power_overflows_rejected(self):
         # two adjacent pole samples whose scaled squares are finite but whose
         # sum in the quadrature overflows: the stored power would be nan
@@ -433,7 +495,10 @@ class TestLoader:
             proj.load_candidates(write_doc(tmp_path, doc))
 
     @pytest.mark.parametrize(
-        "field, value", [("gain", [[1.0] * 9] * 6 + [[1.0] * 8]), ("theta_deg", ["a", 90])]
+        "field, value",
+        [("gain", [[1.0] * 9] * 6 + [[1.0] * 8]), ("theta_deg", ["a", 90]),
+         ("theta_deg", [0, 30, "60", 90, 120, 150, 180]),
+         ("gain", [[1.0] * 9] * 6 + [[1.0] * 8 + [True]]), ("name", {"id": 1})],
     )
     def test_non_numeric_samples_rejected(self, tmp_path, field, value):
         doc = isotropic_doc()

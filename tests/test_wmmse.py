@@ -1052,14 +1052,14 @@ class TestAlgorithm:
         config = wmmse.SolverConfig(max_iterations=20)
         scenario = small_scenario(3)
         res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=3)
-        res.state.validate(config.eta, P_MAX)
+        reference.check_state(res.state, config.eta, P_MAX)
 
     def test_stepwise_objective_monotone(self):
         scenario = small_scenario(4)
         res = wmmse.run_algorithm1(
             scenario, P_MAX, wmmse.SolverConfig(max_iterations=30), seed=4
         )
-        prev = res.initial_objective
+        prev = reference.initial_objective(scenario)
         for rec in res.history:
             for obj in (
                 rec.objective_after_v,
@@ -1112,7 +1112,7 @@ class TestAlgorithm:
             for seed in range(1, 21):
                 scenario = generate_scenario(config.scenario, seed)
                 res = wmmse.run_algorithm1(scenario, p_max, solver, seed=seed)
-                res.state.validate(solver.eta, p_max)
+                reference.check_state(res.state, solver.eta, p_max)
 
     # Relative sum-rate change of a default drop when the power multiplier
     # comes from Newton instead of the bisection oracle.  Both stop within
