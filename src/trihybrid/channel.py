@@ -28,6 +28,7 @@ with the patterns, and with a candidate set's gains the projected channel.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,13 @@ def effective_channels(blocks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _echo(value) -> str:
+    """An offending value as an error message shows it: ``reprlib.repr``,
+    cut to 200 characters, since it still prints nested lists in full."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 def assemble_channel(responses, counts, gains) -> np.ndarray:
@@ -228,9 +236,9 @@ class ScenarioConfig:
             raise ValueError("noise power must be positive and finite")
         bs = self.bs_position
         if len(bs) != 3 or not all(map(math.isfinite, bs)):
-            raise ValueError(f"bs_position: need 3 finite coordinates, got {bs}")
+            raise ValueError(f"bs_position: need 3 finite coordinates, got {_echo(bs)}")
         if self.field_mode not in ("far", "near"):
-            raise ValueError(f"unknown field mode {self.field_mode!r}")
+            raise ValueError(f"unknown field mode {_echo(self.field_mode)}")
         if self.truncation < 0:
             raise ValueError(f"truncation degree must be >= 0, got {self.truncation}")
         weights = (1.0,) * self.n_users if self.weights is None else tuple(self.weights)
@@ -238,7 +246,7 @@ class ScenarioConfig:
             math.isfinite(b) and b > 0 for b in weights
         ):
             raise ValueError(
-                f"weights: need {self.n_users} positive finite weights, got {weights}"
+                f"weights: need {self.n_users} positive finite weights, got {_echo(weights)}"
             )
 
     @property

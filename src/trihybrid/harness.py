@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import ScenarioConfig, generate_scenario
+from .channel import ScenarioConfig, _echo, generate_scenario
 from .decomposition import decompose, sum_rate_loss
 from .projection import (
     CandidatePatternSet,
@@ -125,7 +125,7 @@ class RunConfig:
             if value is None and kind != f.type:
                 continue
             if not admits(value):
-                raise ConfigError(f"{f.name}: must be {what}, got {value!r}")
+                raise ConfigError(f"{f.name}: must be {what}, got {_echo(value)}")
             if kind == "tuple":
                 object.__setattr__(self, f.name, tuple(map(float, value)))
         if self.trials < 1:
@@ -133,7 +133,7 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.mode not in MODES + ("all",):
-            raise ConfigError(f"mode: unknown mode {self.mode!r}")
+            raise ConfigError(f"mode: unknown mode {_echo(self.mode)}")
         if self.mode != "hybrid":
             _require_pattern_degree(self.truncation)
         if not self.pmax_dbm:

@@ -39,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import Scenario, _read_only, assemble_channel
+from .channel import Scenario, _echo, _read_only, assemble_channel
 from .harmonics import FULL_SPHERE, basis_vector
 from .wmmse import SolverConfig, SolverResult, link_stats, refit_digital, sum_rate
 
@@ -229,7 +229,7 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
         raise PatternLoadError(f"{ctx}.gain: samples too small or too large for a finite power")
     name = record.get("name", f"pattern-{idx}")
     if not isinstance(name, str):
-        raise PatternLoadError(f"{ctx}.name: must be a string, got {name!r}")
+        raise PatternLoadError(f"{ctx}.name: must be a string, got {_echo(name)}")
     return CandidatePattern(name=name, theta=theta, phi=phi, gain=gain, power=power), scale
 
 
@@ -247,7 +247,7 @@ def _decode_block(block: dict):
         and len(shape) == 2
         and all(type(n) is int and n >= 0 for n in shape)
     ):
-        return _BadBlock(f"block shape must be two nonnegative ints, got {shape!r}")
+        return _BadBlock(f"block shape must be two nonnegative ints, got {_echo(shape)}")
     try:
         raw = base64.b64decode(block.get("base64"), validate=True)
     except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
@@ -324,7 +324,7 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
         raise PatternLoadError(f"{path}: document must be an object with 'patterns'")
     normalize = doc.get("normalize", True)
     if not isinstance(normalize, bool):
-        raise PatternLoadError(f"{path}: normalize: must be true or false, got {normalize!r}")
+        raise PatternLoadError(f"{path}: normalize: must be true or false, got {_echo(normalize)}")
     records = doc["patterns"]
     if not isinstance(records, list):
         raise PatternLoadError(f"{path}: patterns: must be a list of pattern objects")

@@ -32,6 +32,10 @@ closed form:
 Both multipliers come from one safeguarded Newton iteration on
 sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
 
+One outer iteration is ``outer_step``, a function from one immutable
+``Iterate`` to the next, so a solve can resume from, or evaluate the step
+at, any iterate; ``_alternate`` loops over it.
+
 Every per-user K-vector (the links' statistics, v, w and ln w, the MSE, the
 user weights and noise powers) is a list of Python floats, and the
 functions of them run O(K) scalar loops: at a few users numpy's cost per
@@ -72,7 +76,7 @@ class SolverConfig:
 
     eta: float = math.sqrt(2.0 * math.pi)
     max_iterations: int = 100
-    tolerance: float = 1e-5  # relative sum-rate change; 0 disables early exit
+    tolerance: float = 1e-5  # relative sum-rate change to stop at; 0 stops on an equal rate
 
     def __post_init__(self):
         if not 0.0 < self.eta < math.sqrt(FULL_SPHERE):
@@ -510,71 +514,80 @@ def matched_filter_precoder(channels: np.ndarray, p_max: float) -> np.ndarray:
     return f * math.sqrt(p_max / total)
 
 
-def _alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
-    """Outer iterations of the v, w, F_D block updates on the channel ``h``.
+class Iterate(NamedTuple):
+    """One point of the alternating solve, never changed in place: F_D, the
+    coefficients, the MSE weights the next v update is scored with, and what
+    the next step reads of them, formed once per change."""
 
-    ``pattern_step(f_d, w, v)``, when given, runs after the F_D update and
-    returns the channel under the updated patterns.  The link statistics of
-    p = h F_D are formed once after each change of either, and the thin QR
-    of H^H that ``update_fd`` works in once per channel: once per solve
-    without ``pattern_step``, once per pattern step with it.  v and w read
-    the same statistics, so one MSE vector scores both.  The per-user
-    vectors (weights, noise, v, w and ln w, formed once per w) are lists of
-    Python floats throughout; ``update_fd`` and the pattern step turn them
-    into arrays where they scale a matrix.
-    Weights start at one.  The loop stops when the relative sum-rate change
-    drops below ``config.tolerance`` or ``config.max_iterations`` is spent.
-    Returns (h, f_d, v, w, history, converged), with v and w as arrays.
-    """
+    f_d: np.ndarray  # (N_T, K) digital precoder
+    coeffs: np.ndarray | None  # (N_T, T) pattern coefficients; None on a fixed channel
+    w: list  # (K,) MSE weights
+    log_w: list  # (K,) ln w
+    h: np.ndarray  # (K, N_T) channel
+    basis: tuple  # thin QR (Q, R) of h^H
+    links: Links  # statistics of h F_D
+
+    @classmethod
+    def start(cls, h, f_d, coeffs=None) -> Iterate:
+        """The iterate a solve starts from: F_D on the channel h (under
+        ``coeffs``), with every MSE weight at one."""
+        k = h.shape[0]
+        return cls(f_d, coeffs, [1.0] * k, [0.0] * k, h, np.linalg.qr(np.conj(h).T),
+                   link_stats(h @ f_d))
+
+
+def outer_step(x: Iterate, it, weights, noise, p_max, factors):
+    """Outer iteration ``it`` from ``x``: v, w and F_D and, when ``factors``
+    (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
+    and the channel, QR and links under its coefficients.  v and w read the
+    same links, so one MSE vector scores both; ``weights`` and ``noise`` are
+    lists of floats.  Returns (next iterate, v, ``IterationRecord``)."""
+    tic = time.perf_counter()
+    v = update_v(x.links, noise)
+    e = mse_vector(x.links, v, noise)
+    obj_v = wmmse_objective(x.w, e, weights, x.log_w)
+    t_v = time.perf_counter()
+    w = update_w(x.links, v)
+    log_w = [math.log(wk) for wk in w]
+    obj_w = wmmse_objective(w, e, weights, log_w)
+    t_w = time.perf_counter()
+    f_d = update_fd(x.basis, w, v, weights, p_max)
+    links = link_stats(x.h @ f_d)
+    obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
+    t_fd = time.perf_counter()
+    coeffs, h, basis, obj_em = x.coeffs, x.h, x.basis, obj_fd
+    if factors is not None:
+        coeffs = update_em(factors, coeffs, f_d, w, v, weights, noise)
+        h = effective_channels(factors.blocks, coeffs)
+        basis = np.linalg.qr(np.conj(h).T)
+        links = link_stats(h @ f_d)
+        obj_em = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
+    t_em = time.perf_counter()
+    rate = sum_rate(links, weights, noise)
+    seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
+    record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
+    return Iterate(f_d, coeffs, w, log_w, h, basis, links), v, record
+
+
+def _alternate(x: Iterate, weights, noise, p_max, config, factors=None):
+    """``outer_step`` from ``x``, with ``weights`` and ``noise`` made lists of
+    floats once, until the relative sum-rate change is at most
+    ``config.tolerance`` or ``config.max_iterations`` is spent.  Returns
+    (last iterate, its v, history, converged)."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
-    w, log_w = [1.0] * len(weights), [0.0] * len(weights)
     history: list[IterationRecord] = []
     prev_rate = None
-    converged = False
-    basis = np.linalg.qr(np.conj(h).T)
-    links = link_stats(h @ f_d)
     for it in range(1, config.max_iterations + 1):
-        tic = time.perf_counter()
-        v = update_v(links, noise)
-        e = mse_vector(links, v, noise)
-        obj_v = wmmse_objective(w, e, weights, log_w)
-        t_v = time.perf_counter()
-        w = update_w(links, v)
-        log_w = [math.log(wk) for wk in w]
-        obj_w = wmmse_objective(w, e, weights, log_w)
-        t_w = time.perf_counter()
-        f_d = update_fd(basis, w, v, weights, p_max)
-        links = link_stats(h @ f_d)
-        obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
-        t_fd = time.perf_counter()
-        if pattern_step is None:
-            obj_em = obj_fd
-        else:
-            h = pattern_step(f_d, w, v)
-            basis = np.linalg.qr(np.conj(h).T)
-            links = link_stats(h @ f_d)
-            obj_em = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
-        t_em = time.perf_counter()
-        rate = sum_rate(links, weights, noise)
-        history.append(
-            IterationRecord(
-                iteration=it,
-                sum_rate=rate,
-                objective=obj_em,
-                objective_after_v=obj_v,
-                objective_after_w=obj_w,
-                objective_after_fd=obj_fd,
-                step_seconds=(t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd),
-            )
-        )
+        x, v, record = outer_step(x, it, weights, noise, p_max, factors)
+        history.append(record)
+        rate = record.sum_rate
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            converged = True
-            break
+            return x, v, history, True
         prev_rate = rate
-    return h, f_d, np.array(v), np.array(w), history, converged
+    return x, v, history, False
 
 
 def run_algorithm1(
@@ -602,32 +615,23 @@ def run_algorithm1(
     if em_update and scenario.truncation == 0:
         raise ValueError("truncation: optimizing patterns needs degree >= 1, got 0")
     config = config or SolverConfig()
-    geom = scenario.geometry
-    blocks = scenario.blocks
-    weights = scenario.weights.tolist()
-    noise = scenario.noise_powers.tolist()
+    n_t, blocks = scenario.geometry.n_t, scenario.blocks
     if em_update:
         rng = np.random.default_rng(seed)
-        coeffs = initial_coefficients(geom.n_t, scenario.truncation, config.eta, rng)
+        coeffs = initial_coefficients(n_t, scenario.truncation, config.eta, rng)
         factors = factor_ac_blocks(blocks)
     else:
-        coeffs = isotropic_coefficients(geom.n_t, scenario.truncation)
-
-    def pattern_step(f_d, w, v):
-        nonlocal coeffs
-        coeffs = update_em(factors, coeffs, f_d, w, v, weights, noise)
-        return effective_channels(blocks, coeffs)
-
+        coeffs, factors = isotropic_coefficients(n_t, scenario.truncation), None
     h = effective_channels(blocks, coeffs)
-    h, f_d, v, w, history, converged = _alternate(
-        h, matched_filter_precoder(h, p_max), weights, noise, p_max, config,
-        pattern_step if em_update else None,
+    x, v, history, converged = _alternate(
+        Iterate.start(h, matched_filter_precoder(h, p_max), coeffs),
+        scenario.weights, scenario.noise_powers, p_max, config, factors,
     )
     return SolverResult(
-        state=SolverState(w=w, v=v, f_d=f_d, coeffs=coeffs),
+        state=SolverState(w=np.array(x.w), v=np.array(v), f_d=x.f_d, coeffs=x.coeffs),
         history=history,
         converged=converged,
-        channels=h,
+        channels=x.h,
         p_max=p_max,
     )
 
@@ -645,7 +649,7 @@ def refit_digital(
     _check_budget(p_max)
     config = config or SolverConfig()
     f_d = matched_filter_precoder(channels, p_max) if f_init is None else f_init
-    _, f_d, v, w, history, _ = _alternate(
-        channels, f_d, weights, noise_powers, p_max, config
+    x, v, history, _ = _alternate(
+        Iterate.start(channels, f_d), weights, noise_powers, p_max, config
     )
-    return f_d, v, w, [rec.sum_rate for rec in history]
+    return x.f_d, np.array(v), np.array(x.w), [rec.sum_rate for rec in history]

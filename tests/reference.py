@@ -30,9 +30,10 @@ oracles of the batched code in ``trihybrid``.
   apart, and which the hard case's missing norm sqrt(rho^2 - range_sq)
   amplifies.
 * ``alternate`` is the v/w/F_D loop calling the per-user functions of
-  ``wmmse`` on per-call statistics of the links, ln w and QR of H^H;
-  ``wmmse._alternate``, which forms each once per change, must equal it
-  bit for bit.
+  ``wmmse`` on per-call statistics of the links, ln w and QR of H^H, with
+  the pattern update as a callback; ``wmmse._alternate``, which repeats
+  ``outer_step`` on an ``Iterate`` holding each, formed once per change,
+  must equal it bit for bit.
 * ``check_state`` audits a solver state's invariants: positive MSE weights,
   the power and 4 pi budgets, and pinned DC.  ``initial_objective`` is the
   objective a solve starts from, the first term of its monotone chain.
@@ -269,10 +270,13 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
 
 
 def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
-    """The v/w/F_D loop of ``wmmse._alternate``, with the same arguments and
-    returns and the same per-user functions, on per-call evaluations: each
-    function reads the links' statistics from p itself, each objective its
-    own MSE vector and ln w, and F_D factors H^H itself."""
+    """The loop of ``wmmse._alternate`` written as one loop over local
+    variables, with the same per-user functions, on per-call evaluations:
+    each function reads the links' statistics from p itself, each objective
+    its own MSE vector and ln w, and F_D factors H^H itself.
+    ``pattern_step(f_d, w, v)``, when given, is ``outer_step``'s pattern
+    sweep and returns the channel under the new coefficients.  Returns
+    (h, f_d, v, w, history, converged), with v and w as arrays."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
 

@@ -17,13 +17,16 @@ from trihybrid import harness as hn
 GOLDEN = Path(__file__).with_name("golden_rows.csv")
 COLUMNS = [c for c in hn.CSV_HEADER.split(",") if c != "wall_ms"]
 
-# Seeds 1..3 of each group, mode all, on the stand-in candidate set; the
-# rows are in group order, each group's as run_trials orders them.
+# Seeds 1..3 of each group (seed 1 alone where trials=1), mode all, on the
+# stand-in candidate set; the rows are in group order, each group's as
+# run_trials orders them.
 PANEL = (
     dict(field_mode="far", pmax_dbm=(0.0, 30.0)),
     dict(field_mode="near", pmax_dbm=(0.0, 30.0)),
     dict(n_users=3, n_rf=4, pmax_dbm=(30.0,)),  # N_RF < 2K: the ALS regime
     dict(truncation=10, pmax_dbm=(0.0,)),  # T = 121
+    # the large-K drop: 8x8 array, K = 8, N_RF = 16, T = 121
+    dict(n_h=8, n_v=8, n_users=8, n_rf=16, truncation=10, trials=1, pmax_dbm=(0.0, 30.0)),
 )
 PARSE = {"seed": int, "mode": str, "iterations": int}
 RTOL = {"sum_rate": 1e-9, "projected_sum_rate": 1e-9, "decomp_residual": 5e-2}
@@ -32,7 +35,7 @@ RTOL = {"sum_rate": 1e-9, "projected_sum_rate": 1e-9, "decomp_residual": 5e-2}
 def panel_rows() -> list[hn.TrialRecord]:
     rows = []
     for group in PANEL:
-        rows += hn.run_trials(hn.RunConfig(mode="all", trials=3, seed=1, **group))
+        rows += hn.run_trials(hn.RunConfig(**{"mode": "all", "trials": 3, "seed": 1, **group}))
     return rows
 
 
@@ -74,7 +77,7 @@ def _matches(column, got, want) -> bool:
 def test_panel_matches_golden_rows():
     golden = read_golden()
     rows = panel_rows()
-    assert len(golden) == len(rows) == 54
+    assert len(golden) == len(rows) == 60
     assert [row.error for row in rows] == [None] * len(rows)
     moved = {}
     for column in COLUMNS:

@@ -14,6 +14,7 @@ from reference import check_state, initial_objective
 
 from trihybrid import cli, wmmse
 from trihybrid import harness as hn
+from trihybrid import projection as proj
 from trihybrid.channel import Scenario, ScenarioConfig
 from trihybrid.harmonics import truncation_length
 from trihybrid.projection import PatternLoadError, save_candidates, steered_candidate_set
@@ -119,6 +120,44 @@ def strip_wall(record):
     )
 
 
+def _nested(depth, width, leaf):
+    for _ in range(depth):
+        leaf = [leaf] * width
+    return leaf
+
+
+ECHOED = ("x" * 100_000, _nested(900, 1, []), _nested(6, 6, 1), [1.0] * 100_000)
+
+
+def _candidate_file(value, field):
+    """Load a one-pattern candidate file with ``value`` at ``field``."""
+    pattern = {"name": "p", "theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+               "gain": [[1, 1, 1]] * 3}
+    doc = {"normalize": True, "patterns": [pattern]}
+    if field == "shape":
+        pattern["gain"] = {"shape": "@", "base64": ""}
+    else:
+        (doc if field == "normalize" else pattern)[field] = "@"
+    text = json.dumps(doc).replace('"@"', json.dumps(value))
+    proj.load_candidates("doc", text.encode())
+
+
+# Every site whose error message shows an offending config or candidate-file
+# value, fed through the public entry point that reaches it; a value of the
+# wrong type stops at RunConfig's type check instead.
+ECHO_SITES = {
+    "run-config-type": lambda value: hn.RunConfig(n_h=value),
+    "mode": lambda value: hn.RunConfig(mode=value),
+    "field-mode": lambda value: hn.RunConfig(field_mode=value),
+    "bs-position": lambda value: hn.RunConfig(bs_position=value),
+    "weights": lambda value: hn.RunConfig(weights=value),
+    # any string is a valid name
+    "candidate-name": lambda value: _candidate_file([value], "name"),
+    "block-shape": lambda value: _candidate_file(value, "shape"),
+    "normalize": lambda value: _candidate_file(value, "normalize"),
+}
+
+
 class TestConfig:
     def test_defaults_match_reference_setup(self):
         cfg = hn.RunConfig()
@@ -181,6 +220,19 @@ class TestConfig:
         path.write_text('{"weights": ' + "[" * 100_000 + "]" * 100_000 + "}")
         with pytest.raises(hn.ConfigError, match="nested too deeply"):
             hn.parse_config(path)
+
+    @pytest.mark.parametrize(
+        "value", ECHOED, ids=["long-string", "deep-list", "wide-nest", "long-list"]
+    )
+    @pytest.mark.parametrize("site", sorted(ECHO_SITES))
+    def test_error_shows_a_bounded_value(self, site, value):
+        # each message showed the whole value: 100,000 characters of a
+        # string, 1,800 of a 900-deep list, and reprlib alone still prints
+        # a list six wide and six deep in 158,628; now the value takes at
+        # most 200 characters, and the message, without a file's path, 300
+        with pytest.raises((hn.ConfigError, PatternLoadError)) as err:
+            ECHO_SITES[site](value)
+        assert len(str(err.value)) <= 300
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -1254,9 +1255,10 @@ class TestAlgorithm:
 
 
 class TestLoopMatchesReference:
-    """``_alternate`` forms each links update's statistics once, and the thin
-    QR of H^H once per channel; every record field but the timings, and the
-    returned state, equal the per-call reference loop's bit for bit."""
+    """``_alternate`` repeats ``outer_step`` on an ``Iterate``, which holds
+    the links' statistics, formed once per update, and the thin QR of H^H,
+    formed once per channel; every record field but the timings, and the
+    final state, equal the per-call reference loop's bit for bit."""
 
     @staticmethod
     def run(loop, scenario, p_max, config, seed, em_update):
@@ -1277,6 +1279,12 @@ class TestLoopMatchesReference:
 
         h = wmmse.effective_channels(blocks, coeffs)
         f_d = wmmse.matched_filter_precoder(h, p_max)
+        if loop is wmmse._alternate:
+            x, v, history, converged = loop(
+                wmmse.Iterate.start(h, f_d, coeffs), weights, noise, p_max, config,
+                factors if em_update else None,
+            )
+            return x.h, x.f_d, np.array(v), np.array(x.w), history, converged
         return loop(
             h, f_d, weights, noise, p_max, config, pattern_step if em_update else None
         )
@@ -1314,7 +1322,98 @@ class TestLoopMatchesReference:
             )
 
 
+def _frozen(x):
+    """``x`` with every array it holds set read-only."""
+    for arr in (x.f_d, x.coeffs, x.h, *x.basis):
+        if arr is not None:
+            arr.flags.writeable = False
+    return x
+
+
+def assert_iterates_equal(got, want):
+    for a, b in zip((got.f_d, got.h, *got.basis), (want.f_d, want.h, *want.basis)):
+        np.testing.assert_array_equal(a, b)
+    assert (got.coeffs is None) == (want.coeffs is None)
+    if got.coeffs is not None:
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+    assert (got.w, got.log_w, got.links) == (want.w, want.log_w, want.links)
+
+
+def record_fields(record):
+    """Every field of an ``IterationRecord`` but its timings."""
+    return (
+        record.iteration, record.sum_rate, record.objective, record.objective_after_v,
+        record.objective_after_w, record.objective_after_fd,
+    )
+
+
+class TestOuterStep:
+    """One outer iteration is a function of its iterate: the property a
+    restart, or a step evaluated at a point the loop did not produce,
+    depends on.  The pattern solve, the default setup from random AC, runs
+    to its cap; the frozen one, ``refit_digital``'s fixed channel (no
+    coefficients), converges."""
+
+    @staticmethod
+    def solve_args(em_update, seed=5):
+        run_config = RunConfig()
+        scenario = generate_scenario(run_config.scenario, seed)
+        blocks, n_t = scenario.blocks, scenario.geometry.n_t
+        rng = np.random.default_rng(seed)
+        coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, ETA, rng)
+        h = wmmse.effective_channels(blocks, coeffs)
+        f_d = wmmse.matched_filter_precoder(h, P_MAX)
+        if em_update:
+            x, factors = wmmse.Iterate.start(h, f_d, coeffs), wmmse.factor_ac_blocks(blocks)
+        else:
+            x, factors = wmmse.Iterate.start(h, f_d), None
+        rest = (scenario.weights.tolist(), scenario.noise_powers.tolist(), P_MAX)
+        return x, rest, run_config.solver, factors
+
+    @pytest.mark.parametrize("em_update", [True, False], ids=["pattern", "frozen"])
+    def test_step_twice_from_one_iterate_is_bit_equal(self, em_update):
+        x, rest, config, factors = self.solve_args(em_update)
+        config = dataclasses.replace(config, max_iterations=3)
+        x, _, history, _ = wmmse._alternate(x, *rest, config, factors)
+        assert len(history) == 3
+        x = _frozen(x)
+        w, log_w, links = list(x.w), list(x.log_w), x.links
+        first = wmmse.outer_step(x, 4, *rest, factors)
+        second = wmmse.outer_step(x, 4, *rest, factors)
+        assert_iterates_equal(first[0], second[0])
+        assert first[1] == second[1]  # v
+        assert record_fields(first[2]) == record_fields(second[2])
+        assert (x.w, x.log_w, x.links) == (w, log_w, links)
+        assert (first[0].coeffs is None) == (not em_update)
+
+    @pytest.mark.parametrize("em_update", [True, False], ids=["pattern", "frozen"])
+    def test_restart_from_iterate_j_continues_the_history(self, em_update):
+        x0, rest, config, factors = self.solve_args(em_update)
+        last, v, history, converged = wmmse._alternate(x0, *rest, config, factors)
+        assert len(history) >= 4
+        j = len(history) // 2
+        head = dataclasses.replace(config, max_iterations=j)
+        x_j, _, _, _ = wmmse._alternate(x0, *rest, head, factors)
+        # the resumed loop has the iterations the uninterrupted one had left
+        left = dataclasses.replace(config, max_iterations=config.max_iterations - j)
+        x_end, v_end, tail, resumed = wmmse._alternate(_frozen(x_j), *rest, left, factors)
+        assert resumed == converged and len(tail) == len(history) - j
+        for got, want in zip(tail, history[j:]):
+            assert record_fields(got)[1:] == record_fields(want)[1:]
+        assert_iterates_equal(x_end, last)
+        assert v_end == v
+
+
 class TestSolverConfig:
+    def test_zero_tolerance_stops_on_an_equal_rate(self):
+        # |change| <= 0 * rate holds once the rate repeats bit for bit, which
+        # this frozen solve reaches long before its cap
+        scenario = generate_scenario(RunConfig().scenario, 3)
+        config = wmmse.SolverConfig(max_iterations=2000, tolerance=0.0)
+        res = wmmse.run_algorithm1(scenario, dbm_to_watts(0.0), config, em_update=False)
+        assert res.converged and res.iterations == 8
+        assert res.history[-1].sum_rate == res.history[-2].sum_rate
+
     def test_defaults(self):
         config = wmmse.SolverConfig()
         assert config.eta == pytest.approx(math.sqrt(2 * math.pi))
