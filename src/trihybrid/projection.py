@@ -19,7 +19,8 @@ A gain is either that nested list or one block of samples,
 ``{"shape": [len(theta), len(phi)], "base64": "..."}``, whose base64 text
 holds the little-endian float64 samples in row-major order; the loader
 reads both, and :func:`save_candidates` writes blocks.  Axis nodes and
-samples must be JSON numbers and a ``name`` a string; nodes must be
+samples must be JSON numbers and a ``name`` a string; a field not named
+here, in the document, a pattern or a block, is rejected; nodes must be
 finite, azimuths span at most 360 degrees, gains be finite and
 nonnegative, and ``normalize`` a JSON boolean; with ``normalize`` true (the
 default) every pattern is rescaled on load so its quadrature power equals 4 pi.
@@ -162,6 +163,13 @@ def _float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _unknown_fields(obj: dict, known: tuple) -> str:
+    """The fields of ``obj`` not among ``known``, named, or "" when there
+    are none: a misspelt field would otherwise load as absent."""
+    unknown = sorted(set(obj) - set(known))
+    return f"unknown field(s) {_echo(unknown)}" if unknown else ""
+
+
 def _validate_axis(values, name: str) -> np.ndarray:
     """The axis nodes in degrees ``values`` as radians, which must ascend
     strictly: nodes a subnormal number of degrees apart coincide there."""
@@ -182,6 +190,8 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
     ctx = f"patterns[{idx}]"
     if not isinstance(record, dict):
         raise PatternLoadError(f"{ctx}: must be an object")
+    if why := _unknown_fields(record, ("name", "theta_deg", "phi_deg", "gain")):
+        raise PatternLoadError(f"{ctx}: {why}")
     for key in ("theta_deg", "phi_deg", "gain"):
         if key not in record:
             raise PatternLoadError(f"{ctx}: missing field {key!r}")
@@ -241,6 +251,8 @@ class _BadBlock(str):
 def _decode_block(block: dict):
     """A gain block's samples as an (n_theta, n_phi) array over its decoded
     bytes, or the :class:`_BadBlock` reason it is malformed."""
+    if why := _unknown_fields(block, ("shape", "base64")):
+        return _BadBlock(f"block: {why}")
     shape = block.get("shape")
     if not (
         isinstance(shape, list)
@@ -303,37 +315,40 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
     (:func:`read_candidate_file`); otherwise the file is read here.  The
     bytes must be UTF-8 text.  The text is dropped once parsed, and each
     gain is normalized as it is copied into its grid's stacked array.
+    Every error names ``path`` first.
     """
     if data is None:
         data = read_candidate_file(path)
     try:
         text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise PatternLoadError(
-            f"{path}: not UTF-8 text ({err.reason} at byte {err.start})"
-        )
-    del data
-    try:
+        del data
         doc = json.loads(text, object_hook=_gain_to_array)
+        del text
+        if not isinstance(doc, dict) or "patterns" not in doc:
+            raise PatternLoadError("document must be an object with 'patterns'")
+        if why := _unknown_fields(doc, ("normalize", "patterns")):
+            raise PatternLoadError(f"document: {why}")
+        normalize = doc.get("normalize", True)
+        if not isinstance(normalize, bool):
+            raise PatternLoadError(f"normalize: must be true or false, got {_echo(normalize)}")
+        records = doc["patterns"]
+        if not isinstance(records, list):
+            raise PatternLoadError("patterns: must be a list of pattern objects")
+        if not records:
+            raise PatternLoadError("empty pattern list")
+        patterns, scales = zip(
+            *(_build_pattern(rec, idx, normalize) for idx, rec in enumerate(records))
+        )
+        return CandidatePatternSet(patterns=patterns, normalized=normalize, scales=scales)
+    except UnicodeDecodeError as err:
+        why = f"not UTF-8 text ({err.reason} at byte {err.start})"
     except json.JSONDecodeError as err:
-        raise PatternLoadError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
+        why = f"invalid JSON at line {err.lineno}: {err.msg}"
     except RecursionError:
-        raise PatternLoadError(f"{path}: document is nested too deeply") from None
-    del text
-    if not isinstance(doc, dict) or "patterns" not in doc:
-        raise PatternLoadError(f"{path}: document must be an object with 'patterns'")
-    normalize = doc.get("normalize", True)
-    if not isinstance(normalize, bool):
-        raise PatternLoadError(f"{path}: normalize: must be true or false, got {_echo(normalize)}")
-    records = doc["patterns"]
-    if not isinstance(records, list):
-        raise PatternLoadError(f"{path}: patterns: must be a list of pattern objects")
-    if not records:
-        raise PatternLoadError(f"{path}: empty pattern list")
-    patterns, scales = zip(
-        *(_build_pattern(rec, idx, normalize) for idx, rec in enumerate(records))
-    )
-    return CandidatePatternSet(patterns=patterns, normalized=normalize, scales=scales)
+        why = "document is nested too deeply"
+    except PatternLoadError as err:
+        why = str(err)
+    raise PatternLoadError(f"{path}: {why}")
 
 
 def save_candidates(cset: CandidatePatternSet, path) -> None:

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -516,6 +517,34 @@ class TestLoader:
         doc = {"patterns": patterns}
         with pytest.raises(proj.PatternLoadError, match=rf"{where}: must be a"):
             proj.load_candidates(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("level", ["document", "pattern", "block"])
+    def test_unknown_field_rejected_by_name(self, tmp_path, level):
+        # a misspelt "normalise" once loaded with normalize's default: a
+        # constant gain of 2 came back normalized to 1
+        doc = isotropic_doc()
+        del doc["normalize"]
+        record = doc["patterns"][0]
+        record["gain"] = gain_block(np.full((7, 9), 2.0))
+        {"document": doc, "pattern": record, "block": record["gain"]}[level]["normalise"] = False
+        with pytest.raises(proj.PatternLoadError, match="unknown field.*normalise"):
+            proj.load_candidates(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("normalize", 3, "normalize: must be true or false"),
+         ("gain", [[1.0] * 9] * 6 + [[1.0] * 8 + [-1.0]], r"patterns\[0\]\.gain: negative sample")],
+        ids=["document", "record"],
+    )
+    def test_errors_name_the_file(self, tmp_path, field, value, message):
+        # a pattern's errors once left the file out
+        doc = isotropic_doc()
+        (doc if field == "normalize" else doc["patterns"][0])[field] = value
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(proj.PatternLoadError) as err:
+            proj.load_candidates(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert re.search(message, str(err.value))
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
