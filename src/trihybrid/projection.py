@@ -1,10 +1,10 @@
 """Projection of optimized harmonic patterns onto realizable candidate sets.
 
 A candidate set holds R gain functions sampled on rectangular
-(inclination x azimuth) grids.  Each antenna picks the candidate minimizing
-the squared gain mismatch against its optimized pattern over all users' path
-angles, the channel is rebuilt from the selected gains, and (optionally) the
-digital precoder is refit on the projected channel.
+(inclination x azimuth) grids.  Each antenna takes the candidate whose
+channel entries, one path sum over the drop's paths, lie closest to the
+solve's channel there; the projected channel is those entries, and
+(optionally) the digital precoder is refit on it.
 
 Candidate files are UTF-8 JSON documents::
 
@@ -41,7 +41,7 @@ from itertools import chain
 import numpy as np
 
 from .channel import Scenario, _echo, _read_only, assemble_channel
-from .harmonics import FULL_SPHERE, basis_vector
+from .harmonics import FULL_SPHERE
 from .wmmse import SolverConfig, SolverResult, link_stats, refit_digital, sum_rate
 
 
@@ -425,25 +425,17 @@ def candidate_gains(cset: CandidatePatternSet, theta, phi) -> np.ndarray:
     return out
 
 
-def project_antenna(coeffs, thetas, phis, gains) -> np.ndarray:
-    """(N,) indices of the candidates closest to N synthesized patterns over
-    their path angles (sum of squared gain mismatches; ties take the lowest
-    index).
+def project_antenna(entries, channels) -> np.ndarray:
+    """(N,) indices of the candidates whose channel entries lie closest to
+    the solve's: antenna n takes the r minimizing
+    sum_k |entries[k, n, r] - channels[k, n]|^2, ties the lowest index.
 
-    ``coeffs`` is the (N, T) stack of patterns and ``thetas``, ``phis`` the
-    (N, P) angles of each one's paths; the candidates enter only through
-    ``gains``, the (R, N, P) :func:`candidate_gains` array at those angles.
-    The basis is evaluated once over the whole (N, P) angle table, and
-    pattern n's gains are its rows times ``coeffs[n]``, as
-    ``harmonics.synthesize_gain`` forms them.
+    ``entries`` is the (K, N, R) channel of every candidate at every
+    antenna, and ``channels`` the (K, N) channel the solve converged to.
+    The channel, not the pattern, is matched, so the AC component that
+    leaves the channel unchanged does not enter the selection.
     """
-    coeffs = np.asarray(coeffs, float)
-    thetas, phis = np.asarray(thetas, float), np.asarray(phis, float)
-    if thetas.shape[1] == 0:
-        raise ValueError("need at least one path angle")
-    basis = basis_vector(thetas, phis, math.isqrt(coeffs.shape[1]) - 1)  # (N, P, T)
-    target = np.stack([b @ c for b, c in zip(basis, coeffs)])
-    return np.argmin(np.sum((gains - target) ** 2, axis=-1), axis=0)
+    return np.argmin(np.sum(np.abs(entries - channels[..., None]) ** 2, axis=0), axis=-1)
 
 
 @dataclass(eq=False)
@@ -461,20 +453,23 @@ def apply_projection(
     refit: bool = True,
     config: SolverConfig | None = None,
 ) -> ProjectedResult:
-    """Replace each optimized pattern by its closest candidate and rebuild.
+    """Replace each optimized pattern by the candidate whose channel entries
+    match the solve's, and rebuild.
 
-    Every candidate's gain is evaluated once at all (antenna, path) angles;
-    the selection reads it, and the channels are reassembled from the
-    selected candidates' gains.  With ``refit`` on, the combiner/weight/
-    precoder updates rerun on the projected channel starting from the
-    converged precoder, under the solve's power budget ``result.p_max``.
-    The harmonic coefficients play no further role.
+    Every candidate's gain is evaluated once at the drop's (path, antenna)
+    angles, and one path sum (``assemble_channel``) turns them into every
+    candidate's channel entries; :func:`project_antenna` selects from those
+    against ``result.channels``, and the projected channel is the selected
+    entries.  With ``refit`` on, the combiner/weight/precoder updates rerun
+    on the projected channel starting from the converged precoder, under
+    the solve's power budget ``result.p_max``.
     """
-    thetas, phis = scenario.thetas.T, scenario.phis.T  # (N_T, P)
-    gains = candidate_gains(cset, thetas, phis)  # (R, N_T, P)
-    indices = project_antenna(result.state.coeffs, thetas, phis, gains)
-    selected = gains[indices, np.arange(scenario.geometry.n_t)].T  # (P, N_T)
-    channels = assemble_channel(scenario.responses, scenario.path_counts, selected)
+    gains = candidate_gains(cset, scenario.thetas, scenario.phis)  # (R, P, N_T)
+    entries = assemble_channel(
+        scenario.responses, scenario.path_counts, np.moveaxis(gains, 0, -1)
+    )  # (K, N_T, R)
+    indices = project_antenna(entries, result.channels)
+    channels = entries[:, np.arange(scenario.geometry.n_t), indices]
     if refit:
         f_d, _, _, _ = refit_digital(
             channels,

@@ -7,12 +7,13 @@ by running this module from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
-which keeps each committed row that the rerun matches within ``RTOL`` and
-writes only the rows that moved past it, or are new.
+which keeps each committed value that the rerun matches within ``RTOL`` and
+writes only the values that moved past it, and the rows that are new.
 """
 
 import csv
 import math
+from collections import Counter
 from pathlib import Path
 
 from trihybrid import harness as hn
@@ -49,10 +50,14 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_golden(path=GOLDEN, rows=None) -> None:
+def write_golden(path=GOLDEN, rows=None) -> tuple[Counter, int]:
     """Write ``rows`` (dicts by column; the panel's when None) to ``path``,
-    each in place of the committed row at its index unless that one
-    matches it within RTOL, so rounding noise leaves the file as it was."""
+    each value in place of the committed one at its row and column unless
+    that one matches it within RTOL, so rounding noise leaves the file as
+    it was.
+
+    Returns how many rows moved past RTOL in each column, and how many rows
+    are new."""
     if rows is None:
         records = panel_rows()
         failed = [row for row in records if row.error is not None]
@@ -60,13 +65,17 @@ def write_golden(path=GOLDEN, rows=None) -> None:
             raise RuntimeError(f"{len(failed)} panel row(s) failed: {failed[0].error}")
         rows = [{column: getattr(row, column) for column in COLUMNS} for row in records]
     golden = read_golden(path) if path.exists() else []
+    moved = Counter()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(COLUMNS)
         for i, row in enumerate(rows):
-            if i < len(golden) and all(_matches(c, row[c], golden[i][c]) for c in COLUMNS):
-                row = golden[i]
+            if i < len(golden):
+                past = [c for c in COLUMNS if not _matches(c, row[c], golden[i][c])]
+                moved.update(past)
+                row = {c: row[c] if c in past else golden[i][c] for c in COLUMNS}
             out.writerow(_cell(row[column]) for column in COLUMNS)
+    return moved, max(0, len(rows) - len(golden))
 
 
 def read_golden(path=GOLDEN) -> list[dict]:
@@ -108,16 +117,20 @@ def test_rewrite_keeps_rows_within_tolerance(tmp_path):
         "seed": 1, "mode": "trihybrid", "pmax_dbm": 0.0, "sum_rate": 2.0,
         "iterations": 7, "decomp_residual": 0.25,
     }
-    write_golden(path, [row, row | {"seed": 2}])
+    assert write_golden(path, [row, row | {"seed": 2}]) == ({}, 2)
     committed = path.read_text(encoding="utf-8")
     noise = row | {"sum_rate": 2.0 * (1 + 1e-12), "decomp_residual": 0.26}
-    write_golden(path, [noise, row | {"seed": 2}])
+    assert write_golden(path, [noise, row | {"seed": 2}]) == ({}, 0)
     assert path.read_text(encoding="utf-8") == committed
-    moved = row | {"sum_rate": 2.0 * (1 + 1e-8)}
-    write_golden(path, [moved, noise | {"seed": 2}, row | {"seed": 3}])
-    assert read_golden(path) == [moved, row | {"seed": 2}, row | {"seed": 3}]
+    # a moved value is written alone, the noise in its row's other values not
+    moved = {"sum_rate": 2.0 * (1 + 1e-8)}
+    rows = [noise | moved, noise | {"seed": 2, "decomp_residual": 0.5}, row | {"seed": 3}]
+    assert write_golden(path, rows) == ({"sum_rate": 1, "decomp_residual": 1}, 1)
+    assert read_golden(path) == [
+        row | moved, row | {"seed": 2, "decomp_residual": 0.5}, row | {"seed": 3}
+    ]
 
 
 if __name__ == "__main__":
-    write_golden()
-    print(f"wrote {GOLDEN}")
+    moved, new = write_golden()
+    print(f"wrote {GOLDEN}: rows moved past RTOL per column {dict(moved)}, {new} new")
