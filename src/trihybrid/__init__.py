@@ -48,7 +48,6 @@ from .projection import (
 from .wmmse import (
     SolverConfig,
     SolverResult,
-    SolverState,
     link_stats,
     run_algorithm1,
     solve_ac_subproblem,
@@ -64,7 +63,6 @@ __all__ = [
     "ScenarioConfig",
     "SolverConfig",
     "SolverResult",
-    "SolverState",
     "TrialRecord",
     "UpaGeometry",
     "apply_projection",

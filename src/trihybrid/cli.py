@@ -129,7 +129,9 @@ def main(argv=None) -> int:
         config = parse_config(args.config, overrides, defaults=defaults, unread=unread)
         # an output that cannot be written fails here, not after the batch
         out, out_dir = config.out_path, os.path.dirname(config.out_path) or "."
-        if os.path.isdir(out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        if not out or os.path.isdir(out) or not (
+            os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)
+        ):
             raise ConfigError(f"out_path: {out!r} is not a file in a writable directory")
         if args.command == "trace":
             rows = convergence_trace(config, config.seed)

@@ -326,15 +326,10 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
     result = run_algorithm1(
         scenario, p_max, config.solver, seed, em_update=mode != "hybrid"
     )
-    factors = decompose(
-        result.state.f_d,
-        config.n_rf,
-        p_max=p_max,
-        rng=np.random.default_rng([seed, 0xD0C]),
-    )
-    loss = sum_rate_loss(
-        result.state.f_d, factors, result.channels, scenario.weights, scenario.noise_powers
-    )
+    f_d, h = result.iterate.f_d, result.iterate.h
+    rng = np.random.default_rng([seed, 0xD0C])
+    factors = decompose(f_d, config.n_rf, p_max=p_max, rng=rng)
+    loss = sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
     logger.info(
         "seed=%d mode=%s pmax=%.1f dBm: rate %.4f, decomposition residual %.3e, loss %.4g",
         seed, mode, pmax_dbm, result.sum_rate, factors.residual, loss,

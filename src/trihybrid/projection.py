@@ -459,28 +459,23 @@ def apply_projection(
     Every candidate's gain is evaluated once at the drop's (path, antenna)
     angles, and one path sum (``assemble_channel``) turns them into every
     candidate's channel entries; :func:`project_antenna` selects from those
-    against ``result.channels``, and the projected channel is the selected
-    entries.  With ``refit`` on, the combiner/weight/precoder updates rerun
-    on the projected channel starting from the converged precoder, under
-    the solve's power budget ``result.p_max``.
+    against the solve's channel ``result.iterate.h``, and the projected
+    channel is the selected entries.  With ``refit`` on, the
+    combiner/weight/precoder updates rerun on the projected channel
+    starting from the converged precoder, under the solve's power budget
+    ``result.p_max``.
     """
     gains = candidate_gains(cset, scenario.thetas, scenario.phis)  # (R, P, N_T)
     entries = assemble_channel(
         scenario.responses, scenario.path_counts, np.moveaxis(gains, 0, -1)
     )  # (K, N_T, R)
-    indices = project_antenna(entries, result.channels)
+    indices = project_antenna(entries, result.iterate.h)
     channels = entries[:, np.arange(scenario.geometry.n_t), indices]
+    f_d = result.iterate.f_d
     if refit:
-        f_d, _, _, _ = refit_digital(
-            channels,
-            scenario.weights,
-            scenario.noise_powers,
-            result.p_max,
-            config,
-            f_init=result.state.f_d,
-        )
-    else:
-        f_d = result.state.f_d
+        f_d = refit_digital(
+            channels, scenario.weights, scenario.noise_powers, result.p_max, config, f_init=f_d
+        ).iterate.f_d
     rate = sum_rate(link_stats(channels @ f_d), scenario.weights, scenario.noise_powers)
     return ProjectedResult(indices=indices, channels=channels, f_d=f_d, sum_rate=rate)
 

@@ -34,7 +34,9 @@ sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
 
 One outer iteration is ``outer_step``, a function from one immutable
 ``Iterate`` to the next, so a solve can resume from, or evaluate the step
-at, any iterate; ``_alternate`` loops over it.
+at, any iterate; ``_alternate`` loops over it and returns the
+``SolverResult`` of every solve, the pattern solve's, the frozen baseline's
+and ``refit_digital``'s alike.
 
 Every per-user K-vector (the links' statistics, v, w and ln w, the MSE, the
 user weights and noise powers) is a list of Python floats, and the
@@ -96,33 +98,6 @@ class IterationRecord:
     objective_after_w: float
     objective_after_fd: float
     step_seconds: tuple
-
-
-@dataclass(eq=False)
-class SolverState:
-    """Variables of the alternating solver."""
-
-    w: np.ndarray  # (K,) positive MSE weights
-    v: np.ndarray  # (K,) complex combiners
-    f_d: np.ndarray  # (N_T, K) fully digital precoder
-    coeffs: np.ndarray  # (N_T, T) pattern coefficients
-
-
-@dataclass(eq=False)
-class SolverResult:
-    state: SolverState
-    history: list
-    converged: bool
-    channels: np.ndarray  # (K, N_T) effective channels at the final state
-    p_max: float  # power budget of the solve, watts
-
-    @property
-    def sum_rate(self) -> float:
-        return self.history[-1].sum_rate
-
-    @property
-    def iterations(self) -> int:
-        return len(self.history)
 
 
 class Links(NamedTuple):
@@ -536,6 +511,25 @@ class Iterate(NamedTuple):
                    link_stats(h @ f_d))
 
 
+@dataclass(eq=False)
+class SolverResult:
+    """One solve of the v/w/F_D loop, as ``_alternate`` ends it."""
+
+    iterate: Iterate  # the last iterate: F_D, coefficients, w, the channel h
+    v: list  # (K,) combiners of the last step
+    history: list  # one IterationRecord per outer iteration
+    converged: bool  # the rate settled before the iteration cap
+    p_max: float  # power budget of the solve, watts
+
+    @property
+    def sum_rate(self) -> float:
+        return self.history[-1].sum_rate
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+
 def outer_step(x: Iterate, it, weights, noise, p_max, factors):
     """Outer iteration ``it`` from ``x``: v, w and F_D and, when ``factors``
     (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
@@ -569,11 +563,12 @@ def outer_step(x: Iterate, it, weights, noise, p_max, factors):
     return Iterate(f_d, coeffs, w, log_w, h, basis, links), v, record
 
 
-def _alternate(x: Iterate, weights, noise, p_max, config, factors=None):
+def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> SolverResult:
     """``outer_step`` from ``x``, with ``weights`` and ``noise`` made lists of
     floats once, until the relative sum-rate change is at most
-    ``config.tolerance`` or ``config.max_iterations`` is spent.  Returns
-    (last iterate, its v, history, converged)."""
+    ``config.tolerance`` or ``config.max_iterations`` is spent.  Returns the
+    solve's result: the last iterate, its v, the history and whether the
+    rate settled."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
     history: list[IterationRecord] = []
@@ -585,9 +580,9 @@ def _alternate(x: Iterate, weights, noise, p_max, config, factors=None):
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            return x, v, history, True
+            return SolverResult(x, v, history, True, p_max)
         prev_rate = rate
-    return x, v, history, False
+    return SolverResult(x, v, history, False, p_max)
 
 
 def run_algorithm1(
@@ -623,16 +618,9 @@ def run_algorithm1(
     else:
         coeffs, factors = isotropic_coefficients(n_t, scenario.truncation), None
     h = effective_channels(blocks, coeffs)
-    x, v, history, converged = _alternate(
+    return _alternate(
         Iterate.start(h, matched_filter_precoder(h, p_max), coeffs),
         scenario.weights, scenario.noise_powers, p_max, config, factors,
-    )
-    return SolverResult(
-        state=SolverState(w=np.array(x.w), v=np.array(v), f_d=x.f_d, coeffs=x.coeffs),
-        history=history,
-        converged=converged,
-        channels=x.h,
-        p_max=p_max,
     )
 
 
@@ -643,13 +631,11 @@ def refit_digital(
     p_max: float,
     config: SolverConfig | None = None,
     f_init: np.ndarray | None = None,
-):
+) -> SolverResult:
     """Iterate the v/w/F_D updates on a fixed channel until the sum rate
-    settles; returns (f_d, v, w, rates)."""
+    settles or the iteration budget is spent; the result is a solve's, with
+    no coefficients in its iterate."""
     _check_budget(p_max)
     config = config or SolverConfig()
     f_d = matched_filter_precoder(channels, p_max) if f_init is None else f_init
-    x, v, history, _ = _alternate(
-        Iterate.start(channels, f_d), weights, noise_powers, p_max, config
-    )
-    return x.f_d, np.array(v), np.array(x.w), [rec.sum_rate for rec in history]
+    return _alternate(Iterate.start(channels, f_d), weights, noise_powers, p_max, config)

@@ -34,8 +34,9 @@ oracles of the batched code in ``trihybrid``.
   the pattern update as a callback; ``wmmse._alternate``, which repeats
   ``outer_step`` on an ``Iterate`` holding each, formed once per change,
   must equal it bit for bit.
-* ``check_state`` audits a solver state's invariants: positive MSE weights,
-  the power and 4 pi budgets, and pinned DC.  ``initial_objective`` is the
+* ``check_state`` audits the invariants of a solve's last iterate
+  (``SolverResult.iterate``): positive MSE weights, the power and 4 pi
+  budgets, and pinned DC.  ``initial_objective`` is the
   objective a solve starts from, the first term of its monotone chain.
 """
 
@@ -327,19 +328,20 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     return h, f_d, np.array(v), np.array(w), history, False
 
 
-def check_state(state, eta: float, p_max: float, dc_pinned: bool = True) -> None:
-    """Raise AssertionError unless ``state`` (a ``wmmse.SolverState``) keeps
-    its MSE weights positive, its precoder within ``p_max`` and every pattern
-    on the 4 pi budget, with DC at ``eta`` where ``dc_pinned``."""
-    if np.any(state.w <= 0):
+def check_state(x, eta: float, p_max: float, dc_pinned: bool = True) -> None:
+    """Raise AssertionError unless the iterate ``x`` (a ``wmmse.Iterate``,
+    such as a solve's ``result.iterate``) keeps its MSE weights positive, its
+    precoder within ``p_max`` and every pattern on the 4 pi budget, with DC
+    at ``eta`` where ``dc_pinned``."""
+    if any(wk <= 0 for wk in x.w):
         raise AssertionError("MSE weights must stay positive")
-    power = float(np.sum(np.abs(state.f_d) ** 2))
+    power = float(np.sum(np.abs(x.f_d) ** 2))
     if power > p_max + 1e-8:
         raise AssertionError(f"precoder power {power} exceeds budget {p_max}")
-    norms = np.sum(state.coeffs**2, axis=1)
+    norms = np.sum(x.coeffs**2, axis=1)
     if np.any(np.abs(norms - FULL_SPHERE) > 1e-8):
         raise AssertionError("a pattern violates the 4*pi budget")
-    if dc_pinned and np.any(state.coeffs[:, 0] != eta):
+    if dc_pinned and np.any(x.coeffs[:, 0] != eta):
         raise AssertionError("DC coefficients drifted from eta")
 
 

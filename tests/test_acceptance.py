@@ -247,15 +247,15 @@ def test_criterion_08_decomposition_contract():
         scenario = generate_scenario(ScenarioConfig(), seed)
         result = wmmse.run_algorithm1(scenario, P_MAX, solver_cfg, seed)
         rng = np.random.default_rng([seed, 8])
-        factors = decompose(result.state.f_d, 4, p_max=P_MAX, rng=rng)
+        factors = decompose(result.iterate.f_d, 4, p_max=P_MAX, rng=rng)
         monotone &= bool(np.all(np.diff(factors.residual_history) <= 1e-15))
         unit_mod_err = max(
             unit_mod_err, float(np.abs(np.abs(factors.f_rf) ** 2 - 1.0 / 9.0).max())
         )
         budget_ok &= float(np.sum(np.abs(factors.product) ** 2)) <= P_MAX + 1e-8
-        full = decompose(result.state.f_d, 9, p_max=P_MAX, rng=rng)
+        full = decompose(result.iterate.f_d, 9, p_max=P_MAX, rng=rng)
         loss = sum_rate_loss(
-            result.state.f_d, full, result.channels, scenario.weights, scenario.noise_powers
+            result.iterate.f_d, full, result.iterate.h, scenario.weights, scenario.noise_powers
         )
         worst_loss = max(worst_loss, abs(loss))
         monotone &= bool(np.all(np.diff(full.residual_history) <= 1e-15))
@@ -275,7 +275,7 @@ def test_criterion_09_projection_self_consistency():
     for seed in (1, 2, 3):
         scenario = generate_scenario(ScenarioConfig(), seed)
         result = wmmse.run_algorithm1(scenario, P_MAX, solver_cfg, seed)
-        cset = sampled_pattern_set(result.state.coeffs, n_theta=181, n_phi=361)
+        cset = sampled_pattern_set(result.iterate.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset, config=solver_cfg)
         rel = abs(projected.sum_rate - result.sum_rate) / result.sum_rate
         worst = max(worst, rel)

@@ -63,10 +63,11 @@ def test_every_observer_fills_its_counters(bench):
     _, tracer = bench
     scenario = generate_scenario(ScenarioConfig(), seed=1)
     solve = (scenario, 0.01, wmmse.SolverConfig(max_iterations=1))
-    state = wmmse.run_algorithm1(*solve).state
+    result = wmmse.run_algorithm1(*solve)
+    state = result.iterate
     sweep = (
-        wmmse.factor_ac_blocks(scenario.blocks), state.coeffs, state.f_d, state.w.tolist(),
-        state.v.tolist(), scenario.weights.tolist(), scenario.noise_powers.tolist(),
+        wmmse.factor_ac_blocks(scenario.blocks), state.coeffs, state.f_d, state.w,
+        result.v, scenario.weights.tolist(), scenario.noise_powers.tolist(),
     )
     calls = {
         "wmmse.run_algorithm1": (wmmse.run_algorithm1, solve),

@@ -101,7 +101,7 @@ class TestSumRateLoss:
             scenario, P_MAX, wmmse.SolverConfig(max_iterations=15), seed=seed,
             em_update=False,
         )
-        return scenario, res.channels, res.state.f_d
+        return scenario, res.iterate.h, res.iterate.f_d
 
     def test_zero_loss_for_exact_factorization(self):
         scenario, h, _ = self._channel_and_fd(1)

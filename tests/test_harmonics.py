@@ -262,11 +262,9 @@ class TestPatternCoefficients:
 
     @staticmethod
     def state(coeffs):
+        """A one-user iterate of the patterns ``coeffs``, at zero power."""
         n_t = coeffs.shape[0]
-        return wmmse.SolverState(
-            w=np.ones(1), v=np.zeros(1, dtype=complex), f_d=np.zeros((n_t, 1)),
-            coeffs=coeffs,
-        )
+        return wmmse.Iterate.start(np.ones((1, n_t)), np.zeros((n_t, 1)), coeffs)
 
     def test_isotropic(self):
         coeffs = wmmse.isotropic_coefficients(3, 4)

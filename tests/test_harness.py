@@ -693,7 +693,7 @@ class TestConfigSpace:
         )
 
     def audit(self, scenario, result, eta, p_max, em_update):
-        check_state(result.state, eta, p_max, dc_pinned=em_update)
+        check_state(result.iterate, eta, p_max, dc_pinned=em_update)
         prev = initial_objective(scenario)
         for rec in result.history:
             chain = (rec.objective_after_v, rec.objective_after_w,
@@ -967,7 +967,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "trace"])
-    @pytest.mark.parametrize("where", ["missing-dir", "is-dir", "read-only-dir"])
+    @pytest.mark.parametrize(
+        "where", ["missing-dir", "is-dir", "read-only-dir", "empty", "empty-in-file"]
+    )
     def test_unwritable_output_fails_before_any_trial(
         self, tmp_path, capsys, monkeypatch, command, where
     ):
@@ -980,11 +982,17 @@ class TestCli:
             "missing-dir": tmp_path / "missing" / "r.csv",
             "is-dir": tmp_path,
             "read-only-dir": tmp_path / "r.csv",
+            "empty": "",  # open("") fails only once the batch has run
+            "empty-in-file": "",
         }[where]
         if where == "read-only-dir":
             monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: mode != os.W_OK)
-        cfg = self.write_fast_config(tmp_path, max_iterations=3)
-        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        if where == "empty-in-file":
+            cfg = self.write_fast_config(tmp_path, max_iterations=3, out_path=out)
+            code = cli.main([command, "--config", str(cfg)])
+        else:
+            cfg = self.write_fast_config(tmp_path, max_iterations=3)
+            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error: out_path:")

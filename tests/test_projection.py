@@ -292,11 +292,11 @@ class TestProjectionOracle:
         for trial in range(3):
             if trial:  # the solved patterns first, then random ones
                 coeffs = random_coeffs(rng, 4, 9)
-                state = dataclasses.replace(result.state, coeffs=coeffs)
                 channels = wmmse.effective_channels(scenario.blocks, coeffs)
-                result = dataclasses.replace(result, state=state, channels=channels)
+                iterate = wmmse.Iterate.start(channels, result.iterate.f_d, coeffs)
+                result = dataclasses.replace(result, iterate=iterate)
             projected = proj.apply_projection(result, scenario, cset, refit=False)
-            expected = project_antenna_oracle(result.channels, scenario, cset)
+            expected = project_antenna_oracle(result.iterate.h, scenario, cset)
             assert projected.indices.tolist() == expected
             np.testing.assert_array_equal(
                 projected.channels, projected_channels_oracle(scenario, expected, cset)
@@ -738,7 +738,7 @@ def solve_small(seed, **cfg):
 class TestApplyProjection:
     def test_self_projection_consistency(self):
         scenario, result = solve_small(5)
-        cset = sampled_pattern_set(result.state.coeffs, n_theta=181, n_phi=361)
+        cset = sampled_pattern_set(result.iterate.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset)
         rel_change = abs(projected.sum_rate - result.sum_rate) / result.sum_rate
         assert rel_change < 0.005
@@ -751,19 +751,41 @@ class TestApplyProjection:
         h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         np.testing.assert_allclose(projected.channels, h_iso, rtol=1e-9)
         expected = wmmse.sum_rate(
-            wmmse.link_stats(h_iso @ result.state.f_d), scenario.weights,
+            wmmse.link_stats(h_iso @ result.iterate.f_d), scenario.weights,
             scenario.noise_powers,
         )
         assert projected.sum_rate == pytest.approx(expected)
-        np.testing.assert_array_equal(projected.f_d, result.state.f_d)
+        np.testing.assert_array_equal(projected.f_d, result.iterate.f_d)
 
     def test_selected_indices_minimize_rescan(self):
         scenario, result = solve_small(7)
         cset = proj.steered_candidate_set(count=6, n_theta=31, n_phi=61)
         projected = proj.apply_projection(result, scenario, cset)
         assert projected.indices.tolist() == project_antenna_oracle(
-            result.channels, scenario, cset
+            result.iterate.h, scenario, cset
         )
+
+    @pytest.mark.parametrize("case", ["small-far", "small-near", "default-30dBm"])
+    def test_refit_rate_is_the_refit_results_rate(self, case):
+        # a projected row's rate is the one its refit reports, so the refit's
+        # converged flag and iterations describe that number; seed 2 of the
+        # default drop at 30 dBm spends the refit's iteration cap
+        if case == "default-30dBm":
+            config = hn.RunConfig()
+            scenario = generate_scenario(config.scenario, 2)
+            result = wmmse.run_algorithm1(scenario, hn.dbm_to_watts(30.0), config.solver, 2)
+            cset = proj.steered_candidate_set()
+        else:
+            scenario, result = solve_small(7, field_mode=case.removeprefix("small-"))
+            cset = proj.steered_candidate_set(count=6, n_theta=31, n_phi=61)
+        projected = proj.apply_projection(result, scenario, cset)
+        refit = wmmse.refit_digital(
+            projected.channels, scenario.weights, scenario.noise_powers, result.p_max,
+            f_init=result.iterate.f_d,
+        )
+        assert projected.sum_rate == refit.sum_rate
+        np.testing.assert_array_equal(projected.f_d, refit.iterate.f_d)
+        assert refit.converged == (case != "default-30dBm")
 
     def test_projected_channel_gain_nonnegative(self):
         scenario, result = solve_small(8)
@@ -796,7 +818,7 @@ class TestApplyProjection:
         monkeypatch.setattr(wmmse, "_cluster_direction", lambda *args: -direction(*args))
         (flipped,) = hn.run_drop(config, seed)
         (solved, projected), (solved_flipped, projected_flipped) = runs
-        assert not np.array_equal(solved.state.coeffs, solved_flipped.state.coeffs)
+        assert not np.array_equal(solved.iterate.coeffs, solved_flipped.iterate.coeffs)
         assert projected.indices.tolist() == projected_flipped.indices.tolist()
         assert flipped.projected_sum_rate == pytest.approx(
             row.projected_sum_rate, rel=1e-12, abs=0.0
@@ -890,14 +912,13 @@ class TestIdentityEquality:
         objects = [
             scenario,
             result,
-            result.state,
-            decompose(result.state.f_d, n_rf=2, p_max=result.p_max),
+            decompose(result.iterate.f_d, n_rf=2, p_max=result.p_max),
             gauss_legendre_grid(4, 8),
             proj.apply_projection(result, scenario, proj.steered_candidate_set(4)),
         ]
         names = {type(obj).__name__ for obj in objects}
         assert names == {
-            "Scenario", "SolverResult", "SolverState", "HybridFactors",
+            "Scenario", "SolverResult", "HybridFactors",
             "AngularGrid", "ProjectedResult",
         }
         for obj in objects:

@@ -1053,7 +1053,7 @@ class TestAlgorithm:
         config = wmmse.SolverConfig(max_iterations=20)
         scenario = small_scenario(3)
         res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=3)
-        reference.check_state(res.state, config.eta, P_MAX)
+        reference.check_state(res.iterate, config.eta, P_MAX)
 
     def test_stepwise_objective_monotone(self):
         scenario = small_scenario(4)
@@ -1100,7 +1100,7 @@ class TestAlgorithm:
         scenario = small_scenario(6)
         res = wmmse.run_algorithm1(scenario, P_MAX, seed=6, em_update=False)
         iso = wmmse.isotropic_coefficients(4, 2)
-        np.testing.assert_array_equal(res.state.coeffs, iso)
+        np.testing.assert_array_equal(res.iterate.coeffs, iso)
 
     def test_default_config_hard_case_drops(self):
         # At 20-30 dBm many pattern subproblems of a default drop are in the
@@ -1113,7 +1113,7 @@ class TestAlgorithm:
             for seed in range(1, 21):
                 scenario = generate_scenario(config.scenario, seed)
                 res = wmmse.run_algorithm1(scenario, p_max, solver, seed=seed)
-                reference.check_state(res.state, solver.eta, p_max)
+                reference.check_state(res.iterate, solver.eta, p_max)
 
     # Relative sum-rate change of a default drop when the power multiplier
     # comes from Newton instead of the bisection oracle.  Both stop within
@@ -1230,28 +1230,44 @@ class TestAlgorithm:
         scenario = small_scenario(8)
         blocks = scenario.em_channels()
         h = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
-        f, v, w, rates = wmmse.refit_digital(
-            h, scenario.weights, scenario.noise_powers, P_MAX
-        )
+        refit = wmmse.refit_digital(h, scenario.weights, scenario.noise_powers, P_MAX)
+        rates = [rec.sum_rate for rec in refit.history]
         assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
-        assert np.sum(np.abs(f) ** 2) <= P_MAX * (1 + 1e-8)
+        assert np.sum(np.abs(refit.iterate.f_d) ** 2) <= P_MAX * (1 + 1e-8)
 
-    def test_refit_digital_is_the_frozen_pattern_loop(self):
-        # refit_digital and the hybrid baseline share one v/w/F_D loop: from
-        # the same start on the same channel they agree bit for bit
+    @staticmethod
+    def refit_and_baseline(max_iterations):
+        """``refit_digital`` on the isotropic channel of a small drop, and the
+        hybrid baseline's solve of that drop, from the same start; both
+        results must agree bit for bit, the baseline's isotropic
+        coefficients against the refit's none."""
         scenario = small_scenario(9)
-        config = wmmse.SolverConfig(max_iterations=40)
+        config = wmmse.SolverConfig(max_iterations=max_iterations)
         res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=9, em_update=False)
         blocks = scenario.em_channels()
         h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
-        f, v, w, rates = wmmse.refit_digital(
+        refit = wmmse.refit_digital(
             h_iso, scenario.weights, scenario.noise_powers, P_MAX, config,
             f_init=wmmse.matched_filter_precoder(h_iso, P_MAX),
         )
-        np.testing.assert_array_equal(f, res.state.f_d)
-        np.testing.assert_array_equal(v, res.state.v)
-        np.testing.assert_array_equal(w, res.state.w)
-        assert rates == [rec.sum_rate for rec in res.history]
+        assert refit.iterate.coeffs is None
+        assert_iterates_equal(refit.iterate, res.iterate._replace(coeffs=None))
+        assert refit.v == res.v
+        assert [record_fields(rec) for rec in refit.history] == [
+            record_fields(rec) for rec in res.history
+        ]
+        assert (refit.converged, refit.p_max) == (res.converged, res.p_max)
+        return refit
+
+    def test_refit_digital_is_the_frozen_pattern_loop(self):
+        # refit_digital and the hybrid baseline share one v/w/F_D loop
+        refit = self.refit_and_baseline(40)
+        assert refit.converged and refit.iterations < 40
+
+    def test_refit_digital_reports_its_cap(self):
+        # a refit that spends its iteration budget says so
+        refit = self.refit_and_baseline(3)
+        assert refit.converged is False and refit.iterations == 3
 
 
 class TestLoopMatchesReference:
@@ -1280,11 +1296,12 @@ class TestLoopMatchesReference:
         h = wmmse.effective_channels(blocks, coeffs)
         f_d = wmmse.matched_filter_precoder(h, p_max)
         if loop is wmmse._alternate:
-            x, v, history, converged = loop(
+            res = loop(
                 wmmse.Iterate.start(h, f_d, coeffs), weights, noise, p_max, config,
                 factors if em_update else None,
             )
-            return x.h, x.f_d, np.array(v), np.array(x.w), history, converged
+            x = res.iterate
+            return x.h, x.f_d, np.array(res.v), np.array(x.w), res.history, res.converged
         return loop(
             h, f_d, weights, noise, p_max, config, pattern_step if em_update else None
         )
@@ -1374,9 +1391,9 @@ class TestOuterStep:
     def test_step_twice_from_one_iterate_is_bit_equal(self, em_update):
         x, rest, config, factors = self.solve_args(em_update)
         config = dataclasses.replace(config, max_iterations=3)
-        x, _, history, _ = wmmse._alternate(x, *rest, config, factors)
-        assert len(history) == 3
-        x = _frozen(x)
+        res = wmmse._alternate(x, *rest, config, factors)
+        assert res.iterations == 3
+        x = _frozen(res.iterate)
         w, log_w, links = list(x.w), list(x.log_w), x.links
         first = wmmse.outer_step(x, 4, *rest, factors)
         second = wmmse.outer_step(x, 4, *rest, factors)
@@ -1389,19 +1406,21 @@ class TestOuterStep:
     @pytest.mark.parametrize("em_update", [True, False], ids=["pattern", "frozen"])
     def test_restart_from_iterate_j_continues_the_history(self, em_update):
         x0, rest, config, factors = self.solve_args(em_update)
-        last, v, history, converged = wmmse._alternate(x0, *rest, config, factors)
+        whole = wmmse._alternate(x0, *rest, config, factors)
+        history = whole.history
         assert len(history) >= 4
         j = len(history) // 2
         head = dataclasses.replace(config, max_iterations=j)
-        x_j, _, _, _ = wmmse._alternate(x0, *rest, head, factors)
+        x_j = wmmse._alternate(x0, *rest, head, factors).iterate
         # the resumed loop has the iterations the uninterrupted one had left
         left = dataclasses.replace(config, max_iterations=config.max_iterations - j)
-        x_end, v_end, tail, resumed = wmmse._alternate(_frozen(x_j), *rest, left, factors)
-        assert resumed == converged and len(tail) == len(history) - j
-        for got, want in zip(tail, history[j:]):
+        resumed = wmmse._alternate(_frozen(x_j), *rest, left, factors)
+        assert resumed.converged == whole.converged
+        assert len(resumed.history) == len(history) - j
+        for got, want in zip(resumed.history, history[j:]):
             assert record_fields(got)[1:] == record_fields(want)[1:]
-        assert_iterates_equal(x_end, last)
-        assert v_end == v
+        assert_iterates_equal(resumed.iterate, whole.iterate)
+        assert resumed.v == whole.v
 
 
 class TestSolverConfig:
