@@ -127,10 +127,14 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in FLAGS}
     try:
         config = parse_config(args.config, overrides, defaults=defaults, unread=unread)
-        # an output that cannot be written fails here, not after the batch
-        out, out_dir = config.out_path, os.path.dirname(config.out_path) or "."
-        if not out or os.path.isdir(out) or not (
-            os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)
+        # an output that cannot be written fails here, not after the batch;
+        # a symlink is checked at the path it leads to
+        out, real = config.out_path, os.path.realpath(config.out_path)
+        out_dir = os.path.dirname(real)
+        if not out or os.path.isdir(real) or not (
+            os.path.isdir(out_dir)
+            and os.access(out_dir, os.W_OK)
+            and (not os.path.exists(real) or os.access(real, os.W_OK))
         ):
             raise ConfigError(f"out_path: {out!r} is not a file in a writable directory")
         if args.command == "trace":

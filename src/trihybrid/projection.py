@@ -15,19 +15,22 @@ Candidate files are UTF-8 JSON documents::
                    "gain": [[...], ...]}  # len(theta) x len(phi), linear
               , ...]}
 
-A gain is either that nested list or one block of samples,
-``{"shape": [len(theta), len(phi)], "base64": "..."}``, whose base64 text
-holds the little-endian float64 samples in row-major order; the loader
-reads both, and :func:`save_candidates` writes blocks.  Axis nodes and
-samples must be JSON numbers and a ``name`` a string; a field not named
-here, in the document, a pattern or a block, is rejected; nodes must be
-finite, azimuths span at most 360 degrees, gains be finite and
-nonnegative, and ``normalize`` a JSON boolean; with ``normalize`` true (the
-default) every pattern is rescaled on load so its quadrature power equals 4 pi.
-Where the squared samples under- or overflow, that scale comes from the
-power of gain / max(gain); a pattern whose power or scale is still not
-finite and positive (an all-zero pattern among them), or whose stored
-samples' power would overflow, does not load.
+A gain is either that nested list or one block of samples, with exactly
+the fields ``{"shape": [len(theta), len(phi)], "base64": "..."}``, whose
+base64 text holds the little-endian float64 samples in row-major order;
+the loader reads both, and :func:`save_candidates` writes blocks.  Axis
+nodes and samples must be JSON numbers and a ``name`` a string; a field not
+named here, in the document, a pattern or a block, is rejected, and so is
+a missing one other than ``normalize`` and ``name``; nodes must be finite,
+azimuths span at most 360 degrees, gains be finite and nonnegative, and
+``normalize`` a JSON boolean; with ``normalize`` true (the default) every
+pattern is rescaled on load so its quadrature power equals 4 pi.  Where
+the squared samples under- or overflow, that scale comes from the power of
+gain / max(gain); a pattern whose power or scale is still not finite and
+positive (an all-zero pattern among them), or whose stored samples' power
+would overflow, does not load.  With ``normalize`` false the samples load
+as stored, unless their power is not finite or would overflow: an all-zero
+pattern loads, with power 0.
 """
 
 from __future__ import annotations
@@ -163,11 +166,46 @@ def _float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _unknown_fields(obj: dict, known: tuple) -> str:
-    """The fields of ``obj`` not among ``known``, named, or "" when there
-    are none: a misspelt field would otherwise load as absent."""
-    unknown = sorted(set(obj) - set(known))
-    return f"unknown field(s) {_echo(unknown)}" if unknown else ""
+def _fields(obj, name: str, known: tuple, required: tuple = ()) -> None:
+    """Reject ``obj`` unless it is a JSON object whose fields are among
+    ``known`` and include ``required``: a misspelt field would otherwise
+    load as absent."""
+    if not isinstance(obj, dict):
+        raise PatternLoadError(f"{name}: must be an object")
+    if unknown := sorted(set(obj) - set(known)):
+        raise PatternLoadError(f"{name}: unknown field(s) {_echo(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise PatternLoadError(f"{name}: missing field {key!r}")
+
+
+def _gain_array(gain, name: str) -> np.ndarray:
+    """A gain, a nested list of samples or a block, as a float array; an
+    array the parser hook made already is returned as it is.  A block's
+    array is an (n_theta, n_phi) view of its decoded bytes."""
+    if isinstance(gain, np.ndarray):
+        return gain
+    if not isinstance(gain, dict):
+        return _float_array(gain, name)
+    _fields(gain, name, ("shape", "base64"), ("shape", "base64"))
+    shape = gain["shape"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise PatternLoadError(
+            f"{name}: block shape must be two nonnegative ints, got {_echo(shape)}"
+        )
+    try:
+        raw = base64.b64decode(gain["base64"], validate=True)
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        raise PatternLoadError(f"{name}: bad base64 in block ({err})")
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise PatternLoadError(
+            f"{name}: block of {len(raw)} bytes does not hold {shape} float64 samples"
+        )
+    return np.frombuffer(raw, "<f8").reshape(shape)
 
 
 def _validate_axis(values, name: str) -> np.ndarray:
@@ -188,24 +226,15 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
     """A record's pattern with its gain as stored, and the factor that
     normalizes that gain (1.0 when the document does not normalize)."""
     ctx = f"patterns[{idx}]"
-    if not isinstance(record, dict):
-        raise PatternLoadError(f"{ctx}: must be an object")
-    if why := _unknown_fields(record, ("name", "theta_deg", "phi_deg", "gain")):
-        raise PatternLoadError(f"{ctx}: {why}")
-    for key in ("theta_deg", "phi_deg", "gain"):
-        if key not in record:
-            raise PatternLoadError(f"{ctx}: missing field {key!r}")
+    known = ("name", "theta_deg", "phi_deg", "gain")
+    _fields(record, ctx, known, required=known[1:])
     theta = _validate_axis(record["theta_deg"], f"{ctx}.theta_deg")
     phi = _validate_axis(record["phi_deg"], f"{ctx}.phi_deg")
     if theta[0] < 0 or theta[-1] > math.pi + 1e-9:
         raise PatternLoadError(f"{ctx}.theta_deg: inclinations must lie in [0, 180]")
     if phi[-1] - phi[0] > 2.0 * math.pi + 1e-9:
         raise PatternLoadError(f"{ctx}.phi_deg: azimuths must span at most 360 degrees")
-    if isinstance(record["gain"], _BadBlock):
-        raise PatternLoadError(f"{ctx}.gain: {record['gain']}")
-    gain = record["gain"]  # an array already where the parser hook converted it
-    if not isinstance(gain, np.ndarray):
-        gain = _float_array(gain, f"{ctx}.gain")
+    gain = _gain_array(record["gain"], f"{ctx}.gain")
     if gain.shape != (theta.size, phi.size):
         raise PatternLoadError(
             f"{ctx}.gain: expected shape {(theta.size, phi.size)}, got {gain.shape}"
@@ -243,43 +272,14 @@ def _build_pattern(record: dict, idx: int, normalize: bool):
     return CandidatePattern(name=name, theta=theta, phi=phi, gain=gain, power=power), scale
 
 
-class _BadBlock(str):
-    """Why a gain block did not decode, reported once its record's index is
-    known."""
-
-
-def _decode_block(block: dict):
-    """A gain block's samples as an (n_theta, n_phi) array over its decoded
-    bytes, or the :class:`_BadBlock` reason it is malformed."""
-    if why := _unknown_fields(block, ("shape", "base64")):
-        return _BadBlock(f"block: {why}")
-    shape = block.get("shape")
-    if not (
-        isinstance(shape, list)
-        and len(shape) == 2
-        and all(type(n) is int and n >= 0 for n in shape)
-    ):
-        return _BadBlock(f"block shape must be two nonnegative ints, got {_echo(shape)}")
-    try:
-        raw = base64.b64decode(block.get("base64"), validate=True)
-    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
-        return _BadBlock(f"bad base64 in block ({err})")
-    if len(raw) != 8 * shape[0] * shape[1]:
-        return _BadBlock(f"block of {len(raw)} bytes does not hold {shape} float64 samples")
-    return np.frombuffer(raw, "<f8").reshape(shape)
-
-
 def _gain_to_array(obj: dict) -> dict:
     """Parser hook: a record's gain becomes one float array as soon as the
     record is parsed, so the document never holds its samples as Python
-    floats or as base64 text.  A nested list whose samples do not convert is
-    left for validation, and a malformed block becomes its reason."""
-    gain = obj.get("gain")
-    if isinstance(gain, dict):
-        obj["gain"] = _decode_block(gain)
-    elif isinstance(gain, list):
+    floats or as base64 text.  A gain that does not decode is left as
+    parsed, for :func:`_build_pattern` to reject with its record's index."""
+    if "gain" in obj:
         try:
-            obj["gain"] = _float_array(gain, "gain")
+            obj["gain"] = _gain_array(obj["gain"], "gain")
         except PatternLoadError:
             pass
     return obj
@@ -324,10 +324,7 @@ def load_candidates(path, data: bytes | None = None) -> CandidatePatternSet:
         del data
         doc = json.loads(text, object_hook=_gain_to_array)
         del text
-        if not isinstance(doc, dict) or "patterns" not in doc:
-            raise PatternLoadError("document must be an object with 'patterns'")
-        if why := _unknown_fields(doc, ("normalize", "patterns")):
-            raise PatternLoadError(f"document: {why}")
+        _fields(doc, "document", ("normalize", "patterns"), ("patterns",))
         normalize = doc.get("normalize", True)
         if not isinstance(normalize, bool):
             raise PatternLoadError(f"normalize: must be true or false, got {_echo(normalize)}")

@@ -968,25 +968,41 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "trace"])
     @pytest.mark.parametrize(
-        "where", ["missing-dir", "is-dir", "read-only-dir", "empty", "empty-in-file"]
+        "where",
+        ["missing-dir", "is-dir", "read-only-dir", "empty", "empty-in-file",
+         "dangling-symlink", "read-only-file"],
     )
     def test_unwritable_output_fails_before_any_trial(
-        self, tmp_path, capsys, monkeypatch, command, where
+        self, tmp_path, tmp_path_factory, capsys, monkeypatch, command, where
     ):
         def never(*args, **kwargs):
             raise AssertionError("ran although the output cannot be written")
 
         monkeypatch.setattr(cli, "run_trials", never)
         monkeypatch.setattr(cli, "convergence_trace", never)
+        elsewhere = tmp_path_factory.mktemp("out")  # outside tmp_path, which holds only cfg.json
         out = {
             "missing-dir": tmp_path / "missing" / "r.csv",
             "is-dir": tmp_path,
             "read-only-dir": tmp_path / "r.csv",
             "empty": "",  # open("") fails only once the batch has run
             "empty-in-file": "",
+            # the link's own directory is writable, its target's is missing
+            "dangling-symlink": elsewhere / "link.csv",
+            "read-only-file": elsewhere / "r.csv",
         }[where]
         if where == "read-only-dir":
             monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: mode != os.W_OK)
+        if where == "dangling-symlink":
+            out.symlink_to(elsewhere / "missing" / "r.csv")
+        if where == "read-only-file":
+            out.write_text("kept\n")
+
+            def access(path, mode, real_access=os.access, **kwargs):
+                denied = mode == os.W_OK and os.path.realpath(path) == os.path.realpath(out)
+                return not denied and real_access(path, mode, **kwargs)
+
+            monkeypatch.setattr(os, "access", access)
         if where == "empty-in-file":
             cfg = self.write_fast_config(tmp_path, max_iterations=3, out_path=out)
             code = cli.main([command, "--config", str(cfg)])

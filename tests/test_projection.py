@@ -90,23 +90,23 @@ STRING_NODE_DOC = {"patterns": [{"theta_deg": [0, "90", 180], "phi_deg": [0, 120
 @st.composite
 def wrong_typed_docs(draw):
     """A one-pattern document from ``sampled_gains`` with one value replaced
-    by a JSON value of a wrong type: the whole ``normalize``, ``patterns`` or
-    ``name``, one axis node, one list-form sample, or one field of the gain
-    in block form."""
+    by a JSON value of a wrong type: the whole ``normalize``, ``patterns``,
+    ``name`` or ``gain``, one axis node, one list-form sample, or one field
+    of the gain in block form."""
     theta_deg, phi_deg, gain = draw(sampled_gains())
     record = {"name": "p", "theta_deg": theta_deg, "phi_deg": phi_deg, "gain": gain.tolist()}
     doc = {"normalize": True, "patterns": [record]}
     where = draw(st.sampled_from(
-        ["normalize", "patterns", "name", "theta_deg", "phi_deg", "gain", "block"]
+        ["normalize", "patterns", "name", "whole gain", "theta_deg", "phi_deg", "gain", "block"]
     ))
-    valid = {"normalize": "bool", "name": "string"}.get(where)
+    valid = {"normalize": "bool", "name": "string", "whole gain": "nested list"}.get(where)
     wrong = draw(st.sampled_from([kind for kind in WRONG_VALUES if kind != valid]).flatmap(
         WRONG_VALUES.get
     ))
     if where in ("normalize", "patterns"):
         doc[where] = wrong
-    elif where == "name":
-        record["name"] = wrong
+    elif where in ("name", "whole gain"):
+        record[where.split()[-1]] = wrong
     elif where == "block":
         record["gain"] = gain_block(gain)
         record["gain"][draw(st.sampled_from(["shape", "base64"]))] = wrong
@@ -334,6 +334,20 @@ class TestLoader:
         cset = proj.load_candidates(write_doc(tmp_path, doc))
         assert not cset.normalized
         assert cset.patterns[0].power == pytest.approx(4 * FULL_SPHERE)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_all_zero_pattern_loads_only_unnormalized(self, normalize):
+        # the docs once said an all-zero pattern never loads; unnormalized
+        # its samples load as stored, with power 0
+        doc = isotropic_doc(normalize)
+        doc["patterns"][0]["gain"] = [[0.0] * 9] * 7
+        data = json.dumps(doc).encode()
+        if normalize:
+            with pytest.raises(proj.PatternLoadError, match=r"patterns\[0\]\.gain: zero pattern"):
+                proj.load_candidates("doc", data)
+        else:
+            pat = proj.load_candidates("doc", data).patterns[0]
+            assert pat.power == 0.0 and not np.any(pat.gain)
 
     def test_descending_theta_rejected(self, tmp_path):
         doc = isotropic_doc()
@@ -875,6 +889,7 @@ class TestBlockForm:
             ({"shape": [7.0, 9], "base64": gain_block(np.ones(63))["base64"]}, "shape"),
             ({"shape": [True, 63], "base64": gain_block(np.ones(63))["base64"]}, "shape"),
             ({"base64": gain_block(np.ones(63))["base64"]}, "shape"),
+            ({"shape": [7, 9]}, "missing field 'base64'"),
         ],
     )
     def test_malformed_block_rejected(self, tmp_path, gain, message):
