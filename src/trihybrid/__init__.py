@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`trihybrid.harmonics` - real spherical-harmonics basis, gain
-  synthesis, and a positivity audit on a quadrature grid.
+  synthesis, and an audit that returns a pattern's minimum gain on a
+  Gauss-Legendre grid.
 * :mod:`trihybrid.channel` - planar-array geometry, response vectors, and
   one per-path sum that builds both the (K, N_T, T) EM-domain channel
   blocks and the channel under a candidate set's per-element gains.

@@ -18,16 +18,11 @@ reproducibility and is tested.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 FULL_SPHERE = 4.0 * math.pi
-
-
-class NonPhysicalPatternWarning(UserWarning):
-    """A synthesized gain pattern dips below zero somewhere on the sphere."""
 
 
 def truncation_length(degree: int) -> int:
@@ -121,10 +116,6 @@ class AngularGrid:
         if abs(float(self.weights.sum()) - FULL_SPHERE) > 1e-9:
             raise ValueError("grid weights do not cover the full sphere")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.weights.size
-
 
 def gauss_legendre_grid(n_theta: int = 64, n_phi: int = 128) -> AngularGrid:
     """Build the default quadrature grid.
@@ -145,17 +136,11 @@ def gauss_legendre_grid(n_theta: int = 64, n_phi: int = 128) -> AngularGrid:
 def min_gain_on_grid(c, grid: AngularGrid | None = None) -> float:
     """Minimum synthesized gain over the grid nodes.
 
-    Emits :class:`NonPhysicalPatternWarning` when the minimum is negative;
-    a fixed DC term keeps the pattern positive only if it is large enough,
-    so this is an audit, never an error.
+    A negative minimum means the pattern is not physically realizable: a
+    fixed DC term keeps it positive only if it is large enough.  This is a
+    measurement; it returns the value and never warns or raises.
     """
     if grid is None:
         grid = gauss_legendre_grid()
     gains = synthesize_gain(np.asarray(c, dtype=float), grid.theta[:, None], grid.phi[None, :])
-    gmin = float(gains.min())
-    if gmin < 0.0:
-        warnings.warn(
-            f"pattern dips negative (min gain {gmin:.4g})", NonPhysicalPatternWarning,
-            stacklevel=2,
-        )
-    return gmin
+    return float(gains.min())

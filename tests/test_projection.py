@@ -17,7 +17,7 @@ from trihybrid import projection as proj
 from trihybrid import wmmse
 from trihybrid.channel import ScenarioConfig, assemble_channel, generate_scenario
 from trihybrid.decomposition import decompose
-from trihybrid.harmonics import FULL_SPHERE, gauss_legendre_grid
+from trihybrid.harmonics import FULL_SPHERE, gauss_legendre_grid, min_gain_on_grid
 
 ETA = math.sqrt(2 * math.pi)
 
@@ -941,3 +941,51 @@ class TestIdentityEquality:
             assert obj == obj and obj != twin
             assert hash(obj) == hash(obj)
             assert len({obj, obj, twin}) == 2
+
+
+@pytest.fixture(scope="module")
+def paper_panel():
+    """(scenario, pattern solve, frozen solve) of the default drop panel:
+    seeds 1..5 at 0 and 30 dBm, one scenario per seed."""
+    config = hn.RunConfig()
+    panel = []
+    for seed in range(1, 6):
+        scenario = generate_scenario(config.scenario, seed)
+        for pmax_dbm in (0.0, 30.0):
+            p_max = hn.dbm_to_watts(pmax_dbm)
+            panel.append((
+                scenario,
+                wmmse.run_algorithm1(scenario, p_max, config.solver, seed),
+                wmmse.run_algorithm1(scenario, p_max, config.solver, seed, em_update=False),
+            ))
+    return panel
+
+
+class TestPaperFindings:
+    """The directions of the paper's two findings on the default drop panel,
+    not today's values: the optimized patterns are not physically
+    realizable, and projection keeps less of their gain the fewer
+    candidates it may choose from."""
+
+    def test_optimized_patterns_dip_below_zero_gain(self, paper_panel):
+        grid = gauss_legendre_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _, solved, _ in paper_panel:
+                assert min(min_gain_on_grid(c, grid) for c in solved.iterate.coeffs) < 0.0
+
+    def test_fewer_candidates_keep_less_of_the_gain(self, paper_panel):
+        solver = hn.RunConfig().solver
+
+        def mean_kept_share(cset):
+            shares = []
+            for scenario, solved, frozen in paper_panel:
+                projected = proj.apply_projection(solved, scenario, cset, refit=True, config=solver)
+                gain = solved.sum_rate - frozen.sum_rate
+                assert gain > 0.0
+                shares.append((projected.sum_rate - frozen.sum_rate) / gain)
+            return np.mean(shares)
+
+        assert mean_kept_share(proj.steered_candidate_set(4)) < mean_kept_share(
+            proj.steered_candidate_set(64)
+        )
