@@ -32,11 +32,15 @@ closed form:
 Both multipliers come from one safeguarded Newton iteration on
 sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
 
-One outer iteration is ``outer_step``, a function from one immutable
-``Iterate`` to the next, so a solve can resume from, or evaluate the step
-at, any iterate; ``_alternate`` loops over it and returns the
+One outer iteration, a map G, is ``outer_step``, a function from one
+immutable ``Iterate`` to the next, so a solve can resume from, or evaluate
+the step at, any iterate; ``_alternate`` loops over it and returns the
 ``SolverResult`` of every solve, the pattern solve's, the frozen baseline's
-and ``refit_digital``'s alike.
+and ``refit_digital``'s alike.  On a fixed channel (the frozen baseline and
+``refit_digital``) the loop takes one SQUAREM extrapolation of F_D after
+every two maps (``extrapolated_step``; Varadhan & Roland 2008), which
+shortcuts the slow linear tail of block-coordinate WMMSE; the pattern solve
+runs the plain maps.
 
 Every per-user K-vector (the links' statistics, v, w and ln w, the MSE, the
 user weights and noise powers) is a list of Python floats, and the
@@ -492,7 +496,10 @@ def matched_filter_precoder(channels: np.ndarray, p_max: float) -> np.ndarray:
 class Iterate(NamedTuple):
     """One point of the alternating solve, never changed in place: F_D, the
     coefficients, the MSE weights the next v update is scored with, and what
-    the next step reads of them, formed once per change."""
+    the next step reads of them, formed once per change.  On a fixed channel
+    it also carries the precoders going into the last maps since the last
+    extrapolation, at most two, which ``extrapolated_step`` reads, so a
+    solve resumed from any iterate continues its history."""
 
     f_d: np.ndarray  # (N_T, K) digital precoder
     coeffs: np.ndarray | None  # (N_T, T) pattern coefficients; None on a fixed channel
@@ -501,6 +508,8 @@ class Iterate(NamedTuple):
     h: np.ndarray  # (K, N_T) channel
     basis: tuple  # thin QR (Q, R) of h^H
     links: Links  # statistics of h F_D
+    pending: tuple = ()  # (F_0,) or (F_0, F_1) on a fixed channel, else ()
+    objective: float = math.inf  # the objective recorded by the map that made it
 
     @classmethod
     def start(cls, h, f_d, coeffs=None) -> Iterate:
@@ -515,19 +524,16 @@ class Iterate(NamedTuple):
 class SolverResult:
     """One solve of the v/w/F_D loop, as ``_alternate`` ends it."""
 
-    iterate: Iterate  # the last iterate: F_D, coefficients, w, the channel h
-    v: list  # (K,) combiners of the last step
-    history: list  # one IterationRecord per outer iteration
+    iterate: Iterate  # the last kept iterate: F_D, coefficients, w, the channel h
+    v: list  # (K,) combiners of the step that made it
+    history: list  # one IterationRecord per kept map
     converged: bool  # the rate settled before the iteration cap
     p_max: float  # power budget of the solve, watts
+    iterations: int  # maps spent, kept or not
 
     @property
     def sum_rate(self) -> float:
         return self.history[-1].sum_rate
-
-    @property
-    def iterations(self) -> int:
-        return len(self.history)
 
 
 def outer_step(x: Iterate, it, weights, noise, p_max, factors):
@@ -535,7 +541,9 @@ def outer_step(x: Iterate, it, weights, noise, p_max, factors):
     (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
     and the channel, QR and links under its coefficients.  v and w read the
     same links, so one MSE vector scores both; ``weights`` and ``noise`` are
-    lists of floats.  Returns (next iterate, v, ``IterationRecord``)."""
+    lists of floats.  On a fixed channel (no ``factors``) the next iterate's
+    ``pending`` is the last two precoders going into the maps, x's among
+    them.  Returns (next iterate, v, ``IterationRecord``)."""
     tic = time.perf_counter()
     v = update_v(x.links, noise)
     e = mse_vector(x.links, v, noise)
@@ -560,29 +568,78 @@ def outer_step(x: Iterate, it, weights, noise, p_max, factors):
     rate = sum_rate(links, weights, noise)
     seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
     record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
-    return Iterate(f_d, coeffs, w, log_w, h, basis, links), v, record
+    pending = () if factors is not None else (*x.pending, x.f_d)[-2:]
+    return Iterate(f_d, coeffs, w, log_w, h, basis, links, pending, obj_em), v, record
+
+
+def extrapolated_step(x: Iterate, it, weights, noise, p_max):
+    """Map ``it`` of a fixed-channel solve after two plain maps: one SQUAREM
+    extrapolation of F_D and one stabilising map G from the point it gives.
+
+    With F_0, F_1 = ``x.pending`` and F_2 = ``x.f_d``, r = F_1 - F_0,
+    u = F_2 - 2 F_1 + F_0 and alpha = -||r||_F / ||u||_F.  Only a step
+    longer than the plain one, alpha < -1, extrapolates; otherwise this is
+    the plain map from x.  F' = F_0 - 2 alpha r + alpha^2 u, scaled down
+    into the budget when over it, carries its links and a fresh w from a
+    fresh v at them, so the map's objective after v is sum(beta) -
+    ln 2 rate(F').  G's result is kept only when its rate beats x's and its
+    objective after v is at most x's recorded objective, so acceptance 04's
+    chain and the non-decreasing rate hold across it.  Returns what
+    ``outer_step`` returns, with nothing pending, or None when G's result
+    is not kept and the solve continues from x."""
+    f_0, f_1 = x.pending
+    r = f_1 - f_0
+    u = x.f_d - 2.0 * f_1 + f_0
+    norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
+    x = x._replace(pending=())
+    if not norm_r > norm_u > 0.0:
+        return outer_step(x, it, weights, noise, p_max, None)
+    alpha = -norm_r / norm_u
+    f_d = f_0 - 2.0 * alpha * r + alpha * alpha * u
+    power = float(np.sum(np.abs(f_d) ** 2))
+    if power > p_max:
+        f_d = f_d * math.sqrt(p_max / power)
+    links = link_stats(x.h @ f_d)
+    w = update_w(links, update_v(links, noise))
+    start = x._replace(f_d=f_d, w=w, log_w=[math.log(wk) for wk in w], links=links)
+    y, v, record = outer_step(start, it, weights, noise, p_max, None)
+    if record.sum_rate > sum_rate(x.links, weights, noise) and (
+        record.objective_after_v <= x.objective
+    ):
+        return y._replace(pending=()), v, record
+    return None
 
 
 def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> SolverResult:
-    """``outer_step`` from ``x``, with ``weights`` and ``noise`` made lists of
-    floats once, until the relative sum-rate change is at most
-    ``config.tolerance`` or ``config.max_iterations`` is spent.  Returns the
-    solve's result: the last iterate, its v, the history and whether the
-    rate settled."""
+    """Maps from ``x``, with ``weights`` and ``noise`` made lists of floats
+    once, until the relative sum-rate change between two kept maps is at
+    most ``config.tolerance`` or ``config.max_iterations`` maps are spent.
+    A map is ``outer_step``, or ``extrapolated_step`` once a fixed-channel
+    iterate has two precoders pending; an extrapolation that is not kept
+    spends its map and leaves no record.  Returns the solve's result: the
+    last kept iterate, its v, the history, whether the rate settled and the
+    maps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
     history: list[IterationRecord] = []
-    prev_rate = None
+    v = prev_rate = None
     for it in range(1, config.max_iterations + 1):
-        x, v, record = outer_step(x, it, weights, noise, p_max, factors)
+        if len(x.pending) == 2:
+            step = extrapolated_step(x, it, weights, noise, p_max)
+        else:
+            step = outer_step(x, it, weights, noise, p_max, factors)
+        if step is None:
+            x = x._replace(pending=())
+            continue
+        x, v, record = step
         history.append(record)
         rate = record.sum_rate
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            return SolverResult(x, v, history, True, p_max)
+            return SolverResult(x, v, history, True, p_max, it)
         prev_rate = rate
-    return SolverResult(x, v, history, False, p_max)
+    return SolverResult(x, v, history, False, p_max, config.max_iterations)
 
 
 def run_algorithm1(
@@ -599,9 +656,10 @@ def run_algorithm1(
     Patterns start with DC pinned at eta and random AC (or isotropic when
     ``em_update`` is off, the conventional hybrid baseline); the digital
     precoder starts as the conjugate matched filter at full power.  Each
-    outer iteration runs the four block updates; the loop stops when the
-    relative sum-rate change drops below the tolerance or the iteration
-    budget is spent.  The solve reads the scenario's EM-domain ``blocks``,
+    outer iteration runs the four block updates (the frozen baseline's three,
+    with an extrapolation of F_D after every two; see ``_alternate``); the
+    loop stops when the relative sum-rate change drops below the tolerance
+    or the iteration budget is spent.  The solve reads the scenario's EM-domain ``blocks``,
     lifted once per scenario, so one scenario serves every budget; a
     pattern solve factors their AC parts once (``factor_ac_blocks``) and
     needs a truncation degree of at least 1.
@@ -632,9 +690,10 @@ def refit_digital(
     config: SolverConfig | None = None,
     f_init: np.ndarray | None = None,
 ) -> SolverResult:
-    """Iterate the v/w/F_D updates on a fixed channel until the sum rate
-    settles or the iteration budget is spent; the result is a solve's, with
-    no coefficients in its iterate."""
+    """Iterate the v/w/F_D updates on a fixed channel, extrapolating F_D
+    after every two maps, until the sum rate settles or the iteration budget
+    is spent; the result is a solve's, with no coefficients in its
+    iterate."""
     _check_budget(p_max)
     config = config or SolverConfig()
     f_d = matched_filter_precoder(channels, p_max) if f_init is None else f_init

@@ -31,9 +31,11 @@ oracles of the batched code in ``trihybrid``.
   amplifies.
 * ``alternate`` is the v/w/F_D loop calling the per-user functions of
   ``wmmse`` on per-call statistics of the links, ln w and QR of H^H, with
-  the pattern update as a callback; ``wmmse._alternate``, which repeats
-  ``outer_step`` on an ``Iterate`` holding each, formed once per change,
-  must equal it bit for bit.
+  the pattern update as a callback, and, on a fixed channel, the SQUAREM
+  extrapolation after every two maps written out on its local variables;
+  ``wmmse._alternate``, which repeats ``outer_step`` and
+  ``extrapolated_step`` on an ``Iterate`` holding each, formed once per
+  change, must equal it bit for bit.
 * ``check_state`` audits the invariants of a solve's last iterate
   (``SolverResult.iterate``): positive MSE weights, the power and 4 pi
   budgets, and pinned DC.  ``initial_objective`` is the
@@ -276,8 +278,15 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     each function reads the links' statistics from p itself, each objective
     its own MSE vector and ln w, and F_D factors H^H itself.
     ``pattern_step(f_d, w, v)``, when given, is ``outer_step``'s pattern
-    sweep and returns the channel under the new coefficients.  Returns
-    (h, f_d, v, w, history, converged), with v and w as arrays."""
+    sweep and returns the channel under the new coefficients.  Without it
+    the channel is fixed, and after every two plain maps since the last
+    extrapolation, with F_0, F_1 the precoders into them and F_2 out of
+    them, the next map starts from the SQUAREM point of the three, with
+    fresh v and w there, when its step length alpha = -||F_1 - F_0|| /
+    ||F_2 - 2 F_1 + F_0|| is below -1 (otherwise it is a plain map); that
+    map's result is kept only when its rate beats the last record's and its
+    objective after v is at most the last record's objective.  Returns
+    (h, f_d, v, w, history, converged, maps), with v and w as arrays."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
 
@@ -285,12 +294,9 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         e = wmmse.mse_vector(wmmse.link_stats(p), v, noise)
         return wmmse.wmmse_objective(w, e, weights, [math.log(wk) for wk in w])
 
-    w = [1.0] * len(weights)
-    history = []
-    prev_rate = None
-    p = h @ f_d
-    for it in range(1, config.max_iterations + 1):
+    def one_map(it, h, f_d, w):
         tic = time.perf_counter()
+        p = h @ f_d
         v = wmmse.update_v(wmmse.link_stats(p), noise)
         obj_v = objective(p, v, w)
         t_v = time.perf_counter()
@@ -308,24 +314,56 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
             p = h @ f_d
             obj_em = objective(p, v, w)
         t_em = time.perf_counter()
-        rate = wmmse.sum_rate(wmmse.link_stats(p), weights, noise)
-        history.append(
-            IterationRecord(
-                iteration=it,
-                sum_rate=rate,
-                objective=obj_em,
-                objective_after_v=obj_v,
-                objective_after_w=obj_w,
-                objective_after_fd=obj_fd,
-                step_seconds=(t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd),
-            )
+        record = IterationRecord(
+            iteration=it,
+            sum_rate=wmmse.sum_rate(wmmse.link_stats(p), weights, noise),
+            objective=obj_em,
+            objective_after_v=obj_v,
+            objective_after_w=obj_w,
+            objective_after_fd=obj_fd,
+            step_seconds=(t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd),
         )
-        if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
-            abs(prev_rate), 1e-12
+        return h, f_d, v, w, record
+
+    w = [1.0] * len(weights)
+    v = None
+    history = []
+    inputs = []  # on a fixed channel, F_D going into each map since the last extrapolation
+    for it in range(1, config.max_iterations + 1):
+        f_x = None
+        if len(inputs) == 2:
+            f_0, f_1 = inputs
+            inputs = []
+            r = f_1 - f_0
+            u = f_d - 2.0 * f_1 + f_0
+            norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
+            if norm_r > norm_u > 0.0:
+                alpha = -norm_r / norm_u
+                f_x = f_0 - 2.0 * alpha * r + alpha * alpha * u
+                power = float(np.sum(np.abs(f_x) ** 2))
+                if power > p_max:
+                    f_x = f_x * math.sqrt(p_max / power)
+        if f_x is None:
+            if pattern_step is None:
+                inputs.append(f_d)
+            h, f_d, v, w, record = one_map(it, h, f_d, w)
+        else:
+            p_x = h @ f_x
+            w_x = wmmse.update_w(
+                wmmse.link_stats(p_x), wmmse.update_v(wmmse.link_stats(p_x), noise)
+            )
+            _, f_y, v_y, w_y, record = one_map(it, h, f_x, w_x)
+            last = history[-1]
+            if not (record.sum_rate > last.sum_rate
+                    and record.objective_after_v <= last.objective):
+                continue
+            f_d, v, w = f_y, v_y, w_y
+        history.append(record)
+        if len(history) > 1 and abs(record.sum_rate - history[-2].sum_rate) <= (
+            config.tolerance * max(abs(history[-2].sum_rate), 1e-12)
         ):
-            return h, f_d, np.array(v), np.array(w), history, True
-        prev_rate = rate
-    return h, f_d, np.array(v), np.array(w), history, False
+            return h, f_d, np.array(v), np.array(w), history, True, it
+    return h, f_d, np.array(v), np.array(w), history, False, config.max_iterations
 
 
 def check_state(x, eta: float, p_max: float, dc_pinned: bool = True) -> None:

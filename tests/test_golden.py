@@ -34,6 +34,15 @@ PANEL = (
 )
 PARSE = {"seed": int, "mode": str, "iterations": int}
 RTOL = {"sum_rate": 1e-9, "projected_sum_rate": 1e-9, "decomp_residual": 5e-2}
+# A rate that ends a fixed-channel solve (a hybrid row's sum_rate, a
+# projected row's refit rate) comes out of SQUAREM extrapolation, which in
+# the slow tail divides by a small second difference and so amplifies
+# rounding-level changes of the input, such as another numpy's summation
+# order: permuting the users of the same drops moved such a rate by up to
+# 1.6e-6, against 8.6e-15 for the plain loop.  Those values compare within
+# the solver's stopping tolerance, 1e-5, the relative rate change it
+# treats as settled; trihybrid rows keep RTOL.
+EXTRAPOLATED_RTOL = 1e-5
 
 
 def panel_rows() -> list[hn.TrialRecord]:
@@ -71,7 +80,8 @@ def write_golden(path=GOLDEN, rows=None) -> tuple[Counter, int]:
         out.writerow(COLUMNS)
         for i, row in enumerate(rows):
             if i < len(golden):
-                past = [c for c in COLUMNS if not _matches(c, row[c], golden[i][c])]
+                past = [c for c in COLUMNS
+                        if not _matches(c, row[c], golden[i][c], golden[i]["mode"])]
                 moved.update(past)
                 row = {c: row[c] if c in past else golden[i][c] for c in COLUMNS}
             out.writerow(_cell(row[column]) for column in COLUMNS)
@@ -88,10 +98,12 @@ def read_golden(path=GOLDEN) -> list[dict]:
         ]
 
 
-def _matches(column, got, want) -> bool:
+def _matches(column, got, want, mode) -> bool:
     if column not in RTOL or got is None or want is None:
         return got == want
-    return math.isclose(got, want, rel_tol=RTOL[column], abs_tol=0.0)
+    extrapolated = column == "projected_sum_rate" or (column, mode) == ("sum_rate", "hybrid")
+    rtol = EXTRAPOLATED_RTOL if extrapolated else RTOL[column]
+    return math.isclose(got, want, rel_tol=rtol, abs_tol=0.0)
 
 
 def test_panel_matches_golden_rows():
@@ -103,7 +115,7 @@ def test_panel_matches_golden_rows():
     for column in COLUMNS:
         pairs = [(getattr(row, column), want[column]) for row, want in zip(rows, golden)]
         bad = [(i, got, want) for i, (got, want) in enumerate(pairs)
-               if not _matches(column, got, want)]
+               if not _matches(column, got, want, golden[i]["mode"])]
         if bad:
             moved[column] = f"{len(bad)} row(s), first (row, got, golden) {bad[0]}"
     assert not moved, f"science columns moved: {moved}"

@@ -797,14 +797,24 @@ class TestCsv:
 
 class TestTrace:
     def test_rows_start_at_one_and_rates_monotone(self):
+        # a row per kept map, numbered by the map that made it: the hybrid
+        # solve's rejected extrapolations spend numbers and leave no row
         cfg = fast_config(max_iterations=12, seed=3)
         rows = hn.convergence_trace(cfg, seed=3)
         modes = {r.mode for r in rows}
         assert modes == {"trihybrid", "hybrid"}
+        scenario = hn.generate_scenario(cfg.scenario, 3)
         for mode in modes:
             series = [r for r in rows if r.mode == mode]
-            assert series[0].iteration == 1
-            assert [r.iteration for r in series] == list(range(1, len(series) + 1))
+            result = hn.run_algorithm1(
+                scenario, hn.dbm_to_watts(cfg.pmax_dbm[0]), cfg.solver, 3,
+                em_update=mode != "hybrid",
+            )
+            numbers = [r.iteration for r in series]
+            assert numbers[0] == 1
+            assert all(a < b for a, b in zip(numbers, numbers[1:]))
+            assert numbers == [rec.iteration for rec in result.history]
+            assert numbers[-1] <= result.iterations
             rates = [r.sum_rate for r in series]
             assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
 

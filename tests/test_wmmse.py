@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -1115,11 +1116,14 @@ class TestAlgorithm:
                 res = wmmse.run_algorithm1(scenario, p_max, solver, seed=seed)
                 reference.check_state(res.iterate, solver.eta, p_max)
 
-    # Relative sum-rate change of a default drop when the power multiplier
-    # comes from Newton instead of the bisection oracle.  Both stop within
-    # 1e-10 * p_max of the budget; over the benchmark's hybrid drops (seeds
-    # 1..108, far and near field, 0..30 dBm) and seeds 1..3 with patterns,
-    # the largest change measured was 2.2e-10, at seed 106, 30 dBm.
+    # Relative sum-rate change of a default drop (pattern solve) or of one
+    # map's F_D update (hybrid solve) when the power multiplier comes from
+    # Newton instead of the bisection oracle.  Both stop within 1e-10 * p_max
+    # of the budget.  Over the benchmark's hybrid drops (seeds 1..108, far
+    # and near field, 0..30 dBm) and seeds 1..3 with patterns, the largest
+    # change of a whole plain-loop solve measured was 2.2e-10, at seed 106,
+    # 30 dBm; over every map of those hybrid drops' extrapolated solves, the
+    # largest change of one update was 1.9e-10, at seed 108, far, 30 dBm.
     SUM_RATE_RTOL = 1e-9
 
     @pytest.mark.parametrize(
@@ -1130,27 +1134,43 @@ class TestAlgorithm:
     def test_newton_precoder_tracks_bisection_oracle(
         self, monkeypatch, field_mode, em_update, seeds
     ):
+        # A hybrid solve extrapolates, and a rate moved by rounding can flip
+        # whether an extrapolation is kept, so there the two F_D updates are
+        # compared map by map, from the same (H, w, v) of every map the
+        # solve takes.  The pattern solve runs plain maps: its whole solves
+        # are compared.
         config = RunConfig(field_mode=field_mode)
+        update_fd = wmmse.update_fd
+
+        def bisection(basis, *args):
+            # the loop passes the thin QR of H^H; the oracle takes H
+            return update_fd_bisection(np.conj(basis[0] @ basis[1]).T, *args)[0]
+
+        def both(basis, w, v, weights, p_max):
+            h = np.conj(basis[0] @ basis[1]).T
+            pair = update_fd(basis, w, v, weights, p_max), bisection(basis, w, v, weights, p_max)
+            maps.append([wmmse.sum_rate(wmmse.link_stats(h @ f), weights, noise) for f in pair])
+            return pair[0]
+
         for seed in seeds:
             scenario = generate_scenario(config.scenario, seed)
+            noise = scenario.noise_powers.tolist()
             for dbm in (0.0, 10.0, 20.0, 30.0):
                 p_max = dbm_to_watts(dbm)
-                newton = wmmse.run_algorithm1(
-                    scenario, p_max, config.solver, seed, em_update=em_update
-                )
+                maps = []
                 with monkeypatch.context() as patch:
-                    # the loop passes the thin QR of H^H; the oracle takes H
-                    patch.setattr(
-                        wmmse, "update_fd",
-                        lambda basis, *args: update_fd_bisection(
-                            np.conj(basis[0] @ basis[1]).T, *args
-                        )[0],
-                    )
-                    oracle = wmmse.run_algorithm1(
+                    patch.setattr(wmmse, "update_fd", bisection if em_update else both)
+                    other = wmmse.run_algorithm1(
                         scenario, p_max, config.solver, seed, em_update=em_update
                     )
-                assert newton.iterations == oracle.iterations
-                assert newton.sum_rate == pytest.approx(oracle.sum_rate, rel=self.SUM_RATE_RTOL)
+                if not em_update:
+                    assert len(maps) == other.iterations
+                    for newton, oracle in maps:
+                        assert newton == pytest.approx(oracle, rel=self.SUM_RATE_RTOL)
+                    continue
+                newton = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
+                assert newton.iterations == other.iterations
+                assert newton.sum_rate == pytest.approx(other.sum_rate, rel=self.SUM_RATE_RTOL)
 
     # Relative sum-rate change of a default drop when every pattern update is
     # solved in its channel range and scored from rank-1-moved links instead
@@ -1301,7 +1321,8 @@ class TestLoopMatchesReference:
                 factors if em_update else None,
             )
             x = res.iterate
-            return x.h, x.f_d, np.array(res.v), np.array(x.w), res.history, res.converged
+            return (x.h, x.f_d, np.array(res.v), np.array(x.w), res.history, res.converged,
+                    res.iterations)
         return loop(
             h, f_d, weights, noise, p_max, config, pattern_step if em_update else None
         )
@@ -1312,20 +1333,23 @@ class TestLoopMatchesReference:
             ("far", 10.0, True, 100, 1),
             ("near", 30.0, True, 100, 2),
             ("near", 30.0, False, 100, 3),
+            ("far", 30.0, False, 100, 2),  # keeps 28 of its 31 maps
             ("far", 30.0, True, 6, 4),  # capped: stops un-converged
         ],
-        ids=["far-10dBm", "near-30dBm", "near-30dBm-frozen", "capped"],
+        ids=["far-10dBm", "near-30dBm", "near-30dBm-frozen", "far-30dBm-frozen-rejects",
+             "capped"],
     )
     def test_history_bit_equal(self, field_mode, dbm, em_update, max_iterations, seed):
         run_config = RunConfig(field_mode=field_mode, max_iterations=max_iterations)
         scenario = generate_scenario(run_config.scenario, seed)
         config = run_config.solver
         args = (scenario, dbm_to_watts(dbm), config, seed, em_update)
-        h, f_d, v, w, history, converged = self.run(wmmse._alternate, *args)
+        h, f_d, v, w, history, converged, maps = self.run(wmmse._alternate, *args)
         ref = self.run(reference.alternate, *args)
-        assert converged == ref[5]
+        assert (converged, maps) == ref[5:]
         if max_iterations < 100:
-            assert not converged and len(history) == max_iterations
+            assert not converged and len(history) == maps == max_iterations
+        assert len(history) <= maps
         for got, want in zip((h, f_d, v, w), ref):
             np.testing.assert_array_equal(got, want)
         assert len(history) == len(ref[4]) > 1
@@ -1410,14 +1434,18 @@ class TestOuterStep:
         history = whole.history
         assert len(history) >= 4
         j = len(history) // 2
-        head = dataclasses.replace(config, max_iterations=j)
-        x_j = wmmse._alternate(x0, *rest, head, factors).iterate
-        # the resumed loop has the iterations the uninterrupted one had left
+        head = wmmse._alternate(x0, *rest, dataclasses.replace(config, max_iterations=j), factors)
+        # the resumed loop has the maps the uninterrupted one had left, and
+        # continues its history after the head's records; on the fixed
+        # channel a rejected extrapolation spends a map and leaves none
+        kept = len(head.history)
         left = dataclasses.replace(config, max_iterations=config.max_iterations - j)
-        resumed = wmmse._alternate(_frozen(x_j), *rest, left, factors)
+        resumed = wmmse._alternate(_frozen(head.iterate), *rest, left, factors)
         assert resumed.converged == whole.converged
-        assert len(resumed.history) == len(history) - j
-        for got, want in zip(resumed.history, history[j:]):
+        assert head.iterations + resumed.iterations == whole.iterations
+        assert len(resumed.history) == len(history) - kept
+        for got, want in zip(resumed.history, history[kept:]):
+            assert got.iteration + j == want.iteration
             assert record_fields(got)[1:] == record_fields(want)[1:]
         assert_iterates_equal(resumed.iterate, whole.iterate)
         assert resumed.v == whole.v
@@ -1430,7 +1458,7 @@ class TestSolverConfig:
         scenario = generate_scenario(RunConfig().scenario, 3)
         config = wmmse.SolverConfig(max_iterations=2000, tolerance=0.0)
         res = wmmse.run_algorithm1(scenario, dbm_to_watts(0.0), config, em_update=False)
-        assert res.converged and res.iterations == 8
+        assert res.converged and res.iterations == 11 and len(res.history) == 8
         assert res.history[-1].sum_rate == res.history[-2].sum_rate
 
     def test_defaults(self):
@@ -1445,3 +1473,154 @@ class TestSolverConfig:
             wmmse.SolverConfig(eta=4.0)  # sqrt(4 pi) ~ 3.545
         with pytest.raises(ValueError):
             wmmse.SolverConfig(max_iterations=0)
+
+
+def plain_solve(scenario, p_max, config):
+    """The hybrid baseline's solve without extrapolation: ``outer_step``
+    repeated from the same start under ``_alternate``'s stop test.  Returns
+    (rate, maps, converged)."""
+    h = wmmse.effective_channels(
+        scenario.blocks, wmmse.isotropic_coefficients(scenario.geometry.n_t, scenario.truncation)
+    )
+    x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h, p_max))
+    weights, noise = scenario.weights.tolist(), scenario.noise_powers.tolist()
+    prev = None
+    for it in range(1, config.max_iterations + 1):
+        x, _, record = wmmse.outer_step(x, it, weights, noise, p_max, None)
+        rate = record.sum_rate
+        if prev is not None and abs(rate - prev) <= config.tolerance * max(abs(prev), 1e-12):
+            return rate, it, True
+        prev = rate
+    return rate, config.max_iterations, False
+
+
+class TestExtrapolation:
+    """The fixed-channel solve extrapolates F_D after every two maps: on the
+    hybrid solves of seeds 1..10, far and near field, at 20 and 30 dBm, it
+    spends at most 0.7 of the plain loop's maps, loses no mean rate at
+    either power, converges in at least 90% of the solves, and every F_D a
+    map keeps is within the budget."""
+
+    SEEDS = range(1, 11)
+    POWERS_DBM = (20.0, 30.0)
+
+    def test_fewer_maps_no_lower_rate(self, monkeypatch):
+        config = wmmse.SolverConfig()
+        step = wmmse.outer_step
+        powers = []
+
+        def audited(x, it, weights, noise, p_max, factors):
+            out = step(x, it, weights, noise, p_max, factors)
+            powers.append(float(np.sum(np.abs(out[0].f_d) ** 2)) / p_max)
+            return out
+
+        maps = {"extrapolated": 0, "plain": 0}
+        rates = {dbm: {"extrapolated": [], "plain": []} for dbm in self.POWERS_DBM}
+        converged = []
+        for field_mode in ("far", "near"):
+            for seed in self.SEEDS:
+                scenario = generate_scenario(ScenarioConfig(field_mode=field_mode), seed)
+                for dbm in self.POWERS_DBM:
+                    p_max = dbm_to_watts(dbm)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(wmmse, "outer_step", audited)
+                        res = wmmse.run_algorithm1(scenario, p_max, config, em_update=False)
+                    rate, plain_maps, _ = plain_solve(scenario, p_max, config)
+                    maps["extrapolated"] += res.iterations
+                    maps["plain"] += plain_maps
+                    rates[dbm]["extrapolated"].append(res.sum_rate)
+                    rates[dbm]["plain"].append(rate)
+                    converged.append(res.converged)
+        assert maps["extrapolated"] <= 0.7 * maps["plain"], maps
+        for dbm, by_loop in rates.items():
+            assert np.mean(by_loop["extrapolated"]) >= np.mean(by_loop["plain"]), dbm
+        assert sum(converged) >= 0.9 * len(converged)
+        # update_fd meets the budget within MULTIPLIER_TOL of it
+        assert powers and max(powers) <= 1.0 + 2 * wmmse.MULTIPLIER_TOL
+
+
+def permuted_users(scenario, order):
+    """``scenario`` with its users in ``order``, each with its path rows,
+    path count, weight and noise power; ``dataclasses.replace`` lifts the
+    blocks anew."""
+    ends = np.cumsum(scenario.path_counts)
+    rows = np.concatenate([np.arange(ends[k] - scenario.path_counts[k], ends[k]) for k in order])
+    return dataclasses.replace(
+        scenario,
+        thetas=scenario.thetas[rows], phis=scenario.phis[rows], responses=scenario.responses[rows],
+        path_counts=tuple(scenario.path_counts[k] for k in order),
+        noise_powers=scenario.noise_powers[order], weights=scenario.weights[order],
+    )
+
+
+class TestFixedChannelInvariance:
+    """Three transformations leave a drop's problem unchanged, and the
+    extrapolated fixed-channel solve must treat the two drops alike: the
+    same number of maps and the same rate, over seeds 1..20, far and near
+    field, at 0..30 dBm.  A unit mix-up between power and noise fails the
+    SNR shift, a user index mix-up the permutation, and a phase leaking
+    into a rate the per-user phase."""
+
+    SEEDS = range(1, 21)
+    POWERS_DBM = (0.0, 10.0, 20.0, 30.0)
+    RTOL = 1e-10  # SNR shift and per-user phase; measured at most 1.3e-13
+    # The user permutation reorders the eigen and QR decompositions' sums,
+    # a rounding-level change of the input.  In the slow tail the
+    # extrapolation divides by a small second difference u, which amplifies
+    # it: with each of the five non-identity orders of 3 users applied to
+    # every drop and power here, the rate moved by up to 1.6e-6 (near
+    # field, seed 3, 30 dBm, a solve that settles after 94 maps), against
+    # 8.6e-15 for the plain loop, with no map count and no accept decision
+    # changed.  The bound is the solver's stopping tolerance, the relative
+    # rate change it already treats as settled.
+    PERMUTATION_RTOL = wmmse.SolverConfig().tolerance
+
+    @classmethod
+    def pairs(cls, transform, **scenario_kwargs):
+        """(solve, transformed solve) for every drop and power, where
+        ``transform(scenario, p_max, rng)`` returns the transformed drop and
+        its budget, drawing from the seed's ``rng``."""
+        for field_mode in ("far", "near"):
+            for seed in cls.SEEDS:
+                config = ScenarioConfig(field_mode=field_mode, **scenario_kwargs)
+                scenario = generate_scenario(config, seed)
+                rng = np.random.default_rng(seed)
+                for dbm in cls.POWERS_DBM:
+                    p_max = dbm_to_watts(dbm)
+                    other, other_p_max = transform(scenario, p_max, rng)
+                    yield (
+                        wmmse.run_algorithm1(scenario, p_max, em_update=False),
+                        wmmse.run_algorithm1(other, other_p_max, em_update=False),
+                    )
+
+    def check(self, pairs, rtol):
+        for res, other in pairs:
+            assert other.iterations == res.iterations
+            assert other.sum_rate == pytest.approx(res.sum_rate, rel=rtol, abs=0)
+
+    def test_snr_shift(self):
+        gain = 10.0 ** (20.0 / 10.0)  # +20 dB on the budget and the noise
+
+        def shift(scenario, p_max, rng):
+            return (dataclasses.replace(scenario, noise_powers=scenario.noise_powers * gain),
+                    p_max * gain)
+
+        self.check(self.pairs(shift), self.RTOL)
+
+    def test_per_user_phase(self):
+        def rotate(scenario, p_max, rng):
+            phases = np.exp(2j * np.pi * rng.uniform(size=scenario.n_users))
+            rows = np.repeat(phases, scenario.path_counts)[:, None]
+            return dataclasses.replace(scenario, responses=scenario.responses * rows), p_max
+
+        self.check(self.pairs(rotate), self.RTOL)
+
+    def test_user_permutation(self):
+        orders = list(itertools.permutations(range(3)))[1:]  # all but the identity
+
+        def permute(scenario, p_max, rng):
+            return permuted_users(scenario, list(orders[rng.integers(len(orders))])), p_max
+
+        self.check(
+            self.pairs(permute, n_users=3, weights=(1.0, 2.0, 0.5)), self.PERMUTATION_RTOL
+        )
