@@ -229,18 +229,17 @@ class ScenarioConfig:
                 f"n_h, n_v, n_users and n_paths: need each >= 1, got {counts}"
             )
         # each check is written so that NaN and inf fail it
-        radio = (self.frequency_hz, self.user_radius_m)
-        if not all(math.isfinite(x) and x > 0 for x in radio):
-            raise ValueError("frequency and user radius must be positive and finite")
-        if not (math.isfinite(self.noise_power_w) and self.noise_power_w > 0):
-            raise ValueError("noise power must be positive and finite")
+        for name in ("frequency_hz", "user_radius_m", "noise_power_w"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name}: must be positive and finite, got {value}")
         bs = self.bs_position
         if len(bs) != 3 or not all(map(math.isfinite, bs)):
             raise ValueError(f"bs_position: need 3 finite coordinates, got {_echo(bs)}")
         if self.field_mode not in ("far", "near"):
-            raise ValueError(f"unknown field mode {_echo(self.field_mode)}")
+            raise ValueError(f"field_mode: unknown field mode {_echo(self.field_mode)}")
         if self.truncation < 0:
-            raise ValueError(f"truncation degree must be >= 0, got {self.truncation}")
+            raise ValueError(f"truncation: must be >= 0, got {self.truncation}")
         weights = (1.0,) * self.n_users if self.weights is None else tuple(self.weights)
         if len(weights) != self.n_users or not all(
             math.isfinite(b) and b > 0 for b in weights

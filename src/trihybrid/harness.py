@@ -49,6 +49,18 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _config_watts(name: str, dbm: float) -> float:
+    """The config field ``name``'s ``dbm`` in watts, or a ConfigError naming
+    the field when it overflows or underflows to 0 W."""
+    try:
+        watts = dbm_to_watts(dbm)
+    except OverflowError:
+        raise ConfigError(f"{name}: {dbm} dBm overflows in watts") from None
+    if watts == 0.0:
+        raise ConfigError(f"{name}: {dbm} dBm underflows to 0 W")
+    return watts
+
+
 def _is_number(x) -> bool:
     """A finite number; a bool is not one."""
     try:
@@ -79,31 +91,19 @@ def _require_pattern_degree(truncation: int) -> None:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ScenarioConfig, SolverConfig):
     """Everything needed to reproduce a batch; defaults follow the reference
     setup: 3x3 array, 30 GHz, K=2 users with L=3 paths, 4 RF chains,
     T=25 harmonics, -95 dBm noise, 10 dBm budget.
 
-    ``scenario`` and ``solver`` are the library's ``ScenarioConfig`` and
-    ``SolverConfig``, built once, on construction, from the fields of the
-    same names (``noise_dbm`` converted to ``noise_power_w``); they are not
-    config-file keys."""
+    A RunConfig is the library's ``ScenarioConfig`` and ``SolverConfig``,
+    whose fields it inherits and whose checks it runs, plus the batch's own
+    fields below; ``generate_scenario`` and the solves take it as it is.
+    ``noise_power_w`` is set from ``noise_dbm`` and is not a config-file
+    key."""
 
-    n_h: int = 3
-    n_v: int = 3
-    n_users: int = 2
-    n_paths: int = 3
     n_rf: int = 4
-    truncation: int = 4
-    frequency_hz: float = 30e9
     noise_dbm: float = -95.0
-    bs_position: tuple = (0.0, 0.0, 10.0)
-    user_radius_m: float = 200.0
-    field_mode: str = "far"
-    weights: tuple | None = None
-    eta: float = math.sqrt(2.0 * math.pi)
-    max_iterations: int = 100
-    tolerance: float = 1e-5
     mode: str = "all"
     trials: int = 100
     seed: int = 1
@@ -112,8 +112,7 @@ class RunConfig:
     refit: bool = True
     out_path: str = "results.csv"
     workers: int = 1
-    scenario: ScenarioConfig = field(init=False, repr=False, compare=False)
-    solver: SolverConfig = field(init=False, repr=False, compare=False)
+    noise_power_w: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -145,28 +144,13 @@ class RunConfig:
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
-            try:
-                watts = dbm_to_watts(pmax_dbm)
-            except OverflowError as err:
-                raise ConfigError(f"pmax_dbm: {pmax_dbm} dBm overflows in watts") from err
-            if watts == 0.0:
-                raise ConfigError(f"pmax_dbm: {pmax_dbm} dBm underflows to 0 W")
+            _config_watts("pmax_dbm", pmax_dbm)
+        object.__setattr__(self, "noise_power_w", _config_watts("noise_dbm", self.noise_dbm))
         try:
-            noise_power_w = dbm_to_watts(self.noise_dbm)
-            scenario = self._take(ScenarioConfig, noise_power_w=noise_power_w)
-            solver = self._take(SolverConfig)
-        except OverflowError as err:
-            raise ConfigError(f"dBm value out of range: {err}") from err
+            ScenarioConfig.__post_init__(self)
+            SolverConfig.__post_init__(self)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "solver", solver)
-
-    def _take(self, cls, **converted):
-        """A ``cls`` built from the fields of the same names, except those
-        given converted."""
-        taken = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in converted}
-        return cls(**taken, **converted)
 
     def modes(self) -> tuple:
         return MODES if self.mode == "all" else (self.mode,)
@@ -324,7 +308,7 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
     p_max = dbm_to_watts(pmax_dbm)
     tic = time.perf_counter()
     result = run_algorithm1(
-        scenario, p_max, config.solver, seed, em_update=mode != "hybrid"
+        scenario, p_max, config, seed, em_update=mode != "hybrid"
     )
     f_d, h = result.iterate.f_d, result.iterate.h
     rng = np.random.default_rng([seed, 0xD0C])
@@ -358,7 +342,7 @@ def _project(config: RunConfig, scenario, result, solved: TrialRecord) -> TrialR
         cset = load_candidate_set(config)
         tic = time.perf_counter()
         projected = apply_projection(
-            result, scenario, cset, refit=config.refit, config=config.solver
+            result, scenario, cset, refit=config.refit, config=config
         )
     except Exception as err:
         return _failed(solved.seed, "projected", solved.pmax_dbm, err)
@@ -389,7 +373,7 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
     modes = config.modes()
     tic = time.perf_counter()
     try:
-        scenario = generate_scenario(config.scenario, seed)
+        scenario = generate_scenario(config, seed)
     except Exception as err:  # per-seed failures must not abort the batch
         return [
             _failed(seed, mode, pmax_dbm, err)
@@ -481,11 +465,11 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
         raise ConfigError(f"pmax_dbm: trace runs one power, got {len(config.pmax_dbm)}")
     _require_pattern_degree(config.truncation)  # a config of mode hybrid skipped it
     rows = []
-    scenario = generate_scenario(config.scenario, seed)
+    scenario = generate_scenario(config, seed)
     p_max = dbm_to_watts(config.pmax_dbm[0])
     for mode in ("trihybrid", "hybrid"):
         result = run_algorithm1(
-            scenario, p_max, config.solver, seed, em_update=mode != "hybrid"
+            scenario, p_max, config, seed, em_update=mode != "hybrid"
         )
         rows.extend(
             TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)

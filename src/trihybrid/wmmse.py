@@ -86,11 +86,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.eta < math.sqrt(FULL_SPHERE):
-            raise ValueError("eta must lie in (0, sqrt(4*pi))")
+            raise ValueError(f"eta: must lie in (0, sqrt(4*pi)), got {self.eta}")
         if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
+            raise ValueError(f"max_iterations: must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError("tolerance must be finite and nonnegative")
+            raise ValueError(f"tolerance: must be finite and nonnegative, got {self.tolerance}")
 
 
 @dataclass
@@ -525,7 +525,6 @@ class SolverResult:
     """One solve of the v/w/F_D loop, as ``_alternate`` ends it."""
 
     iterate: Iterate  # the last kept iterate: F_D, coefficients, w, the channel h
-    v: list  # (K,) combiners of the step that made it
     history: list  # one IterationRecord per kept map
     converged: bool  # the rate settled before the iteration cap
     p_max: float  # power budget of the solve, watts
@@ -543,7 +542,7 @@ def outer_step(x: Iterate, it, weights, noise, p_max, factors):
     same links, so one MSE vector scores both; ``weights`` and ``noise`` are
     lists of floats.  On a fixed channel (no ``factors``) the next iterate's
     ``pending`` is the last two precoders going into the maps, x's among
-    them.  Returns (next iterate, v, ``IterationRecord``)."""
+    them.  Returns (next iterate, ``IterationRecord``)."""
     tic = time.perf_counter()
     v = update_v(x.links, noise)
     e = mse_vector(x.links, v, noise)
@@ -569,7 +568,7 @@ def outer_step(x: Iterate, it, weights, noise, p_max, factors):
     seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
     record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
     pending = () if factors is not None else (*x.pending, x.f_d)[-2:]
-    return Iterate(f_d, coeffs, w, log_w, h, basis, links, pending, obj_em), v, record
+    return Iterate(f_d, coeffs, w, log_w, h, basis, links, pending, obj_em), record
 
 
 def extrapolated_step(x: Iterate, it, weights, noise, p_max):
@@ -602,11 +601,11 @@ def extrapolated_step(x: Iterate, it, weights, noise, p_max):
     links = link_stats(x.h @ f_d)
     w = update_w(links, update_v(links, noise))
     start = x._replace(f_d=f_d, w=w, log_w=[math.log(wk) for wk in w], links=links)
-    y, v, record = outer_step(start, it, weights, noise, p_max, None)
+    y, record = outer_step(start, it, weights, noise, p_max, None)
     if record.sum_rate > sum_rate(x.links, weights, noise) and (
         record.objective_after_v <= x.objective
     ):
-        return y._replace(pending=()), v, record
+        return y._replace(pending=()), record
     return None
 
 
@@ -617,12 +616,12 @@ def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> Solve
     A map is ``outer_step``, or ``extrapolated_step`` once a fixed-channel
     iterate has two precoders pending; an extrapolation that is not kept
     spends its map and leaves no record.  Returns the solve's result: the
-    last kept iterate, its v, the history, whether the rate settled and the
-    maps spent."""
+    last kept iterate, the history, whether the rate settled and the maps
+    spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
     history: list[IterationRecord] = []
-    v = prev_rate = None
+    prev_rate = None
     for it in range(1, config.max_iterations + 1):
         if len(x.pending) == 2:
             step = extrapolated_step(x, it, weights, noise, p_max)
@@ -631,15 +630,15 @@ def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> Solve
         if step is None:
             x = x._replace(pending=())
             continue
-        x, v, record = step
+        x, record = step
         history.append(record)
         rate = record.sum_rate
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            return SolverResult(x, v, history, True, p_max, it)
+            return SolverResult(x, history, True, p_max, it)
         prev_rate = rate
-    return SolverResult(x, v, history, False, p_max, config.max_iterations)
+    return SolverResult(x, history, False, p_max, config.max_iterations)
 
 
 def run_algorithm1(

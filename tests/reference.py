@@ -286,7 +286,7 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     ||F_2 - 2 F_1 + F_0|| is below -1 (otherwise it is a plain map); that
     map's result is kept only when its rate beats the last record's and its
     objective after v is at most the last record's objective.  Returns
-    (h, f_d, v, w, history, converged, maps), with v and w as arrays."""
+    (h, f_d, w, history, converged, maps), with w as an array."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
 
@@ -323,10 +323,9 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
             objective_after_fd=obj_fd,
             step_seconds=(t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd),
         )
-        return h, f_d, v, w, record
+        return h, f_d, w, record
 
     w = [1.0] * len(weights)
-    v = None
     history = []
     inputs = []  # on a fixed channel, F_D going into each map since the last extrapolation
     for it in range(1, config.max_iterations + 1):
@@ -346,24 +345,24 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         if f_x is None:
             if pattern_step is None:
                 inputs.append(f_d)
-            h, f_d, v, w, record = one_map(it, h, f_d, w)
+            h, f_d, w, record = one_map(it, h, f_d, w)
         else:
             p_x = h @ f_x
             w_x = wmmse.update_w(
                 wmmse.link_stats(p_x), wmmse.update_v(wmmse.link_stats(p_x), noise)
             )
-            _, f_y, v_y, w_y, record = one_map(it, h, f_x, w_x)
+            _, f_y, w_y, record = one_map(it, h, f_x, w_x)
             last = history[-1]
             if not (record.sum_rate > last.sum_rate
                     and record.objective_after_v <= last.objective):
                 continue
-            f_d, v, w = f_y, v_y, w_y
+            f_d, w = f_y, w_y
         history.append(record)
         if len(history) > 1 and abs(record.sum_rate - history[-2].sum_rate) <= (
             config.tolerance * max(abs(history[-2].sum_rate), 1e-12)
         ):
-            return h, f_d, np.array(v), np.array(w), history, True, it
-    return h, f_d, np.array(v), np.array(w), history, False, config.max_iterations
+            return h, f_d, np.array(w), history, True, it
+    return h, f_d, np.array(w), history, False, config.max_iterations
 
 
 def check_state(x, eta: float, p_max: float, dc_pinned: bool = True) -> None:

@@ -64,10 +64,10 @@ def test_every_observer_fills_its_counters(bench):
     scenario = generate_scenario(ScenarioConfig(), seed=1)
     solve = (scenario, 0.01, wmmse.SolverConfig(max_iterations=1))
     result = wmmse.run_algorithm1(*solve)
-    state = result.iterate
+    state, noise = result.iterate, scenario.noise_powers.tolist()
     sweep = (
         wmmse.factor_ac_blocks(scenario.blocks), state.coeffs, state.f_d, state.w,
-        result.v, scenario.weights.tolist(), scenario.noise_powers.tolist(),
+        wmmse.update_v(state.links, noise), scenario.weights.tolist(), noise,
     )
     calls = {
         "wmmse.run_algorithm1": (wmmse.run_algorithm1, solve),

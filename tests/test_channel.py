@@ -151,6 +151,12 @@ class TestArv:
         with pytest.raises(ValueError, match=r"noise_powers, weights: need shape \(2,\)"):
             dataclasses.replace(scenario, **{field: np.ones(shape)})
 
+    @pytest.mark.parametrize("field", ["weights", "noise_powers"])
+    def test_per_user_arrays_must_be_positive(self, field):
+        scenario = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
+        with pytest.raises(ValueError, match="noise powers and weights must be positive"):
+            dataclasses.replace(scenario, **{field: np.array([1.0, 0.0])})
+
     def test_path_table_is_a_read_only_copy(self):
         # the blocks are lifted from the table once, so a write to the table
         # would leave the solve and the projection on different channels
@@ -447,13 +453,16 @@ class TestScenarioGeneration:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ch.ScenarioConfig(n_users=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^field_mode: unknown field mode 'mid'$"):
             ch.ScenarioConfig(field_mode="mid")
-        with pytest.raises(ValueError, match="truncation"):
+        with pytest.raises(ValueError, match="^truncation: must be >= 0, got -1$"):
             ch.ScenarioConfig(truncation=-1)
         for bad in (dict(frequency_hz=float("nan")), dict(user_radius_m=float("inf")),
-                    dict(noise_power_w=float("nan")), dict(noise_power_w=float("inf"))):
-            with pytest.raises(ValueError, match="finite"):
+                    dict(noise_power_w=float("nan")), dict(noise_power_w=float("inf")),
+                    dict(frequency_hz=-1.0), dict(user_radius_m=0.0), dict(noise_power_w=0.0)):
+            # each check names its own field
+            (name,) = bad
+            with pytest.raises(ValueError, match=f"^{name}: must be positive and finite"):
                 ch.ScenarioConfig(**bad)
         for bs in ((0.0, float("nan"), 10.0), (0.0, 10.0)):
             with pytest.raises(ValueError, match="bs_position"):

@@ -181,6 +181,19 @@ def test_synthesize_gain_matches_sum():
 def test_synthesize_gain_shape_error():
     with pytest.raises(ValueError):
         sh.synthesize_gain(np.zeros(24), 0.1, 0.2)  # 24 is not a square
+    with pytest.raises(ValueError, match=r"must be 1-D, got shape \(2, 9\)"):
+        sh.synthesize_gain(np.zeros((2, 9)), 0.1, 0.2)
+
+
+def test_negative_truncation_degree_rejected():
+    with pytest.raises(ValueError, match="truncation degree must be >= 0, got -1"):
+        sh.truncation_length(-1)
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(0, 8), (8, 0)])
+def test_grid_needs_positive_node_counts(n_theta, n_phi):
+    with pytest.raises(ValueError, match="node counts must be positive"):
+        sh.gauss_legendre_grid(n_theta, n_phi)
 
 
 def test_pattern_power_examples():

@@ -33,6 +33,11 @@ def fast_config(**kwargs):
     return hn.RunConfig(**params)
 
 
+def library_fields(config, cls) -> dict:
+    """The values ``config`` holds of the fields of the library config ``cls``."""
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(cls)}
+
+
 @pytest.fixture(autouse=True)
 def fresh_candidate_memo(monkeypatch):
     """Each test starts with no candidate set kept from an earlier test."""
@@ -171,36 +176,55 @@ class TestConfig:
         assert cfg.noise_dbm == -95.0
         assert cfg.pmax_dbm == (10.0,)
         assert cfg.bs_position == (0.0, 0.0, 10.0)
-        # the run's defaults are the library's, field for field
-        assert cfg.scenario == ScenarioConfig()
-        assert cfg.solver == SolverConfig()
+        # the run's defaults are the library's, field for field, the noise
+        # power converted from noise_dbm included
+        assert library_fields(cfg, ScenarioConfig) == library_fields(
+            ScenarioConfig(), ScenarioConfig
+        )
+        assert library_fields(cfg, SolverConfig) == library_fields(SolverConfig(), SolverConfig)
 
     def test_dbm_conversion(self):
         assert hn.dbm_to_watts(20.0) == pytest.approx(0.1)
         assert hn.dbm_to_watts(10.0) == pytest.approx(0.01)
         cfg = hn.RunConfig(pmax_dbm=(20.0,))
-        assert cfg.scenario.noise_power_w == pytest.approx(10 ** (-12.5))
+        assert cfg.noise_power_w == pytest.approx(10 ** (-12.5))
 
     def test_library_configs_built_from_fields_of_the_same_names(self):
+        # a RunConfig is both library configs, and the library reads it as one
         cfg = hn.RunConfig(**FAST, noise_dbm=-80.0, eta=1.5, weights=[1, 2])
+        assert isinstance(cfg, ScenarioConfig) and isinstance(cfg, SolverConfig)
         scenario = ScenarioConfig(
             n_h=2, n_v=2, n_users=2, n_paths=2, user_radius_m=60.0, truncation=1,
             noise_power_w=hn.dbm_to_watts(-80.0), weights=(1.0, 2.0),
         )
-        assert cfg.scenario == scenario
-        assert cfg.solver == SolverConfig(eta=1.5, max_iterations=5, tolerance=0.0)
+        assert library_fields(cfg, ScenarioConfig) == library_fields(scenario, ScenarioConfig)
+        solver = SolverConfig(eta=1.5, max_iterations=5, tolerance=0.0)
+        assert library_fields(cfg, SolverConfig) == library_fields(solver, SolverConfig)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.solver = SolverConfig()
+            cfg.eta = 2.0
 
     def test_library_configs_are_not_config_keys(self, tmp_path):
+        # noise_power_w is set from noise_dbm, never from a file
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": {}, "solver": {}}))
-        with pytest.raises(hn.ConfigError, match="unknown config field.*scenario, solver"):
+        path.write_text(json.dumps({"scenario": {}, "solver": {}, "noise_power_w": 1e-12}))
+        with pytest.raises(
+            hn.ConfigError, match="unknown config field.*noise_power_w, scenario, solver"
+        ):
             hn.parse_config(path)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(hn.ConfigError, match="trials"):
             hn.RunConfig(trials=0)
+
+    def test_missing_config_file_reported(self, tmp_path):
+        with pytest.raises(hn.ConfigError, match="cannot read config file"):
+            hn.parse_config(tmp_path / "missing.json")
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1]", encoding="utf-8")
+        with pytest.raises(hn.ConfigError, match="must hold a JSON object"):
+            hn.parse_config(path)
 
     def test_unknown_field_named(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -347,6 +371,24 @@ class TestRunDrop:
         assert by_mode["hybrid"].error is None
         assert by_mode["hybrid"].sum_rate > 0
 
+    def test_failed_hybrid_solve_flags_its_row_only(self, monkeypatch):
+        solve = hn.run_algorithm1
+
+        def frozen_solve_fails(*args, em_update=True, **kwargs):
+            if not em_update:
+                raise RuntimeError("synthetic frozen-solve failure")
+            return solve(*args, em_update=em_update, **kwargs)
+
+        monkeypatch.setattr(hn, "run_algorithm1", frozen_solve_fails)
+        records = hn.run_drop(fast_config(mode="all", pmax_dbm=(0.0, 10.0)), 1)
+        assert [r.mode for r in records] == list(hn.MODES) * 2
+        for record in records:
+            if record.mode == "hybrid":
+                assert record.error == "RuntimeError: synthetic frozen-solve failure"
+                assert math.isnan(record.sum_rate) and record.iterations == 0
+            else:
+                assert record.error is None and record.sum_rate > 0
+
     def test_failed_projection_flags_projected_row_only(self, monkeypatch):
         def projection_fails(*args, **kwargs):
             raise ValueError("synthetic projection failure")
@@ -412,6 +454,40 @@ class TestRunDrop:
         serial = hn.run_trials(fast_config(workers=1, **params))
         parallel = hn.run_trials(fast_config(workers=2, **params))
         assert [strip_wall(r) for r in serial] == [strip_wall(r) for r in parallel]
+
+
+class TestSnrShift:
+    """Moving ``pmax_dbm`` and ``noise_dbm`` together by the same dB leaves
+    the problem unchanged: the precoder scales by the square root of the
+    power ratio and every rate stays put.  Over seeds 1..10, far and near
+    field, at +-20 dB (480 row pairs), the rates moved by at most 9.2e-13
+    relative and no ``iterations`` value changed."""
+
+    POWERS_DBM = (0.0, 10.0, 20.0, 30.0)
+    RTOL = 1e-10
+
+    @pytest.mark.parametrize("field_mode", ["far", "near"])
+    def test_rows_unchanged(self, field_mode):
+        def drop(shift_db, seed):
+            config = hn.RunConfig(
+                field_mode=field_mode, mode="all", noise_dbm=-95.0 + shift_db,
+                pmax_dbm=[p + shift_db for p in self.POWERS_DBM],
+            )
+            return hn.run_drop(config, seed)
+
+        for seed in (1, 2, 3):
+            base = drop(0.0, seed)
+            for shift_db in (20.0, -20.0):
+                shifted = drop(shift_db, seed)
+                assert len(shifted) == len(base) == 3 * len(self.POWERS_DBM)
+                for want, got in zip(base, shifted):
+                    assert want.error is None and got.error is None
+                    assert (got.mode, got.iterations) == (want.mode, want.iterations)
+                    assert got.sum_rate == pytest.approx(want.sum_rate, rel=self.RTOL)
+                    if want.mode == "projected":
+                        assert got.projected_sum_rate == pytest.approx(
+                            want.projected_sum_rate, rel=self.RTOL
+                        )
 
 
 class TestPowerGrouping:
@@ -803,11 +879,11 @@ class TestTrace:
         rows = hn.convergence_trace(cfg, seed=3)
         modes = {r.mode for r in rows}
         assert modes == {"trihybrid", "hybrid"}
-        scenario = hn.generate_scenario(cfg.scenario, 3)
+        scenario = hn.generate_scenario(cfg, 3)
         for mode in modes:
             series = [r for r in rows if r.mode == mode]
             result = hn.run_algorithm1(
-                scenario, hn.dbm_to_watts(cfg.pmax_dbm[0]), cfg.solver, 3,
+                scenario, hn.dbm_to_watts(cfg.pmax_dbm[0]), cfg, 3,
                 em_update=mode != "hybrid",
             )
             numbers = [r.iteration for r in series]
@@ -948,6 +1024,13 @@ class TestCli:
             {"out_path": 7},  # would fail only after the batch ran
             {"patterns_path": 7},
             {"mode": 7},
+            {"noise_dbm": 1e5},  # overflows in watts
+            {"noise_dbm": -1e5},  # underflows to 0 W
+            {"tolerance": -1e-3},
+            {"frequency_hz": -30e9},
+            {"user_radius_m": 0.0},
+            {"pmax_dbm": []},
+            {"workers": 0},
         ],
         ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
              "max-iterations", "pmax-overflow", "noise-nan", "noise-inf",
@@ -962,7 +1045,9 @@ class TestCli:
              "noise-string", "weights-bool", "pmax-bool", "pmax-string-entry",
              "pmax-scalar", "pmax-string", "pmax-nan", "pmax-huge-int",
              "bs-position-string-entry",
-             "bs-position-scalar", "out-path-int", "patterns-path-int", "mode-int"],
+             "bs-position-scalar", "out-path-int", "patterns-path-int", "mode-int",
+             "noise-overflow", "noise-underflow", "tolerance-negative",
+             "frequency-negative", "radius-zero", "pmax-empty", "workers-zero"],
     )
     def test_malformed_knob_is_config_error(self, tmp_path, capsys, bad):
         # rejected before any trial runs, not turned into NaN rows; the file
@@ -972,7 +1057,11 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("config error:")
+        # the message names a field the case sets first, a key no field has
+        # as unknown
+        known = {f.name for f in dataclasses.fields(hn.RunConfig) if f.init}
+        prefix = "config error: " + ("" if set(bad) <= known else "unknown config field(s): ")
+        assert err.startswith(tuple(prefix + key + end for key in bad for end in ":,\n")), err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1122,6 +1211,17 @@ class TestCli:
              "--out", str(tmp_path / "r.csv")]
         )
         assert code == 1
+
+    def test_patterns_naming_a_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = cli.main(
+            ["project", "--patterns", str(tmp_path), "--trials", "1", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: {tmp_path}: cannot read candidate set")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("patterns", [5, [5]], ids=["number", "list-of-number"])
     def test_patterns_not_a_list_of_objects_is_config_error(

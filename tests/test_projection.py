@@ -349,6 +349,23 @@ class TestLoader:
             pat = proj.load_candidates("doc", data).patterns[0]
             assert pat.power == 0.0 and not np.any(pat.gain)
 
+    @pytest.mark.parametrize("field", ["theta_deg", "phi_deg"])
+    def test_axis_with_one_node_rejected(self, field):
+        doc = isotropic_doc()
+        doc["patterns"][0][field] = [90]
+        with pytest.raises(proj.PatternLoadError, match=rf"{field}: need .* at least 2 nodes"):
+            proj.load_candidates("doc", json.dumps(doc).encode())
+
+    def test_inclination_beyond_180_rejected(self):
+        doc = isotropic_doc()
+        doc["patterns"][0]["theta_deg"][-1] = 181
+        with pytest.raises(proj.PatternLoadError, match=r"theta_deg: .*\[0, 180\]"):
+            proj.load_candidates("doc", json.dumps(doc).encode())
+
+    def test_empty_pattern_list_rejected(self):
+        with pytest.raises(proj.PatternLoadError, match="doc: empty pattern list"):
+            proj.load_candidates("doc", json.dumps({"patterns": []}).encode())
+
     def test_descending_theta_rejected(self, tmp_path):
         doc = isotropic_doc()
         doc["patterns"][0]["theta_deg"] = list(reversed(doc["patterns"][0]["theta_deg"]))
@@ -787,8 +804,8 @@ class TestApplyProjection:
         # fixed-channel loop extrapolated, and now settles
         if case == "default-30dBm":
             config = hn.RunConfig()
-            scenario = generate_scenario(config.scenario, 2)
-            result = wmmse.run_algorithm1(scenario, hn.dbm_to_watts(30.0), config.solver, 2)
+            scenario = generate_scenario(config, 2)
+            result = wmmse.run_algorithm1(scenario, hn.dbm_to_watts(30.0), config, 2)
             cset = proj.steered_candidate_set()
         else:
             scenario, result = solve_small(7, field_mode=case.removeprefix("small-"))
@@ -951,13 +968,13 @@ def paper_panel():
     config = hn.RunConfig()
     panel = []
     for seed in range(1, 6):
-        scenario = generate_scenario(config.scenario, seed)
+        scenario = generate_scenario(config, seed)
         for pmax_dbm in (0.0, 30.0):
             p_max = hn.dbm_to_watts(pmax_dbm)
             panel.append((
                 scenario,
-                wmmse.run_algorithm1(scenario, p_max, config.solver, seed),
-                wmmse.run_algorithm1(scenario, p_max, config.solver, seed, em_update=False),
+                wmmse.run_algorithm1(scenario, p_max, config, seed),
+                wmmse.run_algorithm1(scenario, p_max, config, seed, em_update=False),
             ))
     return panel
 
@@ -976,12 +993,12 @@ class TestPaperFindings:
                 assert min(min_gain_on_grid(c, grid) for c in solved.iterate.coeffs) < 0.0
 
     def test_fewer_candidates_keep_less_of_the_gain(self, paper_panel):
-        solver = hn.RunConfig().solver
+        config = hn.RunConfig()
 
         def mean_kept_share(cset):
             shares = []
             for scenario, solved, frozen in paper_panel:
-                projected = proj.apply_projection(solved, scenario, cset, refit=True, config=solver)
+                projected = proj.apply_projection(solved, scenario, cset, refit=True, config=config)
                 gain = solved.sum_rate - frozen.sum_rate
                 assert gain > 0.0
                 shares.append((projected.sum_rate - frozen.sum_rate) / gain)

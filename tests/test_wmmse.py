@@ -1108,13 +1108,12 @@ class TestAlgorithm:
         # hard case (d orthogonal to A's null space); every solve must finish
         # feasible
         config = RunConfig()
-        solver = config.solver
         for pmax_dbm in (20.0, 25.0, 30.0):
             p_max = dbm_to_watts(pmax_dbm)
             for seed in range(1, 21):
-                scenario = generate_scenario(config.scenario, seed)
-                res = wmmse.run_algorithm1(scenario, p_max, solver, seed=seed)
-                reference.check_state(res.iterate, solver.eta, p_max)
+                scenario = generate_scenario(config, seed)
+                res = wmmse.run_algorithm1(scenario, p_max, config, seed=seed)
+                reference.check_state(res.iterate, config.eta, p_max)
 
     # Relative sum-rate change of a default drop (pattern solve) or of one
     # map's F_D update (hybrid solve) when the power multiplier comes from
@@ -1153,7 +1152,7 @@ class TestAlgorithm:
             return pair[0]
 
         for seed in seeds:
-            scenario = generate_scenario(config.scenario, seed)
+            scenario = generate_scenario(config, seed)
             noise = scenario.noise_powers.tolist()
             for dbm in (0.0, 10.0, 20.0, 30.0):
                 p_max = dbm_to_watts(dbm)
@@ -1161,14 +1160,14 @@ class TestAlgorithm:
                 with monkeypatch.context() as patch:
                     patch.setattr(wmmse, "update_fd", bisection if em_update else both)
                     other = wmmse.run_algorithm1(
-                        scenario, p_max, config.solver, seed, em_update=em_update
+                        scenario, p_max, config, seed, em_update=em_update
                     )
                 if not em_update:
                     assert len(maps) == other.iterations
                     for newton, oracle in maps:
                         assert newton == pytest.approx(oracle, rel=self.SUM_RATE_RTOL)
                     continue
-                newton = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
+                newton = wmmse.run_algorithm1(scenario, p_max, config, seed)
                 assert newton.iterations == other.iterations
                 assert newton.sum_rate == pytest.approx(other.sum_rate, rel=self.SUM_RATE_RTOL)
 
@@ -1182,17 +1181,17 @@ class TestAlgorithm:
     @pytest.mark.parametrize("seed", [3, 7])
     def test_range_sweep_tracks_dense_sweep_oracle(self, monkeypatch, seed):
         config = RunConfig()
-        scenario = generate_scenario(config.scenario, seed)
+        scenario = generate_scenario(config, seed)
         for dbm in (0.0, 10.0, 20.0, 30.0):
             p_max = dbm_to_watts(dbm)
-            fast = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
+            fast = wmmse.run_algorithm1(scenario, p_max, config, seed)
             with monkeypatch.context() as patch:
                 # the solve passes the blocks' AC factors; the dense sweep
                 # reads only the blocks they hold
                 patch.setattr(
                     wmmse, "update_em", lambda factors, *args: dense_sweep(factors.blocks, *args)
                 )
-                oracle = wmmse.run_algorithm1(scenario, p_max, config.solver, seed)
+                oracle = wmmse.run_algorithm1(scenario, p_max, config, seed)
             assert fast.iterations == oracle.iterations
             assert fast.sum_rate == pytest.approx(oracle.sum_rate, rel=self.RANGE_SWEEP_RTOL)
 
@@ -1272,7 +1271,6 @@ class TestAlgorithm:
         )
         assert refit.iterate.coeffs is None
         assert_iterates_equal(refit.iterate, res.iterate._replace(coeffs=None))
-        assert refit.v == res.v
         assert [record_fields(rec) for rec in refit.history] == [
             record_fields(rec) for rec in res.history
         ]
@@ -1321,8 +1319,7 @@ class TestLoopMatchesReference:
                 factors if em_update else None,
             )
             x = res.iterate
-            return (x.h, x.f_d, np.array(res.v), np.array(x.w), res.history, res.converged,
-                    res.iterations)
+            return x.h, x.f_d, np.array(x.w), res.history, res.converged, res.iterations
         return loop(
             h, f_d, weights, noise, p_max, config, pattern_step if em_update else None
         )
@@ -1340,20 +1337,19 @@ class TestLoopMatchesReference:
              "capped"],
     )
     def test_history_bit_equal(self, field_mode, dbm, em_update, max_iterations, seed):
-        run_config = RunConfig(field_mode=field_mode, max_iterations=max_iterations)
-        scenario = generate_scenario(run_config.scenario, seed)
-        config = run_config.solver
+        config = RunConfig(field_mode=field_mode, max_iterations=max_iterations)
+        scenario = generate_scenario(config, seed)
         args = (scenario, dbm_to_watts(dbm), config, seed, em_update)
-        h, f_d, v, w, history, converged, maps = self.run(wmmse._alternate, *args)
+        h, f_d, w, history, converged, maps = self.run(wmmse._alternate, *args)
         ref = self.run(reference.alternate, *args)
-        assert (converged, maps) == ref[5:]
+        assert (converged, maps) == ref[4:]
         if max_iterations < 100:
             assert not converged and len(history) == maps == max_iterations
         assert len(history) <= maps
-        for got, want in zip((h, f_d, v, w), ref):
+        for got, want in zip((h, f_d, w), ref):
             np.testing.assert_array_equal(got, want)
-        assert len(history) == len(ref[4]) > 1
-        for got, want in zip(history, ref[4]):
+        assert len(history) == len(ref[3]) > 1
+        for got, want in zip(history, ref[3]):
             assert (
                 got.iteration, got.sum_rate, got.objective, got.objective_after_v,
                 got.objective_after_w, got.objective_after_fd,
@@ -1397,8 +1393,8 @@ class TestOuterStep:
 
     @staticmethod
     def solve_args(em_update, seed=5):
-        run_config = RunConfig()
-        scenario = generate_scenario(run_config.scenario, seed)
+        config = RunConfig()
+        scenario = generate_scenario(config, seed)
         blocks, n_t = scenario.blocks, scenario.geometry.n_t
         rng = np.random.default_rng(seed)
         coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, ETA, rng)
@@ -1409,7 +1405,7 @@ class TestOuterStep:
         else:
             x, factors = wmmse.Iterate.start(h, f_d), None
         rest = (scenario.weights.tolist(), scenario.noise_powers.tolist(), P_MAX)
-        return x, rest, run_config.solver, factors
+        return x, rest, config, factors
 
     @pytest.mark.parametrize("em_update", [True, False], ids=["pattern", "frozen"])
     def test_step_twice_from_one_iterate_is_bit_equal(self, em_update):
@@ -1422,8 +1418,7 @@ class TestOuterStep:
         first = wmmse.outer_step(x, 4, *rest, factors)
         second = wmmse.outer_step(x, 4, *rest, factors)
         assert_iterates_equal(first[0], second[0])
-        assert first[1] == second[1]  # v
-        assert record_fields(first[2]) == record_fields(second[2])
+        assert record_fields(first[1]) == record_fields(second[1])
         assert (x.w, x.log_w, x.links) == (w, log_w, links)
         assert (first[0].coeffs is None) == (not em_update)
 
@@ -1448,14 +1443,13 @@ class TestOuterStep:
             assert got.iteration + j == want.iteration
             assert record_fields(got)[1:] == record_fields(want)[1:]
         assert_iterates_equal(resumed.iterate, whole.iterate)
-        assert resumed.v == whole.v
 
 
 class TestSolverConfig:
     def test_zero_tolerance_stops_on_an_equal_rate(self):
         # |change| <= 0 * rate holds once the rate repeats bit for bit, which
         # this frozen solve reaches long before its cap
-        scenario = generate_scenario(RunConfig().scenario, 3)
+        scenario = generate_scenario(RunConfig(), 3)
         config = wmmse.SolverConfig(max_iterations=2000, tolerance=0.0)
         res = wmmse.run_algorithm1(scenario, dbm_to_watts(0.0), config, em_update=False)
         assert res.converged and res.iterations == 11 and len(res.history) == 8
@@ -1467,12 +1461,21 @@ class TestSolverConfig:
         assert config.max_iterations == 100
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # each check names its field first
+        with pytest.raises(ValueError, match=r"^eta: must lie in"):
             wmmse.SolverConfig(eta=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eta: must lie in"):
             wmmse.SolverConfig(eta=4.0)  # sqrt(4 pi) ~ 3.545
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_iterations: must be >= 1, got 0$"):
             wmmse.SolverConfig(max_iterations=0)
+        for tolerance in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^tolerance: must be finite and nonnegative"):
+                wmmse.SolverConfig(tolerance=tolerance)
+
+
+def test_matched_filter_rejects_an_all_zero_channel():
+    with pytest.raises(ValueError, match="all-zero channel"):
+        wmmse.matched_filter_precoder(np.zeros((2, 9), dtype=complex), P_MAX)
 
 
 def plain_solve(scenario, p_max, config):
@@ -1486,7 +1489,7 @@ def plain_solve(scenario, p_max, config):
     weights, noise = scenario.weights.tolist(), scenario.noise_powers.tolist()
     prev = None
     for it in range(1, config.max_iterations + 1):
-        x, _, record = wmmse.outer_step(x, it, weights, noise, p_max, None)
+        x, record = wmmse.outer_step(x, it, weights, noise, p_max, None)
         rate = record.sum_rate
         if prev is not None and abs(rate - prev) <= config.tolerance * max(abs(prev), 1e-12):
             return rate, it, True
