@@ -1,12 +1,23 @@
 """Factor a fully digital precoder into analog (phase-shifter) and baseband
-parts by alternating least squares and phase projection.
+parts, F_D ~ F_RF F_BB, with every analog entry of modulus 1/sqrt(N_T).
 
-The analog precoder is entrywise constrained to modulus 1/sqrt(N_T).  Each
-iteration solves the baseband matrix exactly by least squares, then proposes
-re-projecting the phases of F_D F_BB^H; the proposal is kept only when it
-does not increase the Frobenius residual, so the residual sequence is
-non-increasing by construction.  A final scaling of the baseband matrix
-keeps the total transmit power within budget.
+Two regimes, by the number of RF chains N_RF against the K users:
+
+* N_RF >= 2K: every F_D splits exactly, in closed form (Sohrabi & Yu 2016,
+  "Hybrid digital and analog beamforming design for large-scale antenna
+  arrays").  Each entry x of F_D is the sum of two unit-modulus terms,
+  beta (e^{j phi_1} + e^{j phi_2}) / sqrt(N_T), with beta = sqrt(N_T)
+  max|x| / 2 and phi_1,2 = arg x +- arccos(|x| sqrt(N_T) / (2 beta)).
+  Chains k and K + k carry the two phases of user k's column, and
+  F_BB = beta [I_K; I_K]; extra chains get zero rows of F_BB.
+* K <= N_RF < 2K: alternating least squares and phase projection.  Each
+  iteration solves the baseband matrix exactly by least squares, then
+  proposes re-projecting the phases of F_D F_BB^H; the proposal is kept
+  only when it does not increase the Frobenius residual, so the residual
+  sequence is non-increasing by construction.
+
+A final scaling of the baseband matrix keeps the total transmit power
+within budget.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ class HybridFactors:
     f_rf: np.ndarray  # (N_T, N_RF), |entry|^2 = 1/N_T
     f_bb: np.ndarray  # (N_RF, K)
     residual: float  # Frobenius norm of F_D - F_RF F_BB for the returned pair
-    residual_history: np.ndarray  # in-loop residuals, non-increasing
+    residual_history: np.ndarray  # ALS's in-loop residuals, non-increasing; [residual] if exact
 
     @property
     def product(self) -> np.ndarray:
@@ -48,26 +59,28 @@ def _lstsq(f_rf, f_d):
     return np.linalg.lstsq(f_rf, f_d, rcond=None)[0]
 
 
-def decompose(
-    f_d: np.ndarray,
-    n_rf: int,
-    p_max: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> HybridFactors:
-    """Approximate F_D by F_RF F_BB with unit-modulus analog entries.
-
-    The analog matrix starts from the entrywise phases of [F_D, random
-    columns]; ``p_max`` defaults to the power of ``f_d`` itself.  Requires
-    K <= n_rf <= N_T.
-    """
-    f_d = np.asarray(f_d, dtype=complex)
+def _exact_split(f_d: np.ndarray, n_rf: int) -> tuple:
+    """The closed-form pair with F_RF F_BB = F_D, for n_rf >= 2K."""
     n_t, k = f_d.shape
-    if not k <= n_rf <= n_t:
-        raise ValueError(f"need K <= N_RF <= N_T, got K={k}, N_RF={n_rf}, N_T={n_t}")
-    if p_max is None:
-        p_max = float(np.sum(np.abs(f_d) ** 2))
-    rng = rng or np.random.default_rng(0)
+    root = math.sqrt(n_t)
+    mag = np.abs(f_d)
+    beta = root * float(mag.max()) / 2.0
+    # the clamp keeps the largest entry's arccos real under rounding; an
+    # all-zero F_D has beta = 0 and takes arccos(0)
+    ratio = np.minimum(mag * (root / (2.0 * beta)), 1.0) if beta > 0 else mag
+    spread, angle = np.arccos(ratio), np.angle(f_d)
+    f_rf = np.ones((n_t, n_rf), dtype=complex)
+    f_rf[:, :k] = np.exp(1j * (angle + spread))
+    f_rf[:, k : 2 * k] = np.exp(1j * (angle - spread))
+    f_rf /= root
+    f_bb = np.zeros((n_rf, k), dtype=complex)
+    f_bb[:k] = f_bb[k : 2 * k] = beta * np.eye(k)
+    return f_rf, f_bb
 
+
+def _alternating_least_squares(f_d: np.ndarray, n_rf: int, rng) -> tuple:
+    """The ALS pair and its in-loop residuals, for K <= n_rf < 2K."""
+    n_t, k = f_d.shape
     extra = rng.standard_normal((n_t, n_rf - k)) + 1j * rng.standard_normal((n_t, n_rf - k))
     f_rf = phase_projection(np.concatenate([f_d, extra], axis=1))
     f_bb = _lstsq(f_rf, f_d)
@@ -86,6 +99,37 @@ def decompose(
         history.append(residual)
         if change <= TOLERANCE * max(residual, 1e-30):
             break
+    return f_rf, f_bb, history
+
+
+def decompose(
+    f_d: np.ndarray,
+    n_rf: int,
+    p_max: float | None = None,
+    rng: np.random.Generator | None = None,
+) -> HybridFactors:
+    """Factor F_D into F_RF F_BB with unit-modulus analog entries.
+
+    With n_rf >= 2K the split is exact and closed form (Sohrabi & Yu 2016;
+    see the module docstring): its history is ``[residual]``, and ``rng``
+    is unused.  With K <= n_rf < 2K it is alternating least squares, whose
+    analog matrix starts from the entrywise phases of [F_D, random columns
+    from ``rng``].  ``p_max`` defaults to the power of ``f_d`` itself.
+    Requires K <= n_rf <= N_T.
+    """
+    f_d = np.asarray(f_d, dtype=complex)
+    n_t, k = f_d.shape
+    if not k <= n_rf <= n_t:
+        raise ValueError(f"need K <= N_RF <= N_T, got K={k}, N_RF={n_rf}, N_T={n_t}")
+    if p_max is None:
+        p_max = float(np.sum(np.abs(f_d) ** 2))
+    history = None
+    if n_rf >= 2 * k:
+        f_rf, f_bb = _exact_split(f_d, n_rf)
+    else:
+        f_rf, f_bb, history = _alternating_least_squares(
+            f_d, n_rf, rng or np.random.default_rng(0)
+        )
 
     power = float(np.sum(np.abs(f_rf @ f_bb) ** 2))
     if power > p_max:
@@ -95,7 +139,7 @@ def decompose(
         f_rf=f_rf,
         f_bb=f_bb,
         residual=final_residual,
-        residual_history=np.asarray(history),
+        residual_history=np.asarray(history or [final_residual]),
     )
 
 

@@ -137,10 +137,6 @@ class RunConfig(ScenarioConfig, SolverConfig):
             _require_pattern_degree(self.truncation)
         if not self.pmax_dbm:
             raise ConfigError("pmax_dbm: need a nonempty list of finite powers")
-        if not self.n_users <= self.n_rf <= self.n_h * self.n_v:
-            raise ConfigError(
-                f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}"
-            )
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
@@ -151,6 +147,11 @@ class RunConfig(ScenarioConfig, SolverConfig):
             SolverConfig.__post_init__(self)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        # after the array sizes, which the range reads, are checked
+        if not self.n_users <= self.n_rf <= self.n_h * self.n_v:
+            raise ConfigError(
+                f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}"
+            )
 
     def modes(self) -> tuple:
         return MODES if self.mode == "all" else (self.mode,)

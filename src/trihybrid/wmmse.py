@@ -528,7 +528,9 @@ class SolverResult:
     history: list  # one IterationRecord per kept map
     converged: bool  # the rate settled before the iteration cap
     p_max: float  # power budget of the solve, watts
-    iterations: int  # maps spent, kept or not
+    # loop steps spent, kept or not: each plain map and each extrapolation
+    # attempt, also one whose map was skipped as already rejected
+    iterations: int
 
     @property
     def sum_rate(self) -> float:
@@ -572,8 +574,9 @@ def outer_step(x: Iterate, it, weights, noise, p_max, factors):
 
 
 def extrapolated_step(x: Iterate, it, weights, noise, p_max):
-    """Map ``it`` of a fixed-channel solve after two plain maps: one SQUAREM
-    extrapolation of F_D and one stabilising map G from the point it gives.
+    """Loop step ``it`` of a fixed-channel solve after two plain maps: one
+    SQUAREM extrapolation of F_D and one stabilising map G from the point
+    it gives.
 
     With F_0, F_1 = ``x.pending`` and F_2 = ``x.f_d``, r = F_1 - F_0,
     u = F_2 - 2 F_1 + F_0 and alpha = -||r||_F / ||u||_F.  Only a step
@@ -583,9 +586,11 @@ def extrapolated_step(x: Iterate, it, weights, noise, p_max):
     fresh v at them, so the map's objective after v is sum(beta) -
     ln 2 rate(F').  G's result is kept only when its rate beats x's and its
     objective after v is at most x's recorded objective, so acceptance 04's
-    chain and the non-decreasing rate hold across it.  Returns what
-    ``outer_step`` returns, with nothing pending, or None when G's result
-    is not kept and the solve continues from x."""
+    chain and the non-decreasing rate hold across it.  That objective is
+    formed here, exactly as G forms it, and G runs only when it passes.
+    Returns what ``outer_step`` returns, with nothing pending, or None when
+    G's result would not be kept (G then may not have run) and the solve
+    continues from x."""
     f_0, f_1 = x.pending
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
@@ -599,12 +604,16 @@ def extrapolated_step(x: Iterate, it, weights, noise, p_max):
     if power > p_max:
         f_d = f_d * math.sqrt(p_max / power)
     links = link_stats(x.h @ f_d)
-    w = update_w(links, update_v(links, noise))
-    start = x._replace(f_d=f_d, w=w, log_w=[math.log(wk) for wk in w], links=links)
+    v = update_v(links, noise)
+    w = update_w(links, v)
+    log_w = [math.log(wk) for wk in w]
+    # G's objective after v: its first block forms this v again and scores
+    # it with this w
+    if wmmse_objective(w, mse_vector(links, v, noise), weights, log_w) > x.objective:
+        return None
+    start = x._replace(f_d=f_d, w=w, log_w=log_w, links=links)
     y, record = outer_step(start, it, weights, noise, p_max, None)
-    if record.sum_rate > sum_rate(x.links, weights, noise) and (
-        record.objective_after_v <= x.objective
-    ):
+    if record.sum_rate > sum_rate(x.links, weights, noise):
         return y._replace(pending=()), record
     return None
 
@@ -612,12 +621,13 @@ def extrapolated_step(x: Iterate, it, weights, noise, p_max):
 def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> SolverResult:
     """Maps from ``x``, with ``weights`` and ``noise`` made lists of floats
     once, until the relative sum-rate change between two kept maps is at
-    most ``config.tolerance`` or ``config.max_iterations`` maps are spent.
-    A map is ``outer_step``, or ``extrapolated_step`` once a fixed-channel
-    iterate has two precoders pending; an extrapolation that is not kept
-    spends its map and leaves no record.  Returns the solve's result: the
-    last kept iterate, the history, whether the rate settled and the maps
-    spent."""
+    most ``config.tolerance`` or ``config.max_iterations`` loop steps are
+    spent.  A step is ``outer_step``, or ``extrapolated_step`` once a
+    fixed-channel iterate has two precoders pending; an extrapolation that
+    is not kept spends its step and leaves no record, whether its
+    stabilising map ran or was skipped as already rejected.  Returns the
+    solve's result: the last kept iterate, the history, whether the rate
+    settled and the steps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     noise = np.asarray(noise, dtype=float).tolist()
     history: list[IterationRecord] = []

@@ -94,6 +94,65 @@ class TestDecompose:
         np.testing.assert_array_equal(a.f_bb, b.f_bb)
 
 
+def exact_split_fds(rng, n_t, k):
+    """F_D within the budget P_MAX for the exact split: random draws at and
+    below it, one with a zero entry, and one whose largest modulus is held
+    by several entries."""
+    fds = [random_fd(rng, n_t, k, P_MAX * scale) for scale in (1.0, 0.5, 1e-6)]
+    zero = random_fd(rng, n_t, k, P_MAX)
+    zero[n_t // 2, k - 1] = 0.0
+    tied = random_fd(rng, n_t, k)
+    # moduli exactly equal to the largest one, also after the real scaling
+    tied.flat[[0, 2, tied.size - 1]] = np.abs(tied).max() * np.array([-1.0, 1j, 1.0])
+    tied *= math.sqrt(0.5 * P_MAX / np.sum(np.abs(tied) ** 2))
+    return fds + [zero, tied]
+
+
+class TestExactSplit:
+    """With N_RF >= 2K every F_D splits exactly into unit-modulus chains and
+    F_BB = beta [I_K; I_K] (Sohrabi & Yu 2016), with zero rows of F_BB for
+    the extra chains; the final budget scaling leaves it within P_MAX."""
+
+    N_T = 9
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("extra", ["2K", "2K+1", "N_T"])
+    def test_exact_within_budget(self, k, extra):
+        n_rf = {"2K": 2 * k, "2K+1": 2 * k + 1, "N_T": self.N_T}[extra]
+        rng = np.random.default_rng(100 * k + n_rf)
+        for f_d in exact_split_fds(rng, self.N_T, k):
+            factors = dec.decompose(f_d, n_rf, p_max=P_MAX)
+            assert factors.f_rf.shape == (self.N_T, n_rf) and factors.f_bb.shape == (n_rf, k)
+            assert factors.residual <= 1e-12 * np.linalg.norm(f_d)
+            np.testing.assert_array_equal(factors.residual_history, [factors.residual])
+            np.testing.assert_allclose(
+                np.abs(factors.f_rf) ** 2, 1.0 / self.N_T, rtol=0, atol=1e-12
+            )
+            assert float(np.sum(np.abs(factors.product) ** 2)) <= P_MAX
+            assert not np.any(factors.f_bb[2 * k :])
+
+    def test_all_zero_precoder(self):
+        factors = dec.decompose(np.zeros((self.N_T, 2), dtype=complex), 4)
+        assert factors.residual == 0.0
+        np.testing.assert_allclose(np.abs(factors.f_rf) ** 2, 1.0 / self.N_T, atol=1e-15)
+
+    def test_needs_no_rng(self):
+        f_d = random_fd(np.random.default_rng(13))
+        a = dec.decompose(f_d, 4, p_max=P_MAX, rng=np.random.default_rng(1))
+        b = dec.decompose(f_d, 4, p_max=P_MAX)
+        np.testing.assert_array_equal(a.f_rf, b.f_rf)
+        np.testing.assert_array_equal(a.f_bb, b.f_bb)
+
+    def test_als_below_twice_the_users(self):
+        # K <= N_RF < 2K keeps alternating least squares, which starts from
+        # random columns and is not exact
+        f_d = random_fd(np.random.default_rng(14), k=3, power=P_MAX)
+        a, b = (dec.decompose(f_d, 4, p_max=P_MAX, rng=np.random.default_rng(s))
+                for s in (1, 2))
+        assert min(a.residual, b.residual) > 1e-6 * math.sqrt(P_MAX)
+        assert a.residual != b.residual
+
+
 class TestSumRateLoss:
     def _channel_and_fd(self, seed):
         scenario = generate_scenario(ScenarioConfig(), seed=seed)

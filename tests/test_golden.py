@@ -7,8 +7,9 @@ by running this module from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
-which keeps each committed value that the rerun matches within ``RTOL`` and
-writes only the values that moved past it, and the rows that are new.
+which keeps each committed value that the rerun matches within its
+tolerance (``RTOL``, ``EXTRAPOLATED_RTOL`` or ``EXACT_SPLIT_ATOL``) and writes
+only the values that moved past it, and the rows that are new.
 """
 
 import csv
@@ -43,13 +44,32 @@ RTOL = {"sum_rate": 1e-9, "projected_sum_rate": 1e-9, "decomp_residual": 5e-2}
 # the solver's stopping tolerance, 1e-5, the relative rate change it
 # treats as settled; trihybrid rows keep RTOL.
 EXTRAPOLATED_RTOL = 1e-5
+# With N_RF >= 2K the decomposition is the exact closed-form split, and its
+# residual is rounding plus the final budget scaling: update_fd may leave
+# F_D up to MULTIPLIER_TOL = 1e-10 over p_max, so the scaled pair misses F_D
+# by about 5e-11 sqrt(p_max).  Such a row's decomp_residual compares to this
+# absolute bound times sqrt(p_max), not relative: the two values are both
+# rounding-level, and a relative tolerance on them would flake under another
+# numpy.  The K = 3, N_RF = 4 group runs alternating least squares and keeps
+# RTOL.
+EXACT_SPLIT_ATOL = 1e-9
+
+
+def panel_configs() -> list[hn.RunConfig]:
+    return [hn.RunConfig(**{"mode": "all", "trials": 3, "seed": 1, **group}) for group in PANEL]
 
 
 def panel_rows() -> list[hn.TrialRecord]:
-    rows = []
-    for group in PANEL:
-        rows += hn.run_trials(hn.RunConfig(**{"mode": "all", "trials": 3, "seed": 1, **group}))
-    return rows
+    return [row for config in panel_configs() for row in hn.run_trials(config)]
+
+
+def panel_exact_split() -> list[bool]:
+    """Per panel row, whether its decomposition is the exact split (N_RF >= 2K)."""
+    return [
+        config.n_rf >= 2 * config.n_users
+        for config in panel_configs()
+        for _ in range(config.trials * len(config.pmax_dbm) * len(config.modes()))
+    ]
 
 
 def _cell(value) -> str:
@@ -59,20 +79,23 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_golden(path=GOLDEN, rows=None) -> tuple[Counter, int]:
+def write_golden(path=GOLDEN, rows=None, exact=None) -> tuple[Counter, int]:
     """Write ``rows`` (dicts by column; the panel's when None) to ``path``,
     each value in place of the committed one at its row and column unless
-    that one matches it within RTOL, so rounding noise leaves the file as
-    it was.
+    that one matches it within its tolerance, so rounding noise leaves the
+    file as it was.  ``exact`` flags the rows whose decomposition is the
+    exact split (the panel's when ``rows`` is None; none otherwise).
 
-    Returns how many rows moved past RTOL in each column, and how many rows
-    are new."""
+    Returns how many rows moved past their tolerance in each column, and
+    how many rows are new."""
     if rows is None:
         records = panel_rows()
         failed = [row for row in records if row.error is not None]
         if failed:
             raise RuntimeError(f"{len(failed)} panel row(s) failed: {failed[0].error}")
         rows = [{column: getattr(row, column) for column in COLUMNS} for row in records]
+        exact = panel_exact_split()
+    exact = exact or [False] * len(rows)
     golden = read_golden(path) if path.exists() else []
     moved = Counter()
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -81,7 +104,7 @@ def write_golden(path=GOLDEN, rows=None) -> tuple[Counter, int]:
         for i, row in enumerate(rows):
             if i < len(golden):
                 past = [c for c in COLUMNS
-                        if not _matches(c, row[c], golden[i][c], golden[i]["mode"])]
+                        if not _matches(c, row[c], golden[i], exact[i])]
                 moved.update(past)
                 row = {c: row[c] if c in past else golden[i][c] for c in COLUMNS}
             out.writerow(_cell(row[column]) for column in COLUMNS)
@@ -98,9 +121,17 @@ def read_golden(path=GOLDEN) -> list[dict]:
         ]
 
 
-def _matches(column, got, want, mode) -> bool:
+def _exact_split_bound(golden_row) -> float:
+    return EXACT_SPLIT_ATOL * math.sqrt(hn.dbm_to_watts(golden_row["pmax_dbm"]))
+
+
+def _matches(column, got, golden_row, exact) -> bool:
+    """Whether ``got`` matches the golden row's value of ``column``."""
+    want, mode = golden_row[column], golden_row["mode"]
     if column not in RTOL or got is None or want is None:
         return got == want
+    if column == "decomp_residual" and exact:
+        return abs(got - want) <= _exact_split_bound(golden_row)
     extrapolated = column == "projected_sum_rate" or (column, mode) == ("sum_rate", "hybrid")
     rtol = EXTRAPOLATED_RTOL if extrapolated else RTOL[column]
     return math.isclose(got, want, rel_tol=rtol, abs_tol=0.0)
@@ -109,16 +140,20 @@ def _matches(column, got, want, mode) -> bool:
 def test_panel_matches_golden_rows():
     golden = read_golden()
     rows = panel_rows()
-    assert len(golden) == len(rows) == 60
+    exact = panel_exact_split()
+    assert len(golden) == len(rows) == len(exact) == 60
+    assert sum(exact) == 51  # all but the K = 3, N_RF = 4 group's 9 rows
     assert [row.error for row in rows] == [None] * len(rows)
     moved = {}
     for column in COLUMNS:
-        pairs = [(getattr(row, column), want[column]) for row, want in zip(rows, golden)]
-        bad = [(i, got, want) for i, (got, want) in enumerate(pairs)
-               if not _matches(column, got, want, golden[i]["mode"])]
+        bad = [(i, getattr(row, column), want[column])
+               for i, (row, want) in enumerate(zip(rows, golden))
+               if not _matches(column, getattr(row, column), want, exact[i])]
         if bad:
             moved[column] = f"{len(bad)} row(s), first (row, got, golden) {bad[0]}"
     assert not moved, f"science columns moved: {moved}"
+    assert all(row.decomp_residual <= _exact_split_bound(want)
+               for row, want, flag in zip(rows, golden, exact) if flag)
 
 
 def test_rewrite_keeps_rows_within_tolerance(tmp_path):
@@ -141,8 +176,17 @@ def test_rewrite_keeps_rows_within_tolerance(tmp_path):
     assert read_golden(path) == [
         row | moved, row | {"seed": 2, "decomp_residual": 0.5}, row | {"seed": 3}
     ]
+    # an exact-split row's residual compares to 1e-9 sqrt(p_max) absolute
+    path = tmp_path / "exact.csv"
+    tiny = row | {"decomp_residual": 2e-17}
+    assert write_golden(path, [tiny], exact=[True]) == ({}, 1)
+    assert write_golden(path, [tiny | {"decomp_residual": 3e-17}], exact=[True]) == ({}, 0)
+    assert write_golden(path, [tiny | {"decomp_residual": 4e-11}], exact=[True]) == (
+        {"decomp_residual": 1}, 0
+    )
+    assert write_golden(path, [tiny], exact=[False]) == ({"decomp_residual": 1}, 0)
 
 
 if __name__ == "__main__":
     moved, new = write_golden()
-    print(f"wrote {GOLDEN}: rows moved past RTOL per column {dict(moved)}, {new} new")
+    print(f"wrote {GOLDEN}: rows moved past tolerance per column {dict(moved)}, {new} new")

@@ -272,6 +272,12 @@ class TestConfig:
         with pytest.raises(hn.ConfigError, match="n_rf"):
             hn.RunConfig(n_rf=10)  # above n_h * n_v
 
+    @pytest.mark.parametrize("field", ["n_h", "n_v"])
+    def test_empty_array_names_the_array_size(self, field):
+        # the n_rf range reads n_h * n_v, so the array size is checked first
+        with pytest.raises(hn.ConfigError, match=r"^n_h, n_v, n_users and n_paths: "):
+            hn.RunConfig(**{field: 0})
+
     def test_invalid_mode(self):
         with pytest.raises(hn.ConfigError, match="mode"):
             hn.RunConfig(mode="quad")

@@ -1139,7 +1139,11 @@ class TestAlgorithm:
         # solve takes.  The pattern solve runs plain maps: its whole solves
         # are compared.
         config = RunConfig(field_mode=field_mode)
-        update_fd = wmmse.update_fd
+        update_fd, outer_step = wmmse.update_fd, wmmse.outer_step
+
+        def counted(*args):
+            steps.append(args[1])
+            return outer_step(*args)
 
         def bisection(basis, *args):
             # the loop passes the thin QR of H^H; the oracle takes H
@@ -1156,14 +1160,17 @@ class TestAlgorithm:
             noise = scenario.noise_powers.tolist()
             for dbm in (0.0, 10.0, 20.0, 30.0):
                 p_max = dbm_to_watts(dbm)
-                maps = []
+                maps, steps = [], []
                 with monkeypatch.context() as patch:
                     patch.setattr(wmmse, "update_fd", bisection if em_update else both)
+                    patch.setattr(wmmse, "outer_step", counted)
                     other = wmmse.run_algorithm1(
                         scenario, p_max, config, seed, em_update=em_update
                     )
                 if not em_update:
-                    assert len(maps) == other.iterations
+                    # one F_D update per map evaluated; a loop step whose
+                    # extrapolation is already rejected evaluates none
+                    assert len(maps) == len(steps) <= other.iterations
                     for newton, oracle in maps:
                         assert newton == pytest.approx(oracle, rel=self.SUM_RATE_RTOL)
                     continue
@@ -1540,6 +1547,34 @@ class TestExtrapolation:
         assert sum(converged) >= 0.9 * len(converged)
         # update_fd meets the budget within MULTIPLIER_TOL of it
         assert powers and max(powers) <= 1.0 + 2 * wmmse.MULTIPLIER_TOL
+
+    @pytest.mark.parametrize(
+        "field_mode,dbm,seed", [("far", 30.0, 2), ("near", 0.0, 1)],
+        ids=["far-30dBm-frozen-rejects", "near-0dBm-frozen"],
+    )
+    def test_rejected_extrapolation_skips_its_map(self, monkeypatch, field_mode, dbm, seed):
+        # an extrapolation whose objective after v already exceeds the last
+        # kept objective is rejected before its stabilising map runs; the
+        # loop step still counts, and the history equals the reference
+        # loop's, which runs every stabilising map
+        config = RunConfig(field_mode=field_mode)
+        args = (generate_scenario(config, seed), dbm_to_watts(dbm), config, seed, False)
+        step = wmmse.outer_step
+        calls = []
+
+        def counted(*step_args):
+            calls.append(step_args[1])
+            return step(*step_args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wmmse, "outer_step", counted)
+            got = TestLoopMatchesReference.run(wmmse._alternate, *args)
+        ref = TestLoopMatchesReference.run(reference.alternate, *args)
+        assert len(calls) < got[5] == ref[5]
+        assert got[4] == ref[4]
+        for a, b in zip(got[:3], ref[:3]):
+            np.testing.assert_array_equal(a, b)
+        assert [record_fields(r) for r in got[3]] == [record_fields(r) for r in ref[3]]
 
 
 def permuted_users(scenario, order):
