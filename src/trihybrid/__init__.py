@@ -28,7 +28,7 @@ from .channel import (
     generate_scenario,
     near_field_arv,
 )
-from .decomposition import HybridFactors, decompose, phase_projection, sum_rate_loss
+from .decomposition import HybridFactors, decompose, phase_projection
 from .harmonics import (
     AngularGrid,
     basis_vector,
@@ -88,7 +88,6 @@ __all__ = [
     "solve_ac_subproblem",
     "steered_candidate_set",
     "sum_rate",
-    "sum_rate_loss",
     "synthesize_gain",
 ]
 

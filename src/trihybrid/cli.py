@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         for field, (flag, spec) in FLAGS.items():
             if field not in unread:
                 sp.add_argument(flag, dest=field, **spec)
-        sp.add_argument("-v", "--verbose", action="store_true", help="log per-trial info")
     return parser
 
 
@@ -119,10 +118,8 @@ def _print_summary(records, config) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # failed trials log their errors at ERROR
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     _, unread, defaults = SUBCOMMANDS[args.command]
     overrides = {k: v for k, v in vars(args).items() if k in FLAGS}
     try:

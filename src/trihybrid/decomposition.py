@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wmmse import link_stats, sum_rate
-
 MAX_ITERATIONS = 200  # cap on alternating steps
 TOLERANCE = 1e-8  # stop once a step lowers the residual by less than this, relative
 
@@ -41,10 +39,6 @@ class HybridFactors:
     f_bb: np.ndarray  # (N_RF, K)
     residual: float  # Frobenius norm of F_D - F_RF F_BB for the returned pair
     residual_history: np.ndarray  # ALS's in-loop residuals, non-increasing; [residual] if exact
-
-    @property
-    def product(self) -> np.ndarray:
-        return self.f_rf @ self.f_bb
 
 
 def phase_projection(m: np.ndarray) -> np.ndarray:
@@ -106,15 +100,17 @@ def decompose(
     f_d: np.ndarray,
     n_rf: int,
     p_max: float | None = None,
-    rng: np.random.Generator | None = None,
+    rng=None,
 ) -> HybridFactors:
     """Factor F_D into F_RF F_BB with unit-modulus analog entries.
 
     With n_rf >= 2K the split is exact and closed form (Sohrabi & Yu 2016;
     see the module docstring): its history is ``[residual]``, and ``rng``
-    is unused.  With K <= n_rf < 2K it is alternating least squares, whose
+    is not read.  With K <= n_rf < 2K it is alternating least squares, whose
     analog matrix starts from the entrywise phases of [F_D, random columns
-    from ``rng``].  ``p_max`` defaults to the power of ``f_d`` itself.
+    from ``np.random.default_rng(rng)``]: ``rng`` is a seed (an int or a
+    sequence of ints), a Generator, which is drawn from as it is, or None
+    for seed 0.  ``p_max`` defaults to the power of ``f_d`` itself.
     Requires K <= n_rf <= N_T.
     """
     f_d = np.asarray(f_d, dtype=complex)
@@ -128,7 +124,7 @@ def decompose(
         f_rf, f_bb = _exact_split(f_d, n_rf)
     else:
         f_rf, f_bb, history = _alternating_least_squares(
-            f_d, n_rf, rng or np.random.default_rng(0)
+            f_d, n_rf, np.random.default_rng(0 if rng is None else rng)
         )
 
     power = float(np.sum(np.abs(f_rf @ f_bb) ** 2))
@@ -141,10 +137,3 @@ def decompose(
         residual=final_residual,
         residual_history=np.asarray(history or [final_residual]),
     )
-
-
-def sum_rate_loss(f_d, factors: HybridFactors, channels, weights, noise_powers) -> float:
-    """Sum-rate drop from replacing the digital precoder by the factor pair."""
-    full = sum_rate(link_stats(channels @ f_d), weights, noise_powers)
-    approx = sum_rate(link_stats(channels @ factors.product), weights, noise_powers)
-    return full - approx

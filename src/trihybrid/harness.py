@@ -2,9 +2,11 @@
 
 A run is fully determined by (config, base seed): trial t draws its scenario
 from seed ``base + t``, once for all of the configured powers, and every
-solver and decomposition step is seeded from the same value, so rerunning a
-config reproduces every scientific output byte for byte (wall-clock timings
-are measured and therefore exempt).
+solver and decomposition step is seeded from the same value: each solve
+from ``base + t`` itself, and each decomposition from ``[base + t, 0xD0C]``,
+which ``decompose`` turns into a Generator only in its ALS regime
+(K <= N_RF < 2K).  So rerunning a config reproduces every scientific output
+byte for byte (wall-clock timings are measured and therefore exempt).
 
 dBm quantities are converted to watts here, at the config boundary; all
 internal computation is in SI units.
@@ -19,10 +21,8 @@ import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from .channel import ScenarioConfig, _echo, generate_scenario
-from .decomposition import decompose, sum_rate_loss
+from .decomposition import decompose
 from .projection import (
     CandidatePatternSet,
     PatternLoadError,
@@ -311,14 +311,7 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
     result = run_algorithm1(
         scenario, p_max, config, seed, em_update=mode != "hybrid"
     )
-    f_d, h = result.iterate.f_d, result.iterate.h
-    rng = np.random.default_rng([seed, 0xD0C])
-    factors = decompose(f_d, config.n_rf, p_max=p_max, rng=rng)
-    loss = sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
-    logger.info(
-        "seed=%d mode=%s pmax=%.1f dBm: rate %.4f, decomposition residual %.3e, loss %.4g",
-        seed, mode, pmax_dbm, result.sum_rate, factors.residual, loss,
-    )
+    factors = decompose(result.iterate.f_d, config.n_rf, p_max=p_max, rng=[seed, 0xD0C])
     record = TrialRecord(
         seed=seed,
         mode=mode,

@@ -20,6 +20,8 @@ oracles of the batched code in ``trihybrid``.
   read from the links p = H F_D themselves; the functions of the same names
   in ``wmmse``, which run them on Python floats from ``link_stats``, must
   match them to a relative 1e-12 (``PER_USER_RTOL`` in ``test_wmmse``).
+* ``sum_rate_loss`` is the rate a decomposition gives up: ``wmmse.sum_rate``
+  of the links H F_D less that of H F_RF F_BB.
 * ``solve_ac_subproblem`` is the pattern subproblem with its 2K-term
   bookkeeping (pole, cluster, range solution, noise test) on numpy arrays;
   ``wmmse.solve_ac_subproblem``, which runs it on Python floats, must give
@@ -48,6 +50,7 @@ import time
 import numpy as np
 
 from trihybrid.channel import assemble_channel
+from trihybrid.decomposition import HybridFactors
 from trihybrid.harmonics import FULL_SPHERE, AngularGrid, _norm_factor, synthesize_gain
 from trihybrid.projection import CandidatePattern, CandidatePatternSet, grid_power
 from trihybrid import wmmse
@@ -214,6 +217,15 @@ def sum_rate(p, weights, noise_powers) -> float:
     interference = powers.sum(axis=1) - signal
     sinr = signal / (noise_powers + interference)
     return float(np.sum(np.asarray(weights) * np.log2(1.0 + sinr)))
+
+
+def sum_rate_loss(f_d, factors: HybridFactors, channels, weights, noise_powers) -> float:
+    """Sum-rate drop from replacing the digital precoder by the factor pair."""
+    full = wmmse.sum_rate(wmmse.link_stats(channels @ f_d), weights, noise_powers)
+    approx = wmmse.sum_rate(
+        wmmse.link_stats(channels @ (factors.f_rf @ factors.f_bb)), weights, noise_powers
+    )
+    return full - approx
 
 
 def mse_vector(p, v, noise_powers) -> np.ndarray:

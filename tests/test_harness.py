@@ -13,9 +13,10 @@ import pytest
 from reference import check_state, initial_objective
 
 from trihybrid import cli, wmmse
+from trihybrid import decomposition as dec
 from trihybrid import harness as hn
 from trihybrid import projection as proj
-from trihybrid.channel import Scenario, ScenarioConfig
+from trihybrid.channel import Scenario, ScenarioConfig, generate_scenario
 from trihybrid.harmonics import truncation_length
 from trihybrid.projection import PatternLoadError, save_candidates, steered_candidate_set
 from trihybrid.wmmse import SolverConfig
@@ -330,6 +331,36 @@ class TestRunDrop:
         records = hn.run_trials(fast_config(mode="all", trials=2, pmax_dbm=(0.0, 20.0)))
         assert all(r.error is None for r in records)
         assert counts == {"lift": 2, "factor": 4}
+
+    def test_default_row_draws_no_generator_and_no_loss(self, monkeypatch):
+        # the default N_RF = 2K split reads no randomness, and no row output
+        # reads a rate loss: neither module may build a Generator, and the
+        # loss helper is gone from both
+        make_rng, callers = np.random.default_rng, []
+
+        def counted_rng(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals.get("__name__"))
+            return make_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        records = hn.run_drop(hn.RunConfig(mode="all"), seed=1)
+        assert [r.mode for r in records] == list(hn.MODES)
+        assert all(r.error is None for r in records)
+        assert not {"trihybrid.decomposition", "trihybrid.harness"} & set(callers)
+        assert not hasattr(dec, "sum_rate_loss") and not hasattr(hn, "sum_rate_loss")
+
+    def test_als_row_seeds_decompose_from_its_seed(self):
+        # K = 3 with N_RF = 4 < 2K is the ALS regime, seeded by [seed, 0xD0C]
+        config, seed = hn.RunConfig(n_users=3, mode="hybrid"), 2
+        (row,) = hn.run_drop(config, seed)
+        p_max = hn.dbm_to_watts(config.pmax_dbm[0])
+        scenario = generate_scenario(config, seed)
+        result = wmmse.run_algorithm1(scenario, p_max, config, seed, em_update=False)
+        factors = dec.decompose(
+            result.iterate.f_d, 4, p_max=p_max, rng=np.random.default_rng([seed, 0xD0C])
+        )
+        assert len(factors.residual_history) > 1  # the ALS loop ran
+        assert row.decomp_residual == factors.residual
 
     def test_frozen_patterns_factor_nothing(self, monkeypatch):
         counts = count_lifts_and_factors(monkeypatch)
