@@ -14,6 +14,7 @@ internal computation is in SI units.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -230,22 +231,36 @@ class TrialRecord:
 # older than the clock when its bytes were read (see load_candidate_set).
 STAT_SETTLE_NS = 2_000_000_000
 
-_last_set = None  # (stat key, bytes while not settled else None, set) last returned
+_last_set = (None, None, None)  # (stat key, bytes while not settled else None, set)
+
+
+@functools.cache
+def _stand_in_set() -> CandidatePatternSet:
+    return steered_candidate_set(count=64)
+
+
+def _file_equals(path, kept: bytes) -> bool:
+    view, pos = memoryview(bytearray(1 << 20)), 0
+    with open(path, "rb") as fh:
+        while n := fh.readinto(view):
+            if not kept.startswith(view[:n], pos):
+                return False
+            pos += n
+    return pos == len(kept)
 
 
 def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     """Candidate set from the configured file, or the synthetic 64-lobe
-    stand-in when no file is given.
+    stand-in, built once per process, when no file is given.
 
-    The last set returned is kept, so the CLI's fail-fast check, every
-    batch and every worker of one process share one parse.  Each call stats
-    the file and returns the kept set without opening it when the stat key
-    (device, inode, size, mtime, ctime) equals the kept entry's and that
-    entry is settled.  An entry that is not settled holds the file's bytes:
-    the next call reads the file and compares it with them, so equal bytes,
-    under the same stat key or a new one (a ``touch``, an ``os.replace``
-    with the same bytes), cost a read, not a parse.  A settled entry holds
-    no bytes, so a new stat key costs a parse, even of equal bytes.
+    The last set parsed from a file is kept, so the CLI's fail-fast check,
+    every batch and every worker of one process share one parse.  A settled
+    entry is returned unopened when the file's stat key (device, inode, size,
+    mtime, ctime) equals the entry's; it holds no bytes, so a new stat key
+    costs a parse, even of equal bytes.  An unsettled entry holds the file's
+    bytes, which the next call compares with the file through one reused MiB
+    buffer, holding no second copy: equal bytes, under the same stat key or a
+    new one (a ``touch`` or an ``os.replace``), cost a read, not a parse.
 
     An entry is settled when the file's mtime and ctime were more than
     ``STAT_SETTLE_NS`` older than the clock reading taken just before the
@@ -259,24 +274,22 @@ def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     read or parse raises and leaves the kept entry in place.
     """
     global _last_set
-    last = _last_set
     path = config.patterns_path
     if path is None:
-        if last is None or last[0] is not None:
-            last = _last_set = (None, None, steered_candidate_set(count=64))
-        return last[2]
-    now = time.time_ns()
+        return _stand_in_set()
+    (key, data, cset), now = _last_set, time.time_ns()
     try:
         st = os.stat(path)
+        same = data is not None and _file_equals(path, data)
     except OSError as err:
         raise PatternLoadError(f"{path}: cannot read candidate set: {err}") from err
     stat_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-    if last is not None and last[0] == stat_key and last[1] is None:
-        return last[2]
+    if data is None and key == stat_key:
+        return cset
+    if not same:
+        data = read_candidate_file(path)
+        cset = load_candidates(path, data)
     settled = max(st.st_mtime_ns, st.st_ctime_ns) < now - STAT_SETTLE_NS
-    kept = None if last is None else last[1]
-    data = read_candidate_file(path, kept)
-    cset = last[2] if data is kept else load_candidates(path, data)
     _last_set = (stat_key, None if settled else data, cset)
     return cset
 

@@ -285,24 +285,10 @@ def _gain_to_array(obj: dict) -> dict:
     return obj
 
 
-def read_candidate_file(path, kept: bytes | None = None) -> bytes:
-    """The bytes of a candidate-set file.
-
-    A file whose bytes equal ``kept`` returns ``kept`` itself: the file is
-    compared with it a MiB at a time, so equal bytes are never held twice.
-    """
+def read_candidate_file(path) -> bytes:
+    """The bytes of a candidate-set file."""
     try:
         with open(path, "rb") as fh:
-            if kept is not None:
-                pos = 0
-                while chunk := fh.read(1 << 20):
-                    if chunk != kept[pos : pos + len(chunk)]:
-                        break
-                    pos += len(chunk)
-                else:
-                    if pos == len(kept):
-                        return kept
-                fh.seek(0)
             return fh.read()
     except OSError as err:
         raise PatternLoadError(f"{path}: cannot read candidate set: {err}")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,20 +42,32 @@ def library_fields(config, cls) -> dict:
 
 @pytest.fixture(autouse=True)
 def fresh_candidate_memo(monkeypatch):
-    """Each test starts with no candidate set kept from an earlier test."""
-    monkeypatch.setattr(hn, "_last_set", None)
+    """Each test starts with no candidate set kept from an earlier test,
+    and no stand-in set built."""
+    monkeypatch.setattr(hn, "_last_set", (None, None, None))
+    hn._stand_in_set.cache_clear()
 
 
-def count_calls(monkeypatch, name):
-    """Record the calls made through ``harness.<name>``."""
-    func, calls = getattr(hn, name), []
+def count_calls(monkeypatch, *names):
+    """Record the calls made through ``harness.<name>`` for each of
+    ``names``, in one list."""
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return func(*args, **kwargs)
+    def counter(func):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return func(*args, **kwargs)
 
-    monkeypatch.setattr(hn, name, counted)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(hn, name, counter(getattr(hn, name)))
     return calls
+
+
+# Each way the candidate memo reads a file: its compare with the kept bytes
+# and its plain read.
+MEMO_READS = ("_file_equals", "read_candidate_file")
 
 
 def read_csv(path) -> list[hn.TrialRecord]:
@@ -648,7 +661,7 @@ class TestCandidateMemo:
         write_uniform_doc(path, 1)
         cfg = fast_config(patterns_path=str(path))
         first = hn.load_candidate_set(cfg)
-        reads = count_calls(monkeypatch, "read_candidate_file")
+        reads = count_calls(monkeypatch, *MEMO_READS)
         assert hn.load_candidate_set(cfg) is first
         assert hn.load_candidate_set(cfg) is first
         assert len(reads) == 0
@@ -659,7 +672,7 @@ class TestCandidateMemo:
         write_uniform_doc(path, 1)
         cfg = fast_config(patterns_path=str(path))
         first = hn.load_candidate_set(cfg)
-        reads = count_calls(monkeypatch, "read_candidate_file")
+        reads = count_calls(monkeypatch, *MEMO_READS)
         parses = count_calls(monkeypatch, "load_candidates")
         assert hn.load_candidate_set(cfg) is first
         assert (len(reads), len(parses)) == (1, 0)
@@ -674,7 +687,7 @@ class TestCandidateMemo:
         first = hn.load_candidate_set(cfg)
         stat = path.stat()
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
-        reads = count_calls(monkeypatch, "read_candidate_file")
+        reads = count_calls(monkeypatch, *MEMO_READS)
         parses = count_calls(monkeypatch, "load_candidates")
         touched = hn.load_candidate_set(cfg)
         assert touched is not first
@@ -693,7 +706,7 @@ class TestCandidateMemo:
         staged.write_bytes(path.read_bytes())
         os.replace(staged, path)
         assert path.stat().st_ino != ino
-        reads = count_calls(monkeypatch, "read_candidate_file")
+        reads = count_calls(monkeypatch, *MEMO_READS)
         parses = count_calls(monkeypatch, "load_candidates")
         assert hn.load_candidate_set(cfg) is first
         assert (len(reads), len(parses)) == (1, 0)
@@ -726,7 +739,7 @@ class TestCandidateMemo:
         time.sleep(0.1)
         cfg = fast_config(patterns_path=str(path))
         old = hn.load_candidate_set(cfg)
-        reads = count_calls(monkeypatch, "read_candidate_file")
+        reads = count_calls(monkeypatch, *MEMO_READS)
         assert hn.load_candidate_set(cfg) is old
         assert len(reads) == 0  # the entry is settled
         stat = path.stat()
@@ -751,6 +764,33 @@ class TestCandidateMemo:
         # the tick of the old one's last change could reuse its whole stat key.
         write_uniform_doc(path, 10)
         np.testing.assert_array_equal(hn.load_candidate_set(cfg).patterns[0].gain, 10.0)
+
+    def test_unsettled_hit_holds_no_second_copy(self, tmp_path, monkeypatch):
+        # An unsettled hit on a file of over 8 MiB allocates one MiB, the
+        # compare's buffer: neither the whole file nor a chunk of either
+        # side is copied beside the kept bytes.
+        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 10**18)  # a file never settles
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=112), path)
+        assert path.stat().st_size >= 8 << 20
+        cfg = fast_config(patterns_path=str(path))
+        first = hn.load_candidate_set(cfg)
+        tracemalloc.start()
+        try:
+            assert hn.load_candidate_set(cfg) is first
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20)
+
+    def test_compare_is_true_only_for_equal_bytes(self, tmp_path):
+        path = tmp_path / "patterns.json"
+        data = bytes(range(256)) * 9000  # over two MiB: three compared chunks
+        path.write_bytes(data)
+        assert hn._file_equals(path, bytes(bytearray(data)))  # equal bytes in another object
+        for other in (data[:-1], data + b"x", data[:-1] + b"x", b"x" + data[1:]):
+            assert not hn._file_equals(path, other)
+        assert proj.read_candidate_file(path) == data
 
     def test_stand_in_built_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "steered_candidate_set")

@@ -873,16 +873,6 @@ class TestBlockForm:
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
                 assert getattr(a, field).dtype == getattr(b, field).dtype == np.float64
 
-    def test_read_returns_kept_bytes_only_when_equal(self, tmp_path):
-        path = tmp_path / "patterns.json"
-        data = bytes(range(256)) * 9000  # over two MiB: three compared chunks
-        path.write_bytes(data)
-        kept = bytes(bytearray(data))  # equal bytes in another object
-        assert proj.read_candidate_file(path, kept) is kept
-        for other in (data[:-1], data + b"x", data[:-1] + b"x", b"x" + data[1:]):
-            got = proj.read_candidate_file(path, other)
-            assert got is not other and got == data
-
     def test_unnormalized_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(16)
         doc = isotropic_doc(normalize=False)
