@@ -23,6 +23,7 @@ import os
 import sys
 
 from .harness import (
+    MODES,
     ConfigError,
     convergence_trace,
     emit_csv,
@@ -70,8 +71,7 @@ FLAGS = {
     "trials": ("--trials", dict(type=int, help="number of Monte-Carlo trials")),
     "mode": (
         "--mode",
-        dict(choices=("trihybrid", "hybrid", "projected", "all"),
-             help="which pipeline(s) to run"),
+        dict(choices=(*MODES, "all"), help="which pipeline(s) to run"),
     ),
     "patterns_path": ("--patterns", dict(metavar="FILE", help="candidate pattern set file")),
     "refit": (

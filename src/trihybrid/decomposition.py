@@ -110,8 +110,8 @@ def decompose(
     analog matrix starts from the entrywise phases of [F_D, random columns
     from ``np.random.default_rng(rng)``]: ``rng`` is a seed (an int or a
     sequence of ints), a Generator, which is drawn from as it is, or None
-    for seed 0.  ``p_max`` defaults to the power of ``f_d`` itself.
-    Requires K <= n_rf <= N_T.
+    for seed 0.  ``p_max`` defaults to the power of ``f_d`` itself; one
+    given must be positive and finite.  Requires K <= n_rf <= N_T.
     """
     f_d = np.asarray(f_d, dtype=complex)
     n_t, k = f_d.shape
@@ -119,6 +119,8 @@ def decompose(
         raise ValueError(f"need K <= N_RF <= N_T, got K={k}, N_RF={n_rf}, N_T={n_t}")
     if p_max is None:
         p_max = float(np.sum(np.abs(f_d) ** 2))
+    elif not 0 < p_max < math.inf:  # nan fails both comparisons
+        raise ValueError(f"p_max must be positive and finite, got {p_max}")
     history = None
     if n_rf >= 2 * k:
         f_rf, f_bb = _exact_split(f_d, n_rf)

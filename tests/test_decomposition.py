@@ -87,6 +87,15 @@ class TestDecompose:
         with pytest.raises(ValueError):
             dec.decompose(f_d, n_rf=10, rng=rng)  # above N_T
 
+    @pytest.mark.parametrize("n_rf", [3, 4], ids=["als", "exact"])
+    @pytest.mark.parametrize("p_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_budget_not_positive_finite_rejected(self, n_rf, p_max):
+        # nan and inf would skip the final rescale, and a negative budget
+        # has no square root
+        f_d = random_fd(np.random.default_rng(8))
+        with pytest.raises(ValueError, match="p_max must be positive and finite"):
+            dec.decompose(f_d, n_rf=n_rf, p_max=p_max)
+
     def test_deterministic_given_rng_seed(self):
         f_d = random_fd(np.random.default_rng(9))
         a = dec.decompose(f_d, n_rf=4, rng=np.random.default_rng(11))

@@ -1,3 +1,4 @@
+import base64
 import concurrent.futures
 import csv
 import dataclasses
@@ -1328,12 +1329,30 @@ class TestCli:
                            "gain": [[1, 1, 1, 1]] * 3}]},
             {"patterns": [{"theta_deg": [0, "90", 180], "phi_deg": [0, 120, 240],
                            "gain": [[1, 1, 1], [1, True, 1], [1, 1, 1]]}]},
+            # normalized pole samples whose power overflows
+            {"patterns": [{"theta_deg": [0, 1.0353996866939073e-209], "phi_deg": [0, 1],
+                           "gain": [[0, 9.480751908109178e135], [0, 1e-18]]}]},
+            '{"patterns": ' + "[" * 100_000 + "]" * 100_000 + "}",  # text, not a doc
+            {"normalise": False, "patterns": [
+                {"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+                 "gain": [[2, 2, 2]] * 3}]},
+            {"patterns": [{"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+                           "gain": [[1, 1, 1], [1, -1, 1], [1, 1, 1]]}]},
+            {"patterns": [{"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+                           "gain": {"shape": [3, 3], "base64": "not base64!"}}]},
+            {"patterns": [{"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+                           "gain": {"shape": [3, 3]}}]},
+            {"patterns": [{"theta_deg": [0, 90, 180], "phi_deg": [0, 120, 240],
+                           "gain": {"shape": [3, 3], "dtype": "<f8",
+                                    "base64": base64.b64encode(np.ones(9, "<f8")).decode()}}]},
         ],
-        ids=["nan-axis-node", "normalize-string", "azimuth-over-360", "string-node-bool-sample"],
+        ids=["nan-axis-node", "normalize-string", "azimuth-over-360", "string-node-bool-sample",
+             "pole-overflow", "nested-too-deep", "unknown-document-field", "negative-sample",
+             "bad-base64", "block-without-base64", "block-with-dtype"],
     )
     def test_malformed_candidate_field_is_config_error(self, tmp_path, capsys, doc):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         out = tmp_path / "r.csv"
         code = cli.main(
             ["project", "--patterns", str(path), "--trials", "1", "--pmax-dbm", "0",
@@ -1341,7 +1360,7 @@ class TestCli:
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("config error:")
+        assert err.startswith(f"config error: {path}: "), err
         assert "Traceback" not in err
         assert not out.exists()
 
