@@ -36,6 +36,30 @@ import numpy as np
 from .harmonics import basis_vector
 
 
+def _is_number(x) -> bool:
+    """A finite number; a bool is not one."""
+    try:
+        return not isinstance(x, (bool, np.bool_)) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _is_numbers(x) -> bool:
+    """A list, a tuple or a 1-D array of finite numbers."""
+    listlike = isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim == 1
+    return listlike and all(map(_is_number, x))
+
+
+def _int_rule(low: int) -> tuple:
+    """The rule of an integer knob: an int or a numpy integer, never a bool."""
+    return f"an integer >= {low}", lambda x: (
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= low
+    )
+
+
+_POSITIVE_RULE = ("a positive finite number", lambda x: _is_number(x) and x > 0)
+
+
 @dataclass(frozen=True)
 class UpaGeometry:
     """N_h x N_v uniform planar array on the YOZ plane."""
@@ -45,11 +69,11 @@ class UpaGeometry:
     spacing: float
     wavelength: float
 
+    RULES = {"n_h": _int_rule(1), "n_v": _int_rule(1),
+             "spacing": _POSITIVE_RULE, "wavelength": _POSITIVE_RULE}
+
     def __post_init__(self):
-        if self.n_h < 1 or self.n_v < 1:
-            raise ValueError("element counts must be >= 1")
-        if self.spacing <= 0 or self.wavelength <= 0:
-            raise ValueError("spacing and wavelength must be positive")
+        _check_rules(UpaGeometry, self)
 
     @property
     def n_t(self) -> int:
@@ -124,6 +148,15 @@ def _echo(value) -> str:
     cut to 200 characters, since it still prints nested lists in full."""
     text = reprlib.repr(value)
     return text if len(text) <= 200 else text[:197] + "..."
+
+
+def _check_rules(cls, obj) -> None:
+    """Raise a ValueError naming the first field of ``obj`` that fails its rule
+    in ``cls.RULES``, a map of field name to (what it must be, a test of it)."""
+    for name, (what, admits) in cls.RULES.items():
+        value = getattr(obj, name)
+        if not admits(value):
+            raise ValueError(f"{name}: must be {what}, got {_echo(value)}")
 
 
 def assemble_channel(responses, counts, gains) -> np.ndarray:
@@ -222,31 +255,22 @@ class ScenarioConfig:
     field_mode: str = "far"
     truncation: int = 4
 
+    RULES = {
+        "n_h": _int_rule(1), "n_v": _int_rule(1), "n_users": _int_rule(1), "n_paths": _int_rule(1),
+        "frequency_hz": _POSITIVE_RULE,
+        "bs_position": ("a list of 3 finite numbers", lambda x: _is_numbers(x) and len(x) == 3),
+        "user_radius_m": _POSITIVE_RULE,
+        "noise_power_w": _POSITIVE_RULE,
+        "weights": ("null or a list of positive finite numbers",
+                    lambda x: x is None or _is_numbers(x) and all(b > 0 for b in x)),
+        "field_mode": ("'far' or 'near'", lambda x: isinstance(x, str) and x in ("far", "near")),
+        "truncation": _int_rule(0),
+    }
+
     def __post_init__(self):
-        counts = (self.n_h, self.n_v, self.n_users, self.n_paths)
-        if min(counts) < 1:
-            raise ValueError(
-                f"n_h, n_v, n_users and n_paths: need each >= 1, got {counts}"
-            )
-        # each check is written so that NaN and inf fail it
-        for name in ("frequency_hz", "user_radius_m", "noise_power_w"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name}: must be positive and finite, got {value}")
-        bs = self.bs_position
-        if len(bs) != 3 or not all(map(math.isfinite, bs)):
-            raise ValueError(f"bs_position: need 3 finite coordinates, got {_echo(bs)}")
-        if self.field_mode not in ("far", "near"):
-            raise ValueError(f"field_mode: unknown field mode {_echo(self.field_mode)}")
-        if self.truncation < 0:
-            raise ValueError(f"truncation: must be >= 0, got {self.truncation}")
-        weights = (1.0,) * self.n_users if self.weights is None else tuple(self.weights)
-        if len(weights) != self.n_users or not all(
-            math.isfinite(b) and b > 0 for b in weights
-        ):
-            raise ValueError(
-                f"weights: need {self.n_users} positive finite weights, got {_echo(weights)}"
-            )
+        _check_rules(ScenarioConfig, self)
+        if self.weights is not None and len(self.weights) != self.n_users:
+            raise ValueError(f"weights: need {self.n_users}, got {len(self.weights)}")
 
     @property
     def wavelength(self) -> float:

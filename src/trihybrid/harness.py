@@ -22,7 +22,8 @@ import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import ScenarioConfig, _echo, generate_scenario
+from .channel import ScenarioConfig, generate_scenario
+from .channel import _check_rules, _int_rule, _is_number, _is_numbers
 from .decomposition import decompose
 from .projection import (
     CandidatePatternSet,
@@ -51,37 +52,15 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def _config_watts(name: str, dbm: float) -> float:
-    """The config field ``name``'s ``dbm`` in watts, or a ConfigError naming
+    """The config field ``name``'s ``dbm`` in watts, or a ValueError naming
     the field when it overflows or underflows to 0 W."""
     try:
         watts = dbm_to_watts(dbm)
     except OverflowError:
-        raise ConfigError(f"{name}: {dbm} dBm overflows in watts") from None
+        raise ValueError(f"{name}: {dbm} dBm overflows in watts") from None
     if watts == 0.0:
-        raise ConfigError(f"{name}: {dbm} dBm underflows to 0 W")
+        raise ValueError(f"{name}: {dbm} dBm underflows to 0 W")
     return watts
-
-
-def _is_number(x) -> bool:
-    """A finite number; a bool is not one."""
-    try:
-        return not isinstance(x, bool) and math.isfinite(x)
-    except (TypeError, OverflowError):
-        return False
-
-
-# What a RunConfig field of each annotation admits (annotations are strings:
-# postponed evaluation); an annotation "<kind> | None" also admits None.
-_ADMITS = {
-    "int": ("an integer", lambda x: type(x) is int),
-    "float": ("a finite number", _is_number),
-    "bool": ("true or false", lambda x: type(x) is bool),
-    "str": ("a string", lambda x: isinstance(x, str)),
-    "tuple": (
-        "a list of finite numbers",
-        lambda x: isinstance(x, (list, tuple)) and all(map(_is_number, x)),
-    ),
-}
 
 
 def _require_pattern_degree(truncation: int) -> None:
@@ -115,44 +94,38 @@ class RunConfig(ScenarioConfig, SolverConfig):
     workers: int = 1
     noise_power_w: float = field(init=False, repr=False, compare=False)
 
+    RULES = {
+        "n_rf": _int_rule(1),  # and within n_users..n_h*n_v, checked below
+        "noise_dbm": ("a finite number", _is_number),
+        "mode": ("'trihybrid', 'hybrid', 'projected' or 'all'",
+                 lambda x: isinstance(x, str) and x in MODES + ("all",)),
+        "trials": _int_rule(1),
+        "seed": _int_rule(0),
+        "pmax_dbm": ("a nonempty list of finite numbers", lambda x: _is_numbers(x) and len(x) > 0),
+        "patterns_path": ("null or a string", lambda x: x is None or isinstance(x, str)),
+        "refit": ("true or false", lambda x: type(x) is bool),
+        "out_path": ("a string", lambda x: isinstance(x, str)),
+        "workers": _int_rule(1),
+    }
+
     def __post_init__(self):
-        for f in fields(self):
-            if not f.init:
-                continue
-            value = getattr(self, f.name)
-            kind = f.type.removesuffix(" | None")
-            what, admits = _ADMITS[kind]
-            if value is None and kind != f.type:
-                continue
-            if not admits(value):
-                raise ConfigError(f"{f.name}: must be {what}, got {_echo(value)}")
-            if kind == "tuple":
-                object.__setattr__(self, f.name, tuple(map(float, value)))
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.mode not in MODES + ("all",):
-            raise ConfigError(f"mode: unknown mode {_echo(self.mode)}")
-        if self.mode != "hybrid":
-            _require_pattern_degree(self.truncation)
-        if not self.pmax_dbm:
-            raise ConfigError("pmax_dbm: need a nonempty list of finite powers")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
-        for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
-            _config_watts("pmax_dbm", pmax_dbm)
-        object.__setattr__(self, "noise_power_w", _config_watts("noise_dbm", self.noise_dbm))
         try:
+            _check_rules(RunConfig, self)
+            for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
+                _config_watts("pmax_dbm", pmax_dbm)
+            object.__setattr__(self, "noise_power_w", _config_watts("noise_dbm", self.noise_dbm))
             ScenarioConfig.__post_init__(self)
             SolverConfig.__post_init__(self)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        for name in ("bs_position", "weights", "pmax_dbm"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         # after the array sizes, which the range reads, are checked
         if not self.n_users <= self.n_rf <= self.n_h * self.n_v:
-            raise ConfigError(
-                f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}"
-            )
+            raise ConfigError(f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}")
+        if self.mode != "hybrid":
+            _require_pattern_degree(self.truncation)
 
     def modes(self) -> tuple:
         return MODES if self.mode == "all" else (self.mode,)

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Scenario, effective_channels
+from .channel import Scenario, _check_rules, _int_rule, _is_number, effective_channels
 from .harmonics import FULL_SPHERE, truncation_length
 
 EPS = sys.float_info.epsilon
@@ -84,13 +84,15 @@ class SolverConfig:
     max_iterations: int = 100
     tolerance: float = 1e-5  # relative sum-rate change to stop at; 0 stops on an equal rate
 
+    RULES = {
+        "eta": ("a number in (0, sqrt(4*pi))",
+                lambda x: _is_number(x) and 0.0 < x < math.sqrt(FULL_SPHERE)),
+        "max_iterations": _int_rule(1),
+        "tolerance": ("a finite number >= 0", lambda x: _is_number(x) and x >= 0),
+    }
+
     def __post_init__(self):
-        if not 0.0 < self.eta < math.sqrt(FULL_SPHERE):
-            raise ValueError(f"eta: must lie in (0, sqrt(4*pi)), got {self.eta}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations: must be >= 1, got {self.max_iterations}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance: must be finite and nonnegative, got {self.tolerance}")
+        _check_rules(SolverConfig, self)
 
 
 @dataclass

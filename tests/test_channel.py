@@ -79,9 +79,9 @@ class TestGeometry:
         np.testing.assert_allclose(ch.far_field_arv(theta, phi, geom), expected)
 
     def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_h: "):
             ch.UpaGeometry(0, 1, 0.005, 0.01)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spacing: "):
             ch.UpaGeometry(1, 1, -1.0, 0.01)
 
 
@@ -453,16 +453,16 @@ class TestScenarioGeneration:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ch.ScenarioConfig(n_users=0)
-        with pytest.raises(ValueError, match="^field_mode: unknown field mode 'mid'$"):
+        with pytest.raises(ValueError, match="^field_mode: must be 'far' or 'near', got 'mid'$"):
             ch.ScenarioConfig(field_mode="mid")
-        with pytest.raises(ValueError, match="^truncation: must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match="^truncation: must be an integer >= 0, got -1$"):
             ch.ScenarioConfig(truncation=-1)
         for bad in (dict(frequency_hz=float("nan")), dict(user_radius_m=float("inf")),
                     dict(noise_power_w=float("nan")), dict(noise_power_w=float("inf")),
                     dict(frequency_hz=-1.0), dict(user_radius_m=0.0), dict(noise_power_w=0.0)):
             # each check names its own field
             (name,) = bad
-            with pytest.raises(ValueError, match=f"^{name}: must be positive and finite"):
+            with pytest.raises(ValueError, match=f"^{name}: must be a positive finite number"):
                 ch.ScenarioConfig(**bad)
         for bs in ((0.0, float("nan"), 10.0), (0.0, 10.0)):
             with pytest.raises(ValueError, match="bs_position"):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -46,3 +47,16 @@ def test_readme_flag_table_is_each_subcommands_options():
     }
     assert documented == options
     assert set(options) == {"run", "sweep", "project", "trace"}
+
+
+def test_readme_rule_table_is_each_config_fields_rule():
+    config_section = README.read_text(encoding="utf-8").split("### Config file")[1]
+    table = config_section.split("| field | must be |\n| --- | --- |\n")[1].split("\n\n")[0]
+    rows = (re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups() for row in table.splitlines())
+    documented = dict(rows)
+    rules = {
+        name: what
+        for cls in RunConfig.__mro__
+        for name, (what, _) in vars(cls).get("RULES", {}).items()
+    }
+    assert documented == {f.name: rules[f.name] for f in dataclasses.fields(RunConfig) if f.init}

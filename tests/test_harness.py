@@ -18,7 +18,7 @@ from trihybrid import cli, wmmse
 from trihybrid import decomposition as dec
 from trihybrid import harness as hn
 from trihybrid import projection as proj
-from trihybrid.channel import Scenario, ScenarioConfig, generate_scenario
+from trihybrid.channel import Scenario, ScenarioConfig, UpaGeometry, generate_scenario
 from trihybrid.harmonics import truncation_length
 from trihybrid.projection import PatternLoadError, save_candidates, steered_candidate_set
 from trihybrid.wmmse import SolverConfig
@@ -164,7 +164,7 @@ def _candidate_file(value, field):
 
 # Every site whose error message shows an offending config or candidate-file
 # value, fed through the public entry point that reaches it; a value of the
-# wrong type stops at RunConfig's type check instead.
+# wrong type stops at its field's rule instead.
 ECHO_SITES = {
     "run-config-type": lambda value: hn.RunConfig(n_h=value),
     "mode": lambda value: hn.RunConfig(mode=value),
@@ -290,8 +290,44 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["n_h", "n_v"])
     def test_empty_array_names_the_array_size(self, field):
         # the n_rf range reads n_h * n_v, so the array size is checked first
-        with pytest.raises(hn.ConfigError, match=r"^n_h, n_v, n_users and n_paths: "):
+        with pytest.raises(hn.ConfigError, match=rf"^{field}: must be an integer >= 1, got 0$"):
             hn.RunConfig(**{field: 0})
+
+    @pytest.mark.parametrize(
+        "cls, bad",
+        [
+            (ScenarioConfig, {"n_h": 2.5}),
+            (ScenarioConfig, {"truncation": 1.5}),
+            (ScenarioConfig, {"n_users": True}),
+            (ScenarioConfig, {"frequency_hz": True}),
+            (SolverConfig, {"max_iterations": 2.5}),
+            (SolverConfig, {"eta": True}),
+            (SolverConfig, {"tolerance": True}),
+        ],
+        ids=["n-h-float", "truncation-float", "n-users-bool", "frequency-bool",
+             "max-iterations-float", "eta-bool", "tolerance-bool"],
+    )
+    def test_library_config_names_the_knob(self, cls, bad):
+        # without its rule, each builds and fails later in a TypeError that names no knob
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name}: must be "):
+            cls(**bad)
+        # numpy integers and arrays still build the same drop
+        numpy_valued = ScenarioConfig(
+            n_h=np.int64(3), weights=np.array([1.0, 2.0]), bs_position=np.zeros(3)
+        )
+        plain = ScenarioConfig(n_h=3, weights=(1.0, 2.0), bs_position=(0.0, 0.0, 0.0))
+        assert np.array_equal(
+            generate_scenario(numpy_valued, 1).blocks, generate_scenario(plain, 1).blocks
+        )
+
+    @pytest.mark.parametrize("cls", [ScenarioConfig, SolverConfig, hn.RunConfig, UpaGeometry])
+    def test_every_init_field_has_one_rule(self, cls):
+        tables = [vars(c)["RULES"] for c in cls.__mro__ if "RULES" in vars(c)]
+        ruled = [name for table in tables for name in table]
+        init = [f.name for f in dataclasses.fields(cls) if f.init]
+        assert {name: ruled.count(name) for name in init} == dict.fromkeys(init, 1)
+        assert set(ruled) <= {f.name for f in dataclasses.fields(cls)}
 
     def test_invalid_mode(self):
         with pytest.raises(hn.ConfigError, match="mode"):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 import reference
 from dense_oracle import (
@@ -22,6 +22,9 @@ from trihybrid.harness import RunConfig, dbm_to_watts
 
 ETA = math.sqrt(2.0 * math.pi)
 RHO_SQ = FULL_SPHERE - ETA**2  # = 2 pi
+# for tests that draw a 32-bit seed: shrinking a seed only draws unrelated
+# instances, so a failure is reported as found
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def random_instance(seed, n_users=2, n_t=4, t_len=9, scale=1.0):
@@ -437,7 +440,7 @@ def outcome(update, *args):
         return str(err)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(n_users=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 # 1 - Re(v_0 p_00) = 2e-5 here, and the two forms' v_0 p_00 differ in a last bit
 @example(n_users=3, seed=389068768)
@@ -483,7 +486,7 @@ def test_per_user_functions_match_numpy_oracles(n_users, seed):
         assert np.linalg.norm(got - want) <= PER_USER_RTOL * np.linalg.norm(want)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(
     n_users=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
@@ -732,7 +735,7 @@ class TestSubproblem:
             QuadraticSubproblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(
     n_users=st.integers(min_value=1, max_value=3),
     dim=st.sampled_from([3, 8, 15, 24]),
@@ -773,7 +776,7 @@ def test_subproblem_rank_deficient_range_d(n_users, dim, seed, log_rho_sq):
     np.testing.assert_allclose(permuted_minus, c_minus[perm], rtol=0, atol=atol)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(
     n_users=st.integers(min_value=1, max_value=3),
     dim=st.sampled_from([3, 8, 24, 48, 120]),
@@ -867,7 +870,7 @@ def solve_with_branch(solve, lams, vecs, dt, rho_sq):
     return nu, c, bool(calls)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(
     n_users=st.integers(1, 8),
     extra=st.integers(1, 12),
@@ -1487,14 +1490,14 @@ class TestSolverConfig:
 
     def test_validation(self):
         # each check names its field first
-        with pytest.raises(ValueError, match=r"^eta: must lie in"):
+        with pytest.raises(ValueError, match=r"^eta: must be a number in"):
             wmmse.SolverConfig(eta=0.0)
-        with pytest.raises(ValueError, match=r"^eta: must lie in"):
+        with pytest.raises(ValueError, match=r"^eta: must be a number in"):
             wmmse.SolverConfig(eta=4.0)  # sqrt(4 pi) ~ 3.545
-        with pytest.raises(ValueError, match="^max_iterations: must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^max_iterations: must be an integer >= 1, got 0$"):
             wmmse.SolverConfig(max_iterations=0)
         for tolerance in (-1e-3, math.nan, math.inf):
-            with pytest.raises(ValueError, match="^tolerance: must be finite and nonnegative"):
+            with pytest.raises(ValueError, match="^tolerance: must be a finite number >= 0"):
                 wmmse.SolverConfig(tolerance=tolerance)
 
 
