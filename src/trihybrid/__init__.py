@@ -11,7 +11,8 @@ Library layout:
 * :mod:`trihybrid.wmmse` - the alternating weighted-MMSE solver with
   closed-form block updates, whose per-user updates read the statistics of
   the links p = H F_D (``link_stats``), and the norm-constrained pattern
-  subproblem.  The power budget is an argument of the solve.
+  subproblem.  A solve runs in SNR units, unit noise and a unit budget,
+  and takes the budget over the noise in dB as its argument.
 * :mod:`trihybrid.decomposition` - analog/baseband factorization of the
   fully digital precoder.
 * :mod:`trihybrid.projection` - candidate pattern sets, file loading, and

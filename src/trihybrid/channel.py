@@ -182,25 +182,23 @@ def assemble_channel(responses, counts, gains) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One downlink drop: the array geometry, the path table (one row per
-    path, split into the K links by ``path_counts``), one noise power and one
-    weight per link, the table and those arrays held as read-only copies of
-    the arrays given, and ``blocks``, its EM-domain channel, lifted once on
-    construction and read-only.  The power budget is an argument of the
-    solve, so one drop serves every budget."""
+    path, split into the K links by ``path_counts``), one weight per link,
+    the table and the weights held as read-only copies of the arrays given,
+    and ``blocks``, its EM-domain channel, lifted once on construction and
+    read-only.  The budget over the noise is an argument of the solve, so
+    one drop serves every budget."""
 
     geometry: UpaGeometry
     thetas: np.ndarray  # (P, N_T) per-element departure inclinations
     phis: np.ndarray  # (P, N_T) per-element departure azimuths
     responses: np.ndarray  # (P, N_T) alpha (.) a of each path
     path_counts: tuple  # (L_1, ..., L_K), summing to P
-    noise_powers: np.ndarray  # (K,) watts
     weights: np.ndarray  # (K,)
     truncation: int = 4
     blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("noise_powers", "weights"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "weights", _read_only(np.array(self.weights, dtype=float)))
         for name in ("thetas", "phis", "responses"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         shape = self.responses.shape
@@ -215,11 +213,10 @@ class Scenario:
         ):
             raise ValueError(f"path_counts: need ints >= 1 summing to {shape[0]}, got {counts}")
         object.__setattr__(self, "path_counts", counts)
-        shapes = (self.noise_powers.shape, self.weights.shape)
-        if shapes != ((len(counts),),) * 2:
-            raise ValueError(f"noise_powers, weights: need shape ({len(counts)},), got {shapes}")
-        if np.any(self.noise_powers <= 0) or np.any(self.weights <= 0):
-            raise ValueError("noise powers and weights must be positive")
+        if self.weights.shape != (len(counts),):
+            raise ValueError(f"weights: need shape ({len(counts)},), got {self.weights.shape}")
+        if np.any(self.weights <= 0):
+            raise ValueError("weights must be positive")
         object.__setattr__(self, "blocks", _read_only(self.em_channels()))
 
     @property
@@ -250,7 +247,6 @@ class ScenarioConfig:
     frequency_hz: float = 30e9
     bs_position: tuple = (0.0, 0.0, 10.0)
     user_radius_m: float = 200.0
-    noise_power_w: float = 10 ** ((-95.0 - 30.0) / 10.0)
     weights: tuple | None = None
     field_mode: str = "far"
     truncation: int = 4
@@ -260,7 +256,6 @@ class ScenarioConfig:
         "frequency_hz": _POSITIVE_RULE,
         "bs_position": ("a list of 3 finite numbers", lambda x: _is_numbers(x) and len(x) == 3),
         "user_radius_m": _POSITIVE_RULE,
-        "noise_power_w": _POSITIVE_RULE,
         "weights": ("null or a list of positive finite numbers",
                     lambda x: x is None or _is_numbers(x) and all(b > 0 for b in x)),
         "field_mode": ("'far' or 'near'", lambda x: isinstance(x, str) and x in ("far", "near")),
@@ -271,6 +266,10 @@ class ScenarioConfig:
         _check_rules(ScenarioConfig, self)
         if self.weights is not None and len(self.weights) != self.n_users:
             raise ValueError(f"weights: need {self.n_users}, got {len(self.weights)}")
+        # one stored form, so that equal configs compare equal and hash
+        for name in ("bs_position", "weights"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
     @property
     def wavelength(self) -> float:
@@ -342,7 +341,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         phis=phis,
         responses=responses,
         path_counts=(config.n_paths,) * config.n_users,
-        noise_powers=np.full(config.n_users, config.noise_power_w),
         weights=np.ones(config.n_users) if config.weights is None else config.weights,
         truncation=config.truncation,
     )

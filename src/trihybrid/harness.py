@@ -8,8 +8,9 @@ which ``decompose`` turns into a Generator only in its ALS regime
 (K <= N_RF < 2K).  So rerunning a config reproduces every scientific output
 byte for byte (wall-clock timings are measured and therefore exempt).
 
-dBm quantities are converted to watts here, at the config boundary; all
-internal computation is in SI units.
+The solve runs in SNR units, from pmax_dbm - noise_dbm alone, so a shift of
+both knobs by the same integer dB leaves it bit for bit as it was; a row's
+decomposition reads the precoder in watts, sqrt(p_max) F~.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .channel import ScenarioConfig, generate_scenario
 from .channel import _check_rules, _int_rule, _is_number, _is_numbers
@@ -51,16 +52,15 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def _config_watts(name: str, dbm: float) -> float:
-    """The config field ``name``'s ``dbm`` in watts, or a ValueError naming
-    the field when it overflows or underflows to 0 W."""
+def _check_ratio(name: str, db: float, what: str) -> None:
+    """Raise a ValueError naming the config field ``name`` when ``what``, a
+    power ratio of ``db`` decibels, overflows or underflows to 0."""
     try:
-        watts = dbm_to_watts(dbm)
+        ratio = 10.0 ** (db / 10.0)
     except OverflowError:
-        raise ValueError(f"{name}: {dbm} dBm overflows in watts") from None
-    if watts == 0.0:
-        raise ValueError(f"{name}: {dbm} dBm underflows to 0 W")
-    return watts
+        raise ValueError(f"{name}: {what} overflows") from None
+    if ratio == 0.0:
+        raise ValueError(f"{name}: {what} underflows to 0")
 
 
 def _require_pattern_degree(truncation: int) -> None:
@@ -79,8 +79,8 @@ class RunConfig(ScenarioConfig, SolverConfig):
     A RunConfig is the library's ``ScenarioConfig`` and ``SolverConfig``,
     whose fields it inherits and whose checks it runs, plus the batch's own
     fields below; ``generate_scenario`` and the solves take it as it is.
-    ``noise_power_w`` is set from ``noise_dbm`` and is not a config-file
-    key."""
+    Every power's budget in watts and its budget over the noise must be
+    finite and nonzero."""
 
     n_rf: int = 4
     noise_dbm: float = -95.0
@@ -92,7 +92,6 @@ class RunConfig(ScenarioConfig, SolverConfig):
     refit: bool = True
     out_path: str = "results.csv"
     workers: int = 1
-    noise_power_w: float = field(init=False, repr=False, compare=False)
 
     RULES = {
         "n_rf": _int_rule(1),  # and within n_users..n_h*n_v, checked below
@@ -112,15 +111,14 @@ class RunConfig(ScenarioConfig, SolverConfig):
         try:
             _check_rules(RunConfig, self)
             for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
-                _config_watts("pmax_dbm", pmax_dbm)
-            object.__setattr__(self, "noise_power_w", _config_watts("noise_dbm", self.noise_dbm))
+                _check_ratio("pmax_dbm", pmax_dbm - 30.0, f"{pmax_dbm} dBm in watts")
+                _check_ratio("noise_dbm", pmax_dbm - self.noise_dbm,
+                             f"p_max/noise at {pmax_dbm} and {self.noise_dbm} dBm")
             ScenarioConfig.__post_init__(self)
             SolverConfig.__post_init__(self)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        for name in ("bs_position", "weights", "pmax_dbm"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        object.__setattr__(self, "pmax_dbm", tuple(map(float, self.pmax_dbm)))
         # after the array sizes, which the range reads, are checked
         if not self.n_users <= self.n_rf <= self.n_h * self.n_v:
             raise ConfigError(f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}")
@@ -295,9 +293,10 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
     p_max = dbm_to_watts(pmax_dbm)
     tic = time.perf_counter()
     result = run_algorithm1(
-        scenario, p_max, config, seed, em_update=mode != "hybrid"
+        scenario, pmax_dbm - config.noise_dbm, config, seed, em_update=mode != "hybrid"
     )
-    factors = decompose(result.iterate.f_d, config.n_rf, p_max=p_max, rng=[seed, 0xD0C])
+    f_d = math.sqrt(p_max) * result.iterate.f_d  # in watts
+    factors = decompose(f_d, config.n_rf, p_max=p_max, rng=[seed, 0xD0C])
     record = TrialRecord(
         seed=seed,
         mode=mode,
@@ -339,8 +338,8 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
     power as configured, then in ``MODES`` order.
 
     The seed's scenario, which carries its EM-domain blocks, is built once
-    and serves every power: the power enters only the solves, the
-    decompositions and the projection's refit.  At each power the pattern
+    and serves every power: the power enters only the solves, as their SNR,
+    and the decompositions.  At each power the pattern
     solve (``em_update=True``) runs once for ``trihybrid`` and
     ``projected`` together, the frozen-pattern solve
     once for ``hybrid``, and each solve's precoder is decomposed once.  The
@@ -446,11 +445,9 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
     _require_pattern_degree(config.truncation)  # a config of mode hybrid skipped it
     rows = []
     scenario = generate_scenario(config, seed)
-    p_max = dbm_to_watts(config.pmax_dbm[0])
+    snr_db = config.pmax_dbm[0] - config.noise_dbm
     for mode in ("trihybrid", "hybrid"):
-        result = run_algorithm1(
-            scenario, p_max, config, seed, em_update=mode != "hybrid"
-        )
+        result = run_algorithm1(scenario, snr_db, config, seed, em_update=mode != "hybrid")
         rows.extend(
             TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)
             for rec in result.history

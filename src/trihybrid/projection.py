@@ -45,7 +45,7 @@ import numpy as np
 
 from .channel import Scenario, _echo, _read_only, assemble_channel
 from .harmonics import FULL_SPHERE
-from .wmmse import SolverConfig, SolverResult, link_stats, refit_digital, sum_rate
+from .wmmse import SolverConfig, SolverResult, link_stats, refit_digital, snr_scale, sum_rate
 
 
 class PatternLoadError(ValueError):
@@ -424,8 +424,8 @@ def project_antenna(entries, channels) -> np.ndarray:
 @dataclass(eq=False)
 class ProjectedResult:
     indices: np.ndarray  # (N_T,) selected candidate per antenna
-    channels: np.ndarray  # (K, N_T) rebuilt channels
-    f_d: np.ndarray
+    channels: np.ndarray  # (K, N_T) rebuilt channels, in the solve's SNR units
+    f_d: np.ndarray  # (N_T, K) precoder of unit budget
     sum_rate: float
 
 
@@ -441,25 +441,23 @@ def apply_projection(
 
     Every candidate's gain is evaluated once at the drop's (path, antenna)
     angles, and one path sum (``assemble_channel``) turns them into every
-    candidate's channel entries; :func:`project_antenna` selects from those
+    candidate's channel entries, scaled into the solve's SNR units by
+    ``snr_scale(result.snr_db)``; :func:`project_antenna` selects from those
     against the solve's channel ``result.iterate.h``, and the projected
     channel is the selected entries.  With ``refit`` on, the
     combiner/weight/precoder updates rerun on the projected channel
-    starting from the converged precoder, under the solve's power budget
-    ``result.p_max``.
+    starting from the converged precoder, in the same units.
     """
     gains = candidate_gains(cset, scenario.thetas, scenario.phis)  # (R, P, N_T)
-    entries = assemble_channel(
+    entries = snr_scale(result.snr_db) * assemble_channel(
         scenario.responses, scenario.path_counts, np.moveaxis(gains, 0, -1)
     )  # (K, N_T, R)
     indices = project_antenna(entries, result.iterate.h)
     channels = entries[:, np.arange(scenario.geometry.n_t), indices]
     f_d = result.iterate.f_d
     if refit:
-        f_d = refit_digital(
-            channels, scenario.weights, scenario.noise_powers, result.p_max, config, f_init=f_d
-        ).iterate.f_d
-    rate = sum_rate(link_stats(channels @ f_d), scenario.weights, scenario.noise_powers)
+        f_d = refit_digital(channels, scenario.weights, config, f_init=f_d).iterate.f_d
+    rate = sum_rate(link_stats(channels @ f_d), scenario.weights)
     return ProjectedResult(indices=indices, channels=channels, f_d=f_d, sum_rate=rate)
 
 

@@ -42,10 +42,14 @@ every two maps (``extrapolated_step``; Varadhan & Roland 2008), which
 shortcuts the slow linear tail of block-coordinate WMMSE; the pattern solve
 runs the plain maps.
 
-Every per-user K-vector (the links' statistics, v, w and ln w, the MSE, the
-user weights and noise powers) is a list of Python floats, and the
-functions of them run O(K) scalar loops: at a few users numpy's cost per
-call, not the arithmetic, would bound the loop.  The same holds for the
+The solve runs in SNR units: ``snr_scale`` scales the channel so that the
+noise is 1 at every user and the power budget is 1.  Its precoder F~ times
+the square root of the budget in watts is the precoder in watts.
+
+Every per-user K-vector (the links' statistics, v, w and ln w, the MSE and
+the user weights) is a list of Python floats, and the functions of them run
+O(K) scalar loops: at a few users numpy's cost per call, not the
+arithmetic, would bound the loop.  The same holds for the
 K terms of an F_D update after its eigensolve and for the at most 2K
 spectral terms of each pattern subproblem, from its pole and cluster to
 its multiplier.  numpy forms the K x K links, R C R^H and its eigensolve,
@@ -58,7 +62,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -127,22 +131,21 @@ def link_stats(p) -> Links:
     )
 
 
-def sum_rate(links: Links, weights, noise_powers) -> float:
-    """Weighted sum rate sum_k beta_k log2(1 + SINR_k) of the links, in bits/s/Hz."""
+def sum_rate(links: Links, weights) -> float:
+    """Weighted sum rate sum_k beta_k log2(1 + SINR_k) of the links at unit
+    noise, in bits/s/Hz."""
     rate = 0.0
-    for b, s, i, n in zip(weights, links.signal, links.interference, noise_powers):
-        if not n > 0:
-            raise ValueError("noise powers must be positive")
-        rate += b * math.log2(1.0 + s / (n + i))
+    for b, s, i in zip(weights, links.signal, links.interference):
+        rate += b * math.log2(1.0 + s / (1.0 + i))
     return float(rate)
 
 
-def mse_vector(links: Links, v, noise_powers) -> list:
-    """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + noise)."""
+def mse_vector(links: Links, v) -> list:
+    """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + 1)."""
     e = []
-    for vk, g, i, n in zip(v, links.gains, links.interference, noise_powers):
+    for vk, g, i in zip(v, links.gains, links.interference):
         miss, gain = abs(1.0 - vk * g), abs(vk)
-        e.append(miss * miss + gain * gain * (i + n))
+        e.append(miss * miss + gain * gain * (i + 1.0))
     return e
 
 
@@ -154,13 +157,10 @@ def wmmse_objective(w, e, weights, log_w) -> float:
     return float(total)
 
 
-def update_v(links: Links, noise_powers) -> list:
-    """Per-user MMSE combiner: conj(p_kk) over total received power plus noise."""
+def update_v(links: Links) -> list:
+    """Per-user MMSE combiner: conj(p_kk) over total received power plus 1."""
     # times the reciprocal, which rounds as numpy's complex-by-real division
-    return [
-        g.conjugate() * (1.0 / (r + n))
-        for g, r, n in zip(links.gains, links.received, noise_powers)
-    ]
+    return [g.conjugate() * (1.0 / (r + 1.0)) for g, r in zip(links.gains, links.received)]
 
 
 def update_w(links: Links, v) -> list:
@@ -231,14 +231,8 @@ def _secular_shift(x_sq, shift, target, what) -> float:
     )
 
 
-def _check_budget(p_max) -> None:
-    """Reject a power budget that is not a positive finite number of watts."""
-    if not (math.isfinite(p_max) and p_max > 0):
-        raise ValueError(f"power budget must be positive and finite, got {p_max}")
-
-
-def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
-    """Fully digital precoder under the total power budget.
+def update_fd(basis, w, v, weights) -> np.ndarray:
+    """Fully digital precoder under the unit power budget.
 
     Solves (M + mu I) f_k = beta_k w_k conj(v_k) conj(h_k), M = H^H C H with
     C = diag(beta_k w_k |v_k|^2), for the single multiplier mu >= 0 shared
@@ -249,14 +243,13 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
     sum_i ||b~_i||^2 / (lam_i + mu)^2 and F_D = (Q U) (B~ / (lam + mu)).
     When the budget is slack, mu = 0 is kept (complementary slackness) through
     the pseudo-inverse, the minimum-norm limit mu -> 0+, which also covers a
-    rank-deficient H; otherwise the secular solver matches the power to
-    p_max within MULTIPLIER_TOL * p_max, with the bracket's lower end at mu = 0.
+    rank-deficient H; otherwise the secular solver matches the power to 1
+    within MULTIPLIER_TOL, with the bracket's lower end at mu = 0.
     The channel enters only as ``basis``, its thin QR (Q, R) =
     ``np.linalg.qr(np.conj(channels).T)``, which the loop forms once per H.
     The K terms after the eigensolve (clamp, ||b~_i||^2, cutoff, power at
     mu = 0, scale) are Python floats.
     """
-    _check_budget(p_max)
     q, r = basis
     gw, bwv = _user_scales(w, v, weights)
     m = (r * gw) @ np.conj(r).T
@@ -276,11 +269,11 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
     for x, lam in zip(bt_sq, lams):
         if lam > cutoff:
             power0 += x / (lam * lam)
-    if power0 <= p_max:
+    if power0 <= 1.0:
         scale = [1.0 / lam if lam > cutoff else 0.0 for lam in lams]
         return (q @ u) @ (np.array(scale)[:, None] * bt)
 
-    mu = _secular_shift(bt_sq, lams, p_max, "power")
+    mu = _secular_shift(bt_sq, lams, 1.0, "power")
     return (q @ u) @ (bt / np.array([lam + mu for lam in lams])[:, None])
 
 
@@ -420,7 +413,7 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     return 0.5 * (t - pole), vecs @ [-d / (s + t) for d, s in zip(dt, shift)]
 
 
-def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> np.ndarray:
+def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
     """One ascending sweep of per-antenna AC updates with monotone acceptance.
 
     The channel enters only as ``factors``, ``factor_ac_blocks`` of its
@@ -445,7 +438,7 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights, noise_powers) -> n
     links = effective_channels(factors.blocks, coeffs) @ f_d
 
     def objective(p):
-        return wmmse_objective(w, mse_vector(link_stats(p), v, noise_powers), weights, log_w)
+        return wmmse_objective(w, mse_vector(link_stats(p), v), weights, log_w)
 
     incumbent = objective(links)
     for n in range(coeffs.shape[0]):
@@ -486,13 +479,26 @@ def isotropic_coefficients(n_antennas: int, degree: int) -> np.ndarray:
     return coeffs
 
 
-def matched_filter_precoder(channels: np.ndarray, p_max: float) -> np.ndarray:
-    """Conjugate matched-filter columns scaled to the full power budget."""
+def matched_filter_precoder(channels: np.ndarray) -> np.ndarray:
+    """Conjugate matched-filter columns scaled to the full (unit) power budget."""
     f = np.conj(channels).T
     total = float(np.sum(np.abs(f) ** 2))
     if total == 0.0:
         raise ValueError("cannot initialize the precoder on an all-zero channel")
-    return f * math.sqrt(p_max / total)
+    return f * math.sqrt(1.0 / total)
+
+
+def snr_scale(snr_db: float) -> float:
+    """The amplitude s = 10^(snr_db / 20) by which a solve scales its
+    channel, for the budget over the noise ``snr_db`` in dB: s^2 is that
+    ratio, so the scaled problem has unit noise and a unit budget."""
+    try:
+        scale = 10.0 ** (snr_db / 20.0)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:  # nan fails both comparisons
+        raise ValueError(f"SNR of {snr_db} dB gives no positive finite channel scale")
+    return scale
 
 
 class Iterate(NamedTuple):
@@ -529,53 +535,53 @@ class SolverResult:
     iterate: Iterate  # the last kept iterate: F_D, coefficients, w, the channel h
     history: list  # one IterationRecord per kept map
     converged: bool  # the rate settled before the iteration cap
-    p_max: float  # power budget of the solve, watts
     # loop steps spent, kept or not: each plain map and each extrapolation
     # attempt, also one whose map was skipped as already rejected
     iterations: int
+    snr_db: float | None = None  # budget over noise, dB; None for a refit
 
     @property
     def sum_rate(self) -> float:
         return self.history[-1].sum_rate
 
 
-def outer_step(x: Iterate, it, weights, noise, p_max, factors):
+def outer_step(x: Iterate, it, weights, factors):
     """Outer iteration ``it`` from ``x``: v, w and F_D and, when ``factors``
     (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
     and the channel, QR and links under its coefficients.  v and w read the
-    same links, so one MSE vector scores both; ``weights`` and ``noise`` are
-    lists of floats.  On a fixed channel (no ``factors``) the next iterate's
+    same links, so one MSE vector scores both; ``weights`` is a list of
+    floats.  On a fixed channel (no ``factors``) the next iterate's
     ``pending`` is the last two precoders going into the maps, x's among
     them.  Returns (next iterate, ``IterationRecord``)."""
     tic = time.perf_counter()
-    v = update_v(x.links, noise)
-    e = mse_vector(x.links, v, noise)
+    v = update_v(x.links)
+    e = mse_vector(x.links, v)
     obj_v = wmmse_objective(x.w, e, weights, x.log_w)
     t_v = time.perf_counter()
     w = update_w(x.links, v)
     log_w = [math.log(wk) for wk in w]
     obj_w = wmmse_objective(w, e, weights, log_w)
     t_w = time.perf_counter()
-    f_d = update_fd(x.basis, w, v, weights, p_max)
+    f_d = update_fd(x.basis, w, v, weights)
     links = link_stats(x.h @ f_d)
-    obj_fd = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
+    obj_fd = wmmse_objective(w, mse_vector(links, v), weights, log_w)
     t_fd = time.perf_counter()
     coeffs, h, basis, obj_em = x.coeffs, x.h, x.basis, obj_fd
     if factors is not None:
-        coeffs = update_em(factors, coeffs, f_d, w, v, weights, noise)
+        coeffs = update_em(factors, coeffs, f_d, w, v, weights)
         h = effective_channels(factors.blocks, coeffs)
         basis = np.linalg.qr(np.conj(h).T)
         links = link_stats(h @ f_d)
-        obj_em = wmmse_objective(w, mse_vector(links, v, noise), weights, log_w)
+        obj_em = wmmse_objective(w, mse_vector(links, v), weights, log_w)
     t_em = time.perf_counter()
-    rate = sum_rate(links, weights, noise)
+    rate = sum_rate(links, weights)
     seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
     record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
     pending = () if factors is not None else (*x.pending, x.f_d)[-2:]
     return Iterate(f_d, coeffs, w, log_w, h, basis, links, pending, obj_em), record
 
 
-def extrapolated_step(x: Iterate, it, weights, noise, p_max):
+def extrapolated_step(x: Iterate, it, weights):
     """Loop step ``it`` of a fixed-channel solve after two plain maps: one
     SQUAREM extrapolation of F_D and one stabilising map G from the point
     it gives.
@@ -584,8 +590,8 @@ def extrapolated_step(x: Iterate, it, weights, noise, p_max):
     u = F_2 - 2 F_1 + F_0 and alpha = -||r||_F / ||u||_F.  Only a step
     longer than the plain one, alpha < -1, extrapolates; otherwise this is
     the plain map from x.  F' = F_0 - 2 alpha r + alpha^2 u, scaled down
-    into the budget when over it, carries its links and a fresh w from a
-    fresh v at them, so the map's objective after v is sum(beta) -
+    into the unit budget when over it, carries its links and a fresh w from
+    a fresh v at them, so the map's objective after v is sum(beta) -
     ln 2 rate(F').  G's result is kept only when its rate beats x's and its
     objective after v is at most x's recorded objective, so acceptance 04's
     chain and the non-decreasing rate hold across it.  That objective is
@@ -599,31 +605,31 @@ def extrapolated_step(x: Iterate, it, weights, noise, p_max):
     norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
     x = x._replace(pending=())
     if not norm_r > norm_u > 0.0:
-        return outer_step(x, it, weights, noise, p_max, None)
+        return outer_step(x, it, weights, None)
     alpha = -norm_r / norm_u
     f_d = f_0 - 2.0 * alpha * r + alpha * alpha * u
     power = float(np.sum(np.abs(f_d) ** 2))
-    if power > p_max:
-        f_d = f_d * math.sqrt(p_max / power)
+    if power > 1.0:
+        f_d = f_d * math.sqrt(1.0 / power)
     links = link_stats(x.h @ f_d)
-    v = update_v(links, noise)
+    v = update_v(links)
     w = update_w(links, v)
     log_w = [math.log(wk) for wk in w]
     # G's objective after v: its first block forms this v again and scores
     # it with this w
-    if wmmse_objective(w, mse_vector(links, v, noise), weights, log_w) > x.objective:
+    if wmmse_objective(w, mse_vector(links, v), weights, log_w) > x.objective:
         return None
     start = x._replace(f_d=f_d, w=w, log_w=log_w, links=links)
-    y, record = outer_step(start, it, weights, noise, p_max, None)
-    if record.sum_rate > sum_rate(x.links, weights, noise):
+    y, record = outer_step(start, it, weights, None)
+    if record.sum_rate > sum_rate(x.links, weights):
         return y._replace(pending=()), record
     return None
 
 
-def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> SolverResult:
-    """Maps from ``x``, with ``weights`` and ``noise`` made lists of floats
-    once, until the relative sum-rate change between two kept maps is at
-    most ``config.tolerance`` or ``config.max_iterations`` loop steps are
+def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
+    """Maps from ``x``, with ``weights`` made a list of floats once, until
+    the relative sum-rate change between two kept maps is at most
+    ``config.tolerance`` or ``config.max_iterations`` loop steps are
     spent.  A step is ``outer_step``, or ``extrapolated_step`` once a
     fixed-channel iterate has two precoders pending; an extrapolation that
     is not kept spends its step and leaves no record, whether its
@@ -631,14 +637,13 @@ def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> Solve
     solve's result: the last kept iterate, the history, whether the rate
     settled and the steps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
-    noise = np.asarray(noise, dtype=float).tolist()
     history: list[IterationRecord] = []
     prev_rate = None
     for it in range(1, config.max_iterations + 1):
         if len(x.pending) == 2:
-            step = extrapolated_step(x, it, weights, noise, p_max)
+            step = extrapolated_step(x, it, weights)
         else:
-            step = outer_step(x, it, weights, noise, p_max, factors)
+            step = outer_step(x, it, weights, factors)
         if step is None:
             x = x._replace(pending=())
             continue
@@ -648,21 +653,22 @@ def _alternate(x: Iterate, weights, noise, p_max, config, factors=None) -> Solve
         if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
-            return SolverResult(x, history, True, p_max, it)
+            return SolverResult(x, history, True, it)
         prev_rate = rate
-    return SolverResult(x, history, False, p_max, config.max_iterations)
+    return SolverResult(x, history, False, config.max_iterations)
 
 
 def run_algorithm1(
     scenario: Scenario,
-    p_max: float,
+    snr_db: float,
     config: SolverConfig | None = None,
     seed: int = 0,
     *,
     em_update: bool = True,
 ) -> SolverResult:
-    """Run the alternating solver on one scenario under the total power
-    budget ``p_max`` (watts).
+    """Run the alternating solver on one scenario in SNR units: on its
+    EM-domain ``blocks`` times ``snr_scale(snr_db)``, for the budget over
+    the noise ``snr_db`` (dB), with unit noise and a unit budget.
 
     Patterns start with DC pinned at eta and random AC (or isotropic when
     ``em_update`` is off, the conventional hybrid baseline); the digital
@@ -670,16 +676,16 @@ def run_algorithm1(
     outer iteration runs the four block updates (the frozen baseline's three,
     with an extrapolation of F_D after every two; see ``_alternate``); the
     loop stops when the relative sum-rate change drops below the tolerance
-    or the iteration budget is spent.  The solve reads the scenario's EM-domain ``blocks``,
-    lifted once per scenario, so one scenario serves every budget; a
-    pattern solve factors their AC parts once (``factor_ac_blocks``) and
-    needs a truncation degree of at least 1.
+    or the iteration budget is spent.  The blocks are lifted once per
+    scenario, so one scenario serves every SNR; a pattern solve factors its
+    scaled blocks' AC parts once (``factor_ac_blocks``) and needs a
+    truncation degree of at least 1.  The result carries ``snr_db``.
     """
-    _check_budget(p_max)
+    scale = snr_scale(snr_db)
     if em_update and scenario.truncation == 0:
         raise ValueError("truncation: optimizing patterns needs degree >= 1, got 0")
     config = config or SolverConfig()
-    n_t, blocks = scenario.geometry.n_t, scenario.blocks
+    n_t, blocks = scenario.geometry.n_t, scenario.blocks * scale
     if em_update:
         rng = np.random.default_rng(seed)
         coeffs = initial_coefficients(n_t, scenario.truncation, config.eta, rng)
@@ -687,25 +693,22 @@ def run_algorithm1(
     else:
         coeffs, factors = isotropic_coefficients(n_t, scenario.truncation), None
     h = effective_channels(blocks, coeffs)
-    return _alternate(
-        Iterate.start(h, matched_filter_precoder(h, p_max), coeffs),
-        scenario.weights, scenario.noise_powers, p_max, config, factors,
+    result = _alternate(
+        Iterate.start(h, matched_filter_precoder(h), coeffs), scenario.weights, config, factors
     )
+    return replace(result, snr_db=snr_db)
 
 
 def refit_digital(
     channels: np.ndarray,
     weights,
-    noise_powers,
-    p_max: float,
     config: SolverConfig | None = None,
     f_init: np.ndarray | None = None,
 ) -> SolverResult:
-    """Iterate the v/w/F_D updates on a fixed channel, extrapolating F_D
-    after every two maps, until the sum rate settles or the iteration budget
-    is spent; the result is a solve's, with no coefficients in its
-    iterate."""
-    _check_budget(p_max)
+    """Iterate the v/w/F_D updates on a fixed channel in SNR units (unit
+    noise, unit budget), extrapolating F_D after every two maps, until the
+    sum rate settles or the iteration budget is spent; the result is a
+    solve's, with no coefficients in its iterate."""
     config = config or SolverConfig()
-    f_d = matched_filter_precoder(channels, p_max) if f_init is None else f_init
-    return _alternate(Iterate.start(channels, f_d), weights, noise_powers, p_max, config)
+    f_d = matched_filter_precoder(channels) if f_init is None else f_init
+    return _alternate(Iterate.start(channels, f_d), weights, config)

@@ -81,22 +81,22 @@ def left_root(sub: QuadraticSubproblem):
     return -nu, c
 
 
-def full_objective(blocks, coeffs, f_d, w, v, weights, noise) -> float:
+def full_objective(blocks, coeffs, f_d, w, v, weights) -> float:
     """The WMMSE objective on a full rebuild of the effective channels, by
-    the numpy formulas of ``reference``."""
+    the numpy formulas of ``reference``, at unit noise (SNR units)."""
     p = effective_channels(blocks, coeffs) @ f_d
-    return reference.wmmse_objective(w, reference.mse_vector(p, v, noise), weights)
+    return reference.wmmse_objective(w, reference.mse_vector(p, v, 1.0), weights)
 
 
-def dense_sweep(blocks, coeffs, f_d, w, v, weights, noise):
+def dense_sweep(blocks, coeffs, f_d, w, v, weights):
     """``update_em`` with every antenna's model and score built in full."""
     coeffs = np.array(coeffs, dtype=float)
-    incumbent = full_objective(blocks, coeffs, f_d, w, v, weights, noise)
+    incumbent = full_objective(blocks, coeffs, f_d, w, v, weights)
     for n in range(coeffs.shape[0]):
         _, c_ac = solve_dense(dense_quadratic(blocks, coeffs, f_d, w, v, weights, n))
         trial = coeffs.copy()
         trial[n, 1:] = c_ac
-        obj = full_objective(blocks, trial, f_d, w, v, weights, noise)
+        obj = full_objective(blocks, trial, f_d, w, v, weights)
         if obj < incumbent:
             incumbent, coeffs = obj, trial
     return coeffs

@@ -17,11 +17,13 @@ oracles of the batched code in ``trihybrid``.
   Python floats and must find the same root.
 * ``sum_rate``, ``mse_vector``, ``wmmse_objective``, ``update_v``,
   ``update_w`` and ``update_fd`` are the per-user formulas on numpy arrays,
-  read from the links p = H F_D themselves; the functions of the same names
-  in ``wmmse``, which run them on Python floats from ``link_stats``, must
-  match them to a relative 1e-12 (``PER_USER_RTOL`` in ``test_wmmse``).
-* ``sum_rate_loss`` is the rate a decomposition gives up: ``wmmse.sum_rate``
-  of the links H F_D less that of H F_RF F_BB.
+  read from the links p = H F_D themselves, in watts: the noise powers and
+  the budget are their arguments.  The functions of the same names in
+  ``wmmse``, which run them on Python floats from ``link_stats`` in SNR
+  units, must match them at unit noise and unit budget to a relative 1e-12
+  (``PER_USER_RTOL`` in ``test_wmmse``).
+* ``sum_rate_loss`` is the rate a decomposition gives up, in watts:
+  ``sum_rate`` of the links H F_D less that of H F_RF F_BB.
 * ``solve_ac_subproblem`` is the pattern subproblem with its 2K-term
   bookkeeping (pole, cluster, range solution, noise test) on numpy arrays;
   ``wmmse.solve_ac_subproblem``, which runs it on Python floats, must give
@@ -31,8 +33,8 @@ oracles of the batched code in ``trihybrid``.
   solution's squared norm, which a numpy dot and a Python sum may round
   apart, and which the hard case's missing norm sqrt(rho^2 - range_sq)
   amplifies.
-* ``alternate`` is the v/w/F_D loop calling the per-user functions of
-  ``wmmse`` on per-call statistics of the links, ln w and QR of H^H, with
+* ``alternate`` is the v/w/F_D loop, in SNR units, calling the per-user
+  functions of ``wmmse`` on per-call statistics of the links, ln w and QR of H^H, with
   the pattern update as a callback, and, on a fixed channel, the SQUAREM
   extrapolation after every two maps written out on its local variables;
   ``wmmse._alternate``, which repeats ``outer_step`` and
@@ -220,11 +222,10 @@ def sum_rate(p, weights, noise_powers) -> float:
 
 
 def sum_rate_loss(f_d, factors: HybridFactors, channels, weights, noise_powers) -> float:
-    """Sum-rate drop from replacing the digital precoder by the factor pair."""
-    full = wmmse.sum_rate(wmmse.link_stats(channels @ f_d), weights, noise_powers)
-    approx = wmmse.sum_rate(
-        wmmse.link_stats(channels @ (factors.f_rf @ factors.f_bb)), weights, noise_powers
-    )
+    """Sum-rate drop from replacing the digital precoder by the factor pair,
+    with the channels, the precoders and the noise powers in watts."""
+    full = sum_rate(channels @ f_d, weights, noise_powers)
+    approx = sum_rate(channels @ (factors.f_rf @ factors.f_bb), weights, noise_powers)
     return full - approx
 
 
@@ -284,7 +285,7 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
     return (q @ u) @ (bt / (eigvals + mu)[:, None])
 
 
-def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
+def alternate(h, f_d, weights, config, pattern_step=None):
     """The loop of ``wmmse._alternate`` written as one loop over local
     variables, with the same per-user functions, on per-call evaluations:
     each function reads the links' statistics from p itself, each objective
@@ -297,25 +298,25 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
     fresh v and w there, when its step length alpha = -||F_1 - F_0|| /
     ||F_2 - 2 F_1 + F_0|| is below -1 (otherwise it is a plain map); that
     map's result is kept only when its rate beats the last record's and its
-    objective after v is at most the last record's objective.  Returns
+    objective after v is at most the last record's objective.  ``h`` is in
+    SNR units, so the noise and the budget are 1.  Returns
     (h, f_d, w, history, converged, maps), with w as an array."""
     weights = np.asarray(weights, dtype=float).tolist()
-    noise = np.asarray(noise, dtype=float).tolist()
 
     def objective(p, v, w):
-        e = wmmse.mse_vector(wmmse.link_stats(p), v, noise)
+        e = wmmse.mse_vector(wmmse.link_stats(p), v)
         return wmmse.wmmse_objective(w, e, weights, [math.log(wk) for wk in w])
 
     def one_map(it, h, f_d, w):
         tic = time.perf_counter()
         p = h @ f_d
-        v = wmmse.update_v(wmmse.link_stats(p), noise)
+        v = wmmse.update_v(wmmse.link_stats(p))
         obj_v = objective(p, v, w)
         t_v = time.perf_counter()
         w = wmmse.update_w(wmmse.link_stats(p), v)
         obj_w = objective(p, v, w)
         t_w = time.perf_counter()
-        f_d = wmmse.update_fd(np.linalg.qr(np.conj(h).T), w, v, weights, p_max)
+        f_d = wmmse.update_fd(np.linalg.qr(np.conj(h).T), w, v, weights)
         p = h @ f_d
         obj_fd = objective(p, v, w)
         t_fd = time.perf_counter()
@@ -328,7 +329,7 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
         t_em = time.perf_counter()
         record = IterationRecord(
             iteration=it,
-            sum_rate=wmmse.sum_rate(wmmse.link_stats(p), weights, noise),
+            sum_rate=wmmse.sum_rate(wmmse.link_stats(p), weights),
             objective=obj_em,
             objective_after_v=obj_v,
             objective_after_w=obj_w,
@@ -352,17 +353,15 @@ def alternate(h, f_d, weights, noise, p_max, config, pattern_step=None):
                 alpha = -norm_r / norm_u
                 f_x = f_0 - 2.0 * alpha * r + alpha * alpha * u
                 power = float(np.sum(np.abs(f_x) ** 2))
-                if power > p_max:
-                    f_x = f_x * math.sqrt(p_max / power)
+                if power > 1.0:
+                    f_x = f_x * math.sqrt(1.0 / power)
         if f_x is None:
             if pattern_step is None:
                 inputs.append(f_d)
             h, f_d, w, record = one_map(it, h, f_d, w)
         else:
             p_x = h @ f_x
-            w_x = wmmse.update_w(
-                wmmse.link_stats(p_x), wmmse.update_v(wmmse.link_stats(p_x), noise)
-            )
+            w_x = wmmse.update_w(wmmse.link_stats(p_x), wmmse.update_v(wmmse.link_stats(p_x)))
             _, f_y, w_y, record = one_map(it, h, f_x, w_x)
             last = history[-1]
             if not (record.sum_rate > last.sum_rate

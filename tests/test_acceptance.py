@@ -33,7 +33,10 @@ from trihybrid.harmonics import FULL_SPHERE, basis_vector, gauss_legendre_grid, 
 
 ETA = math.sqrt(2.0 * math.pi)
 RHO_SQ = FULL_SPHERE - ETA**2
-P_MAX = hn.dbm_to_watts(10.0)  # the default budget
+DEFAULT = hn.RunConfig()
+P_MAX = hn.dbm_to_watts(DEFAULT.pmax_dbm[0])  # the default budget
+NOISE_W = hn.dbm_to_watts(DEFAULT.noise_dbm)
+SNR_DB = DEFAULT.pmax_dbm[0] - DEFAULT.noise_dbm  # the solve's argument
 WORKERS = min(4, os.cpu_count() or 1)
 N_SEEDS = 100
 
@@ -51,7 +54,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def _audited_solve(seed: int):
     """Default-config solve, reduced to the per-step objective/rate audit."""
     scenario = generate_scenario(ScenarioConfig(), seed)
-    result = wmmse.run_algorithm1(scenario, P_MAX, wmmse.SolverConfig(), seed)
+    result = wmmse.run_algorithm1(scenario, SNR_DB, wmmse.SolverConfig(), seed)
     steps = [
         (r.objective_after_v, r.objective_after_w, r.objective_after_fd, r.objective)
         for r in result.history
@@ -196,19 +199,22 @@ def test_criterion_05_subproblem_exactness():
 
 
 def test_criterion_06_brute_force_toy():
-    toy = ScenarioConfig(n_h=1, n_v=1, n_users=1, n_paths=3, truncation=1)
-    p_max = hn.dbm_to_watts(-20.0)
+    # the brute force is in watts, the solve in SNR units
+    toy = hn.RunConfig(n_h=1, n_v=1, n_users=1, n_rf=1, n_paths=3, truncation=1,
+                       pmax_dbm=(-20.0,))
+    p_max, noise = hn.dbm_to_watts(toy.pmax_dbm[0]), hn.dbm_to_watts(toy.noise_dbm)
+    snr_db = toy.pmax_dbm[0] - toy.noise_dbm
     solver_cfg = wmmse.SolverConfig(max_iterations=300, tolerance=1e-9)
     worst_rel = 0.0
     for seed in range(1, 21):
         scenario = generate_scenario(toy, seed)
-        result = wmmse.run_algorithm1(scenario, p_max, solver_cfg, seed)
+        result = wmmse.run_algorithm1(scenario, snr_db, solver_cfg, seed)
         h_em = scenario.em_channels()[0, 0]  # the one antenna: [DC, 3 AC entries]
         rng = np.random.default_rng(seed + 10_000)
         dirs = rng.standard_normal((10_000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         h = h_em[0] * ETA + dirs @ (math.sqrt(RHO_SQ) * h_em[1:])
-        sinr = p_max * np.abs(h) ** 2 / scenario.noise_powers[0]
+        sinr = p_max * np.abs(h) ** 2 / noise
         brute = float(np.min(1.0 - np.log1p(sinr)))  # beta = 1
         solver_obj = result.history[-1].objective
         rel = abs(solver_obj - brute) / abs(brute)
@@ -250,18 +256,19 @@ def test_criterion_08_decomposition_contract():
     worst_loss = 0.0
     for seed in range(1, 31):
         scenario = generate_scenario(ScenarioConfig(), seed)
-        result = wmmse.run_algorithm1(scenario, P_MAX, solver_cfg, seed)
+        result = wmmse.run_algorithm1(scenario, SNR_DB, solver_cfg, seed)
+        # the row's precoder and channel in watts, as the harness forms them
+        f_d = math.sqrt(P_MAX) * result.iterate.f_d
+        h = effective_channels(scenario.blocks, result.iterate.coeffs)
         rng = np.random.default_rng([seed, 8])
-        factors = decompose(result.iterate.f_d, 4, p_max=P_MAX, rng=rng)
+        factors = decompose(f_d, 4, p_max=P_MAX, rng=rng)
         monotone &= bool(np.all(np.diff(factors.residual_history) <= 1e-15))
         unit_mod_err = max(
             unit_mod_err, float(np.abs(np.abs(factors.f_rf) ** 2 - 1.0 / 9.0).max())
         )
         budget_ok &= float(np.sum(np.abs(factors.f_rf @ factors.f_bb) ** 2)) <= P_MAX + 1e-8
-        full = decompose(result.iterate.f_d, 9, p_max=P_MAX, rng=rng)
-        loss = sum_rate_loss(
-            result.iterate.f_d, full, result.iterate.h, scenario.weights, scenario.noise_powers
-        )
+        full = decompose(f_d, 9, p_max=P_MAX, rng=rng)
+        loss = sum_rate_loss(f_d, full, h, scenario.weights, NOISE_W)
         worst_loss = max(worst_loss, abs(loss))
         monotone &= bool(np.all(np.diff(full.residual_history) <= 1e-15))
     ok = monotone and unit_mod_err <= 1e-12 and budget_ok and worst_loss <= 1e-3
@@ -279,7 +286,7 @@ def test_criterion_09_projection_self_consistency():
     worst = 0.0
     for seed in (1, 2, 3):
         scenario = generate_scenario(ScenarioConfig(), seed)
-        result = wmmse.run_algorithm1(scenario, P_MAX, solver_cfg, seed)
+        result = wmmse.run_algorithm1(scenario, SNR_DB, solver_cfg, seed)
         cset = sampled_pattern_set(result.iterate.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset, config=solver_cfg)
         rel = abs(projected.sum_rate - result.sum_rate) / result.sum_rate

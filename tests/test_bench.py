@@ -62,12 +62,12 @@ def test_every_observer_fills_its_counters(bench):
     # as the tracer's wrapper passes them
     _, tracer = bench
     scenario = generate_scenario(ScenarioConfig(), seed=1)
-    solve = (scenario, 0.01, wmmse.SolverConfig(max_iterations=1))
+    solve = (scenario, 105.0, wmmse.SolverConfig(max_iterations=1))  # 10 dBm over -95 dBm
     result = wmmse.run_algorithm1(*solve)
-    state, noise = result.iterate, scenario.noise_powers.tolist()
+    state = result.iterate
     sweep = (
-        wmmse.factor_ac_blocks(scenario.blocks), state.coeffs, state.f_d, state.w,
-        wmmse.update_v(state.links, noise), scenario.weights.tolist(), noise,
+        wmmse.factor_ac_blocks(scenario.blocks * wmmse.snr_scale(105.0)), state.coeffs,
+        state.f_d, state.w, wmmse.update_v(state.links), scenario.weights.tolist(),
     )
     calls = {
         "wmmse.run_algorithm1": (wmmse.run_algorithm1, solve),

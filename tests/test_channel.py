@@ -43,8 +43,8 @@ def make_scenario(paths, geom, degree, counts=None, **table):
     arrays = {"thetas": thetas, "phis": phis, "responses": responses, **table}
     counts = (len(paths),) if counts is None else counts
     return ch.Scenario(
-        geometry=geom, path_counts=counts, noise_powers=np.ones(len(counts)),
-        weights=np.ones(len(counts)), truncation=degree, **arrays,
+        geometry=geom, path_counts=counts, weights=np.ones(len(counts)), truncation=degree,
+        **arrays,
     )
 
 
@@ -142,19 +142,19 @@ class TestArv:
                 make_scenario(paths, GEOM, 2, counts=counts)
         assert make_scenario(paths, GEOM, 2, counts=[1, 2]).path_counts == (1, 2)
 
-    @pytest.mark.parametrize("field", ["weights", "noise_powers"])
+    @pytest.mark.parametrize("field", ["weights"])
     @pytest.mark.parametrize("shape", [(1,), (3,), (), (2, 1)])
     def test_per_user_arrays_need_one_value_per_user(self, field, shape):
         # on the default two-user drop a length-1 array broadcast silently to
         # both users, and a length-3 one failed only inside the solve
         scenario = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
-        with pytest.raises(ValueError, match=r"noise_powers, weights: need shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"weights: need shape \(2,\)"):
             dataclasses.replace(scenario, **{field: np.ones(shape)})
 
-    @pytest.mark.parametrize("field", ["weights", "noise_powers"])
+    @pytest.mark.parametrize("field", ["weights"])
     def test_per_user_arrays_must_be_positive(self, field):
         scenario = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
-        with pytest.raises(ValueError, match="noise powers and weights must be positive"):
+        with pytest.raises(ValueError, match="weights must be positive"):
             dataclasses.replace(scenario, **{field: np.array([1.0, 0.0])})
 
     def test_path_table_is_a_read_only_copy(self):
@@ -174,7 +174,7 @@ class TestArv:
         np.testing.assert_array_equal(scenario.em_channels(), blocks)
 
 
-    @pytest.mark.parametrize("field", ["weights", "noise_powers"])
+    @pytest.mark.parametrize("field", ["weights"])
     def test_per_user_arrays_are_read_only_copies(self, field):
         # a solve reads them once, as lists: a later write by the caller must
         # not reach a drop that has passed its positivity check
@@ -458,8 +458,7 @@ class TestScenarioGeneration:
         with pytest.raises(ValueError, match="^truncation: must be an integer >= 0, got -1$"):
             ch.ScenarioConfig(truncation=-1)
         for bad in (dict(frequency_hz=float("nan")), dict(user_radius_m=float("inf")),
-                    dict(noise_power_w=float("nan")), dict(noise_power_w=float("inf")),
-                    dict(frequency_hz=-1.0), dict(user_radius_m=0.0), dict(noise_power_w=0.0)):
+                    dict(frequency_hz=-1.0), dict(user_radius_m=0.0)):
             # each check names its own field
             (name,) = bad
             with pytest.raises(ValueError, match=f"^{name}: must be a positive finite number"):
@@ -471,3 +470,16 @@ class TestScenarioGeneration:
                         (1.0, float("inf"))):
             with pytest.raises(ValueError, match="weights"):
                 ch.ScenarioConfig(weights=weights)
+
+    def test_config_stores_list_knobs_as_tuples_of_floats(self):
+        # one stored form, whatever sequence was given: array-valued knobs
+        # compare equal and hash, and a list equals the tuple it holds
+        arrays = dict(weights=np.array([1.0, 2.0]), bs_position=np.zeros(3))
+        config = ch.ScenarioConfig(**arrays)
+        assert config == ch.ScenarioConfig(**arrays)
+        assert hash(config) == hash(
+            ch.ScenarioConfig(weights=(1.0, 2.0), bs_position=(0.0, 0.0, 0.0))
+        )
+        assert ch.ScenarioConfig(weights=[1, 2]) == ch.ScenarioConfig(weights=(1.0, 2.0))
+        for value in (config.weights, config.bs_position):
+            assert type(value) is tuple and {type(x) for x in value} == {float}

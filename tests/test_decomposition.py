@@ -9,6 +9,8 @@ from trihybrid import wmmse
 from trihybrid.channel import ScenarioConfig, generate_scenario
 
 P_MAX = 10 ** ((10.0 - 30.0) / 10.0)  # 10 dBm in watts
+NOISE_DBM = -95.0  # the default noise
+NOISE_W = 10 ** ((NOISE_DBM - 30.0) / 10.0)
 
 
 def random_fd(rng, n_t=9, k=2, power=0.01):
@@ -165,12 +167,15 @@ class TestExactSplit:
 
 class TestSumRateLoss:
     def _channel_and_fd(self, seed):
+        """A hybrid solve's channel and precoder, in watts: the unscaled
+        channel under its coefficients and sqrt(P_MAX) times its precoder."""
         scenario = generate_scenario(ScenarioConfig(), seed=seed)
         res = wmmse.run_algorithm1(
-            scenario, P_MAX, wmmse.SolverConfig(max_iterations=15), seed=seed,
+            scenario, 10.0 - NOISE_DBM, wmmse.SolverConfig(max_iterations=15), seed=seed,
             em_update=False,
         )
-        return scenario, res.iterate.h, res.iterate.f_d
+        h = wmmse.effective_channels(scenario.blocks, res.iterate.coeffs)
+        return scenario, h, math.sqrt(P_MAX) * res.iterate.f_d
 
     def test_zero_loss_for_exact_factorization(self):
         scenario, h, _ = self._channel_and_fd(1)
@@ -178,17 +183,17 @@ class TestSumRateLoss:
         phases = rng.uniform(0, 2 * math.pi, (9, 2))
         f_d = np.exp(1j * phases) * math.sqrt(P_MAX / 18.0)
         factors = dec.decompose(f_d, n_rf=4, p_max=P_MAX, rng=rng)
-        loss = sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
+        loss = sum_rate_loss(f_d, factors, h, scenario.weights, NOISE_W)
         assert abs(loss) <= 1e-9
 
     def test_loss_small_at_full_rf_rank(self):
         scenario, h, f_d = self._channel_and_fd(2)
         factors = dec.decompose(f_d, n_rf=9, p_max=P_MAX, rng=np.random.default_rng(2))
-        loss = sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
+        loss = sum_rate_loss(f_d, factors, h, scenario.weights, NOISE_W)
         assert abs(loss) <= 1e-3
 
     def test_loss_finite_on_default_pipeline(self):
         scenario, h, f_d = self._channel_and_fd(3)
         factors = dec.decompose(f_d, n_rf=4, p_max=P_MAX, rng=np.random.default_rng(3))
-        loss = sum_rate_loss(f_d, factors, h, scenario.weights, scenario.noise_powers)
+        loss = sum_rate_loss(f_d, factors, h, scenario.weights, NOISE_W)
         assert np.isfinite(loss)

@@ -13,12 +13,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from reference import check_state, initial_objective
+from reference import sum_rate as sum_rate_in_watts
 
 from trihybrid import cli, wmmse
 from trihybrid import decomposition as dec
 from trihybrid import harness as hn
 from trihybrid import projection as proj
-from trihybrid.channel import Scenario, ScenarioConfig, UpaGeometry, generate_scenario
+from trihybrid.channel import (
+    Scenario,
+    ScenarioConfig,
+    UpaGeometry,
+    assemble_channel,
+    generate_scenario,
+)
 from trihybrid.harmonics import truncation_length
 from trihybrid.projection import PatternLoadError, save_candidates, steered_candidate_set
 from trihybrid.wmmse import SolverConfig
@@ -191,8 +198,7 @@ class TestConfig:
         assert cfg.noise_dbm == -95.0
         assert cfg.pmax_dbm == (10.0,)
         assert cfg.bs_position == (0.0, 0.0, 10.0)
-        # the run's defaults are the library's, field for field, the noise
-        # power converted from noise_dbm included
+        # the run's defaults are the library's, field for field
         assert library_fields(cfg, ScenarioConfig) == library_fields(
             ScenarioConfig(), ScenarioConfig
         )
@@ -201,8 +207,6 @@ class TestConfig:
     def test_dbm_conversion(self):
         assert hn.dbm_to_watts(20.0) == pytest.approx(0.1)
         assert hn.dbm_to_watts(10.0) == pytest.approx(0.01)
-        cfg = hn.RunConfig(pmax_dbm=(20.0,))
-        assert cfg.noise_power_w == pytest.approx(10 ** (-12.5))
 
     def test_library_configs_built_from_fields_of_the_same_names(self):
         # a RunConfig is both library configs, and the library reads it as one
@@ -210,7 +214,7 @@ class TestConfig:
         assert isinstance(cfg, ScenarioConfig) and isinstance(cfg, SolverConfig)
         scenario = ScenarioConfig(
             n_h=2, n_v=2, n_users=2, n_paths=2, user_radius_m=60.0, truncation=1,
-            noise_power_w=hn.dbm_to_watts(-80.0), weights=(1.0, 2.0),
+            weights=(1.0, 2.0),
         )
         assert library_fields(cfg, ScenarioConfig) == library_fields(scenario, ScenarioConfig)
         solver = SolverConfig(eta=1.5, max_iterations=5, tolerance=0.0)
@@ -219,7 +223,8 @@ class TestConfig:
             cfg.eta = 2.0
 
     def test_library_configs_are_not_config_keys(self, tmp_path):
-        # noise_power_w is set from noise_dbm, never from a file
+        # the library configs nest in no file, and no field holds the noise in
+        # watts: the solve reads noise_dbm only through the SNR
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": {}, "solver": {}, "noise_power_w": 1e-12}))
         with pytest.raises(
@@ -405,10 +410,11 @@ class TestRunDrop:
         (row,) = hn.run_drop(config, seed)
         p_max = hn.dbm_to_watts(config.pmax_dbm[0])
         scenario = generate_scenario(config, seed)
-        result = wmmse.run_algorithm1(scenario, p_max, config, seed, em_update=False)
-        factors = dec.decompose(
-            result.iterate.f_d, 4, p_max=p_max, rng=np.random.default_rng([seed, 0xD0C])
-        )
+        snr_db = config.pmax_dbm[0] - config.noise_dbm
+        result = wmmse.run_algorithm1(scenario, snr_db, config, seed, em_update=False)
+        # the row decomposes its precoder in watts, formed as the harness forms it
+        f_d = math.sqrt(p_max) * result.iterate.f_d
+        factors = dec.decompose(f_d, 4, p_max=p_max, rng=np.random.default_rng([seed, 0xD0C]))
         assert len(factors.residual_history) > 1  # the ALS loop ran
         assert row.decomp_residual == factors.residual
 
@@ -544,14 +550,13 @@ class TestRunDrop:
 
 
 class TestSnrShift:
-    """Moving ``pmax_dbm`` and ``noise_dbm`` together by the same dB leaves
-    the problem unchanged: the precoder scales by the square root of the
-    power ratio and every rate stays put.  Over seeds 1..10, far and near
-    field, at +-20 dB (480 row pairs), the rates moved by at most 9.2e-13
-    relative and no ``iterations`` value changed."""
+    """Moving ``pmax_dbm`` and ``noise_dbm`` together by the same integer dB
+    leaves the problem unchanged, and the solve, which reads only their
+    difference, unchanged bit for bit: every rate and ``iterations`` value
+    stays put exactly.  The shift alone does not show that the scale is
+    right; ``TestSnrUnits`` does."""
 
     POWERS_DBM = (0.0, 10.0, 20.0, 30.0)
-    RTOL = 1e-10
 
     @pytest.mark.parametrize("field_mode", ["far", "near"])
     def test_rows_unchanged(self, field_mode):
@@ -570,11 +575,55 @@ class TestSnrShift:
                 for want, got in zip(base, shifted):
                     assert want.error is None and got.error is None
                     assert (got.mode, got.iterations) == (want.mode, want.iterations)
-                    assert got.sum_rate == pytest.approx(want.sum_rate, rel=self.RTOL)
-                    if want.mode == "projected":
-                        assert got.projected_sum_rate == pytest.approx(
-                            want.projected_sum_rate, rel=self.RTOL
-                        )
+                    assert got.sum_rate == want.sum_rate
+                    assert got.projected_sum_rate == want.projected_sum_rate
+
+
+class TestSnrUnits:
+    """The solve runs in SNR units, and a row's rate is its rate in watts:
+    recomputed by the in-watts oracle from the unscaled channel, the
+    precoder in watts, sqrt(p_max) F~, and the noise in watts, it matches
+    to 1e-12 relative.  A scale off by a constant factor, such as
+    2 * 10^(dB/20), still passes ``TestSnrShift`` and fails this."""
+
+    def test_row_rates_are_rates_in_watts(self, monkeypatch):
+        config, seed = hn.RunConfig(mode="all", pmax_dbm=(0.0, 30.0)), 1
+        solves, projections = [], []
+        solve, project = hn.run_algorithm1, hn.apply_projection
+
+        def recorded_solve(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        def recorded_projection(*args, **kwargs):
+            projections.append(project(*args, **kwargs))
+            return projections[-1]
+
+        monkeypatch.setattr(hn, "run_algorithm1", recorded_solve)
+        monkeypatch.setattr(hn, "apply_projection", recorded_projection)
+        rows = hn.run_drop(config, seed)
+        assert [r.mode for r in rows] == list(hn.MODES) * 2
+        assert all(r.error is None for r in rows)
+        scenario = generate_scenario(config, seed)
+        weights, noise = scenario.weights, hn.dbm_to_watts(config.noise_dbm)
+        # every candidate's channel entries on the unscaled drop
+        cset = hn.load_candidate_set(config)
+        gains = proj.candidate_gains(cset, scenario.thetas, scenario.phis)
+        entries = assemble_channel(
+            scenario.responses, scenario.path_counts, np.moveaxis(gains, 0, -1)
+        )
+        for k, pmax_dbm in enumerate(config.pmax_dbm):
+            root = math.sqrt(hn.dbm_to_watts(pmax_dbm))
+            tri, hybrid, projected_row = rows[3 * k : 3 * k + 3]
+            pattern, frozen = solves[2 * k : 2 * k + 2]  # each power solves in this order
+            for row, result in ((tri, pattern), (hybrid, frozen)):
+                h = wmmse.effective_channels(scenario.blocks, result.iterate.coeffs)
+                rate = sum_rate_in_watts(h @ (root * result.iterate.f_d), weights, noise)
+                assert row.sum_rate == pytest.approx(rate, rel=1e-12, abs=0)
+            projected = projections[k]
+            h = entries[:, np.arange(scenario.geometry.n_t), projected.indices]
+            rate = sum_rate_in_watts(h @ (root * projected.f_d), weights, noise)
+            assert projected_row.projected_sum_rate == pytest.approx(rate, rel=1e-12, abs=0)
 
 
 class TestPowerGrouping:
@@ -882,8 +931,8 @@ class TestConfigSpace:
             seed=seed,
         )
 
-    def audit(self, scenario, result, eta, p_max, em_update):
-        check_state(result.iterate, eta, p_max, dc_pinned=em_update)
+    def audit(self, scenario, result, eta, em_update):
+        check_state(result.iterate, eta, 1.0, dc_pinned=em_update)  # the unit budget
         prev = initial_objective(scenario)
         for rec in result.history:
             chain = (rec.objective_after_v, rec.objective_after_w,
@@ -900,9 +949,9 @@ class TestConfigSpace:
         solves = []
         solve = hn.run_algorithm1
 
-        def recorded(scenario, p_max, config, seed, em_update=True, **kwargs):
-            result = solve(scenario, p_max, config, seed, em_update=em_update, **kwargs)
-            solves.append((scenario, result, config.eta, p_max, em_update))
+        def recorded(scenario, snr_db, config, seed, em_update=True, **kwargs):
+            result = solve(scenario, snr_db, config, seed, em_update=em_update, **kwargs)
+            solves.append((scenario, result, config.eta, em_update))
             return result
 
         monkeypatch.setattr(hn, "run_algorithm1", recorded)
@@ -997,8 +1046,7 @@ class TestTrace:
         for mode in modes:
             series = [r for r in rows if r.mode == mode]
             result = hn.run_algorithm1(
-                scenario, hn.dbm_to_watts(cfg.pmax_dbm[0]), cfg, 3,
-                em_update=mode != "hybrid",
+                scenario, cfg.pmax_dbm[0] - cfg.noise_dbm, cfg, 3, em_update=mode != "hybrid"
             )
             numbers = [r.iteration for r in series]
             assert numbers[0] == 1
@@ -1138,8 +1186,8 @@ class TestCli:
             {"out_path": 7},  # would fail only after the batch ran
             {"patterns_path": 7},
             {"mode": 7},
-            {"noise_dbm": 1e5},  # overflows in watts
-            {"noise_dbm": -1e5},  # underflows to 0 W
+            {"noise_dbm": 1e5},  # p_max/noise underflows to 0
+            {"noise_dbm": -1e5},  # p_max/noise overflows
             {"tolerance": -1e-3},
             {"frequency_hz": -30e9},
             {"user_radius_m": 0.0},

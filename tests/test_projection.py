@@ -289,17 +289,20 @@ class TestProjectionOracle:
         rng = np.random.default_rng(12)
         cset = oracle_set(which, tmp_path, rng)
         scenario, result = solve_small(9, field_mode=field_mode)
+        scale = wmmse.snr_scale(result.snr_db)  # the solve's channel is scaled by it
         for trial in range(3):
             if trial:  # the solved patterns first, then random ones
                 coeffs = random_coeffs(rng, 4, 9)
-                channels = wmmse.effective_channels(scenario.blocks, coeffs)
+                channels = wmmse.effective_channels(scenario.blocks * scale, coeffs)
                 iterate = wmmse.Iterate.start(channels, result.iterate.f_d, coeffs)
                 result = dataclasses.replace(result, iterate=iterate)
             projected = proj.apply_projection(result, scenario, cset, refit=False)
-            expected = project_antenna_oracle(result.iterate.h, scenario, cset)
+            # the oracles work on the unscaled blocks
+            h = wmmse.effective_channels(scenario.blocks, result.iterate.coeffs)
+            expected = project_antenna_oracle(h, scenario, cset)
             assert projected.indices.tolist() == expected
             np.testing.assert_array_equal(
-                projected.channels, projected_channels_oracle(scenario, expected, cset)
+                projected.channels, scale * projected_channels_oracle(scenario, expected, cset)
             )
 
     @pytest.mark.parametrize(
@@ -755,13 +758,15 @@ class TestProjectAntenna:
         assert nearest_candidates([[0.5j], [1.0]], table, cset)[0] == 0
 
 
+SNR_DB = 10.0 - (-95.0)  # 10 dBm over the default noise
+
+
 def solve_small(seed, **cfg):
     params = dict(n_h=2, n_v=2, n_users=2, n_paths=2, truncation=2, user_radius_m=60.0)
     params.update(cfg)
     scenario = generate_scenario(ScenarioConfig(**params), seed=seed)
     result = wmmse.run_algorithm1(
-        scenario, 10 ** ((10.0 - 30.0) / 10.0), wmmse.SolverConfig(max_iterations=60),
-        seed=seed,
+        scenario, SNR_DB, wmmse.SolverConfig(max_iterations=60), seed=seed
     )
     return scenario, result
 
@@ -778,13 +783,11 @@ class TestApplyProjection:
         scenario, result = solve_small(6)
         cset = proj.load_candidates(write_doc(tmp_path, isotropic_doc()))
         projected = proj.apply_projection(result, scenario, cset, refit=False)
-        blocks = scenario.em_channels()
+        # the projected channel is in the solve's SNR units
+        blocks = scenario.em_channels() * wmmse.snr_scale(result.snr_db)
         h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         np.testing.assert_allclose(projected.channels, h_iso, rtol=1e-9)
-        expected = wmmse.sum_rate(
-            wmmse.link_stats(h_iso @ result.iterate.f_d), scenario.weights,
-            scenario.noise_powers,
-        )
+        expected = wmmse.sum_rate(wmmse.link_stats(h_iso @ result.iterate.f_d), scenario.weights)
         assert projected.sum_rate == pytest.approx(expected)
         np.testing.assert_array_equal(projected.f_d, result.iterate.f_d)
 
@@ -792,9 +795,10 @@ class TestApplyProjection:
         scenario, result = solve_small(7)
         cset = proj.steered_candidate_set(count=6, n_theta=31, n_phi=61)
         projected = proj.apply_projection(result, scenario, cset)
-        assert projected.indices.tolist() == project_antenna_oracle(
-            result.iterate.h, scenario, cset
-        )
+        # the oracle's channel entries are in watts, and so is the solve's
+        # channel under its coefficients on the unscaled blocks
+        h = wmmse.effective_channels(scenario.blocks, result.iterate.coeffs)
+        assert projected.indices.tolist() == project_antenna_oracle(h, scenario, cset)
 
     @pytest.mark.parametrize("case", ["small-far", "small-near", "default-30dBm"])
     def test_refit_rate_is_the_refit_results_rate(self, case):
@@ -805,15 +809,14 @@ class TestApplyProjection:
         if case == "default-30dBm":
             config = hn.RunConfig()
             scenario = generate_scenario(config, 2)
-            result = wmmse.run_algorithm1(scenario, hn.dbm_to_watts(30.0), config, 2)
+            result = wmmse.run_algorithm1(scenario, 30.0 - config.noise_dbm, config, 2)
             cset = proj.steered_candidate_set()
         else:
             scenario, result = solve_small(7, field_mode=case.removeprefix("small-"))
             cset = proj.steered_candidate_set(count=6, n_theta=31, n_phi=61)
         projected = proj.apply_projection(result, scenario, cset)
         refit = wmmse.refit_digital(
-            projected.channels, scenario.weights, scenario.noise_powers, result.p_max,
-            f_init=result.iterate.f_d,
+            projected.channels, scenario.weights, f_init=result.iterate.f_d
         )
         assert projected.sum_rate == refit.sum_rate
         np.testing.assert_array_equal(projected.f_d, refit.iterate.f_d)
@@ -935,7 +938,7 @@ class TestIdentityEquality:
         objects = [
             scenario,
             result,
-            decompose(result.iterate.f_d, n_rf=2, p_max=result.p_max),
+            decompose(result.iterate.f_d, n_rf=2),
             gauss_legendre_grid(4, 8),
             proj.apply_projection(result, scenario, proj.steered_candidate_set(4)),
         ]
@@ -960,11 +963,11 @@ def paper_panel():
     for seed in range(1, 6):
         scenario = generate_scenario(config, seed)
         for pmax_dbm in (0.0, 30.0):
-            p_max = hn.dbm_to_watts(pmax_dbm)
+            snr_db = pmax_dbm - config.noise_dbm
             panel.append((
                 scenario,
-                wmmse.run_algorithm1(scenario, p_max, config, seed),
-                wmmse.run_algorithm1(scenario, p_max, config, seed, em_update=False),
+                wmmse.run_algorithm1(scenario, snr_db, config, seed),
+                wmmse.run_algorithm1(scenario, snr_db, config, seed, em_update=False),
             ))
     return panel
 

@@ -43,8 +43,7 @@ def random_instance(seed, n_users=2, n_t=4, t_len=9, scale=1.0):
     v = rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)
     w = rng.uniform(0.5, 3.0, n_users)
     weights = rng.uniform(0.5, 2.0, n_users)
-    noise = rng.uniform(0.1, 1.0, n_users)
-    return blocks, coeffs, f_d, v, w, weights, noise
+    return blocks, coeffs, f_d, v, w, weights
 
 
 def g_affine(blocks, coeffs, f_d, k: int, i: int, n: int):
@@ -110,46 +109,44 @@ class TestSumRate:
     def test_single_user_unit_sinr(self):
         h = np.array([[1.0 + 0j]])
         f = np.array([[1.0 + 0j]])
-        assert wmmse.sum_rate(wmmse.link_stats(h @ f), [1.0], [1.0]) == pytest.approx(1.0)
+        assert wmmse.sum_rate(wmmse.link_stats(h @ f), [1.0]) == pytest.approx(1.0)
 
     def test_zero_precoder(self):
         h = np.ones((2, 3), dtype=complex)
-        assert wmmse.sum_rate(wmmse.link_stats(h @ np.zeros((3, 2))), [1, 1], [1, 1]) == 0.0
+        assert wmmse.sum_rate(wmmse.link_stats(h @ np.zeros((3, 2))), [1, 1]) == 0.0
 
     def test_symmetric_interference_limit(self):
-        h = np.ones((2, 2), dtype=complex)
+        # 120 dB over the unit noise
+        h = np.full((2, 2), 1e6, dtype=complex)
         f = np.eye(2, dtype=complex)
-        rate = wmmse.sum_rate(wmmse.link_stats(h @ f), [1.0, 1.0], [1e-12, 1e-12])
+        rate = wmmse.sum_rate(wmmse.link_stats(h @ f), [1.0, 1.0])
         assert rate == pytest.approx(2.0, abs=1e-9)
-
-    def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            wmmse.sum_rate(wmmse.link_stats(np.ones((1, 1))), [1.0], [0.0])
 
 
 class TestMse:
     def test_zero_combiner(self):
         h = np.ones((2, 3), dtype=complex)
         f = np.ones((3, 2), dtype=complex)
-        e = wmmse.mse_vector(wmmse.link_stats(h @ f), np.zeros(2, dtype=complex), [0.5, 0.5])
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f), np.zeros(2, dtype=complex))
         np.testing.assert_allclose(e, [1.0, 1.0])
 
     def test_perfect_equalization(self):
-        h = np.array([[1.0 + 0j]])
+        # 160 dB over the unit noise, which leaves |v|^2 = 1e-16 of MSE
+        h = np.array([[1e8 + 0j]])
         f = np.array([[1.0 + 0j]])
-        e = wmmse.mse_vector(wmmse.link_stats(h @ f), np.array([1.0 + 0j]), [0.0])
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f), np.array([1e-8 + 0j]))
         assert e[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_covariance_oracle(self):
         # e_k = E|v_k y_k - s_k|^2 expanded over unit-variance symbols:
-        # with u_i = v_k p_ki - delta_ik, e_k = ||u||^2 + sigma^2 |v_k|^2
-        blocks, coeffs, f_d, v, _, _, noise = random_instance(7)
+        # with u_i = v_k p_ki - delta_ik, e_k = ||u||^2 + sigma^2 |v_k|^2, sigma = 1
+        blocks, coeffs, f_d, v, _, _ = random_instance(7)
         h = wmmse.effective_channels(blocks, coeffs)
         p = h @ f_d
-        e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v, noise)
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v)
         for k in range(2):
             u = v[k] * p[k] - np.eye(2)[k]
-            expected = np.sum(np.abs(u) ** 2) + noise[k] * abs(v[k]) ** 2
+            expected = np.sum(np.abs(u) ** 2) + abs(v[k]) ** 2
             assert e[k] == pytest.approx(expected, rel=1e-12)
 
 
@@ -157,28 +154,27 @@ class TestUpdateV:
     def test_single_user_formula(self):
         h = np.array([[0.3 - 0.7j, 1.1 + 0.2j]])
         f = np.array([[0.5 + 0.1j], [-0.2 + 0.9j]])
-        sigma = 0.37
         p = (h @ f)[0, 0]
-        v = wmmse.update_v(wmmse.link_stats(h @ f), [sigma])
-        assert v[0] == pytest.approx(np.conj(p) / (abs(p) ** 2 + sigma))
+        v = wmmse.update_v(wmmse.link_stats(h @ f))
+        assert v[0] == pytest.approx(np.conj(p) / (abs(p) ** 2 + 1.0))
 
     def test_zero_precoder_gives_zero(self):
         h = np.ones((2, 3), dtype=complex)
-        v = wmmse.update_v(wmmse.link_stats(h @ np.zeros((3, 2))), [1.0, 1.0])
+        v = wmmse.update_v(wmmse.link_stats(h @ np.zeros((3, 2))))
         np.testing.assert_array_equal(v, np.zeros(2))
 
     def test_finite_difference_stationarity(self):
-        blocks, coeffs, f_d, _, w, weights, noise = random_instance(3)
+        blocks, coeffs, f_d, _, w, weights = random_instance(3)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         eps = 1e-6
         for k in range(2):
             for delta in (eps, 1j * eps):
                 vp, vm = v.copy(), v.copy()
                 vp[k] += delta
                 vm[k] -= delta
-                ep = wmmse.mse_vector(wmmse.link_stats(h @ f_d), vp, noise)[k]
-                em = wmmse.mse_vector(wmmse.link_stats(h @ f_d), vm, noise)[k]
+                ep = wmmse.mse_vector(wmmse.link_stats(h @ f_d), vp)[k]
+                em = wmmse.mse_vector(wmmse.link_stats(h @ f_d), vm)[k]
                 assert abs(w[k] * (ep - em) / (2 * eps)) < 1e-8
 
 
@@ -196,11 +192,11 @@ class TestUpdateW:
         np.testing.assert_allclose(w, [1.0, 1.0])
 
     def test_mmse_identity_after_fresh_v(self):
-        blocks, coeffs, f_d, _, _, _, noise = random_instance(11)
+        blocks, coeffs, f_d, _, _, _ = random_instance(11)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
-        e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v, noise)
+        e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v)
         np.testing.assert_allclose(np.multiply(w, e), 1.0, atol=1e-8)
 
     def test_degenerate_combiner_rejected(self):
@@ -211,36 +207,41 @@ class TestUpdateW:
 
 
 class TestUpdateFd:
+    """``update_fd`` solves for the unit budget.  The budget p_max on the
+    channel H is the unit budget on sqrt(p_max) H, with the precoder scaled
+    by sqrt(p_max) (the SNR-unit solve), so a test of a budget in watts
+    passes the scaled channel and scales the result back."""
+
     def test_slack_budget_keeps_unconstrained_solution(self):
         # K = N_T makes the normal matrix full rank, so lam = 0 has a
         # unique solution that a generous budget must return unchanged
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(5, n_users=4, n_t=4)
+        blocks, coeffs, f_d, v, w, weights = random_instance(5, n_users=4, n_t=4)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         coef = weights * w * np.abs(v) ** 2
         m = np.conj(h).T @ (coef[:, None] * h)
         b = np.conj(h).T * (weights * w * np.conj(v))[None, :]
         unconstrained = np.linalg.solve(m, b)
         p_needed = float(np.sum(np.abs(unconstrained) ** 2))
-        out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max=10 * p_needed)
+        gain = math.sqrt(10 * p_needed)  # a budget of 10 p_needed
+        out = gain * wmmse.update_fd(qr_basis(gain * h), w, v, weights)
         np.testing.assert_allclose(out, unconstrained, rtol=1e-8)
 
     def test_tight_budget_met(self):
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(9)
+        blocks, coeffs, f_d, v, w, weights = random_instance(9)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
-        p_max = 1e-4
-        out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
-        assert abs(np.sum(np.abs(out) ** 2) - p_max) <= 1e-8 * p_max
+        out = wmmse.update_fd(qr_basis(1e-2 * h), w, v, weights)  # a budget of 1e-4 on h
+        assert abs(np.sum(np.abs(out) ** 2) - 1.0) <= 1e-8
 
     def test_single_user_matched_direction(self):
         rng = np.random.default_rng(2)
         h = (rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5)))
         v = np.array([0.3 + 0.2j])
         w = np.array([1.7])
-        f = wmmse.update_fd(qr_basis(h), w, v, [1.0], p_max=1e-6)
+        f = wmmse.update_fd(qr_basis(1e-3 * h), w, v, [1.0])  # a budget of 1e-6 on h
         cos = abs(np.vdot(np.conj(h[0]), f[:, 0])) / (
             np.linalg.norm(h) * np.linalg.norm(f)
         )
@@ -248,17 +249,23 @@ class TestUpdateFd:
 
     def test_power_never_exceeds_budget(self):
         for seed in range(20):
-            blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed + 100)
+            blocks, coeffs, f_d, v, w, weights = random_instance(seed + 100)
             h = wmmse.effective_channels(blocks, coeffs)
-            v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+            v = wmmse.update_v(wmmse.link_stats(h @ f_d))
             w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
             p_max = float(10.0 ** np.random.default_rng(seed).uniform(-6, 2))
-            out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
-            assert np.sum(np.abs(out) ** 2) <= p_max * (1 + 1e-8)
+            out = wmmse.update_fd(qr_basis(math.sqrt(p_max) * h), w, v, weights)
+            assert np.sum(np.abs(out) ** 2) <= 1.0 + 1e-8
 
     # Newton and the bisection oracle both stop within 1e-10 * p_max of the
     # budget, so their precoders agree to this relative Frobenius distance
     ORACLE_RTOL = 1e-8
+
+    @staticmethod
+    def update_fd_in_watts(h, w, v, weights, p_max):
+        """``update_fd`` under the budget ``p_max`` on the channel ``h``."""
+        gain = math.sqrt(p_max)
+        return gain * wmmse.update_fd(qr_basis(gain * h), w, v, weights)
 
     @pytest.mark.parametrize("n_users,n_t", [(1, 5), (2, 9), (3, 16), (2, 2), (4, 4)])
     def test_matches_bisection_oracle(self, n_users, n_t):
@@ -275,7 +282,7 @@ class TestUpdateFd:
             weights = rng.uniform(0.5, 2.0, n_users)
             p_max = float(10.0 ** rng.uniform(-6.0, 2.0))
             with np.errstate(all="raise"):
-                out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
+                out = self.update_fd_in_watts(h, w, v, weights, p_max)
             expected, mu = update_fd_bisection(h, w, v, weights, p_max)
             power = float(np.sum(np.abs(out) ** 2))
             if mu == 0.0:
@@ -290,12 +297,12 @@ class TestUpdateFd:
 
     def test_failure_names_newton_and_residual(self, monkeypatch):
         monkeypatch.setattr(wmmse, "MULTIPLIER_STEPS", 1)
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(9)
+        blocks, coeffs, f_d, v, w, weights = random_instance(9)
         h = wmmse.effective_channels(blocks, coeffs)
-        v = wmmse.update_v(wmmse.link_stats(h @ f_d), noise)
+        v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         with pytest.raises(RuntimeError, match="Newton .* relative power residual"):
-            wmmse.update_fd(qr_basis(h), w, v, weights, 1e-4)
+            wmmse.update_fd(qr_basis(1e-2 * h), w, v, weights)
 
     @staticmethod
     def rank_deficient_channel(rng, case):
@@ -327,7 +334,7 @@ class TestUpdateFd:
             weights = rng.uniform(0.5, 2.0, n_users)
             p_max = float(10.0 ** rng.uniform(-6.0, 2.0))
             with np.errstate(all="raise"):
-                out = wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
+                out = self.update_fd_in_watts(h, w, v, weights, p_max)
             expected, mu = update_fd_bisection(h, w, v, weights, p_max)
             if mu == 0.0:
                 slack += 1
@@ -341,30 +348,16 @@ class TestUpdateFd:
     def test_basis_argument_is_bit_equal(self, seed):
         # the loop factors H^H once per channel and passes that one basis to
         # every F_D update: a reused basis gives the bits of a fresh one
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed)
+        blocks, coeffs, f_d, v, w, weights = random_instance(seed)
         h = wmmse.effective_channels(blocks, coeffs)
         links = wmmse.link_stats(h @ f_d)
-        v = wmmse.update_v(links, noise)
+        v = wmmse.update_v(links)
         w = wmmse.update_w(links, v)
-        basis = qr_basis(h)
-        for p_max in (1e-4, 1e4):
-            np.testing.assert_array_equal(
-                wmmse.update_fd(basis, w, v, weights, p_max),
-                wmmse.update_fd(qr_basis(h), w, v, weights, p_max),
-            )
-
-
-@pytest.mark.parametrize("p_max", [math.nan, math.inf, -1.0, 0.0])
-@pytest.mark.parametrize("solve", ["update_fd", "refit_digital"])
-def test_precoder_entry_points_reject_bad_budget(solve, p_max):
-    # the budget check and text of run_algorithm1, wherever else a budget enters
-    blocks, coeffs, f_d, v, w, weights, noise = random_instance(9)
-    h = wmmse.effective_channels(blocks, coeffs)
-    with pytest.raises(ValueError, match="power budget must be positive and finite"):
-        if solve == "update_fd":
-            wmmse.update_fd(qr_basis(h), w, v, weights, p_max)
-        else:
-            wmmse.refit_digital(h, weights, noise, p_max)
+        for gain in (1e-2, 1e2):  # budgets of 1e-4 and 1e4 on h
+            basis = qr_basis(gain * h)
+            fresh = wmmse.update_fd(qr_basis(gain * h), w, v, weights)
+            for _ in range(2):
+                np.testing.assert_array_equal(wmmse.update_fd(basis, w, v, weights), fresh)
 
 
 @settings(max_examples=300, deadline=None)
@@ -419,7 +412,10 @@ def assert_weights_match(got, want, p, v):
 
 
 def per_user_instance(seed, n_users):
-    """Random (K, K) links over seven decades, combiners, weights and noise."""
+    """Random (K, K) links over seven decades, combiners and per-user noise
+    of the links' scale, whitened to unit noise: user k's row of links is
+    divided and its combiner multiplied by the root of its noise, which
+    keeps every product v_k p_kj; and weights."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-4.0, 3.0)
 
@@ -428,8 +424,10 @@ def per_user_instance(seed, n_users):
 
     p = scale * cn(n_users, n_users)
     v = cn(n_users) / scale
-    noise = scale**2 * rng.uniform(0.01, 2.0, n_users)
-    return rng, p, v, noise, rng.uniform(0.5, 2.0, n_users), rng.uniform(0.5, 3.0, n_users)
+    root = np.sqrt(scale**2 * rng.uniform(0.01, 2.0, n_users))
+    return rng, p / root[:, None], v * root, rng.uniform(0.5, 2.0, n_users), rng.uniform(
+        0.5, 3.0, n_users
+    )
 
 
 def outcome(update, *args):
@@ -445,16 +443,16 @@ def outcome(update, *args):
 # 1 - Re(v_0 p_00) = 2e-5 here, and the two forms' v_0 p_00 differ in a last bit
 @example(n_users=3, seed=389068768)
 def test_per_user_functions_match_numpy_oracles(n_users, seed):
-    rng, p, v_any, noise, weights, w_any = per_user_instance(seed, n_users)
+    rng, p, v_any, weights, w_any = per_user_instance(seed, n_users)
     links = wmmse.link_stats(p)
-    noise_list, weights_list = noise.tolist(), weights.tolist()
+    noise, weights_list = np.ones(n_users), weights.tolist()  # the oracles' unit noise
 
-    v = wmmse.update_v(links, noise_list)
+    v = wmmse.update_v(links)
     np.testing.assert_allclose(v, reference.update_v(p, noise), rtol=PER_USER_RTOL)
     w = wmmse.update_w(links, v)
     assert_weights_match(w, reference.update_w(p, np.array(v)), p, v)
     for comb in (v, v_any.tolist()):  # the fresh combiner and an arbitrary one
-        e = wmmse.mse_vector(links, comb, noise_list)
+        e = wmmse.mse_vector(links, comb)
         np.testing.assert_allclose(
             e, reference.mse_vector(p, np.array(comb), noise), rtol=PER_USER_RTOL
         )
@@ -463,7 +461,7 @@ def test_per_user_functions_match_numpy_oracles(n_users, seed):
             terms = weights * np.abs(np.multiply(weight, e) - np.log(weight))
             want = reference.wmmse_objective(weight, e, weights)
             assert abs(got - want) <= PER_USER_RTOL * terms.sum()
-    assert wmmse.sum_rate(links, weights_list, noise_list) == pytest.approx(
+    assert wmmse.sum_rate(links, weights_list) == pytest.approx(
         reference.sum_rate(p, weights, noise), rel=PER_USER_RTOL, abs=0
     )
     got = outcome(wmmse.update_w, links, v_any.tolist())
@@ -478,11 +476,14 @@ def test_per_user_functions_match_numpy_oracles(n_users, seed):
     # keep that below 100
     shape = (n_users + 3, n_users)
     q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
-    basis = qr_basis(np.sqrt(np.mean(np.abs(p) ** 2)) * q.conj().T)
+    channel = np.sqrt(np.mean(np.abs(p) ** 2)) * q.conj().T
     v_unit = rng.uniform(0.7, 1.4, n_users) * np.exp(2j * np.pi * rng.uniform(size=n_users))
-    for p_max in (1e-12, 1e300):  # a tight and a slack budget
-        got = wmmse.update_fd(basis, w_any.tolist(), v_unit.tolist(), weights_list, p_max)
-        want = reference.update_fd(basis, w_any, v_unit, weights, p_max)
+    # a tight and a slack budget: the unit budget on the channel scaled by
+    # 1e-6 and 1e50, as budgets of 1e-12 and 1e100 on it
+    for gain in (1e-6, 1e50):
+        basis = qr_basis(gain * channel)
+        got = wmmse.update_fd(basis, w_any.tolist(), v_unit.tolist(), weights_list)
+        want = reference.update_fd(basis, w_any, v_unit, weights, 1.0)
         assert np.linalg.norm(got - want) <= PER_USER_RTOL * np.linalg.norm(want)
 
 
@@ -496,7 +497,7 @@ def test_weight_update_failures_match_numpy_oracle(n_users, seed, kinds):
     # v_k p_kk = 1 makes user k degenerate and v_k p_kk = 2 gives it weight
     # -1; either way both forms raise the same RuntimeError, the degenerate
     # text first, and never a ZeroDivisionError or a math domain error
-    _, p, v, _, _, _ = per_user_instance(seed, n_users)
+    _, p, v, _, _ = per_user_instance(seed, n_users)
     factor = {"degenerate": 1.0, "negative": 2.0}
     combiners = [
         factor[kind] / complex(p[k, k]) if kind in factor else v[k]
@@ -513,7 +514,7 @@ def test_weight_update_failures_match_numpy_oracle(n_users, seed, kinds):
     if not isinstance(got, str):
         # positive weights: their logarithms are defined
         log_w = [math.log(wk) for wk in got]
-        e = wmmse.mse_vector(wmmse.link_stats(p), combiners, [1.0] * n_users)
+        e = wmmse.mse_vector(wmmse.link_stats(p), combiners)
         assert math.isfinite(wmmse.wmmse_objective(got.tolist(), e, [1.0] * n_users, log_w))
 
 
@@ -555,7 +556,7 @@ class TestAssembleQuadratic:
     # range; ``dense_quadratic`` is the full-dimensional oracle it replaces
 
     def test_zero_combiners_give_zero_model(self):
-        blocks, coeffs, f_d, _, w, weights, _ = random_instance(23)
+        blocks, coeffs, f_d, _, w, weights = random_instance(23)
         zero = np.zeros(2, dtype=complex)
         sub = dense_quadratic(blocks, coeffs, f_d, w, zero, weights, n=1)
         np.testing.assert_array_equal(sub.a_matrix, 0.0)
@@ -566,7 +567,7 @@ class TestAssembleQuadratic:
         np.testing.assert_array_equal(lams, 0.0)
 
     def test_quadratic_model_matches_weighted_mse(self):
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(29)
+        blocks, coeffs, f_d, v, w, weights = random_instance(29)
         rng = np.random.default_rng(31)
         n = 3
 
@@ -574,7 +575,7 @@ class TestAssembleQuadratic:
             test = coeffs.copy()
             test[n, 1:] = ac
             h = wmmse.effective_channels(blocks, test)
-            e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v, noise)
+            e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v)
             return float(np.sum(weights * w * e))
 
         sub = dense_quadratic(blocks, coeffs, f_d, w, v, weights, n)
@@ -595,7 +596,7 @@ class TestAssembleQuadratic:
 
     def test_matrix_positive_semidefinite(self):
         for seed in range(5):
-            blocks, coeffs, f_d, v, w, weights, _ = random_instance(seed)
+            blocks, coeffs, f_d, v, w, weights = random_instance(seed)
             sub = dense_quadratic(blocks, coeffs, f_d, w, v, weights, n=0)
             eigvals = np.linalg.eigvalsh(sub.a_matrix)
             assert eigvals.min() >= -1e-10 * max(eigvals.max(), 1.0)
@@ -607,7 +608,7 @@ class TestAssembleQuadratic:
     def test_range_basis_holds_d(self, n_users, t_len):
         # vecs has orthonormal columns, min(T-1, 2K) of them, and d = V V^T d
         # with V^T d given by proj; with T-1 <= 2K the basis is complete
-        blocks, coeffs, f_d, v, w, weights, _ = random_instance(
+        blocks, coeffs, f_d, v, w, weights = random_instance(
             53, n_users=n_users, t_len=t_len
         )
         factors = wmmse.factor_ac_blocks(blocks)
@@ -956,37 +957,36 @@ class TestUpdateEm:
 
     def test_sweep_never_increases_objective(self):
         for seed in (3, 5, 8):
-            blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed)
-            before = full_objective(blocks, coeffs, f_d, w, v, weights, noise)
+            blocks, coeffs, f_d, v, w, weights = random_instance(seed)
+            before = full_objective(blocks, coeffs, f_d, w, v, weights)
             factors = wmmse.factor_ac_blocks(blocks)
-            out = wmmse.update_em(factors, coeffs, f_d, w, v, weights, noise)
-            after = full_objective(blocks, out, f_d, w, v, weights, noise)
+            out = wmmse.update_em(factors, coeffs, f_d, w, v, weights)
+            after = full_objective(blocks, out, f_d, w, v, weights)
             assert after <= before + 1e-12
 
     def test_dc_entries_untouched(self):
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(6)
-        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
+        blocks, coeffs, f_d, v, w, weights = random_instance(6)
+        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
         np.testing.assert_array_equal(out[:, 0], coeffs[:, 0])
         np.testing.assert_allclose(np.sum(out**2, axis=1), FULL_SPHERE, atol=1e-8)
 
     def test_zero_combiners_keep_incumbent(self):
-        blocks, coeffs, f_d, _, w, weights, noise = random_instance(10)
+        blocks, coeffs, f_d, _, w, weights = random_instance(10)
         out = wmmse.update_em(
-            wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, np.zeros(2, dtype=complex),
-            weights, noise,
+            wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, np.zeros(2, dtype=complex), weights
         )
         np.testing.assert_array_equal(out, coeffs)
 
     def test_fixed_point_is_stable(self):
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(12)
+        blocks, coeffs, f_d, v, w, weights = random_instance(12)
         factors = wmmse.factor_ac_blocks(blocks)
         current = coeffs
         for _ in range(60):
-            new = wmmse.update_em(factors, current, f_d, w, v, weights, noise)
+            new = wmmse.update_em(factors, current, f_d, w, v, weights)
             if np.array_equal(new, current):
                 break
             current = new
-        again = wmmse.update_em(factors, current, f_d, w, v, weights, noise)
+        again = wmmse.update_em(factors, current, f_d, w, v, weights)
         np.testing.assert_array_equal(again, current)
 
     def test_one_objective_per_antenna(self, monkeypatch):
@@ -996,8 +996,8 @@ class TestUpdateEm:
         monkeypatch.setattr(
             wmmse, "wmmse_objective", lambda *args: calls.append(1) or objective(*args)
         )
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(6)
-        wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
+        blocks, coeffs, f_d, v, w, weights = random_instance(6)
+        wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
         assert len(calls) == 1 + coeffs.shape[0]
 
     @pytest.mark.parametrize("seed", [3, 6, 12, 21])
@@ -1009,11 +1009,11 @@ class TestUpdateEm:
         scored = []
         stats = wmmse.link_stats
         monkeypatch.setattr(wmmse, "link_stats", lambda p: scored.append(p) or stats(p))
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed, n_t=6)
-        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
+        blocks, coeffs, f_d, v, w, weights = random_instance(seed, n_t=6)
+        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
         log_w = [math.log(wk) for wk in w]
         objectives = [
-            wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v, noise), weights, log_w)
+            wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v), weights, log_w)
             for p in scored
         ]
         accepted = [0] + [1 + n for n in np.flatnonzero(np.any(out != coeffs, axis=1))]
@@ -1024,23 +1024,24 @@ class TestUpdateEm:
         expected = wmmse.effective_channels(blocks, out) @ f_d
         carried = scored[accepted[-1]]
         assert np.linalg.norm(carried - expected) <= 1e-12 * np.linalg.norm(expected)
-        rebuilt = full_objective(blocks, out, f_d, w, v, weights, noise)
+        rebuilt = full_objective(blocks, out, f_d, w, v, weights)
         assert kept[-1] == pytest.approx(rebuilt, rel=1e-12)
-        assert rebuilt <= full_objective(blocks, coeffs, f_d, w, v, weights, noise)
+        assert rebuilt <= full_objective(blocks, coeffs, f_d, w, v, weights)
 
     @pytest.mark.parametrize("seed", [3, 5, 8, 12, 21])
     def test_matches_dense_sweep(self, seed):
         # the range-space sweep accepts the same antennas as the sweep with
         # every model assembled and solved in full, at the same points
-        blocks, coeffs, f_d, v, w, weights, noise = random_instance(seed, t_len=16)
-        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights, noise)
-        dense = dense_sweep(blocks, coeffs, f_d, w, v, weights, noise)
+        blocks, coeffs, f_d, v, w, weights = random_instance(seed, t_len=16)
+        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
+        dense = dense_sweep(blocks, coeffs, f_d, w, v, weights)
         changed = np.any(out != coeffs, axis=1)
         np.testing.assert_array_equal(changed, np.any(dense != coeffs, axis=1))
         np.testing.assert_allclose(out, dense, rtol=0, atol=1e-10)
 
 
-P_MAX = 10 ** ((10.0 - 30.0) / 10.0)  # 10 dBm in watts
+NOISE_DBM = -95.0  # the default noise
+SNR_DB = 10.0 - NOISE_DBM  # the default 10 dBm budget over that noise
 
 
 def small_scenario(seed=0, **kwargs):
@@ -1052,7 +1053,7 @@ def small_scenario(seed=0, **kwargs):
 class TestAlgorithm:
     def test_improves_over_initialization(self):
         res = wmmse.run_algorithm1(
-            small_scenario(1), P_MAX, wmmse.SolverConfig(max_iterations=300), seed=1
+            small_scenario(1), SNR_DB, wmmse.SolverConfig(max_iterations=300), seed=1
         )
         assert res.sum_rate > res.history[0].sum_rate
         assert res.converged
@@ -1061,26 +1062,26 @@ class TestAlgorithm:
         # with no AC part the pattern update has nothing to solve over
         scenario = generate_scenario(ScenarioConfig(truncation=0), 1)
         with pytest.raises(ValueError, match="needs degree >= 1, got 0"):
-            wmmse.run_algorithm1(scenario, P_MAX)
-        hybrid = wmmse.run_algorithm1(scenario, P_MAX, em_update=False)
+            wmmse.run_algorithm1(scenario, SNR_DB)
+        hybrid = wmmse.run_algorithm1(scenario, SNR_DB, em_update=False)
         assert hybrid.sum_rate > 0
 
     def test_single_sweep_contract(self):
         config = wmmse.SolverConfig(tolerance=0.0, max_iterations=1)
-        res = wmmse.run_algorithm1(small_scenario(2), P_MAX, config, seed=2)
+        res = wmmse.run_algorithm1(small_scenario(2), SNR_DB, config, seed=2)
         assert res.iterations == 1
         assert not res.converged
 
     def test_feasibility_every_iteration(self):
         config = wmmse.SolverConfig(max_iterations=20)
         scenario = small_scenario(3)
-        res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=3)
-        reference.check_state(res.iterate, config.eta, P_MAX)
+        res = wmmse.run_algorithm1(scenario, SNR_DB, config, seed=3)
+        reference.check_state(res.iterate, config.eta, 1.0)  # the unit budget
 
     def test_stepwise_objective_monotone(self):
         scenario = small_scenario(4)
         res = wmmse.run_algorithm1(
-            scenario, P_MAX, wmmse.SolverConfig(max_iterations=30), seed=4
+            scenario, SNR_DB, wmmse.SolverConfig(max_iterations=30), seed=4
         )
         prev = reference.initial_objective(scenario)
         for rec in res.history:
@@ -1094,7 +1095,7 @@ class TestAlgorithm:
                 prev = obj
 
     def test_sum_rate_monotone(self):
-        res = wmmse.run_algorithm1(small_scenario(5), P_MAX, seed=5)
+        res = wmmse.run_algorithm1(small_scenario(5), SNR_DB, seed=5)
         rates = [r.sum_rate for r in res.history]
         assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
 
@@ -1107,20 +1108,21 @@ class TestAlgorithm:
         monkeypatch.setattr(wmmse, "mse_vector", lambda *a: calls.append(1) or mse(*a))
         config = wmmse.SolverConfig(max_iterations=12, tolerance=0.0)
         res = wmmse.run_algorithm1(
-            small_scenario(6), P_MAX, config, seed=6, em_update=False
+            small_scenario(6), SNR_DB, config, seed=6, em_update=False
         )
         assert all(rec.objective == rec.objective_after_fd for rec in res.history)
         assert len(calls) == 2 * res.iterations  # the initial objective needs none
 
     def test_rejects_bad_budget(self):
-        # the budget is an argument of the solve, checked there
-        for p_max in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="power budget"):
-                wmmse.run_algorithm1(small_scenario(6), p_max, seed=6)
+        # the budget over the noise is an argument of the solve, checked
+        # there: its channel scale must be positive and finite
+        for snr_db in (1e4, -1e4, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="no positive finite channel scale"):
+                wmmse.run_algorithm1(small_scenario(6), snr_db, seed=6)
 
     def test_frozen_em_keeps_patterns(self):
         scenario = small_scenario(6)
-        res = wmmse.run_algorithm1(scenario, P_MAX, seed=6, em_update=False)
+        res = wmmse.run_algorithm1(scenario, SNR_DB, seed=6, em_update=False)
         iso = wmmse.isotropic_coefficients(4, 2)
         np.testing.assert_array_equal(res.iterate.coeffs, iso)
 
@@ -1130,16 +1132,15 @@ class TestAlgorithm:
         # feasible
         config = RunConfig()
         for pmax_dbm in (20.0, 25.0, 30.0):
-            p_max = dbm_to_watts(pmax_dbm)
             for seed in range(1, 21):
                 scenario = generate_scenario(config, seed)
-                res = wmmse.run_algorithm1(scenario, p_max, config, seed=seed)
-                reference.check_state(res.iterate, config.eta, p_max)
+                res = wmmse.run_algorithm1(scenario, pmax_dbm - NOISE_DBM, config, seed=seed)
+                reference.check_state(res.iterate, config.eta, 1.0)
 
     # Relative sum-rate change of a default drop (pattern solve) or of one
     # map's F_D update (hybrid solve) when the power multiplier comes from
-    # Newton instead of the bisection oracle.  Both stop within 1e-10 * p_max
-    # of the budget.  Over the benchmark's hybrid drops (seeds 1..108, far
+    # Newton instead of the bisection oracle.  Both stop within 1e-10 of the
+    # unit budget.  Over the benchmark's hybrid drops (seeds 1..108, far
     # and near field, 0..30 dBm) and seeds 1..3 with patterns, the largest
     # change of a whole plain-loop solve measured was 2.2e-10, at seed 106,
     # 30 dBm; over every map of those hybrid drops' extrapolated solves, the
@@ -1168,25 +1169,24 @@ class TestAlgorithm:
 
         def bisection(basis, *args):
             # the loop passes the thin QR of H^H; the oracle takes H
-            return update_fd_bisection(np.conj(basis[0] @ basis[1]).T, *args)[0]
+            return update_fd_bisection(np.conj(basis[0] @ basis[1]).T, *args, 1.0)[0]
 
-        def both(basis, w, v, weights, p_max):
+        def both(basis, w, v, weights):
             h = np.conj(basis[0] @ basis[1]).T
-            pair = update_fd(basis, w, v, weights, p_max), bisection(basis, w, v, weights, p_max)
-            maps.append([wmmse.sum_rate(wmmse.link_stats(h @ f), weights, noise) for f in pair])
+            pair = update_fd(basis, w, v, weights), bisection(basis, w, v, weights)
+            maps.append([wmmse.sum_rate(wmmse.link_stats(h @ f), weights) for f in pair])
             return pair[0]
 
         for seed in seeds:
             scenario = generate_scenario(config, seed)
-            noise = scenario.noise_powers.tolist()
             for dbm in (0.0, 10.0, 20.0, 30.0):
-                p_max = dbm_to_watts(dbm)
+                snr_db = dbm - config.noise_dbm
                 maps, steps = [], []
                 with monkeypatch.context() as patch:
                     patch.setattr(wmmse, "update_fd", bisection if em_update else both)
                     patch.setattr(wmmse, "outer_step", counted)
                     other = wmmse.run_algorithm1(
-                        scenario, p_max, config, seed, em_update=em_update
+                        scenario, snr_db, config, seed, em_update=em_update
                     )
                 if not em_update:
                     # one F_D update per map evaluated; a loop step whose
@@ -1195,7 +1195,7 @@ class TestAlgorithm:
                     for newton, oracle in maps:
                         assert newton == pytest.approx(oracle, rel=self.SUM_RATE_RTOL)
                     continue
-                newton = wmmse.run_algorithm1(scenario, p_max, config, seed)
+                newton = wmmse.run_algorithm1(scenario, snr_db, config, seed)
                 assert newton.iterations == other.iterations
                 assert newton.sum_rate == pytest.approx(other.sum_rate, rel=self.SUM_RATE_RTOL)
 
@@ -1211,30 +1211,32 @@ class TestAlgorithm:
         config = RunConfig()
         scenario = generate_scenario(config, seed)
         for dbm in (0.0, 10.0, 20.0, 30.0):
-            p_max = dbm_to_watts(dbm)
-            fast = wmmse.run_algorithm1(scenario, p_max, config, seed)
+            snr_db = dbm - config.noise_dbm
+            fast = wmmse.run_algorithm1(scenario, snr_db, config, seed)
             with monkeypatch.context() as patch:
                 # the solve passes the blocks' AC factors; the dense sweep
                 # reads only the blocks they hold
                 patch.setattr(
                     wmmse, "update_em", lambda factors, *args: dense_sweep(factors.blocks, *args)
                 )
-                oracle = wmmse.run_algorithm1(scenario, p_max, config, seed)
+                oracle = wmmse.run_algorithm1(scenario, snr_db, config, seed)
             assert fast.iterations == oracle.iterations
             assert fast.sum_rate == pytest.approx(oracle.sum_rate, rel=self.RANGE_SWEEP_RTOL)
 
     def test_matches_plain_wmmse_on_fixed_channel(self):
         # with patterns frozen isotropic the solver is plain WMMSE on the
-        # reduced channel; re-derive steps 1-3 from their formulas directly
+        # reduced channel; re-derive steps 1-3 from their formulas directly,
+        # in watts: on the unscaled channel, under the budget and the noise
         scenario = small_scenario(7)
         config = wmmse.SolverConfig(max_iterations=10, tolerance=0.0)
-        res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=7, em_update=False)
+        res = wmmse.run_algorithm1(scenario, SNR_DB, config, seed=7, em_update=False)
 
+        p_max, noise_w = dbm_to_watts(SNR_DB + NOISE_DBM), dbm_to_watts(NOISE_DBM)
         blocks = scenario.em_channels()
         h = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         f = np.conj(h).T
-        f *= math.sqrt(P_MAX / np.sum(np.abs(f) ** 2))
-        noise = scenario.noise_powers
+        f *= math.sqrt(p_max / np.sum(np.abs(f) ** 2))
+        noise = np.full(2, noise_w)
         beta = scenario.weights
         for _ in range(10):
             p = h @ f
@@ -1257,12 +1259,12 @@ class TestAlgorithm:
                     [np.linalg.solve(m + lam * np.eye(4), bc) for bc in bcols], axis=1
                 )
 
-            if np.sum(np.abs(np.linalg.lstsq(m, np.stack(bcols, 1), rcond=None)[0]) ** 2) > P_MAX:
-                while np.sum(np.abs(precoder(hi)) ** 2) > P_MAX:
+            if np.sum(np.abs(np.linalg.lstsq(m, np.stack(bcols, 1), rcond=None)[0]) ** 2) > p_max:
+                while np.sum(np.abs(precoder(hi)) ** 2) > p_max:
                     hi *= 2
                 for _ in range(300):
                     mid = 0.5 * (lo + hi)
-                    if np.sum(np.abs(precoder(mid)) ** 2) > P_MAX:
+                    if np.sum(np.abs(precoder(mid)) ** 2) > p_max:
                         lo = mid
                     else:
                         hi = mid
@@ -1270,17 +1272,17 @@ class TestAlgorithm:
             else:
                 f = np.linalg.lstsq(m, np.stack(bcols, 1), rcond=None)[0]
 
-        oracle_rate = wmmse.sum_rate(wmmse.link_stats(h @ f), beta, noise)
+        oracle_rate = reference.sum_rate(h @ f, beta, noise)
         assert res.sum_rate == pytest.approx(oracle_rate, rel=1e-6)
 
     def test_refit_digital_converges(self):
         scenario = small_scenario(8)
-        blocks = scenario.em_channels()
+        blocks = scenario.em_channels() * wmmse.snr_scale(SNR_DB)
         h = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
-        refit = wmmse.refit_digital(h, scenario.weights, scenario.noise_powers, P_MAX)
+        refit = wmmse.refit_digital(h, scenario.weights)
         rates = [rec.sum_rate for rec in refit.history]
         assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
-        assert np.sum(np.abs(refit.iterate.f_d) ** 2) <= P_MAX * (1 + 1e-8)
+        assert np.sum(np.abs(refit.iterate.f_d) ** 2) <= 1.0 + 1e-8
 
     @staticmethod
     def refit_and_baseline(max_iterations):
@@ -1290,19 +1292,19 @@ class TestAlgorithm:
         coefficients against the refit's none."""
         scenario = small_scenario(9)
         config = wmmse.SolverConfig(max_iterations=max_iterations)
-        res = wmmse.run_algorithm1(scenario, P_MAX, config, seed=9, em_update=False)
-        blocks = scenario.em_channels()
+        res = wmmse.run_algorithm1(scenario, SNR_DB, config, seed=9, em_update=False)
+        blocks = scenario.em_channels() * wmmse.snr_scale(SNR_DB)
         h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         refit = wmmse.refit_digital(
-            h_iso, scenario.weights, scenario.noise_powers, P_MAX, config,
-            f_init=wmmse.matched_filter_precoder(h_iso, P_MAX),
+            h_iso, scenario.weights, config, f_init=wmmse.matched_filter_precoder(h_iso)
         )
         assert refit.iterate.coeffs is None
         assert_iterates_equal(refit.iterate, res.iterate._replace(coeffs=None))
         assert [record_fields(rec) for rec in refit.history] == [
             record_fields(rec) for rec in res.history
         ]
-        assert (refit.converged, refit.p_max) == (res.converged, res.p_max)
+        # the solve carries its SNR; the refit, on a channel scaled already, none
+        assert (refit.converged, refit.snr_db, res.snr_db) == (res.converged, None, SNR_DB)
         return refit
 
     def test_refit_digital_is_the_frozen_pattern_loop(self):
@@ -1323,9 +1325,9 @@ class TestLoopMatchesReference:
     final state, equal the per-call reference loop's bit for bit."""
 
     @staticmethod
-    def run(loop, scenario, p_max, config, seed, em_update):
-        blocks = scenario.em_channels()
-        weights, noise = scenario.weights, scenario.noise_powers
+    def run(loop, scenario, snr_db, config, seed, em_update):
+        blocks = scenario.em_channels() * wmmse.snr_scale(snr_db)
+        weights = scenario.weights
         n_t = scenario.geometry.n_t
         if em_update:
             rng = np.random.default_rng(seed)
@@ -1336,21 +1338,19 @@ class TestLoopMatchesReference:
 
         def pattern_step(f_d, w, v):
             nonlocal coeffs
-            coeffs = wmmse.update_em(factors, coeffs, f_d, w, v, weights, noise)
+            coeffs = wmmse.update_em(factors, coeffs, f_d, w, v, weights)
             return wmmse.effective_channels(blocks, coeffs)
 
         h = wmmse.effective_channels(blocks, coeffs)
-        f_d = wmmse.matched_filter_precoder(h, p_max)
+        f_d = wmmse.matched_filter_precoder(h)
         if loop is wmmse._alternate:
             res = loop(
-                wmmse.Iterate.start(h, f_d, coeffs), weights, noise, p_max, config,
+                wmmse.Iterate.start(h, f_d, coeffs), weights, config,
                 factors if em_update else None,
             )
             x = res.iterate
             return x.h, x.f_d, np.array(x.w), res.history, res.converged, res.iterations
-        return loop(
-            h, f_d, weights, noise, p_max, config, pattern_step if em_update else None
-        )
+        return loop(h, f_d, weights, config, pattern_step if em_update else None)
 
     @pytest.mark.parametrize(
         "field_mode,dbm,em_update,max_iterations,seed",
@@ -1367,7 +1367,7 @@ class TestLoopMatchesReference:
     def test_history_bit_equal(self, field_mode, dbm, em_update, max_iterations, seed):
         config = RunConfig(field_mode=field_mode, max_iterations=max_iterations)
         scenario = generate_scenario(config, seed)
-        args = (scenario, dbm_to_watts(dbm), config, seed, em_update)
+        args = (scenario, dbm - config.noise_dbm, config, seed, em_update)
         h, f_d, w, history, converged, maps = self.run(wmmse._alternate, *args)
         ref = self.run(reference.alternate, *args)
         assert (converged, maps) == ref[4:]
@@ -1423,16 +1423,16 @@ class TestOuterStep:
     def solve_args(em_update, seed=5):
         config = RunConfig()
         scenario = generate_scenario(config, seed)
-        blocks, n_t = scenario.blocks, scenario.geometry.n_t
+        blocks, n_t = scenario.blocks * wmmse.snr_scale(SNR_DB), scenario.geometry.n_t
         rng = np.random.default_rng(seed)
         coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, ETA, rng)
         h = wmmse.effective_channels(blocks, coeffs)
-        f_d = wmmse.matched_filter_precoder(h, P_MAX)
+        f_d = wmmse.matched_filter_precoder(h)
         if em_update:
             x, factors = wmmse.Iterate.start(h, f_d, coeffs), wmmse.factor_ac_blocks(blocks)
         else:
             x, factors = wmmse.Iterate.start(h, f_d), None
-        rest = (scenario.weights.tolist(), scenario.noise_powers.tolist(), P_MAX)
+        rest = (scenario.weights.tolist(),)
         return x, rest, config, factors
 
     @pytest.mark.parametrize("em_update", [True, False], ids=["pattern", "frozen"])
@@ -1476,11 +1476,12 @@ class TestOuterStep:
 class TestSolverConfig:
     def test_zero_tolerance_stops_on_an_equal_rate(self):
         # |change| <= 0 * rate holds once the rate repeats bit for bit, which
-        # this frozen solve reaches long before its cap
+        # this frozen solve, the default drop's at the default power, reaches
+        # long before its cap
         scenario = generate_scenario(RunConfig(), 3)
         config = wmmse.SolverConfig(max_iterations=2000, tolerance=0.0)
-        res = wmmse.run_algorithm1(scenario, dbm_to_watts(0.0), config, em_update=False)
-        assert res.converged and res.iterations == 11 and len(res.history) == 8
+        res = wmmse.run_algorithm1(scenario, SNR_DB, config, em_update=False)
+        assert res.converged and res.iterations == 22 and len(res.history) == 15
         assert res.history[-1].sum_rate == res.history[-2].sum_rate
 
     def test_defaults(self):
@@ -1503,21 +1504,22 @@ class TestSolverConfig:
 
 def test_matched_filter_rejects_an_all_zero_channel():
     with pytest.raises(ValueError, match="all-zero channel"):
-        wmmse.matched_filter_precoder(np.zeros((2, 9), dtype=complex), P_MAX)
+        wmmse.matched_filter_precoder(np.zeros((2, 9), dtype=complex))
 
 
-def plain_solve(scenario, p_max, config):
+def plain_solve(scenario, snr_db, config):
     """The hybrid baseline's solve without extrapolation: ``outer_step``
     repeated from the same start under ``_alternate``'s stop test.  Returns
     (rate, maps, converged)."""
     h = wmmse.effective_channels(
-        scenario.blocks, wmmse.isotropic_coefficients(scenario.geometry.n_t, scenario.truncation)
+        scenario.blocks * wmmse.snr_scale(snr_db),
+        wmmse.isotropic_coefficients(scenario.geometry.n_t, scenario.truncation),
     )
-    x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h, p_max))
-    weights, noise = scenario.weights.tolist(), scenario.noise_powers.tolist()
+    x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h))
+    weights = scenario.weights.tolist()
     prev = None
     for it in range(1, config.max_iterations + 1):
-        x, record = wmmse.outer_step(x, it, weights, noise, p_max, None)
+        x, record = wmmse.outer_step(x, it, weights, None)
         rate = record.sum_rate
         if prev is not None and abs(rate - prev) <= config.tolerance * max(abs(prev), 1e-12):
             return rate, it, True
@@ -1540,9 +1542,9 @@ class TestExtrapolation:
         step = wmmse.outer_step
         powers = []
 
-        def audited(x, it, weights, noise, p_max, factors):
-            out = step(x, it, weights, noise, p_max, factors)
-            powers.append(float(np.sum(np.abs(out[0].f_d) ** 2)) / p_max)
+        def audited(x, it, weights, factors):
+            out = step(x, it, weights, factors)
+            powers.append(float(np.sum(np.abs(out[0].f_d) ** 2)))  # over the unit budget
             return out
 
         maps = {"extrapolated": 0, "plain": 0}
@@ -1552,11 +1554,11 @@ class TestExtrapolation:
             for seed in self.SEEDS:
                 scenario = generate_scenario(ScenarioConfig(field_mode=field_mode), seed)
                 for dbm in self.POWERS_DBM:
-                    p_max = dbm_to_watts(dbm)
+                    snr_db = dbm - NOISE_DBM
                     with monkeypatch.context() as patch:
                         patch.setattr(wmmse, "outer_step", audited)
-                        res = wmmse.run_algorithm1(scenario, p_max, config, em_update=False)
-                    rate, plain_maps, _ = plain_solve(scenario, p_max, config)
+                        res = wmmse.run_algorithm1(scenario, snr_db, config, em_update=False)
+                    rate, plain_maps, _ = plain_solve(scenario, snr_db, config)
                     maps["extrapolated"] += res.iterations
                     maps["plain"] += plain_maps
                     rates[dbm]["extrapolated"].append(res.sum_rate)
@@ -1579,7 +1581,7 @@ class TestExtrapolation:
         # loop step still counts, and the history equals the reference
         # loop's, which runs every stabilising map
         config = RunConfig(field_mode=field_mode)
-        args = (generate_scenario(config, seed), dbm_to_watts(dbm), config, seed, False)
+        args = (generate_scenario(config, seed), dbm - config.noise_dbm, config, seed, False)
         step = wmmse.outer_step
         calls = []
 
@@ -1600,29 +1602,28 @@ class TestExtrapolation:
 
 def permuted_users(scenario, order):
     """``scenario`` with its users in ``order``, each with its path rows,
-    path count, weight and noise power; ``dataclasses.replace`` lifts the
-    blocks anew."""
+    path count and weight; ``dataclasses.replace`` lifts the blocks anew."""
     ends = np.cumsum(scenario.path_counts)
     rows = np.concatenate([np.arange(ends[k] - scenario.path_counts[k], ends[k]) for k in order])
     return dataclasses.replace(
         scenario,
         thetas=scenario.thetas[rows], phis=scenario.phis[rows], responses=scenario.responses[rows],
         path_counts=tuple(scenario.path_counts[k] for k in order),
-        noise_powers=scenario.noise_powers[order], weights=scenario.weights[order],
+        weights=scenario.weights[order],
     )
 
 
 class TestFixedChannelInvariance:
-    """Three transformations leave a drop's problem unchanged, and the
+    """Two transformations leave a drop's problem unchanged, and the
     extrapolated fixed-channel solve must treat the two drops alike: the
     same number of maps and the same rate, over seeds 1..20, far and near
-    field, at 0..30 dBm.  A unit mix-up between power and noise fails the
-    SNR shift, a user index mix-up the permutation, and a phase leaking
-    into a rate the per-user phase."""
+    field, at 0..30 dBm.  A user index mix-up fails the permutation, and a
+    phase leaking into a rate the per-user phase.  The SNR shift, which the
+    solve's units make exact, is ``test_harness.TestSnrShift``'s."""
 
     SEEDS = range(1, 21)
     POWERS_DBM = (0.0, 10.0, 20.0, 30.0)
-    RTOL = 1e-10  # SNR shift and per-user phase; measured at most 1.3e-13
+    RTOL = 1e-10  # per-user phase; measured at most 1.3e-13
     # The user permutation reorders the eigen and QR decompositions' sums,
     # a rounding-level change of the input.  In the slow tail the
     # extrapolation divides by a small second difference u, which amplifies
@@ -1640,19 +1641,19 @@ class TestFixedChannelInvariance:
     @classmethod
     def pairs(cls, transform, em_update=False, seeds=SEEDS, **scenario_kwargs):
         """(solve, transformed solve) for every drop and power, where
-        ``transform(scenario, p_max, rng)`` returns the transformed drop and
-        its budget, drawing from the seed's ``rng``."""
+        ``transform(scenario, snr_db, rng)`` returns the transformed drop and
+        its SNR, drawing from the seed's ``rng``."""
         for field_mode in ("far", "near"):
             for seed in seeds:
                 config = ScenarioConfig(field_mode=field_mode, **scenario_kwargs)
                 scenario = generate_scenario(config, seed)
                 rng = np.random.default_rng(seed)
                 for dbm in cls.POWERS_DBM:
-                    p_max = dbm_to_watts(dbm)
-                    other, other_p_max = transform(scenario, p_max, rng)
+                    snr_db = dbm - NOISE_DBM
+                    other, other_snr_db = transform(scenario, snr_db, rng)
                     yield (
-                        wmmse.run_algorithm1(scenario, p_max, em_update=em_update),
-                        wmmse.run_algorithm1(other, other_p_max, em_update=em_update),
+                        wmmse.run_algorithm1(scenario, snr_db, em_update=em_update),
+                        wmmse.run_algorithm1(other, other_snr_db, em_update=em_update),
                     )
 
     @staticmethod
@@ -1662,26 +1663,17 @@ class TestFixedChannelInvariance:
             assert other.sum_rate == pytest.approx(res.sum_rate, rel=rtol, abs=0)
 
     @staticmethod
-    def rotate(scenario, p_max, rng):
+    def rotate(scenario, snr_db, rng):
         """Each user's paths turned by one phase drawn for the user."""
         phases = np.exp(2j * np.pi * rng.uniform(size=scenario.n_users))
         rows = np.repeat(phases, scenario.path_counts)[:, None]
-        return dataclasses.replace(scenario, responses=scenario.responses * rows), p_max
+        return dataclasses.replace(scenario, responses=scenario.responses * rows), snr_db
 
     @staticmethod
-    def permute(scenario, p_max, rng):
+    def permute(scenario, snr_db, rng):
         """The users in an order drawn from the five non-identity orders of 3."""
         orders = list(itertools.permutations(range(3)))[1:]
-        return permuted_users(scenario, list(orders[rng.integers(len(orders))])), p_max
-
-    def test_snr_shift(self):
-        gain = 10.0 ** (20.0 / 10.0)  # +20 dB on the budget and the noise
-
-        def shift(scenario, p_max, rng):
-            return (dataclasses.replace(scenario, noise_powers=scenario.noise_powers * gain),
-                    p_max * gain)
-
-        self.check(self.pairs(shift), self.RTOL)
+        return permuted_users(scenario, list(orders[rng.integers(len(orders))])), snr_db
 
     def test_per_user_phase(self):
         self.check(self.pairs(self.rotate), self.RTOL)
