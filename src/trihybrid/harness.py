@@ -35,6 +35,7 @@ from .projection import (
     steered_candidate_set,
 )
 from .wmmse import SolverConfig, run_algorithm1
+from .wmmse import _require_pattern_degree
 
 logger = logging.getLogger(__name__)
 
@@ -61,13 +62,6 @@ def _check_ratio(name: str, db: float, what: str) -> None:
         raise ValueError(f"{name}: {what} overflows") from None
     if ratio == 0.0:
         raise ValueError(f"{name}: {what} underflows to 0")
-
-
-def _require_pattern_degree(truncation: int) -> None:
-    """The pattern solve's check of the truncation degree: with no AC part,
-    a pattern pinned at DC eta < sqrt(4 pi) misses its budget."""
-    if truncation == 0:
-        raise ConfigError("truncation: optimizing patterns needs degree >= 1, got 0")
 
 
 @dataclass(frozen=True)
@@ -116,14 +110,14 @@ class RunConfig(ScenarioConfig, SolverConfig):
                              f"p_max/noise at {pmax_dbm} and {self.noise_dbm} dBm")
             ScenarioConfig.__post_init__(self)
             SolverConfig.__post_init__(self)
+            if self.mode != "hybrid":
+                _require_pattern_degree(self.truncation)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         object.__setattr__(self, "pmax_dbm", tuple(map(float, self.pmax_dbm)))
         # after the array sizes, which the range reads, are checked
         if not self.n_users <= self.n_rf <= self.n_h * self.n_v:
             raise ConfigError(f"n_rf: need n_users <= n_rf <= n_h*n_v, got {self.n_rf}")
-        if self.mode != "hybrid":
-            _require_pattern_degree(self.truncation)
 
     def modes(self) -> tuple:
         return MODES if self.mode == "all" else (self.mode,)
@@ -442,7 +436,7 @@ def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
     power (the trace CSV has no power column)."""
     if len(config.pmax_dbm) > 1:
         raise ConfigError(f"pmax_dbm: trace runs one power, got {len(config.pmax_dbm)}")
-    _require_pattern_degree(config.truncation)  # a config of mode hybrid skipped it
+    replace(config, mode="all")  # the pattern solve runs, so check the config as mode all
     rows = []
     scenario = generate_scenario(config, seed)
     snr_db = config.pmax_dbm[0] - config.noise_dbm

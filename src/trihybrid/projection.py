@@ -130,6 +130,15 @@ def _theta_weights(theta: np.ndarray) -> np.ndarray:
     return w
 
 
+def _closed_azimuth(phi: np.ndarray) -> np.ndarray:
+    """The azimuth nodes ``phi``, closed by a node at phi[0] + 2 pi when
+    they stop short of a full turn.  Node j of the closed axis carries the
+    samples of column j % phi.size, so the added node repeats the first."""
+    if phi[-1] - phi[0] < 2.0 * math.pi:
+        return np.concatenate((phi, [phi[0] + 2.0 * math.pi]))
+    return phi
+
+
 def grid_power(theta: np.ndarray, phi: np.ndarray, gain: np.ndarray) -> float:
     """Quadrature of gain^2 over the sphere on a rectangular grid.
 
@@ -138,13 +147,12 @@ def grid_power(theta: np.ndarray, phi: np.ndarray, gain: np.ndarray) -> float:
     clamped beyond the theta edges and wrapped periodically in phi, so a
     constant pattern integrates to exactly 4 pi times its square.
     """
-    th, g = np.asarray(theta, float), np.asarray(gain, float)
-    ph = np.asarray(phi, float)
-    if ph[-1] - ph[0] < 2.0 * math.pi:
-        ph = np.concatenate((ph, [ph[0] + 2.0 * math.pi]))
-        g = np.hstack([g, g[:, :1]])
+    phi = np.asarray(phi, float)
+    ph = _closed_azimuth(phi)
+    # np.take copies in C order; trapezoid's sums, and their rounding, follow memory order
+    g = np.take(np.asarray(gain, float), np.arange(ph.size) % phi.size, axis=1)
     per_theta = np.trapezoid(g**2, ph, axis=1)
-    return float(np.dot(_theta_weights(th), per_theta))
+    return float(np.dot(_theta_weights(np.asarray(theta, float)), per_theta))
 
 
 def _float_array(values, name: str) -> np.ndarray:
@@ -356,55 +364,33 @@ def save_candidates(cset: CandidatePatternSet, path) -> None:
         json.dump(doc, fh)
 
 
-def _bilinear(grid_theta, grid_phi, gains, theta, phi) -> np.ndarray:
-    """(R, *angles) bilinear gains at (theta, phi) of a stack of R gains of
-    shape (R, n_theta, n_phi) sampled on one grid.
+def candidate_gain(cset: CandidatePatternSet, theta, phi) -> np.ndarray:
+    """(R, *angles) bilinear gains of every candidate at the (theta, phi)
+    angles, one gather per grid of the set.
 
     Azimuth wraps at 2 pi (a grid short of 2 pi closes on its first column);
     inclination clamps to the grid edge toward the poles.  Grid nodes
     reproduce the stored samples exactly.
     """
-    ph_axis = grid_phi
-    if ph_axis[-1] - ph_axis[0] < 2.0 * math.pi:
-        ph_axis = np.concatenate((ph_axis, [ph_axis[0] + 2.0 * math.pi]))
-
-    th = np.clip(np.asarray(theta, float), grid_theta[0], grid_theta[-1])
-    ph = ph_axis[0] + np.mod(np.asarray(phi, float) - ph_axis[0], 2.0 * math.pi)
-    ph = np.clip(ph, ph_axis[0], ph_axis[-1])
-
-    i = np.clip(np.searchsorted(grid_theta, th, side="right") - 1, 0, grid_theta.size - 2)
-    j = np.clip(np.searchsorted(ph_axis, ph, side="right") - 1, 0, ph_axis.size - 2)
-    t = (th - grid_theta[i]) / (grid_theta[i + 1] - grid_theta[i])
-    u = (ph - ph_axis[j]) / (ph_axis[j + 1] - ph_axis[j])
-    j1 = (j + 1) % grid_phi.size  # the wrapped column of a grid short of 2 pi
-    return (
-        (1 - t) * (1 - u) * gains[:, i, j]
-        + (1 - t) * u * gains[:, i, j1]
-        + t * (1 - u) * gains[:, i + 1, j]
-        + t * u * gains[:, i + 1, j1]
-    )
-
-
-def candidate_gain(cset: CandidatePatternSet, r: int, theta, phi):
-    """Bilinear gain of candidate ``r`` (0-based) at (theta, phi).
-
-    Azimuth wraps at 2 pi; inclination clamps to the grid edge toward the
-    poles.  Grid nodes reproduce the stored samples exactly.
-    """
-    if not 0 <= r < len(cset):
-        raise IndexError(f"candidate index {r} out of range [0, {len(cset)})")
-    pat = cset.patterns[r]
-    out = _bilinear(pat.theta, pat.phi, pat.gain[None], theta, phi)[0]
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def candidate_gains(cset: CandidatePatternSet, theta, phi) -> np.ndarray:
-    """(R, *angles) gains of every candidate at the (theta, phi) angles,
-    one bilinear gather per grid of the set."""
-    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
-    out = np.empty((len(cset),) + shape)
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    out = np.empty((len(cset),) + np.broadcast_shapes(theta.shape, phi.shape))
     for grid in cset.grids:
-        out[grid.members] = _bilinear(grid.theta, grid.phi, grid.gains, theta, phi)
+        ph_axis = _closed_azimuth(grid.phi)
+        th = np.clip(theta, grid.theta[0], grid.theta[-1])
+        ph = ph_axis[0] + np.mod(phi - ph_axis[0], 2.0 * math.pi)
+        ph = np.clip(ph, ph_axis[0], ph_axis[-1])
+        i = np.clip(np.searchsorted(grid.theta, th, side="right") - 1, 0, grid.theta.size - 2)
+        j = np.clip(np.searchsorted(ph_axis, ph, side="right") - 1, 0, ph_axis.size - 2)
+        t = (th - grid.theta[i]) / (grid.theta[i + 1] - grid.theta[i])
+        u = (ph - ph_axis[j]) / (ph_axis[j + 1] - ph_axis[j])
+        j1 = (j + 1) % grid.phi.size
+        g = grid.gains
+        out[grid.members] = (
+            (1 - t) * (1 - u) * g[:, i, j]
+            + (1 - t) * u * g[:, i, j1]
+            + t * (1 - u) * g[:, i + 1, j]
+            + t * u * g[:, i + 1, j1]
+        )
     return out
 
 
@@ -448,7 +434,7 @@ def apply_projection(
     combiner/weight/precoder updates rerun on the projected channel
     starting from the converged precoder, in the same units.
     """
-    gains = candidate_gains(cset, scenario.thetas, scenario.phis)  # (R, P, N_T)
+    gains = candidate_gain(cset, scenario.thetas, scenario.phis)  # (R, P, N_T)
     entries = snr_scale(result.snr_db) * assemble_channel(
         scenario.responses, scenario.path_counts, np.moveaxis(gains, 0, -1)
     )  # (K, N_T, R)

@@ -86,7 +86,7 @@ class SolverConfig:
 
     eta: float = math.sqrt(2.0 * math.pi)
     max_iterations: int = 100
-    tolerance: float = 1e-5  # relative sum-rate change to stop at; 0 stops on an equal rate
+    tolerance: float = 1e-5  # relative sum-rate rise to stop at; 0 stops once it stops rising
 
     RULES = {
         "eta": ("a number in (0, sqrt(4*pi))",
@@ -628,9 +628,9 @@ def extrapolated_step(x: Iterate, it, weights):
 
 def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     """Maps from ``x``, with ``weights`` made a list of floats once, until
-    the relative sum-rate change between two kept maps is at most
-    ``config.tolerance`` or ``config.max_iterations`` loop steps are
-    spent.  A step is ``outer_step``, or ``extrapolated_step`` once a
+    the sum rate rises between two kept maps by at most ``config.tolerance``
+    relative (a fall stops it too) or ``config.max_iterations`` loop steps
+    are spent.  A step is ``outer_step``, or ``extrapolated_step`` once a
     fixed-channel iterate has two precoders pending; an extrapolation that
     is not kept spends its step and leaves no record, whether its
     stabilising map ran or was skipped as already rejected.  Returns the
@@ -650,12 +650,19 @@ def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
         x, record = step
         history.append(record)
         rate = record.sum_rate
-        if prev_rate is not None and abs(rate - prev_rate) <= config.tolerance * max(
+        if prev_rate is not None and rate - prev_rate <= config.tolerance * max(
             abs(prev_rate), 1e-12
         ):
             return SolverResult(x, history, True, it)
         prev_rate = rate
     return SolverResult(x, history, False, config.max_iterations)
+
+
+def _require_pattern_degree(truncation: int) -> None:
+    """The pattern solve's check of the truncation degree: with no AC part,
+    a pattern pinned at DC eta < sqrt(4 pi) misses its budget."""
+    if truncation == 0:
+        raise ValueError("truncation: optimizing patterns needs degree >= 1, got 0")
 
 
 def run_algorithm1(
@@ -675,15 +682,15 @@ def run_algorithm1(
     precoder starts as the conjugate matched filter at full power.  Each
     outer iteration runs the four block updates (the frozen baseline's three,
     with an extrapolation of F_D after every two; see ``_alternate``); the
-    loop stops when the relative sum-rate change drops below the tolerance
+    loop stops when the relative sum-rate rise drops below the tolerance
     or the iteration budget is spent.  The blocks are lifted once per
     scenario, so one scenario serves every SNR; a pattern solve factors its
     scaled blocks' AC parts once (``factor_ac_blocks``) and needs a
     truncation degree of at least 1.  The result carries ``snr_db``.
     """
     scale = snr_scale(snr_db)
-    if em_update and scenario.truncation == 0:
-        raise ValueError("truncation: optimizing patterns needs degree >= 1, got 0")
+    if em_update:
+        _require_pattern_degree(scenario.truncation)
     config = config or SolverConfig()
     n_t, blocks = scenario.geometry.n_t, scenario.blocks * scale
     if em_update:

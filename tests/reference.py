@@ -369,7 +369,7 @@ def alternate(h, f_d, weights, config, pattern_step=None):
                 continue
             f_d, w = f_y, w_y
         history.append(record)
-        if len(history) > 1 and abs(record.sum_rate - history[-2].sum_rate) <= (
+        if len(history) > 1 and record.sum_rate - history[-2].sum_rate <= (
             config.tolerance * max(abs(history[-2].sum_rate), 1e-12)
         ):
             return h, f_d, np.array(w), history, True, it

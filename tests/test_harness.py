@@ -404,6 +404,20 @@ class TestRunDrop:
         assert not {"trihybrid.decomposition", "trihybrid.harness"} & set(callers)
         assert not hasattr(dec, "sum_rate_loss") and not hasattr(hn, "sum_rate_loss")
 
+    def test_one_traced_lookup_per_projected_row(self, monkeypatch):
+        # the benchmark counts projection.candidate_gain under that name, so
+        # a projected row that looked its gains up elsewhere would read 0
+        lookup, calls = proj.candidate_gain, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(proj, "candidate_gain", counted)
+        records = hn.run_drop(fast_config(mode="all", pmax_dbm=(0.0, 20.0)), seed=1)
+        assert all(r.error is None for r in records)
+        assert len(calls) == sum(r.mode == "projected" for r in records) == 2
+
     def test_als_row_seeds_decompose_from_its_seed(self):
         # K = 3 with N_RF = 4 < 2K is the ALS regime, seeded by [seed, 0xD0C]
         config, seed = hn.RunConfig(n_users=3, mode="hybrid"), 2
@@ -608,7 +622,7 @@ class TestSnrUnits:
         weights, noise = scenario.weights, hn.dbm_to_watts(config.noise_dbm)
         # every candidate's channel entries on the unscaled drop
         cset = hn.load_candidate_set(config)
-        gains = proj.candidate_gains(cset, scenario.thetas, scenario.phis)
+        gains = proj.candidate_gain(cset, scenario.thetas, scenario.phis)
         entries = assemble_channel(
             scenario.responses, scenario.path_counts, np.moveaxis(gains, 0, -1)
         )
@@ -1148,8 +1162,7 @@ class TestCli:
             {"user_radius_m": math.inf},
             {"bs_position": [0, math.nan, 10]},
             {"tolerance": math.nan},  # the solve would never converge
-            {"bisection_tol": math.nan},
-            {"bisection_tol": math.inf},
+            {"bisection_tol": 1e-9},  # a knob the solver no longer has
             {"weights": [1, math.inf]},
             {"n_h": 2.5},
             {"n_v": 2.0},
@@ -1197,8 +1210,8 @@ class TestCli:
         ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
              "max-iterations", "pmax-overflow", "noise-nan", "noise-inf",
              "frequency-nan", "frequency-inf", "radius-nan", "radius-inf",
-             "bs-position-nan", "tolerance-nan", "bisection-tol-nan",
-             "bisection-tol-inf", "weights-inf", "n-h-float", "n-v-float",
+             "bs-position-nan", "tolerance-nan", "unknown-field",
+             "weights-inf", "n-h-float", "n-v-float",
              "n-users-float", "n-paths-float", "n-rf-float", "truncation-float",
              "max-iterations-float", "trials-float", "seed-float", "workers-float",
              "workers-bool", "seed-negative", "n-h-n-v-negative", "degree-0-all",

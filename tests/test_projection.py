@@ -148,7 +148,7 @@ def path_table(rng, n_antennas, counts):
 
 def candidate_entries(table, cset):
     """(K, N, R) channel entries of every candidate at every antenna."""
-    gains = proj.candidate_gains(cset, table.thetas, table.phis)
+    gains = proj.candidate_gain(cset, table.thetas, table.phis)
     return assemble_channel(table.responses, table.path_counts, np.moveaxis(gains, 0, -1))
 
 
@@ -166,7 +166,9 @@ def project_antenna_oracle(channels, table, cset):
         best_idx, best_cost = 0, math.inf
         for r in range(len(cset)):
             gains = np.zeros(table.responses.shape)
-            gains[:, n] = proj.candidate_gain(cset, r, table.thetas[:, n], table.phis[:, n])
+            gains[:, n] = candidate_gain_oracle(
+                cset.patterns[r], table.thetas[:, n], table.phis[:, n]
+            )
             column = assemble_channel(table.responses, table.path_counts, gains)[:, n]
             cost = sum(abs(column - channels[:, n]) ** 2)
             if cost < best_cost:
@@ -198,7 +200,7 @@ def candidate_gain_oracle(pat, theta, phi):
 
 
 def projected_channels_oracle(scenario, indices, cset):
-    """Channels rebuilt from one candidate_gain call per element per path."""
+    """Channels rebuilt from one oracle gain per element per path."""
     geom = scenario.geometry
     channels = []
     for rows in user_rows(scenario.path_counts):
@@ -208,7 +210,7 @@ def projected_channels_oracle(scenario, indices, cset):
         ):
             g = np.array(
                 [
-                    proj.candidate_gain(cset, int(indices[n]), thetas[n], phis[n])
+                    candidate_gain_oracle(cset.patterns[int(indices[n])], thetas[n], phis[n])
                     for n in range(geom.n_t)
                 ]
             )
@@ -308,18 +310,14 @@ class TestProjectionOracle:
     @pytest.mark.parametrize(
         "which, grids", [("steered", 1), ("short", 1), ("mixed", 4), ("duplicated", 1)]
     )
-    def test_candidate_gains_match_per_candidate_calls(self, which, grids, tmp_path):
+    def test_candidate_gain_matches_oracle(self, which, grids, tmp_path):
         rng = np.random.default_rng(13)
         cset = oracle_set(which, tmp_path, rng)
         assert len(cset.grids) == grids
         # inclinations past both poles, azimuths over several turns
         thetas = rng.uniform(-0.2, math.pi + 0.2, (5, 6))
         phis = rng.uniform(-3 * math.pi, 3 * math.pi, (5, 6))
-        gains = proj.candidate_gains(cset, thetas, phis)
-        per_candidate = np.stack(
-            [proj.candidate_gain(cset, r, thetas, phis) for r in range(len(cset))]
-        )
-        np.testing.assert_array_equal(gains, per_candidate)
+        gains = proj.candidate_gain(cset, thetas, phis)
         oracle = np.stack([candidate_gain_oracle(p, thetas, phis) for p in cset.patterns])
         np.testing.assert_array_equal(gains, oracle)
 
@@ -410,7 +408,7 @@ class TestLoader:
         doc["patterns"][0]["gain"] = [[1.0] * len(phi_deg)] * 7
         cset = proj.load_candidates(write_doc(tmp_path, doc))
         phis = np.linspace(-math.pi, 3 * math.pi, 17)
-        np.testing.assert_allclose(proj.candidate_gain(cset, 0, 1.0, phis), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(proj.candidate_gain(cset, 1.0, phis)[0], 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "zero", "null"])
     def test_normalize_must_be_a_json_boolean(self, tmp_path, value):
@@ -491,7 +489,7 @@ class TestLoader:
                 return
             pat = cset.patterns[0]
             power = proj.grid_power(pat.theta, pat.phi, pat.gain)
-            looked_up = proj.candidate_gains(cset, 0.5 * angles[0], angles[1])
+            looked_up = proj.candidate_gain(cset, 0.5 * angles[0], angles[1])
         assert np.all(np.isfinite(pat.gain)) and np.all(pat.gain >= 0)
         assert power == pytest.approx(FULL_SPHERE, rel=1e-12)
         assert np.all(np.isfinite(looked_up))
@@ -671,7 +669,7 @@ class TestCandidateGain:
         cset = proj.CandidatePatternSet((pat,), normalized=False)
         for i in (0, 2, 4):
             for j in (0, 3, 8):
-                assert proj.candidate_gain(cset, 0, theta[i], phi[j]) == pytest.approx(
+                assert proj.candidate_gain(cset, theta[i], phi[j])[0] == pytest.approx(
                     gain[i, j]
                 )
 
@@ -679,9 +677,8 @@ class TestCandidateGain:
         cset = proj.load_candidates(write_doc(tmp_path, isotropic_doc()))
         rng = np.random.default_rng(2)
         for _ in range(10):
-            val = proj.candidate_gain(
-                cset, 0, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            )
+            th, ph = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+            val = proj.candidate_gain(cset, th, ph)[0]
             assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_bilinear_midpoint(self):
@@ -690,7 +687,7 @@ class TestCandidateGain:
         gain = np.array([[1.0, 1.0], [3.0, 3.0]])  # varies along theta only
         pat = proj.CandidatePattern("m", theta, phi, gain, 1.0)
         cset = proj.CandidatePatternSet((pat,), normalized=False)
-        mid = proj.candidate_gain(cset, 0, math.pi / 2, math.pi / 2)
+        mid = proj.candidate_gain(cset, math.pi / 2, math.pi / 2)[0]
         assert mid == pytest.approx(2.0)
 
     def test_azimuth_wraparound(self):
@@ -700,14 +697,9 @@ class TestCandidateGain:
         pat = proj.CandidatePattern("w", theta, phi, gain, 1.0)
         cset = proj.CandidatePatternSet((pat,), normalized=False)
         # 315 deg sits halfway between the 270-deg node and the wrapped 0-deg node
-        assert proj.candidate_gain(cset, 0, 1.0, np.deg2rad(315.0)) == pytest.approx(2.5)
+        assert proj.candidate_gain(cset, 1.0, np.deg2rad(315.0))[0] == pytest.approx(2.5)
         # theta clamps to the pole rows
-        assert proj.candidate_gain(cset, 0, -0.1, 0.0) == pytest.approx(1.0)
-
-    def test_index_out_of_range(self):
-        cset = proj.steered_candidate_set(count=2)
-        with pytest.raises(IndexError):
-            proj.candidate_gain(cset, 2, 0.0, 0.0)
+        assert proj.candidate_gain(cset, -0.1, 0.0)[0] == pytest.approx(1.0)
 
 
 class TestProjectAntenna:
@@ -745,7 +737,7 @@ class TestProjectAntenna:
                 for th, ph, response in zip(
                     table.thetas[rows, 0], table.phis[rows, 0], table.responses[rows, 0]
                 ):
-                    h += proj.candidate_gain(cset, r, th, ph) * response
+                    h += proj.candidate_gain(cset, th, ph)[r] * response
                 diff = h / math.sqrt(rows.stop - rows.start) - channels[k, 0]
                 cost += abs(diff) ** 2
             costs.append(cost)
@@ -828,9 +820,8 @@ class TestApplyProjection:
         rng = np.random.default_rng(8)
         for _ in range(40):
             r = int(rng.integers(len(cset)))
-            g = proj.candidate_gain(
-                cset, r, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            )
+            th, ph = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+            g = proj.candidate_gain(cset, th, ph)[r]
             assert g >= 0.0
 
 

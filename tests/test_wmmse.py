@@ -1474,15 +1474,19 @@ class TestOuterStep:
 
 
 class TestSolverConfig:
-    def test_zero_tolerance_stops_on_an_equal_rate(self):
-        # |change| <= 0 * rate holds once the rate repeats bit for bit, which
-        # this frozen solve, the default drop's at the default power, reaches
-        # long before its cap
+    @pytest.mark.parametrize(
+        "pmax_dbm, steps, records", [(10.0, 14, 10), (0.0, 11, 8)], ids=["10dBm", "0dBm-cycle"]
+    )
+    def test_zero_tolerance_stops_once_the_rate_stops_rising(self, pmax_dbm, steps, records):
+        # a rise of at most 0 * rate holds once the rate repeats or falls in
+        # its last bits, which these frozen solves of the default drop reach
+        # long before the cap; at 0 dBm the rate cycles between two values
+        # one ulp apart, so a test of |change| <= 0 never stopped it
         scenario = generate_scenario(RunConfig(), 3)
         config = wmmse.SolverConfig(max_iterations=2000, tolerance=0.0)
-        res = wmmse.run_algorithm1(scenario, SNR_DB, config, em_update=False)
-        assert res.converged and res.iterations == 22 and len(res.history) == 15
-        assert res.history[-1].sum_rate == res.history[-2].sum_rate
+        res = wmmse.run_algorithm1(scenario, pmax_dbm - NOISE_DBM, config, em_update=False)
+        assert res.converged and res.iterations == steps and len(res.history) == records
+        assert res.history[-1].sum_rate <= res.history[-2].sum_rate
 
     def test_defaults(self):
         config = wmmse.SolverConfig()
