@@ -145,9 +145,9 @@ def main(argv=None) -> int:
             print(f"wrote {len(rows)} trace rows to {config.out_path}")
             return 0
 
-        if "projected" in config.modes():
-            load_candidate_set(config)  # fail fast on a bad pattern file
-        records = run_trials(config)
+        # fail fast on a bad pattern file; the batch and its workers use this parse
+        cset = load_candidate_set(config) if "projected" in config.modes() else None
+        records = run_trials(config, cset)
         emit_csv(records, config.out_path)
         failures = sum(1 for r in records if r.error is not None)
         _print_summary(records, config)

@@ -19,7 +19,6 @@ import functools
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -192,11 +191,7 @@ class TrialRecord:
                 raise ValueError("a successful trial runs at least one iteration")
 
 
-# A candidate file's stat key is trusted only once the file was this much
-# older than the clock when its bytes were read (see load_candidate_set).
-STAT_SETTLE_NS = 2_000_000_000
-
-_last_set = (None, None, None)  # (stat key, bytes while not settled else None, set)
+_last_set = (None, None)  # (bytes, set) of the last file parsed
 
 
 @functools.cache
@@ -218,45 +213,25 @@ def load_candidate_set(config: RunConfig) -> CandidatePatternSet:
     """Candidate set from the configured file, or the synthetic 64-lobe
     stand-in, built once per process, when no file is given.
 
-    The last set parsed from a file is kept, so the CLI's fail-fast check,
-    every batch and every worker of one process share one parse.  A settled
-    entry is returned unopened when the file's stat key (device, inode, size,
-    mtime, ctime) equals the entry's; it holds no bytes, so a new stat key
-    costs a parse, even of equal bytes.  An unsettled entry holds the file's
-    bytes, which the next call compares with the file through one reused MiB
-    buffer, holding no second copy: equal bytes, under the same stat key or a
-    new one (a ``touch`` or an ``os.replace``), cost a read, not a parse.
-
-    An entry is settled when the file's mtime and ctime were more than
-    ``STAT_SETTLE_NS`` older than the clock reading taken just before the
-    stat: git's "racy clean" rule, which relies on POSIX ctime.  A write
-    after that reading sets the ctime to at least the reading less one
-    timestamp tick, which a settled key's ctime cannot equal and which no
-    user can set back; a write in the same tick as a fresh file's last
-    change, though, can leave its whole stat key as it was.  So a file
-    changed less than ``STAT_SETTLE_NS`` before the read, or dated in the
-    future, is read and compared again on the next call.  A failed stat,
-    read or parse raises and leaves the kept entry in place.
+    The last set parsed from a file is kept with the file's bytes.  A call
+    whose file holds bytes equal to the kept ones returns the kept set; the
+    compare reads the file through one reused MiB buffer and holds no second
+    copy.  Any other file is parsed, and its set and bytes are kept.  A
+    failed read or parse raises and leaves the kept set in place.
     """
     global _last_set
     path = config.patterns_path
     if path is None:
         return _stand_in_set()
-    (key, data, cset), now = _last_set, time.time_ns()
+    data, cset = _last_set
     try:
-        st = os.stat(path)
-        same = data is not None and _file_equals(path, data)
+        if data is not None and _file_equals(path, data):
+            return cset
     except OSError as err:
         raise PatternLoadError(f"{path}: cannot read candidate set: {err}") from err
-    stat_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-    if data is None and key == stat_key:
-        return cset
-    if not same:
-        data = read_candidate_file(path)
-        cset = load_candidates(path, data)
-    settled = max(st.st_mtime_ns, st.st_ctime_ns) < now - STAT_SETTLE_NS
-    _last_set = (stat_key, None if settled else data, cset)
-    return cset
+    data = read_candidate_file(path)
+    _last_set = (data, load_candidates(path, data))
+    return _last_set[1]
 
 
 def _failed(seed: int, mode: str, pmax_dbm: float, err: BaseException) -> TrialRecord:
@@ -304,15 +279,15 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
     return record, result
 
 
-def _project(config: RunConfig, scenario, result, solved: TrialRecord) -> TrialRecord:
-    """The projected row: the solved row plus the rate after projection.
-
-    The candidate set comes from ``load_candidate_set``; a failed load flags
-    the row like a failed projection.  ``wall_ms`` counts the projection, not
-    the load.
+def _project(config: RunConfig, scenario, result, solved: TrialRecord, cset) -> TrialRecord:
+    """The projected row: the solved row plus the rate after projection onto
+    ``cset``, or when that is None onto ``load_candidate_set(config)``; a
+    failed load flags the row like a failed projection.  ``wall_ms`` counts
+    the projection, not the load.
     """
     try:
-        cset = load_candidate_set(config)
+        if cset is None:
+            cset = load_candidate_set(config)
         tic = time.perf_counter()
         projected = apply_projection(
             result, scenario, cset, refit=config.refit, config=config
@@ -327,7 +302,7 @@ def _project(config: RunConfig, scenario, result, solved: TrialRecord) -> TrialR
     )
 
 
-def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
+def run_drop(config: RunConfig, seed: int, cset=None) -> list[TrialRecord]:
     """Rows of every configured power and mode for one seed, ordered by
     power as configured, then in ``MODES`` order.
 
@@ -338,10 +313,11 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
     ``projected`` together, the frozen-pattern solve
     once for ``hybrid``, and each solve's precoder is decomposed once.  The
     ``projected`` row carries its solve's rate, iterations and residual plus
-    the rate after projecting onto the candidate set of
-    ``load_candidate_set(config)``.  A failed scenario flags every row of
-    the seed, a failed solve the rows derived from it and a failed load or
-    projection the ``projected`` row; the other rows still succeed.
+    the rate after projecting onto ``cset``, the set ``config.patterns_path``
+    names, or when that is None onto the set each projected row looks up
+    with ``load_candidate_set(config)``.  A failed scenario flags every row
+    of the seed, a failed solve the rows derived from it and a failed load
+    or projection the ``projected`` row; the other rows still succeed.
     """
     modes = config.modes()
     tic = time.perf_counter()
@@ -366,7 +342,7 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
                         rows[mode] = _failed(seed, mode, pmax_dbm, err)
             else:
                 if "projected" in modes:
-                    rows["projected"] = _project(config, scenario, result, rows["trihybrid"])
+                    rows["projected"] = _project(config, scenario, result, rows["trihybrid"], cset)
         if "hybrid" in modes:
             try:
                 rows["hybrid"], _ = _solve(config, drop, seed, pmax_dbm, "hybrid")
@@ -376,14 +352,27 @@ def run_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
     return records
 
 
-def run_trials(config: RunConfig) -> list[TrialRecord]:
+_pool_set = None  # a pool worker's candidate set, which _hold_set hands over
+
+
+def _hold_set(cset) -> None:
+    global _pool_set
+    _pool_set = cset
+
+
+def _pooled_drop(config: RunConfig, seed: int) -> list[TrialRecord]:
+    return run_drop(config, seed, _pool_set)
+
+
+def run_trials(config: RunConfig, cset=None) -> list[TrialRecord]:
     """Run the full (trial x power x mode) batch, one ``run_drop`` per
     trial seed.
 
     Seeds may execute on worker processes, at most one per seed; records
     always come back ordered by (trial, pmax, mode).  Failed trials yield
-    flagged NaN records.  Each projection looks its candidate set up
-    through ``load_candidate_set``, which says when a file is parsed again.
+    flagged NaN records.  A batch given ``cset`` uses it throughout, and a
+    pool hands it to each worker once; a batch given none sees a rewritten
+    file from its next ``load_candidate_set`` lookup on (see ``run_drop``).
     """
     seeds = [config.seed + t for t in range(config.trials)]
     configs = [config] * len(seeds)
@@ -392,10 +381,10 @@ def run_trials(config: RunConfig) -> list[TrialRecord]:
         # imported here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            drops = list(pool.map(run_drop, configs, seeds, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_hold_set, initargs=(cset,)) as pool:
+            drops = list(pool.map(_pooled_drop, configs, seeds, chunksize=1))
     else:
-        drops = list(map(run_drop, configs, seeds))
+        drops = [run_drop(config, seed, cset) for seed in seeds]
     return [record for drop in drops for record in drop]
 
 

@@ -80,8 +80,9 @@ class CandidatePatternSet:
     ``phi`` and ``gain`` become read-only views of its grid, so a set can be
     shared between calls without copies.  ``scales``, one factor per
     pattern, multiplies each gain as it is stacked (the loader's
-    normalization).  Sets, grids and patterns compare and hash by identity,
-    since their fields hold arrays.
+    normalization); a set unpickles through this construction too.  Sets,
+    grids and patterns compare and hash by identity, since their fields
+    hold arrays.
     """
 
     patterns: tuple
@@ -110,6 +111,9 @@ class CandidatePatternSet:
             grids.append(CandidateGrid(theta, phi, gains, _read_only(np.array(members))))
         object.__setattr__(self, "patterns", tuple(patterns))
         object.__setattr__(self, "grids", tuple(grids))
+
+    def __reduce__(self):
+        return CandidatePatternSet, (self.patterns, self.normalized)
 
     def __len__(self) -> int:
         return len(self.patterns)

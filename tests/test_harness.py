@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 
 import numpy as np
@@ -52,7 +51,7 @@ def library_fields(config, cls) -> dict:
 def fresh_candidate_memo(monkeypatch):
     """Each test starts with no candidate set kept from an earlier test,
     and no stand-in set built."""
-    monkeypatch.setattr(hn, "_last_set", (None, None, None))
+    monkeypatch.setattr(hn, "_last_set", (None, None))
     hn._stand_in_set.cache_clear()
 
 
@@ -137,6 +136,39 @@ def write_uniform_doc(path, value):
         ],
     }
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def record_pools(monkeypatch) -> list:
+    """Record the keyword arguments of each process pool ``run_trials``
+    creates; the pools themselves are real."""
+    pools, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def recorded(**kwargs):
+        pools.append(kwargs)
+        return pool(**kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    return pools
+
+
+def held_set_state():
+    """In a pool worker: the length of the set its initializer handed over,
+    and whether every array of the set is read-only."""
+    cset = hn._pool_set
+    arrays = [a for g in cset.grids for a in (g.theta, g.phi, g.gains)]
+    arrays += [a for p in cset.patterns for a in (p.theta, p.phi, p.gain)]
+    return len(cset), not any(a.flags.writeable for a in arrays)
+
+
+def looked_up_in(pid, lookup):
+    """``lookup`` wrapped to fail in any process but ``pid``."""
+
+    def guarded(*args, **kwargs):
+        if os.getpid() != pid:
+            raise RuntimeError("candidate set looked up in a worker")
+        return lookup(*args, **kwargs)
+
+    return guarded
 
 
 def strip_wall(record):
@@ -554,6 +586,42 @@ class TestRunDrop:
             else:
                 assert r.error is None and r.sum_rate > 0
 
+    def test_given_set_is_not_looked_up(self, tmp_path, monkeypatch):
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        cfg = fast_config(
+            mode="all", trials=2, pmax_dbm=(0.0, 20.0), patterns_path=str(path)
+        )
+        looked_up = hn.run_trials(cfg)
+        cset = hn.load_candidate_set(cfg)
+
+        def lookup_fails(config):
+            raise AssertionError("a batch given a set looked one up")
+
+        monkeypatch.setattr(hn, "load_candidate_set", lookup_fails)
+        given = hn.run_trials(cfg, cset)
+        assert all(r.error is None for r in given)
+        assert [strip_wall(r) for r in given] == [strip_wall(r) for r in looked_up]
+
+    def test_pool_hands_the_set_to_each_worker_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        params = dict(trials=3, mode="all", seed=2, patterns_path=str(path))
+        cset = hn.load_candidate_set(fast_config(**params))
+        serial = hn.run_trials(fast_config(workers=1, **params), cset)
+        pools = record_pools(monkeypatch)
+        guarded = looked_up_in(os.getpid(), hn.load_candidate_set)
+        monkeypatch.setattr(hn, "load_candidate_set", guarded)
+        pooled = hn.run_trials(fast_config(workers=2, **params), cset)
+        assert all(r.error is None for r in pooled)
+        assert [strip_wall(r) for r in pooled] == [strip_wall(r) for r in serial]
+        assert len(pools) == 1
+        (held,) = pools[0]["initargs"]
+        assert held is cset
+        # a pool built alike holds the set in its worker, read-only
+        with concurrent.futures.ProcessPoolExecutor(**dict(pools[0], max_workers=1)) as pool:
+            assert pool.submit(held_set_state).result() == (len(cset), True)
+
     def test_parallel_projection_matches_serial(self, tmp_path):
         path = tmp_path / "patterns.json"
         save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
@@ -692,17 +760,10 @@ class TestPowerGrouping:
     @pytest.mark.parametrize("trials,workers,processes", [(1, 2, 0), (2, 4, 2), (3, 2, 2)])
     def test_no_more_processes_than_seeds(self, monkeypatch, trials, workers, processes):
         # run_trials imports the pool class when it needs one
-        pools = []
-        pool = concurrent.futures.ProcessPoolExecutor
-
-        def recorded(max_workers):
-            pools.append(max_workers)
-            return pool(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        pools = record_pools(monkeypatch)
         records = hn.run_trials(fast_config(trials=trials, workers=workers, mode="hybrid"))
         assert len(records) == trials
-        assert pools == ([processes] if processes else [])
+        assert [pool["max_workers"] for pool in pools] == ([processes] if processes else [])
 
 
 class TestCandidateMemo:
@@ -755,19 +816,7 @@ class TestCandidateMemo:
         write_uniform_doc(path, 3)
         np.testing.assert_array_equal(hn.load_candidate_set(cfg).patterns[0].gain, 3.0)
 
-    def test_settled_hit_opens_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)  # a file settles at once
-        path = tmp_path / "patterns.json"
-        write_uniform_doc(path, 1)
-        cfg = fast_config(patterns_path=str(path))
-        first = hn.load_candidate_set(cfg)
-        reads = count_calls(monkeypatch, *MEMO_READS)
-        assert hn.load_candidate_set(cfg) is first
-        assert hn.load_candidate_set(cfg) is first
-        assert len(reads) == 0
-
     def test_unsettled_hit_compares_without_parsing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 10**18)  # a file never settles
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
         cfg = fast_config(patterns_path=str(path))
@@ -777,10 +826,8 @@ class TestCandidateMemo:
         assert hn.load_candidate_set(cfg) is first
         assert (len(reads), len(parses)) == (1, 0)
 
-    def test_touched_settled_file_parses_once(self, tmp_path, monkeypatch):
-        # A settled entry holds no bytes to compare with, so its file under a
-        # new stat key is parsed again, even with equal bytes.
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)
+    def test_touched_file_with_equal_bytes_parses_nothing(self, tmp_path, monkeypatch):
+        # only the bytes count: a new mtime over equal bytes is the kept set
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
         cfg = fast_config(patterns_path=str(path))
@@ -789,14 +836,11 @@ class TestCandidateMemo:
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10**9))
         reads = count_calls(monkeypatch, *MEMO_READS)
         parses = count_calls(monkeypatch, "load_candidates")
-        touched = hn.load_candidate_set(cfg)
-        assert touched is not first
-        assert hn.load_candidate_set(cfg) is touched  # settled under the new key
-        assert (len(reads), len(parses)) == (1, 1)
-        np.testing.assert_array_equal(touched.patterns[0].gain, first.patterns[0].gain)
+        assert hn.load_candidate_set(cfg) is first
+        assert hn.load_candidate_set(cfg) is first
+        assert (len(reads), len(parses)) == (2, 0)
 
     def test_unsettled_replace_with_equal_bytes_parses_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 10**18)  # a file never settles
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
         cfg = fast_config(patterns_path=str(path))
@@ -812,12 +856,11 @@ class TestCandidateMemo:
         assert (len(reads), len(parses)) == (1, 0)
 
     def test_replaced_same_size_restored_mtime_reloads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
         cfg = fast_config(patterns_path=str(path))
         old = hn.load_candidate_set(cfg)
-        assert hn.load_candidate_set(cfg) is old  # the entry is settled
+        assert hn.load_candidate_set(cfg) is old
         stat = path.stat()
         staged = tmp_path / "staged.json"
         write_uniform_doc(staged, 2)
@@ -830,18 +873,13 @@ class TestCandidateMemo:
         assert len(parses) == 1
         np.testing.assert_array_equal(new.patterns[0].gain, 2.0)
 
-    def test_settled_in_place_rewrite_reloads(self, tmp_path, monkeypatch):
-        # A 50 ms window, waited out for real: the rewrite's ctime is then
-        # newer than the settled key's, whatever the timestamp tick below 50 ms.
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 50_000_000)
+    def test_settled_in_place_rewrite_reloads(self, tmp_path):
+        # rewritten in place, with its inode, size and mtime kept
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
-        time.sleep(0.1)
         cfg = fast_config(patterns_path=str(path))
         old = hn.load_candidate_set(cfg)
-        reads = count_calls(monkeypatch, *MEMO_READS)
         assert hn.load_candidate_set(cfg) is old
-        assert len(reads) == 0  # the entry is settled
         stat = path.stat()
         write_uniform_doc(path, 2)
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
@@ -850,26 +888,22 @@ class TestCandidateMemo:
         new = hn.load_candidate_set(cfg)
         np.testing.assert_array_equal(new.patterns[0].gain, 2.0)
 
-    def test_deleted_file_raises_then_reloads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 0)
+    def test_deleted_file_raises_then_reloads(self, tmp_path):
         path = tmp_path / "patterns.json"
         write_uniform_doc(path, 1)
         cfg = fast_config(patterns_path=str(path))
         old = hn.load_candidate_set(cfg)
-        assert hn.load_candidate_set(cfg) is old  # the entry is settled
+        assert hn.load_candidate_set(cfg) is old
         path.unlink()
         with pytest.raises(PatternLoadError, match="cannot read candidate set"):
             hn.load_candidate_set(cfg)
-        # A new size: with the settle window off, a same-size file written in
-        # the tick of the old one's last change could reuse its whole stat key.
         write_uniform_doc(path, 10)
         np.testing.assert_array_equal(hn.load_candidate_set(cfg).patterns[0].gain, 10.0)
 
-    def test_unsettled_hit_holds_no_second_copy(self, tmp_path, monkeypatch):
-        # An unsettled hit on a file of over 8 MiB allocates one MiB, the
-        # compare's buffer: neither the whole file nor a chunk of either
-        # side is copied beside the kept bytes.
-        monkeypatch.setattr(hn, "STAT_SETTLE_NS", 10**18)  # a file never settles
+    def test_unsettled_hit_holds_no_second_copy(self, tmp_path):
+        # A hit on a file of over 8 MiB allocates one MiB, the compare's
+        # buffer: neither the whole file nor a chunk of either side is
+        # copied beside the kept bytes.
         path = tmp_path / "patterns.json"
         save_candidates(steered_candidate_set(count=112), path)
         assert path.stat().st_size >= 8 << 20
@@ -1504,6 +1538,27 @@ class TestCli:
         )
         assert code == 0
         assert len(calls) == 1
+
+    def test_pooled_run_parses_patterns_once_in_the_parent(self, tmp_path, monkeypatch):
+        # a worker that looked the set up would flag its projected rows
+        cfg = self.write_fast_config(tmp_path, trials=3)
+        patterns = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), patterns)
+        parses = count_calls(monkeypatch, "load_candidates")
+        guarded = looked_up_in(os.getpid(), hn.load_candidate_set)
+        monkeypatch.setattr(hn, "load_candidate_set", guarded)
+        outs = {w: tmp_path / f"w{w}.csv" for w in (2, 1)}
+        for workers, out in outs.items():
+            code = cli.main(
+                ["run", "--config", str(cfg), "--workers", str(workers),
+                 "--mode", "projected", "--patterns", str(patterns), "--out", str(out)]
+            )
+            assert code == 0
+            if workers == 2:
+                assert len(parses) == 1
+        pooled, serial = (read_csv(out) for out in outs.values())
+        assert len(pooled) == 3 and all(r.error is None for r in pooled)
+        assert [strip_wall(r) for r in pooled] == [strip_wall(r) for r in serial]
 
     def test_trace_subcommand(self, tmp_path):
         cfg = self.write_fast_config(tmp_path, max_iterations=3)

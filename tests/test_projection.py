@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
 import types
 import warnings
@@ -627,7 +628,7 @@ class TestLoader:
             assert hash(a) == hash(a)
             assert len({a, a, b}) == 2
 
-    @pytest.mark.parametrize("builder", ["file", "steered", "sampled", "memory"])
+    @pytest.mark.parametrize("builder", ["file", "steered", "sampled", "memory", "pickled"])
     def test_arrays_read_only(self, builder, tmp_path):
         rng = np.random.default_rng(15)
         if builder == "file":
@@ -636,8 +637,13 @@ class TestLoader:
             cset = proj.steered_candidate_set(count=3, n_theta=13, n_phi=25)
         elif builder == "sampled":
             cset = sampled_pattern_set(random_coeffs(rng, 2, 9), n_theta=13, n_phi=25)
-        else:
+        elif builder == "memory":
             cset = mixed_grid_set(tmp_path, rng)
+        else:  # as a pool worker receives it under a spawning start method
+            original = mixed_grid_set(tmp_path, rng)
+            cset = pickle.loads(pickle.dumps(original))
+            for a, b in zip(original.grids, cset.grids, strict=True):
+                np.testing.assert_array_equal(a.gains, b.gains)
         arrays = [a for g in cset.grids for a in (g.theta, g.phi, g.gains)]
         arrays += [a for p in cset.patterns for a in (p.theta, p.phi, p.gain)]
         for arr in arrays:
