@@ -36,11 +36,12 @@ One outer iteration, a map G, is ``outer_step``, a function from one
 immutable ``Iterate`` to the next, so a solve can resume from, or evaluate
 the step at, any iterate; ``_alternate`` loops over it and returns the
 ``SolverResult`` of every solve, the pattern solve's, the frozen baseline's
-and ``refit_digital``'s alike.  On a fixed channel (the frozen baseline and
-``refit_digital``) the loop takes one SQUAREM extrapolation of F_D after
-every two maps (``extrapolated_step``; Varadhan & Roland 2008), which
-shortcuts the slow linear tail of block-coordinate WMMSE; the pattern solve
-runs the plain maps.
+and ``refit_digital``'s alike.  Every solve takes one SQUAREM extrapolation
+after every two maps (``extrapolated_step``; Varadhan & Roland 2008), which
+shortcuts the slow linear tail of block-coordinate WMMSE: of F_D on a fixed
+channel (the frozen baseline and ``refit_digital``), and of F_D together
+with each antenna's AC coefficients in its channel's row space on a
+pattern solve, the null-space part riding along on the 4 pi budget.
 
 The solve runs in SNR units: ``snr_scale`` scales the channel so that the
 noise is 1 at every user and the power budget is 1.  Its precoder F~ times
@@ -78,6 +79,9 @@ DEGENERACY_TOL = 1e-14
 CLUSTER_ULPS = 10.0
 MULTIPLIER_STEPS = 100  # cap on safeguarded Newton steps per multiplier
 MULTIPLIER_TOL = 1e-10  # relative constraint residual at which a multiplier stops
+# squared AC null-space part, relative to its budget, at or below which it is
+# the rounding of a projection, not a direction to rescale
+NULL_ROUNDING = 1e-24
 
 
 @dataclass(frozen=True)
@@ -504,8 +508,8 @@ def snr_scale(snr_db: float) -> float:
 class Iterate(NamedTuple):
     """One point of the alternating solve, never changed in place: F_D, the
     coefficients, the MSE weights the next v update is scored with, and what
-    the next step reads of them, formed once per change.  On a fixed channel
-    it also carries the precoders going into the last maps since the last
+    the next step reads of them, formed once per change.  It also carries
+    the (F_D, coefficients) pairs going into the last maps since the last
     extrapolation, at most two, which ``extrapolated_step`` reads, so a
     solve resumed from any iterate continues its history."""
 
@@ -516,7 +520,7 @@ class Iterate(NamedTuple):
     h: np.ndarray  # (K, N_T) channel
     basis: tuple  # thin QR (Q, R) of h^H
     links: Links  # statistics of h F_D
-    pending: tuple = ()  # (F_0,) or (F_0, F_1) on a fixed channel, else ()
+    pending: tuple = ()  # ((F_0, c_0), (F_1, c_1)) or fewer; c is None on a fixed channel
     objective: float = math.inf  # the objective recorded by the map that made it
 
     @classmethod
@@ -550,9 +554,9 @@ def outer_step(x: Iterate, it, weights, factors):
     (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
     and the channel, QR and links under its coefficients.  v and w read the
     same links, so one MSE vector scores both; ``weights`` is a list of
-    floats.  On a fixed channel (no ``factors``) the next iterate's
-    ``pending`` is the last two precoders going into the maps, x's among
-    them.  Returns (next iterate, ``IterationRecord``)."""
+    floats.  The next iterate's ``pending`` is the last two (F_D,
+    coefficients) pairs going into the maps, x's among them.  Returns (next
+    iterate, ``IterationRecord``)."""
     tic = time.perf_counter()
     v = update_v(x.links)
     e = mse_vector(x.links, v)
@@ -577,41 +581,87 @@ def outer_step(x: Iterate, it, weights, factors):
     rate = sum_rate(links, weights)
     seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
     record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
-    pending = () if factors is not None else (*x.pending, x.f_d)[-2:]
+    pending = (*x.pending, (x.f_d, x.coeffs))[-2:]
     return Iterate(f_d, coeffs, w, log_w, h, basis, links, pending, obj_em), record
 
 
-def extrapolated_step(x: Iterate, it, weights):
-    """Loop step ``it`` of a fixed-channel solve after two plain maps: one
-    SQUAREM extrapolation of F_D and one stabilising map G from the point
-    it gives.
+def _row_coordinates(factors: AcFactors, coeffs) -> np.ndarray:
+    """Each antenna's AC coefficients in its channel's row space: the
+    (N_T, r) coordinates Q_n^T c_n^AC, with Q_n = ``factors.q[n]``."""
+    return (coeffs[:, None, 1:] @ factors.q)[:, 0, :]
 
-    With F_0, F_1 = ``x.pending`` and F_2 = ``x.f_d``, r = F_1 - F_0,
-    u = F_2 - 2 F_1 + F_0 and alpha = -||r||_F / ||u||_F.  Only a step
-    longer than the plain one, alpha < -1, extrapolates; otherwise this is
-    the plain map from x.  F' = F_0 - 2 alpha r + alpha^2 u, scaled down
-    into the unit budget when over it, carries its links and a fresh w from
-    a fresh v at them, so the map's objective after v is sum(beta) -
-    ln 2 rate(F').  G's result is kept only when its rate beats x's and its
-    objective after v is at most x's recorded objective, so acceptance 04's
-    chain and the non-decreasing rate hold across it.  That objective is
-    formed here, exactly as G forms it, and G runs only when it passes.
-    Returns what ``outer_step`` returns, with nothing pending, or None when
-    G's result would not be kept (G then may not have run) and the solve
-    continues from x."""
-    f_0, f_1 = x.pending
+
+def _coefficients_at(factors: AcFactors, coords, coeffs) -> np.ndarray:
+    """Coefficients whose AC row part is Q_n ``coords[n]`` for each antenna
+    n, completed to the 4 pi budget by the null-space parts of ``coeffs``,
+    and with its DC.
+
+    Each AC vector is the row part a plus the null-space part of ``coeffs``,
+    c^AC - Q_n Q_n^T c^AC, rescaled so that ||c^AC||^2 = 4 pi - DC^2.  Where
+    that null part is at rounding level (at most NULL_ROUNDING times the
+    budget, squared: an r = T - 1 row space leaves only the rounding of the
+    projection) or ||a||^2 exceeds the budget, a alone is scaled onto it."""
+    rows = (factors.q @ coords[:, :, None])[:, :, 0]
+    own = _row_coordinates(factors, coeffs)
+    nulls = coeffs[:, 1:] - (factors.q @ own[:, :, None])[:, :, 0]
+    out = coeffs.copy()
+    for n, (row, null) in enumerate(zip(rows, nulls)):
+        rho_sq = FULL_SPHERE - coeffs[n, 0] ** 2
+        row_sq, null_sq = float(row @ row), float(null @ null)
+        if null_sq <= NULL_ROUNDING * rho_sq or row_sq > rho_sq:
+            out[n, 1:] = row * math.sqrt(rho_sq / row_sq)
+        else:
+            out[n, 1:] = row + null * math.sqrt((rho_sq - row_sq) / null_sq)
+    return out
+
+
+def extrapolated_step(x: Iterate, it, weights, factors):
+    """Loop step ``it`` after two plain maps: one SQUAREM extrapolation of
+    the point x = (F_D, Q_n^T c_n^AC for each antenna n) and one stabilising
+    map G from the point it gives.  On a fixed channel (no ``factors``) the
+    point is F_D alone; on a pattern solve Q_n is ``factors.q[n]``, so the
+    point holds each AC vector's part in its channel's row space, the part
+    the channel sees.
+
+    With x_0, x_1 = ``x.pending`` and x_2 = x's own, r = x_1 - x_0,
+    u = x_2 - 2 x_1 + x_0 and alpha = -||r|| / ||u||.  Only a step longer
+    than the plain one, alpha < -1, extrapolates; otherwise this is the
+    plain map from x.  x' = x_0 - 2 alpha r + alpha^2 u; its F' is scaled
+    down into the unit budget when over it, and its coefficients are
+    ``_coefficients_at`` its row coordinates, with x_2's null-space parts
+    and DC.  x' carries its channel, QR and links and a fresh w from a fresh
+    v at them, so the map's objective after v is sum(beta) - ln 2 rate(x').
+    G's result is kept only when its rate beats x's and its objective after
+    v is at most x's recorded objective, so acceptance 04's chain and the
+    non-decreasing rate hold across it.  That objective is formed here,
+    exactly as G forms it, and G runs only when it passes.  Returns what
+    ``outer_step`` returns, with nothing pending, or None when G's result
+    would not be kept (G then may not have run) and the solve continues
+    from x."""
+    (f_0, c_0), (f_1, c_1) = x.pending
+    x = x._replace(pending=())
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
     norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
-    x = x._replace(pending=())
+    if factors is not None:
+        y_0, y_1, y_2 = (_row_coordinates(factors, c) for c in (c_0, c_1, x.coeffs))
+        r_y, u_y = y_1 - y_0, y_2 - 2.0 * y_1 + y_0
+        norm_r = math.hypot(norm_r, float(np.linalg.norm(r_y)))
+        norm_u = math.hypot(norm_u, float(np.linalg.norm(u_y)))
     if not norm_r > norm_u > 0.0:
-        return outer_step(x, it, weights, None)
+        return outer_step(x, it, weights, factors)
     alpha = -norm_r / norm_u
     f_d = f_0 - 2.0 * alpha * r + alpha * alpha * u
     power = float(np.sum(np.abs(f_d) ** 2))
     if power > 1.0:
         f_d = f_d * math.sqrt(1.0 / power)
-    links = link_stats(x.h @ f_d)
+    start = x
+    if factors is not None:
+        coords = y_0 - 2.0 * alpha * r_y + alpha * alpha * u_y
+        coeffs = _coefficients_at(factors, coords, x.coeffs)
+        h = effective_channels(factors.blocks, coeffs)
+        start = x._replace(coeffs=coeffs, h=h, basis=np.linalg.qr(np.conj(h).T))
+    links = link_stats(start.h @ f_d)
     v = update_v(links)
     w = update_w(links, v)
     log_w = [math.log(wk) for wk in w]
@@ -619,8 +669,8 @@ def extrapolated_step(x: Iterate, it, weights):
     # it with this w
     if wmmse_objective(w, mse_vector(links, v), weights, log_w) > x.objective:
         return None
-    start = x._replace(f_d=f_d, w=w, log_w=log_w, links=links)
-    y, record = outer_step(start, it, weights, None)
+    start = start._replace(f_d=f_d, w=w, log_w=log_w, links=links)
+    y, record = outer_step(start, it, weights, factors)
     if record.sum_rate > sum_rate(x.links, weights):
         return y._replace(pending=()), record
     return None
@@ -630,8 +680,8 @@ def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     """Maps from ``x``, with ``weights`` made a list of floats once, until
     the sum rate rises between two kept maps by at most ``config.tolerance``
     relative (a fall stops it too) or ``config.max_iterations`` loop steps
-    are spent.  A step is ``outer_step``, or ``extrapolated_step`` once a
-    fixed-channel iterate has two precoders pending; an extrapolation that
+    are spent.  A step is ``outer_step``, or ``extrapolated_step`` once the
+    iterate has two points pending; an extrapolation that
     is not kept spends its step and leaves no record, whether its
     stabilising map ran or was skipped as already rejected.  Returns the
     solve's result: the last kept iterate, the history, whether the rate
@@ -641,7 +691,7 @@ def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     prev_rate = None
     for it in range(1, config.max_iterations + 1):
         if len(x.pending) == 2:
-            step = extrapolated_step(x, it, weights)
+            step = extrapolated_step(x, it, weights, factors)
         else:
             step = outer_step(x, it, weights, factors)
         if step is None:
@@ -680,8 +730,8 @@ def run_algorithm1(
     Patterns start with DC pinned at eta and random AC (or isotropic when
     ``em_update`` is off, the conventional hybrid baseline); the digital
     precoder starts as the conjugate matched filter at full power.  Each
-    outer iteration runs the four block updates (the frozen baseline's three,
-    with an extrapolation of F_D after every two; see ``_alternate``); the
+    outer iteration runs the four block updates (the frozen baseline's
+    three), with an extrapolation after every two (see ``_alternate``); the
     loop stops when the relative sum-rate rise drops below the tolerance
     or the iteration budget is spent.  The blocks are lifted once per
     scenario, so one scenario serves every SNR; a pattern solve factors its

@@ -34,9 +34,10 @@ oracles of the batched code in ``trihybrid``.
   apart, and which the hard case's missing norm sqrt(rho^2 - range_sq)
   amplifies.
 * ``alternate`` is the v/w/F_D loop, in SNR units, calling the per-user
-  functions of ``wmmse`` on per-call statistics of the links, ln w and QR of H^H, with
-  the pattern update as a callback, and, on a fixed channel, the SQUAREM
-  extrapolation after every two maps written out on its local variables;
+  functions of ``wmmse`` on per-call statistics of the links, ln w and QR
+  of H^H, with ``wmmse.update_em`` as the pattern update, and the SQUAREM
+  extrapolation after every two maps, of F_D and of the coefficients' row
+  space part, written out on its local variables;
   ``wmmse._alternate``, which repeats ``outer_step`` and
   ``extrapolated_step`` on an ``Iterate`` holding each, formed once per
   change, must equal it bit for bit.
@@ -62,6 +63,7 @@ from trihybrid.wmmse import (
     EPS,
     MULTIPLIER_STEPS,
     MULTIPLIER_TOL,
+    NULL_ROUNDING,
     IterationRecord,
 )
 
@@ -285,19 +287,28 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
     return (q @ u) @ (bt / (eigvals + mu)[:, None])
 
 
-def alternate(h, f_d, weights, config, pattern_step=None):
+def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     """The loop of ``wmmse._alternate`` written as one loop over local
     variables, with the same per-user functions, on per-call evaluations:
     each function reads the links' statistics from p itself, each objective
-    its own MSE vector and ln w, and F_D factors H^H itself.
-    ``pattern_step(f_d, w, v)``, when given, is ``outer_step``'s pattern
-    sweep and returns the channel under the new coefficients.  Without it
-    the channel is fixed, and after every two plain maps since the last
-    extrapolation, with F_0, F_1 the precoders into them and F_2 out of
-    them, the next map starts from the SQUAREM point of the three, with
-    fresh v and w there, when its step length alpha = -||F_1 - F_0|| /
-    ||F_2 - 2 F_1 + F_0|| is below -1 (otherwise it is a plain map); that
-    map's result is kept only when its rate beats the last record's and its
+    its own MSE vector and ln w, and F_D factors H^H itself.  With
+    ``factors`` (``wmmse.factor_ac_blocks`` of the blocks) and ``coeffs``,
+    each map ends with ``wmmse.update_em``'s pattern sweep and the channel
+    under the new coefficients; without them the channel is fixed.
+
+    After every two plain maps since the last extrapolation, with x_0, x_1
+    the points going into them and x_2 the point out of them, the next map
+    starts from the SQUAREM point of the three, with fresh v and w there,
+    when its step length alpha = -||x_1 - x_0|| / ||x_2 - 2 x_1 + x_0|| is
+    below -1 (otherwise it is a plain map).  A point is F_D and, on a
+    pattern solve, each antenna's AC coefficients in the row space of its
+    channel block, the coordinates Q_n^T c_n^AC in the basis Q_n =
+    ``factors.q[n]``.  The extrapolated F_D is scaled into the unit budget;
+    each antenna's extrapolated row part a = Q_n y is completed to the
+    sphere ||c^AC||^2 = 4 pi - DC^2 by the null-space part of x_2's AC
+    vector, rescaled, or is scaled onto that sphere alone when that null
+    part is at rounding level or a is already outside it.  That map's
+    result is kept only when its rate beats the last record's and its
     objective after v is at most the last record's objective.  ``h`` is in
     SNR units, so the noise and the budget are 1.  Returns
     (h, f_d, w, history, converged, maps), with w as an array."""
@@ -307,7 +318,7 @@ def alternate(h, f_d, weights, config, pattern_step=None):
         e = wmmse.mse_vector(wmmse.link_stats(p), v)
         return wmmse.wmmse_objective(w, e, weights, [math.log(wk) for wk in w])
 
-    def one_map(it, h, f_d, w):
+    def one_map(it, h, f_d, w, coeffs):
         tic = time.perf_counter()
         p = h @ f_d
         v = wmmse.update_v(wmmse.link_stats(p))
@@ -320,10 +331,11 @@ def alternate(h, f_d, weights, config, pattern_step=None):
         p = h @ f_d
         obj_fd = objective(p, v, w)
         t_fd = time.perf_counter()
-        if pattern_step is None:
+        if factors is None:
             obj_em = obj_fd
         else:
-            h = pattern_step(f_d, w, v)
+            coeffs = wmmse.update_em(factors, coeffs, f_d, w, v, weights)
+            h = wmmse.effective_channels(factors.blocks, coeffs)
             p = h @ f_d
             obj_em = objective(p, v, w)
         t_em = time.perf_counter()
@@ -336,38 +348,63 @@ def alternate(h, f_d, weights, config, pattern_step=None):
             objective_after_fd=obj_fd,
             step_seconds=(t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd),
         )
-        return h, f_d, w, record
+        return h, f_d, w, coeffs, record
+
+    def point(f, c):
+        if factors is None:
+            return [f]
+        return [f, (c[:, None, 1:] @ factors.q)[:, 0, :]]
+
+    def extrapolated(x_0, x_1, x_2):
+        """The SQUAREM point (F_D, coefficients), or None for a plain map."""
+        r = [b - a for a, b in zip(x_0, x_1)]
+        u = [c - 2.0 * b + a for a, b, c in zip(x_0, x_1, x_2)]
+        norm_r = math.hypot(*[float(np.linalg.norm(part)) for part in r])
+        norm_u = math.hypot(*[float(np.linalg.norm(part)) for part in u])
+        if not norm_r > norm_u > 0.0:
+            return None
+        alpha = -norm_r / norm_u
+        x = [a - 2.0 * alpha * b + alpha * alpha * c for a, b, c in zip(x_0, r, u)]
+        f_x = x[0]
+        power = float(np.sum(np.abs(f_x) ** 2))
+        if power > 1.0:
+            f_x = f_x * math.sqrt(1.0 / power)
+        if factors is None:
+            return f_x, coeffs
+        c_x = coeffs.copy()
+        rows = (factors.q @ x[1][:, :, None])[:, :, 0]
+        nulls = coeffs[:, 1:] - (factors.q @ x_2[1][:, :, None])[:, :, 0]
+        for n, null in enumerate(nulls):
+            rho_sq = FULL_SPHERE - coeffs[n, 0] ** 2
+            row_sq, null_sq = float(rows[n] @ rows[n]), float(null @ null)
+            if null_sq > NULL_ROUNDING * rho_sq and row_sq <= rho_sq:
+                c_x[n, 1:] = rows[n] + null * math.sqrt((rho_sq - row_sq) / null_sq)
+            else:
+                c_x[n, 1:] = rows[n] * math.sqrt(rho_sq / row_sq)
+        return f_x, c_x
 
     w = [1.0] * len(weights)
     history = []
-    inputs = []  # on a fixed channel, F_D going into each map since the last extrapolation
+    inputs = []  # the points (F_D, coefficients) going into each map since the last extrapolation
     for it in range(1, config.max_iterations + 1):
-        f_x = None
+        start = None
         if len(inputs) == 2:
-            f_0, f_1 = inputs
+            start = extrapolated(*(point(f, c) for f, c in inputs), point(f_d, coeffs))
             inputs = []
-            r = f_1 - f_0
-            u = f_d - 2.0 * f_1 + f_0
-            norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
-            if norm_r > norm_u > 0.0:
-                alpha = -norm_r / norm_u
-                f_x = f_0 - 2.0 * alpha * r + alpha * alpha * u
-                power = float(np.sum(np.abs(f_x) ** 2))
-                if power > 1.0:
-                    f_x = f_x * math.sqrt(1.0 / power)
-        if f_x is None:
-            if pattern_step is None:
-                inputs.append(f_d)
-            h, f_d, w, record = one_map(it, h, f_d, w)
+        if start is None:
+            inputs.append((f_d, coeffs))
+            h, f_d, w, coeffs, record = one_map(it, h, f_d, w, coeffs)
         else:
-            p_x = h @ f_x
+            f_x, c_x = start
+            h_x = h if factors is None else wmmse.effective_channels(factors.blocks, c_x)
+            p_x = h_x @ f_x
             w_x = wmmse.update_w(wmmse.link_stats(p_x), wmmse.update_v(wmmse.link_stats(p_x)))
-            _, f_y, w_y, record = one_map(it, h, f_x, w_x)
+            h_y, f_y, w_y, c_y, record = one_map(it, h_x, f_x, w_x, c_x)
             last = history[-1]
             if not (record.sum_rate > last.sum_rate
                     and record.objective_after_v <= last.objective):
                 continue
-            f_d, w = f_y, w_y
+            h, f_d, w, coeffs = h_y, f_y, w_y, c_y
         history.append(record)
         if len(history) > 1 and record.sum_rate - history[-2].sum_rate <= (
             config.tolerance * max(abs(history[-2].sum_rate), 1e-12)

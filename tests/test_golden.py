@@ -42,7 +42,10 @@ RTOL = {"sum_rate": 1e-9, "projected_sum_rate": 1e-9, "decomp_residual": 5e-2}
 # order: permuting the users of the same drops moved such a rate by up to
 # 1.6e-6, against 8.6e-15 for the plain loop.  Those values compare within
 # the solver's stopping tolerance, 1e-5, the relative rate change it
-# treats as settled; trihybrid rows keep RTOL.
+# treats as settled.  trihybrid rows keep RTOL, though their pattern solves
+# extrapolate too: a capped pattern solve is not invariant under such
+# changes (the user permutation moved one by 4.3e-3), so a numpy that
+# rounds differently may move a capped trihybrid row past RTOL.
 EXTRAPOLATED_RTOL = 1e-5
 # With N_RF >= 2K the decomposition is the exact closed-form split, and its
 # residual is rounding plus the final budget scaling: update_fd may leave

@@ -1137,14 +1137,15 @@ class TestAlgorithm:
                 res = wmmse.run_algorithm1(scenario, pmax_dbm - NOISE_DBM, config, seed=seed)
                 reference.check_state(res.iterate, config.eta, 1.0)
 
-    # Relative sum-rate change of a default drop (pattern solve) or of one
-    # map's F_D update (hybrid solve) when the power multiplier comes from
-    # Newton instead of the bisection oracle.  Both stop within 1e-10 of the
-    # unit budget.  Over the benchmark's hybrid drops (seeds 1..108, far
-    # and near field, 0..30 dBm) and seeds 1..3 with patterns, the largest
-    # change of a whole plain-loop solve measured was 2.2e-10, at seed 106,
-    # 30 dBm; over every map of those hybrid drops' extrapolated solves, the
-    # largest change of one update was 1.9e-10, at seed 108, far, 30 dBm.
+    # Relative sum-rate change of one map's F_D update when the power
+    # multiplier comes from Newton instead of the bisection oracle.  Both
+    # stop within 1e-10 of the unit budget.  Both solves extrapolate, and a
+    # rate moved by rounding can flip whether an extrapolation is kept, so
+    # the two updates are compared map by map, from the same (H, w, v) of
+    # every map the solve takes.  Over every map of the benchmark's hybrid
+    # drops (seeds 1..108, far and near field, 0..30 dBm) the largest change
+    # of one update was 1.9e-10, at seed 108, far, 30 dBm; over the pattern
+    # solves of seeds 1..3, far and near field, 0..30 dBm, 7.6e-11.
     SUM_RATE_RTOL = 1e-9
 
     @pytest.mark.parametrize(
@@ -1155,11 +1156,6 @@ class TestAlgorithm:
     def test_newton_precoder_tracks_bisection_oracle(
         self, monkeypatch, field_mode, em_update, seeds
     ):
-        # A hybrid solve extrapolates, and a rate moved by rounding can flip
-        # whether an extrapolation is kept, so there the two F_D updates are
-        # compared map by map, from the same (H, w, v) of every map the
-        # solve takes.  The pattern solve runs plain maps: its whole solves
-        # are compared.
         config = RunConfig(field_mode=field_mode)
         update_fd, outer_step = wmmse.update_fd, wmmse.outer_step
 
@@ -1167,61 +1163,83 @@ class TestAlgorithm:
             steps.append(args[1])
             return outer_step(*args)
 
-        def bisection(basis, *args):
-            # the loop passes the thin QR of H^H; the oracle takes H
-            return update_fd_bisection(np.conj(basis[0] @ basis[1]).T, *args, 1.0)[0]
-
         def both(basis, w, v, weights):
+            # the loop passes the thin QR of H^H; the oracle takes H
             h = np.conj(basis[0] @ basis[1]).T
-            pair = update_fd(basis, w, v, weights), bisection(basis, w, v, weights)
+            pair = update_fd(basis, w, v, weights), update_fd_bisection(h, w, v, weights, 1.0)[0]
             maps.append([wmmse.sum_rate(wmmse.link_stats(h @ f), weights) for f in pair])
             return pair[0]
 
         for seed in seeds:
             scenario = generate_scenario(config, seed)
             for dbm in (0.0, 10.0, 20.0, 30.0):
-                snr_db = dbm - config.noise_dbm
                 maps, steps = [], []
                 with monkeypatch.context() as patch:
-                    patch.setattr(wmmse, "update_fd", bisection if em_update else both)
+                    patch.setattr(wmmse, "update_fd", both)
                     patch.setattr(wmmse, "outer_step", counted)
-                    other = wmmse.run_algorithm1(
-                        scenario, snr_db, config, seed, em_update=em_update
+                    res = wmmse.run_algorithm1(
+                        scenario, dbm - config.noise_dbm, config, seed, em_update=em_update
                     )
-                if not em_update:
-                    # one F_D update per map evaluated; a loop step whose
-                    # extrapolation is already rejected evaluates none
-                    assert len(maps) == len(steps) <= other.iterations
-                    for newton, oracle in maps:
-                        assert newton == pytest.approx(oracle, rel=self.SUM_RATE_RTOL)
-                    continue
-                newton = wmmse.run_algorithm1(scenario, snr_db, config, seed)
-                assert newton.iterations == other.iterations
-                assert newton.sum_rate == pytest.approx(other.sum_rate, rel=self.SUM_RATE_RTOL)
+                # one F_D update per map evaluated; a loop step whose
+                # extrapolation is already rejected evaluates none
+                assert len(maps) == len(steps) <= res.iterations
+                for newton, oracle in maps:
+                    assert newton == pytest.approx(oracle, rel=self.SUM_RATE_RTOL)
 
-    # Relative sum-rate change of a default drop when every pattern update is
-    # solved in its channel range and scored from rank-1-moved links instead
-    # of being assembled, eigen-decomposed and scored in full (the dense
-    # oracle).  Over seeds 1..8 at 0/10/20/30 dBm and seeds 9..30 at 0 dBm
-    # the largest change measured was 9.8e-14, at seed 7, 0 dBm.
+    # Relative sum-rate change of one pattern sweep when every antenna's
+    # update is solved in its channel range and scored from rank-1-moved
+    # links instead of being assembled, eigen-decomposed and scored in full
+    # (the dense oracle), compared sweep by sweep from the same (c, F_D, w,
+    # v) of every map the extrapolated solve takes, as the F_D updates are
+    # above.  Where both sweeps keep the same antennas, the largest change
+    # measured over seeds 1..8 at 0/10/20/30 dBm and seeds 9..30 at 0 dBm
+    # was 9.2e-15.  A candidate that beats its incumbent by a rounding-level
+    # objective is a tie, which the two forms may decide apart (3 of those
+    # 2,412 sweeps, all on seed 3); the objective is flat to second order
+    # there, so the points may part by up to sqrt(eps) relative, and the
+    # rate with them: measured, 3.5e-11.
     RANGE_SWEEP_RTOL = 1e-12
+    TIE_RTOL = math.sqrt(wmmse.EPS)
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_range_sweep_tracks_dense_sweep_oracle(self, monkeypatch, seed):
         config = RunConfig()
         scenario = generate_scenario(config, seed)
-        for dbm in (0.0, 10.0, 20.0, 30.0):
-            snr_db = dbm - config.noise_dbm
-            fast = wmmse.run_algorithm1(scenario, snr_db, config, seed)
-            with monkeypatch.context() as patch:
-                # the solve passes the blocks' AC factors; the dense sweep
-                # reads only the blocks they hold
-                patch.setattr(
-                    wmmse, "update_em", lambda factors, *args: dense_sweep(factors.blocks, *args)
+        update_em, outer_step = wmmse.update_em, wmmse.outer_step
+
+        def counted(*args):
+            steps.append(args[1])
+            return outer_step(*args)
+
+        def both(factors, coeffs, f_d, *args):
+            # the dense sweep reads only the blocks the factors hold
+            pair = update_em(factors, coeffs, f_d, *args), dense_sweep(
+                factors.blocks, coeffs, f_d, *args
+            )
+            kept = [np.any(c != coeffs, axis=1) for c in pair]
+            rates = [
+                wmmse.sum_rate(
+                    wmmse.link_stats(wmmse.effective_channels(factors.blocks, c) @ f_d), args[-1]
                 )
-                oracle = wmmse.run_algorithm1(scenario, snr_db, config, seed)
-            assert fast.iterations == oracle.iterations
-            assert fast.sum_rate == pytest.approx(oracle.sum_rate, rel=self.RANGE_SWEEP_RTOL)
+                for c in pair
+            ]
+            sweeps.append((*rates, not np.array_equal(*kept)))
+            return pair[0]
+
+        sweeps = []
+        for dbm in (0.0, 10.0, 20.0, 30.0):
+            steps, before = [], len(sweeps)
+            with monkeypatch.context() as patch:
+                patch.setattr(wmmse, "update_em", both)
+                patch.setattr(wmmse, "outer_step", counted)
+                res = wmmse.run_algorithm1(scenario, dbm - config.noise_dbm, config, seed)
+            # one sweep per map evaluated
+            assert len(sweeps) - before == len(steps) <= res.iterations
+        assert len(sweeps) > 100
+        for fast, oracle, tie in sweeps:
+            rtol = self.TIE_RTOL if tie else self.RANGE_SWEEP_RTOL
+            assert fast == pytest.approx(oracle, rel=rtol)
+        assert sum(tie for *_, tie in sweeps) <= 0.02 * len(sweeps)
 
     def test_matches_plain_wmmse_on_fixed_channel(self):
         # with patterns frozen isotropic the solver is plain WMMSE on the
@@ -1334,23 +1352,14 @@ class TestLoopMatchesReference:
             coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, config.eta, rng)
         else:
             coeffs = wmmse.isotropic_coefficients(n_t, scenario.truncation)
-        factors = wmmse.factor_ac_blocks(blocks)
-
-        def pattern_step(f_d, w, v):
-            nonlocal coeffs
-            coeffs = wmmse.update_em(factors, coeffs, f_d, w, v, weights)
-            return wmmse.effective_channels(blocks, coeffs)
-
+        factors = wmmse.factor_ac_blocks(blocks) if em_update else None
         h = wmmse.effective_channels(blocks, coeffs)
         f_d = wmmse.matched_filter_precoder(h)
         if loop is wmmse._alternate:
-            res = loop(
-                wmmse.Iterate.start(h, f_d, coeffs), weights, config,
-                factors if em_update else None,
-            )
+            res = loop(wmmse.Iterate.start(h, f_d, coeffs), weights, config, factors)
             x = res.iterate
             return x.h, x.f_d, np.array(x.w), res.history, res.converged, res.iterations
-        return loop(h, f_d, weights, config, pattern_step if em_update else None)
+        return loop(h, f_d, weights, config, factors, coeffs if em_update else None)
 
     @pytest.mark.parametrize(
         "field_mode,dbm,em_update,max_iterations,seed",
@@ -1604,6 +1613,47 @@ class TestExtrapolation:
         assert [record_fields(r) for r in got[3]] == [record_fields(r) for r in ref[3]]
 
 
+class TestPatternExtrapolation:
+    """The pattern solve extrapolates too: after two maps, F_D and each
+    antenna's AC part in its channel's row space, with the null-space part
+    rescaled onto the 4 pi budget.  Every extrapolated point whose map is
+    kept has DC at eta and AC on its sphere, also at degree 1, where
+    T - 1 = 3 < 2K leaves no null space, only the rounding of the
+    projection, which must not be scaled up to the sphere."""
+
+    @pytest.mark.parametrize("truncation", [4, 1], ids=["default", "degree-1"])
+    def test_kept_points_stay_on_the_budgets(self, monkeypatch, truncation):
+        step, outer_step = wmmse.extrapolated_step, wmmse.outer_step
+        starts, kept = [], []
+
+        def spy(x, it, weights, factors):
+            starts.clear()
+            out = step(x, it, weights, factors)
+            # a step too short to extrapolate maps from x itself
+            if out is not None and factors is not None and starts[0].f_d is not x.f_d:
+                kept.append(starts[0])
+            return out
+
+        def started(x, *args):
+            starts.append(x)
+            return outer_step(x, *args)
+
+        config = RunConfig(truncation=truncation)
+        with monkeypatch.context() as patch:
+            patch.setattr(wmmse, "extrapolated_step", spy)
+            patch.setattr(wmmse, "outer_step", started)
+            for seed in (1, 2):
+                scenario = generate_scenario(config, seed)
+                for dbm in (10.0, 30.0):
+                    wmmse.run_algorithm1(scenario, dbm - config.noise_dbm, config, seed)
+        assert kept
+        for x in kept:
+            assert np.all(x.coeffs[:, 0] == config.eta)
+            ac_sq = np.sum(x.coeffs[:, 1:] ** 2, axis=1)
+            assert np.all(np.abs(ac_sq - (FULL_SPHERE - config.eta**2)) <= 1e-12 * FULL_SPHERE)
+            assert np.sum(np.abs(x.f_d) ** 2) <= 1.0 + 1e-12
+
+
 def permuted_users(scenario, order):
     """``scenario`` with its users in ``order``, each with its path rows,
     path count and weight; ``dataclasses.replace`` lifts the blocks anew."""
@@ -1690,21 +1740,40 @@ class TestPatternSolveInvariance:
     """The user permutation and the per-user phase of
     ``TestFixedChannelInvariance``, for the pattern solve
     (``em_update=True``) on seeds 1..3, far and near field, at 0..30 dBm.
-    The pattern solve runs plain maps, so no extrapolation amplifies the
-    rounding-level change that either transformation makes: measured, the
-    rate moved by at most 5.5e-15 (permutation) and 3.0e-13 (phase), and
-    no iteration count changed."""
+    Every pair takes the same number of loop steps and the same
+    ``converged`` flag.
+
+    The pattern solve extrapolates, which amplifies the rounding-level
+    change either transformation makes, as on the fixed channel.  A
+    converged solve returns to the same fixed point: its rate is compared
+    at ``RTOL`` under the phase (measured at most 2.0e-13 here, 6.4e-12 on
+    seeds 1..10) and, as ``TestFixedChannelInvariance.PERMUTATION_RTOL``
+    is, at the solver's tolerance under the permutation (3.3e-7 here, on a
+    solve that settles after 94 steps; 1 of 12 converged pairs is over
+    1e-10).  A solve stopped at the cap reports where its trajectory stood
+    at step 100, and that point is not invariant: measured up to 1.7e-7
+    (phase) and 4.3e-3 (permutation) here, and up to 1.1e-2 and 4.3e-3 on
+    seeds 1..10, with no iteration count and no extrapolation decision
+    changed.  So capped pairs are counted, not compared on rate; a stop test
+    on the iterates with a higher cap (ROADMAP item 20, step 2) is what
+    brings them back under a bound."""
 
     SEEDS = range(1, 4)
     RTOL = 1e-10
     FIXED = TestFixedChannelInvariance
 
-    def check(self, transform, **scenario_kwargs):
+    def check(self, transform, rtol, **scenario_kwargs):
         pairs = self.FIXED.pairs(transform, em_update=True, seeds=self.SEEDS, **scenario_kwargs)
-        self.FIXED.check(pairs, self.RTOL)
+        converged = 0
+        for res, other in pairs:
+            assert (other.iterations, other.converged) == (res.iterations, res.converged)
+            if res.converged:
+                converged += 1
+                assert other.sum_rate == pytest.approx(res.sum_rate, rel=rtol, abs=0)
+        assert converged >= 10  # of 24 pairs; the others stop at the cap
 
     def test_per_user_phase(self):
-        self.check(self.FIXED.rotate)
+        self.check(self.FIXED.rotate, self.RTOL)
 
     def test_user_permutation(self):
-        self.check(self.FIXED.permute, **self.FIXED.PERMUTED_DROP)
+        self.check(self.FIXED.permute, self.FIXED.PERMUTATION_RTOL, **self.FIXED.PERMUTED_DROP)
