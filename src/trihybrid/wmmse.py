@@ -79,9 +79,6 @@ DEGENERACY_TOL = 1e-14
 CLUSTER_ULPS = 10.0
 MULTIPLIER_STEPS = 100  # cap on safeguarded Newton steps per multiplier
 MULTIPLIER_TOL = 1e-10  # relative constraint residual at which a multiplier stops
-# squared AC null-space part, relative to its budget, at or below which it is
-# the rounding of a projection, not a direction to rescale
-NULL_ROUNDING = 1e-24
 
 
 @dataclass(frozen=True)
@@ -591,27 +588,33 @@ def _row_coordinates(factors: AcFactors, coeffs) -> np.ndarray:
     return (coeffs[:, None, 1:] @ factors.q)[:, 0, :]
 
 
-def _coefficients_at(factors: AcFactors, coords, coeffs) -> np.ndarray:
+def _coefficients_at(factors: AcFactors, coords, own, coeffs) -> np.ndarray:
     """Coefficients whose AC row part is Q_n ``coords[n]`` for each antenna
     n, completed to the 4 pi budget by the null-space parts of ``coeffs``,
-    and with its DC.
+    whose row coordinates are ``own``, and with its DC.
 
     Each AC vector is the row part a plus the null-space part of ``coeffs``,
-    c^AC - Q_n Q_n^T c^AC, rescaled so that ||c^AC||^2 = 4 pi - DC^2.  Where
-    that null part is at rounding level (at most NULL_ROUNDING times the
-    budget, squared: an r = T - 1 row space leaves only the rounding of the
-    projection) or ||a||^2 exceeds the budget, a alone is scaled onto it."""
-    rows = (factors.q @ coords[:, :, None])[:, :, 0]
-    own = _row_coordinates(factors, coeffs)
-    nulls = coeffs[:, 1:] - (factors.q @ own[:, :, None])[:, :, 0]
+    c^AC - Q_n Q_n^T c^AC, rescaled so that ||c^AC||^2 = 4 pi - DC^2 = rho^2.
+    That null part is projected a second time (twice is enough, Parlett
+    1980), so its row-space content is rounding of its own length and stays
+    so however far it is scaled up.  Where the first projection leaves no
+    more than CLUSTER_ULPS (T - 1) eps rho (an r = T - 1 row space leaves
+    only that rounding), or ||a||^2 exceeds rho^2, a alone is scaled onto the
+    sphere."""
+    q = factors.q
+    rows = (q @ coords[:, :, None])[:, :, 0]
+    nulls = coeffs[:, 1:] - (q @ own[:, :, None])[:, :, 0]
+    nulls_sq = np.sum(nulls * nulls, axis=1).tolist()
+    nulls -= (q @ (nulls[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0]
+    rounding = (CLUSTER_ULPS * q.shape[1] * EPS) ** 2
     out = coeffs.copy()
-    for n, (row, null) in enumerate(zip(rows, nulls)):
+    for n, (row, null, first_sq) in enumerate(zip(rows, nulls, nulls_sq)):
         rho_sq = FULL_SPHERE - coeffs[n, 0] ** 2
-        row_sq, null_sq = float(row @ row), float(null @ null)
-        if null_sq <= NULL_ROUNDING * rho_sq or row_sq > rho_sq:
+        row_sq = float(row @ row)
+        if first_sq <= rounding * rho_sq or row_sq > rho_sq:
             out[n, 1:] = row * math.sqrt(rho_sq / row_sq)
         else:
-            out[n, 1:] = row + null * math.sqrt((rho_sq - row_sq) / null_sq)
+            out[n, 1:] = row + null * math.sqrt((rho_sq - row_sq) / float(null @ null))
     return out
 
 
@@ -658,7 +661,7 @@ def extrapolated_step(x: Iterate, it, weights, factors):
     start = x
     if factors is not None:
         coords = y_0 - 2.0 * alpha * r_y + alpha * alpha * u_y
-        coeffs = _coefficients_at(factors, coords, x.coeffs)
+        coeffs = _coefficients_at(factors, coords, y_2, x.coeffs)
         h = effective_channels(factors.blocks, coeffs)
         start = x._replace(coeffs=coeffs, h=h, basis=np.linalg.qr(np.conj(h).T))
     links = link_stats(start.h @ f_d)

@@ -63,7 +63,6 @@ from trihybrid.wmmse import (
     EPS,
     MULTIPLIER_STEPS,
     MULTIPLIER_TOL,
-    NULL_ROUNDING,
     IterationRecord,
 )
 
@@ -372,13 +371,19 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
         if factors is None:
             return f_x, coeffs
         c_x = coeffs.copy()
-        rows = (factors.q @ x[1][:, :, None])[:, :, 0]
-        nulls = coeffs[:, 1:] - (factors.q @ x_2[1][:, :, None])[:, :, 0]
-        for n, null in enumerate(nulls):
+        q = factors.q
+        rows = (q @ x[1][:, :, None])[:, :, 0]
+        # x_2's null parts, projected twice; the first one's length decides
+        # whether it is only rounding
+        first = coeffs[:, 1:] - (q @ x_2[1][:, :, None])[:, :, 0]
+        nulls = first - (q @ (first[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0]
+        radius = CLUSTER_ULPS * q.shape[1] * EPS
+        for n in range(len(c_x)):
             rho_sq = FULL_SPHERE - coeffs[n, 0] ** 2
-            row_sq, null_sq = float(rows[n] @ rows[n]), float(null @ null)
-            if null_sq > NULL_ROUNDING * rho_sq and row_sq <= rho_sq:
-                c_x[n, 1:] = rows[n] + null * math.sqrt((rho_sq - row_sq) / null_sq)
+            row_sq = float(rows[n] @ rows[n])
+            if float(first[n] @ first[n]) > radius * radius * rho_sq and row_sq <= rho_sq:
+                null_sq = float(nulls[n] @ nulls[n])
+                c_x[n, 1:] = rows[n] + nulls[n] * math.sqrt((rho_sq - row_sq) / null_sq)
             else:
                 c_x[n, 1:] = rows[n] * math.sqrt(rho_sq / row_sq)
         return f_x, c_x

@@ -44,8 +44,11 @@ RTOL = {"sum_rate": 1e-9, "projected_sum_rate": 1e-9, "decomp_residual": 5e-2}
 # the solver's stopping tolerance, 1e-5, the relative rate change it
 # treats as settled.  trihybrid rows keep RTOL, though their pattern solves
 # extrapolate too: a capped pattern solve is not invariant under such
-# changes (the user permutation moved one by 4.3e-3), so a numpy that
-# rounds differently may move a capped trihybrid row past RTOL.
+# changes (the user permutation moved one by 4.3e-3, and a rounding-level
+# change of the extrapolation's null-space part moved the large-K drop's
+# 30 dBm row by 2.9e-5), so a numpy that rounds differently may move a
+# capped trihybrid row past RTOL until the pattern solve converges
+# (ROADMAP item 20, step 2).
 EXTRAPOLATED_RTOL = 1e-5
 # With N_RF >= 2K the decomposition is the exact closed-form split, and its
 # residual is rounding plus the final budget scaling: update_fd may leave

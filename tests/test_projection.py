@@ -831,7 +831,7 @@ class TestApplyProjection:
             assert g >= 0.0
 
 
-    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_null_space_convention_leaves_projection_unchanged(self, seed, monkeypatch):
         # At a hard case the solve leaves the AC component in A's null space
         # free, and _cluster_direction fixes its sign by convention.  The
@@ -842,19 +842,37 @@ class TestApplyProjection:
 
         def spy(result, *args, **kwargs):
             runs.append((result, proj.apply_projection(result, *args, **kwargs)))
+            called.append((args, kwargs))
             return runs[-1][1]
 
+        called = []
         monkeypatch.setattr(hn, "apply_projection", spy)
         (row,) = hn.run_drop(config, seed)
         direction = wmmse._cluster_direction
         monkeypatch.setattr(wmmse, "_cluster_direction", lambda *args: -direction(*args))
-        (flipped,) = hn.run_drop(config, seed)
+        hn.run_drop(config, seed)
         (solved, projected), (solved_flipped, projected_flipped) = runs
         assert not np.array_equal(solved.iterate.coeffs, solved_flipped.iterate.coeffs)
         assert projected.indices.tolist() == projected_flipped.indices.tolist()
-        assert flipped.projected_sum_rate == pytest.approx(
-            row.projected_sum_rate, rel=1e-12, abs=0.0
-        )
+        # The two solves' channels agree only to the rounding that the
+        # extrapolated solve amplifies over its 100 capped steps (the
+        # projected rows part by up to 1.2e-8, seed 2), so the rows are not
+        # compared.  The same solve with every antenna's null-space part
+        # reversed projects to the same row bit for bit (seed 1 ends with
+        # two antennas' AC largely in the null space; seeds 2 and 3 end with
+        # none there, their hard cases acting along the way).
+        (scenario, *rest), kwargs = called[0]
+        blocks = scenario.blocks * wmmse.snr_scale(solved.snr_db)
+        q = wmmse.factor_ac_blocks(blocks).q
+        coeffs = solved.iterate.coeffs.copy()
+        ac = coeffs[:, 1:]
+        coeffs[:, 1:] = 2.0 * (q @ (ac[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0] - ac
+        h = wmmse.effective_channels(blocks, coeffs)
+        mirrored = dataclasses.replace(solved, iterate=solved.iterate._replace(coeffs=coeffs, h=h))
+        again = proj.apply_projection(mirrored, scenario, *rest, **kwargs)
+        assert again.indices.tolist() == projected.indices.tolist()
+        assert again.sum_rate == projected.sum_rate
+        assert again.sum_rate == row.projected_sum_rate
 
 
 class TestBlockForm:
