@@ -215,8 +215,8 @@ class Scenario:
         object.__setattr__(self, "path_counts", counts)
         if self.weights.shape != (len(counts),):
             raise ValueError(f"weights: need shape ({len(counts)},), got {self.weights.shape}")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "blocks", _read_only(self.em_channels()))
 
     @property

@@ -28,7 +28,6 @@ from .harness import (
     convergence_trace,
     emit_csv,
     emit_trace_csv,
-    load_candidate_set,
     parse_config,
     run_trials,
 )
@@ -145,9 +144,8 @@ def main(argv=None) -> int:
             print(f"wrote {len(rows)} trace rows to {config.out_path}")
             return 0
 
-        # fail fast on a bad pattern file; the batch and its workers use this parse
-        cset = load_candidate_set(config) if "projected" in config.modes() else None
-        records = run_trials(config, cset)
+        # a bad pattern file raises from run_trials before any trial runs
+        records = run_trials(config)
         emit_csv(records, config.out_path)
         failures = sum(1 for r in records if r.error is not None)
         _print_summary(records, config)

@@ -281,13 +281,10 @@ def _solve(config: RunConfig, drop, seed: int, pmax_dbm: float, mode: str):
 
 def _project(config: RunConfig, scenario, result, solved: TrialRecord, cset) -> TrialRecord:
     """The projected row: the solved row plus the rate after projection onto
-    ``cset``, or when that is None onto ``load_candidate_set(config)``; a
-    failed load flags the row like a failed projection.  ``wall_ms`` counts
-    the projection, not the load.
+    the batch's set ``cset``; a failed projection flags the row.
+    ``wall_ms`` counts the projection.
     """
     try:
-        if cset is None:
-            cset = load_candidate_set(config)
         tic = time.perf_counter()
         projected = apply_projection(
             result, scenario, cset, refit=config.refit, config=config
@@ -302,7 +299,7 @@ def _project(config: RunConfig, scenario, result, solved: TrialRecord, cset) -> 
     )
 
 
-def run_drop(config: RunConfig, seed: int, cset=None) -> list[TrialRecord]:
+def run_drop(config: RunConfig, seed: int, cset) -> list[TrialRecord]:
     """Rows of every configured power and mode for one seed, ordered by
     power as configured, then in ``MODES`` order.
 
@@ -313,11 +310,10 @@ def run_drop(config: RunConfig, seed: int, cset=None) -> list[TrialRecord]:
     ``projected`` together, the frozen-pattern solve
     once for ``hybrid``, and each solve's precoder is decomposed once.  The
     ``projected`` row carries its solve's rate, iterations and residual plus
-    the rate after projecting onto ``cset``, the set ``config.patterns_path``
-    names, or when that is None onto the set each projected row looks up
-    with ``load_candidate_set(config)``.  A failed scenario flags every row
-    of the seed, a failed solve the rows derived from it and a failed load
-    or projection the ``projected`` row; the other rows still succeed.
+    the rate after projecting onto ``cset``, the batch's candidate set (None
+    when no ``projected`` row runs).  A failed scenario flags every row of
+    the seed, a failed solve the rows derived from it and a failed
+    projection the ``projected`` row; the other rows still succeed.
     """
     modes = config.modes()
     tic = time.perf_counter()
@@ -370,10 +366,13 @@ def run_trials(config: RunConfig, cset=None) -> list[TrialRecord]:
 
     Seeds may execute on worker processes, at most one per seed; records
     always come back ordered by (trial, pmax, mode).  Failed trials yield
-    flagged NaN records.  A batch given ``cset`` uses it throughout, and a
-    pool hands it to each worker once; a batch given none sees a rewritten
-    file from its next ``load_candidate_set`` lookup on (see ``run_drop``).
+    flagged NaN records.  Every projected row projects onto one set: ``cset``,
+    or when that is None ``load_candidate_set(config)``, looked up once before
+    the first drop, so a bad file raises ``PatternLoadError`` before any
+    trial.  A pool hands the set to each worker once.
     """
+    if cset is None and "projected" in config.modes():
+        cset = load_candidate_set(config)
     seeds = [config.seed + t for t in range(config.trials)]
     configs = [config] * len(seeds)
     workers = min(config.workers, len(seeds))

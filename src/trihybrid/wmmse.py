@@ -511,13 +511,13 @@ class Iterate(NamedTuple):
     solve resumed from any iterate continues its history."""
 
     f_d: np.ndarray  # (N_T, K) digital precoder
-    coeffs: np.ndarray | None  # (N_T, T) pattern coefficients; None on a fixed channel
+    coeffs: np.ndarray | None  # (N_T, T) pattern coefficients; None on refit_digital's channel
     w: list  # (K,) MSE weights
     log_w: list  # (K,) ln w
     h: np.ndarray  # (K, N_T) channel
     basis: tuple  # thin QR (Q, R) of h^H
     links: Links  # statistics of h F_D
-    pending: tuple = ()  # ((F_0, c_0), (F_1, c_1)) or fewer; c is None on a fixed channel
+    pending: tuple = ()  # ((F_0, c_0), (F_1, c_1)) or fewer; c as coeffs
     objective: float = math.inf  # the objective recorded by the map that made it
 
     @classmethod

@@ -298,7 +298,7 @@ def test_criterion_09_projection_self_consistency():
 
 def test_criterion_10_performance_envelope(default_batch):
     tic = time.perf_counter()
-    hn.run_drop(hn.RunConfig(mode="trihybrid"), seed=99)
+    hn.run_drop(hn.RunConfig(mode="trihybrid"), seed=99, cset=None)
     single = time.perf_counter() - tic
     _, batch_elapsed = default_batch
     ok = single < 60.0 and batch_elapsed < 1800.0

@@ -5,8 +5,9 @@
 the span of the function it names, and its observers read the arguments
 and results of a solve, a pattern sweep and a decomposition by name.
 Renaming or deleting such a function, argument or result attribute breaks
-every traced run.  The bench files are loaded by path and only read:
-nothing is installed and no batch runs.
+every traced run.  The bench files are loaded by path and only read, and
+nothing is installed; one test replays project_file's calls on a small
+candidate file.
 """
 
 import importlib
@@ -20,9 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trihybrid import wmmse
+from trihybrid import harness, wmmse
 from trihybrid.channel import ScenarioConfig, generate_scenario
 from trihybrid.decomposition import decompose
+from trihybrid.projection import save_candidates, steered_candidate_set
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,3 +93,28 @@ def test_every_observer_fills_its_counters(bench):
         "decomposition.iterations": len(history) - 1,
         "decomposition.calls_returned": 1,
     }
+
+
+def test_project_file_parses_its_candidate_file_once(bench, tmp_path, monkeypatch):
+    # project_file sets up as the CLI does, with a load of its candidate
+    # file, then calls run_trials once per drop, and each call looks the set
+    # up again: the kept set serves those lookups, so the file is parsed
+    # once however many drops run
+    run, _ = bench
+    monkeypatch.setattr(harness, "_last_set", (None, None))
+    path = tmp_path / "patterns.json"
+    save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+    jobs = run.jobs_for("project_file", 0, 1.5 * run.WORKLOADS["project_file"][0], path)
+    assert len(jobs) == 2
+    load, parses = harness.load_candidates, []
+
+    def counted(*args):
+        parses.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(harness, "load_candidates", counted)
+    _, module = run.set_up(jobs[0])
+    assert module is harness
+    batches = [run.run_job(module, module.parse_config(None, job))[1] for job in jobs]
+    assert run.check(batches, set()) == []
+    assert len(parses) == 1

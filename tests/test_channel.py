@@ -157,6 +157,13 @@ class TestArv:
         with pytest.raises(ValueError, match="weights must be positive"):
             dataclasses.replace(scenario, **{field: np.array([1.0, 0.0])})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_must_be_finite(self, bad):
+        # a nan or inf weight once ran every step and returned a nan rate
+        scenario = ch.generate_scenario(ch.ScenarioConfig(), seed=1)
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            dataclasses.replace(scenario, weights=np.array([bad, 1.0]))
+
     def test_path_table_is_a_read_only_copy(self):
         # the blocks are lifted from the table once, so a write to the table
         # would leave the solve and the projection on different channels

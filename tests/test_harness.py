@@ -392,13 +392,14 @@ class TestRunTrials:
         b = [strip_wall(r) for r in hn.run_trials(parallel)]
         assert a == b
 
-    def test_failed_trial_flagged_not_fatal(self):
-        cfg = fast_config(
-            trials=1, mode="projected", patterns_path="/nonexistent/patterns.json"
-        )
-        records = hn.run_trials(cfg)
+    def test_failed_trial_flagged_not_fatal(self, monkeypatch):
+        def solve_fails(*args, **kwargs):
+            raise RuntimeError("synthetic solve failure")
+
+        monkeypatch.setattr(hn, "run_algorithm1", solve_fails)
+        records = hn.run_trials(fast_config(trials=1, mode="projected"))
         assert len(records) == 1
-        assert records[0].error is not None
+        assert records[0].error == "RuntimeError: synthetic solve failure"
         assert math.isnan(records[0].sum_rate)
         assert records[0].iterations == 0
 
@@ -429,8 +430,10 @@ class TestRunDrop:
             callers.append(sys._getframe(1).f_globals.get("__name__"))
             return make_rng(*args, **kwargs)
 
+        config = hn.RunConfig(mode="all")
+        cset = hn.load_candidate_set(config)
         monkeypatch.setattr(np.random, "default_rng", counted_rng)
-        records = hn.run_drop(hn.RunConfig(mode="all"), seed=1)
+        records = hn.run_drop(config, 1, cset)
         assert [r.mode for r in records] == list(hn.MODES)
         assert all(r.error is None for r in records)
         assert not {"trihybrid.decomposition", "trihybrid.harness"} & set(callers)
@@ -445,15 +448,17 @@ class TestRunDrop:
             calls.append(args)
             return lookup(*args, **kwargs)
 
+        config = fast_config(mode="all", pmax_dbm=(0.0, 20.0))
+        cset = hn.load_candidate_set(config)
         monkeypatch.setattr(proj, "candidate_gain", counted)
-        records = hn.run_drop(fast_config(mode="all", pmax_dbm=(0.0, 20.0)), seed=1)
+        records = hn.run_drop(config, 1, cset)
         assert all(r.error is None for r in records)
         assert len(calls) == sum(r.mode == "projected" for r in records) == 2
 
     def test_als_row_seeds_decompose_from_its_seed(self):
         # K = 3 with N_RF = 4 < 2K is the ALS regime, seeded by [seed, 0xD0C]
         config, seed = hn.RunConfig(n_users=3, mode="hybrid"), 2
-        (row,) = hn.run_drop(config, seed)
+        (row,) = hn.run_drop(config, seed, None)
         p_max = hn.dbm_to_watts(config.pmax_dbm[0])
         scenario = generate_scenario(config, seed)
         snr_db = config.pmax_dbm[0] - config.noise_dbm
@@ -466,7 +471,7 @@ class TestRunDrop:
 
     def test_frozen_patterns_factor_nothing(self, monkeypatch):
         counts = count_lifts_and_factors(monkeypatch)
-        hn.run_drop(fast_config(mode="hybrid", pmax_dbm=(0.0, 20.0)), seed=1)
+        hn.run_drop(fast_config(mode="hybrid", pmax_dbm=(0.0, 20.0)), 1, None)
         assert counts == {"lift": 1, "factor": 0}
 
     @pytest.mark.parametrize("field_mode", ["far", "near"])
@@ -518,8 +523,9 @@ class TestRunDrop:
                 raise RuntimeError("synthetic frozen-solve failure")
             return solve(*args, em_update=em_update, **kwargs)
 
+        config = fast_config(mode="all", pmax_dbm=(0.0, 10.0))
         monkeypatch.setattr(hn, "run_algorithm1", frozen_solve_fails)
-        records = hn.run_drop(fast_config(mode="all", pmax_dbm=(0.0, 10.0)), 1)
+        records = hn.run_drop(config, 1, hn.load_candidate_set(config))
         assert [r.mode for r in records] == list(hn.MODES) * 2
         for record in records:
             if record.mode == "hybrid":
@@ -573,18 +579,15 @@ class TestRunDrop:
             else:
                 assert r.error is None
 
-    def test_pooled_missing_file_flags_projected_rows(self):
+    def test_pooled_missing_file_raises_before_any_trial(self, monkeypatch):
         cfg = fast_config(
             trials=2, mode="all", workers=2, patterns_path="/nonexistent/patterns.json"
         )
-        records = hn.run_trials(cfg)
-        assert len(records) == 6
-        for r in records:
-            if r.mode == "projected":
-                assert r.error.startswith("PatternLoadError:")
-                assert "/nonexistent/patterns.json" in r.error
-            else:
-                assert r.error is None and r.sum_rate > 0
+        scenarios = count_calls(monkeypatch, "generate_scenario")
+        pools = record_pools(monkeypatch)
+        with pytest.raises(PatternLoadError, match="/nonexistent/patterns.json"):
+            hn.run_trials(cfg)
+        assert scenarios == [] and pools == []
 
     def test_given_set_is_not_looked_up(self, tmp_path, monkeypatch):
         path = tmp_path / "patterns.json"
@@ -622,6 +625,39 @@ class TestRunDrop:
         with concurrent.futures.ProcessPoolExecutor(**dict(pools[0], max_workers=1)) as pool:
             assert pool.submit(held_set_state).result() == (len(cset), True)
 
+    def test_one_set_per_batch(self, tmp_path, monkeypatch):
+        # a file rewritten with another set before drop 2 changes no row:
+        # the batch looked its set up once, before drop 1
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        cfg = fast_config(mode="projected", trials=2, seed=1, patterns_path=str(path))
+        given = hn.run_trials(cfg, hn.load_candidate_set(cfg))
+        generate = hn.generate_scenario
+
+        def rewritten_before_drop_2(config, seed):
+            if seed == 2:
+                write_uniform_doc(path, 1)
+            return generate(config, seed)
+
+        monkeypatch.setattr(hn, "generate_scenario", rewritten_before_drop_2)
+        looked_up = hn.run_trials(cfg)
+        assert len(hn.load_candidate_set(cfg)) == 1  # the file was rewritten
+        assert all(r.error is None for r in looked_up)
+        assert [strip_wall(r) for r in looked_up] == [strip_wall(r) for r in given]
+
+    def test_pool_holds_the_set_looked_up_in_the_parent(self, tmp_path, monkeypatch):
+        path = tmp_path / "patterns.json"
+        save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
+        cfg = fast_config(mode="projected", trials=2, workers=2, patterns_path=str(path))
+        pools = record_pools(monkeypatch)
+        guarded = looked_up_in(os.getpid(), hn.load_candidate_set)
+        monkeypatch.setattr(hn, "load_candidate_set", guarded)
+        records = hn.run_trials(cfg)
+        assert len(records) == 2 and all(r.error is None for r in records)
+        assert len(pools) == 1
+        (held,) = pools[0]["initargs"]
+        assert isinstance(held, proj.CandidatePatternSet) and len(held) == 4
+
     def test_parallel_projection_matches_serial(self, tmp_path):
         path = tmp_path / "patterns.json"
         save_candidates(steered_candidate_set(count=4, n_theta=13, n_phi=25), path)
@@ -647,7 +683,7 @@ class TestSnrShift:
                 field_mode=field_mode, mode="all", noise_dbm=-95.0 + shift_db,
                 pmax_dbm=[p + shift_db for p in self.POWERS_DBM],
             )
-            return hn.run_drop(config, seed)
+            return hn.run_drop(config, seed, hn.load_candidate_set(config))
 
         for seed in (1, 2, 3):
             base = drop(0.0, seed)
@@ -683,13 +719,13 @@ class TestSnrUnits:
 
         monkeypatch.setattr(hn, "run_algorithm1", recorded_solve)
         monkeypatch.setattr(hn, "apply_projection", recorded_projection)
-        rows = hn.run_drop(config, seed)
+        cset = hn.load_candidate_set(config)
+        rows = hn.run_drop(config, seed, cset)
         assert [r.mode for r in rows] == list(hn.MODES) * 2
         assert all(r.error is None for r in rows)
         scenario = generate_scenario(config, seed)
         weights, noise = scenario.weights, hn.dbm_to_watts(config.noise_dbm)
         # every candidate's channel entries on the unscaled drop
-        cset = hn.load_candidate_set(config)
         gains = proj.candidate_gain(cset, scenario.thetas, scenario.phis)
         entries = assemble_channel(
             scenario.responses, scenario.path_counts, np.moveaxis(gains, 0, -1)
@@ -933,14 +969,15 @@ class TestCandidateMemo:
             assert all(r.error is None for r in hn.run_trials(cfg))
         assert len(calls) == 1
 
-    def test_not_utf8_file_flags_projected_rows(self, tmp_path):
+    def test_not_utf8_file_raises_before_any_trial(self, tmp_path, monkeypatch):
         path = tmp_path / "patterns.json"
         path.write_bytes(b"\xff\xfe{}")
-        records = hn.run_trials(fast_config(mode="all", trials=1, patterns_path=str(path)))
-        by_mode = {r.mode: r for r in records}
-        assert by_mode["projected"].error.startswith("PatternLoadError:")
-        assert "not UTF-8 text" in by_mode["projected"].error
-        assert by_mode["trihybrid"].error is None
+        scenarios = count_calls(monkeypatch, "generate_scenario")
+        pools = record_pools(monkeypatch)
+        cfg = fast_config(mode="all", trials=2, workers=2, patterns_path=str(path))
+        with pytest.raises(PatternLoadError, match="not UTF-8 text"):
+            hn.run_trials(cfg)
+        assert scenarios == [] and pools == []
 
 
 class TestConfigSpace:
@@ -1012,7 +1049,7 @@ class TestConfigSpace:
             except hn.ConfigError:
                 continue
             solves.clear()
-            rows = hn.run_drop(config, seed)
+            rows = hn.run_drop(config, seed, hn.load_candidate_set(config))
             for row in rows:
                 assert row.error is None, (params, row.error)
                 assert math.isfinite(row.sum_rate) and math.isfinite(row.decomp_residual)

@@ -845,12 +845,12 @@ class TestApplyProjection:
             called.append((args, kwargs))
             return runs[-1][1]
 
-        called = []
+        called, cset = [], hn.load_candidate_set(config)
         monkeypatch.setattr(hn, "apply_projection", spy)
-        (row,) = hn.run_drop(config, seed)
+        (row,) = hn.run_drop(config, seed, cset)
         direction = wmmse._cluster_direction
         monkeypatch.setattr(wmmse, "_cluster_direction", lambda *args: -direction(*args))
-        hn.run_drop(config, seed)
+        hn.run_drop(config, seed, cset)
         (solved, projected), (solved_flipped, projected_flipped) = runs
         assert not np.array_equal(solved.iterate.coeffs, solved_flipped.iterate.coeffs)
         assert projected.indices.tolist() == projected_flipped.indices.tolist()

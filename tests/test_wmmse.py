@@ -1583,7 +1583,7 @@ def plain_solve(scenario, snr_db, config):
     for it in range(1, config.max_iterations + 1):
         x, record = wmmse.outer_step(x, it, weights, None)
         rate = record.sum_rate
-        if prev is not None and abs(rate - prev) <= config.tolerance * max(abs(prev), 1e-12):
+        if prev is not None and rate - prev <= config.tolerance * max(abs(prev), 1e-12):
             return rate, it, True
         prev = rate
     return rate, config.max_iterations, False
