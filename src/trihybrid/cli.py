@@ -134,14 +134,16 @@ def main(argv=None) -> int:
         ):
             raise ConfigError(f"out_path: {out!r} is not a file in a writable directory")
         if args.command == "trace":
-            rows = convergence_trace(config, config.seed)
-            emit_trace_csv(rows, config.out_path)
-            for row in {r.mode: r for r in rows}.values():  # last row of each mode
+            results = convergence_trace(config, config.seed)
+            emit_trace_csv(results, config.out_path)
+            for mode, result in results.items():
                 print(
-                    f"{row.mode}: {row.iteration} iterations, final sum rate "
-                    f"{row.sum_rate:.4f} bits/s/Hz"
+                    f"{mode}: {result.iterations} iterations "
+                    f"({'' if result.converged else 'not '}converged), final sum rate "
+                    f"{result.sum_rate:.4f} bits/s/Hz"
                 )
-            print(f"wrote {len(rows)} trace rows to {config.out_path}")
+            rows = sum(len(result.history) for result in results.values())
+            print(f"wrote {rows} trace rows to {config.out_path}")
             return 0
 
         # a bad pattern file raises from run_trials before any trial runs

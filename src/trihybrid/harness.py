@@ -418,24 +418,26 @@ class TraceRow:
     objective: float
 
 
-def convergence_trace(config: RunConfig, seed: int) -> list[TraceRow]:
-    """Per-iteration sum rate and objective for the pattern-optimizing run
-    and the frozen-pattern baseline under the same seed, at the config's one
+def convergence_trace(config: RunConfig, seed: int) -> dict:
+    """The ``SolverResult``s, by mode, of the pattern-optimizing solve and
+    the frozen-pattern baseline under the same seed, at the config's one
     power (the trace CSV has no power column)."""
     if len(config.pmax_dbm) > 1:
         raise ConfigError(f"pmax_dbm: trace runs one power, got {len(config.pmax_dbm)}")
     replace(config, mode="all")  # the pattern solve runs, so check the config as mode all
-    rows = []
     scenario = generate_scenario(config, seed)
     snr_db = config.pmax_dbm[0] - config.noise_dbm
-    for mode in ("trihybrid", "hybrid"):
-        result = run_algorithm1(scenario, snr_db, config, seed, em_update=mode != "hybrid")
-        rows.extend(
-            TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)
-            for rec in result.history
-        )
-    return rows
+    return {
+        mode: run_algorithm1(scenario, snr_db, config, seed, em_update=mode != "hybrid")
+        for mode in ("trihybrid", "hybrid")
+    }
 
 
-def emit_trace_csv(rows, path) -> None:
+def emit_trace_csv(results, path) -> None:
+    """Write the trace CSV, one row per kept map of each mode's solve."""
+    rows = [
+        TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)
+        for mode, result in results.items()
+        for rec in result.history
+    ]
     _write_csv(path, "mode,iteration,sum_rate,objective", rows)

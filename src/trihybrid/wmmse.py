@@ -33,11 +33,11 @@ Both multipliers come from one safeguarded Newton iteration on
 sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
 
 One outer iteration, a map G, is ``outer_step``, a function from one
-immutable ``Iterate`` to the next, so a solve can resume from, or evaluate
-the step at, any iterate; ``_alternate`` loops over it and returns the
+immutable ``Iterate``, the point alone, to the next.  ``_alternate`` runs
+it once per loop step, owns the step policy and returns the
 ``SolverResult`` of every solve, the pattern solve's, the frozen baseline's
 and ``refit_digital``'s alike.  Every solve takes one SQUAREM extrapolation
-after every two maps (``extrapolated_step``; Varadhan & Roland 2008), which
+after every two maps (``extrapolated_start``; Varadhan & Roland 2008), which
 shortcuts the slow linear tail of block-coordinate WMMSE: of F_D on a fixed
 channel (the frozen baseline and ``refit_digital``), and of F_D together
 with each antenna's AC coefficients in its channel's row space on a
@@ -505,10 +505,7 @@ def snr_scale(snr_db: float) -> float:
 class Iterate(NamedTuple):
     """One point of the alternating solve, never changed in place: F_D, the
     coefficients, the MSE weights the next v update is scored with, and what
-    the next step reads of them, formed once per change.  It also carries
-    the (F_D, coefficients) pairs going into the last maps since the last
-    extrapolation, at most two, which ``extrapolated_step`` reads, so a
-    solve resumed from any iterate continues its history."""
+    the next step reads of them, formed once per change."""
 
     f_d: np.ndarray  # (N_T, K) digital precoder
     coeffs: np.ndarray | None  # (N_T, T) pattern coefficients; None on refit_digital's channel
@@ -517,8 +514,6 @@ class Iterate(NamedTuple):
     h: np.ndarray  # (K, N_T) channel
     basis: tuple  # thin QR (Q, R) of h^H
     links: Links  # statistics of h F_D
-    pending: tuple = ()  # ((F_0, c_0), (F_1, c_1)) or fewer; c as coeffs
-    objective: float = math.inf  # the objective recorded by the map that made it
 
     @classmethod
     def start(cls, h, f_d, coeffs=None) -> Iterate:
@@ -551,9 +546,7 @@ def outer_step(x: Iterate, it, weights, factors):
     (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
     and the channel, QR and links under its coefficients.  v and w read the
     same links, so one MSE vector scores both; ``weights`` is a list of
-    floats.  The next iterate's ``pending`` is the last two (F_D,
-    coefficients) pairs going into the maps, x's among them.  Returns (next
-    iterate, ``IterationRecord``)."""
+    floats.  Returns (next iterate, ``IterationRecord``)."""
     tic = time.perf_counter()
     v = update_v(x.links)
     e = mse_vector(x.links, v)
@@ -578,8 +571,7 @@ def outer_step(x: Iterate, it, weights, factors):
     rate = sum_rate(links, weights)
     seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
     record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
-    pending = (*x.pending, (x.f_d, x.coeffs))[-2:]
-    return Iterate(f_d, coeffs, w, log_w, h, basis, links, pending, obj_em), record
+    return Iterate(f_d, coeffs, w, log_w, h, basis, links), record
 
 
 def _row_coordinates(factors: AcFactors, coeffs) -> np.ndarray:
@@ -618,31 +610,26 @@ def _coefficients_at(factors: AcFactors, coords, own, coeffs) -> np.ndarray:
     return out
 
 
-def extrapolated_step(x: Iterate, it, weights, factors):
-    """Loop step ``it`` after two plain maps: one SQUAREM extrapolation of
-    the point x = (F_D, Q_n^T c_n^AC for each antenna n) and one stabilising
-    map G from the point it gives.  On a fixed channel (no ``factors``) the
-    point is F_D alone; on a pattern solve Q_n is ``factors.q[n]``, so the
-    point holds each AC vector's part in its channel's row space, the part
-    the channel sees.
+def extrapolated_start(x: Iterate, inputs, objective, weights, factors):
+    """Where the loop's next map starts after two plain maps: one SQUAREM
+    extrapolation of the point (F_D, Q_n^T c_n^AC for each antenna n).  On
+    a fixed channel (no ``factors``) the point is F_D alone; on a pattern
+    solve Q_n is ``factors.q[n]``, so the point holds each AC vector's part
+    in its channel's row space, the part the channel sees.
 
-    With x_0, x_1 = ``x.pending`` and x_2 = x's own, r = x_1 - x_0,
-    u = x_2 - 2 x_1 + x_0 and alpha = -||r|| / ||u||.  Only a step longer
-    than the plain one, alpha < -1, extrapolates; otherwise this is the
-    plain map from x.  x' = x_0 - 2 alpha r + alpha^2 u; its F' is scaled
-    down into the unit budget when over it, and its coefficients are
-    ``_coefficients_at`` its row coordinates, with x_2's null-space parts
-    and DC.  x' carries its channel, QR and links and a fresh w from a fresh
-    v at them, so the map's objective after v is sum(beta) - ln 2 rate(x').
-    G's result is kept only when its rate beats x's and its objective after
-    v is at most x's recorded objective, so acceptance 04's chain and the
-    non-decreasing rate hold across it.  That objective is formed here,
-    exactly as G forms it, and G runs only when it passes.  Returns what
-    ``outer_step`` returns, with nothing pending, or None when G's result
-    would not be kept (G then may not have run) and the solve continues
-    from x."""
-    (f_0, c_0), (f_1, c_1) = x.pending
-    x = x._replace(pending=())
+    With x_0, x_1 the (F_D, coefficients) pairs ``inputs`` that went into
+    the two maps and x_2 = x's own, r = x_1 - x_0, u = x_2 - 2 x_1 + x_0 and
+    alpha = -||r|| / ||u||.  Only a step longer than the plain one,
+    alpha < -1, extrapolates; otherwise this returns x itself.
+    x' = x_0 - 2 alpha r + alpha^2 u; its F' is scaled down into the unit
+    budget when over it, and its coefficients are ``_coefficients_at`` its
+    row coordinates, with x_2's null-space parts and DC.  x' carries its
+    channel, QR and links and a fresh w from a fresh v at them, so the
+    map's objective after v is sum(beta) - ln 2 rate(x').  That objective
+    is formed here, exactly as ``outer_step`` forms it; when it exceeds
+    ``objective``, the last kept map's, the map's result could not be kept,
+    and this returns None.  It runs no map."""
+    (f_0, c_0), (f_1, c_1) = inputs
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
     norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
@@ -652,7 +639,7 @@ def extrapolated_step(x: Iterate, it, weights, factors):
         norm_r = math.hypot(norm_r, float(np.linalg.norm(r_y)))
         norm_u = math.hypot(norm_u, float(np.linalg.norm(u_y)))
     if not norm_r > norm_u > 0.0:
-        return outer_step(x, it, weights, factors)
+        return x
     alpha = -norm_r / norm_u
     f_d = f_0 - 2.0 * alpha * r + alpha * alpha * u
     power = float(np.sum(np.abs(f_d) ** 2))
@@ -668,46 +655,49 @@ def extrapolated_step(x: Iterate, it, weights, factors):
     v = update_v(links)
     w = update_w(links, v)
     log_w = [math.log(wk) for wk in w]
-    # G's objective after v: its first block forms this v again and scores
-    # it with this w
-    if wmmse_objective(w, mse_vector(links, v), weights, log_w) > x.objective:
+    # the map's objective after v: its first block forms this v again and
+    # scores it with this w
+    if wmmse_objective(w, mse_vector(links, v), weights, log_w) > objective:
         return None
-    start = start._replace(f_d=f_d, w=w, log_w=log_w, links=links)
-    y, record = outer_step(start, it, weights, factors)
-    if record.sum_rate > sum_rate(x.links, weights):
-        return y._replace(pending=()), record
-    return None
+    return start._replace(f_d=f_d, w=w, log_w=log_w, links=links)
 
 
 def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     """Maps from ``x``, with ``weights`` made a list of floats once, until
     the sum rate rises between two kept maps by at most ``config.tolerance``
     relative (a fall stops it too) or ``config.max_iterations`` loop steps
-    are spent.  A step is ``outer_step``, or ``extrapolated_step`` once the
-    iterate has two points pending; an extrapolation that
-    is not kept spends its step and leaves no record, whether its
-    stabilising map ran or was skipped as already rejected.  Returns the
+    are spent.  Each step runs ``outer_step`` once, from x or, after two
+    plain maps, from ``extrapolated_start``'s point, whose map is kept only
+    when its rate beats the last kept map's and its objective after v is at
+    most that one's objective (acceptance 04's chain); a step not kept
+    leaves no record.  The loop holds the pairs the extrapolation reads, so
+    a solve continued from an iterate starts a fresh cycle.  Returns the
     solve's result: the last kept iterate, the history, whether the rate
     settled and the steps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     history: list[IterationRecord] = []
-    prev_rate = None
+    inputs = []  # the (F_D, coefficients) pairs into the plain maps since the last extrapolation
     for it in range(1, config.max_iterations + 1):
-        if len(x.pending) == 2:
-            step = extrapolated_step(x, it, weights, factors)
-        else:
-            step = outer_step(x, it, weights, factors)
-        if step is None:
-            x = x._replace(pending=())
+        start = x
+        if len(inputs) == 2:
+            start = extrapolated_start(x, inputs, history[-1].objective, weights, factors)
+            inputs = []
+            if start is None:
+                continue
+        if start is x:
+            inputs.append((x.f_d, x.coeffs))
+        y, record = outer_step(start, it, weights, factors)
+        last = history[-1] if history else None
+        if start is not x and not (
+            record.sum_rate > last.sum_rate and record.objective_after_v <= last.objective
+        ):
             continue
-        x, record = step
+        x = y
         history.append(record)
-        rate = record.sum_rate
-        if prev_rate is not None and rate - prev_rate <= config.tolerance * max(
-            abs(prev_rate), 1e-12
+        if last is not None and record.sum_rate - last.sum_rate <= config.tolerance * max(
+            abs(last.sum_rate), 1e-12
         ):
             return SolverResult(x, history, True, it)
-        prev_rate = rate
     return SolverResult(x, history, False, config.max_iterations)
 
 

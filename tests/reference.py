@@ -38,9 +38,9 @@ oracles of the batched code in ``trihybrid``.
   of H^H, with ``wmmse.update_em`` as the pattern update, and the SQUAREM
   extrapolation after every two maps, of F_D and of the coefficients' row
   space part, written out on its local variables;
-  ``wmmse._alternate``, which repeats ``outer_step`` and
-  ``extrapolated_step`` on an ``Iterate`` holding each, formed once per
-  change, must equal it bit for bit.
+  ``wmmse._alternate``, which runs ``outer_step`` once per step, from an
+  ``Iterate`` holding each, formed once per change, or from the point
+  ``extrapolated_start`` gives, must equal it bit for bit.
 * ``check_state`` audits the invariants of a solve's last iterate
   (``SolverResult.iterate``): positive MSE weights, the power and 4 pi
   budgets, and pinned DC.  ``initial_objective`` is the

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1124,12 +1125,11 @@ class TestTrace:
         # a row per kept map, numbered by the map that made it: the hybrid
         # solve's rejected extrapolations spend numbers and leave no row
         cfg = fast_config(max_iterations=12, seed=3)
-        rows = hn.convergence_trace(cfg, seed=3)
-        modes = {r.mode for r in rows}
-        assert modes == {"trihybrid", "hybrid"}
+        results = hn.convergence_trace(cfg, seed=3)
+        assert list(results) == ["trihybrid", "hybrid"]
         scenario = hn.generate_scenario(cfg, 3)
-        for mode in modes:
-            series = [r for r in rows if r.mode == mode]
+        for mode, traced in results.items():
+            series = traced.history
             result = hn.run_algorithm1(
                 scenario, cfg.pmax_dbm[0] - cfg.noise_dbm, cfg, 3, em_update=mode != "hybrid"
             )
@@ -1137,16 +1137,14 @@ class TestTrace:
             assert numbers[0] == 1
             assert all(a < b for a, b in zip(numbers, numbers[1:]))
             assert numbers == [rec.iteration for rec in result.history]
-            assert numbers[-1] <= result.iterations
+            assert numbers[-1] <= result.iterations == traced.iterations
             rates = [r.sum_rate for r in series]
             assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
 
     def test_trihybrid_ends_at_or_above_hybrid(self):
         cfg = fast_config(max_iterations=30, seed=5)
-        rows = hn.convergence_trace(cfg, seed=5)
-        tri = [r.sum_rate for r in rows if r.mode == "trihybrid"][-1]
-        hyb = [r.sum_rate for r in rows if r.mode == "hybrid"][-1]
-        assert tri >= hyb
+        results = hn.convergence_trace(cfg, seed=5)
+        assert results["trihybrid"].sum_rate >= results["hybrid"].sum_rate
 
     def test_degree_zero_rejected(self):
         # the API may set a mode that allows degree 0; trace still needs it
@@ -1165,12 +1163,15 @@ class TestTrace:
 
     def test_trace_csv(self, tmp_path):
         cfg = fast_config(max_iterations=4, seed=1)
-        rows = hn.convergence_trace(cfg, seed=1)
+        results = hn.convergence_trace(cfg, seed=1)
         path = tmp_path / "trace.csv"
-        hn.emit_trace_csv(rows, path)
+        hn.emit_trace_csv(results, path)
         lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "mode,iteration,sum_rate,objective"
-        assert len(lines) == len(rows) + 1
+        want = [
+            (mode, str(rec.iteration)) for mode, result in results.items() for rec in result.history
+        ]
+        assert [tuple(line.split(",")[:2]) for line in lines[1:]] == want
 
 
 class TestCli:
@@ -1603,6 +1604,25 @@ class TestCli:
         code = cli.main(["trace", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("mode,iteration,sum_rate,objective")
+
+    def test_trace_summary_prints_the_steps_each_solve_spent(self, tmp_path, capsys):
+        # at 30 dBm the pattern solve spends its cap; the summary reports the
+        # loop steps of run's iterations column, not the last kept map's
+        # number, and whether each solve converged
+        out = tmp_path / "t.csv"
+        assert cli.main(["trace", "--seed", "1", "--pmax-dbm", "30", "--out", str(out)]) == 0
+        printed = [
+            re.match(r"(\w+): (\d+) iterations \((not )?converged\)", line).groups()
+            for line in capsys.readouterr().out.splitlines()[:2]
+        ]
+        out = tmp_path / "r.csv"
+        args = ["--mode", "all", "--trials", "1", "--seed", "1", "--pmax-dbm", "30"]
+        assert cli.main(["run", *args, "--out", str(out)]) == 0
+        rows = {r.mode: r.iterations for r in read_csv(out)}
+        assert [(mode, int(steps)) for mode, steps, _ in printed] == [
+            ("trihybrid", rows["trihybrid"]), ("hybrid", rows["hybrid"])
+        ]
+        assert printed[0] == ("trihybrid", "100", "not ")
 
     def test_trace_rejects_several_powers(self, tmp_path, capsys):
         cfg = self.write_fast_config(tmp_path, max_iterations=3)

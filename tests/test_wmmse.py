@@ -1508,27 +1508,26 @@ class TestOuterStep:
         assert (x.w, x.log_w, x.links) == (w, log_w, links)
         assert (first[0].coeffs is None) == (not em_update)
 
+    @pytest.mark.parametrize("seed", [5, 1, 2])
     @pytest.mark.parametrize("em_update", [True, False], ids=["pattern", "frozen"])
-    def test_restart_from_iterate_j_continues_the_history(self, em_update):
-        x0, rest, config, factors = self.solve_args(em_update)
-        whole = wmmse._alternate(x0, *rest, config, factors)
-        history = whole.history
-        assert len(history) >= 4
-        j = len(history) // 2
-        head = wmmse._alternate(x0, *rest, dataclasses.replace(config, max_iterations=j), factors)
-        # the resumed loop has the maps the uninterrupted one had left, and
-        # continues its history after the head's records; on the fixed
-        # channel a rejected extrapolation spends a map and leaves none
-        kept = len(head.history)
-        left = dataclasses.replace(config, max_iterations=config.max_iterations - j)
-        resumed = wmmse._alternate(_frozen(head.iterate), *rest, left, factors)
-        assert resumed.converged == whole.converged
-        assert head.iterations + resumed.iterations == whole.iterations
-        assert len(resumed.history) == len(history) - kept
-        for got, want in zip(resumed.history, history[kept:]):
-            assert got.iteration + j == want.iteration
-            assert record_fields(got)[1:] == record_fields(want)[1:]
-        assert_iterates_equal(resumed.iterate, whole.iterate)
+    def test_continuation_carries_no_state_from_the_solve_it_continues(self, em_update, seed):
+        # a solve continued from another's last iterate runs as one started
+        # afresh from its point: the extrapolation's inputs belong to the
+        # loop, not to the iterate.  Only the first map's objective after v
+        # differs, scored with the iterate's w rather than all ones
+        x0, rest, config, factors = self.solve_args(em_update, seed)
+        head = wmmse._alternate(x0, *rest, dataclasses.replace(config, max_iterations=7), factors)
+        x = _frozen(head.iterate)
+        continued = wmmse._alternate(x, *rest, config, factors)
+        fresh = wmmse._alternate(wmmse.Iterate.start(x.h, x.f_d, x.coeffs), *rest, config, factors)
+        assert (continued.iterations, continued.converged) == (fresh.iterations, fresh.converged)
+        assert_iterates_equal(continued.iterate, fresh.iterate)
+        first, first_fresh = continued.history[0], fresh.history[0]
+        assert first.objective_after_v != first_fresh.objective_after_v
+        first = dataclasses.replace(first, objective_after_v=first_fresh.objective_after_v)
+        assert [record_fields(r) for r in (first, *continued.history[1:])] == [
+            record_fields(r) for r in fresh.history
+        ]
 
 
 class TestSolverConfig:
@@ -1665,38 +1664,32 @@ class TestExtrapolation:
 class TestPatternExtrapolation:
     """The pattern solve extrapolates too: after two maps, F_D and each
     antenna's AC part in its channel's row space, with the null-space part
-    rescaled onto the 4 pi budget.  Every extrapolated point whose map is
-    kept has DC at eta and AC on its sphere, also at degree 1, where
+    rescaled onto the 4 pi budget.  Every extrapolated point, kept or not,
+    has DC at eta and AC on its sphere, also at degree 1, where
     T - 1 = 3 < 2K leaves no null space, only the rounding of the
     projection, which must not be scaled up to the sphere."""
 
     @pytest.mark.parametrize("truncation", [4, 1], ids=["default", "degree-1"])
     def test_kept_points_stay_on_the_budgets(self, monkeypatch, truncation):
-        step, outer_step = wmmse.extrapolated_step, wmmse.outer_step
-        starts, kept = [], []
+        start = wmmse.extrapolated_start
+        points = []
 
-        def spy(x, it, weights, factors):
-            starts.clear()
-            out = step(x, it, weights, factors)
-            # a step too short to extrapolate maps from x itself
-            if out is not None and factors is not None and starts[0].f_d is not x.f_d:
-                kept.append(starts[0])
+        def spy(x, *args):
+            out = start(x, *args)
+            # a step too short to extrapolate returns x itself
+            if out is not None and out is not x:
+                points.append(out)
             return out
-
-        def started(x, *args):
-            starts.append(x)
-            return outer_step(x, *args)
 
         config = RunConfig(truncation=truncation)
         with monkeypatch.context() as patch:
-            patch.setattr(wmmse, "extrapolated_step", spy)
-            patch.setattr(wmmse, "outer_step", started)
+            patch.setattr(wmmse, "extrapolated_start", spy)
             for seed in (1, 2):
                 scenario = generate_scenario(config, seed)
                 for dbm in (10.0, 30.0):
                     wmmse.run_algorithm1(scenario, dbm - config.noise_dbm, config, seed)
-        assert kept
-        for x in kept:
+        assert points
+        for x in points:
             assert np.all(x.coeffs[:, 0] == config.eta)
             ac_sq = np.sum(x.coeffs[:, 1:] ** 2, axis=1)
             assert np.all(np.abs(ac_sq - (FULL_SPHERE - config.eta**2)) <= 1e-12 * FULL_SPHERE)
