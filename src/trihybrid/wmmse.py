@@ -47,8 +47,8 @@ The solve runs in SNR units: ``snr_scale`` scales the channel so that the
 noise is 1 at every user and the power budget is 1.  Its precoder F~ times
 the square root of the budget in watts is the precoder in watts.
 
-Every per-user K-vector (the links' statistics, v, w and ln w, the MSE and
-the user weights) is a list of Python floats, and the functions of them run
+Every per-user K-vector (the links' statistics, v, w, the MSE and the
+user weights) is a list of Python floats, and the functions of them run
 O(K) scalar loops: at a few users numpy's cost per call, not the
 arithmetic, would bound the loop.  The same holds for the
 K terms of an F_D update after its eigensolve and for the at most 2K
@@ -113,48 +113,45 @@ class IterationRecord:
 
 class Links(NamedTuple):
     """What the per-user updates read of the (K, K) links p[k, j] = h_k . f_j,
-    as lists of Python numbers."""
+    as lists of Python numbers.  The interference, received minus desired
+    power, is formed where it is read."""
 
     gains: list  # (K,) desired-link gains p_kk
     signal: list  # (K,) desired powers |p_kk|^2
     received: list  # (K,) received powers sum_j |p_kj|^2
-    interference: list  # (K,) received minus desired power
 
 
 def link_stats(p) -> Links:
     """The statistics of the links ``p`` that the v, w, MSE and rate
     functions read, formed once per change of p."""
     powers = np.abs(p) ** 2
-    received = powers.sum(axis=1).tolist()
-    signal = powers.diagonal().tolist()
-    return Links(
-        p.diagonal().tolist(), signal, received, [r - s for r, s in zip(received, signal)]
-    )
+    return Links(p.diagonal().tolist(), powers.diagonal().tolist(), powers.sum(axis=1).tolist())
 
 
 def sum_rate(links: Links, weights) -> float:
     """Weighted sum rate sum_k beta_k log2(1 + SINR_k) of the links at unit
-    noise, in bits/s/Hz."""
+    noise, SINR_k = |p_kk|^2 / (1 + interference), in bits/s/Hz."""
     rate = 0.0
-    for b, s, i in zip(weights, links.signal, links.interference):
-        rate += b * math.log2(1.0 + s / (1.0 + i))
+    for b, s, r in zip(weights, links.signal, links.received):
+        rate += b * math.log2(1.0 + s / (1.0 + (r - s)))
     return float(rate)
 
 
 def mse_vector(links: Links, v) -> list:
-    """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + 1)."""
+    """Per-user MSE e_k = |1 - v_k p_kk|^2 + |v_k|^2 (interference + 1), the
+    interference being the received minus the desired power."""
     e = []
-    for vk, g, i in zip(v, links.gains, links.interference):
+    for vk, g, s, r in zip(v, links.gains, links.signal, links.received):
         miss, gain = abs(1.0 - vk * g), abs(vk)
-        e.append(miss * miss + gain * gain * (i + 1.0))
+        e.append(miss * miss + gain * gain * ((r - s) + 1.0))
     return e
 
 
-def wmmse_objective(w, e, weights, log_w) -> float:
-    """sum_k beta_k (w_k e_k - ln w_k), with ``log_w`` = ln w, formed once per w."""
+def wmmse_objective(w, e, weights) -> float:
+    """sum_k beta_k (w_k e_k - ln w_k)."""
     total = 0.0
-    for b, wk, ek, lk in zip(weights, w, e, log_w):
-        total += b * (wk * ek - lk)
+    for b, wk, ek in zip(weights, w, e):
+        total += b * (wk * ek - math.log(wk))
     return float(total)
 
 
@@ -434,12 +431,11 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
     h_ac = factors.rows
     gw, bwv = _user_scales(w, v, weights)
     gw, bwv_fd = np.array(gw), np.array(bwv) * f_d  # row n: beta w v F_D[n]
-    log_w = [math.log(wk) for wk in w]
     rho_sq = (FULL_SPHERE - coeffs[:, 0] ** 2).tolist()
     links = effective_channels(factors.blocks, coeffs) @ f_d
 
     def objective(p):
-        return wmmse_objective(w, mse_vector(link_stats(p), v), weights, log_w)
+        return wmmse_objective(w, mse_vector(link_stats(p), v), weights)
 
     incumbent = objective(links)
     for n in range(coeffs.shape[0]):
@@ -504,13 +500,13 @@ def snr_scale(snr_db: float) -> float:
 
 class Iterate(NamedTuple):
     """One point of the alternating solve, never changed in place: F_D, the
-    coefficients, the MSE weights the next v update is scored with, and what
-    the next step reads of them, formed once per change."""
+    coefficients, the MSE weights the next v update is scored with, and the
+    channel, its QR and the links' statistics the next step reads, formed
+    once per change of the channel or F_D."""
 
     f_d: np.ndarray  # (N_T, K) digital precoder
     coeffs: np.ndarray | None  # (N_T, T) pattern coefficients; None on refit_digital's channel
     w: list  # (K,) MSE weights
-    log_w: list  # (K,) ln w
     h: np.ndarray  # (K, N_T) channel
     basis: tuple  # thin QR (Q, R) of h^H
     links: Links  # statistics of h F_D
@@ -519,8 +515,7 @@ class Iterate(NamedTuple):
     def start(cls, h, f_d, coeffs=None) -> Iterate:
         """The iterate a solve starts from: F_D on the channel h (under
         ``coeffs``), with every MSE weight at one."""
-        k = h.shape[0]
-        return cls(f_d, coeffs, [1.0] * k, [0.0] * k, h, np.linalg.qr(np.conj(h).T),
+        return cls(f_d, coeffs, [1.0] * h.shape[0], h, np.linalg.qr(np.conj(h).T),
                    link_stats(h @ f_d))
 
 
@@ -550,15 +545,14 @@ def outer_step(x: Iterate, it, weights, factors):
     tic = time.perf_counter()
     v = update_v(x.links)
     e = mse_vector(x.links, v)
-    obj_v = wmmse_objective(x.w, e, weights, x.log_w)
+    obj_v = wmmse_objective(x.w, e, weights)
     t_v = time.perf_counter()
     w = update_w(x.links, v)
-    log_w = [math.log(wk) for wk in w]
-    obj_w = wmmse_objective(w, e, weights, log_w)
+    obj_w = wmmse_objective(w, e, weights)
     t_w = time.perf_counter()
     f_d = update_fd(x.basis, w, v, weights)
     links = link_stats(x.h @ f_d)
-    obj_fd = wmmse_objective(w, mse_vector(links, v), weights, log_w)
+    obj_fd = wmmse_objective(w, mse_vector(links, v), weights)
     t_fd = time.perf_counter()
     coeffs, h, basis, obj_em = x.coeffs, x.h, x.basis, obj_fd
     if factors is not None:
@@ -566,12 +560,12 @@ def outer_step(x: Iterate, it, weights, factors):
         h = effective_channels(factors.blocks, coeffs)
         basis = np.linalg.qr(np.conj(h).T)
         links = link_stats(h @ f_d)
-        obj_em = wmmse_objective(w, mse_vector(links, v), weights, log_w)
+        obj_em = wmmse_objective(w, mse_vector(links, v), weights)
     t_em = time.perf_counter()
     rate = sum_rate(links, weights)
     seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
     record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
-    return Iterate(f_d, coeffs, w, log_w, h, basis, links), record
+    return Iterate(f_d, coeffs, w, h, basis, links), record
 
 
 def _row_coordinates(factors: AcFactors, coeffs) -> np.ndarray:
@@ -654,12 +648,11 @@ def extrapolated_start(x: Iterate, inputs, objective, weights, factors):
     links = link_stats(start.h @ f_d)
     v = update_v(links)
     w = update_w(links, v)
-    log_w = [math.log(wk) for wk in w]
     # the map's objective after v: its first block forms this v again and
     # scores it with this w
-    if wmmse_objective(w, mse_vector(links, v), weights, log_w) > objective:
+    if wmmse_objective(w, mse_vector(links, v), weights) > objective:
         return None
-    return start._replace(f_d=f_d, w=w, log_w=log_w, links=links)
+    return start._replace(f_d=f_d, w=w, links=links)
 
 
 def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:

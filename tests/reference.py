@@ -34,13 +34,14 @@ oracles of the batched code in ``trihybrid``.
   apart, and which the hard case's missing norm sqrt(rho^2 - range_sq)
   amplifies.
 * ``alternate`` is the v/w/F_D loop, in SNR units, calling the per-user
-  functions of ``wmmse`` on per-call statistics of the links, ln w and QR
-  of H^H, with ``wmmse.update_em`` as the pattern update, and the SQUAREM
+  functions of ``wmmse`` on per-call statistics of the links and QR of
+  H^H, with ``wmmse.update_em`` as the pattern update, and the SQUAREM
   extrapolation after every two maps, of F_D and of the coefficients' row
   space part, written out on its local variables;
   ``wmmse._alternate``, which runs ``outer_step`` once per step, from an
-  ``Iterate`` holding each, formed once per change, or from the point
-  ``extrapolated_start`` gives, must equal it bit for bit.
+  ``Iterate`` holding the links' statistics and the QR, each formed once
+  per change, or from the point ``extrapolated_start`` gives, must equal
+  it bit for bit.
 * ``check_state`` audits the invariants of a solve's last iterate
   (``SolverResult.iterate``): positive MSE weights, the power and 4 pi
   budgets, and pinned DC.  ``initial_objective`` is the
@@ -315,7 +316,7 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
 
     def objective(p, v, w):
         e = wmmse.mse_vector(wmmse.link_stats(p), v)
-        return wmmse.wmmse_objective(w, e, weights, [math.log(wk) for wk in w])
+        return wmmse.wmmse_objective(w, e, weights)
 
     def one_map(it, h, f_d, w, coeffs):
         tic = time.perf_counter()

@@ -481,7 +481,7 @@ def test_per_user_functions_match_numpy_oracles(n_users, seed):
             e, reference.mse_vector(p, np.array(comb), noise), rtol=PER_USER_RTOL
         )
         for weight in (w, w_any.tolist()):
-            got = wmmse.wmmse_objective(weight, e, weights_list, np.log(weight).tolist())
+            got = wmmse.wmmse_objective(weight, e, weights_list)
             terms = weights * np.abs(np.multiply(weight, e) - np.log(weight))
             want = reference.wmmse_objective(weight, e, weights)
             assert abs(got - want) <= PER_USER_RTOL * terms.sum()
@@ -537,9 +537,8 @@ def test_weight_update_failures_match_numpy_oracle(n_users, seed, kinds):
         assert_weights_match(got, want, p, combiners)
     if not isinstance(got, str):
         # positive weights: their logarithms are defined
-        log_w = [math.log(wk) for wk in got]
         e = wmmse.mse_vector(wmmse.link_stats(p), combiners)
-        assert math.isfinite(wmmse.wmmse_objective(got.tolist(), e, [1.0] * n_users, log_w))
+        assert math.isfinite(wmmse.wmmse_objective(got.tolist(), e, [1.0] * n_users))
 
 
 class TestGAffine:
@@ -1035,10 +1034,8 @@ class TestUpdateEm:
         monkeypatch.setattr(wmmse, "link_stats", lambda p: scored.append(p) or stats(p))
         blocks, coeffs, f_d, v, w, weights = random_instance(seed, n_t=6)
         out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
-        log_w = [math.log(wk) for wk in w]
         objectives = [
-            wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v), weights, log_w)
-            for p in scored
+            wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v), weights) for p in scored
         ]
         accepted = [0] + [1 + n for n in np.flatnonzero(np.any(out != coeffs, axis=1))]
         assert len(accepted) > 1
@@ -1459,7 +1456,7 @@ def assert_iterates_equal(got, want):
     assert (got.coeffs is None) == (want.coeffs is None)
     if got.coeffs is not None:
         np.testing.assert_array_equal(got.coeffs, want.coeffs)
-    assert (got.w, got.log_w, got.links) == (want.w, want.log_w, want.links)
+    assert (got.w, got.links) == (want.w, want.links)
 
 
 def record_fields(record):
@@ -1500,12 +1497,12 @@ class TestOuterStep:
         res = wmmse._alternate(x, *rest, config, factors)
         assert res.iterations == 3
         x = _frozen(res.iterate)
-        w, log_w, links = list(x.w), list(x.log_w), x.links
+        w, links = list(x.w), x.links
         first = wmmse.outer_step(x, 4, *rest, factors)
         second = wmmse.outer_step(x, 4, *rest, factors)
         assert_iterates_equal(first[0], second[0])
         assert record_fields(first[1]) == record_fields(second[1])
-        assert (x.w, x.log_w, x.links) == (w, log_w, links)
+        assert (x.w, x.links) == (w, links)
         assert (first[0].coeffs is None) == (not em_update)
 
     @pytest.mark.parametrize("seed", [5, 1, 2])
