@@ -42,6 +42,10 @@ shortcuts the slow linear tail of block-coordinate WMMSE: of F_D on a fixed
 channel (the frozen baseline and ``refit_digital``), and of F_D together
 with each antenna's AC coefficients in its channel's row space on a
 pattern solve, the null-space part riding along on the 4 pi budget.
+``extrapolated_start`` only forms the point; ``_alternate`` alone keeps or
+rejects it.  ``Iterate.start`` forms the state of every new channel, its
+QR and links, where a solve starts, a pattern sweep ends or an
+extrapolation moves the patterns.
 
 The solve runs in SNR units: ``snr_scale`` scales the channel so that the
 noise is 1 at every user and the power budget is 1.  Its precoder F~ times
@@ -276,22 +280,22 @@ def update_fd(basis, w, v, weights) -> np.ndarray:
 
 
 class AcFactors(NamedTuple):
-    """The EM-domain channel blocks, every antenna's AC block of them and the
-    thin QR of it (``factor_ac_blocks``)."""
+    """The EM-domain channel blocks and the thin QR of every antenna's AC
+    block of them (``factor_ac_blocks``).  Antenna n's AC block H_ac is the
+    view ``blocks[:, n, 1:]``; no copy of it is kept."""
 
     blocks: np.ndarray  # (K, N_T, T) the blocks factored
-    columns: np.ndarray  # (N_T, T-1, K) H_ac^T per antenna
-    rows: np.ndarray  # (N_T, K, T-1) H_ac per antenna, contiguous
     q: np.ndarray  # (N_T, T-1, r) orthonormal basis of each G's row space
     r: np.ndarray  # (N_T, r, 2K) with G^T = Q R
 
 
 def factor_ac_blocks(blocks) -> AcFactors:
     """Thin QR G^T = Q R of every antenna's G = [X; Y], where H_ac =
-    blocks[:, n, 1:] = X + iY, in one batched call."""
+    blocks[:, n, 1:] = X + iY, in one batched call; returns it with the
+    blocks themselves."""
     columns = blocks[:, :, 1:].transpose(1, 2, 0)
     q, r = np.linalg.qr(np.concatenate((columns.real, columns.imag), axis=2))
-    return AcFactors(blocks, columns, np.ascontiguousarray(columns.transpose(0, 2, 1)), q, r)
+    return AcFactors(blocks, q, r)
 
 
 def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
@@ -306,7 +310,8 @@ def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
     space of G, of dimension r <= min(T-1, 2K), so the thin QR G^T = Q R of
     ``factors`` and one batched eigh of the r x r matrices
     R diag(2 s_n [g; g]) R^T = U diag(lams) U^T give all antennas at once
-    A = V diag(lams) V^T with V = Q U, and V^T d = Re((H_ac V)^T a).
+    A = V diag(lams) V^T with V = Q U, and V^T d = Re((H_ac V)^T a).  H_ac^T
+    is read as a view of ``factors.blocks``, never copied.
 
     Returns (lams, vecs, proj): lams (N_T, r) ascending, vecs = V
     (N_T, T-1, r) and proj = (H_ac V)^T (N_T, r, K).  A vanishes on the
@@ -317,7 +322,7 @@ def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
     scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.array(gw + gw)
     lams, u = np.linalg.eigh((r * scale[:, None, :]) @ r.transpose(0, 2, 1))
     vecs = factors.q @ u
-    return lams, vecs, vecs.transpose(0, 2, 1) @ factors.columns
+    return lams, vecs, vecs.transpose(0, 2, 1) @ factors.blocks[:, :, 1:].transpose(1, 2, 0)
 
 
 def _cluster_direction(vecs, cluster, null) -> np.ndarray:
@@ -415,7 +420,8 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
     """One ascending sweep of per-antenna AC updates with monotone acceptance.
 
     The channel enters only as ``factors``, ``factor_ac_blocks`` of its
-    EM-domain blocks, formed once per solve.  The quadratics of all antennas
+    EM-domain blocks, formed once per solve; antenna n's H_ac is the view
+    ``factors.blocks[:, n, 1:]``.  The quadratics of all antennas
     are assembled once (``assemble_quadratic``), since F_D, w and v are fixed
     within the sweep.  The links P = H F_D are computed in full once, at the
     start, and their statistics once per scored P.  Replacing antenna n's AC
@@ -428,7 +434,6 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
     """
     coeffs = np.array(coeffs, dtype=float)
     lams, vecs, proj = assemble_quadratic(factors, f_d, w, v, weights)
-    h_ac = factors.rows
     gw, bwv = _user_scales(w, v, weights)
     gw, bwv_fd = np.array(gw), np.array(bwv) * f_d  # row n: beta w v F_D[n]
     rho_sq = (FULL_SPHERE - coeffs[:, 0] ** 2).tolist()
@@ -439,14 +444,14 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
 
     incumbent = objective(links)
     for n in range(coeffs.shape[0]):
-        f_n = f_d[n]
+        f_n, h_ac = f_d[n], factors.blocks[:, n, 1:]
         # links without antenna n's AC part, and d = Re(H_ac^T a); the rank-1
         # moves broadcast as np.outer does
-        rest = links - (h_ac[n] @ coeffs[n, 1:])[:, None] * f_n
+        rest = links - (h_ac @ coeffs[n, 1:])[:, None] * f_n
         a = 2.0 * (gw * (np.conj(rest) @ f_n) - bwv_fd[n])
         dt = (proj[n] @ a).real
         _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n])
-        moved = rest + (h_ac[n] @ c_ac)[:, None] * f_n
+        moved = rest + (h_ac @ c_ac)[:, None] * f_n
         obj = objective(moved)
         if obj < incumbent:
             incumbent, links = obj, moved
@@ -512,11 +517,12 @@ class Iterate(NamedTuple):
     links: Links  # statistics of h F_D
 
     @classmethod
-    def start(cls, h, f_d, coeffs=None) -> Iterate:
-        """The iterate a solve starts from: F_D on the channel h (under
-        ``coeffs``), with every MSE weight at one."""
-        return cls(f_d, coeffs, [1.0] * h.shape[0], h, np.linalg.qr(np.conj(h).T),
-                   link_stats(h @ f_d))
+    def start(cls, h, f_d, coeffs=None, w=None) -> Iterate:
+        """F_D on the new channel h (under ``coeffs``) with the MSE weights
+        ``w``, every one at one by default, as a solve starts: the one place
+        that forms a channel's QR, here with the links' statistics."""
+        w = [1.0] * h.shape[0] if w is None else w
+        return cls(f_d, coeffs, w, h, np.linalg.qr(np.conj(h).T), link_stats(h @ f_d))
 
 
 @dataclass(eq=False)
@@ -539,9 +545,9 @@ class SolverResult:
 def outer_step(x: Iterate, it, weights, factors):
     """Outer iteration ``it`` from ``x``: v, w and F_D and, when ``factors``
     (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
-    and the channel, QR and links under its coefficients.  v and w read the
-    same links, so one MSE vector scores both; ``weights`` is a list of
-    floats.  Returns (next iterate, ``IterationRecord``)."""
+    and ``Iterate.start`` of the channel under its coefficients.  v and w
+    read the same links, so one MSE vector scores both; ``weights`` is a
+    list of floats.  Returns (next iterate, ``IterationRecord``)."""
     tic = time.perf_counter()
     v = update_v(x.links)
     e = mse_vector(x.links, v)
@@ -554,18 +560,15 @@ def outer_step(x: Iterate, it, weights, factors):
     links = link_stats(x.h @ f_d)
     obj_fd = wmmse_objective(w, mse_vector(links, v), weights)
     t_fd = time.perf_counter()
-    coeffs, h, basis, obj_em = x.coeffs, x.h, x.basis, obj_fd
+    y, obj_em = Iterate(f_d, x.coeffs, w, x.h, x.basis, links), obj_fd
     if factors is not None:
-        coeffs = update_em(factors, coeffs, f_d, w, v, weights)
-        h = effective_channels(factors.blocks, coeffs)
-        basis = np.linalg.qr(np.conj(h).T)
-        links = link_stats(h @ f_d)
-        obj_em = wmmse_objective(w, mse_vector(links, v), weights)
+        coeffs = update_em(factors, x.coeffs, f_d, w, v, weights)
+        y = Iterate.start(effective_channels(factors.blocks, coeffs), f_d, coeffs, w)
+        obj_em = wmmse_objective(w, mse_vector(y.links, v), weights)
     t_em = time.perf_counter()
-    rate = sum_rate(links, weights)
+    rate = sum_rate(y.links, weights)
     seconds = (t_v - tic, t_w - t_v, t_fd - t_w, t_em - t_fd)
-    record = IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
-    return Iterate(f_d, coeffs, w, h, basis, links), record
+    return y, IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
 
 
 def _row_coordinates(factors: AcFactors, coeffs) -> np.ndarray:
@@ -604,7 +607,7 @@ def _coefficients_at(factors: AcFactors, coords, own, coeffs) -> np.ndarray:
     return out
 
 
-def extrapolated_start(x: Iterate, inputs, objective, weights, factors):
+def extrapolated_start(x: Iterate, inputs, factors) -> Iterate:
     """Where the loop's next map starts after two plain maps: one SQUAREM
     extrapolation of the point (F_D, Q_n^T c_n^AC for each antenna n).  On
     a fixed channel (no ``factors``) the point is F_D alone; on a pattern
@@ -615,14 +618,13 @@ def extrapolated_start(x: Iterate, inputs, objective, weights, factors):
     the two maps and x_2 = x's own, r = x_1 - x_0, u = x_2 - 2 x_1 + x_0 and
     alpha = -||r|| / ||u||.  Only a step longer than the plain one,
     alpha < -1, extrapolates; otherwise this returns x itself.
-    x' = x_0 - 2 alpha r + alpha^2 u; its F' is scaled down into the unit
-    budget when over it, and its coefficients are ``_coefficients_at`` its
-    row coordinates, with x_2's null-space parts and DC.  x' carries its
-    channel, QR and links and a fresh w from a fresh v at them, so the
-    map's objective after v is sum(beta) - ln 2 rate(x').  That objective
-    is formed here, exactly as ``outer_step`` forms it; when it exceeds
-    ``objective``, the last kept map's, the map's result could not be kept,
-    and this returns None.  It runs no map."""
+    x' = x_0 - 2 alpha r + alpha^2 u.  Its F' is scaled down into the unit
+    budget when over it.  Its coefficients are ``_coefficients_at`` its row
+    coordinates, with x_2's null-space parts and DC, and ``Iterate.start``
+    forms the new channel's QR and links.  x' carries a fresh w from a
+    fresh v at its links, so the map's objective after v is
+    sum(beta) - ln 2 rate(x').  Returns x or x'.  It decides nothing and
+    runs no map: ``_alternate`` alone keeps or rejects x'."""
     (f_0, c_0), (f_1, c_1) = inputs
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
@@ -639,20 +641,13 @@ def extrapolated_start(x: Iterate, inputs, objective, weights, factors):
     power = float(np.sum(np.abs(f_d) ** 2))
     if power > 1.0:
         f_d = f_d * math.sqrt(1.0 / power)
-    start = x
-    if factors is not None:
+    if factors is None:
+        start = x._replace(f_d=f_d, links=link_stats(x.h @ f_d))
+    else:
         coords = y_0 - 2.0 * alpha * r_y + alpha * alpha * u_y
         coeffs = _coefficients_at(factors, coords, y_2, x.coeffs)
-        h = effective_channels(factors.blocks, coeffs)
-        start = x._replace(coeffs=coeffs, h=h, basis=np.linalg.qr(np.conj(h).T))
-    links = link_stats(start.h @ f_d)
-    v = update_v(links)
-    w = update_w(links, v)
-    # the map's objective after v: its first block forms this v again and
-    # scores it with this w
-    if wmmse_objective(w, mse_vector(links, v), weights) > objective:
-        return None
-    return start._replace(f_d=f_d, w=w, links=links)
+        start = Iterate.start(effective_channels(factors.blocks, coeffs), f_d, coeffs)
+    return start._replace(w=update_w(start.links, update_v(start.links)))
 
 
 def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
@@ -660,30 +655,32 @@ def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     the sum rate rises between two kept maps by at most ``config.tolerance``
     relative (a fall stops it too) or ``config.max_iterations`` loop steps
     are spent.  Each step runs ``outer_step`` once, from x or, after two
-    plain maps, from ``extrapolated_start``'s point, whose map is kept only
-    when its rate beats the last kept map's and its objective after v is at
-    most that one's objective (acceptance 04's chain); a step not kept
-    leaves no record.  The loop holds the pairs the extrapolation reads, so
-    a solve continued from an iterate starts a fresh cycle.  Returns the
-    solve's result: the last kept iterate, the history, whether the rate
-    settled and the steps spent."""
+    plain maps, from ``extrapolated_start``'s point.  The loop alone keeps
+    or rejects that point, in two tests.  Before the map, the map's
+    objective after v, formed here as ``outer_step`` forms it, must be at
+    most the last kept map's objective (acceptance 04's chain), or the map
+    is not run; a NaN fails this test.  After the map, its rate must beat
+    the last kept map's.  A step not kept leaves no record.  The loop holds
+    the pairs the extrapolation reads, so a solve continued from an iterate
+    starts a fresh cycle.  Returns the solve's result: the last kept
+    iterate, the history, whether the rate settled and the steps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     history: list[IterationRecord] = []
     inputs = []  # the (F_D, coefficients) pairs into the plain maps since the last extrapolation
     for it in range(1, config.max_iterations + 1):
         start = x
         if len(inputs) == 2:
-            start = extrapolated_start(x, inputs, history[-1].objective, weights, factors)
-            inputs = []
-            if start is None:
-                continue
+            start, inputs = extrapolated_start(x, inputs, factors), []
         if start is x:
             inputs.append((x.f_d, x.coeffs))
+        elif not (
+            wmmse_objective(start.w, mse_vector(start.links, update_v(start.links)), weights)
+            <= history[-1].objective
+        ):
+            continue
         y, record = outer_step(start, it, weights, factors)
         last = history[-1] if history else None
-        if start is not x and not (
-            record.sum_rate > last.sum_rate and record.objective_after_v <= last.objective
-        ):
+        if start is not x and not record.sum_rate > last.sum_rate:
             continue
         x = y
         history.append(record)

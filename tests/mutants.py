@@ -118,4 +118,33 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_07_directional_reproduction",
         ),
     ),
+    Mutant(
+        "the loop keeps a map whose objective after v rose",
+        WMMSE,
+        "        elif not (\n"
+        "            wmmse_objective(start.w, mse_vector(start.links, update_v(start.links)), weights)\n"
+        "            <= history[-1].objective\n"
+        "        ):\n"
+        "            continue\n",
+        "",
+        (
+            MONOTONE_CHAIN,
+            GOLDEN_PANEL,
+            "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal",
+            "tests/test_wmmse.py::TestExtrapolation::test_rejected_extrapolation_skips_its_map",
+            "tests/test_harness.py::TestConfigSpace"
+            "::test_every_draw_runs_clean_or_is_config_error",
+        ),
+    ),
+    Mutant(
+        "update_em reads each antenna's AC block one column early",
+        WMMSE,
+        "        f_n, h_ac = f_d[n], factors.blocks[:, n, 1:]\n",
+        "        f_n, h_ac = f_d[n], factors.blocks[:, n, :-1]\n",
+        (
+            MONOTONE_CHAIN,
+            "tests/test_wmmse.py::TestUpdateEm::test_carried_links_match_full_rebuild",
+            "tests/test_wmmse.py::TestUpdateEm::test_matches_dense_sweep",
+        ),
+    ),
 )

@@ -40,8 +40,8 @@ oracles of the batched code in ``trihybrid``.
   space part, written out on its local variables;
   ``wmmse._alternate``, which runs ``outer_step`` once per step, from an
   ``Iterate`` holding the links' statistics and the QR, each formed once
-  per change, or from the point ``extrapolated_start`` gives, must equal
-  it bit for bit.
+  per change, or from the point ``extrapolated_start`` forms and the loop
+  itself keeps or rejects, must equal it bit for bit.
 * ``check_state`` audits the invariants of a solve's last iterate
   (``SolverResult.iterate``): positive MSE weights, the power and 4 pi
   budgets, and pinned DC.  ``initial_objective`` is the

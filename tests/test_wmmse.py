@@ -1673,8 +1673,10 @@ class TestPatternExtrapolation:
 
         def spy(x, *args):
             out = start(x, *args)
-            # a step too short to extrapolate returns x itself
-            if out is not None and out is not x:
+            # x itself for a step too short to extrapolate, else the point;
+            # keeping or rejecting it is the loop's
+            assert isinstance(out, wmmse.Iterate)
+            if out is not x:
                 points.append(out)
             return out
 
