@@ -121,12 +121,11 @@ MUTANTS = (
     Mutant(
         "the loop keeps a map whose objective after v rose",
         WMMSE,
-        "        elif not (\n"
+        "        kept = start is x or (\n"
         "            wmmse_objective(start.w, mse_vector(start.links, update_v(start.links)), weights)\n"
-        "            <= history[-1].objective\n"
-        "        ):\n"
-        "            continue\n",
-        "",
+        "            <= last.objective\n"
+        "        )\n",
+        "        kept = True\n",
         (
             MONOTONE_CHAIN,
             GOLDEN_PANEL,
@@ -134,6 +133,27 @@ MUTANTS = (
             "tests/test_wmmse.py::TestExtrapolation::test_rejected_extrapolation_skips_its_map",
             "tests/test_harness.py::TestConfigSpace"
             "::test_every_draw_runs_clean_or_is_config_error",
+        ),
+    ),
+    Mutant(
+        "the step-length bound never grows",
+        WMMSE,
+        "bound * STEP_GROWTH if kept",
+        "bound if kept",
+        (
+            GOLDEN_PANEL,
+            "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal",
+            "tests/test_wmmse.py::TestPatternExtrapolation::test_loop_moves_the_step_bound",
+        ),
+    ),
+    Mutant(
+        "a rejection does not shrink the step-length bound",
+        WMMSE,
+        "max(bound / STEP_GROWTH, floor)",
+        "bound",
+        (
+            GOLDEN_PANEL,
+            "tests/test_wmmse.py::TestPatternExtrapolation::test_loop_moves_the_step_bound",
         ),
     ),
     Mutant(

@@ -37,7 +37,8 @@ oracles of the batched code in ``trihybrid``.
   functions of ``wmmse`` on per-call statistics of the links and QR of
   H^H, with ``wmmse.update_em`` as the pattern update, and the SQUAREM
   extrapolation after every two maps, of F_D and of the coefficients' row
-  space part, written out on its local variables;
+  space part, with its step-length bound, written out on its local
+  variables;
   ``wmmse._alternate``, which runs ``outer_step`` once per step, from an
   ``Iterate`` holding the links' statistics and the QR, each formed once
   per change, or from the point ``extrapolated_start`` forms and the loop
@@ -299,11 +300,16 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     After every two plain maps since the last extrapolation, with x_0, x_1
     the points going into them and x_2 the point out of them, the next map
     starts from the SQUAREM point of the three, with fresh v and w there,
-    when its step length alpha = -||x_1 - x_0|| / ||x_2 - 2 x_1 + x_0|| is
-    below -1 (otherwise it is a plain map).  A point is F_D and, on a
-    pattern solve, each antenna's AC coefficients in the row space of its
-    channel block, the coordinates Q_n^T c_n^AC in the basis Q_n =
-    ``factors.q[n]``.  The extrapolated F_D is scaled into the unit budget;
+    when its step length alpha = -min(||x_1 - x_0|| / ||x_2 - 2 x_1 + x_0||,
+    bound) is below -1 (otherwise it is a plain map).  The bound starts at
+    ``wmmse.STEP_BOUND_PATTERN`` on a pattern solve and at
+    ``wmmse.STEP_BOUND_FIXED`` on a fixed channel.  After a step whose length
+    is the bound, the bound is multiplied by ``wmmse.STEP_GROWTH`` when the
+    step was a plain map or its map's result was kept, and divided by it,
+    but not below its start, when the result was not kept.  A point is F_D
+    and, on a pattern solve, each antenna's AC coefficients in the row
+    space of its channel block, the coordinates Q_n^T c_n^AC in the basis
+    Q_n = ``factors.q[n]``.  The extrapolated F_D is scaled into the unit budget;
     each antenna's extrapolated row part a = Q_n y is completed to the
     sphere ||c^AC||^2 = 4 pi - DC^2 by the null-space part of x_2's AC
     vector, rescaled, or is scaled onto that sphere alone when that null
@@ -355,22 +361,26 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
             return [f]
         return [f, (c[:, None, 1:] @ factors.q)[:, 0, :]]
 
-    def extrapolated(x_0, x_1, x_2):
-        """The SQUAREM point (F_D, coefficients), or None for a plain map."""
+    def extrapolated(x_0, x_1, x_2, bound):
+        """The SQUAREM point (F_D, coefficients), or None for a plain map,
+        and whether the step length is the bound."""
         r = [b - a for a, b in zip(x_0, x_1)]
         u = [c - 2.0 * b + a for a, b, c in zip(x_0, x_1, x_2)]
         norm_r = math.hypot(*[float(np.linalg.norm(part)) for part in r])
         norm_u = math.hypot(*[float(np.linalg.norm(part)) for part in u])
         if not norm_r > norm_u > 0.0:
-            return None
-        alpha = -norm_r / norm_u
+            return None, False
+        length = min(norm_r / norm_u, bound)
+        if length <= 1.0:  # the bound clamped the step to the plain map's
+            return None, True
+        alpha = -length
         x = [a - 2.0 * alpha * b + alpha * alpha * c for a, b, c in zip(x_0, r, u)]
         f_x = x[0]
         power = float(np.sum(np.abs(f_x) ** 2))
         if power > 1.0:
             f_x = f_x * math.sqrt(1.0 / power)
         if factors is None:
-            return f_x, coeffs
+            return (f_x, coeffs), length == bound
         c_x = coeffs.copy()
         q = factors.q
         rows = (q @ x[1][:, :, None])[:, :, 0]
@@ -387,17 +397,23 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
                 c_x[n, 1:] = rows[n] + nulls[n] * math.sqrt((rho_sq - row_sq) / null_sq)
             else:
                 c_x[n, 1:] = rows[n] * math.sqrt(rho_sq / row_sq)
-        return f_x, c_x
+        return (f_x, c_x), length == bound
 
     w = [1.0] * len(weights)
     history = []
     inputs = []  # the points (F_D, coefficients) going into each map since the last extrapolation
+    lowest = wmmse.STEP_BOUND_FIXED if factors is None else wmmse.STEP_BOUND_PATTERN
+    bound = lowest
     for it in range(1, config.max_iterations + 1):
-        start = None
+        start, at_bound = None, False
         if len(inputs) == 2:
-            start = extrapolated(*(point(f, c) for f, c in inputs), point(f_d, coeffs))
+            start, at_bound = extrapolated(
+                *(point(f, c) for f, c in inputs), point(f_d, coeffs), bound
+            )
             inputs = []
         if start is None:
+            if at_bound:
+                bound *= wmmse.STEP_GROWTH
             inputs.append((f_d, coeffs))
             h, f_d, w, coeffs, record = one_map(it, h, f_d, w, coeffs)
         else:
@@ -409,7 +425,11 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
             last = history[-1]
             if not (record.sum_rate > last.sum_rate
                     and record.objective_after_v <= last.objective):
+                if at_bound:
+                    bound = max(bound / wmmse.STEP_GROWTH, lowest)
                 continue
+            if at_bound:
+                bound *= wmmse.STEP_GROWTH
             h, f_d, w, coeffs = h_y, f_y, w_y, c_y
         history.append(record)
         if len(history) > 1 and record.sum_rate - history[-2].sum_rate <= (
