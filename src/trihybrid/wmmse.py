@@ -14,20 +14,21 @@ closed form:
   H^H = Q R per channel reduces each F_D update to the spectrum of the
   K x K matrix R C R^H, and the one power multiplier all columns of F_D
   share solves a secular equation on those K terms;
-* each antenna's AC coefficient vector solves a norm-constrained quadratic
-  program whose KKT system is (A + 2 nu I) c = -d.  A has rank at most 2K
-  and d lies in its range, so one batched thin QR of the antennas' channel
-  blocks, formed once per solve (``factor_ac_blocks``), and one batched
-  eigen decomposition per sweep of the r x r (r <= 2K) reduced matrices
-  give every A's spectrum; each antenna then solves the secular equation
-  ||c(nu)||^2 = rho^2 on at most 2K terms,
-  right of the smallest eigenvalue, where the solution is the global
-  minimizer on the sphere.  The null space of A, where d has exactly no
-  weight, joins the pole's eigenspace in the explicit hard case.  The point
-  is scored on the exact objective, from the links H F_D moved by one rank-1
-  term, and accepted only on strict improvement, which makes the objective
-  non-increasing step by step and the sum rate non-decreasing across outer
-  iterations.
+* the channel sees antenna n's AC coefficients c only through their
+  r <= min(T-1, 2K) coordinates a_n = Q_n^T c in its block's row space:
+  one batched thin QR per solve (``factor_ac_blocks``) gives
+  H_ac = R_n^T Q_n^T, so the solve holds each antenna's DC and a_n, and
+  the channel is the DC column plus R_n^T a_n.  Where r < T-1 the null
+  space takes up the rest of the 4 pi budget and a_n lies in a ball;
+  where r = T-1 it lies on the sphere.  One batched eigh per sweep of the
+  r x r quadratics gives each antenna a secular equation on at most 2K
+  terms, or nu = 0 where the unconstrained minimiser lies inside the ball
+  (More & Sorensen 1983).  The point is scored on the exact objective,
+  from the links H F_D moved by one rank-1 term, and accepted only on
+  strict improvement, which makes the objective non-increasing step by
+  step and the sum rate non-decreasing across outer iterations.  A pattern
+  solve completes its coefficients once, at its end
+  (``complete_coefficients``).
 
 Both multipliers come from one safeguarded Newton iteration on
 sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
@@ -40,8 +41,8 @@ and ``refit_digital``'s alike.  Every solve takes one SQUAREM extrapolation
 after every two maps (``extrapolated_start``; Varadhan & Roland 2008), which
 shortcuts the slow linear tail of block-coordinate WMMSE: of F_D on a fixed
 channel (the frozen baseline and ``refit_digital``), and of F_D together
-with each antenna's AC coefficients in its channel's row space on a
-pattern solve, the null-space part riding along on the 4 pi budget.  On
+with each antenna's row coordinates a_n on a pattern solve, each a_n kept
+on the side of its constraint it held: in its ball, or on its sphere.  On
 a pattern solve the step length is bounded, and ``_alternate`` grows the
 bound after a step that used it in full and was kept, and shrinks it after
 one it rejected.  ``extrapolated_start`` only forms the point;
@@ -60,7 +61,7 @@ arithmetic, would bound the loop.  The same holds for the
 K terms of an F_D update after its eigensolve and for the at most 2K
 spectral terms of each pattern subproblem, from its pole and cluster to
 its multiplier.  numpy forms the K x K links, R C R^H and its eigensolve,
-the precoder, the pattern quadratics and each pattern point V y; a
+the precoder, the pattern quadratics and each pattern point U y; a
 K-vector becomes an array only where it scales one of those matrices.
 """
 
@@ -297,114 +298,109 @@ def update_fd(basis, w, v, weights) -> np.ndarray:
 
 
 class AcFactors(NamedTuple):
-    """The EM-domain channel blocks and the thin QR of every antenna's AC
-    block of them (``factor_ac_blocks``).  Antenna n's AC block H_ac is the
-    view ``blocks[:, n, 1:]``; no copy of it is kept."""
+    """The EM-domain channel blocks and the thin QR H_ac^T = Q R of every
+    antenna's AC block H_ac = ``blocks[:, n, 1:]`` (``factor_ac_blocks``)."""
 
     blocks: np.ndarray  # (K, N_T, T) the blocks factored
-    q: np.ndarray  # (N_T, T-1, r) orthonormal basis of each G's row space
-    r: np.ndarray  # (N_T, r, 2K) with G^T = Q R
+    q: np.ndarray  # (N_T, T-1, r) orthonormal basis of each H_ac's row space
+    r: np.ndarray  # (N_T, r, K) complex, with H_ac^T = Q R
 
 
 def factor_ac_blocks(blocks) -> AcFactors:
-    """Thin QR G^T = Q R of every antenna's G = [X; Y], where H_ac =
-    blocks[:, n, 1:] = X + iY, in one batched call; returns it with the
-    blocks themselves."""
+    """Thin QR G^T = Q [R_X R_Y] of every antenna's G = [X; Y], where H_ac =
+    blocks[:, n, 1:] = X + iY, in one batched call, read as H_ac^T = Q R
+    with R = R_X + i R_Y; returns it with the blocks themselves."""
+    k = blocks.shape[0]
     columns = blocks[:, :, 1:].transpose(1, 2, 0)
     q, r = np.linalg.qr(np.concatenate((columns.real, columns.imag), axis=2))
-    return AcFactors(blocks, q, r)
+    return AcFactors(blocks, q, r[:, :, :k] + 1j * r[:, :, k:])
+
+
+def channels_at(factors: AcFactors, coeffs) -> np.ndarray:
+    """The (K, N_T) channel at the row point ``coeffs``, each antenna's DC
+    and a_n: column n is DC_n blocks[:, n, 0] + R_n^T a_n."""
+    ac = (coeffs[:, None, 1:] @ factors.r)[:, 0, :]
+    return factors.blocks[:, :, 0] * coeffs[:, 0] + ac.T
 
 
 def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
-    """Every antenna's pattern quadratic, factored in its channel range.
+    """Every antenna's pattern quadratic in its row coordinates.
 
     For antenna n the WMMSE objective is, up to a constant,
     c^T (A/2) c + d^T c in its AC coefficients c, with
-    A = 2 s_n Re(H_ac^H diag(g) H_ac) = G^T diag(2 s_n [g; g]) G, where
-    H_ac = blocks[:, n, 1:] = X + iY, G = [X; Y], s_n = ||F_D[n]||^2 and
-    g = beta w |v|^2, and d = Re(H_ac^T a) for a per-user vector a that
-    depends on the current links (see ``update_em``).  Both live in the row
-    space of G, of dimension r <= min(T-1, 2K), so the thin QR G^T = Q R of
-    ``factors`` and one batched eigh of the r x r matrices
-    R diag(2 s_n [g; g]) R^T = U diag(lams) U^T give all antennas at once
-    A = V diag(lams) V^T with V = Q U, and V^T d = Re((H_ac V)^T a).  H_ac^T
-    is read as a view of ``factors.blocks``, never copied.
+    A = 2 s_n Re(H_ac^H diag(g) H_ac), s_n = ||F_D[n]||^2, g = beta w |v|^2
+    and d = Re(H_ac^T a) for a per-user vector a of the current links (see
+    ``update_em``).  With H_ac^T = Q R of ``factors``, in y = Q^T c the
+    model is y^T (A~/2) y + d~^T y with A~ = 2 s_n Re(conj(R) diag(g) R^T)
+    and d~ = Re(R a); one batched eigh of the r x r matrices
+    A~ = U diag(lams) U^T gives all antennas at once.
 
-    Returns (lams, vecs, proj): lams (N_T, r) ascending, vecs = V
-    (N_T, T-1, r) and proj = (H_ac V)^T (N_T, r, K).  A vanishes on the
-    complement of V's columns and d has no weight there.
+    Returns (lams, vecs, proj): lams (N_T, r) ascending, vecs = U
+    (N_T, r, r) and proj = U^T R (N_T, r, K), so U^T d~ = Re(proj a).
     """
     r = factors.r
     gw, _ = _user_scales(w, v, weights)
-    scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.array(gw + gw)
-    lams, u = np.linalg.eigh((r * scale[:, None, :]) @ r.transpose(0, 2, 1))
-    vecs = factors.q @ u
-    return lams, vecs, vecs.transpose(0, 2, 1) @ factors.blocks[:, :, 1:].transpose(1, 2, 0)
+    scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.array(gw)
+    lams, u = np.linalg.eigh(((np.conj(r) * scale[:, None, :]) @ r.transpose(0, 2, 1)).real)
+    return lams, u, u.transpose(0, 2, 1) @ r
 
 
-def _cluster_direction(vecs, cluster, null) -> np.ndarray:
-    """Unit vector of the pole's eigenspace, independent of the basis chosen.
-
-    The eigenspace is spanned by the ``cluster`` columns of ``vecs``; when
-    ``null`` holds it also holds the complement of all columns, so it is the
-    complement of the other columns.  The vector is the projection of the
-    all-ones vector onto it; when that vanishes, the projection of the unit
-    vector the eigenspace is closest to.
-    """
-    dim = vecs.shape[0]
-    basis = vecs[:, ~cluster] if null else vecs[:, cluster]
+def _cluster_direction(span, complement=False) -> np.ndarray:
+    """Unit vector of the span of the orthonormal columns ``span``, or of its
+    complement when ``complement``, independent of the basis chosen: the
+    projection of the all-ones vector onto that space or, when that
+    vanishes, of the unit vector the space is closest to."""
+    dim = span.shape[0]
 
     def project(x):
-        inside = basis @ (basis.T @ x)
-        return x - inside if null else inside
+        inside = span @ (span.T @ x)
+        return x - inside if complement else inside
 
     z = project(np.ones(dim))
     if np.linalg.norm(z) <= 1e-8 * math.sqrt(dim):
-        weight = np.sum(basis**2, axis=1)
-        z = project(np.eye(1, dim, np.argmin(weight) if null else np.argmax(weight))[0])
+        weight = np.sum(span**2, axis=1)
+        z = project(np.eye(1, dim, np.argmin(weight) if complement else np.argmax(weight))[0])
     return z / np.linalg.norm(z)
 
 
-def solve_ac_subproblem(lams, vecs, dt, rho_sq):
-    """Global minimizer of c^T (A/2) c + d^T c on ||c||^2 = rho_sq, and its
-    multiplier nu.
+def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis=None):
+    """Global minimizer of y^T (A/2) y + d^T y on the sphere
+    ||y||^2 = rho_sq, or in the ball ||y||^2 <= rho_sq where a null space
+    takes up the rest of the budget, and its multiplier nu.
 
-    A is given by its spectrum: A = vecs diag(lams) vecs^T with ``lams``
-    ascending and ``vecs`` a (dim, r) matrix of orthonormal columns; A
-    vanishes on the complement of those columns, where d has no weight, and
-    ``dt = vecs^T d``.  The complement, when r < dim, is one more eigenspace
-    at 0.  With pole = min(lams[0], 0) (lams[0] when r = dim),
-    c(nu) = -(A + 2 nu I)^{-1} d has squared norm sum_m (dt_m / (lams_m +
-    2 nu))^2, decreasing for nu > -pole/2.  The root there, where A + 2 nu I
-    is positive semidefinite, is the global minimizer on the sphere (More &
-    Sorensen 1983).  The secular solver works in the shift
-    t = 2 nu + pole >= 0, so the distance to the pole keeps full precision,
-    and stops once |norm(c)^2 - rho_sq| <= MULTIPLIER_TOL * rho_sq.
-    Returns (nu, c).
+    y are the coordinates in the (T-1, r) orthonormal ``basis`` Q_n (the AC
+    coefficients themselves when None); r < T-1 leaves a null space.  A =
+    vecs diag(lams) vecs^T with ``lams`` ascending and ``vecs`` orthogonal,
+    and ``dt = vecs^T d``.  With pole = lams[0] on the sphere and
+    min(lams[0], 0) in the ball, y(nu) = -(A + 2 nu I)^{-1} d has squared
+    norm sum_m (dt_m / (lams_m + 2 nu))^2, decreasing for nu > -pole/2; the
+    root there is the global minimizer (More & Sorensen 1983).  The secular
+    solver works in the shift t = 2 nu + pole >= 0, so the distance to the
+    pole keeps full precision, and stops once
+    |norm(y)^2 - rho_sq| <= MULTIPLIER_TOL * rho_sq.  Returns (nu, y).
 
-    Hard case: eigenvalues within CLUSTER_ULPS * dim * eps * max|lams| of
-    the pole form one cluster.  When d has only rounding-level weight on that
-    cluster (none at all on the complement) and the range-only solution at
-    the pole has norm at most rho, no root lies right of the pole.  The
-    multiplier is then the pole itself and c is the range solution plus a
-    vector of the cluster's eigenspace that makes up the missing norm.  Its
-    direction, by convention, is the projection of the all-ones vector onto
-    that eigenspace (a unit vector's projection if that one vanishes), so it
-    does not depend on the eigenbasis returned; since A z = pole z and
-    d^T z = 0, the direction does not change the objective.  d = 0 is a hard
-    case.
+    Eigenvalues within CLUSTER_ULPS * r * eps * max|lams| of the pole form
+    one cluster.  When d has only rounding-level weight on it and the
+    range-only solution at the pole has norm at most rho, no root lies
+    right of the pole.  In the ball with the pole at 0 up to that rounding,
+    the range solution is then the minimizer, inside the ball, at nu = 0.
+    Otherwise, the hard case, y is the range solution plus the cluster
+    vector that makes up the missing norm, along ``_cluster_direction`` of
+    the eigenspace Q_n vecs[:, cluster], which does not depend on the
+    eigenbasis returned; since A z = pole z and d^T z = 0, it does not
+    change the objective.  d = 0 is such a case.
 
-    The r <= 2K terms (``lams`` and ``dt`` arrays) are read once as Python
-    floats, and every step over them runs on those: the pole, the cluster,
-    the range solution's squared norm, the noise test and the secular
-    solve.  numpy forms only c from V, plus the cluster direction in the
-    hard case, which takes up the norm the branch test itself measured.
+    The r <= 2K terms are read once as Python floats, and every step over
+    them runs on those: the pole, the cluster, the range solution's squared
+    norm, the noise test and the secular solve.  numpy forms only y from
+    vecs, plus the cluster direction in the hard case, which takes up the
+    norm the branch test itself measured.
     """
+    q = np.eye(len(lams)) if basis is None else basis
     lams, dt = lams.tolist(), dt.tolist()
-    dim, rank = vecs.shape
-    null = rank < dim
-    pole = min(lams[0], 0.0) if null else lams[0]
-    rounding = CLUSTER_ULPS * dim * EPS
+    ball = q.shape[0] > q.shape[1]
+    pole = min(lams[0], 0.0) if ball else lams[0]
+    rounding = CLUSTER_ULPS * len(lams) * EPS
     lam_scale = max(abs(lams[0]), abs(lams[-1]))  # lams ascend
     bound = rounding * lam_scale
     shift, x_sq, y_range = [], [], []
@@ -426,54 +422,79 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     noise = rounding * (math.sqrt(dt_sq) + lam_scale * math.sqrt(range_sq))
     if range_sq <= rho_sq and math.sqrt(cluster_sq) <= noise:
         cluster = np.array(shift) == 0.0  # every other shift exceeds bound >= 0
-        z = _cluster_direction(vecs, cluster, null and -pole <= bound)
-        return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, ~cluster] @ y_range
+        y = -(vecs[:, ~cluster] @ y_range)
+        if ball and -pole <= bound:
+            return -0.5 * pole, y
+        z = q.T @ _cluster_direction(q @ vecs[:, cluster])
+        return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z + y
 
     t = _secular_shift(x_sq, shift, rho_sq, "norm")
     return 0.5 * (t - pole), vecs @ [-d / (s + t) for d, s in zip(dt, shift)]
 
 
 def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
-    """One ascending sweep of per-antenna AC updates with monotone acceptance.
+    """One ascending sweep of per-antenna AC updates with monotone acceptance,
+    from the row point ``coeffs`` (``channels_at``) to the next.
 
-    The channel enters only as ``factors``, ``factor_ac_blocks`` of its
-    EM-domain blocks, formed once per solve; antenna n's H_ac is the view
-    ``factors.blocks[:, n, 1:]``.  The quadratics of all antennas
-    are assembled once (``assemble_quadratic``), since F_D, w and v are fixed
-    within the sweep.  The links P = H F_D are computed in full once, at the
-    start, and their statistics once per scored P.  Replacing antenna n's AC
-    vector c changes only column n of H, so P moves by the rank-1 term
-    outer(H_ac (c - c_old), F_D[n]); each candidate is scored on the exact
-    objective from the moved P and kept only when it strictly beats the
-    incumbent, which guards against rounding, so the sweep never increases
-    the objective.  DC entries are left untouched.  beta w v F_D[n] and
-    each antenna's rho^2 are formed for all antennas once per sweep.
+    The channel enters only as ``factors``, formed once per solve.  The
+    quadratics of all antennas are assembled once (``assemble_quadratic``),
+    since F_D, w and v are fixed within the sweep.  The links P = H F_D are
+    computed in full once, at the start, and their statistics once per
+    scored P.  Replacing antenna n's a_n changes only column n of H, so P
+    moves by the rank-1 term outer(R_n^T (a - a_old), F_D[n]); each
+    candidate, the solution of its ball (or sphere) subproblem, is scored
+    on the exact objective from the moved P and kept only when it strictly
+    beats the incumbent, which guards against rounding, so the sweep never
+    increases the objective.  DC entries are left untouched.
     """
     coeffs = np.array(coeffs, dtype=float)
     lams, vecs, proj = assemble_quadratic(factors, f_d, w, v, weights)
     gw, bwv = _user_scales(w, v, weights)
     gw, bwv_fd = np.array(gw), np.array(bwv) * f_d  # row n: beta w v F_D[n]
     rho_sq = (FULL_SPHERE - coeffs[:, 0] ** 2).tolist()
-    links = effective_channels(factors.blocks, coeffs) @ f_d
+    links = channels_at(factors, coeffs) @ f_d
 
     def objective(p):
         return wmmse_objective(w, mse_vector(link_stats(p), v), weights)
 
     incumbent = objective(links)
     for n in range(coeffs.shape[0]):
-        f_n, h_ac = f_d[n], factors.blocks[:, n, 1:]
+        f_n, r_n = f_d[n], factors.r[n]
         # links without antenna n's AC part, and d = Re(H_ac^T a); the rank-1
         # moves broadcast as np.outer does
-        rest = links - (h_ac @ coeffs[n, 1:])[:, None] * f_n
+        rest = links - (coeffs[n, 1:] @ r_n)[:, None] * f_n
         a = 2.0 * (gw * (np.conj(rest) @ f_n) - bwv_fd[n])
         dt = (proj[n] @ a).real
-        _, c_ac = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n])
-        moved = rest + (h_ac @ c_ac)[:, None] * f_n
+        _, y = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n], factors.q[n])
+        moved = rest + (y @ r_n)[:, None] * f_n
         obj = objective(moved)
         if obj < incumbent:
             incumbent, links = obj, moved
-            coeffs[n, 1:] = c_ac
+            coeffs[n, 1:] = y
     return coeffs
+
+
+def _null_sq(q, coeffs) -> np.ndarray:
+    """Each antenna's rho_n^2 - ||a_n||^2 at the row point ``coeffs``, the
+    squared norm the null space of Q_n = ``q[n]`` takes up; 0 where there
+    is none, and where a_n lies within MULTIPLIER_TOL of its sphere, the
+    band in which the secular solve stops."""
+    rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
+    missing = rho_sq - np.sum(coeffs[:, 1:] ** 2, axis=1)
+    ball = q.shape[1] > q.shape[2]
+    return np.where(ball & (missing > MULTIPLIER_TOL * rho_sq), missing, 0.0)
+
+
+def complete_coefficients(q, coeffs) -> np.ndarray:
+    """The (N_T, T) coefficients of the row point ``coeffs``, with ``q`` =
+    ``factor_ac_blocks(...).q``: DC, and Q_n a_n plus a null vector of the
+    norm ``_null_sq`` gives, along ``_cluster_direction`` of the null space,
+    so that every pattern is on its 4 pi budget."""
+    out = np.concatenate((coeffs[:, :1], (q @ coeffs[:, 1:, None])[:, :, 0]), axis=1)
+    null_sq = _null_sq(q, coeffs)
+    for n in np.flatnonzero(null_sq):
+        out[n, 1:] += math.sqrt(null_sq[n]) * _cluster_direction(q[n], True)
+    return out
 
 
 def initial_coefficients(
@@ -522,12 +543,13 @@ def snr_scale(snr_db: float) -> float:
 
 class Iterate(NamedTuple):
     """One point of the alternating solve, never changed in place: F_D, the
-    coefficients, the MSE weights the next v update is scored with, and the
+    patterns, the MSE weights the next v update is scored with, and the
     channel, its QR and the links' statistics the next step reads, formed
-    once per change of the channel or F_D."""
+    once per change of the channel or F_D.  A pattern solve runs on the row
+    point (``channels_at``) and its result holds the completed coefficients."""
 
     f_d: np.ndarray  # (N_T, K) digital precoder
-    coeffs: np.ndarray | None  # (N_T, T) pattern coefficients; None on refit_digital's channel
+    coeffs: np.ndarray | None  # (N_T, 1 + r) row point or (N_T, T); None on a refit
     w: list  # (K,) MSE weights
     h: np.ndarray  # (K, N_T) channel
     basis: tuple  # thin QR (Q, R) of h^H
@@ -562,7 +584,7 @@ class SolverResult:
 def outer_step(x: Iterate, it, weights, factors):
     """Outer iteration ``it`` from ``x``: v, w and F_D and, when ``factors``
     (``factor_ac_blocks`` of the blocks) is given, one ``update_em`` sweep
-    and ``Iterate.start`` of the channel under its coefficients.  v and w
+    of the row point and ``Iterate.start`` of the channel under it.  v and w
     read the same links, so one MSE vector scores both; ``weights`` is a
     list of floats.  Returns (next iterate, ``IterationRecord``)."""
     tic = time.perf_counter()
@@ -580,7 +602,7 @@ def outer_step(x: Iterate, it, weights, factors):
     y, obj_em = Iterate(f_d, x.coeffs, w, x.h, x.basis, links), obj_fd
     if factors is not None:
         coeffs = update_em(factors, x.coeffs, f_d, w, v, weights)
-        y = Iterate.start(effective_channels(factors.blocks, coeffs), f_d, coeffs, w)
+        y = Iterate.start(channels_at(factors, coeffs), f_d, coeffs, w)
         obj_em = wmmse_objective(w, mse_vector(y.links, v), weights)
     t_em = time.perf_counter()
     rate = sum_rate(y.links, weights)
@@ -588,72 +610,35 @@ def outer_step(x: Iterate, it, weights, factors):
     return y, IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
 
 
-def _row_coordinates(factors: AcFactors, coeffs) -> np.ndarray:
-    """Each antenna's AC coefficients in its channel's row space: the
-    (N_T, r) coordinates Q_n^T c_n^AC, with Q_n = ``factors.q[n]``."""
-    return (coeffs[:, None, 1:] @ factors.q)[:, 0, :]
-
-
-def _coefficients_at(factors: AcFactors, coords, own, coeffs) -> np.ndarray:
-    """Coefficients whose AC row part is Q_n ``coords[n]`` for each antenna
-    n, completed to the 4 pi budget by the null-space parts of ``coeffs``,
-    whose row coordinates are ``own``, and with its DC.
-
-    Each AC vector is the row part a plus the null-space part of ``coeffs``,
-    c^AC - Q_n Q_n^T c^AC, rescaled so that ||c^AC||^2 = 4 pi - DC^2 = rho^2.
-    That null part is projected a second time (twice is enough, Parlett
-    1980), so its row-space content is rounding of its own length and stays
-    so however far it is scaled up.  Where the first projection leaves no
-    more than CLUSTER_ULPS (T - 1) eps rho (an r = T - 1 row space leaves
-    only that rounding), or ||a||^2 exceeds rho^2, a alone is scaled onto the
-    sphere."""
-    q = factors.q
-    rows = (q @ coords[:, :, None])[:, :, 0]
-    nulls = coeffs[:, 1:] - (q @ own[:, :, None])[:, :, 0]
-    nulls_sq = np.sum(nulls * nulls, axis=1).tolist()
-    nulls -= (q @ (nulls[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0]
-    rounding = (CLUSTER_ULPS * q.shape[1] * EPS) ** 2
-    out = coeffs.copy()
-    for n, (row, null, first_sq) in enumerate(zip(rows, nulls, nulls_sq)):
-        rho_sq = FULL_SPHERE - coeffs[n, 0] ** 2
-        row_sq = float(row @ row)
-        if first_sq <= rounding * rho_sq or row_sq > rho_sq:
-            out[n, 1:] = row * math.sqrt(rho_sq / row_sq)
-        else:
-            out[n, 1:] = row + null * math.sqrt((rho_sq - row_sq) / float(null @ null))
-    return out
-
-
 def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, bool]:
     """Where the loop's next map starts after two plain maps: one SQUAREM
-    extrapolation of the point (F_D, Q_n^T c_n^AC for each antenna n).  On
-    a fixed channel (no ``factors``) the point is F_D alone; on a pattern
-    solve Q_n is ``factors.q[n]``, so the point holds each AC vector's part
-    in its channel's row space, the part the channel sees.
+    extrapolation of the point, F_D on a fixed channel (no ``factors``),
+    and F_D with the row point on a pattern solve.
 
-    With x_0, x_1 the (F_D, coefficients) pairs ``inputs`` that went into
-    the two maps and x_2 = x's own, r = x_1 - x_0, u = x_2 - 2 x_1 + x_0 and
+    With x_0, x_1 the (F_D, row point) pairs ``inputs`` that went into the
+    two maps and x_2 = x's own, r = x_1 - x_0, u = x_2 - 2 x_1 + x_0 and
     alpha = -min(||r|| / ||u||, ``bound``), the step length clamped to the
     loop's bound.  Only a step longer than the plain one, alpha < -1,
     extrapolates; otherwise this returns x itself, as it does when a bound
     of 1 clamps the step (alpha = -1 makes x' = x_2).
-    x' = x_0 - 2 alpha r + alpha^2 u.  Its F' is scaled down into the unit
-    budget when over it.  Its coefficients are ``_coefficients_at`` its row
-    coordinates, with x_2's null-space parts and DC, and ``Iterate.start``
-    forms the new channel's QR and links.  x' carries a fresh w from a
-    fresh v at its links, so the map's objective after v is
-    sum(beta) - ln 2 rate(x').  Returns (x or x', whether the step used the
-    bound in full, alpha = -bound).  It decides nothing and runs no map:
-    ``_alternate`` alone keeps or rejects x' and moves the bound."""
+    x' = x_0 - 2 alpha r + alpha^2 u, which leaves every DC as it is.  Its
+    F' is scaled down into the unit budget when over it.  Each a_n keeps the
+    side of its constraint that x_2's holds: one inside its ball
+    (``_null_sq`` > 0) is scaled back onto the ball only when it leaves it,
+    any other onto its sphere.  ``Iterate.start`` forms the new channel's
+    QR and links.  x' carries a fresh w from a fresh v at its links, so the
+    map's objective after v is sum(beta) - ln 2 rate(x').  Returns (x or
+    x', whether the step used the bound in full, alpha = -bound).  It
+    decides nothing and runs no map: ``_alternate`` alone keeps or rejects
+    x' and moves the bound."""
     (f_0, c_0), (f_1, c_1) = inputs
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
     norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
     if factors is not None:
-        y_0, y_1, y_2 = (_row_coordinates(factors, c) for c in (c_0, c_1, x.coeffs))
-        r_y, u_y = y_1 - y_0, y_2 - 2.0 * y_1 + y_0
-        norm_r = math.hypot(norm_r, float(np.linalg.norm(r_y)))
-        norm_u = math.hypot(norm_u, float(np.linalg.norm(u_y)))
+        r_c, u_c = c_1 - c_0, x.coeffs - 2.0 * c_1 + c_0
+        norm_r = math.hypot(norm_r, float(np.linalg.norm(r_c)))
+        norm_u = math.hypot(norm_u, float(np.linalg.norm(u_c)))
     if not norm_r > norm_u > 0.0:
         return x, False
     alpha = max(-norm_r / norm_u, -bound)
@@ -666,9 +651,11 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
     if factors is None:
         start = x._replace(f_d=f_d, links=link_stats(x.h @ f_d))
     else:
-        coords = y_0 - 2.0 * alpha * r_y + alpha * alpha * u_y
-        coeffs = _coefficients_at(factors, coords, y_2, x.coeffs)
-        start = Iterate.start(effective_channels(factors.blocks, coeffs), f_d, coeffs)
+        coeffs = c_0 - 2.0 * alpha * r_c + alpha * alpha * u_c
+        scale = np.sqrt((FULL_SPHERE - coeffs[:, 0] ** 2) / np.sum(coeffs[:, 1:] ** 2, axis=1))
+        inside = _null_sq(factors.q, x.coeffs) > 0.0
+        coeffs[:, 1:] *= np.where(inside, np.minimum(scale, 1.0), scale)[:, None]
+        start = Iterate.start(channels_at(factors, coeffs), f_d, coeffs)
     return start._replace(w=update_w(start.links, update_v(start.links))), alpha == -bound
 
 
@@ -696,7 +683,7 @@ def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     settled and the steps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     history: list[IterationRecord] = []
-    inputs = []  # the (F_D, coefficients) pairs into the plain maps since the last extrapolation
+    inputs = []  # the (F_D, patterns) pairs into the plain maps since the last extrapolation
     bound = floor = STEP_BOUND_FIXED if factors is None else STEP_BOUND_PATTERN
     for it in range(1, config.max_iterations + 1):
         start, full = x, False
@@ -752,8 +739,9 @@ def run_algorithm1(
     loop stops when the relative sum-rate rise drops below the tolerance
     or the iteration budget is spent.  The blocks are lifted once per
     scenario, so one scenario serves every SNR; a pattern solve factors its
-    scaled blocks' AC parts once (``factor_ac_blocks``) and needs a
-    truncation degree of at least 1.  The result carries ``snr_db``.
+    scaled blocks' AC parts once (``factor_ac_blocks``), needs a truncation
+    degree of at least 1, runs on the row point of its start and completes
+    the coefficients once, at the end.  The result carries ``snr_db``.
     """
     scale = snr_scale(snr_db)
     if em_update:
@@ -764,13 +752,18 @@ def run_algorithm1(
         rng = np.random.default_rng(seed)
         coeffs = initial_coefficients(n_t, scenario.truncation, config.eta, rng)
         factors = factor_ac_blocks(blocks)
+        coeffs = np.concatenate((coeffs[:, :1], (coeffs[:, None, 1:] @ factors.q)[:, 0]), axis=1)
+        h = channels_at(factors, coeffs)
     else:
         coeffs, factors = isotropic_coefficients(n_t, scenario.truncation), None
-    h = effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
     result = _alternate(
         Iterate.start(h, matched_filter_precoder(h), coeffs), scenario.weights, config, factors
     )
-    return replace(result, snr_db=snr_db)
+    x = result.iterate
+    if factors is not None:
+        x = x._replace(coeffs=complete_coefficients(factors.q, x.coeffs))
+    return replace(result, iterate=x, snr_db=snr_db)
 
 
 def refit_digital(

@@ -83,16 +83,6 @@ MUTANTS = (
         ("tests/test_harness.py::TestRunDrop::test_default_row_draws_no_generator_and_no_loss",),
     ),
     Mutant(
-        "_coefficients_at scales a rounding-level null part up to the sphere",
-        WMMSE,
-        "        if first_sq <= rounding * rho_sq or row_sq > rho_sq:\n",
-        "        if row_sq > rho_sq:\n",
-        (
-            "tests/test_wmmse.py::TestPatternExtrapolation"
-            "::test_kept_points_stay_on_the_budgets[degree-1]",
-        ),
-    ),
-    Mutant(
         "the candidate-set memo never returns its kept set",
         HARNESS,
         "        if data is not None and _file_equals(path, data):\n",
@@ -157,14 +147,51 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "update_em reads each antenna's AC block one column early",
+        "update_em reads each antenna's AC factor from the antenna before it",
         WMMSE,
-        "        f_n, h_ac = f_d[n], factors.blocks[:, n, 1:]\n",
-        "        f_n, h_ac = f_d[n], factors.blocks[:, n, :-1]\n",
+        "        f_n, r_n = f_d[n], factors.r[n]\n",
+        "        f_n, r_n = f_d[n], factors.r[n - 1]\n",
         (
             MONOTONE_CHAIN,
             "tests/test_wmmse.py::TestUpdateEm::test_carried_links_match_full_rebuild",
             "tests/test_wmmse.py::TestUpdateEm::test_matches_dense_sweep",
+        ),
+    ),
+    Mutant(
+        "an interior ball minimiser is pushed to the boundary",
+        WMMSE,
+        "            return -0.5 * pole, y\n",
+        "            return -0.5 * pole, y * math.sqrt(rho_sq / range_sq)\n",
+        (
+            GOLDEN_PANEL,
+            "tests/test_wmmse.py::TestUpdateEm::test_matches_dense_sweep",
+            "tests/test_wmmse.py::test_float_subproblem_matches_numpy_oracle",
+        ),
+    ),
+    Mutant(
+        "an extrapolated a is not scaled back into its ball",
+        WMMSE,
+        "np.where(inside, np.minimum(scale, 1.0), scale)",
+        "np.where(inside, 1.0, scale)",
+        (
+            "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal",
+            "tests/test_wmmse.py::TestPatternExtrapolation::test_kept_points_stay_on_the_budgets",
+        ),
+    ),
+    Mutant(
+        "an extrapolated a on its sphere is let into its ball",
+        WMMSE,
+        "        inside = _null_sq(factors.q, x.coeffs) > 0.0\n",
+        "        inside = factors.q.shape[1] > factors.q.shape[2]\n",
+        (GOLDEN_PANEL, "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal"),
+    ),
+    Mutant(
+        "the completion pads an a_n within the secular band of its sphere",
+        WMMSE,
+        "(missing > MULTIPLIER_TOL * rho_sq)",
+        "(missing > 0.0)",
+        (
+            "tests/test_wmmse.py::TestUpdateEm::test_completion_matches_reference",
         ),
     ),
 )

@@ -28,17 +28,22 @@ oracles of the batched code in ``trihybrid``.
   bookkeeping (pole, cluster, range solution, noise test) on numpy arrays;
   ``wmmse.solve_ac_subproblem``, which runs it on Python floats, must give
   the same multiplier and point bit for bit where both take the secular
-  root.  Where either takes the hard case, the points agree to a relative
-  1e-12 plus the square root of the two forms' difference in the range
-  solution's squared norm, which a numpy dot and a Python sum may round
-  apart, and which the hard case's missing norm sqrt(rho^2 - range_sq)
-  amplifies.
+  root or the ball's interior minimizer.  Where either takes the hard
+  case, the points agree to a relative 1e-12 plus the square root of the
+  two forms' difference in the range solution's squared norm, which a
+  numpy dot and a Python sum may round apart, and which the hard case's
+  missing norm sqrt(rho^2 - range_sq) amplifies.
+* ``row_point`` maps a stack of pattern coefficients to the row point a
+  pattern solve runs on, and ``complete_coefficients`` maps a row point
+  back, with the null part along the all-ones vector's projection onto an
+  explicit basis of the null space; ``wmmse.complete_coefficients`` must
+  match it to rounding.
 * ``alternate`` is the v/w/F_D loop, in SNR units, calling the per-user
   functions of ``wmmse`` on per-call statistics of the links and QR of
-  H^H, with ``wmmse.update_em`` as the pattern update, and the SQUAREM
-  extrapolation after every two maps, of F_D and of the coefficients' row
-  space part, with its step-length bound, written out on its local
-  variables;
+  H^H, with ``wmmse.update_em`` as the pattern update of the row point,
+  and the SQUAREM extrapolation after every two maps, of F_D and of the
+  row point, with its step-length bound and its rule for each antenna's
+  constraint, written out on its local variables;
   ``wmmse._alternate``, which runs ``outer_step`` once per step, from an
   ``Iterate`` holding the links' statistics and the QR, each formed once
   per change, or from the point ``extrapolated_start`` forms and the loop
@@ -288,14 +293,47 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
     return (q @ u) @ (bt / (eigvals + mu)[:, None])
 
 
+def row_point(factors, coeffs) -> np.ndarray:
+    """The row point of the (N_T, T) pattern coefficients ``coeffs``: each
+    antenna's DC, then its AC coordinates Q_n^T c_n^AC in the basis
+    Q_n = ``factors.q[n]``, as ``wmmse.run_algorithm1`` forms its start."""
+    return np.concatenate((coeffs[:, :1], (coeffs[:, None, 1:] @ factors.q)[:, 0]), axis=1)
+
+
+def complete_coefficients(q, coeffs) -> np.ndarray:
+    """The pattern coefficients of the row point ``coeffs``: DC, and AC
+    Q_n a_n plus, where Q_n = ``q[n]`` leaves a null space and a_n lies
+    inside its ball by more than MULTIPLIER_TOL, a null vector making up
+    the 4 pi budget.  Its direction is the all-ones vector's projection
+    onto an orthonormal basis of the null space, completed by a full QR of
+    Q_n, or the projection of the unit vector that space is closest to when
+    that one vanishes."""
+    dim, rank = q.shape[1:]
+    out = np.zeros((len(coeffs), dim + 1))
+    out[:, 0] = coeffs[:, 0]
+    for n, (row, basis) in enumerate(zip(coeffs, q)):
+        out[n, 1:] = basis @ row[1:]
+        rho_sq = FULL_SPHERE - row[0] ** 2
+        missing = rho_sq - float(row[1:] @ row[1:])
+        if rank == dim or missing <= MULTIPLIER_TOL * rho_sq:
+            continue
+        null = np.linalg.qr(basis, mode="complete")[0][:, rank:]
+        z = null @ (null.T @ np.ones(dim))
+        if np.linalg.norm(z) <= 1e-8 * math.sqrt(dim):
+            z = null @ null[np.argmax(np.sum(null**2, axis=1))]
+        out[n, 1:] += math.sqrt(missing) * z / np.linalg.norm(z)
+    return out
+
+
 def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     """The loop of ``wmmse._alternate`` written as one loop over local
     variables, with the same per-user functions, on per-call evaluations:
     each function reads the links' statistics from p itself, each objective
     its own MSE vector and ln w, and F_D factors H^H itself.  With
     ``factors`` (``wmmse.factor_ac_blocks`` of the blocks) and ``coeffs``,
-    each map ends with ``wmmse.update_em``'s pattern sweep and the channel
-    under the new coefficients; without them the channel is fixed.
+    the row point (``row_point``), each map ends with ``wmmse.update_em``'s
+    pattern sweep and the channel under the new point, the DC column plus
+    the AC part R_n^T a_n; without them the channel is fixed.
 
     After every two plain maps since the last extrapolation, with x_0, x_1
     the points going into them and x_2 the point out of them, the next map
@@ -307,22 +345,22 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     is the bound, the bound is multiplied by ``wmmse.STEP_GROWTH`` when the
     step was a plain map or its map's result was kept, and divided by it,
     but not below its start, when the result was not kept.  A point is F_D
-    and, on a pattern solve, each antenna's AC coefficients in the row
-    space of its channel block, the coordinates Q_n^T c_n^AC in the basis
-    Q_n = ``factors.q[n]``.  The extrapolated F_D is scaled into the unit budget;
-    each antenna's extrapolated row part a = Q_n y is completed to the
-    sphere ||c^AC||^2 = 4 pi - DC^2 by the null-space part of x_2's AC
-    vector, rescaled, or is scaled onto that sphere alone when that null
-    part is at rounding level or a is already outside it.  That map's
-    result is kept only when its rate beats the last record's and its
-    objective after v is at most the last record's objective.  ``h`` is in
-    SNR units, so the noise and the budget are 1.  Returns
-    (h, f_d, w, history, converged, maps), with w as an array."""
+    and, on a pattern solve, the row point.  The extrapolated F_D is scaled
+    into the unit budget.  Each antenna's extrapolated a is scaled onto its
+    sphere ||a||^2 = 4 pi - DC^2 when x_2's a lies within MULTIPLIER_TOL of
+    that sphere or no null space exists, and otherwise only when a leaves
+    the ball.  That map's result is kept only when its rate beats the last
+    record's and its objective after v is at most the last record's
+    objective.  ``h`` is in SNR units, so the noise and the budget are 1.
+    Returns (h, f_d, w, history, converged, maps), with w as an array."""
     weights = np.asarray(weights, dtype=float).tolist()
 
     def objective(p, v, w):
         e = wmmse.mse_vector(wmmse.link_stats(p), v)
         return wmmse.wmmse_objective(w, e, weights)
+
+    def channels(c):
+        return factors.blocks[:, :, 0] * c[:, 0] + (c[:, None, 1:] @ factors.r)[:, 0, :].T
 
     def one_map(it, h, f_d, w, coeffs):
         tic = time.perf_counter()
@@ -341,7 +379,7 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
             obj_em = obj_fd
         else:
             coeffs = wmmse.update_em(factors, coeffs, f_d, w, v, weights)
-            h = wmmse.effective_channels(factors.blocks, coeffs)
+            h = channels(coeffs)
             p = h @ f_d
             obj_em = objective(p, v, w)
         t_em = time.perf_counter()
@@ -357,13 +395,11 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
         return h, f_d, w, coeffs, record
 
     def point(f, c):
-        if factors is None:
-            return [f]
-        return [f, (c[:, None, 1:] @ factors.q)[:, 0, :]]
+        return [f] if factors is None else [f, c]
 
     def extrapolated(x_0, x_1, x_2, bound):
-        """The SQUAREM point (F_D, coefficients), or None for a plain map,
-        and whether the step length is the bound."""
+        """The SQUAREM point (F_D, row point), or None for a plain map, and
+        whether the step length is the bound."""
         r = [b - a for a, b in zip(x_0, x_1)]
         u = [c - 2.0 * b + a for a, b, c in zip(x_0, x_1, x_2)]
         norm_r = math.hypot(*[float(np.linalg.norm(part)) for part in r])
@@ -381,27 +417,19 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
             f_x = f_x * math.sqrt(1.0 / power)
         if factors is None:
             return (f_x, coeffs), length == bound
-        c_x = coeffs.copy()
-        q = factors.q
-        rows = (q @ x[1][:, :, None])[:, :, 0]
-        # x_2's null parts, projected twice; the first one's length decides
-        # whether it is only rounding
-        first = coeffs[:, 1:] - (q @ x_2[1][:, :, None])[:, :, 0]
-        nulls = first - (q @ (first[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0]
-        radius = CLUSTER_ULPS * q.shape[1] * EPS
-        for n in range(len(c_x)):
-            rho_sq = FULL_SPHERE - coeffs[n, 0] ** 2
-            row_sq = float(rows[n] @ rows[n])
-            if float(first[n] @ first[n]) > radius * radius * rho_sq and row_sq <= rho_sq:
-                null_sq = float(nulls[n] @ nulls[n])
-                c_x[n, 1:] = rows[n] + nulls[n] * math.sqrt((rho_sq - row_sq) / null_sq)
-            else:
-                c_x[n, 1:] = rows[n] * math.sqrt(rho_sq / row_sq)
+        c_x = x[1]
+        null = factors.q.shape[1] > factors.q.shape[2]
+        for n, own in enumerate(x_2[1]):
+            rho_sq = FULL_SPHERE - c_x[n, 0] ** 2
+            a_sq = np.sum(c_x[n, 1:] ** 2)
+            inside = null and rho_sq - np.sum(own[1:] ** 2) > MULTIPLIER_TOL * rho_sq
+            if not inside or a_sq > rho_sq:
+                c_x[n, 1:] *= math.sqrt(rho_sq / a_sq)
         return (f_x, c_x), length == bound
 
     w = [1.0] * len(weights)
     history = []
-    inputs = []  # the points (F_D, coefficients) going into each map since the last extrapolation
+    inputs = []  # the points (F_D, row point) going into each map since the last extrapolation
     lowest = wmmse.STEP_BOUND_FIXED if factors is None else wmmse.STEP_BOUND_PATTERN
     bound = lowest
     for it in range(1, config.max_iterations + 1):
@@ -418,7 +446,7 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
             h, f_d, w, coeffs, record = one_map(it, h, f_d, w, coeffs)
         else:
             f_x, c_x = start
-            h_x = h if factors is None else wmmse.effective_channels(factors.blocks, c_x)
+            h_x = h if factors is None else channels(c_x)
             p_x = h_x @ f_x
             w_x = wmmse.update_w(wmmse.link_stats(p_x), wmmse.update_v(wmmse.link_stats(p_x)))
             h_y, f_y, w_y, c_y, record = one_map(it, h_x, f_x, w_x, c_x)
@@ -490,15 +518,14 @@ def secular_shift(x_sq, shift, target, what) -> float:
     )
 
 
-def solve_ac_subproblem(lams, vecs, dt, rho_sq):
+def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis=None):
     """``wmmse.solve_ac_subproblem`` with the steps over the r <= 2K terms
     on numpy arrays: the same pole, cluster, noise test and branches, the
     range solution's squared norm as a numpy dot, and the same secular
     solver, ``wmmse._secular_shift``."""
-    dim, rank = vecs.shape
-    null = rank < dim
-    pole = min(lams[0], 0.0) if null else lams[0]
-    rounding = CLUSTER_ULPS * dim * EPS
+    ball = basis is not None and basis.shape[0] > basis.shape[1]
+    pole = min(lams[0], 0.0) if ball else lams[0]
+    rounding = CLUSTER_ULPS * len(lams) * EPS
     lam_scale = float(np.abs(lams).max())
     bound = rounding * lam_scale
     shift = lams - pole
@@ -509,7 +536,11 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq):
     range_sq = float(y_range @ y_range)
     noise = rounding * (float(np.linalg.norm(dt)) + lam_scale * math.sqrt(range_sq))
     if range_sq <= rho_sq and np.linalg.norm(dt[cluster]) <= noise:
-        z = wmmse._cluster_direction(vecs, cluster, null and -pole <= bound)
+        if ball and -pole <= bound:
+            return -0.5 * pole, -(vecs[:, rest] @ y_range)
+        span = vecs[:, cluster] if basis is None else basis @ vecs[:, cluster]
+        z = wmmse._cluster_direction(span)
+        z = z if basis is None else basis.T @ z
         return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, rest] @ y_range
     t = wmmse._secular_shift((dt**2).tolist(), shift.tolist(), rho_sq, "norm")
     return 0.5 * (t - pole), -vecs @ (dt / (shift + t))

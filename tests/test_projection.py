@@ -833,10 +833,13 @@ class TestApplyProjection:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_null_space_convention_leaves_projection_unchanged(self, seed, monkeypatch):
-        # At a hard case the solve leaves the AC component in A's null space
-        # free, and _cluster_direction fixes its sign by convention.  The
-        # channel does not see it, so neither may the selection; a rule
-        # reading the pattern moved these rows by 2.8% and 2.4%.
+        # A pattern solve leaves each antenna's AC component in its channel's
+        # null space free, and completes it once, at the end, along
+        # _cluster_direction's convention.  The channel does not see it, so
+        # neither the solve nor the selection may: with the convention's sign
+        # flipped, the row is the same bit for bit, and the coefficients
+        # differ exactly on the antennas with a null part; a rule reading
+        # the pattern moved these rows by 2.8% and 2.4%.
         config = hn.RunConfig(mode="projected", trials=1, seed=seed, pmax_dbm=(30.0,))
         runs = []
 
@@ -850,23 +853,24 @@ class TestApplyProjection:
         (row,) = hn.run_drop(config, seed, cset)
         direction = wmmse._cluster_direction
         monkeypatch.setattr(wmmse, "_cluster_direction", lambda *args: -direction(*args))
-        hn.run_drop(config, seed, cset)
+        (flipped_row,) = hn.run_drop(config, seed, cset)
         (solved, projected), (solved_flipped, projected_flipped) = runs
-        assert not np.array_equal(solved.iterate.coeffs, solved_flipped.iterate.coeffs)
+        fields = ("sum_rate", "iterations", "projected_sum_rate")
+        assert [getattr(flipped_row, f) for f in fields] == [getattr(row, f) for f in fields]
         assert projected.indices.tolist() == projected_flipped.indices.tolist()
-        # The two solves' channels agree only to the rounding that the
-        # extrapolated solve amplifies over its 100 capped steps (the
-        # projected rows part by up to 9.3e-11, seed 3), so the rows are not
-        # compared.  The same solve with every antenna's null-space part
-        # reversed projects to the same row bit for bit (seed 4 ends with
-        # three antennas' AC largely in the null space; seeds 1..3 end with
-        # none there, their hard cases acting along the way).
         (scenario, *rest), kwargs = called[0]
         blocks = scenario.blocks * wmmse.snr_scale(solved.snr_db)
         q = wmmse.factor_ac_blocks(blocks).q
         coeffs = solved.iterate.coeffs.copy()
         ac = coeffs[:, 1:]
-        coeffs[:, 1:] = 2.0 * (q @ (ac[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0] - ac
+        row_part = (q @ (ac[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0]
+        nulls = np.linalg.norm(ac - row_part, axis=1)
+        differs = np.any(coeffs != solved_flipped.iterate.coeffs, axis=1)
+        np.testing.assert_array_equal(differs, nulls > 1e-8 * math.sqrt(FULL_SPHERE))
+        # The same solve with every antenna's null-space part reversed
+        # projects to the same row bit for bit (seed 4 ends with antennas'
+        # AC largely in the null space).
+        coeffs[:, 1:] = 2.0 * row_part - ac
         h = wmmse.effective_channels(blocks, coeffs)
         mirrored = dataclasses.replace(solved, iterate=solved.iterate._replace(coeffs=coeffs, h=h))
         again = proj.apply_projection(mirrored, scenario, *rest, **kwargs)

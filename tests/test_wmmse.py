@@ -575,8 +575,9 @@ def reduced_matrix(lams, vecs):
 
 
 class TestAssembleQuadratic:
-    # ``wmmse.assemble_quadratic`` factors every antenna's A in its channel
-    # range; ``dense_quadratic`` is the full-dimensional oracle it replaces
+    # ``wmmse.assemble_quadratic`` factors every antenna's A in its row
+    # coordinates, A = Q U diag(lams) U^T Q^T; ``dense_quadratic`` is the
+    # full-dimensional oracle it replaces
 
     def test_zero_combiners_give_zero_model(self):
         blocks, coeffs, f_d, _, w, weights = random_instance(23)
@@ -615,7 +616,8 @@ class TestAssembleQuadratic:
         factors = wmmse.factor_ac_blocks(blocks)
         lams, vecs, _ = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         scale = np.linalg.norm(sub.a_matrix)
-        assert np.linalg.norm(reduced_matrix(lams[n], vecs[n]) - sub.a_matrix) <= 1e-12 * scale
+        basis = factors.q[n] @ vecs[n]
+        assert np.linalg.norm(reduced_matrix(lams[n], basis) - sub.a_matrix) <= 1e-12 * scale
 
     def test_matrix_positive_semidefinite(self):
         for seed in range(5):
@@ -629,25 +631,35 @@ class TestAssembleQuadratic:
 
     @pytest.mark.parametrize("n_users,t_len", [(2, 9), (3, 25), (2, 4), (3, 4)])
     def test_range_basis_holds_d(self, n_users, t_len):
-        # vecs has orthonormal columns, min(T-1, 2K) of them, and d = V V^T d
-        # with V^T d given by proj; with T-1 <= 2K the basis is complete
+        # H_ac^T = Q R with Q of min(T-1, 2K) orthonormal columns; the
+        # eigenvectors U are orthogonal in those coordinates, V = Q U holds d,
+        # d = V V^T d with V^T d given by proj, and the channel under a row
+        # point is the DC column plus R^T a; with T-1 <= 2K Q is complete
         blocks, coeffs, f_d, v, w, weights = random_instance(
             53, n_users=n_users, t_len=t_len
         )
         factors = wmmse.factor_ac_blocks(blocks)
         lams, vecs, proj = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         rank = min(t_len - 1, 2 * n_users)
-        assert lams.shape == (4, rank) and vecs.shape == (4, t_len - 1, rank)
+        assert lams.shape == (4, rank) and vecs.shape == (4, rank, rank)
+        assert factors.q.shape == (4, t_len - 1, rank)
+        point = reference.row_point(factors, coeffs)
+        h = wmmse.effective_channels(blocks, reference.complete_coefficients(factors.q, point))
+        np.testing.assert_allclose(wmmse.channels_at(factors, point), h, rtol=0, atol=1e-12)
         for n in range(4):
+            np.testing.assert_allclose(
+                factors.q[n] @ factors.r[n], blocks[:, n, 1:].T, rtol=0, atol=1e-12
+            )
             np.testing.assert_allclose(vecs[n].T @ vecs[n], np.eye(rank), atol=1e-14)
+            basis = factors.q[n] @ vecs[n]
             sub = dense_quadratic(blocks, coeffs, f_d, w, v, weights, n)
-            dt = vecs[n].T @ sub.d
-            np.testing.assert_allclose(vecs[n] @ dt, sub.d, atol=1e-12 * np.linalg.norm(sub.d))
+            dt = basis.T @ sub.d
+            np.testing.assert_allclose(basis @ dt, sub.d, atol=1e-12 * np.linalg.norm(sub.d))
             # proj maps any per-user a to the coordinates of d = Re(H_ac^T a)
             rng = np.random.default_rng(n)
             a = rng.standard_normal(n_users) + 1j * rng.standard_normal(n_users)
             d = np.real(blocks[:, n, 1:].T @ a)
-            np.testing.assert_allclose((proj[n] @ a).real, vecs[n].T @ d, atol=1e-12)
+            np.testing.assert_allclose((proj[n] @ a).real, basis.T @ d, atol=1e-12)
 
 
 class TestSubproblem:
@@ -738,8 +750,10 @@ class TestSubproblem:
     def test_hard_case_direction_when_ones_vanish(self):
         # the pole's eigenspace, span(u), is orthogonal to the all-ones
         # vector, so the direction falls back to the projection of the unit
-        # vector closest to it, e_0; given as A's full eigenbasis or as A's
-        # range plus the null space, the point is the same
+        # vector closest to it, e_0.  Given as A's full eigenbasis, the hard
+        # case on the sphere pads along it; given in the coordinates of A's
+        # range, the null space u is left, so the ball's minimizer is its
+        # centre, and completing that point pads along the same direction
         u = np.array([2.0, -1.0, -1.0]) / math.sqrt(6.0)
         others = np.stack(
             [np.ones(3) / math.sqrt(3.0), np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)], axis=1
@@ -750,9 +764,12 @@ class TestSubproblem:
         assert nu == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(c, expected, atol=1e-12)
         for sign in (1.0, -1.0):
-            nu, c = wmmse.solve_ac_subproblem(lams, sign * others, np.zeros(2), RHO_SQ)
-            assert nu == 0.0
-            np.testing.assert_allclose(c, expected, atol=1e-12)
+            q = sign * others
+            nu, y = wmmse.solve_ac_subproblem(lams, np.eye(2), np.zeros(2), RHO_SQ, q)
+            assert nu == 0.0 and not np.any(y)
+            point = np.concatenate(([ETA], y))[None]
+            for complete in (wmmse.complete_coefficients, reference.complete_coefficients):
+                np.testing.assert_allclose(complete(q[None], point)[0, 1:], expected, atol=1e-12)
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
@@ -832,27 +849,36 @@ def test_reduced_solve_matches_dense_eigh(n_users, dim, seed, log_rho_sq, idle_a
     rho_sq = 10.0**log_rho_sq
 
     def reduced_solve(blocks):
+        # the point in the row coordinates, and its AC vector Q y
         factors = wmmse.factor_ac_blocks(blocks)
         lams, vecs, proj = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         dt = (proj[0] @ a).real
-        return vecs[0], wmmse.solve_ac_subproblem(lams[0], vecs[0], dt, rho_sq)
+        q = factors.q[0]
+        nu, y = wmmse.solve_ac_subproblem(lams[0], vecs[0], dt, rho_sq, q)
+        return q, (nu, q @ y)
 
-    vecs, (nu, c) = reduced_solve(blocks)
+    q, (nu, c) = reduced_solve(blocks)
     g = np.concatenate((blocks[:, 0, 1:].real, blocks[:, 0, 1:].imag))
     diag = 2.0 * np.sum(np.abs(f_d) ** 2) * np.tile(weights * w * np.abs(v) ** 2, 2)
     sub = QuadraticSubproblem(g.T @ (diag[:, None] * g), g.T @ a_vec, rho_sq)
     nu_dense, c_dense = solve_dense(sub)
-    assert vecs.shape[1] == min(dim, 2 * n_users)  # T-1 <= 2K: no null space
+    assert q.shape[1] == min(dim, 2 * n_users)  # T-1 > 2K leaves a null space: the ball
 
-    # the range component, on G's row space, matches the full eigh solve
-    basis = np.linalg.svd(g, full_matrices=False)[2]
+    # the component on A's range matches the full eigh solve's.  The rest
+    # is free: the full solve's hard case pads along A's null space, which
+    # the ball leaves at its centre, both G's null space and, where A is
+    # singular on G's row space (an idle antenna, a user with v_k = 0), the
+    # part of the row space that A does not see
+    eigvals, eigvecs = np.linalg.eigh(sub.a_matrix)
+    basis = eigvecs[:, eigvals > 1e-8 * np.linalg.norm(sub.a_matrix, 2)].T
     np.testing.assert_allclose(
         basis @ c, basis @ c_dense, rtol=0, atol=1e-10 * math.sqrt(rho_sq)
     )
 
-    eigvals = np.linalg.eigvalsh(sub.a_matrix)
     bound = max(np.linalg.norm(sub.a_matrix, 2), np.linalg.norm(sub.d))
-    assert abs(np.dot(c, c) - rho_sq) <= 1e-8 * rho_sq
+    assert np.dot(c, c) <= rho_sq * (1.0 + 1e-8)
+    if np.dot(c, c) < rho_sq * (1.0 - 1e-8):  # inside the ball, at nu = 0
+        assert q.shape[0] > q.shape[1] and nu <= 1e-8 * bound
     residual = (sub.a_matrix + 2.0 * nu * np.eye(dim)) @ c + sub.d
     assert np.linalg.norm(residual) <= 1e-8 * bound
     assert nu >= -0.5 * eigvals[0] - 1e-8 * bound
@@ -866,14 +892,13 @@ def test_reduced_solve_matches_dense_eigh(n_users, dim, seed, log_rho_sq, idle_a
     np.testing.assert_allclose(c_perm, c[perm], rtol=0, atol=1e-8 * math.sqrt(rho_sq))
 
 
-def range_norms(lams, dt, dim):
+def range_norms(lams, dt, ball):
     """The squared norm of the subproblem's range solution, summed left to
     right as the float form does and as a numpy dot as the oracle does, with
     the cluster at the pole taken out as both forms take it."""
-    null = lams.size < dim
-    pole = min(lams[0], 0.0) if null else lams[0]
+    pole = min(lams[0], 0.0) if ball else lams[0]
     shift = lams - pole
-    rest = shift > wmmse.CLUSTER_ULPS * dim * wmmse.EPS * np.abs(lams).max()
+    rest = shift > wmmse.CLUSTER_ULPS * lams.size * wmmse.EPS * np.abs(lams).max()
     y = dt[rest] / shift[rest]
     by_sum = 0.0
     for yi in y.tolist():
@@ -881,23 +906,27 @@ def range_norms(lams, dt, dim):
     return rest, by_sum, float(y @ y)
 
 
-def solve_with_branch(solve, lams, vecs, dt, rho_sq):
-    """(nu, c, hard) of ``solve``; ``hard`` tells whether it took the hard
-    case, the only branch that forms the cluster direction."""
+def solve_with_branch(solve, lams, vecs, dt, rho_sq, basis):
+    """(nu, y, branch) of ``solve``; ``branch`` is "hard" for the hard case,
+    the only branch that forms the cluster direction, "secular" for the
+    secular root, and "interior" for the ball's interior minimizer."""
     calls = []
-    direction = wmmse._cluster_direction
+    direction, secular = wmmse._cluster_direction, wmmse._secular_shift
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            wmmse, "_cluster_direction", lambda *args: calls.append(1) or direction(*args)
+            wmmse, "_cluster_direction", lambda *args: calls.append("hard") or direction(*args)
         )
-        nu, c = solve(lams.copy(), vecs, dt.copy(), rho_sq)
-    return nu, c, bool(calls)
+        patch.setattr(
+            wmmse, "_secular_shift", lambda *args: calls.append("secular") or secular(*args)
+        )
+        nu, y = solve(lams.copy(), vecs, dt.copy(), rho_sq, basis)
+    return nu, y, calls[0] if calls else "interior"
 
 
 @settings(max_examples=400, deadline=None, phases=NO_SHRINK)
 @given(
     n_users=st.integers(1, 8),
-    extra=st.integers(1, 12),
+    extra=st.integers(0, 12),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     low=st.sampled_from(["negative", "zero", "positive"]),
     cluster_size=st.integers(1, 16),
@@ -908,26 +937,28 @@ def solve_with_branch(solve, lams, vecs, dt, rho_sq):
 def test_float_subproblem_matches_numpy_oracle(
     n_users, extra, seed, low, cluster_size, ulps, near, by_sum
 ):
-    # A of rank 2K on a space of dimension 2K + extra (a null space), its
-    # lowest eigenvalues clustered within rounding of a negative, zero or
-    # positive value; d with no weight on the cluster when rho^2 lies within
-    # a few ulps of the range solution's squared norm (by either form's sum),
-    # and rounding-level weight otherwise
+    # A in the 2K row coordinates of a basis Q of a space of dimension
+    # 2K + extra (a null space, and so the ball, when extra > 0; the sphere
+    # otherwise), its lowest eigenvalues clustered within rounding of a
+    # negative, zero or positive value; d with no weight on the cluster when
+    # rho^2 lies within a few ulps of the range solution's squared norm (by
+    # either form's sum), and rounding-level weight otherwise
     rng = np.random.default_rng(seed)
     rank = 2 * n_users
     dim = rank + extra
-    vecs = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+    basis = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+    vecs = np.linalg.qr(rng.standard_normal((rank, rank)))[0]
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     spectrum = scale * rng.uniform(0.1, 1.0, rank)
-    bound = wmmse.CLUSTER_ULPS * dim * wmmse.EPS * spectrum.max()
+    bound = wmmse.CLUSTER_ULPS * rank * wmmse.EPS * spectrum.max()
     size = min(cluster_size, rank)
     centre = {"negative": -0.9, "zero": 0.0, "positive": 0.1}[low] * spectrum.max()
     spectrum[:size] = centre + rng.uniform(-0.25, 0.25, size) * bound
     lams = np.sort(spectrum)
     dt = scale * 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal(rank)
-    rest = range_norms(lams, dt, dim)[0]
+    rest = range_norms(lams, dt, extra > 0)[0]
     dt[~rest] = 0.0 if near else 1e-3 * bound * rng.standard_normal(int((~rest).sum()))
-    _, sum_sq, dot_sq = range_norms(lams, dt, dim)
+    _, sum_sq, dot_sq = range_norms(lams, dt, extra > 0)
     base = sum_sq if by_sum else dot_sq
     if not near or base == 0.0:
         rho_sq = (base or scale) * 10.0 ** rng.uniform(-1.0, 1.0)
@@ -936,17 +967,21 @@ def test_float_subproblem_matches_numpy_oracle(
         for _ in range(abs(ulps)):
             rho_sq = math.nextafter(rho_sq, math.copysign(math.inf, ulps))
 
-    nu, c, hard = solve_with_branch(wmmse.solve_ac_subproblem, lams, vecs, dt, rho_sq)
-    nu_ref, c_ref, hard_ref = solve_with_branch(
-        reference.solve_ac_subproblem, lams, vecs, dt, rho_sq
+    nu, c, branch = solve_with_branch(wmmse.solve_ac_subproblem, lams, vecs, dt, rho_sq, basis)
+    nu_ref, c_ref, branch_ref = solve_with_branch(
+        reference.solve_ac_subproblem, lams, vecs, dt, rho_sq, basis
     )
     assert np.all(np.isfinite(c))
-    assert abs(float(c @ c) - rho_sq) <= 1e-9 * rho_sq
-    if not (hard or hard_ref):
+    if branch == "interior":  # inside the ball, at the pole 0 up to rounding
+        assert extra > 0 and float(c @ c) <= rho_sq * (1.0 + 1e-9)
+        assert nu == -0.5 * min(lams[0], 0.0) <= 0.5 * bound
+    else:
+        assert abs(float(c @ c) - rho_sq) <= 1e-9 * rho_sq
+    if branch == branch_ref != "hard":
         assert nu == nu_ref
         np.testing.assert_array_equal(c, c_ref)
         return
-    if hard and hard_ref:
+    if branch == branch_ref:
         assert nu == nu_ref
     # the hard case adds sqrt(rho^2 - range_sq) along the cluster, so a
     # last-bit difference between the two forms' sums of range_sq moves c
@@ -956,20 +991,31 @@ def test_float_subproblem_matches_numpy_oracle(
 
 
 def test_hard_case_takes_up_the_norm_its_branch_test_measured():
-    # range_sq summed left to right is exactly rho^2 = 1: each small square
-    # is under half an ulp of 1 and is lost, while any two of them together
-    # exceed it, so a sum that adds small squares together first (a BLAS
-    # dot's partial sums, an exact sum) exceeds rho^2, and the missing norm
+    # the sphere's hard case at a pole 0 of multiplicity one, with range_sq
+    # summed left to right exactly rho^2 = 1: each small square is under
+    # half an ulp of 1 and is lost, while any two of them together exceed
+    # it, so a sum that adds small squares together first (a BLAS dot's
+    # partial sums, an exact sum) exceeds rho^2, and the missing norm
     # sqrt(rho^2 - range_sq) taken from such a recomputed sum would be the
     # root of a negative number
-    dim, rank = 20, 16
-    vecs = np.linalg.qr(np.random.default_rng(5).standard_normal((dim, rank)))[0]
+    rank = 16
+    vecs = np.linalg.qr(np.random.default_rng(5).standard_normal((rank, rank)))[0]
+    lams = np.ones(rank)
+    lams[0] = 0.0
     dt = np.full(rank, 1.3 * 2.0**-27)
-    dt[0] = 1.0
+    dt[:2] = 0.0, 1.0
     assert math.fsum((dt * dt).tolist()) > 1.0
-    nu, c = wmmse.solve_ac_subproblem(np.ones(rank), vecs, dt, 1.0)
-    assert nu == 0.0  # the hard case, at the pole 0 of the null space
+    nu, c = wmmse.solve_ac_subproblem(lams, vecs, dt, 1.0)
+    assert nu == 0.0  # the hard case, at the pole 0
     np.testing.assert_allclose(c, -(vecs @ dt), rtol=0, atol=1e-15)
+
+
+def sweep_instance(seed, **kwargs):
+    """``random_instance`` with its blocks' factors and the row point of its
+    coefficients, the form ``update_em`` sweeps."""
+    blocks, coeffs, f_d, v, w, weights = random_instance(seed, **kwargs)
+    factors = wmmse.factor_ac_blocks(blocks)
+    return factors, coeffs, reference.row_point(factors, coeffs), f_d, v, w, weights
 
 
 class TestUpdateEm:
@@ -980,30 +1026,28 @@ class TestUpdateEm:
 
     def test_sweep_never_increases_objective(self):
         for seed in (3, 5, 8):
-            blocks, coeffs, f_d, v, w, weights = random_instance(seed)
+            factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed)
+            blocks = factors.blocks
             before = full_objective(blocks, coeffs, f_d, w, v, weights)
-            factors = wmmse.factor_ac_blocks(blocks)
-            out = wmmse.update_em(factors, coeffs, f_d, w, v, weights)
-            after = full_objective(blocks, out, f_d, w, v, weights)
+            out = wmmse.update_em(factors, point, f_d, w, v, weights)
+            completed = wmmse.complete_coefficients(factors.q, out)
+            after = full_objective(blocks, completed, f_d, w, v, weights)
             assert after <= before + 1e-12
 
     def test_dc_entries_untouched(self):
-        blocks, coeffs, f_d, v, w, weights = random_instance(6)
-        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
-        np.testing.assert_array_equal(out[:, 0], coeffs[:, 0])
-        np.testing.assert_allclose(np.sum(out**2, axis=1), FULL_SPHERE, atol=1e-8)
+        factors, _, point, f_d, v, w, weights = sweep_instance(6)
+        out = wmmse.update_em(factors, point, f_d, w, v, weights)
+        np.testing.assert_array_equal(out[:, 0], point[:, 0])
+        completed = wmmse.complete_coefficients(factors.q, out)
+        np.testing.assert_allclose(np.sum(completed**2, axis=1), FULL_SPHERE, atol=1e-8)
 
     def test_zero_combiners_keep_incumbent(self):
-        blocks, coeffs, f_d, _, w, weights = random_instance(10)
-        out = wmmse.update_em(
-            wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, np.zeros(2, dtype=complex), weights
-        )
-        np.testing.assert_array_equal(out, coeffs)
+        factors, _, point, f_d, _, w, weights = sweep_instance(10)
+        out = wmmse.update_em(factors, point, f_d, w, np.zeros(2, dtype=complex), weights)
+        np.testing.assert_array_equal(out, point)
 
     def test_fixed_point_is_stable(self):
-        blocks, coeffs, f_d, v, w, weights = random_instance(12)
-        factors = wmmse.factor_ac_blocks(blocks)
-        current = coeffs
+        factors, _, current, f_d, v, w, weights = sweep_instance(12)
         for _ in range(60):
             new = wmmse.update_em(factors, current, f_d, w, v, weights)
             if np.array_equal(new, current):
@@ -1019,46 +1063,68 @@ class TestUpdateEm:
         monkeypatch.setattr(
             wmmse, "wmmse_objective", lambda *args: calls.append(1) or objective(*args)
         )
-        blocks, coeffs, f_d, v, w, weights = random_instance(6)
-        wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
-        assert len(calls) == 1 + coeffs.shape[0]
+        factors, _, point, f_d, v, w, weights = sweep_instance(6)
+        wmmse.update_em(factors, point, f_d, w, v, weights)
+        assert len(calls) == 1 + point.shape[0]
 
     @pytest.mark.parametrize("seed", [3, 6, 12, 21])
     def test_carried_links_match_full_rebuild(self, monkeypatch, seed):
         # update_em scores the incumbent and then one candidate per antenna on
         # links moved by rank-1 terms, forming each one's statistics once;
         # the links of the last accepted candidate are those of the returned
-        # patterns
+        # point's completed patterns
         scored = []
         stats = wmmse.link_stats
         monkeypatch.setattr(wmmse, "link_stats", lambda p: scored.append(p) or stats(p))
-        blocks, coeffs, f_d, v, w, weights = random_instance(seed, n_t=6)
-        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
+        factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed, n_t=6)
+        blocks = factors.blocks
+        out = wmmse.update_em(factors, point, f_d, w, v, weights)
         objectives = [
             wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v), weights) for p in scored
         ]
-        accepted = [0] + [1 + n for n in np.flatnonzero(np.any(out != coeffs, axis=1))]
+        accepted = [0] + [1 + n for n in np.flatnonzero(np.any(out != point, axis=1))]
         assert len(accepted) > 1
         kept = [objectives[i] for i in accepted]
         assert all(b < a for a, b in zip(kept, kept[1:]))  # the sweep never raises it
 
-        expected = wmmse.effective_channels(blocks, out) @ f_d
+        completed = wmmse.complete_coefficients(factors.q, out)
+        expected = wmmse.effective_channels(blocks, completed) @ f_d
         carried = scored[accepted[-1]]
         assert np.linalg.norm(carried - expected) <= 1e-12 * np.linalg.norm(expected)
-        rebuilt = full_objective(blocks, out, f_d, w, v, weights)
+        rebuilt = full_objective(blocks, completed, f_d, w, v, weights)
         assert kept[-1] == pytest.approx(rebuilt, rel=1e-12)
         assert rebuilt <= full_objective(blocks, coeffs, f_d, w, v, weights)
 
     @pytest.mark.parametrize("seed", [3, 5, 8, 12, 21])
     def test_matches_dense_sweep(self, seed):
-        # the range-space sweep accepts the same antennas as the sweep with
-        # every model assembled and solved in full, at the same points
-        blocks, coeffs, f_d, v, w, weights = random_instance(seed, t_len=16)
-        out = wmmse.update_em(wmmse.factor_ac_blocks(blocks), coeffs, f_d, w, v, weights)
-        dense = dense_sweep(blocks, coeffs, f_d, w, v, weights)
-        changed = np.any(out != coeffs, axis=1)
+        # the row-space sweep accepts the same antennas as the sweep with
+        # every model assembled and solved in full, at the same points: the
+        # same row coordinates, and the same coefficients once completed,
+        # the dense hard case padding along the null space as completion does
+        factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed, t_len=16)
+        out = wmmse.update_em(factors, point, f_d, w, v, weights)
+        dense = dense_sweep(factors.blocks, coeffs, f_d, w, v, weights)
+        changed = np.any(out != point, axis=1)
         np.testing.assert_array_equal(changed, np.any(dense != coeffs, axis=1))
-        np.testing.assert_allclose(out, dense, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out, reference.row_point(factors, dense), rtol=0, atol=1e-10)
+        completed = wmmse.complete_coefficients(factors.q, out)
+        np.testing.assert_allclose(completed[changed], dense[changed], rtol=0, atol=1e-10)
+
+    def test_completion_matches_reference(self):
+        # the completed coefficients of swept points, inside their balls and
+        # on their spheres, against the completion on an explicit null basis;
+        # the secular solve leaves a point on its sphere up to MULTIPLIER_TOL
+        # on either side, so one moved inside by half that gets no null part
+        for seed in (3, 5, 8, 12, 21):
+            factors, _, point, f_d, v, w, weights = sweep_instance(seed, t_len=16)
+            out = wmmse.update_em(factors, point, f_d, w, v, weights)
+            banded = out.copy()
+            banded[:, 1:] *= math.sqrt(1.0 - 0.5 * wmmse.MULTIPLIER_TOL)
+            for x in (out, banded):
+                completed = wmmse.complete_coefficients(factors.q, x)
+                expected = reference.complete_coefficients(factors.q, x)
+                np.testing.assert_allclose(completed, expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(reference.row_point(factors, completed), x, atol=1e-12)
 
 
 NOISE_DBM = -95.0  # the default noise
@@ -1249,20 +1315,25 @@ class TestAlgorithm:
             steps.append(args[1])
             return outer_step(*args)
 
+        def dense(factors, coeffs, f_d, *args):
+            # the dense sweep reads only the blocks the factors hold, and
+            # sweeps the completed coefficients of the row point
+            full = wmmse.complete_coefficients(factors.q, coeffs)
+            return full, dense_sweep(factors.blocks, full, f_d, *args)
+
         def both(factors, coeffs, f_d, *args):
-            # the dense sweep reads only the blocks the factors hold
-            pair = update_em(factors, coeffs, f_d, *args), dense_sweep(
-                factors.blocks, coeffs, f_d, *args
-            )
-            kept = [np.any(c != coeffs, axis=1) for c in pair]
+            fast = update_em(factors, coeffs, f_d, *args)
+            full, swept = dense(factors, coeffs, f_d, *args)
+            kept = [np.any(fast != coeffs, axis=1), np.any(swept != full, axis=1)]
             rates = [
-                wmmse.sum_rate(
-                    wmmse.link_stats(wmmse.effective_channels(factors.blocks, c) @ f_d), args[-1]
+                wmmse.sum_rate(wmmse.link_stats(h @ f_d), args[-1])
+                for h in (
+                    wmmse.channels_at(factors, fast),
+                    wmmse.effective_channels(factors.blocks, swept),
                 )
-                for c in pair
             ]
             sweeps.append((*rates, not np.array_equal(*kept)))
-            return pair[0]
+            return fast
 
         sweeps = []
         for dbm in (0.0, 10.0, 20.0, 30.0):
@@ -1274,10 +1345,11 @@ class TestAlgorithm:
             # one sweep per map evaluated
             assert len(sweeps) - before == len(steps) <= res.iterations
             with monkeypatch.context() as patch:
-                # the solve passes the blocks' AC factors; the dense sweep
-                # reads only the blocks they hold
+                # the solve passes the blocks' AC factors and the row point;
+                # the dense sweep's result goes back to the row point
                 patch.setattr(
-                    wmmse, "update_em", lambda factors, *args: dense_sweep(factors.blocks, *args)
+                    wmmse, "update_em",
+                    lambda factors, *args: reference.row_point(factors, dense(factors, *args)[1]),
                 )
                 oracle = wmmse.run_algorithm1(scenario, dbm - config.noise_dbm, config, seed)
             assert_same_solve(res, oracle, self.RANGE_SWEEP_RTOL)
@@ -1396,10 +1468,12 @@ class TestLoopMatchesReference:
         if em_update:
             rng = np.random.default_rng(seed)
             coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, config.eta, rng)
+            factors = wmmse.factor_ac_blocks(blocks)
+            coeffs = reference.row_point(factors, coeffs)
+            h = wmmse.channels_at(factors, coeffs)
         else:
-            coeffs = wmmse.isotropic_coefficients(n_t, scenario.truncation)
-        factors = wmmse.factor_ac_blocks(blocks) if em_update else None
-        h = wmmse.effective_channels(blocks, coeffs)
+            coeffs, factors = wmmse.isotropic_coefficients(n_t, scenario.truncation), None
+            h = wmmse.effective_channels(blocks, coeffs)
         f_d = wmmse.matched_filter_precoder(h)
         if loop is wmmse._alternate:
             res = loop(wmmse.Iterate.start(h, f_d, coeffs), weights, config, factors)
@@ -1481,12 +1555,14 @@ class TestOuterStep:
         blocks, n_t = scenario.blocks * wmmse.snr_scale(SNR_DB), scenario.geometry.n_t
         rng = np.random.default_rng(seed)
         coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, ETA, rng)
-        h = wmmse.effective_channels(blocks, coeffs)
-        f_d = wmmse.matched_filter_precoder(h)
         if em_update:
-            x, factors = wmmse.Iterate.start(h, f_d, coeffs), wmmse.factor_ac_blocks(blocks)
+            factors = wmmse.factor_ac_blocks(blocks)
+            coeffs = reference.row_point(factors, coeffs)
+            h = wmmse.channels_at(factors, coeffs)
+            x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h), coeffs)
         else:
-            x, factors = wmmse.Iterate.start(h, f_d), None
+            h, factors = wmmse.effective_channels(blocks, coeffs), None
+            x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h))
         rest = (scenario.weights.tolist(),)
         return x, rest, config, factors
 
@@ -1689,15 +1765,19 @@ class TestExtrapolation:
 
 
 class TestPatternExtrapolation:
-    """The pattern solve extrapolates too: after two maps, F_D and each
-    antenna's AC part in its channel's row space, with the null-space part
-    rescaled onto the 4 pi budget.  Every extrapolated point, kept or not,
-    has DC at eta and AC on its sphere, also at degree 1, where
-    T - 1 = 3 < 2K leaves no null space, only the rounding of the
-    projection, which must not be scaled up to the sphere."""
+    """The pattern solve extrapolates too: after two maps, F_D and the row
+    point, each antenna's row coordinates a_n scaled back into its ball
+    when it leaves it, or onto its sphere when it was on it.  Every
+    extrapolated point, kept or not, has DC at eta, and its completed
+    coefficients are on the 4 pi budget: at the default degree, where each
+    a_n lies in a ball; at degree 1 with K = 2, where T - 1 = 3 < 2K leaves
+    no null space and a_n lies on its sphere; and at degree 1 with K = 1,
+    where 2K = 2 < T - 1 leaves a ball again."""
 
-    @pytest.mark.parametrize("truncation", [4, 1], ids=["default", "degree-1"])
-    def test_kept_points_stay_on_the_budgets(self, monkeypatch, truncation):
+    @pytest.mark.parametrize(
+        "truncation,n_users", [(4, 2), (1, 2), (1, 1)], ids=["default", "degree-1", "degree-1-ball"]
+    )
+    def test_kept_points_stay_on_the_budgets(self, monkeypatch, truncation, n_users):
         start = wmmse.extrapolated_start
         points, clamped = [], []
 
@@ -1707,11 +1787,11 @@ class TestPatternExtrapolation:
             # plain one, else the point; keeping or rejecting it is the loop's
             assert isinstance(out, wmmse.Iterate) and isinstance(full, bool)
             if out is not x:
-                points.append(out)
+                points.append((out, factors.q))
                 clamped.append(full)
             return out, full
 
-        config = RunConfig(truncation=truncation)
+        config = RunConfig(truncation=truncation, n_users=n_users)
         with monkeypatch.context() as patch:
             patch.setattr(wmmse, "extrapolated_start", spy)
             for seed in (1, 2):
@@ -1720,11 +1800,22 @@ class TestPatternExtrapolation:
                     wmmse.run_algorithm1(scenario, dbm - config.noise_dbm, config, seed)
         # points the bound clamped are checked as well as the others
         assert any(clamped) and not all(clamped)
-        for x in points:
+        rho_sq = FULL_SPHERE - config.eta**2
+        inside = 0
+        for x, q in points:
+            ball = q.shape[1] > q.shape[2]
+            assert ball == (truncation > 1 or n_users == 1)
             assert np.all(x.coeffs[:, 0] == config.eta)
-            ac_sq = np.sum(x.coeffs[:, 1:] ** 2, axis=1)
-            assert np.all(np.abs(ac_sq - (FULL_SPHERE - config.eta**2)) <= 1e-12 * FULL_SPHERE)
+            a_sq = np.sum(x.coeffs[:, 1:] ** 2, axis=1)
+            inside += np.count_nonzero(a_sq < rho_sq * (1.0 - 1e-12))
+            assert ball or np.all(np.abs(a_sq - rho_sq) <= 1e-12 * FULL_SPHERE)
+            completed = wmmse.complete_coefficients(q, x.coeffs)
+            assert np.all(completed[:, 0] == config.eta)
+            ac_sq = np.sum(completed[:, 1:] ** 2, axis=1)
+            assert np.all(np.abs(ac_sq - rho_sq) <= 1e-12 * FULL_SPHERE)
             assert np.sum(np.abs(x.f_d) ** 2) <= 1.0 + 1e-12
+        # in a ball, some points lie inside it and are completed by a null part
+        assert (inside > 0) == (truncation > 1 or n_users == 1)
 
     @pytest.mark.parametrize("em_update", [True, False], ids=["pattern", "frozen"])
     def test_loop_moves_the_step_bound(self, monkeypatch, em_update):
