@@ -17,18 +17,18 @@ closed form:
 * the channel sees antenna n's AC coefficients c only through their
   r <= min(T-1, 2K) coordinates a_n = Q_n^T c in its block's row space:
   one batched thin QR per solve (``factor_ac_blocks``) gives
-  H_ac = R_n^T Q_n^T, so the solve holds each antenna's DC and a_n, and
-  the channel is the DC column plus R_n^T a_n.  Where r < T-1 the null
-  space takes up the rest of the 4 pi budget and a_n lies in a ball;
-  where r = T-1 it lies on the sphere.  One batched eigh per sweep of the
-  r x r quadratics gives each antenna a secular equation on at most 2K
-  terms, or nu = 0 where the unconstrained minimiser lies inside the ball
-  (More & Sorensen 1983).  The point is scored on the exact objective,
-  from the links H F_D moved by one rank-1 term, and accepted only on
-  strict improvement, which makes the objective non-increasing step by
-  step and the sum rate non-decreasing across outer iterations.  A pattern
-  solve completes its coefficients once, at its end
-  (``complete_coefficients``).
+  H_ac = R_n^T Q_n^T, so the solve's point holds a_n alone, and the
+  channel is the DC part eta blocks[:, :, 0], formed once, plus R_n^T a_n.
+  Where r < T-1 the null space takes up the rest of the 4 pi budget and
+  a_n lies in a ball; where r = T-1 it lies on the sphere.  One batched
+  eigh per sweep of the r x r quadratics gives each antenna a secular
+  equation on at most 2K terms, or nu = 0 where the unconstrained
+  minimiser lies inside the ball (More & Sorensen 1983).  The point is
+  scored on the exact objective, from the links H F_D moved by one rank-1
+  term, and accepted only on strict improvement, which makes the objective
+  non-increasing step by step and the sum rate non-decreasing across outer
+  iterations.  A pattern solve completes its coefficients once, at its end
+  (``complete_coefficients``), into ``SolverResult.coeffs``.
 
 Both multipliers come from one safeguarded Newton iteration on
 sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
@@ -298,29 +298,31 @@ def update_fd(basis, w, v, weights) -> np.ndarray:
 
 
 class AcFactors(NamedTuple):
-    """The EM-domain channel blocks and the thin QR H_ac^T = Q R of every
-    antenna's AC block H_ac = ``blocks[:, n, 1:]`` (``factor_ac_blocks``)."""
+    """What a pattern solve reads of its blocks (``factor_ac_blocks``): the
+    DC, its part of the channel, and the thin QR H_ac^T = Q R per antenna."""
 
-    blocks: np.ndarray  # (K, N_T, T) the blocks factored
+    eta: float  # every antenna's DC coefficient
+    rho_sq: float  # 4 pi - eta^2, the squared norm each AC part may spend
+    dc: np.ndarray  # (K, N_T) the channel's DC part, eta blocks[:, :, 0]
     q: np.ndarray  # (N_T, T-1, r) orthonormal basis of each H_ac's row space
     r: np.ndarray  # (N_T, r, K) complex, with H_ac^T = Q R
 
 
-def factor_ac_blocks(blocks) -> AcFactors:
+def factor_ac_blocks(blocks, eta) -> AcFactors:
     """Thin QR G^T = Q [R_X R_Y] of every antenna's G = [X; Y], where H_ac =
     blocks[:, n, 1:] = X + iY, in one batched call, read as H_ac^T = Q R
-    with R = R_X + i R_Y; returns it with the blocks themselves."""
+    with R = R_X + i R_Y; returns it with the DC ``eta`` and its fixed part."""
     k = blocks.shape[0]
     columns = blocks[:, :, 1:].transpose(1, 2, 0)
     q, r = np.linalg.qr(np.concatenate((columns.real, columns.imag), axis=2))
-    return AcFactors(blocks, q, r[:, :, :k] + 1j * r[:, :, k:])
+    r = r[:, :, :k] + 1j * r[:, :, k:]
+    return AcFactors(eta, FULL_SPHERE - eta * eta, eta * blocks[:, :, 0], q, r)
 
 
 def channels_at(factors: AcFactors, coeffs) -> np.ndarray:
-    """The (K, N_T) channel at the row point ``coeffs``, each antenna's DC
-    and a_n: column n is DC_n blocks[:, n, 0] + R_n^T a_n."""
-    ac = (coeffs[:, None, 1:] @ factors.r)[:, 0, :]
-    return factors.blocks[:, :, 0] * coeffs[:, 0] + ac.T
+    """The (K, N_T) channel at the (N_T, r) row point ``coeffs``, the a_n:
+    column n is the DC part eta blocks[:, n, 0] plus R_n^T a_n."""
+    return factors.dc + (coeffs[:, None, :] @ factors.r)[:, 0, :].T
 
 
 def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
@@ -363,15 +365,15 @@ def _cluster_direction(span, complement=False) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis=None):
+def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis):
     """Global minimizer of y^T (A/2) y + d^T y on the sphere
     ||y||^2 = rho_sq, or in the ball ||y||^2 <= rho_sq where a null space
     takes up the rest of the budget, and its multiplier nu.
 
-    y are the coordinates in the (T-1, r) orthonormal ``basis`` Q_n (the AC
-    coefficients themselves when None); r < T-1 leaves a null space.  A =
-    vecs diag(lams) vecs^T with ``lams`` ascending and ``vecs`` orthogonal,
-    and ``dt = vecs^T d``.  With pole = lams[0] on the sphere and
+    y are the coordinates in the (T-1, r) orthonormal ``basis`` Q_n, the
+    identity for the AC coefficients themselves; r < T-1 leaves a null
+    space.  A = vecs diag(lams) vecs^T with ``lams`` ascending and ``vecs``
+    orthogonal, and ``dt = vecs^T d``.  With pole = lams[0] on the sphere and
     min(lams[0], 0) in the ball, y(nu) = -(A + 2 nu I)^{-1} d has squared
     norm sum_m (dt_m / (lams_m + 2 nu))^2, decreasing for nu > -pole/2; the
     root there is the global minimizer (More & Sorensen 1983).  The secular
@@ -396,9 +398,8 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis=None):
     vecs, plus the cluster direction in the hard case, which takes up the
     norm the branch test itself measured.
     """
-    q = np.eye(len(lams)) if basis is None else basis
     lams, dt = lams.tolist(), dt.tolist()
-    ball = q.shape[0] > q.shape[1]
+    ball = basis.shape[0] > basis.shape[1]
     pole = min(lams[0], 0.0) if ball else lams[0]
     rounding = CLUSTER_ULPS * len(lams) * EPS
     lam_scale = max(abs(lams[0]), abs(lams[-1]))  # lams ascend
@@ -425,7 +426,7 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis=None):
         y = -(vecs[:, ~cluster] @ y_range)
         if ball and -pole <= bound:
             return -0.5 * pole, y
-        z = q.T @ _cluster_direction(q @ vecs[:, cluster])
+        z = basis.T @ _cluster_direction(basis @ vecs[:, cluster])
         return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z + y
 
     t = _secular_shift(x_sq, shift, rho_sq, "norm")
@@ -445,13 +446,12 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
     candidate, the solution of its ball (or sphere) subproblem, is scored
     on the exact objective from the moved P and kept only when it strictly
     beats the incumbent, which guards against rounding, so the sweep never
-    increases the objective.  DC entries are left untouched.
+    increases the objective.
     """
     coeffs = np.array(coeffs, dtype=float)
     lams, vecs, proj = assemble_quadratic(factors, f_d, w, v, weights)
     gw, bwv = _user_scales(w, v, weights)
     gw, bwv_fd = np.array(gw), np.array(bwv) * f_d  # row n: beta w v F_D[n]
-    rho_sq = (FULL_SPHERE - coeffs[:, 0] ** 2).tolist()
     links = channels_at(factors, coeffs) @ f_d
 
     def objective(p):
@@ -462,39 +462,38 @@ def update_em(factors: AcFactors, coeffs, f_d, w, v, weights) -> np.ndarray:
         f_n, r_n = f_d[n], factors.r[n]
         # links without antenna n's AC part, and d = Re(H_ac^T a); the rank-1
         # moves broadcast as np.outer does
-        rest = links - (coeffs[n, 1:] @ r_n)[:, None] * f_n
+        rest = links - (coeffs[n] @ r_n)[:, None] * f_n
         a = 2.0 * (gw * (np.conj(rest) @ f_n) - bwv_fd[n])
         dt = (proj[n] @ a).real
-        _, y = solve_ac_subproblem(lams[n], vecs[n], dt, rho_sq[n], factors.q[n])
+        _, y = solve_ac_subproblem(lams[n], vecs[n], dt, factors.rho_sq, factors.q[n])
         moved = rest + (y @ r_n)[:, None] * f_n
         obj = objective(moved)
         if obj < incumbent:
             incumbent, links = obj, moved
-            coeffs[n, 1:] = y
+            coeffs[n] = y
     return coeffs
 
 
-def _null_sq(q, coeffs) -> np.ndarray:
-    """Each antenna's rho_n^2 - ||a_n||^2 at the row point ``coeffs``, the
-    squared norm the null space of Q_n = ``q[n]`` takes up; 0 where there
-    is none, and where a_n lies within MULTIPLIER_TOL of its sphere, the
-    band in which the secular solve stops."""
-    rho_sq = FULL_SPHERE - coeffs[:, 0] ** 2
-    missing = rho_sq - np.sum(coeffs[:, 1:] ** 2, axis=1)
-    ball = q.shape[1] > q.shape[2]
-    return np.where(ball & (missing > MULTIPLIER_TOL * rho_sq), missing, 0.0)
+def _null_sq(factors: AcFactors, coeffs) -> np.ndarray:
+    """Each antenna's rho^2 - ||a_n||^2 at the row point ``coeffs``, the
+    squared norm the null space of Q_n = ``factors.q[n]`` takes up; 0 where
+    there is none, and where a_n lies within MULTIPLIER_TOL of its sphere,
+    the band in which the secular solve stops."""
+    missing = factors.rho_sq - np.sum(coeffs**2, axis=1)
+    ball = factors.q.shape[1] > factors.q.shape[2]
+    return np.where(ball & (missing > MULTIPLIER_TOL * factors.rho_sq), missing, 0.0)
 
 
-def complete_coefficients(q, coeffs) -> np.ndarray:
-    """The (N_T, T) coefficients of the row point ``coeffs``, with ``q`` =
-    ``factor_ac_blocks(...).q``: DC, and Q_n a_n plus a null vector of the
-    norm ``_null_sq`` gives, along ``_cluster_direction`` of the null space,
-    so that every pattern is on its 4 pi budget."""
-    out = np.concatenate((coeffs[:, :1], (q @ coeffs[:, 1:, None])[:, :, 0]), axis=1)
-    null_sq = _null_sq(q, coeffs)
+def complete_coefficients(factors: AcFactors, coeffs) -> np.ndarray:
+    """The (N_T, T) pattern coefficients of the row point ``coeffs``: DC
+    ``factors.eta``, and AC Q_n a_n plus a null vector of the norm
+    ``_null_sq`` gives, along ``_cluster_direction`` of the null space, so
+    that every pattern is on its 4 pi budget."""
+    ac = (factors.q @ coeffs[:, :, None])[:, :, 0]
+    null_sq = _null_sq(factors, coeffs)
     for n in np.flatnonzero(null_sq):
-        out[n, 1:] += math.sqrt(null_sq[n]) * _cluster_direction(q[n], True)
-    return out
+        ac[n] += math.sqrt(null_sq[n]) * _cluster_direction(factors.q[n], True)
+    return np.concatenate((np.full((len(ac), 1), factors.eta), ac), axis=1)
 
 
 def initial_coefficients(
@@ -542,14 +541,14 @@ def snr_scale(snr_db: float) -> float:
 
 
 class Iterate(NamedTuple):
-    """One point of the alternating solve, never changed in place: F_D, the
-    patterns, the MSE weights the next v update is scored with, and the
-    channel, its QR and the links' statistics the next step reads, formed
-    once per change of the channel or F_D.  A pattern solve runs on the row
-    point (``channels_at``) and its result holds the completed coefficients."""
+    """One point of the alternating solve, never changed in place: F_D, a
+    pattern solve's row point (``channels_at``), the MSE weights the next v
+    update is scored with, and the channel, its QR and the links' statistics
+    the next step reads, formed once per change of the channel or F_D.  A
+    solve's last iterate is a point ``_alternate`` can continue from."""
 
     f_d: np.ndarray  # (N_T, K) digital precoder
-    coeffs: np.ndarray | None  # (N_T, 1 + r) row point or (N_T, T); None on a refit
+    coeffs: np.ndarray | None  # (N_T, r) row point of a pattern solve; None on a fixed channel
     w: list  # (K,) MSE weights
     h: np.ndarray  # (K, N_T) channel
     basis: tuple  # thin QR (Q, R) of h^H
@@ -568,13 +567,14 @@ class Iterate(NamedTuple):
 class SolverResult:
     """One solve of the v/w/F_D loop, as ``_alternate`` ends it."""
 
-    iterate: Iterate  # the last kept iterate: F_D, coefficients, w, the channel h
+    iterate: Iterate  # the last kept iterate: F_D, row point, w, the channel h
     history: list  # one IterationRecord per kept map
     converged: bool  # the rate settled before the iteration cap
     # loop steps spent, kept or not: each plain map and each extrapolation
     # attempt, also one whose map was skipped as already rejected
     iterations: int
     snr_db: float | None = None  # budget over noise, dB; None for a refit
+    coeffs: np.ndarray | None = None  # (N_T, T) patterns, isotropic if frozen; None for a refit
 
     @property
     def sum_rate(self) -> float:
@@ -621,9 +621,9 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
     loop's bound.  Only a step longer than the plain one, alpha < -1,
     extrapolates; otherwise this returns x itself, as it does when a bound
     of 1 clamps the step (alpha = -1 makes x' = x_2).
-    x' = x_0 - 2 alpha r + alpha^2 u, which leaves every DC as it is.  Its
-    F' is scaled down into the unit budget when over it.  Each a_n keeps the
-    side of its constraint that x_2's holds: one inside its ball
+    x' = x_0 - 2 alpha r + alpha^2 u, which holds no DC.  Its F' is scaled
+    down into the unit budget when over it.  Each a_n keeps the side of its
+    constraint that x_2's holds: one inside its ball
     (``_null_sq`` > 0) is scaled back onto the ball only when it leaves it,
     any other onto its sphere.  ``Iterate.start`` forms the new channel's
     QR and links.  x' carries a fresh w from a fresh v at its links, so the
@@ -652,9 +652,9 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
         start = x._replace(f_d=f_d, links=link_stats(x.h @ f_d))
     else:
         coeffs = c_0 - 2.0 * alpha * r_c + alpha * alpha * u_c
-        scale = np.sqrt((FULL_SPHERE - coeffs[:, 0] ** 2) / np.sum(coeffs[:, 1:] ** 2, axis=1))
-        inside = _null_sq(factors.q, x.coeffs) > 0.0
-        coeffs[:, 1:] *= np.where(inside, np.minimum(scale, 1.0), scale)[:, None]
+        scale = np.sqrt(factors.rho_sq / np.sum(coeffs**2, axis=1))
+        inside = _null_sq(factors, x.coeffs) > 0.0
+        coeffs *= np.where(inside, np.minimum(scale, 1.0), scale)[:, None]
         start = Iterate.start(channels_at(factors, coeffs), f_d, coeffs)
     return start._replace(w=update_w(start.links, update_v(start.links))), alpha == -bound
 
@@ -683,7 +683,7 @@ def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     settled and the steps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     history: list[IterationRecord] = []
-    inputs = []  # the (F_D, patterns) pairs into the plain maps since the last extrapolation
+    inputs = []  # the (F_D, row point) pairs into the plain maps since the last extrapolation
     bound = floor = STEP_BOUND_FIXED if factors is None else STEP_BOUND_PATTERN
     for it in range(1, config.max_iterations + 1):
         start, full = x, False
@@ -740,8 +740,9 @@ def run_algorithm1(
     or the iteration budget is spent.  The blocks are lifted once per
     scenario, so one scenario serves every SNR; a pattern solve factors its
     scaled blocks' AC parts once (``factor_ac_blocks``), needs a truncation
-    degree of at least 1, runs on the row point of its start and completes
-    the coefficients once, at the end.  The result carries ``snr_db``.
+    degree of at least 1 and runs on the row point of its start.  The
+    result carries ``snr_db`` and ``coeffs``, its last row point completed
+    (``complete_coefficients``) or the frozen baseline's isotropic stack.
     """
     scale = snr_scale(snr_db)
     if em_update:
@@ -750,20 +751,19 @@ def run_algorithm1(
     n_t, blocks = scenario.geometry.n_t, scenario.blocks * scale
     if em_update:
         rng = np.random.default_rng(seed)
-        coeffs = initial_coefficients(n_t, scenario.truncation, config.eta, rng)
-        factors = factor_ac_blocks(blocks)
-        coeffs = np.concatenate((coeffs[:, :1], (coeffs[:, None, 1:] @ factors.q)[:, 0]), axis=1)
-        h = channels_at(factors, coeffs)
+        drawn = initial_coefficients(n_t, scenario.truncation, config.eta, rng)
+        factors = factor_ac_blocks(blocks, config.eta)
+        point = (drawn[:, None, 1:] @ factors.q)[:, 0]
+        h = channels_at(factors, point)
     else:
-        coeffs, factors = isotropic_coefficients(n_t, scenario.truncation), None
+        coeffs, factors, point = isotropic_coefficients(n_t, scenario.truncation), None, None
         h = effective_channels(blocks, coeffs)
     result = _alternate(
-        Iterate.start(h, matched_filter_precoder(h), coeffs), scenario.weights, config, factors
+        Iterate.start(h, matched_filter_precoder(h), point), scenario.weights, config, factors
     )
-    x = result.iterate
     if factors is not None:
-        x = x._replace(coeffs=complete_coefficients(factors.q, x.coeffs))
-    return replace(result, iterate=x, snr_db=snr_db)
+        coeffs = complete_coefficients(factors, result.iterate.coeffs)
+    return replace(result, coeffs=coeffs, snr_db=snr_db)
 
 
 def refit_digital(

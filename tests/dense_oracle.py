@@ -63,7 +63,7 @@ def dense_quadratic(blocks, coeffs, f_d, w, v, weights, n: int) -> QuadraticSubp
 def solve_dense(sub: QuadraticSubproblem):
     """(nu, c) of the solver's spectral core on A's full eigenbasis."""
     lams, vecs = np.linalg.eigh(sub.a_matrix)
-    return wmmse.solve_ac_subproblem(lams, vecs, vecs.T @ sub.d, sub.rho_sq)
+    return wmmse.solve_ac_subproblem(lams, vecs, vecs.T @ sub.d, sub.rho_sq, np.eye(len(lams)))
 
 
 def left_root(sub: QuadraticSubproblem):

@@ -68,7 +68,7 @@ MUTANTS = (
         "the projection's selection reads the pattern's AC coefficients",
         "src/trihybrid/projection.py",
         "    indices = project_antenna(entries, result.iterate.h)\n",
-        "    ac_sum = result.iterate.coeffs[:, 1:].sum(axis=1)\n"
+        "    ac_sum = result.coeffs[:, 1:].sum(axis=1)\n"
         "    indices = project_antenna(entries, result.iterate.h * (1.0 + 0.1 * ac_sum))\n",
         (
             "tests/test_projection.py::TestApplyProjection"
@@ -181,17 +181,36 @@ MUTANTS = (
     Mutant(
         "an extrapolated a on its sphere is let into its ball",
         WMMSE,
-        "        inside = _null_sq(factors.q, x.coeffs) > 0.0\n",
+        "        inside = _null_sq(factors, x.coeffs) > 0.0\n",
         "        inside = factors.q.shape[1] > factors.q.shape[2]\n",
         (GOLDEN_PANEL, "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal"),
     ),
     Mutant(
         "the completion pads an a_n within the secular band of its sphere",
         WMMSE,
-        "(missing > MULTIPLIER_TOL * rho_sq)",
+        "(missing > MULTIPLIER_TOL * factors.rho_sq)",
         "(missing > 0.0)",
         (
             "tests/test_wmmse.py::TestUpdateEm::test_completion_matches_reference",
+        ),
+    ),
+    Mutant(
+        "the result's iterate holds the completed patterns, not the row point",
+        WMMSE,
+        "    return replace(result, coeffs=coeffs, snr_db=snr_db)\n",
+        "    x = result.iterate._replace(coeffs=coeffs)\n"
+        "    return replace(result, iterate=x, coeffs=coeffs, snr_db=snr_db)\n",
+        ("tests/test_wmmse.py::TestOuterStep::test_result_iterate_continues_its_solve",),
+    ),
+    Mutant(
+        "the completion leaves DC at 0 rather than eta",
+        WMMSE,
+        "np.full((len(ac), 1), factors.eta)",
+        "np.zeros((len(ac), 1))",
+        (
+            "tests/test_wmmse.py::TestUpdateEm::test_dc_entries_untouched",
+            "tests/test_wmmse.py::TestAlgorithm::test_feasibility_every_iteration",
+            "tests/test_wmmse.py::TestPatternExtrapolation::test_kept_points_stay_on_the_budgets",
         ),
     ),
 )

@@ -34,10 +34,11 @@ oracles of the batched code in ``trihybrid``.
   numpy dot and a Python sum may round apart, and which the hard case's
   missing norm sqrt(rho^2 - range_sq) amplifies.
 * ``row_point`` maps a stack of pattern coefficients to the row point a
-  pattern solve runs on, and ``complete_coefficients`` maps a row point
-  back, with the null part along the all-ones vector's projection onto an
-  explicit basis of the null space; ``wmmse.complete_coefficients`` must
-  match it to rounding.
+  pattern solve runs on, each antenna's AC coordinates a_n alone, and
+  ``complete_coefficients`` maps a row point back, with DC at eta and the
+  null part along the all-ones vector's projection onto an explicit basis
+  of the null space; ``wmmse.complete_coefficients`` must match it to
+  rounding.
 * ``alternate`` is the v/w/F_D loop, in SNR units, calling the per-user
   functions of ``wmmse`` on per-call statistics of the links and QR of
   H^H, with ``wmmse.update_em`` as the pattern update of the row point,
@@ -48,10 +49,11 @@ oracles of the batched code in ``trihybrid``.
   ``Iterate`` holding the links' statistics and the QR, each formed once
   per change, or from the point ``extrapolated_start`` forms and the loop
   itself keeps or rejects, must equal it bit for bit.
-* ``check_state`` audits the invariants of a solve's last iterate
-  (``SolverResult.iterate``): positive MSE weights, the power and 4 pi
-  budgets, and pinned DC.  ``initial_objective`` is the
-  objective a solve starts from, the first term of its monotone chain.
+* ``check_state`` audits the invariants of a solve's result: positive MSE
+  weights and the power budget of its last iterate, and the 4 pi budget
+  and pinned DC of its patterns (``SolverResult.coeffs``).
+  ``initial_objective`` is the objective a solve starts from, the first
+  term of its monotone chain.
 """
 
 import math
@@ -295,26 +297,26 @@ def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
 
 def row_point(factors, coeffs) -> np.ndarray:
     """The row point of the (N_T, T) pattern coefficients ``coeffs``: each
-    antenna's DC, then its AC coordinates Q_n^T c_n^AC in the basis
-    Q_n = ``factors.q[n]``, as ``wmmse.run_algorithm1`` forms its start."""
-    return np.concatenate((coeffs[:, :1], (coeffs[:, None, 1:] @ factors.q)[:, 0]), axis=1)
+    antenna's AC coordinates Q_n^T c_n^AC in the basis Q_n =
+    ``factors.q[n]``, as ``wmmse.run_algorithm1`` forms its start."""
+    return (coeffs[:, None, 1:] @ factors.q)[:, 0]
 
 
-def complete_coefficients(q, coeffs) -> np.ndarray:
-    """The pattern coefficients of the row point ``coeffs``: DC, and AC
-    Q_n a_n plus, where Q_n = ``q[n]`` leaves a null space and a_n lies
-    inside its ball by more than MULTIPLIER_TOL, a null vector making up
-    the 4 pi budget.  Its direction is the all-ones vector's projection
-    onto an orthonormal basis of the null space, completed by a full QR of
-    Q_n, or the projection of the unit vector that space is closest to when
-    that one vanishes."""
-    dim, rank = q.shape[1:]
+def complete_coefficients(factors, coeffs) -> np.ndarray:
+    """The pattern coefficients of the row point ``coeffs``: DC
+    ``factors.eta``, and AC Q_n a_n plus, where Q_n = ``factors.q[n]``
+    leaves a null space and a_n lies inside its ball by more than
+    MULTIPLIER_TOL, a null vector making up the 4 pi budget.  Its direction
+    is the all-ones vector's projection onto an orthonormal basis of the
+    null space, completed by a full QR of Q_n, or the projection of the
+    unit vector that space is closest to when that one vanishes."""
+    dim, rank = factors.q.shape[1:]
     out = np.zeros((len(coeffs), dim + 1))
-    out[:, 0] = coeffs[:, 0]
-    for n, (row, basis) in enumerate(zip(coeffs, q)):
-        out[n, 1:] = basis @ row[1:]
-        rho_sq = FULL_SPHERE - row[0] ** 2
-        missing = rho_sq - float(row[1:] @ row[1:])
+    out[:, 0] = factors.eta
+    rho_sq = FULL_SPHERE - factors.eta**2
+    for n, (row, basis) in enumerate(zip(coeffs, factors.q)):
+        out[n, 1:] = basis @ row
+        missing = rho_sq - float(row @ row)
         if rank == dim or missing <= MULTIPLIER_TOL * rho_sq:
             continue
         null = np.linalg.qr(basis, mode="complete")[0][:, rank:]
@@ -332,8 +334,9 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     its own MSE vector and ln w, and F_D factors H^H itself.  With
     ``factors`` (``wmmse.factor_ac_blocks`` of the blocks) and ``coeffs``,
     the row point (``row_point``), each map ends with ``wmmse.update_em``'s
-    pattern sweep and the channel under the new point, the DC column plus
-    the AC part R_n^T a_n; without them the channel is fixed.
+    pattern sweep and the channel under the new point, the DC part
+    ``factors.dc`` plus the AC part R_n^T a_n; without them the channel is
+    fixed.
 
     After every two plain maps since the last extrapolation, with x_0, x_1
     the points going into them and x_2 the point out of them, the next map
@@ -347,7 +350,7 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     but not below its start, when the result was not kept.  A point is F_D
     and, on a pattern solve, the row point.  The extrapolated F_D is scaled
     into the unit budget.  Each antenna's extrapolated a is scaled onto its
-    sphere ||a||^2 = 4 pi - DC^2 when x_2's a lies within MULTIPLIER_TOL of
+    sphere ||a||^2 = 4 pi - eta^2 when x_2's a lies within MULTIPLIER_TOL of
     that sphere or no null space exists, and otherwise only when a leaves
     the ball.  That map's result is kept only when its rate beats the last
     record's and its objective after v is at most the last record's
@@ -360,7 +363,7 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
         return wmmse.wmmse_objective(w, e, weights)
 
     def channels(c):
-        return factors.blocks[:, :, 0] * c[:, 0] + (c[:, None, 1:] @ factors.r)[:, 0, :].T
+        return factors.dc + (c[:, None, :] @ factors.r)[:, 0, :].T
 
     def one_map(it, h, f_d, w, coeffs):
         tic = time.perf_counter()
@@ -419,12 +422,12 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
             return (f_x, coeffs), length == bound
         c_x = x[1]
         null = factors.q.shape[1] > factors.q.shape[2]
+        rho_sq = FULL_SPHERE - factors.eta * factors.eta
         for n, own in enumerate(x_2[1]):
-            rho_sq = FULL_SPHERE - c_x[n, 0] ** 2
-            a_sq = np.sum(c_x[n, 1:] ** 2)
-            inside = null and rho_sq - np.sum(own[1:] ** 2) > MULTIPLIER_TOL * rho_sq
+            a_sq = np.sum(c_x[n] ** 2)
+            inside = null and rho_sq - np.sum(own**2) > MULTIPLIER_TOL * rho_sq
             if not inside or a_sq > rho_sq:
-                c_x[n, 1:] *= math.sqrt(rho_sq / a_sq)
+                c_x[n] *= math.sqrt(rho_sq / a_sq)
         return (f_x, c_x), length == bound
 
     w = [1.0] * len(weights)
@@ -467,20 +470,22 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     return h, f_d, np.array(w), history, False, config.max_iterations
 
 
-def check_state(x, eta: float, p_max: float, dc_pinned: bool = True) -> None:
-    """Raise AssertionError unless the iterate ``x`` (a ``wmmse.Iterate``,
-    such as a solve's ``result.iterate``) keeps its MSE weights positive, its
-    precoder within ``p_max`` and every pattern on the 4 pi budget, with DC
-    at ``eta`` where ``dc_pinned``."""
+def check_state(result, eta: float, p_max: float, dc_pinned: bool = True) -> None:
+    """Raise AssertionError unless the solve ``result`` (a
+    ``wmmse.SolverResult``) keeps its last iterate's MSE weights positive
+    and its precoder within ``p_max``, and every pattern of
+    ``result.coeffs`` on the 4 pi budget, with DC at ``eta`` where
+    ``dc_pinned``."""
+    x = result.iterate
     if any(wk <= 0 for wk in x.w):
         raise AssertionError("MSE weights must stay positive")
     power = float(np.sum(np.abs(x.f_d) ** 2))
     if power > p_max + 1e-8:
         raise AssertionError(f"precoder power {power} exceeds budget {p_max}")
-    norms = np.sum(x.coeffs**2, axis=1)
+    norms = np.sum(result.coeffs**2, axis=1)
     if np.any(np.abs(norms - FULL_SPHERE) > 1e-8):
         raise AssertionError("a pattern violates the 4*pi budget")
-    if dc_pinned and np.any(x.coeffs[:, 0] != eta):
+    if dc_pinned and np.any(result.coeffs[:, 0] != eta):
         raise AssertionError("DC coefficients drifted from eta")
 
 
@@ -518,12 +523,12 @@ def secular_shift(x_sq, shift, target, what) -> float:
     )
 
 
-def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis=None):
+def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis):
     """``wmmse.solve_ac_subproblem`` with the steps over the r <= 2K terms
     on numpy arrays: the same pole, cluster, noise test and branches, the
     range solution's squared norm as a numpy dot, and the same secular
     solver, ``wmmse._secular_shift``."""
-    ball = basis is not None and basis.shape[0] > basis.shape[1]
+    ball = basis.shape[0] > basis.shape[1]
     pole = min(lams[0], 0.0) if ball else lams[0]
     rounding = CLUSTER_ULPS * len(lams) * EPS
     lam_scale = float(np.abs(lams).max())
@@ -538,9 +543,7 @@ def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis=None):
     if range_sq <= rho_sq and np.linalg.norm(dt[cluster]) <= noise:
         if ball and -pole <= bound:
             return -0.5 * pole, -(vecs[:, rest] @ y_range)
-        span = vecs[:, cluster] if basis is None else basis @ vecs[:, cluster]
-        z = wmmse._cluster_direction(span)
-        z = z if basis is None else basis.T @ z
+        z = basis.T @ wmmse._cluster_direction(basis @ vecs[:, cluster])
         return -0.5 * pole, math.sqrt(rho_sq - range_sq) * z - vecs[:, rest] @ y_range
     t = wmmse._secular_shift((dt**2).tolist(), shift.tolist(), rho_sq, "norm")
     return 0.5 * (t - pole), -vecs @ (dt / (shift + t))

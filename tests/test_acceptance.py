@@ -259,7 +259,7 @@ def test_criterion_08_decomposition_contract():
         result = wmmse.run_algorithm1(scenario, SNR_DB, solver_cfg, seed)
         # the row's precoder and channel in watts, as the harness forms them
         f_d = math.sqrt(P_MAX) * result.iterate.f_d
-        h = effective_channels(scenario.blocks, result.iterate.coeffs)
+        h = effective_channels(scenario.blocks, result.coeffs)
         rng = np.random.default_rng([seed, 8])
         factors = decompose(f_d, 4, p_max=P_MAX, rng=rng)
         monotone &= bool(np.all(np.diff(factors.residual_history) <= 1e-15))
@@ -287,7 +287,7 @@ def test_criterion_09_projection_self_consistency():
     for seed in (1, 2, 3):
         scenario = generate_scenario(ScenarioConfig(), seed)
         result = wmmse.run_algorithm1(scenario, SNR_DB, solver_cfg, seed)
-        cset = sampled_pattern_set(result.iterate.coeffs, n_theta=181, n_phi=361)
+        cset = sampled_pattern_set(result.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset, config=solver_cfg)
         rel = abs(projected.sum_rate - result.sum_rate) / result.sum_rate
         worst = max(worst, rel)

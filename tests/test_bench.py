@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import reference
 from trihybrid import harness, wmmse
 from trihybrid.channel import ScenarioConfig, generate_scenario
 from trihybrid.decomposition import decompose
@@ -68,11 +67,10 @@ def test_every_observer_fills_its_counters(bench):
     solve = (scenario, 105.0, wmmse.SolverConfig(max_iterations=1))  # 10 dBm over -95 dBm
     result = wmmse.run_algorithm1(*solve)
     state = result.iterate
-    # the sweep takes and returns the row point of the solve's coefficients
-    factors = wmmse.factor_ac_blocks(scenario.blocks * wmmse.snr_scale(105.0))
-    point = reference.row_point(factors, state.coeffs)
+    # the sweep takes and returns the row point the solve's iterate holds
+    factors = wmmse.factor_ac_blocks(scenario.blocks * wmmse.snr_scale(105.0), solve[2].eta)
     sweep = (
-        factors, point, state.f_d, state.w, wmmse.update_v(state.links),
+        factors, state.coeffs, state.f_d, state.w, wmmse.update_v(state.links),
         scenario.weights.tolist(),
     )
     calls = {
@@ -86,7 +84,7 @@ def test_every_observer_fills_its_counters(bench):
         results[name] = func(*args)
         arguments = inspect.signature(func).bind(*args).arguments
         tracer.OBSERVERS[name](counters, arguments, results[name])
-    changed = np.any(results["wmmse.update_em"] != point, axis=1)
+    changed = np.any(results["wmmse.update_em"] != state.coeffs, axis=1)
     history = results["decomposition.decompose"].residual_history
     assert counters == {
         "wmmse.converged": 0,  # one iteration under a nonzero tolerance

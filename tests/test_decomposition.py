@@ -174,7 +174,7 @@ class TestSumRateLoss:
             scenario, 10.0 - NOISE_DBM, wmmse.SolverConfig(max_iterations=15), seed=seed,
             em_update=False,
         )
-        h = wmmse.effective_channels(scenario.blocks, res.iterate.coeffs)
+        h = wmmse.effective_channels(scenario.blocks, res.coeffs)
         return scenario, h, math.sqrt(P_MAX) * res.iterate.f_d
 
     def test_zero_loss_for_exact_factorization(self):

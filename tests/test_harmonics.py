@@ -278,9 +278,10 @@ class TestPatternCoefficients:
 
     @staticmethod
     def state(coeffs):
-        """A one-user iterate of the patterns ``coeffs``, at zero power."""
+        """A one-user solve of the patterns ``coeffs``, at zero power."""
         n_t = coeffs.shape[0]
-        return wmmse.Iterate.start(np.ones((1, n_t)), np.zeros((n_t, 1)), coeffs)
+        x = wmmse.Iterate.start(np.ones((1, n_t)), np.zeros((n_t, 1)))
+        return wmmse.SolverResult(x, [], True, 0, coeffs=coeffs)
 
     def test_isotropic(self):
         coeffs = wmmse.isotropic_coefficients(3, 4)

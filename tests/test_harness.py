@@ -117,9 +117,9 @@ def count_lifts_and_factors(monkeypatch):
         counts["lift"] += 1
         return lift(scenario)
 
-    def counted_factor(blocks):
+    def counted_factor(blocks, eta):
         counts["factor"] += 1
-        return factor(blocks)
+        return factor(blocks, eta)
 
     monkeypatch.setattr(Scenario, "em_channels", counted_lift)
     monkeypatch.setattr(wmmse, "factor_ac_blocks", counted_factor)
@@ -736,7 +736,7 @@ class TestSnrUnits:
             tri, hybrid, projected_row = rows[3 * k : 3 * k + 3]
             pattern, frozen = solves[2 * k : 2 * k + 2]  # each power solves in this order
             for row, result in ((tri, pattern), (hybrid, frozen)):
-                h = wmmse.effective_channels(scenario.blocks, result.iterate.coeffs)
+                h = wmmse.effective_channels(scenario.blocks, result.coeffs)
                 rate = sum_rate_in_watts(h @ (root * result.iterate.f_d), weights, noise)
                 assert row.sum_rate == pytest.approx(rate, rel=1e-12, abs=0)
             projected = projections[k]
@@ -1018,7 +1018,7 @@ class TestConfigSpace:
         )
 
     def audit(self, scenario, result, eta, em_update):
-        check_state(result.iterate, eta, 1.0, dc_pinned=em_update)  # the unit budget
+        check_state(result, eta, 1.0, dc_pinned=em_update)  # the unit budget
         prev = initial_objective(scenario)
         for rec in result.history:
             chain = (rec.objective_after_v, rec.objective_after_w,

@@ -297,11 +297,11 @@ class TestProjectionOracle:
             if trial:  # the solved patterns first, then random ones
                 coeffs = random_coeffs(rng, 4, 9)
                 channels = wmmse.effective_channels(scenario.blocks * scale, coeffs)
-                iterate = wmmse.Iterate.start(channels, result.iterate.f_d, coeffs)
-                result = dataclasses.replace(result, iterate=iterate)
+                iterate = wmmse.Iterate.start(channels, result.iterate.f_d)
+                result = dataclasses.replace(result, iterate=iterate, coeffs=coeffs)
             projected = proj.apply_projection(result, scenario, cset, refit=False)
             # the oracles work on the unscaled blocks
-            h = wmmse.effective_channels(scenario.blocks, result.iterate.coeffs)
+            h = wmmse.effective_channels(scenario.blocks, result.coeffs)
             expected = project_antenna_oracle(h, scenario, cset)
             assert projected.indices.tolist() == expected
             np.testing.assert_array_equal(
@@ -772,7 +772,7 @@ def solve_small(seed, **cfg):
 class TestApplyProjection:
     def test_self_projection_consistency(self):
         scenario, result = solve_small(5)
-        cset = sampled_pattern_set(result.iterate.coeffs, n_theta=181, n_phi=361)
+        cset = sampled_pattern_set(result.coeffs, n_theta=181, n_phi=361)
         projected = proj.apply_projection(result, scenario, cset)
         rel_change = abs(projected.sum_rate - result.sum_rate) / result.sum_rate
         assert rel_change < 0.005
@@ -795,7 +795,7 @@ class TestApplyProjection:
         projected = proj.apply_projection(result, scenario, cset)
         # the oracle's channel entries are in watts, and so is the solve's
         # channel under its coefficients on the unscaled blocks
-        h = wmmse.effective_channels(scenario.blocks, result.iterate.coeffs)
+        h = wmmse.effective_channels(scenario.blocks, result.coeffs)
         assert projected.indices.tolist() == project_antenna_oracle(h, scenario, cset)
 
     @pytest.mark.parametrize("case", ["small-far", "small-near", "default-30dBm"])
@@ -860,19 +860,19 @@ class TestApplyProjection:
         assert projected.indices.tolist() == projected_flipped.indices.tolist()
         (scenario, *rest), kwargs = called[0]
         blocks = scenario.blocks * wmmse.snr_scale(solved.snr_db)
-        q = wmmse.factor_ac_blocks(blocks).q
-        coeffs = solved.iterate.coeffs.copy()
+        q = wmmse.factor_ac_blocks(blocks, config.eta).q
+        coeffs = solved.coeffs.copy()
         ac = coeffs[:, 1:]
         row_part = (q @ (ac[:, None, :] @ q).transpose(0, 2, 1))[:, :, 0]
         nulls = np.linalg.norm(ac - row_part, axis=1)
-        differs = np.any(coeffs != solved_flipped.iterate.coeffs, axis=1)
+        differs = np.any(coeffs != solved_flipped.coeffs, axis=1)
         np.testing.assert_array_equal(differs, nulls > 1e-8 * math.sqrt(FULL_SPHERE))
         # The same solve with every antenna's null-space part reversed
         # projects to the same row bit for bit (seed 4 ends with antennas'
         # AC largely in the null space).
         coeffs[:, 1:] = 2.0 * row_part - ac
         h = wmmse.effective_channels(blocks, coeffs)
-        mirrored = dataclasses.replace(solved, iterate=solved.iterate._replace(coeffs=coeffs, h=h))
+        mirrored = dataclasses.replace(solved, iterate=solved.iterate._replace(h=h), coeffs=coeffs)
         again = proj.apply_projection(mirrored, scenario, *rest, **kwargs)
         assert again.indices.tolist() == projected.indices.tolist()
         assert again.sum_rate == projected.sum_rate
@@ -1002,7 +1002,7 @@ class TestPaperFindings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _, solved, _ in paper_panel:
-                assert min(min_gain_on_grid(c, grid) for c in solved.iterate.coeffs) < 0.0
+                assert min(min_gain_on_grid(c, grid) for c in solved.coeffs) < 0.0
 
     def test_fewer_candidates_keep_less_of_the_gain(self, paper_panel):
         config = hn.RunConfig()

@@ -586,7 +586,7 @@ class TestAssembleQuadratic:
         np.testing.assert_array_equal(sub.a_matrix, 0.0)
         np.testing.assert_array_equal(sub.d, 0.0)
         assert sub.rho_sq == pytest.approx(RHO_SQ)
-        factors = wmmse.factor_ac_blocks(blocks)
+        factors = wmmse.factor_ac_blocks(blocks, ETA)
         lams, _, _ = wmmse.assemble_quadratic(factors, f_d, w, zero, weights)
         np.testing.assert_array_equal(lams, 0.0)
 
@@ -613,7 +613,7 @@ class TestAssembleQuadratic:
             ac = rng.standard_normal(coeffs.shape[1] - 1)
             assert model(ac) + offset == pytest.approx(weighted_mse(ac), abs=1e-8)
 
-        factors = wmmse.factor_ac_blocks(blocks)
+        factors = wmmse.factor_ac_blocks(blocks, ETA)
         lams, vecs, _ = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         scale = np.linalg.norm(sub.a_matrix)
         basis = factors.q[n] @ vecs[n]
@@ -625,7 +625,7 @@ class TestAssembleQuadratic:
             sub = dense_quadratic(blocks, coeffs, f_d, w, v, weights, n=0)
             eigvals = np.linalg.eigvalsh(sub.a_matrix)
             assert eigvals.min() >= -1e-10 * max(eigvals.max(), 1.0)
-            factors = wmmse.factor_ac_blocks(blocks)
+            factors = wmmse.factor_ac_blocks(blocks, ETA)
             lams, _, _ = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
             assert lams.min() >= -1e-10 * max(lams.max(), 1.0)
 
@@ -634,17 +634,18 @@ class TestAssembleQuadratic:
         # H_ac^T = Q R with Q of min(T-1, 2K) orthonormal columns; the
         # eigenvectors U are orthogonal in those coordinates, V = Q U holds d,
         # d = V V^T d with V^T d given by proj, and the channel under a row
-        # point is the DC column plus R^T a; with T-1 <= 2K Q is complete
+        # point is the DC part eta blocks[:, :, 0] plus R^T a; with
+        # T-1 <= 2K Q is complete
         blocks, coeffs, f_d, v, w, weights = random_instance(
             53, n_users=n_users, t_len=t_len
         )
-        factors = wmmse.factor_ac_blocks(blocks)
+        factors = wmmse.factor_ac_blocks(blocks, ETA)
         lams, vecs, proj = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         rank = min(t_len - 1, 2 * n_users)
         assert lams.shape == (4, rank) and vecs.shape == (4, rank, rank)
         assert factors.q.shape == (4, t_len - 1, rank)
         point = reference.row_point(factors, coeffs)
-        h = wmmse.effective_channels(blocks, reference.complete_coefficients(factors.q, point))
+        h = wmmse.effective_channels(blocks, reference.complete_coefficients(factors, point))
         np.testing.assert_allclose(wmmse.channels_at(factors, point), h, rtol=0, atol=1e-12)
         for n in range(4):
             np.testing.assert_allclose(
@@ -767,9 +768,9 @@ class TestSubproblem:
             q = sign * others
             nu, y = wmmse.solve_ac_subproblem(lams, np.eye(2), np.zeros(2), RHO_SQ, q)
             assert nu == 0.0 and not np.any(y)
-            point = np.concatenate(([ETA], y))[None]
+            factors = wmmse.AcFactors(ETA, RHO_SQ, None, q[None], None)
             for complete in (wmmse.complete_coefficients, reference.complete_coefficients):
-                np.testing.assert_allclose(complete(q[None], point)[0, 1:], expected, atol=1e-12)
+                np.testing.assert_allclose(complete(factors, y[None])[0, 1:], expected, atol=1e-12)
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError):
@@ -850,7 +851,7 @@ def test_reduced_solve_matches_dense_eigh(n_users, dim, seed, log_rho_sq, idle_a
 
     def reduced_solve(blocks):
         # the point in the row coordinates, and its AC vector Q y
-        factors = wmmse.factor_ac_blocks(blocks)
+        factors = wmmse.factor_ac_blocks(blocks, ETA)
         lams, vecs, proj = wmmse.assemble_quadratic(factors, f_d, w, v, weights)
         dt = (proj[0] @ a).real
         q = factors.q[0]
@@ -1005,49 +1006,44 @@ def test_hard_case_takes_up_the_norm_its_branch_test_measured():
     dt = np.full(rank, 1.3 * 2.0**-27)
     dt[:2] = 0.0, 1.0
     assert math.fsum((dt * dt).tolist()) > 1.0
-    nu, c = wmmse.solve_ac_subproblem(lams, vecs, dt, 1.0)
+    nu, c = wmmse.solve_ac_subproblem(lams, vecs, dt, 1.0, np.eye(rank))
     assert nu == 0.0  # the hard case, at the pole 0
     np.testing.assert_allclose(c, -(vecs @ dt), rtol=0, atol=1e-15)
 
 
 def sweep_instance(seed, **kwargs):
-    """``random_instance`` with its blocks' factors and the row point of its
-    coefficients, the form ``update_em`` sweeps."""
+    """``random_instance`` with its blocks first, their factors, and the row
+    point of its coefficients, the form ``update_em`` sweeps."""
     blocks, coeffs, f_d, v, w, weights = random_instance(seed, **kwargs)
-    factors = wmmse.factor_ac_blocks(blocks)
-    return factors, coeffs, reference.row_point(factors, coeffs), f_d, v, w, weights
+    factors = wmmse.factor_ac_blocks(blocks, ETA)
+    return blocks, factors, coeffs, reference.row_point(factors, coeffs), f_d, v, w, weights
 
 
 class TestUpdateEm:
-    def test_factors_hold_the_blocks_they_factor(self):
-        # the sweep reads its channel only through the factors, links included
-        blocks = random_instance(6)[0]
-        assert wmmse.factor_ac_blocks(blocks).blocks is blocks
-
     def test_sweep_never_increases_objective(self):
         for seed in (3, 5, 8):
-            factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed)
-            blocks = factors.blocks
+            blocks, factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed)
             before = full_objective(blocks, coeffs, f_d, w, v, weights)
             out = wmmse.update_em(factors, point, f_d, w, v, weights)
-            completed = wmmse.complete_coefficients(factors.q, out)
+            completed = wmmse.complete_coefficients(factors, out)
             after = full_objective(blocks, completed, f_d, w, v, weights)
             assert after <= before + 1e-12
 
     def test_dc_entries_untouched(self):
-        factors, _, point, f_d, v, w, weights = sweep_instance(6)
+        # the point holds no DC; its completed patterns hold it at eta
+        _, factors, _, point, f_d, v, w, weights = sweep_instance(6)
         out = wmmse.update_em(factors, point, f_d, w, v, weights)
-        np.testing.assert_array_equal(out[:, 0], point[:, 0])
-        completed = wmmse.complete_coefficients(factors.q, out)
+        completed = wmmse.complete_coefficients(factors, out)
+        np.testing.assert_array_equal(completed[:, 0], ETA)
         np.testing.assert_allclose(np.sum(completed**2, axis=1), FULL_SPHERE, atol=1e-8)
 
     def test_zero_combiners_keep_incumbent(self):
-        factors, _, point, f_d, _, w, weights = sweep_instance(10)
+        _, factors, _, point, f_d, _, w, weights = sweep_instance(10)
         out = wmmse.update_em(factors, point, f_d, w, np.zeros(2, dtype=complex), weights)
         np.testing.assert_array_equal(out, point)
 
     def test_fixed_point_is_stable(self):
-        factors, _, current, f_d, v, w, weights = sweep_instance(12)
+        _, factors, _, current, f_d, v, w, weights = sweep_instance(12)
         for _ in range(60):
             new = wmmse.update_em(factors, current, f_d, w, v, weights)
             if np.array_equal(new, current):
@@ -1063,7 +1059,7 @@ class TestUpdateEm:
         monkeypatch.setattr(
             wmmse, "wmmse_objective", lambda *args: calls.append(1) or objective(*args)
         )
-        factors, _, point, f_d, v, w, weights = sweep_instance(6)
+        _, factors, _, point, f_d, v, w, weights = sweep_instance(6)
         wmmse.update_em(factors, point, f_d, w, v, weights)
         assert len(calls) == 1 + point.shape[0]
 
@@ -1076,8 +1072,7 @@ class TestUpdateEm:
         scored = []
         stats = wmmse.link_stats
         monkeypatch.setattr(wmmse, "link_stats", lambda p: scored.append(p) or stats(p))
-        factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed, n_t=6)
-        blocks = factors.blocks
+        blocks, factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed, n_t=6)
         out = wmmse.update_em(factors, point, f_d, w, v, weights)
         objectives = [
             wmmse.wmmse_objective(w, wmmse.mse_vector(stats(p), v), weights) for p in scored
@@ -1087,7 +1082,7 @@ class TestUpdateEm:
         kept = [objectives[i] for i in accepted]
         assert all(b < a for a, b in zip(kept, kept[1:]))  # the sweep never raises it
 
-        completed = wmmse.complete_coefficients(factors.q, out)
+        completed = wmmse.complete_coefficients(factors, out)
         expected = wmmse.effective_channels(blocks, completed) @ f_d
         carried = scored[accepted[-1]]
         assert np.linalg.norm(carried - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -1101,13 +1096,13 @@ class TestUpdateEm:
         # every model assembled and solved in full, at the same points: the
         # same row coordinates, and the same coefficients once completed,
         # the dense hard case padding along the null space as completion does
-        factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed, t_len=16)
+        blocks, factors, coeffs, point, f_d, v, w, weights = sweep_instance(seed, t_len=16)
         out = wmmse.update_em(factors, point, f_d, w, v, weights)
-        dense = dense_sweep(factors.blocks, coeffs, f_d, w, v, weights)
+        dense = dense_sweep(blocks, coeffs, f_d, w, v, weights)
         changed = np.any(out != point, axis=1)
         np.testing.assert_array_equal(changed, np.any(dense != coeffs, axis=1))
         np.testing.assert_allclose(out, reference.row_point(factors, dense), rtol=0, atol=1e-10)
-        completed = wmmse.complete_coefficients(factors.q, out)
+        completed = wmmse.complete_coefficients(factors, out)
         np.testing.assert_allclose(completed[changed], dense[changed], rtol=0, atol=1e-10)
 
     def test_completion_matches_reference(self):
@@ -1116,13 +1111,12 @@ class TestUpdateEm:
         # the secular solve leaves a point on its sphere up to MULTIPLIER_TOL
         # on either side, so one moved inside by half that gets no null part
         for seed in (3, 5, 8, 12, 21):
-            factors, _, point, f_d, v, w, weights = sweep_instance(seed, t_len=16)
+            _, factors, _, point, f_d, v, w, weights = sweep_instance(seed, t_len=16)
             out = wmmse.update_em(factors, point, f_d, w, v, weights)
-            banded = out.copy()
-            banded[:, 1:] *= math.sqrt(1.0 - 0.5 * wmmse.MULTIPLIER_TOL)
+            banded = out * math.sqrt(1.0 - 0.5 * wmmse.MULTIPLIER_TOL)
             for x in (out, banded):
-                completed = wmmse.complete_coefficients(factors.q, x)
-                expected = reference.complete_coefficients(factors.q, x)
+                completed = wmmse.complete_coefficients(factors, x)
+                expected = reference.complete_coefficients(factors, x)
                 np.testing.assert_allclose(completed, expected, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(reference.row_point(factors, completed), x, atol=1e-12)
 
@@ -1163,7 +1157,7 @@ class TestAlgorithm:
         config = wmmse.SolverConfig(max_iterations=20)
         scenario = small_scenario(3)
         res = wmmse.run_algorithm1(scenario, SNR_DB, config, seed=3)
-        reference.check_state(res.iterate, config.eta, 1.0)  # the unit budget
+        reference.check_state(res, config.eta, 1.0)  # the unit budget
 
     def test_stepwise_objective_monotone(self):
         scenario = small_scenario(4)
@@ -1211,7 +1205,7 @@ class TestAlgorithm:
         scenario = small_scenario(6)
         res = wmmse.run_algorithm1(scenario, SNR_DB, seed=6, em_update=False)
         iso = wmmse.isotropic_coefficients(4, 2)
-        np.testing.assert_array_equal(res.iterate.coeffs, iso)
+        np.testing.assert_array_equal(res.coeffs, iso)
 
     def test_default_config_hard_case_drops(self):
         # At 20-30 dBm many pattern subproblems of a default drop are in the
@@ -1222,7 +1216,7 @@ class TestAlgorithm:
             for seed in range(1, 21):
                 scenario = generate_scenario(config, seed)
                 res = wmmse.run_algorithm1(scenario, pmax_dbm - NOISE_DBM, config, seed=seed)
-                reference.check_state(res.iterate, config.eta, 1.0)
+                reference.check_state(res, config.eta, 1.0)
 
     # Relative sum-rate change of one map's F_D update when the power
     # multiplier comes from Newton instead of the bisection oracle.  Both
@@ -1316,10 +1310,10 @@ class TestAlgorithm:
             return outer_step(*args)
 
         def dense(factors, coeffs, f_d, *args):
-            # the dense sweep reads only the blocks the factors hold, and
-            # sweeps the completed coefficients of the row point
-            full = wmmse.complete_coefficients(factors.q, coeffs)
-            return full, dense_sweep(factors.blocks, full, f_d, *args)
+            # the dense sweep reads the solve's blocks, and sweeps the
+            # completed coefficients of the row point
+            full = wmmse.complete_coefficients(factors, coeffs)
+            return full, dense_sweep(blocks, full, f_d, *args)
 
         def both(factors, coeffs, f_d, *args):
             fast = update_em(factors, coeffs, f_d, *args)
@@ -1329,7 +1323,7 @@ class TestAlgorithm:
                 wmmse.sum_rate(wmmse.link_stats(h @ f_d), args[-1])
                 for h in (
                     wmmse.channels_at(factors, fast),
-                    wmmse.effective_channels(factors.blocks, swept),
+                    wmmse.effective_channels(blocks, swept),
                 )
             ]
             sweeps.append((*rates, not np.array_equal(*kept)))
@@ -1337,6 +1331,7 @@ class TestAlgorithm:
 
         sweeps = []
         for dbm in (0.0, 10.0, 20.0, 30.0):
+            blocks = scenario.blocks * wmmse.snr_scale(dbm - config.noise_dbm)
             steps, before = [], len(sweeps)
             with monkeypatch.context() as patch:
                 patch.setattr(wmmse, "update_em", both)
@@ -1468,18 +1463,20 @@ class TestLoopMatchesReference:
         if em_update:
             rng = np.random.default_rng(seed)
             coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, config.eta, rng)
-            factors = wmmse.factor_ac_blocks(blocks)
+            factors = wmmse.factor_ac_blocks(blocks, config.eta)
             coeffs = reference.row_point(factors, coeffs)
             h = wmmse.channels_at(factors, coeffs)
         else:
-            coeffs, factors = wmmse.isotropic_coefficients(n_t, scenario.truncation), None
-            h = wmmse.effective_channels(blocks, coeffs)
+            coeffs, factors = None, None
+            h = wmmse.effective_channels(
+                blocks, wmmse.isotropic_coefficients(n_t, scenario.truncation)
+            )
         f_d = wmmse.matched_filter_precoder(h)
         if loop is wmmse._alternate:
             res = loop(wmmse.Iterate.start(h, f_d, coeffs), weights, config, factors)
             x = res.iterate
             return x.h, x.f_d, np.array(x.w), res.history, res.converged, res.iterations
-        return loop(h, f_d, weights, config, factors, coeffs if em_update else None)
+        return loop(h, f_d, weights, config, factors, coeffs)
 
     @pytest.mark.parametrize(
         "field_mode,dbm,em_update,max_iterations,seed",
@@ -1556,7 +1553,7 @@ class TestOuterStep:
         rng = np.random.default_rng(seed)
         coeffs = wmmse.initial_coefficients(n_t, scenario.truncation, ETA, rng)
         if em_update:
-            factors = wmmse.factor_ac_blocks(blocks)
+            factors = wmmse.factor_ac_blocks(blocks, ETA)
             coeffs = reference.row_point(factors, coeffs)
             h = wmmse.channels_at(factors, coeffs)
             x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h), coeffs)
@@ -1601,6 +1598,31 @@ class TestOuterStep:
         assert [record_fields(r) for r in (first, *continued.history[1:])] == [
             record_fields(r) for r in fresh.history
         ]
+
+    @pytest.mark.parametrize(
+        "truncation,rates",
+        [(1, (3.2461633, 3.2461683)), (4, (6.9761999, 6.9762589))],
+        ids=["degree-1", "degree-4"],
+    )
+    def test_result_iterate_continues_its_solve(self, truncation, rates):
+        # a pattern solve's result holds its patterns in ``coeffs`` and the
+        # row point its channel is formed from in its iterate, so a solve
+        # continues from the iterate: at degree 1, where r = T - 1, the
+        # completed patterns read as a row point would move the channel by
+        # 141%, and at degree 4 they would not fit it
+        config = RunConfig(truncation=truncation)
+        scenario = generate_scenario(config, 1)
+        snr_db = 10.0 - config.noise_dbm
+        result = wmmse.run_algorithm1(scenario, snr_db, config, seed=1)
+        factors = wmmse.factor_ac_blocks(scenario.blocks * wmmse.snr_scale(snr_db), config.eta)
+        x = result.iterate
+        np.testing.assert_array_equal(wmmse.channels_at(factors, x.coeffs), x.h)
+        assert result.coeffs.shape == (scenario.geometry.n_t, (truncation + 1) ** 2)
+        continued = wmmse._alternate(x, scenario.weights, config, factors)
+        assert continued.history[0].sum_rate >= result.sum_rate
+        assert continued.sum_rate >= result.sum_rate
+        first = (result.sum_rate, continued.history[0].sum_rate)
+        assert first == pytest.approx(rates, rel=0, abs=1e-7)
 
 
 class TestSolverConfig:
@@ -1768,8 +1790,8 @@ class TestPatternExtrapolation:
     """The pattern solve extrapolates too: after two maps, F_D and the row
     point, each antenna's row coordinates a_n scaled back into its ball
     when it leaves it, or onto its sphere when it was on it.  Every
-    extrapolated point, kept or not, has DC at eta, and its completed
-    coefficients are on the 4 pi budget: at the default degree, where each
+    extrapolated point, kept or not, completes to coefficients with DC at
+    eta on the 4 pi budget: at the default degree, where each
     a_n lies in a ball; at degree 1 with K = 2, where T - 1 = 3 < 2K leaves
     no null space and a_n lies on its sphere; and at degree 1 with K = 1,
     where 2K = 2 < T - 1 leaves a ball again."""
@@ -1787,7 +1809,7 @@ class TestPatternExtrapolation:
             # plain one, else the point; keeping or rejecting it is the loop's
             assert isinstance(out, wmmse.Iterate) and isinstance(full, bool)
             if out is not x:
-                points.append((out, factors.q))
+                points.append((out, factors))
                 clamped.append(full)
             return out, full
 
@@ -1802,14 +1824,13 @@ class TestPatternExtrapolation:
         assert any(clamped) and not all(clamped)
         rho_sq = FULL_SPHERE - config.eta**2
         inside = 0
-        for x, q in points:
-            ball = q.shape[1] > q.shape[2]
+        for x, factors in points:
+            ball = factors.q.shape[1] > factors.q.shape[2]
             assert ball == (truncation > 1 or n_users == 1)
-            assert np.all(x.coeffs[:, 0] == config.eta)
-            a_sq = np.sum(x.coeffs[:, 1:] ** 2, axis=1)
+            a_sq = np.sum(x.coeffs**2, axis=1)
             inside += np.count_nonzero(a_sq < rho_sq * (1.0 - 1e-12))
             assert ball or np.all(np.abs(a_sq - rho_sq) <= 1e-12 * FULL_SPHERE)
-            completed = wmmse.complete_coefficients(q, x.coeffs)
+            completed = wmmse.complete_coefficients(factors, x.coeffs)
             assert np.all(completed[:, 0] == config.eta)
             ac_sq = np.sum(completed[:, 1:] ** 2, axis=1)
             assert np.all(np.abs(ac_sq - rho_sq) <= 1e-12 * FULL_SPHERE)
