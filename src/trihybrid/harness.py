@@ -396,26 +396,18 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """Write ``rows`` as CSV under ``header``, each column read from the
-    row's attribute of that name: 9 significant digits, LF endings."""
-    columns = header.split(",")
+    """Write ``rows``, each a sequence of values, as CSV under ``header``:
+    9 significant digits, LF endings."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(getattr(row, column)) for column in columns) + "\n")
+            fh.write(",".join(_fmt(value) for value in row) + "\n")
 
 
 def emit_csv(records, path) -> None:
     """Write trial records as the results CSV, ``CSV_HEADER``."""
-    _write_csv(path, CSV_HEADER, records)
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    mode: str
-    iteration: int
-    sum_rate: float
-    objective: float
+    columns = CSV_HEADER.split(",")
+    _write_csv(path, CSV_HEADER, ([getattr(r, c) for c in columns] for r in records))
 
 
 def convergence_trace(config: RunConfig, seed: int) -> dict:
@@ -436,7 +428,7 @@ def convergence_trace(config: RunConfig, seed: int) -> dict:
 def emit_trace_csv(results, path) -> None:
     """Write the trace CSV, one row per kept map of each mode's solve."""
     rows = [
-        TraceRow(mode, rec.iteration, rec.sum_rate, rec.objective)
+        (mode, rec.iteration, rec.sum_rate, rec.objective)
         for mode, result in results.items()
         for rec in result.history
     ]

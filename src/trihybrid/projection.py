@@ -461,12 +461,9 @@ def fibonacci_directions(count: int) -> np.ndarray:
 
 
 def steered_candidate_set(
-    count: int = 64,
-    exponent: float = 2.0,
-    n_theta: int = 61,
-    n_phi: int = 121,
+    count: int = 64, n_theta: int = 61, n_phi: int = 121
 ) -> CandidatePatternSet:
-    """Synthetic stand-in set: ``count`` cosine-power lobes steered along
+    """Synthetic stand-in set: ``count`` cosine-squared lobes steered along
     quasi-uniform directions, each normalized to the 4 pi power budget.
 
     Deterministic (no randomness), nonnegative by construction; a
@@ -480,7 +477,7 @@ def steered_candidate_set(
     patterns = []
     for r, (th0, ph0) in enumerate(fibonacci_directions(count)):
         cos_angle = np.sin(th) * math.sin(th0) * np.cos(ph - ph0) + np.cos(th) * math.cos(th0)
-        gain = np.maximum(cos_angle, 0.0) ** exponent
+        gain = np.maximum(cos_angle, 0.0) ** 2.0
         gain = gain * math.sqrt(FULL_SPHERE / grid_power(theta, phi, gain))
         patterns.append(
             CandidatePattern(

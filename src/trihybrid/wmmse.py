@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Scenario, _check_rules, _int_rule, _is_number, effective_channels
+from .channel import Scenario, _check_rules, _int_rule, _is_number
 from .harmonics import FULL_SPHERE, truncation_length
 
 EPS = sys.float_info.epsilon
@@ -740,8 +740,9 @@ def run_algorithm1(
     or the iteration budget is spent.  The blocks are lifted once per
     scenario, so one scenario serves every SNR; a pattern solve factors its
     scaled blocks' AC parts once (``factor_ac_blocks``), needs a truncation
-    degree of at least 1 and runs on the row point of its start.  The
-    result carries ``snr_db`` and ``coeffs``, its last row point completed
+    degree of at least 1 and runs on the row point of its start; the
+    frozen baseline's channel is its DC part, sqrt(4 pi) blocks[:, :, 0].
+    The result carries ``snr_db`` and ``coeffs``, its last row point completed
     (``complete_coefficients``) or the frozen baseline's isotropic stack.
     """
     scale = snr_scale(snr_db)
@@ -757,7 +758,7 @@ def run_algorithm1(
         h = channels_at(factors, point)
     else:
         coeffs, factors, point = isotropic_coefficients(n_t, scenario.truncation), None, None
-        h = effective_channels(blocks, coeffs)
+        h = math.sqrt(FULL_SPHERE) * blocks[:, :, 0]
     result = _alternate(
         Iterate.start(h, matched_filter_precoder(h), point), scenario.weights, config, factors
     )

@@ -213,4 +213,18 @@ MUTANTS = (
             "tests/test_wmmse.py::TestPatternExtrapolation::test_kept_points_stay_on_the_budgets",
         ),
     ),
+    Mutant(
+        "the frozen baseline's channel drops its sqrt(4 pi) factor",
+        WMMSE,
+        "        h = math.sqrt(FULL_SPHERE) * blocks[:, :, 0]\n",
+        "        h = blocks[:, :, 0]\n",
+        ("tests/test_wmmse.py::TestAlgorithm::test_refit_digital_is_the_frozen_pattern_loop",),
+    ),
+    Mutant(
+        "the trace writer puts the objective in the sum_rate column",
+        HARNESS,
+        "        (mode, rec.iteration, rec.sum_rate, rec.objective)\n",
+        "        (mode, rec.iteration, rec.objective, rec.objective)\n",
+        ("tests/test_harness.py::TestTrace::test_trace_csv",),
+    ),
 )

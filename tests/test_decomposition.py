@@ -6,7 +6,7 @@ from reference import sum_rate_loss
 
 from trihybrid import decomposition as dec
 from trihybrid import wmmse
-from trihybrid.channel import ScenarioConfig, generate_scenario
+from trihybrid.channel import ScenarioConfig, effective_channels, generate_scenario
 
 P_MAX = 10 ** ((10.0 - 30.0) / 10.0)  # 10 dBm in watts
 NOISE_DBM = -95.0  # the default noise
@@ -174,7 +174,7 @@ class TestSumRateLoss:
             scenario, 10.0 - NOISE_DBM, wmmse.SolverConfig(max_iterations=15), seed=seed,
             em_update=False,
         )
-        h = wmmse.effective_channels(scenario.blocks, res.coeffs)
+        h = effective_channels(scenario.blocks, res.coeffs)
         return scenario, h, math.sqrt(P_MAX) * res.iterate.f_d
 
     def test_zero_loss_for_exact_factorization(self):

@@ -24,6 +24,7 @@ from trihybrid.channel import (
     ScenarioConfig,
     UpaGeometry,
     assemble_channel,
+    effective_channels,
     generate_scenario,
 )
 from trihybrid.harmonics import truncation_length
@@ -736,7 +737,7 @@ class TestSnrUnits:
             tri, hybrid, projected_row = rows[3 * k : 3 * k + 3]
             pattern, frozen = solves[2 * k : 2 * k + 2]  # each power solves in this order
             for row, result in ((tri, pattern), (hybrid, frozen)):
-                h = wmmse.effective_channels(scenario.blocks, result.coeffs)
+                h = effective_channels(scenario.blocks, result.coeffs)
                 rate = sum_rate_in_watts(h @ (root * result.iterate.f_d), weights, noise)
                 assert row.sum_rate == pytest.approx(rate, rel=1e-12, abs=0)
             projected = projections[k]
@@ -1169,9 +1170,11 @@ class TestTrace:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "mode,iteration,sum_rate,objective"
         want = [
-            (mode, str(rec.iteration)) for mode, result in results.items() for rec in result.history
+            (mode, str(rec.iteration), f"{rec.sum_rate:.9g}", f"{rec.objective:.9g}")
+            for mode, result in results.items()
+            for rec in result.history
         ]
-        assert [tuple(line.split(",")[:2]) for line in lines[1:]] == want
+        assert [tuple(line.split(",")) for line in lines[1:]] == want
 
 
 class TestCli:

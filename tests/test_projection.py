@@ -16,7 +16,12 @@ from reference import direct_channel_oracle, sampled_pattern_set, user_rows
 from trihybrid import harness as hn
 from trihybrid import projection as proj
 from trihybrid import wmmse
-from trihybrid.channel import ScenarioConfig, assemble_channel, generate_scenario
+from trihybrid.channel import (
+    ScenarioConfig,
+    assemble_channel,
+    effective_channels,
+    generate_scenario,
+)
 from trihybrid.decomposition import decompose
 from trihybrid.harmonics import FULL_SPHERE, gauss_legendre_grid, min_gain_on_grid
 
@@ -296,12 +301,12 @@ class TestProjectionOracle:
         for trial in range(3):
             if trial:  # the solved patterns first, then random ones
                 coeffs = random_coeffs(rng, 4, 9)
-                channels = wmmse.effective_channels(scenario.blocks * scale, coeffs)
+                channels = effective_channels(scenario.blocks * scale, coeffs)
                 iterate = wmmse.Iterate.start(channels, result.iterate.f_d)
                 result = dataclasses.replace(result, iterate=iterate, coeffs=coeffs)
             projected = proj.apply_projection(result, scenario, cset, refit=False)
             # the oracles work on the unscaled blocks
-            h = wmmse.effective_channels(scenario.blocks, result.coeffs)
+            h = effective_channels(scenario.blocks, result.coeffs)
             expected = project_antenna_oracle(h, scenario, cset)
             assert projected.indices.tolist() == expected
             np.testing.assert_array_equal(
@@ -783,7 +788,7 @@ class TestApplyProjection:
         projected = proj.apply_projection(result, scenario, cset, refit=False)
         # the projected channel is in the solve's SNR units
         blocks = scenario.em_channels() * wmmse.snr_scale(result.snr_db)
-        h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
+        h_iso = effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         np.testing.assert_allclose(projected.channels, h_iso, rtol=1e-9)
         expected = wmmse.sum_rate(wmmse.link_stats(h_iso @ result.iterate.f_d), scenario.weights)
         assert projected.sum_rate == pytest.approx(expected)
@@ -795,7 +800,7 @@ class TestApplyProjection:
         projected = proj.apply_projection(result, scenario, cset)
         # the oracle's channel entries are in watts, and so is the solve's
         # channel under its coefficients on the unscaled blocks
-        h = wmmse.effective_channels(scenario.blocks, result.coeffs)
+        h = effective_channels(scenario.blocks, result.coeffs)
         assert projected.indices.tolist() == project_antenna_oracle(h, scenario, cset)
 
     @pytest.mark.parametrize("case", ["small-far", "small-near", "default-30dBm"])
@@ -871,7 +876,7 @@ class TestApplyProjection:
         # projects to the same row bit for bit (seed 4 ends with antennas'
         # AC largely in the null space).
         coeffs[:, 1:] = 2.0 * row_part - ac
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         mirrored = dataclasses.replace(solved, iterate=solved.iterate._replace(h=h), coeffs=coeffs)
         again = proj.apply_projection(mirrored, scenario, *rest, **kwargs)
         assert again.indices.tolist() == projected.indices.tolist()

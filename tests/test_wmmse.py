@@ -16,7 +16,7 @@ from dense_oracle import (
     solve_dense,
 )
 from trihybrid import wmmse
-from trihybrid.channel import ScenarioConfig, generate_scenario
+from trihybrid.channel import ScenarioConfig, effective_channels, generate_scenario
 from trihybrid.harmonics import FULL_SPHERE
 from trihybrid.harness import RunConfig, dbm_to_watts
 
@@ -165,7 +165,7 @@ class TestMse:
         # e_k = E|v_k y_k - s_k|^2 expanded over unit-variance symbols:
         # with u_i = v_k p_ki - delta_ik, e_k = ||u||^2 + sigma^2 |v_k|^2, sigma = 1
         blocks, coeffs, f_d, v, _, _ = random_instance(7)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         p = h @ f_d
         e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v)
         for k in range(2):
@@ -189,7 +189,7 @@ class TestUpdateV:
 
     def test_finite_difference_stationarity(self):
         blocks, coeffs, f_d, _, w, weights = random_instance(3)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         eps = 1e-6
         for k in range(2):
@@ -217,7 +217,7 @@ class TestUpdateW:
 
     def test_mmse_identity_after_fresh_v(self):
         blocks, coeffs, f_d, _, _, _ = random_instance(11)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v)
@@ -240,7 +240,7 @@ class TestUpdateFd:
         # K = N_T makes the normal matrix full rank, so lam = 0 has a
         # unique solution that a generous budget must return unchanged
         blocks, coeffs, f_d, v, w, weights = random_instance(5, n_users=4, n_t=4)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         coef = weights * w * np.abs(v) ** 2
@@ -254,7 +254,7 @@ class TestUpdateFd:
 
     def test_tight_budget_met(self):
         blocks, coeffs, f_d, v, w, weights = random_instance(9)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         out = wmmse.update_fd(qr_basis(1e-2 * h), w, v, weights)  # a budget of 1e-4 on h
@@ -274,7 +274,7 @@ class TestUpdateFd:
     def test_power_never_exceeds_budget(self):
         for seed in range(20):
             blocks, coeffs, f_d, v, w, weights = random_instance(seed + 100)
-            h = wmmse.effective_channels(blocks, coeffs)
+            h = effective_channels(blocks, coeffs)
             v = wmmse.update_v(wmmse.link_stats(h @ f_d))
             w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
             p_max = float(10.0 ** np.random.default_rng(seed).uniform(-6, 2))
@@ -322,7 +322,7 @@ class TestUpdateFd:
     def test_failure_names_newton_and_residual(self, monkeypatch):
         monkeypatch.setattr(wmmse, "MULTIPLIER_STEPS", 1)
         blocks, coeffs, f_d, v, w, weights = random_instance(9)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
         w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
         with pytest.raises(RuntimeError, match="Newton .* relative power residual"):
@@ -373,7 +373,7 @@ class TestUpdateFd:
         # the loop factors H^H once per channel and passes that one basis to
         # every F_D update: a reused basis gives the bits of a fresh one
         blocks, coeffs, f_d, v, w, weights = random_instance(seed)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         links = wmmse.link_stats(h @ f_d)
         v = wmmse.update_v(links)
         w = wmmse.update_w(links, v)
@@ -555,12 +555,12 @@ class TestGAffine:
         a, b = g_affine(blocks, coeffs, f_d, k=1, i=0, n=n)
         zeroed = coeffs.copy()
         zeroed[n, 1:] = 0.0
-        h = wmmse.effective_channels(blocks, zeroed)
+        h = effective_channels(blocks, zeroed)
         assert b == pytest.approx((h @ f_d)[1, 0])
 
     def test_consistency_with_effective_channel(self):
         blocks, coeffs, f_d, *_ = random_instance(19)
-        h = wmmse.effective_channels(blocks, coeffs)
+        h = effective_channels(blocks, coeffs)
         p = h @ f_d
         for k in range(2):
             for i in range(2):
@@ -598,7 +598,7 @@ class TestAssembleQuadratic:
         def weighted_mse(ac):
             test = coeffs.copy()
             test[n, 1:] = ac
-            h = wmmse.effective_channels(blocks, test)
+            h = effective_channels(blocks, test)
             e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v)
             return float(np.sum(weights * w * e))
 
@@ -645,7 +645,7 @@ class TestAssembleQuadratic:
         assert lams.shape == (4, rank) and vecs.shape == (4, rank, rank)
         assert factors.q.shape == (4, t_len - 1, rank)
         point = reference.row_point(factors, coeffs)
-        h = wmmse.effective_channels(blocks, reference.complete_coefficients(factors, point))
+        h = effective_channels(blocks, reference.complete_coefficients(factors, point))
         np.testing.assert_allclose(wmmse.channels_at(factors, point), h, rtol=0, atol=1e-12)
         for n in range(4):
             np.testing.assert_allclose(
@@ -1083,7 +1083,7 @@ class TestUpdateEm:
         assert all(b < a for a, b in zip(kept, kept[1:]))  # the sweep never raises it
 
         completed = wmmse.complete_coefficients(factors, out)
-        expected = wmmse.effective_channels(blocks, completed) @ f_d
+        expected = effective_channels(blocks, completed) @ f_d
         carried = scored[accepted[-1]]
         assert np.linalg.norm(carried - expected) <= 1e-12 * np.linalg.norm(expected)
         rebuilt = full_objective(blocks, completed, f_d, w, v, weights)
@@ -1323,7 +1323,7 @@ class TestAlgorithm:
                 wmmse.sum_rate(wmmse.link_stats(h @ f_d), args[-1])
                 for h in (
                     wmmse.channels_at(factors, fast),
-                    wmmse.effective_channels(blocks, swept),
+                    effective_channels(blocks, swept),
                 )
             ]
             sweeps.append((*rates, not np.array_equal(*kept)))
@@ -1364,7 +1364,7 @@ class TestAlgorithm:
 
         p_max, noise_w = dbm_to_watts(SNR_DB + NOISE_DBM), dbm_to_watts(NOISE_DBM)
         blocks = scenario.em_channels()
-        h = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
+        h = effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         f = np.conj(h).T
         f *= math.sqrt(p_max / np.sum(np.abs(f) ** 2))
         noise = np.full(2, noise_w)
@@ -1409,7 +1409,7 @@ class TestAlgorithm:
     def test_refit_digital_converges(self):
         scenario = small_scenario(8)
         blocks = scenario.em_channels() * wmmse.snr_scale(SNR_DB)
-        h = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
+        h = effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         refit = wmmse.refit_digital(h, scenario.weights)
         rates = [rec.sum_rate for rec in refit.history]
         assert all(b >= a - 1e-8 for a, b in zip(rates, rates[1:]))
@@ -1425,7 +1425,7 @@ class TestAlgorithm:
         config = wmmse.SolverConfig(max_iterations=max_iterations)
         res = wmmse.run_algorithm1(scenario, SNR_DB, config, seed=9, em_update=False)
         blocks = scenario.em_channels() * wmmse.snr_scale(SNR_DB)
-        h_iso = wmmse.effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
+        h_iso = effective_channels(blocks, wmmse.isotropic_coefficients(4, 2))
         refit = wmmse.refit_digital(
             h_iso, scenario.weights, config, f_init=wmmse.matched_filter_precoder(h_iso)
         )
@@ -1468,7 +1468,7 @@ class TestLoopMatchesReference:
             h = wmmse.channels_at(factors, coeffs)
         else:
             coeffs, factors = None, None
-            h = wmmse.effective_channels(
+            h = effective_channels(
                 blocks, wmmse.isotropic_coefficients(n_t, scenario.truncation)
             )
         f_d = wmmse.matched_filter_precoder(h)
@@ -1558,7 +1558,7 @@ class TestOuterStep:
             h = wmmse.channels_at(factors, coeffs)
             x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h), coeffs)
         else:
-            h, factors = wmmse.effective_channels(blocks, coeffs), None
+            h, factors = effective_channels(blocks, coeffs), None
             x = wmmse.Iterate.start(h, wmmse.matched_filter_precoder(h))
         rest = (scenario.weights.tolist(),)
         return x, rest, config, factors
@@ -1667,7 +1667,7 @@ def plain_solve(scenario, snr_db, config):
     """The hybrid baseline's solve without extrapolation: ``outer_step``
     repeated from the same start under ``_alternate``'s stop test.  Returns
     (rate, maps, converged)."""
-    h = wmmse.effective_channels(
+    h = effective_channels(
         scenario.blocks * wmmse.snr_scale(snr_db),
         wmmse.isotropic_coefficients(scenario.geometry.n_t, scenario.truncation),
     )
