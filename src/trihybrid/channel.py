@@ -44,6 +44,11 @@ def _is_number(x) -> bool:
         return False
 
 
+def _within(x, low: float, high: float) -> bool:
+    """A finite number in [low, high]; a bool is not one."""
+    return _is_number(x) and low <= x <= high
+
+
 def _is_numbers(x) -> bool:
     """A list, a tuple or a 1-D array of finite numbers."""
     listlike = isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim == 1
@@ -58,6 +63,18 @@ def _int_rule(low: int) -> tuple:
 
 
 _POSITIVE_RULE = ("a positive finite number", lambda x: _is_number(x) and x > 0)
+
+
+def _norm(x) -> float:
+    """``np.linalg.norm(x)`` of an array, bit for bit: the dot products numpy
+    forms over ``x.ravel(order="K")``, the memory order, without the
+    wrapper's argument handling.  The memory order matters: the sum of a
+    transposed array's squares rounds differently in C order."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 @dataclass(frozen=True)
@@ -100,7 +117,7 @@ def far_field_arv(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
     pv = geom.spacing * math.cos(theta) / geom.wavelength
     ramp_h = np.exp(-2j * math.pi * ph * np.arange(geom.n_h))
     ramp_v = np.exp(-2j * math.pi * pv * np.arange(geom.n_v))
-    return np.kron(ramp_h, ramp_v) / math.sqrt(geom.n_t)
+    return np.multiply.outer(ramp_h, ramp_v).ravel() / math.sqrt(geom.n_t)
 
 
 def near_field_arv(dists: np.ndarray, reference: float, geom: UpaGeometry) -> np.ndarray:
@@ -120,7 +137,7 @@ def path_aods(geom: UpaGeometry, source: np.ndarray, bs_position):
     source = np.asarray(source, dtype=float)
     pos = element_positions(geom) + np.asarray(bs_position, dtype=float)
     diff = source[None, :] - pos
-    dists = np.linalg.norm(diff, axis=1)
+    dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
     if np.any(dists == 0):
         raise ValueError("source coincides with an array element")
     thetas = np.arccos(np.clip(diff[:, 2] / dists, -1.0, 1.0))
@@ -253,11 +270,16 @@ class ScenarioConfig:
 
     RULES = {
         "n_h": _int_rule(1), "n_v": _int_rule(1), "n_users": _int_rule(1), "n_paths": _int_rule(1),
-        "frequency_hz": _POSITIVE_RULE,
-        "bs_position": ("a list of 3 finite numbers", lambda x: _is_numbers(x) and len(x) == 3),
-        "user_radius_m": _POSITIVE_RULE,
-        "weights": ("null or a list of positive finite numbers",
-                    lambda x: x is None or _is_numbers(x) and all(b > 0 for b in x)),
+        # the ranges hold the reference setup with wide margins; far beyond
+        # them every row fails: 1e-300 Hz gives an infinite element spacing,
+        # and weights [1e300, 1], a 1e300 m disc or a base station 1e300 m
+        # up fail every solve
+        "frequency_hz": ("a number in [1e6, 1e15]", lambda x: _within(x, 1e6, 1e15)),
+        "bs_position": ("a list of 3 numbers in [-1e6, 1e6]", lambda x: (
+            _is_numbers(x) and len(x) == 3 and all(_within(c, -1e6, 1e6) for c in x))),
+        "user_radius_m": ("a number in (0, 1e6]", lambda x: _within(x, 0.0, 1e6) and x > 0),
+        "weights": ("null or a list of numbers in [1e-6, 1e6]", lambda x: (
+            x is None or _is_numbers(x) and all(_within(b, 1e-6, 1e6) for b in x))),
         "field_mode": ("'far' or 'near'", lambda x: isinstance(x, str) and x in ("far", "near")),
         "truncation": _int_rule(0),
     }
@@ -281,7 +303,7 @@ def _make_path(geom, bs_position, source, extra_length, alpha, wavelength, far):
     with ``extra_length`` of onward travel; the complex gain carries
     free-space loss over the full path length."""
     thetas, phis, dists = path_aods(geom, source, bs_position)
-    ref = float(np.linalg.norm(np.asarray(source) - np.asarray(bs_position))) + extra_length
+    ref = _norm(np.asarray(source) - np.asarray(bs_position)) + extra_length
     loss = wavelength / (4.0 * math.pi * ref)
     if far:
         return (
@@ -329,7 +351,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
                 source, extra = users[k], 0.0
             else:
                 source = disc_point(rng.uniform(0.0, SCATTERER_HEIGHT_M))
-                extra = float(np.linalg.norm(users[k] - source))
+                extra = _norm(users[k] - source)
             paths.append(
                 _make_path(geom, bs, source, extra, alpha, config.wavelength, far)
             )

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _norm
+
 MAX_ITERATIONS = 200  # cap on alternating steps
 TOLERANCE = 1e-8  # stop once a step lowers the residual by less than this, relative
 
@@ -78,13 +80,13 @@ def _alternating_least_squares(f_d: np.ndarray, n_rf: int, rng) -> tuple:
     extra = rng.standard_normal((n_t, n_rf - k)) + 1j * rng.standard_normal((n_t, n_rf - k))
     f_rf = phase_projection(np.concatenate([f_d, extra], axis=1))
     f_bb = _lstsq(f_rf, f_d)
-    residual = float(np.linalg.norm(f_d - f_rf @ f_bb))
+    residual = _norm(f_d - f_rf @ f_bb)
     history = [residual]
 
     for _ in range(MAX_ITERATIONS):
         cand_rf = phase_projection(f_d @ f_bb.conj().T)
         cand_bb = _lstsq(cand_rf, f_d)
-        cand_res = float(np.linalg.norm(f_d - cand_rf @ cand_bb))
+        cand_res = _norm(f_d - cand_rf @ cand_bb)
         if cand_res > residual:
             break  # projection step no longer helps
         f_rf, f_bb = cand_rf, cand_bb
@@ -118,7 +120,7 @@ def decompose(
     if not k <= n_rf <= n_t:
         raise ValueError(f"need K <= N_RF <= N_T, got K={k}, N_RF={n_rf}, N_T={n_t}")
     if p_max is None:
-        p_max = float(np.sum(np.abs(f_d) ** 2))
+        p_max = float(np.add.reduce(np.abs(f_d) ** 2, axis=None))
     elif not 0 < p_max < math.inf:  # nan fails both comparisons
         raise ValueError(f"p_max must be positive and finite, got {p_max}")
     history = None
@@ -129,10 +131,10 @@ def decompose(
             f_d, n_rf, np.random.default_rng(0 if rng is None else rng)
         )
 
-    power = float(np.sum(np.abs(f_rf @ f_bb) ** 2))
+    power = float(np.add.reduce(np.abs(f_rf @ f_bb) ** 2, axis=None))
     if power > p_max:
         f_bb = f_bb * math.sqrt(p_max / power)
-    final_residual = float(np.linalg.norm(f_d - f_rf @ f_bb))
+    final_residual = _norm(f_d - f_rf @ f_bb)
     return HybridFactors(
         f_rf=f_rf,
         f_bb=f_bb,

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, fields, replace
 
 from .channel import ScenarioConfig, generate_scenario
-from .channel import _check_rules, _int_rule, _is_number, _is_numbers
+from .channel import _check_rules, _int_rule, _is_numbers, _within
 from .decomposition import decompose
 from .projection import (
     CandidatePatternSet,
@@ -42,6 +42,11 @@ MODES = ("trihybrid", "hybrid", "projected")
 CSV_HEADER = (
     "seed,mode,pmax_dbm,sum_rate,iterations,decomp_residual,projected_sum_rate,wall_ms"
 )
+# The largest p_max/noise a run takes, in dB.  Above it the received SNR is
+# so high that the weight update degenerates (v_k p_kk rounds to 1): at the
+# default setup, far and near field, no row fails at 225 or 230 dB on seeds
+# 1..12, and 12 of 18 rows fail at 235 dB on seeds 1..3.
+MAX_SNR_DB = 230.0
 
 
 class ConfigError(ValueError):
@@ -50,17 +55,6 @@ class ConfigError(ValueError):
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def _check_ratio(name: str, db: float, what: str) -> None:
-    """Raise a ValueError naming the config field ``name`` when ``what``, a
-    power ratio of ``db`` decibels, overflows or underflows to 0."""
-    try:
-        ratio = 10.0 ** (db / 10.0)
-    except OverflowError:
-        raise ValueError(f"{name}: {what} overflows") from None
-    if ratio == 0.0:
-        raise ValueError(f"{name}: {what} underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -72,8 +66,7 @@ class RunConfig(ScenarioConfig, SolverConfig):
     A RunConfig is the library's ``ScenarioConfig`` and ``SolverConfig``,
     whose fields it inherits and whose checks it runs, plus the batch's own
     fields below; ``generate_scenario`` and the solves take it as it is.
-    Every power's budget in watts and its budget over the noise must be
-    finite and nonzero."""
+    Every power's budget over the noise must be at most MAX_SNR_DB."""
 
     n_rf: int = 4
     noise_dbm: float = -95.0
@@ -88,12 +81,13 @@ class RunConfig(ScenarioConfig, SolverConfig):
 
     RULES = {
         "n_rf": _int_rule(1),  # and within n_users..n_h*n_v, checked below
-        "noise_dbm": ("a finite number", _is_number),
+        "noise_dbm": ("a number in [-250, 250]", lambda x: _within(x, -250.0, 250.0)),
         "mode": ("'trihybrid', 'hybrid', 'projected' or 'all'",
                  lambda x: isinstance(x, str) and x in MODES + ("all",)),
         "trials": _int_rule(1),
         "seed": _int_rule(0),
-        "pmax_dbm": ("a nonempty list of finite numbers", lambda x: _is_numbers(x) and len(x) > 0),
+        "pmax_dbm": ("a nonempty list of numbers in [-250, 250]", lambda x: (
+            _is_numbers(x) and len(x) > 0 and all(_within(p, -250.0, 250.0) for p in x))),
         "patterns_path": ("null or a string", lambda x: x is None or isinstance(x, str)),
         "refit": ("true or false", lambda x: type(x) is bool),
         "out_path": ("a string", lambda x: isinstance(x, str)),
@@ -104,9 +98,9 @@ class RunConfig(ScenarioConfig, SolverConfig):
         try:
             _check_rules(RunConfig, self)
             for pmax_dbm in self.pmax_dbm:  # reject bad knobs before any trial runs
-                _check_ratio("pmax_dbm", pmax_dbm - 30.0, f"{pmax_dbm} dBm in watts")
-                _check_ratio("noise_dbm", pmax_dbm - self.noise_dbm,
-                             f"p_max/noise at {pmax_dbm} and {self.noise_dbm} dBm")
+                if pmax_dbm - self.noise_dbm > MAX_SNR_DB:
+                    raise ValueError(f"pmax_dbm: p_max/noise at {pmax_dbm:g} and "
+                                     f"{self.noise_dbm:g} dBm exceeds {MAX_SNR_DB:g} dB")
             ScenarioConfig.__post_init__(self)
             SolverConfig.__post_init__(self)
             if self.mode != "hybrid":

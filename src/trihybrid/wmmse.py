@@ -74,8 +74,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from .channel import Scenario, _check_rules, _int_rule, _is_number
+from .channel import Scenario, _check_rules, _int_rule, _is_number, _norm
 from .harmonics import FULL_SPHERE, truncation_length
 
 EPS = sys.float_info.epsilon
@@ -101,6 +102,7 @@ MULTIPLIER_TOL = 1e-10  # relative constraint residual at which a multiplier sto
 STEP_BOUND_PATTERN = 1.0
 STEP_BOUND_FIXED = math.inf
 STEP_GROWTH = 3.0
+EIGH_FAILED = "Eigenvalues did not converge"  # numpy.linalg's text for a failed eigh
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ def link_stats(p) -> Links:
     """The statistics of the links ``p`` that the v, w, MSE and rate
     functions read, formed once per change of p."""
     powers = np.abs(p) ** 2
-    return Links(p.diagonal().tolist(), powers.diagonal().tolist(), powers.sum(axis=1).tolist())
+    received = np.add.reduce(powers, axis=1)
+    return Links(p.diagonal().tolist(), powers.diagonal().tolist(), received.tolist())
 
 
 def sum_rate(links: Links, weights) -> float:
@@ -251,6 +254,29 @@ def _secular_shift(x_sq, shift, target, what) -> float:
     )
 
 
+def _eigh(a):
+    """``np.linalg.eigh(a)`` of a float64 or complex128 (..., n, n) stack, bit
+    for bit: numpy's own LAPACK gufunc, called as numpy.linalg calls it but
+    without its per-call checks and ``np.errstate``, which cost as much as
+    the kernel at these sizes.  Where LAPACK fails, the gufunc fills NaN, as
+    under numpy.linalg before that raises; each caller raises the same
+    ``LinAlgError(EIGH_FAILED)`` on a NaN eigenvalue, from the values it
+    already holds."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def _qr(a):
+    """``np.linalg.qr(a)``, the reduced (Q, R), of a float64 or complex128
+    (..., m, n) stack, bit for bit, from numpy's own LAPACK gufuncs without
+    the wrapper's checks and ``np.errstate``: the Householder factors on a
+    copy in ``a``'s memory order, Q from them, and R their upper triangle."""
+    a = a.copy(order="K")
+    real = a.dtype.kind != "c"
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d" if real else "D->D")
+    q = _umath_linalg.qr_reduced(a, tau, signature="dd->d" if real else "DD->D")
+    return q, np.triu(a[..., : tau.shape[-1], :])
+
+
 def update_fd(basis, w, v, weights) -> np.ndarray:
     """Fully digital precoder under the unit power budget.
 
@@ -266,16 +292,19 @@ def update_fd(basis, w, v, weights) -> np.ndarray:
     rank-deficient H; otherwise the secular solver matches the power to 1
     within MULTIPLIER_TOL, with the bracket's lower end at mu = 0.
     The channel enters only as ``basis``, its thin QR (Q, R) =
-    ``np.linalg.qr(np.conj(channels).T)``, which the loop forms once per H.
+    ``_qr(np.conj(channels).T)``, which the loop forms once per H.
     The K terms after the eigensolve (clamp, ||b~_i||^2, cutoff, power at
     mu = 0, scale) are Python floats.
     """
     q, r = basis
     gw, bwv = _user_scales(w, v, weights)
     m = (r * gw) @ np.conj(r).T
-    eigvals, u = np.linalg.eigh(m)
+    eigvals, u = _eigh(m)
     bt = np.conj(u).T @ (r * [z.conjugate() for z in bwv])  # (r, K)
-    lams = [max(lam, 0.0) for lam in eigvals.tolist()]
+    lams = eigvals.tolist()
+    if any(map(math.isnan, lams)):
+        raise LinAlgError(EIGH_FAILED)
+    lams = [max(lam, 0.0) for lam in lams]
     bt_sq = []
     for row in bt.tolist():
         total = 0.0
@@ -314,7 +343,7 @@ def factor_ac_blocks(blocks, eta) -> AcFactors:
     with R = R_X + i R_Y; returns it with the DC ``eta`` and its fixed part."""
     k = blocks.shape[0]
     columns = blocks[:, :, 1:].transpose(1, 2, 0)
-    q, r = np.linalg.qr(np.concatenate((columns.real, columns.imag), axis=2))
+    q, r = _qr(np.concatenate((columns.real, columns.imag), axis=2))
     r = r[:, :, :k] + 1j * r[:, :, k:]
     return AcFactors(eta, FULL_SPHERE - eta * eta, eta * blocks[:, :, 0], q, r)
 
@@ -342,8 +371,10 @@ def assemble_quadratic(factors: AcFactors, f_d, w, v, weights):
     """
     r = factors.r
     gw, _ = _user_scales(w, v, weights)
-    scale = 2.0 * np.sum(np.abs(f_d) ** 2, axis=1)[:, None] * np.array(gw)
-    lams, u = np.linalg.eigh(((np.conj(r) * scale[:, None, :]) @ r.transpose(0, 2, 1)).real)
+    scale = 2.0 * np.add.reduce(np.abs(f_d) ** 2, axis=1)[:, None] * np.array(gw)
+    lams, u = _eigh(((np.conj(r) * scale[:, None, :]) @ r.transpose(0, 2, 1)).real)
+    if np.isnan(lams).any():
+        raise LinAlgError(EIGH_FAILED)
     return lams, u, u.transpose(0, 2, 1) @ r
 
 
@@ -359,10 +390,10 @@ def _cluster_direction(span, complement=False) -> np.ndarray:
         return x - inside if complement else inside
 
     z = project(np.ones(dim))
-    if np.linalg.norm(z) <= 1e-8 * math.sqrt(dim):
-        weight = np.sum(span**2, axis=1)
+    if _norm(z) <= 1e-8 * math.sqrt(dim):
+        weight = np.add.reduce(span**2, axis=1)
         z = project(np.eye(1, dim, np.argmin(weight) if complement else np.argmax(weight))[0])
-    return z / np.linalg.norm(z)
+    return z / _norm(z)
 
 
 def solve_ac_subproblem(lams, vecs, dt, rho_sq, basis):
@@ -479,7 +510,7 @@ def _null_sq(factors: AcFactors, coeffs) -> np.ndarray:
     squared norm the null space of Q_n = ``factors.q[n]`` takes up; 0 where
     there is none, and where a_n lies within MULTIPLIER_TOL of its sphere,
     the band in which the secular solve stops."""
-    missing = factors.rho_sq - np.sum(coeffs**2, axis=1)
+    missing = factors.rho_sq - np.add.reduce(coeffs**2, axis=1)
     ball = factors.q.shape[1] > factors.q.shape[2]
     return np.where(ball & (missing > MULTIPLIER_TOL * factors.rho_sq), missing, 0.0)
 
@@ -505,7 +536,7 @@ def initial_coefficients(
     radius = math.sqrt(FULL_SPHERE - eta * eta)
     for n in range(n_antennas):
         direction = rng.standard_normal(t_len - 1)
-        direction /= np.linalg.norm(direction)
+        direction /= _norm(direction)
         coeffs[n, 0] = eta
         coeffs[n, 1:] = radius * direction
     return coeffs
@@ -521,7 +552,7 @@ def isotropic_coefficients(n_antennas: int, degree: int) -> np.ndarray:
 def matched_filter_precoder(channels: np.ndarray) -> np.ndarray:
     """Conjugate matched-filter columns scaled to the full (unit) power budget."""
     f = np.conj(channels).T
-    total = float(np.sum(np.abs(f) ** 2))
+    total = float(np.add.reduce(np.abs(f) ** 2, axis=None))
     if total == 0.0:
         raise ValueError("cannot initialize the precoder on an all-zero channel")
     return f * math.sqrt(1.0 / total)
@@ -560,7 +591,7 @@ class Iterate(NamedTuple):
         ``w``, every one at one by default, as a solve starts: the one place
         that forms a channel's QR, here with the links' statistics."""
         w = [1.0] * h.shape[0] if w is None else w
-        return cls(f_d, coeffs, w, h, np.linalg.qr(np.conj(h).T), link_stats(h @ f_d))
+        return cls(f_d, coeffs, w, h, _qr(np.conj(h).T), link_stats(h @ f_d))
 
 
 @dataclass(eq=False)
@@ -634,25 +665,25 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
     (f_0, c_0), (f_1, c_1) = inputs
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
-    norm_r, norm_u = float(np.linalg.norm(r)), float(np.linalg.norm(u))
+    norm_r, norm_u = _norm(r), _norm(u)
     if factors is not None:
         r_c, u_c = c_1 - c_0, x.coeffs - 2.0 * c_1 + c_0
-        norm_r = math.hypot(norm_r, float(np.linalg.norm(r_c)))
-        norm_u = math.hypot(norm_u, float(np.linalg.norm(u_c)))
+        norm_r = math.hypot(norm_r, _norm(r_c))
+        norm_u = math.hypot(norm_u, _norm(u_c))
     if not norm_r > norm_u > 0.0:
         return x, False
     alpha = max(-norm_r / norm_u, -bound)
     if alpha >= -1.0:  # a bound of 1 clamps the step to the plain map's
         return x, True
     f_d = f_0 - 2.0 * alpha * r + alpha * alpha * u
-    power = float(np.sum(np.abs(f_d) ** 2))
+    power = float(np.add.reduce(np.abs(f_d) ** 2, axis=None))
     if power > 1.0:
         f_d = f_d * math.sqrt(1.0 / power)
     if factors is None:
         start = x._replace(f_d=f_d, links=link_stats(x.h @ f_d))
     else:
         coeffs = c_0 - 2.0 * alpha * r_c + alpha * alpha * u_c
-        scale = np.sqrt(factors.rho_sq / np.sum(coeffs**2, axis=1))
+        scale = np.sqrt(factors.rho_sq / np.add.reduce(coeffs**2, axis=1))
         inside = _null_sq(factors, x.coeffs) > 0.0
         coeffs *= np.where(inside, np.minimum(scale, 1.0), scale)[:, None]
         start = Iterate.start(channels_at(factors, coeffs), f_d, coeffs)

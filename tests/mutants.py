@@ -27,6 +27,7 @@ PATTERN_SOLVE = "tests/test_wmmse.py::TestPatternSolveInvariance"
 PER_USER_ORACLE = "tests/test_wmmse.py::test_per_user_functions_match_numpy_oracles"
 MONOTONE_CHAIN = "tests/test_acceptance.py::test_criterion_04_wmmse_monotonicity"
 GOLDEN_PANEL = "tests/test_golden.py::test_panel_matches_golden_rows"
+KERNELS = "tests/test_linalg_kernels.py"
 
 MUTANTS = (
     Mutant(
@@ -219,6 +220,37 @@ MUTANTS = (
         "        h = math.sqrt(FULL_SPHERE) * blocks[:, :, 0]\n",
         "        h = blocks[:, :, 0]\n",
         ("tests/test_wmmse.py::TestAlgorithm::test_refit_digital_is_the_frozen_pattern_loop",),
+    ),
+    Mutant(
+        "_norm sums a transposed array's squares in C order",
+        "src/trihybrid/channel.py",
+        '    x = x.ravel(order="K")\n',
+        "    x = x.ravel()\n",
+        (f"{KERNELS}::test_norm_is_numpys_in_memory_order",),
+    ),
+    Mutant(
+        "the QR helper keeps the Householder vectors below R's diagonal",
+        WMMSE,
+        "np.triu(a[..., : tau.shape[-1], :])",
+        "a[..., : tau.shape[-1], :]",
+        (f"{KERNELS}::test_qr_r_is_upper_triangular", f"{KERNELS}::test_qr_of_a_channel_is_numpys"),
+    ),
+    Mutant(
+        "update_fd reads a NaN eigenvalue without raising",
+        WMMSE,
+        "    if any(map(math.isnan, lams)):\n        raise LinAlgError(EIGH_FAILED)\n",
+        "",
+        (
+            f"{KERNELS}::TestNanEigenvalueRaises::test_update_fd",
+            f"{KERNELS}::TestNanEigenvalueRaises::test_nan_channel_fails_its_row_with_numpys_text",
+        ),
+    ),
+    Mutant(
+        "assemble_quadratic reads a NaN eigenvalue without raising",
+        WMMSE,
+        "    if np.isnan(lams).any():\n        raise LinAlgError(EIGH_FAILED)\n",
+        "",
+        (f"{KERNELS}::TestNanEigenvalueRaises::test_assemble_quadratic",),
     ),
     Mutant(
         "the trace writer puts the objective in the sum_rate column",

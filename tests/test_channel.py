@@ -468,7 +468,7 @@ class TestScenarioGeneration:
                     dict(frequency_hz=-1.0), dict(user_radius_m=0.0)):
             # each check names its own field
             (name,) = bad
-            with pytest.raises(ValueError, match=f"^{name}: must be a positive finite number"):
+            with pytest.raises(ValueError, match=f"^{name}: must be a number in "):
                 ch.ScenarioConfig(**bad)
         for bs in ((0.0, float("nan"), 10.0), (0.0, 10.0)):
             with pytest.raises(ValueError, match="bs_position"):

@@ -1281,6 +1281,14 @@ class TestCli:
             {"user_radius_m": 0.0},
             {"pmax_dbm": []},
             {"workers": 0},
+            # beyond each knob's range every row of a drop fails
+            {"frequency_hz": 1e-300},
+            {"weights": [1e300, 1]},
+            {"pmax_dbm": [300]},
+            {"noise_dbm": -300},
+            {"user_radius_m": 1e300},
+            {"bs_position": [0, 0, 1e300]},
+            {"pmax_dbm": [0, 140]},  # 235 dB over the noise, above MAX_SNR_DB
         ],
         ids=["weights-length", "weights-sign", "field-mode", "truncation", "eta",
              "max-iterations", "pmax-overflow", "noise-nan", "noise-inf",
@@ -1297,7 +1305,9 @@ class TestCli:
              "bs-position-string-entry",
              "bs-position-scalar", "out-path-int", "patterns-path-int", "mode-int",
              "noise-overflow", "noise-underflow", "tolerance-negative",
-             "frequency-negative", "radius-zero", "pmax-empty", "workers-zero"],
+             "frequency-negative", "radius-zero", "pmax-empty", "workers-zero",
+             "frequency-tiny", "weights-huge", "pmax-huge", "noise-tiny", "radius-huge",
+             "bs-position-huge", "snr-above-ceiling"],
     )
     def test_malformed_knob_is_config_error(self, tmp_path, capsys, bad):
         # rejected before any trial runs, not turned into NaN rows; the file
@@ -1314,6 +1324,23 @@ class TestCli:
         assert err.startswith(tuple(prefix + key + end for key in bad for end in ":,\n")), err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_knob_ranges_hold_their_ends(self):
+        # each range is closed where it is written with a bracket
+        for ends in (
+            dict(frequency_hz=1e6, user_radius_m=1e6, weights=[1e-6, 1e6],
+                 bs_position=[-1e6, 1e6, 0], pmax_dbm=[-250, 250], noise_dbm=250),
+            dict(frequency_hz=1e15, noise_dbm=-250, pmax_dbm=[-20]),
+        ):
+            hn.RunConfig(**ends)
+
+    def test_snr_ceiling_admits_225_db_and_its_drops_run_clean(self):
+        config = hn.RunConfig(mode="all", pmax_dbm=(130.0,), noise_dbm=-95.0)
+        for field_mode in ("far", "near"):
+            for seed in (1, 2, 3):
+                rows = hn.run_drop(dataclasses.replace(config, field_mode=field_mode), seed,
+                                   hn.load_candidate_set(config))
+                assert [r.error for r in rows] == [None] * 3
 
     @pytest.mark.parametrize("command", ["run", "trace"])
     @pytest.mark.parametrize(
