@@ -80,7 +80,6 @@ from .channel import Scenario, _check_rules, _int_rule, _is_number, _norm
 from .harmonics import FULL_SPHERE, truncation_length
 
 EPS = sys.float_info.epsilon
-DEGENERACY_TOL = 1e-14
 # Backward error of an n x n eigensolve, in units of n * eps * max|lam|:
 # eigenvalues this close to the pole form one cluster, and weight of d on that
 # cluster below this level is rounding noise.
@@ -186,15 +185,11 @@ def update_v(links: Links) -> list:
     return [g.conjugate() * (1.0 / (r + 1.0)) for g, r in zip(links.gains, links.received)]
 
 
-def update_w(links: Links, v) -> list:
-    """MSE weights w_k = 1 / (1 - v_k p_kk); equals 1/e_k for fresh v."""
-    deltas = [1.0 - vk * g for vk, g in zip(v, links.gains)]
-    if any(abs(delta) < DEGENERACY_TOL for delta in deltas):
-        raise RuntimeError("weight update degenerate: v_k p_kk is numerically 1")
-    w = [(1.0 / delta).real for delta in deltas]
-    if any(wk <= 0 for wk in w):
-        raise RuntimeError("weight update produced a non-positive weight")
-    return w
+def update_w(links: Links) -> list:
+    """MSE weights w_k = 1 + SINR_k, which is 1/e_k at the fresh combiner
+    ``update_v(links)``.  The received power sums nonnegative terms that
+    include the desired one, so r - s >= 0 and every weight is at least 1."""
+    return [1.0 + s / (1.0 + (r - s)) for s, r in zip(links.signal, links.received)]
 
 
 def _user_scales(w, v, weights):
@@ -317,7 +312,7 @@ def update_fd(basis, w, v, weights) -> np.ndarray:
     power0 = 0.0
     for x, lam in zip(bt_sq, lams):
         if lam > cutoff:
-            power0 += x / (lam * lam)
+            power0 += x / lam / lam  # lam * lam may underflow to 0
     if power0 <= 1.0:
         scale = [1.0 / lam if lam > cutoff else 0.0 for lam in lams]
         return (q @ u) @ (np.array(scale)[:, None] * bt)
@@ -623,7 +618,7 @@ def outer_step(x: Iterate, it, weights, factors):
     e = mse_vector(x.links, v)
     obj_v = wmmse_objective(x.w, e, weights)
     t_v = time.perf_counter()
-    w = update_w(x.links, v)
+    w = update_w(x.links)
     obj_w = wmmse_objective(w, e, weights)
     t_w = time.perf_counter()
     f_d = update_fd(x.basis, w, v, weights)
@@ -657,11 +652,11 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
     constraint that x_2's holds: one inside its ball
     (``_null_sq`` > 0) is scaled back onto the ball only when it leaves it,
     any other onto its sphere.  ``Iterate.start`` forms the new channel's
-    QR and links.  x' carries a fresh w from a fresh v at its links, so the
-    map's objective after v is sum(beta) - ln 2 rate(x').  Returns (x or
-    x', whether the step used the bound in full, alpha = -bound).  It
-    decides nothing and runs no map: ``_alternate`` alone keeps or rejects
-    x' and moves the bound."""
+    QR and links.  x' carries a fresh w from its links, so the map's
+    objective after v is sum(beta) - ln 2 rate(x').  Returns (x or x',
+    whether the step used the bound in full, alpha = -bound).  It decides
+    nothing and runs no map: ``_alternate`` alone keeps or rejects x' and
+    moves the bound."""
     (f_0, c_0), (f_1, c_1) = inputs
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
@@ -687,7 +682,7 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
         inside = _null_sq(factors, x.coeffs) > 0.0
         coeffs *= np.where(inside, np.minimum(scale, 1.0), scale)[:, None]
         start = Iterate.start(channels_at(factors, coeffs), f_d, coeffs)
-    return start._replace(w=update_w(start.links, update_v(start.links))), alpha == -bound
+    return start._replace(w=update_w(start.links)), alpha == -bound
 
 
 def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:

@@ -40,10 +40,8 @@ MUTANTS = (
     Mutant(
         "update_w returns its weights in reverse user order",
         WMMSE,
-        '        raise RuntimeError("weight update produced a non-positive weight")\n'
-        "    return w\n",
-        '        raise RuntimeError("weight update produced a non-positive weight")\n'
-        "    return w[::-1]\n",
+        "zip(links.signal, links.received)]\n",
+        "zip(links.signal, links.received)][::-1]\n",
         (f"{FIXED_CHANNEL}::test_user_permutation", f"{PATTERN_SOLVE}::test_user_permutation"),
     ),
     Mutant(
@@ -59,11 +57,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "update_w returns 1 / (1 + v_k p_kk)",
+        "update_w returns 1 / (1 + SINR_k), the MSE rather than its inverse",
         WMMSE,
-        "    deltas = [1.0 - vk * g for vk, g in zip(v, links.gains)]\n",
-        "    deltas = [1.0 + vk * g for vk, g in zip(v, links.gains)]\n",
-        (PER_USER_ORACLE, "tests/test_wmmse.py::test_weight_update_failures_match_numpy_oracle"),
+        "    return [1.0 + s / (1.0 + (r - s)) for",
+        "    return [1.0 / (1.0 + s / (1.0 + (r - s))) for",
+        (PER_USER_ORACLE, "tests/test_wmmse.py::test_weights_match_numpy_oracle_up_to_high_sinr"),
     ),
     Mutant(
         "the projection's selection reads the pattern's AC coefficients",
@@ -234,6 +232,13 @@ MUTANTS = (
         "np.triu(a[..., : tau.shape[-1], :])",
         "a[..., : tau.shape[-1], :]",
         (f"{KERNELS}::test_qr_r_is_upper_triangular", f"{KERNELS}::test_qr_of_a_channel_is_numpys"),
+    ),
+    Mutant(
+        "update_fd squares an eigenvalue before dividing by it, which underflows",
+        WMMSE,
+        "power0 += x / lam / lam",
+        "power0 += x / (lam * lam)",
+        ("tests/test_harness.py::TestPhysicalKnobs::test_named_case_runs_clean[bottom-corner-far]",),
     ),
     Mutant(
         "update_fd reads a NaN eigenvalue without raising",

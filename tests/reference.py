@@ -21,7 +21,8 @@ oracles of the batched code in ``trihybrid``.
   the budget are their arguments.  The functions of the same names in
   ``wmmse``, which run them on Python floats from ``link_stats`` in SNR
   units, must match them at unit noise and unit budget to a relative 1e-12
-  (``PER_USER_RTOL`` in ``test_wmmse``).
+  (``PER_USER_RTOL`` in ``test_wmmse``), the weights to a bound that grows
+  with the SINR (``assert_weights_match``).
 * ``sum_rate_loss`` is the rate a decomposition gives up, in watts:
   ``sum_rate`` of the links H F_D less that of H F_RF F_BB.
 * ``solve_ac_subproblem`` is the pattern subproblem with its 2K-term
@@ -68,7 +69,6 @@ from trihybrid.projection import CandidatePattern, CandidatePatternSet, grid_pow
 from trihybrid import wmmse
 from trihybrid.wmmse import (
     CLUSTER_ULPS,
-    DEGENERACY_TOL,
     EPS,
     MULTIPLIER_STEPS,
     MULTIPLIER_TOL,
@@ -262,15 +262,12 @@ def update_v(p, noise_powers) -> np.ndarray:
     return np.conj(np.diag(p)) / denom
 
 
-def update_w(p, v) -> np.ndarray:
-    """MSE weights of the links p, from p itself, in numpy."""
-    delta = 1.0 - v * np.diag(p)
-    if np.any(np.abs(delta) < DEGENERACY_TOL):
-        raise RuntimeError("weight update degenerate: v_k p_kk is numerically 1")
-    w = np.real(1.0 / delta)
-    if np.any(w <= 0):
-        raise RuntimeError("weight update produced a non-positive weight")
-    return w
+def update_w(p, noise_powers) -> np.ndarray:
+    """MSE weights 1 / e_k = 1 / (1 - v_k p_kk) of the links p at the fresh
+    combiner ``update_v(p, noise_powers)``, in numpy.  The subtraction
+    cancels as SINR_k nears 1/eps, which ``wmmse.update_w``'s 1 + SINR_k
+    does not, so the two agree only to a bound that grows with the SINR."""
+    return np.real(1.0 / (1.0 - update_v(p, noise_powers) * np.diag(p)))
 
 
 def update_fd(basis, w, v, weights, p_max) -> np.ndarray:
@@ -371,7 +368,7 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
         v = wmmse.update_v(wmmse.link_stats(p))
         obj_v = objective(p, v, w)
         t_v = time.perf_counter()
-        w = wmmse.update_w(wmmse.link_stats(p), v)
+        w = wmmse.update_w(wmmse.link_stats(p))
         obj_w = objective(p, v, w)
         t_w = time.perf_counter()
         f_d = wmmse.update_fd(np.linalg.qr(np.conj(h).T), w, v, weights)
@@ -451,7 +448,7 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
             f_x, c_x = start
             h_x = h if factors is None else channels(c_x)
             p_x = h_x @ f_x
-            w_x = wmmse.update_w(wmmse.link_stats(p_x), wmmse.update_v(wmmse.link_stats(p_x)))
+            w_x = wmmse.update_w(wmmse.link_stats(p_x))
             h_y, f_y, w_y, c_y, record = one_map(it, h_x, f_x, w_x, c_x)
             last = history[-1]
             if not (record.sum_rate > last.sum_rate

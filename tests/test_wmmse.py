@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, example, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 import reference
 from dense_oracle import (
@@ -204,30 +204,35 @@ class TestUpdateV:
 
 class TestUpdateW:
     def test_arithmetic_example(self):
+        # one user with link 0.5: SINR = 0.25 / (1 + 0), so w = 1.25
         h = np.array([[0.5 + 0j]])
         f = np.array([[1.0 + 0j]])
-        w = wmmse.update_w(wmmse.link_stats(h @ f), np.array([1.0 + 0j]))
-        assert w[0] == pytest.approx(2.0)
-
-    def test_zero_combiner(self):
-        h = np.ones((2, 2), dtype=complex)
-        links = wmmse.link_stats(h @ np.ones((2, 2)))
-        w = wmmse.update_w(links, np.zeros(2, dtype=complex))
-        np.testing.assert_allclose(w, [1.0, 1.0])
+        assert wmmse.update_w(wmmse.link_stats(h @ f)) == [1.25]
 
     def test_mmse_identity_after_fresh_v(self):
         blocks, coeffs, f_d, _, _, _ = random_instance(11)
         h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
-        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d))
         e = wmmse.mse_vector(wmmse.link_stats(h @ f_d), v)
         np.testing.assert_allclose(np.multiply(w, e), 1.0, atol=1e-8)
 
-    def test_degenerate_combiner_rejected(self):
-        h = np.array([[1.0 + 0j]])
-        f = np.array([[1.0 + 0j]])
-        with pytest.raises(RuntimeError):
-            wmmse.update_w(wmmse.link_stats(h @ f), np.array([1.0 + 1e-16j]))
+    @pytest.mark.parametrize("gain", [0.0, 0.7, 3.0 - 4.0j, 1e150])
+    def test_single_user_sees_no_interference(self, gain):
+        # one user receives its own link alone, r = s: the weight is 1 + s
+        # with no rounding left to cancel, exactly 1 for a dead link
+        links = wmmse.link_stats(np.array([[gain]], dtype=complex))
+        assert links.received == links.signal
+        assert wmmse.update_w(links) == [1.0 + links.signal[0]]
+
+    def test_weight_at_an_sinr_beyond_one_over_eps(self):
+        # at an SINR of 1e200, 1 - v_k p_kk is rounding noise and 1 / (1 -
+        # v_k p_kk) has lost every digit; 1 + SINR_k is the SINR itself
+        p = np.array([[1e100, 1e-100], [1e-100, 1e100]], dtype=complex)
+        links = wmmse.link_stats(p)
+        v = wmmse.update_v(links)
+        assert all(abs(1.0 - vk * g) < 1e-14 for vk, g in zip(v, links.gains))
+        assert wmmse.update_w(links) == pytest.approx([1e200, 1e200], rel=1e-15)
 
 
 class TestUpdateFd:
@@ -242,7 +247,7 @@ class TestUpdateFd:
         blocks, coeffs, f_d, v, w, weights = random_instance(5, n_users=4, n_t=4)
         h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
-        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d))
         coef = weights * w * np.abs(v) ** 2
         m = np.conj(h).T @ (coef[:, None] * h)
         b = np.conj(h).T * (weights * w * np.conj(v))[None, :]
@@ -256,7 +261,7 @@ class TestUpdateFd:
         blocks, coeffs, f_d, v, w, weights = random_instance(9)
         h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
-        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d))
         out = wmmse.update_fd(qr_basis(1e-2 * h), w, v, weights)  # a budget of 1e-4 on h
         assert abs(np.sum(np.abs(out) ** 2) - 1.0) <= 1e-8
 
@@ -276,7 +281,7 @@ class TestUpdateFd:
             blocks, coeffs, f_d, v, w, weights = random_instance(seed + 100)
             h = effective_channels(blocks, coeffs)
             v = wmmse.update_v(wmmse.link_stats(h @ f_d))
-            w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
+            w = wmmse.update_w(wmmse.link_stats(h @ f_d))
             p_max = float(10.0 ** np.random.default_rng(seed).uniform(-6, 2))
             out = wmmse.update_fd(qr_basis(math.sqrt(p_max) * h), w, v, weights)
             assert np.sum(np.abs(out) ** 2) <= 1.0 + 1e-8
@@ -324,7 +329,7 @@ class TestUpdateFd:
         blocks, coeffs, f_d, v, w, weights = random_instance(9)
         h = effective_channels(blocks, coeffs)
         v = wmmse.update_v(wmmse.link_stats(h @ f_d))
-        w = wmmse.update_w(wmmse.link_stats(h @ f_d), v)
+        w = wmmse.update_w(wmmse.link_stats(h @ f_d))
         with pytest.raises(RuntimeError, match="Newton .* relative power residual"):
             wmmse.update_fd(qr_basis(1e-2 * h), w, v, weights)
 
@@ -376,7 +381,7 @@ class TestUpdateFd:
         h = effective_channels(blocks, coeffs)
         links = wmmse.link_stats(h @ f_d)
         v = wmmse.update_v(links)
-        w = wmmse.update_w(links, v)
+        w = wmmse.update_w(links)
         for gain in (1e-2, 1e2):  # budgets of 1e-4 and 1e4 on h
             basis = qr_basis(gain * h)
             fresh = wmmse.update_fd(qr_basis(gain * h), w, v, weights)
@@ -414,25 +419,22 @@ def test_secular_shift_matches_vectorized_oracle(x_sq, shifts, log_ratio):
 # oracles in ``reference`` on arrays.  Sums of more than two terms may be
 # added in another order, and math.log/log2 may round the last bit unlike
 # numpy's, so the two agree to this relative tolerance: elementwise for the
-# per-user vectors (the weights at least, see ``assert_weights_match``), in
+# per-user vectors (the weights excepted, see ``assert_weights_match``), in
 # Frobenius norm for F_D, and relative to the sum of the terms' magnitudes
 # for the objective and the sum rate.
 PER_USER_RTOL = 1e-12
 
 
-def assert_weights_match(got, want, p, v):
-    """``update_w``'s weights against the oracle's, user by user.  w_k is the
-    real part of 1 / (1 - v_k p_kk), and a last-bit difference in v_k p_kk
-    (numpy's vectorized complex product may round unlike Python's) grows by
-    |v_k p_kk| / |Re(1 - v_k p_kk)| where 1 - Re(v_k p_kk) cancels, so each
-    user's bound widens to that factor times a few eps; well-conditioned
-    users keep PER_USER_RTOL."""
-    product = np.asarray(v) * np.diag(p)
-    with np.errstate(divide="ignore"):
-        growth = np.abs(product) / np.abs(np.real(1.0 - product))
-    rtol = np.maximum(PER_USER_RTOL, 4.0 * np.finfo(float).eps * growth)
+def assert_weights_match(got, want):
+    """``update_w``'s weights 1 + SINR_k against the oracle's 1 / (1 - v_k
+    p_kk) at the fresh combiner, user by user.  A last-bit error in v_k p_kk
+    = SINR_k / (1 + SINR_k) grows by |v_k p_kk| / |1 - v_k p_kk| = SINR_k =
+    w_k - 1 where the subtraction cancels, so each user's bound widens to
+    that factor times a few eps; users of small SINR keep PER_USER_RTOL."""
+    want = np.asarray(want)
+    rtol = np.maximum(PER_USER_RTOL, 8.0 * np.finfo(float).eps * (want - 1.0))
     gap = np.abs(np.asarray(got) - want)
-    assert np.all(gap <= rtol * np.abs(want)), (gap / np.abs(want), rtol)
+    assert np.all(gap <= rtol * want), (gap / want, rtol)
 
 
 def per_user_instance(seed, n_users):
@@ -454,18 +456,8 @@ def per_user_instance(seed, n_users):
     )
 
 
-def outcome(update, *args):
-    """What ``update`` returns, or the text of the RuntimeError it raises."""
-    try:
-        return np.asarray(update(*args))
-    except RuntimeError as err:
-        return str(err)
-
-
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(n_users=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-# 1 - Re(v_0 p_00) = 2e-5 here, and the two forms' v_0 p_00 differ in a last bit
-@example(n_users=3, seed=389068768)
 def test_per_user_functions_match_numpy_oracles(n_users, seed):
     rng, p, v_any, weights, w_any = per_user_instance(seed, n_users)
     links = wmmse.link_stats(p)
@@ -473,8 +465,8 @@ def test_per_user_functions_match_numpy_oracles(n_users, seed):
 
     v = wmmse.update_v(links)
     np.testing.assert_allclose(v, reference.update_v(p, noise), rtol=PER_USER_RTOL)
-    w = wmmse.update_w(links, v)
-    assert_weights_match(w, reference.update_w(p, np.array(v)), p, v)
+    w = wmmse.update_w(links)
+    assert_weights_match(w, reference.update_w(p, noise))
     for comb in (v, v_any.tolist()):  # the fresh combiner and an arbitrary one
         e = wmmse.mse_vector(links, comb)
         np.testing.assert_allclose(
@@ -488,12 +480,6 @@ def test_per_user_functions_match_numpy_oracles(n_users, seed):
     assert wmmse.sum_rate(links, weights_list) == pytest.approx(
         reference.sum_rate(p, weights, noise), rel=PER_USER_RTOL, abs=0
     )
-    got = outcome(wmmse.update_w, links, v_any.tolist())
-    want = outcome(reference.update_w, p, v_any)
-    if isinstance(want, str):  # an arbitrary combiner may give a non-positive weight
-        assert got == want
-    else:
-        assert_weights_match(got, want, p, v_any)
 
     # F_D inverts R C R^H, which amplifies the last-bit differences of C by
     # its condition number: orthonormal channel rows and |v_k| in [0.7, 1.4]
@@ -515,30 +501,17 @@ def test_per_user_functions_match_numpy_oracles(n_users, seed):
 @given(
     n_users=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    kinds=st.lists(st.sampled_from(["fine", "degenerate", "negative"]), min_size=8, max_size=8),
+    boost_db=st.floats(min_value=0.0, max_value=120.0),
 )
-def test_weight_update_failures_match_numpy_oracle(n_users, seed, kinds):
-    # v_k p_kk = 1 makes user k degenerate and v_k p_kk = 2 gives it weight
-    # -1; either way both forms raise the same RuntimeError, the degenerate
-    # text first, and never a ZeroDivisionError or a math domain error
-    _, p, v, _, _ = per_user_instance(seed, n_users)
-    factor = {"degenerate": 1.0, "negative": 2.0}
-    combiners = [
-        factor[kind] / complex(p[k, k]) if kind in factor else v[k]
-        for k, kind in enumerate(kinds[:n_users])
-    ]
-    got = outcome(wmmse.update_w, wmmse.link_stats(p), combiners)
-    want = outcome(reference.update_w, p, np.array(combiners))
-    if isinstance(want, str):
-        assert got == want
-        if "degenerate" in kinds[:n_users]:
-            assert want == "weight update degenerate: v_k p_kk is numerically 1"
-    else:
-        assert_weights_match(got, want, p, combiners)
-    if not isinstance(got, str):
-        # positive weights: their logarithms are defined
-        e = wmmse.mse_vector(wmmse.link_stats(p), combiners)
-        assert math.isfinite(wmmse.wmmse_objective(got.tolist(), e, [1.0] * n_users))
+def test_weights_match_numpy_oracle_up_to_high_sinr(n_users, seed, boost_db):
+    # the desired links raised by up to 120 dB, SINRs up to about 1e14, where
+    # the oracle's 1 - v_k p_kk keeps only a few significant bits; the
+    # received power includes the desired one, so no weight is below 1
+    _, p, _, _, _ = per_user_instance(seed, n_users)
+    p[np.diag_indices(n_users)] *= 10.0 ** (boost_db / 20.0)
+    w = wmmse.update_w(wmmse.link_stats(p))
+    assert min(w) >= 1.0
+    assert_weights_match(w, reference.update_w(p, np.ones(n_users)))
 
 
 class TestGAffine:
@@ -1627,13 +1600,15 @@ class TestOuterStep:
 
 class TestSolverConfig:
     @pytest.mark.parametrize(
-        "pmax_dbm, steps, records", [(10.0, 14, 10), (0.0, 11, 8)], ids=["10dBm", "0dBm-cycle"]
+        "pmax_dbm, steps, records", [(10.0, 14, 10), (0.0, 10, 7)], ids=["10dBm", "0dBm-cycle"]
     )
     def test_zero_tolerance_stops_once_the_rate_stops_rising(self, pmax_dbm, steps, records):
         # a rise of at most 0 * rate holds once the rate repeats or falls in
         # its last bits, which these frozen solves of the default drop reach
         # long before the cap; at 0 dBm the rate cycles between two values
-        # one ulp apart, so a test of |change| <= 0 never stopped it
+        # one ulp apart, so a test of |change| <= 0 never stopped it (the
+        # weights 1 + SINR_k round into that cycle one map sooner than
+        # 1 / (1 - v_k p_kk) did, at 10 steps rather than 11)
         scenario = generate_scenario(RunConfig(), 3)
         config = wmmse.SolverConfig(max_iterations=2000, tolerance=0.0)
         res = wmmse.run_algorithm1(scenario, pmax_dbm - NOISE_DBM, config, em_update=False)
