@@ -35,20 +35,18 @@ sum_i x_i / (s_i + t)^2 = target (More & Sorensen 1983).
 
 One outer iteration, a map G, is ``outer_step``, a function from one
 immutable ``Iterate``, the point alone, to the next.  ``_alternate`` runs
-it once per loop step, owns the step policy and returns the
-``SolverResult`` of every solve, the pattern solve's, the frozen baseline's
-and ``refit_digital``'s alike.  Every solve takes one SQUAREM extrapolation
-after every two maps (``extrapolated_start``; Varadhan & Roland 2008), which
-shortcuts the slow linear tail of block-coordinate WMMSE: of F_D on a fixed
-channel (the frozen baseline and ``refit_digital``), and of F_D together
-with each antenna's row coordinates a_n on a pattern solve, each a_n kept
-on the side of its constraint it held: in its ball, or on its sphere.  On
-a pattern solve the step length is bounded, and ``_alternate`` grows the
-bound after a step that used it in full and was kept, and shrinks it after
-one it rejected.  ``extrapolated_start`` only forms the point;
-``_alternate`` alone keeps or rejects it.  ``Iterate.start`` forms the
-state of every new channel, its QR and links, where a solve starts, a
-pattern sweep ends or an extrapolation moves the patterns.
+it once per loop step and returns the ``SolverResult`` of every solve, the
+pattern solve's, the frozen baseline's and ``refit_digital``'s alike.
+Every solve takes one SQUAREM extrapolation after every two maps
+(``extrapolated_start``; Varadhan & Roland 2008), which shortcuts the slow
+linear tail of block-coordinate WMMSE: of F_D on a fixed channel, and of
+F_D with the row point on a pattern solve.  Each rule of the step policy
+is one pure function: ``step_length``, ``side_scales`` (each a_n kept in
+its ball or on its sphere), ``moved_bound`` (the step-length bound),
+``keeps_start`` and ``keeps_map`` (the keep tests) and ``settled`` (the
+stop test).  ``Iterate.start`` forms the state of every new channel, its
+QR and links, where a solve starts, a pattern sweep ends or an
+extrapolation moves the patterns.
 
 The solve runs in SNR units: ``snr_scale`` scales the channel so that the
 noise is 1 at every user and the power budget is 1.  Its precoder F~ times
@@ -636,27 +634,52 @@ def outer_step(x: Iterate, it, weights, factors):
     return y, IterationRecord(it, rate, obj_em, obj_v, obj_w, obj_fd, seconds)
 
 
+def step_length(norm_r, norm_u, bound) -> tuple:
+    """(alpha = -min(||r|| / ||u||, bound), None where the step is plain; alpha == -bound)."""
+    if not norm_r > norm_u > 0.0:  # NaN fails too
+        return None, False
+    alpha = max(-norm_r / norm_u, -bound)
+    return (None if alpha >= -1.0 else alpha), alpha == -bound
+
+
+def side_scales(a_sq, null_sq, rho_sq) -> np.ndarray:
+    """Each a_n's scale: into its ball if x_2's was inside (null_sq > 0), else onto its sphere."""
+    scale = np.sqrt(rho_sq / a_sq)
+    return np.where(null_sq > 0.0, np.minimum(scale, 1.0), scale)
+
+
+def moved_bound(bound, floor, kept) -> float:
+    """The bound after a step at it: grown if kept or plain, else shrunk, not below ``floor``."""
+    return bound * STEP_GROWTH if kept else max(bound / STEP_GROWTH, floor)
+
+
+def keeps_start(objective_after_v, last_objective) -> bool:
+    """Keep test before the map: at most the last kept objective; NaN fails."""
+    return objective_after_v <= last_objective
+
+
+def keeps_map(rate, last_rate) -> bool:
+    """Keep test after the map: the rate beats the last kept one."""
+    return rate > last_rate
+
+
+def settled(rate, last_rate, tolerance) -> bool:
+    """Stop test: the rate rose by at most ``tolerance`` relative to the last one, or fell."""
+    return rate - last_rate <= tolerance * max(abs(last_rate), 1e-12)
+
+
 def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, bool]:
     """Where the loop's next map starts after two plain maps: one SQUAREM
-    extrapolation of the point, F_D on a fixed channel (no ``factors``),
-    and F_D with the row point on a pattern solve.
+    extrapolation of F_D, with the row point where ``factors`` are given.
 
-    With x_0, x_1 the (F_D, row point) pairs ``inputs`` that went into the
-    two maps and x_2 = x's own, r = x_1 - x_0, u = x_2 - 2 x_1 + x_0 and
-    alpha = -min(||r|| / ||u||, ``bound``), the step length clamped to the
-    loop's bound.  Only a step longer than the plain one, alpha < -1,
-    extrapolates; otherwise this returns x itself, as it does when a bound
-    of 1 clamps the step (alpha = -1 makes x' = x_2).
-    x' = x_0 - 2 alpha r + alpha^2 u, which holds no DC.  Its F' is scaled
-    down into the unit budget when over it.  Each a_n keeps the side of its
-    constraint that x_2's holds: one inside its ball
-    (``_null_sq`` > 0) is scaled back onto the ball only when it leaves it,
-    any other onto its sphere.  ``Iterate.start`` forms the new channel's
-    QR and links.  x' carries a fresh w from its links, so the map's
-    objective after v is sum(beta) - ln 2 rate(x').  Returns (x or x',
-    whether the step used the bound in full, alpha = -bound).  It decides
-    nothing and runs no map: ``_alternate`` alone keeps or rejects x' and
-    moves the bound."""
+    With x_0, x_1 the (F_D, row point) pairs ``inputs`` into the two maps,
+    x_2 = x's own, r = x_1 - x_0, u = x_2 - 2 x_1 + x_0 and alpha of
+    ``step_length`` under ``bound``, x' = x_0 - 2 alpha r + alpha^2 u, with
+    no DC, its F' scaled down into the unit budget when over it and each
+    a_n by ``side_scales`` of x_2's ``_null_sq``.  x' carries a fresh w, so
+    the map's objective after v is sum(beta) - ln 2 rate(x').  Returns (x
+    itself where the step is plain, as alpha = -1 gives x_2, else x'; and
+    whether alpha = -bound).  ``_alternate`` alone keeps or rejects x'."""
     (f_0, c_0), (f_1, c_1) = inputs
     r = f_1 - f_0
     u = x.f_d - 2.0 * f_1 + f_0
@@ -665,11 +688,9 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
         r_c, u_c = c_1 - c_0, x.coeffs - 2.0 * c_1 + c_0
         norm_r = math.hypot(norm_r, _norm(r_c))
         norm_u = math.hypot(norm_u, _norm(u_c))
-    if not norm_r > norm_u > 0.0:
-        return x, False
-    alpha = max(-norm_r / norm_u, -bound)
-    if alpha >= -1.0:  # a bound of 1 clamps the step to the plain map's
-        return x, True
+    alpha, full = step_length(norm_r, norm_u, bound)
+    if alpha is None:
+        return x, full
     f_d = f_0 - 2.0 * alpha * r + alpha * alpha * u
     power = float(np.add.reduce(np.abs(f_d) ** 2, axis=None))
     if power > 1.0:
@@ -678,35 +699,28 @@ def extrapolated_start(x: Iterate, inputs, factors, bound) -> tuple[Iterate, boo
         start = x._replace(f_d=f_d, links=link_stats(x.h @ f_d))
     else:
         coeffs = c_0 - 2.0 * alpha * r_c + alpha * alpha * u_c
-        scale = np.sqrt(factors.rho_sq / np.add.reduce(coeffs**2, axis=1))
-        inside = _null_sq(factors, x.coeffs) > 0.0
-        coeffs *= np.where(inside, np.minimum(scale, 1.0), scale)[:, None]
+        a_sq = np.add.reduce(coeffs**2, axis=1)
+        coeffs *= side_scales(a_sq, _null_sq(factors, x.coeffs), factors.rho_sq)[:, None]
         start = Iterate.start(channels_at(factors, coeffs), f_d, coeffs)
-    return start._replace(w=update_w(start.links)), alpha == -bound
+    return start._replace(w=update_w(start.links)), full
 
 
 def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
     """Maps from ``x``, with ``weights`` made a list of floats once, until
-    the sum rate rises between two kept maps by at most ``config.tolerance``
-    relative (a fall stops it too) or ``config.max_iterations`` loop steps
-    are spent.  Each step runs ``outer_step`` once, from x or, after two
-    plain maps, from ``extrapolated_start``'s point.  The loop alone keeps
-    or rejects that point, in two tests.  Before the map, the map's
-    objective after v, formed here as ``outer_step`` forms it, must be at
-    most the last kept map's objective (acceptance 04's chain), or the map
-    is not run; a NaN fails this test.  After the map, its rate must beat
-    the last kept map's.  A step not kept leaves no record.
-
-    The loop also holds SQUAREM's step-length bound (Varadhan & Roland 2008;
-    Du & Varadhan 2020), the largest |alpha| ``extrapolated_start`` may
-    take: STEP_BOUND_PATTERN on a pattern solve, STEP_BOUND_FIXED (none) on
-    a fixed channel.  After a step that used the bound in full, the bound
-    grows by STEP_GROWTH when the step was kept or the clamp made it plain,
-    and shrinks by it, never below its start, when either test rejected it.
-    The loop holds the pairs the extrapolation reads and the bound, so a
-    solve continued from an iterate starts a fresh cycle.  Returns the
-    solve's result: the last kept iterate, the history, whether the rate
-    settled and the steps spent."""
+    two kept maps' rates are ``settled`` under ``config.tolerance`` or
+    ``config.max_iterations`` loop steps are spent.  Each step runs
+    ``outer_step`` once, from x or, after two plain maps, from
+    ``extrapolated_start``'s point.  The loop alone keeps or rejects that
+    point: before the map by ``keeps_start`` of its objective after v,
+    formed here as ``outer_step`` forms it (acceptance 04's chain), or the
+    map is not run, and after it by ``keeps_map`` of its rate.  A step not
+    kept leaves no record.  The loop holds SQUAREM's step-length bound,
+    STEP_BOUND_PATTERN on a pattern solve and STEP_BOUND_FIXED (none) on a
+    fixed channel, moved by ``moved_bound`` after a step that used it in
+    full (one the clamp made plain counts as kept), and the pairs the
+    extrapolation reads, so a solve continued from an iterate starts a
+    fresh cycle.  Returns the last kept iterate, the history, whether the
+    rate settled and the steps spent."""
     weights = np.asarray(weights, dtype=float).tolist()
     history: list[IterationRecord] = []
     inputs = []  # the (F_D, row point) pairs into the plain maps since the last extrapolation
@@ -718,22 +732,20 @@ def _alternate(x: Iterate, weights, config, factors=None) -> SolverResult:
             (start, full), inputs = extrapolated_start(x, inputs, factors, bound), []
         if start is x:
             inputs.append((x.f_d, x.coeffs))
-        kept = start is x or (
-            wmmse_objective(start.w, mse_vector(start.links, update_v(start.links)), weights)
-            <= last.objective
+        kept = start is x or keeps_start(
+            wmmse_objective(start.w, mse_vector(start.links, update_v(start.links)), weights),
+            last.objective,
         )
         if kept:
             y, record = outer_step(start, it, weights, factors)
-            kept = start is x or record.sum_rate > last.sum_rate
+            kept = start is x or keeps_map(record.sum_rate, last.sum_rate)
         if full:
-            bound = bound * STEP_GROWTH if kept else max(bound / STEP_GROWTH, floor)
+            bound = moved_bound(bound, floor, kept)
         if not kept:
             continue
         x = y
         history.append(record)
-        if last is not None and record.sum_rate - last.sum_rate <= config.tolerance * max(
-            abs(last.sum_rate), 1e-12
-        ):
+        if last is not None and settled(record.sum_rate, last.sum_rate, config.tolerance):
             return SolverResult(x, history, True, it)
     return SolverResult(x, history, False, config.max_iterations)
 

@@ -28,6 +28,7 @@ PER_USER_ORACLE = "tests/test_wmmse.py::test_per_user_functions_match_numpy_orac
 MONOTONE_CHAIN = "tests/test_acceptance.py::test_criterion_04_wmmse_monotonicity"
 GOLDEN_PANEL = "tests/test_golden.py::test_panel_matches_golden_rows"
 KERNELS = "tests/test_linalg_kernels.py"
+STEP_POLICY = "tests/test_wmmse.py::TestStepPolicy"
 
 MUTANTS = (
     Mutant(
@@ -110,15 +111,12 @@ MUTANTS = (
     Mutant(
         "the loop keeps a map whose objective after v rose",
         WMMSE,
-        "        kept = start is x or (\n"
-        "            wmmse_objective(start.w, mse_vector(start.links, update_v(start.links)), weights)\n"
-        "            <= last.objective\n"
-        "        )\n",
-        "        kept = True\n",
+        "    return objective_after_v <= last_objective\n",
+        "    return True\n",
         (
             MONOTONE_CHAIN,
             GOLDEN_PANEL,
-            "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal",
+            f"{STEP_POLICY}::test_keeps_start",
             "tests/test_wmmse.py::TestExtrapolation::test_rejected_extrapolation_skips_its_map",
             "tests/test_harness.py::TestConfigSpace"
             "::test_every_draw_runs_clean_or_is_config_error",
@@ -131,7 +129,7 @@ MUTANTS = (
         "bound if kept",
         (
             GOLDEN_PANEL,
-            "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal",
+            f"{STEP_POLICY}::test_moved_bound",
             "tests/test_wmmse.py::TestPatternExtrapolation::test_loop_moves_the_step_bound",
         ),
     ),
@@ -142,6 +140,7 @@ MUTANTS = (
         "bound",
         (
             GOLDEN_PANEL,
+            f"{STEP_POLICY}::test_moved_bound",
             "tests/test_wmmse.py::TestPatternExtrapolation::test_loop_moves_the_step_bound",
         ),
     ),
@@ -170,19 +169,44 @@ MUTANTS = (
     Mutant(
         "an extrapolated a is not scaled back into its ball",
         WMMSE,
-        "np.where(inside, np.minimum(scale, 1.0), scale)",
-        "np.where(inside, 1.0, scale)",
+        "np.where(null_sq > 0.0, np.minimum(scale, 1.0), scale)",
+        "np.where(null_sq > 0.0, 1.0, scale)",
         (
-            "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal",
+            f"{STEP_POLICY}::test_side_scales",
             "tests/test_wmmse.py::TestPatternExtrapolation::test_kept_points_stay_on_the_budgets",
         ),
     ),
     Mutant(
         "an extrapolated a on its sphere is let into its ball",
         WMMSE,
-        "        inside = _null_sq(factors, x.coeffs) > 0.0\n",
-        "        inside = factors.q.shape[1] > factors.q.shape[2]\n",
-        (GOLDEN_PANEL, "tests/test_wmmse.py::TestLoopMatchesReference::test_history_bit_equal"),
+        "null_sq > 0.0, np.minimum",
+        "null_sq >= 0.0, np.minimum",
+        (GOLDEN_PANEL, f"{STEP_POLICY}::test_side_scales"),
+    ),
+    Mutant(
+        "a bound of 1 does not clamp the step to the plain map",
+        WMMSE,
+        "alpha >= -1.0",
+        "alpha > -1.0",
+        (
+            GOLDEN_PANEL,
+            f"{STEP_POLICY}::test_step_length",
+            "tests/test_wmmse.py::TestExtrapolation::test_step_length_is_clamped_to_the_bound",
+        ),
+    ),
+    Mutant(
+        "the loop keeps an extrapolated map whose rate only ties the last kept one",
+        WMMSE,
+        "    return rate > last_rate\n",
+        "    return rate >= last_rate\n",
+        (f"{STEP_POLICY}::test_keeps_map",),
+    ),
+    Mutant(
+        "the stop test does not stop on a rise exactly at the tolerance",
+        WMMSE,
+        "rate - last_rate <= tolerance",
+        "rate - last_rate < tolerance",
+        (f"{STEP_POLICY}::test_settled",),
     ),
     Mutant(
         "the completion pads an a_n within the secular band of its sphere",

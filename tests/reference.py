@@ -43,13 +43,13 @@ oracles of the batched code in ``trihybrid``.
 * ``alternate`` is the v/w/F_D loop, in SNR units, calling the per-user
   functions of ``wmmse`` on per-call statistics of the links and QR of
   H^H, with ``wmmse.update_em`` as the pattern update of the row point,
-  and the SQUAREM extrapolation after every two maps, of F_D and of the
-  row point, with its step-length bound and its rule for each antenna's
-  constraint, written out on its local variables;
-  ``wmmse._alternate``, which runs ``outer_step`` once per step, from an
-  ``Iterate`` holding the links' statistics and the QR, each formed once
-  per change, or from the point ``extrapolated_start`` forms and the loop
-  itself keeps or rejects, must equal it bit for bit.
+  and the SQUAREM extrapolation's arithmetic after every two maps, of F_D
+  and of the row point, written out on its local variables.  It imports
+  the step policy, ``wmmse``'s pure functions of it, which their own
+  tests check.  ``wmmse._alternate``, which runs ``outer_step`` once per
+  step, from an ``Iterate`` holding the links' statistics and the QR, each
+  formed once per change, or from the point ``extrapolated_start`` forms,
+  must equal it bit for bit.
 * ``check_state`` audits the invariants of a solve's result: positive MSE
   weights and the power budget of its last iterate, and the 4 pi budget
   and pinned DC of its patterns (``SolverResult.coeffs``).
@@ -326,33 +326,28 @@ def complete_coefficients(factors, coeffs) -> np.ndarray:
 
 def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     """The loop of ``wmmse._alternate`` written as one loop over local
-    variables, with the same per-user functions, on per-call evaluations:
-    each function reads the links' statistics from p itself, each objective
-    its own MSE vector and ln w, and F_D factors H^H itself.  With
-    ``factors`` (``wmmse.factor_ac_blocks`` of the blocks) and ``coeffs``,
-    the row point (``row_point``), each map ends with ``wmmse.update_em``'s
-    pattern sweep and the channel under the new point, the DC part
-    ``factors.dc`` plus the AC part R_n^T a_n; without them the channel is
-    fixed.
+    variables, the oracle of its state.  It restates the arithmetic and the
+    state on per-call evaluations: each per-user function reads the links'
+    statistics from p itself, each objective its own MSE vector and ln w,
+    and F_D factors H^H itself.  With ``factors``
+    (``wmmse.factor_ac_blocks`` of the blocks) and ``coeffs``, the row point
+    (``row_point``), a point is F_D with the row point, and each map ends
+    with ``wmmse.update_em``'s sweep and the channel under the new point,
+    the DC part ``factors.dc`` plus R_n^T a_n; without them the channel is
+    fixed.  After every two plain maps, with x_0, x_1 the points into them
+    and x_2 the point out of them, it forms the SQUAREM point
+    x_0 - 2 alpha r + alpha^2 u, r = x_1 - x_0 and u = x_2 - 2 x_1 + x_0,
+    its F_D scaled into the unit budget, x_2's null squares and the fresh
+    w there, and runs the map from it, also where ``_alternate`` rejects
+    the point before its map.
 
-    After every two plain maps since the last extrapolation, with x_0, x_1
-    the points going into them and x_2 the point out of them, the next map
-    starts from the SQUAREM point of the three, with fresh v and w there,
-    when its step length alpha = -min(||x_1 - x_0|| / ||x_2 - 2 x_1 + x_0||,
-    bound) is below -1 (otherwise it is a plain map).  The bound starts at
-    ``wmmse.STEP_BOUND_PATTERN`` on a pattern solve and at
-    ``wmmse.STEP_BOUND_FIXED`` on a fixed channel.  After a step whose length
-    is the bound, the bound is multiplied by ``wmmse.STEP_GROWTH`` when the
-    step was a plain map or its map's result was kept, and divided by it,
-    but not below its start, when the result was not kept.  A point is F_D
-    and, on a pattern solve, the row point.  The extrapolated F_D is scaled
-    into the unit budget.  Each antenna's extrapolated a is scaled onto its
-    sphere ||a||^2 = 4 pi - eta^2 when x_2's a lies within MULTIPLIER_TOL of
-    that sphere or no null space exists, and otherwise only when a leaves
-    the ball.  That map's result is kept only when its rate beats the last
-    record's and its objective after v is at most the last record's
-    objective.  ``h`` is in SNR units, so the noise and the budget are 1.
-    Returns (h, f_d, w, history, converged, maps), with w as an array."""
+    It imports the step policy from ``wmmse``: alpha and its clamp
+    (``step_length``), each a_n's scale (``side_scales``), the bound's start
+    (``STEP_BOUND_PATTERN``, ``STEP_BOUND_FIXED``) and moves
+    (``moved_bound``), the keep tests (``keeps_start`` and ``keeps_map``,
+    on the map's record) and the stop test (``settled``).  ``h`` is in SNR
+    units, so the noise and the budget are 1.  Returns (h, f_d, w, history,
+    converged, maps), with w as an array."""
     weights = np.asarray(weights, dtype=float).tolist()
 
     def objective(p, v, w):
@@ -404,28 +399,22 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
         u = [c - 2.0 * b + a for a, b, c in zip(x_0, x_1, x_2)]
         norm_r = math.hypot(*[float(np.linalg.norm(part)) for part in r])
         norm_u = math.hypot(*[float(np.linalg.norm(part)) for part in u])
-        if not norm_r > norm_u > 0.0:
-            return None, False
-        length = min(norm_r / norm_u, bound)
-        if length <= 1.0:  # the bound clamped the step to the plain map's
-            return None, True
-        alpha = -length
+        alpha, full = wmmse.step_length(norm_r, norm_u, bound)
+        if alpha is None:
+            return None, full
         x = [a - 2.0 * alpha * b + alpha * alpha * c for a, b, c in zip(x_0, r, u)]
         f_x = x[0]
         power = float(np.sum(np.abs(f_x) ** 2))
         if power > 1.0:
             f_x = f_x * math.sqrt(1.0 / power)
         if factors is None:
-            return (f_x, coeffs), length == bound
-        c_x = x[1]
-        null = factors.q.shape[1] > factors.q.shape[2]
+            return (f_x, coeffs), full
         rho_sq = FULL_SPHERE - factors.eta * factors.eta
-        for n, own in enumerate(x_2[1]):
-            a_sq = np.sum(c_x[n] ** 2)
-            inside = null and rho_sq - np.sum(own**2) > MULTIPLIER_TOL * rho_sq
-            if not inside or a_sq > rho_sq:
-                c_x[n] *= math.sqrt(rho_sq / a_sq)
-        return (f_x, c_x), length == bound
+        missing = rho_sq - np.sum(x_2[1] ** 2, axis=1)
+        null = factors.q.shape[1] > factors.q.shape[2]
+        null_sq = np.where(null & (missing > MULTIPLIER_TOL * rho_sq), missing, 0.0)
+        c_x = x[1] * wmmse.side_scales(np.sum(x[1] ** 2, axis=1), null_sq, rho_sq)[:, None]
+        return (f_x, c_x), full
 
     w = [1.0] * len(weights)
     history = []
@@ -433,35 +422,34 @@ def alternate(h, f_d, weights, config, factors=None, coeffs=None):
     lowest = wmmse.STEP_BOUND_FIXED if factors is None else wmmse.STEP_BOUND_PATTERN
     bound = lowest
     for it in range(1, config.max_iterations + 1):
-        start, at_bound = None, False
+        start, full = None, False
         if len(inputs) == 2:
-            start, at_bound = extrapolated(
+            start, full = extrapolated(
                 *(point(f, c) for f, c in inputs), point(f_d, coeffs), bound
             )
             inputs = []
         if start is None:
-            if at_bound:
-                bound *= wmmse.STEP_GROWTH
             inputs.append((f_d, coeffs))
             h, f_d, w, coeffs, record = one_map(it, h, f_d, w, coeffs)
+            kept = True
         else:
             f_x, c_x = start
             h_x = h if factors is None else channels(c_x)
-            p_x = h_x @ f_x
-            w_x = wmmse.update_w(wmmse.link_stats(p_x))
+            w_x = wmmse.update_w(wmmse.link_stats(h_x @ f_x))
             h_y, f_y, w_y, c_y, record = one_map(it, h_x, f_x, w_x, c_x)
             last = history[-1]
-            if not (record.sum_rate > last.sum_rate
-                    and record.objective_after_v <= last.objective):
-                if at_bound:
-                    bound = max(bound / wmmse.STEP_GROWTH, lowest)
-                continue
-            if at_bound:
-                bound *= wmmse.STEP_GROWTH
-            h, f_d, w, coeffs = h_y, f_y, w_y, c_y
+            kept = wmmse.keeps_start(record.objective_after_v, last.objective) and (
+                wmmse.keeps_map(record.sum_rate, last.sum_rate)
+            )
+            if kept:
+                h, f_d, w, coeffs = h_y, f_y, w_y, c_y
+        if full:
+            bound = wmmse.moved_bound(bound, lowest, kept)
+        if not kept:
+            continue
         history.append(record)
-        if len(history) > 1 and record.sum_rate - history[-2].sum_rate <= (
-            config.tolerance * max(abs(history[-2].sum_rate), 1e-12)
+        if len(history) > 1 and wmmse.settled(
+            record.sum_rate, history[-2].sum_rate, config.tolerance
         ):
             return h, f_d, np.array(w), history, True, it
     return h, f_d, np.array(w), history, False, config.max_iterations

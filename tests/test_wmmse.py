@@ -1652,7 +1652,7 @@ def plain_solve(scenario, snr_db, config):
     for it in range(1, config.max_iterations + 1):
         x, record = wmmse.outer_step(x, it, weights, None)
         rate = record.sum_rate
-        if prev is not None and rate - prev <= config.tolerance * max(abs(prev), 1e-12):
+        if prev is not None and wmmse.settled(rate, prev, config.tolerance):
             return rate, it, True
         prev = rate
     return rate, config.max_iterations, False
@@ -1861,6 +1861,75 @@ class TestPatternExtrapolation:
             assert moves["grown"] > 0 and moves["shrunk"] > 0, moves
         else:
             assert lowest == math.inf and moves == {"grown": 0, "shrunk": 0}
+
+
+class TestStepPolicy:
+    """Each rule of the extrapolation's step policy, one row per branch.
+    ``_alternate``, ``extrapolated_start`` and the reference loop all call
+    these functions, so the loop's bit equality with the reference checks
+    how the loop applies the rules, and these tables check the rules."""
+
+    @pytest.mark.parametrize(
+        "norm_r,norm_u,bound,want",
+        [
+            (2.0, 2.0, math.inf, (None, False)),  # ||r|| <= ||u||
+            (1.0, 0.0, math.inf, (None, False)),
+            (math.nan, 1.0, math.inf, (None, False)),
+            (10.0, math.nan, math.inf, (None, False)),
+            (10.0, 1.0, 1.0, (None, True)),  # clamped to the plain map
+            (10.0, 1.0, 3.0, (-3.0, True)),
+            (10.0, 1.0, 20.0, (-10.0, False)),
+            (10.0, 1.0, math.inf, (-10.0, False)),
+        ],
+        ids=["r-not-above-u", "u-zero", "nan-r", "nan-u", "bound-1", "bound-3", "bound-20",
+             "unbounded"],
+    )
+    def test_step_length(self, norm_r, norm_u, bound, want):
+        assert wmmse.step_length(norm_r, norm_u, bound) == want
+
+    @pytest.mark.parametrize(
+        "null_sq,a_sq,want",
+        [(0.5, 1.0, 1.0), (0.5, 16.0, 0.5), (0.0, 1.0, 2.0), (0.0, 16.0, 0.5)],
+        ids=["inside-below", "inside-above", "on-sphere-below", "on-sphere-above"],
+    )
+    def test_side_scales(self, null_sq, a_sq, want):
+        # rho^2 = 4: a^2 = 1 lies below it (scale 2), a^2 = 16 above it (scale 1/2)
+        assert wmmse.side_scales(np.array([a_sq]), np.array([null_sq]), 4.0).tolist() == [want]
+
+    @pytest.mark.parametrize(
+        "bound,kept,want", [(3.0, True, 9.0), (9.0, False, 3.0), (1.0, False, 1.0)],
+        ids=["grow", "shrink", "shrink-floored"],
+    )
+    def test_moved_bound(self, bound, kept, want):
+        assert wmmse.moved_bound(bound, 1.0, kept) == want
+
+    @pytest.mark.parametrize(
+        "objective_after_v,want", [(1.0, True), (2.0, True), (3.0, False), (math.nan, False)],
+        ids=["below", "equal", "above", "nan"],
+    )
+    def test_keeps_start(self, objective_after_v, want):
+        assert wmmse.keeps_start(objective_after_v, 2.0) is want
+
+    @pytest.mark.parametrize(
+        "rate,want", [(3.0, True), (2.0, False), (math.nan, False)], ids=["above", "equal", "nan"]
+    )
+    def test_keeps_map(self, rate, want):
+        assert wmmse.keeps_map(rate, 2.0) is want
+
+    @pytest.mark.parametrize(
+        "rate,last,tolerance,want",
+        [
+            (4.5, 4.0, 0.25, True),  # a rise of 0.5 within 0.25 * 4
+            (4.0, 4.0, 0.0, True),
+            (3.0, 4.0, 0.0, True),
+            (5.5, 4.0, 0.25, False),
+            (1e-13, 0.0, 1.0, True),  # the floor: within 1e-12 of a zero rate
+            (1e-11, 0.0, 1.0, False),
+        ],
+        ids=["rise-within", "equal-at-zero", "fall", "rise-above", "floor-within", "floor-above"],
+    )
+    def test_settled(self, rate, last, tolerance, want):
+        assert wmmse.settled(rate, last, tolerance) is want
 
 
 def permuted_users(scenario, order):
